@@ -7,72 +7,4 @@ checks identities coefficient by coefficient, integer-valuedness via
 the binomial-basis criterion, and congruences by exact divisibility.
 """
 
-from .combinat import binom_int, binom_rat, catalan, double_factorial_odd
-from .congruences import (
-    CongruenceCase,
-    SchmidtCoeffs,
-    catalan_form_polynomial,
-    conjecture_final_value,
-    schmidt_combination_coeffs,
-    sun_ii_polynomial,
-    theorem1_polynomial,
-    theorem2_polynomial,
-)
-from .identities import (
-    TransformPair,
-    build_lhs,
-    build_rhs,
-    eval_transform_at,
-    transform_pair,
-)
-from .qpoly import LaurentPoly, QBinomial, laurent_divisible, q_binom, q_integer, q_sun_sum
-from .ratpoly import (
-    BinomialBasis,
-    RatPoly,
-    binom_poly,
-    from_binomial_basis,
-    is_integer_valued,
-    reflect_argument,
-    to_binomial_basis,
-)
-from .report import CaseResult, CombinedReport, VerificationReport, serialize_report
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "__version__",
-    "binom_int",
-    "binom_rat",
-    "catalan",
-    "double_factorial_odd",
-    "RatPoly",
-    "BinomialBasis",
-    "binom_poly",
-    "reflect_argument",
-    "to_binomial_basis",
-    "from_binomial_basis",
-    "is_integer_valued",
-    "TransformPair",
-    "build_lhs",
-    "build_rhs",
-    "transform_pair",
-    "eval_transform_at",
-    "SchmidtCoeffs",
-    "CongruenceCase",
-    "schmidt_combination_coeffs",
-    "theorem1_polynomial",
-    "theorem2_polynomial",
-    "catalan_form_polynomial",
-    "sun_ii_polynomial",
-    "conjecture_final_value",
-    "LaurentPoly",
-    "QBinomial",
-    "q_integer",
-    "q_binom",
-    "laurent_divisible",
-    "q_sun_sum",
-    "CaseResult",
-    "VerificationReport",
-    "CombinedReport",
-    "serialize_report",
-]

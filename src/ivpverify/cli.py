@@ -5,7 +5,8 @@
                   [--format text|json|csv] [--out PATH] [--config FILE]
 
 Exit codes: 0 when every case passes, 1 on any mathematical failure,
-2 on a usage error.  The report for a given configuration is
+2 on a usage error, 3 on an internal error (a crash, not a
+counterexample).  The report for a given configuration is
 deterministic: cases are sorted by key, wall time is quarantined in a
 metadata block, and parallel runs emit byte-identical JSON/CSV to
 serial ones.  Flag precedence is defaults < IVPVERIFY_JOBS < config
@@ -19,6 +20,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -93,10 +95,11 @@ _MIN_N_MAX = {
     "all": 2,
 }
 
-_CONFIG_KEYS = (
-    "l_max", "n_max", "k_max", "m", "eps", "x_min", "x_max", "jobs", "format", "out",
-)
-_INT_KEYS = ("l_max", "n_max", "k_max", "m", "x_min", "x_max", "jobs")
+_DEFAULTS = {f.name: f.default for f in fields(GridConfig) if f.name != "task"}
+_CONFIG_KEYS = tuple(_DEFAULTS)
+_INT_KEYS = tuple(name for name, value in _DEFAULTS.items() if type(value) is int)
+# Execution details, left out of the report's config echo.
+_RUN_KEYS = ("jobs", "format", "out")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -165,7 +168,7 @@ def _load_config_file(path: str) -> dict:
             raise UsageError(f"unknown config key {key!r}")
         values[name] = value
     for name in _INT_KEYS:
-        if name in values and not isinstance(values[name], int):
+        if name in values and type(values[name]) is not int:
             raise UsageError(f"config key {name!r} must be an integer")
     if "eps" in values:
         values["eps"] = parse_eps(values["eps"])
@@ -173,9 +176,7 @@ def _load_config_file(path: str) -> dict:
 
 
 def resolve_config(args: argparse.Namespace) -> GridConfig:
-    values = {
-        f.name: f.default for f in fields(GridConfig) if f.name != "task"
-    }
+    values = dict(_DEFAULTS)
     env_jobs = os.environ.get(JOBS_ENV)
     if env_jobs is not None:
         try:
@@ -214,16 +215,9 @@ def _validate(config: GridConfig) -> None:
 
 
 def _shared_echo(config: GridConfig) -> dict:
-    eps = ",".join("+1" if e > 0 else "-1" for e in config.eps)
-    return {
-        "l_max": config.l_max,
-        "n_max": config.n_max,
-        "k_max": config.k_max,
-        "m": config.m,
-        "eps": eps,
-        "x_min": config.x_min,
-        "x_max": config.x_max,
-    }
+    echo = {name: getattr(config, name) for name in _CONFIG_KEYS if name not in _RUN_KEYS}
+    echo["eps"] = congruences.format_eps(config.eps)
+    return echo
 
 
 def run(config: GridConfig):
@@ -249,10 +243,14 @@ def main(argv=None) -> int:
         return 2
     try:
         report = run(config)
+        payload = serialize_report(report, config.format)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    payload = serialize_report(report, config.format)
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return 3
     if config.out:
         try:
             with open(config.out, "w") as fh:

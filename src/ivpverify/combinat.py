@@ -8,18 +8,14 @@ Everything runs on Python's arbitrary-precision integers and
 from __future__ import annotations
 
 import math
-import os
 from fractions import Fraction
 from functools import lru_cache
 
 __all__ = ["binom_int", "binom_rat", "double_factorial_odd", "catalan"]
 
 # Bounded memo for the hot grid loops: C(m+k,2k), C(2k,k) and friends recur
-# across every congruence grid.  Size overridable via the environment.
-_CACHE_SIZE = int(os.environ.get("IVPVERIFY_BINOM_CACHE", str(1 << 16)))
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
+# across every congruence grid.
+@lru_cache(maxsize=1 << 16)
 def binom_int(n: int, k: int) -> int:
     """Binomial coefficient C(n, k) for any integer n and k >= 0.
 
@@ -70,6 +66,8 @@ def catalan(k: int) -> int:
         raise ValueError(f"catalan: k must be >= 0, got {k}")
     central = math.comb(2 * k, k)
     value, rem = divmod(central, k + 1)
-    assert rem == 0, f"C({2 * k},{k}) not divisible by {k + 1}"
-    assert value == central - (math.comb(2 * k, k - 1) if k else 0)
+    if rem:
+        raise ArithmeticError(f"C({2 * k},{k}) not divisible by {k + 1}")
+    if value != central - (math.comb(2 * k, k - 1) if k else 0):
+        raise ArithmeticError(f"catalan({k}) disagrees with the difference form")
     return value

@@ -15,12 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import product
 from typing import Optional
 
 from .combinat import binom_int, catalan, double_factorial_odd
 from .gridrun import run_grid
-from .identities import build_lhs
-from .ratpoly import RatPoly, binom_poly, is_integer_valued
+from .identities import build_lhs, coeff_mismatch, shifted_central
+from .ratpoly import RatPoly, is_integer_valued
 from .report import CaseResult, VerificationReport, make_case
 
 __all__ = [
@@ -39,6 +40,7 @@ __all__ = [
     "check_conjecture_sun_m",
     "sun_ii_polynomial",
     "check_conjecture_sun_ii",
+    "format_eps",
 ]
 
 _EPS_BOTH = (1, -1)
@@ -49,8 +51,9 @@ def _validate_eps(eps: int) -> None:
         raise ValueError(f"eps must be +1 or -1, got {eps}")
 
 
-def _eps_echo(eps_set) -> str:
-    return ",".join("+1" if e > 0 else "-1" for e in sorted(set(eps_set), reverse=True))
+def format_eps(eps_keys) -> str:
+    """Echo a sorted eps set as '+1,-1'."""
+    return ",".join("+1" if e > 0 else "-1" for e in eps_keys)
 
 
 def _eps_keys(eps_set) -> tuple[int, ...]:
@@ -118,17 +121,19 @@ def check_lemma_schmidt(
     l_max: int, n_max: int, eps=_EPS_BOTH, jobs: int = 1
 ) -> VerificationReport:
     """Every Schmidt-combination coefficient is divisible by n, over the grid."""
+    return _l_n_eps_grid("lemma-schmidt", _schmidt_case, l_max, n_max, eps, jobs)
+
+
+def _l_n_eps_grid(
+    task: str, case_fn, l_max: int, n_max: int, eps, jobs: int
+) -> VerificationReport:
+    """Run case_fn over 1 <= l <= l_max, 1 <= n <= n_max and the eps set."""
     if l_max < 1 or n_max < 1:
-        raise ValueError(f"check_lemma_schmidt: need bounds >= 1, got {l_max}, {n_max}")
+        raise ValueError(f"{task}: need bounds >= 1, got {l_max}, {n_max}")
     eps_keys = _eps_keys(eps)
-    keys = [
-        (l, n, e)
-        for l in range(1, l_max + 1)
-        for n in range(1, n_max + 1)
-        for e in eps_keys
-    ]
-    config = {"l_max": l_max, "n_max": n_max, "eps": _eps_echo(eps_keys)}
-    return run_grid("lemma-schmidt", config, keys, _schmidt_case, jobs=jobs)
+    keys = product(range(1, l_max + 1), range(1, n_max + 1), eps_keys)
+    config = {"l_max": l_max, "n_max": n_max, "eps": format_eps(eps_keys)}
+    return run_grid(task, config, keys, case_fn, jobs=jobs)
 
 
 # -- weighted-sum polynomials and integer-valuedness -------------------------
@@ -146,10 +151,10 @@ def theorem1_polynomial(l: int, n: int, eps: int) -> RatPoly:
     return acc * Fraction(1, n)
 
 
-def _int_valued_case(key, poly: RatPoly) -> CaseResult:
+def _int_valued_case(key, poly: RatPoly, severity: str = "theorem") -> CaseResult:
     ok, x0 = is_integer_valued(poly)
     witness = None if ok else f"p({x0}) = {poly(x0)} is not an integer"
-    return make_case(key, ok, witness)
+    return make_case(key, ok, witness, severity=severity)
 
 
 def _theorem1_case(key: tuple[int, int, int]) -> CaseResult:
@@ -163,17 +168,7 @@ def check_theorem1(
     l_max: int, n_max: int, eps=_EPS_BOTH, jobs: int = 1
 ) -> VerificationReport:
     """The 1/n weighted sums are integer-valued across the whole grid."""
-    if l_max < 1 or n_max < 1:
-        raise ValueError(f"check_theorem1: need bounds >= 1, got {l_max}, {n_max}")
-    eps_keys = _eps_keys(eps)
-    keys = [
-        (l, n, e)
-        for l in range(1, l_max + 1)
-        for n in range(1, n_max + 1)
-        for e in eps_keys
-    ]
-    config = {"l_max": l_max, "n_max": n_max, "eps": _eps_echo(eps_keys)}
-    return run_grid("theorem1", config, keys, _theorem1_case, jobs=jobs)
+    return _l_n_eps_grid("theorem1", _theorem1_case, l_max, n_max, eps, jobs)
 
 
 @lru_cache(maxsize=None)
@@ -181,10 +176,7 @@ def theorem2_polynomial(n: int) -> RatPoly:
     """(1/n^2) sum_{k=0}^{n-1} (2k+1) S_k(x)."""
     if n < 1:
         raise ValueError(f"theorem2_polynomial: n must be >= 1, got {n}")
-    acc = RatPoly()
-    for k in range(n):
-        acc = acc + build_lhs(k) * (2 * k + 1)
-    return acc * Fraction(1, n * n)
+    return theorem1_polynomial(1, n, 1) * Fraction(1, n)
 
 
 def _theorem2_case(n: int) -> CaseResult:
@@ -201,10 +193,8 @@ def check_theorem2(n_max: int, jobs: int = 1) -> VerificationReport:
 
 # -- Catalan-weighted rewriting of the theorem2 sum --------------------------
 
-@lru_cache(maxsize=None)
-def _shifted_central(k: int) -> RatPoly:
-    """C(x+k, 2k)."""
-    return binom_poly(2 * k, shift=k)
+def _catalan_weight(n: int, k: int) -> int:
+    return catalan(k) * binom_int(n - 1, k) * binom_int(n + k, k)
 
 
 @lru_cache(maxsize=None)
@@ -219,8 +209,7 @@ def catalan_form_polynomial(n: int) -> RatPoly:
         raise ValueError(f"catalan_form_polynomial: n must be >= 1, got {n}")
     acc = RatPoly()
     for k in range(n):
-        weight = catalan(k) * binom_int(n - 1, k) * binom_int(n + k, k)
-        acc = acc + _shifted_central(k) * weight
+        acc = acc + shifted_central(k) * _catalan_weight(n, k)
     return acc
 
 
@@ -230,18 +219,11 @@ def _catalan_case(key: tuple) -> CaseResult:
         n = key[1]
         p, q = theorem2_polynomial(n), catalan_form_polynomial(n)
         ok = p == q
-        witness = None
-        if not ok:
-            i = next(
-                i for i in range(max(p.degree, q.degree) + 1) if p.coeff(i) != q.coeff(i)
-            )
-            witness = f"coeff of x^{i}: {p.coeff(i)} vs {q.coeff(i)}"
-        return make_case((("part", part), ("n", n)), ok, witness)
+        return make_case((("part", part), ("n", n)), ok, None if ok else coeff_mismatch(p, q))
     _, n, x0 = key
     bad = None
     for k in range(n):
-        weight = catalan(k) * binom_int(n - 1, k) * binom_int(n + k, k)
-        term = weight * _shifted_central(k)(x0)
+        term = _catalan_weight(n, k) * shifted_central(k)(x0)
         if term.denominator != 1:
             bad = f"k={k} summand {term} is not an integer"
             break
@@ -398,18 +380,14 @@ def check_conjecture_sun_m(
         f"degree is m(n-1) = {m}(n-1); x range holds {points} consecutive points: "
         + regime
     ]
-    keys = [
-        (l, n, e, x0)
-        for l in range(1, l_max + 1)
-        for n in range(1, n_max + 1)
-        for e in eps_keys
-        for x0 in range(x_min, x_max + 1)
-    ]
+    keys = product(
+        range(1, l_max + 1), range(1, n_max + 1), eps_keys, range(x_min, x_max + 1)
+    )
     config = {
         "m": m,
         "l_max": l_max,
         "n_max": n_max,
-        "eps": _eps_echo(eps_keys),
+        "eps": format_eps(eps_keys),
         "x_min": x_min,
         "x_max": x_max,
     }
@@ -435,10 +413,8 @@ def sun_ii_polynomial(l: int, n: int) -> RatPoly:
 
 def _sun_ii_case(key: tuple[int, int]) -> CaseResult:
     l, n = key
-    ok, x0 = is_integer_valued(sun_ii_polynomial(l, n))
-    witness = None if ok else f"p({x0}) = {sun_ii_polynomial(l, n)(x0)} is not an integer"
     severity = "theorem" if l == 1 else "conjecture"
-    return make_case((("l", l), ("n", n)), ok, witness, severity=severity)
+    return _int_valued_case((("l", l), ("n", n)), sun_ii_polynomial(l, n), severity)
 
 
 def check_conjecture_sun_ii(l_max: int, n_max: int, jobs: int = 1) -> VerificationReport:
@@ -451,6 +427,6 @@ def check_conjecture_sun_ii(l_max: int, n_max: int, jobs: int = 1) -> Verificati
         raise ValueError(
             f"check_conjecture_sun_ii: need bounds >= 1, got {l_max}, {n_max}"
         )
-    keys = [(l, n) for l in range(1, l_max + 1) for n in range(1, n_max + 1)]
+    keys = product(range(1, l_max + 1), range(1, n_max + 1))
     config = {"l_max": l_max, "n_max": n_max}
     return run_grid("conjecture-sun-ii", config, keys, _sun_ii_case, jobs=jobs)

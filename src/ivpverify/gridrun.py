@@ -10,21 +10,21 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .report import CaseResult, VerificationReport
 
 __all__ = ["run_grid"]
 
-# Keep one worker pool per process; spawning is expensive and the tasks
-# reuse heavily cached binomials.
+# Each parallel run_grid call starts its own worker pool, so worker
+# caches start cold for every task; cells go to workers _CHUNK at a time.
 _CHUNK = 8
 
 
 def run_grid(
     task: str,
     config: dict,
-    keys: Sequence[tuple],
+    keys: Iterable[tuple],
     case_fn: Callable[[tuple], CaseResult],
     jobs: int = 1,
     notes: Iterable[str] = (),

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple, Union
+from typing import Union
 
 from .combinat import binom_int, binom_rat
 from .gridrun import run_grid
@@ -28,10 +28,10 @@ from .ratpoly import RatPoly, binom_poly, reflect_argument
 from .report import CaseResult, VerificationReport, make_case
 
 __all__ = [
-    "TransformPair",
+    "shifted_central",
     "build_lhs",
     "build_rhs",
-    "transform_pair",
+    "coeff_mismatch",
     "verify_transformation",
     "recurrence_coefficients",
     "verify_recurrence",
@@ -64,7 +64,7 @@ def _binom_sq(j: int) -> RatPoly:
 
 
 @lru_cache(maxsize=None)
-def _shifted_central(k: int) -> RatPoly:
+def shifted_central(k: int) -> RatPoly:
     """C(x+k, 2k), the degree-2k factor of the right-hand closed form."""
     return binom_poly(2 * k, shift=k)
 
@@ -90,27 +90,12 @@ def build_rhs(n: int) -> RatPoly:
     acc = RatPoly()
     for k in range(n + 1):
         weight = binom_int(n + k, 2 * k) * binom_int(2 * k, k) ** 2
-        acc = acc + _shifted_central(k) * weight
+        acc = acc + shifted_central(k) * weight
     return acc
 
 
-class TransformPair(NamedTuple):
-    """Both closed forms of S_n, kept separate so they can be compared."""
-
-    n: int
-    lhs: RatPoly
-    rhs: RatPoly
-
-    @property
-    def equal(self) -> bool:
-        return self.lhs == self.rhs
-
-
-def transform_pair(n: int) -> TransformPair:
-    return TransformPair(n, build_lhs(n), build_rhs(n))
-
-
-def _first_coeff_mismatch(p: RatPoly, q: RatPoly) -> str:
+def coeff_mismatch(p: RatPoly, q: RatPoly) -> str:
+    """Witness for p != q: the first coefficient where they differ."""
     for i in range(max(p.degree, q.degree) + 1):
         if p.coeff(i) != q.coeff(i):
             return f"coeff of x^{i}: {p.coeff(i)} vs {q.coeff(i)}"
@@ -118,12 +103,9 @@ def _first_coeff_mismatch(p: RatPoly, q: RatPoly) -> str:
 
 
 def _transform_case(n: int) -> CaseResult:
-    pair = transform_pair(n)
-    return make_case(
-        (("n", n),),
-        pair.equal,
-        _first_coeff_mismatch(pair.lhs, pair.rhs),
-    )
+    lhs, rhs = build_lhs(n), build_rhs(n)
+    ok = lhs == rhs
+    return make_case((("n", n),), ok, None if ok else coeff_mismatch(lhs, rhs))
 
 
 def verify_transformation(n_max: int, jobs: int = 1) -> VerificationReport:

@@ -11,16 +11,14 @@ division with a stall check decides the question completely.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
-from .combinat import binom_int
 from .congruences import conjecture_final_value
 from .gridrun import run_grid
 from .report import CaseResult, VerificationReport, make_case
 
 __all__ = [
     "LaurentPoly",
-    "QBinomial",
     "q_integer",
     "q_binom",
     "laurent_divisible",
@@ -204,19 +202,11 @@ def _q_binom_poly(n: int, k: int) -> LaurentPoly:
     return _q_binom_poly(n - 1, k - 1) + _q_binom_poly(n - 1, k).shift(k)
 
 
-class QBinomial(NamedTuple):
-    """A q-binomial together with its defining indices."""
-
-    n: int
-    k: int
-    value: LaurentPoly
-
-
-def q_binom(n: int, k: int) -> QBinomial:
+def q_binom(n: int, k: int) -> LaurentPoly:
     """The Gaussian coefficient [n choose k]; zero polynomial when k > n."""
     if n < 0 or k < 0:
         raise ValueError(f"q_binom: need n, k >= 0, got {n}, {k}")
-    return QBinomial(n, k, _q_binom_poly(n, k))
+    return _q_binom_poly(n, k)
 
 
 def laurent_divisible(f: LaurentPoly, g: LaurentPoly) -> tuple[bool, LaurentPoly]:

@@ -116,11 +116,11 @@ def test_criterion_10_property_suites_and_determinism(tmp_path):
     # q-Pascal and symmetry through n = 30.
     for n in range(1, 31):
         for k in range(n + 1):
-            v = q_binom(n, k).value
-            step = q_binom(n - 1, k).value.shift(k)
-            rhs = q_binom(n - 1, k - 1).value + step if k else step
+            v = q_binom(n, k)
+            step = q_binom(n - 1, k).shift(k)
+            rhs = q_binom(n - 1, k - 1) + step if k else step
             assert v == rhs
-            assert v == q_binom(n, n - k).value
+            assert v == q_binom(n, n - k)
             assert v.eval_at_one() == binom_int(n, k)
 
     # Pascal and negation identities for the scalar binomial.

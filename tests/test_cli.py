@@ -123,6 +123,25 @@ def test_config_file_validation(tmp_path, capsys):
     assert cli.main(["transform", "--config", str(tmp_path / "absent.json")]) == 2
 
 
+@pytest.mark.parametrize("key", ["jobs", "n_max"])
+def test_config_file_rejects_booleans_for_integers(tmp_path, capsys, key):
+    cfg = tmp_path / "bool.json"
+    cfg.write_text(json.dumps({key: True}))
+    assert cli.main(["transform", "--config", str(cfg)]) == 2
+    assert f"config key {key!r} must be an integer" in capsys.readouterr().err
+
+
+def test_internal_error_exits_three(capsys, monkeypatch):
+    def crash(config):
+        raise RuntimeError("worker pool died")
+
+    monkeypatch.setitem(cli._TASKS, "transform", crash)
+    assert cli.main(["transform"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "internal error: RuntimeError('worker pool died')" in captured.err
+
+
 def test_jobs_env_var_is_default(monkeypatch, capsys):
     monkeypatch.setenv(cli.JOBS_ENV, "2")
     assert cli.main(["chu-vandermonde", "--k-max", "3"]) == 0

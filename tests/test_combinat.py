@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -79,3 +80,13 @@ def test_catalan_times_k_plus_one_is_central_binomial():
 def test_catalan_negative_rejected():
     with pytest.raises(ValueError):
         catalan(-1)
+
+
+@pytest.mark.parametrize("bad_args", [(6, 3), (6, 2)])
+def test_catalan_checks_survive_without_asserts(monkeypatch, bad_args):
+    # (6, 3) breaks the divisibility of C(6,3) by 4; (6, 2) breaks the
+    # cross-check against C(6,3) - C(6,2).  Both must raise under -O too.
+    real = math.comb
+    monkeypatch.setattr(math, "comb", lambda n, k: real(n, k) + ((n, k) == bad_args))
+    with pytest.raises(ArithmeticError):
+        catalan(3)

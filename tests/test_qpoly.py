@@ -57,38 +57,38 @@ def test_q_integer():
 
 
 def test_q_binom_frozen_expansions():
-    assert q_binom(4, 2).value == LaurentPoly([1, 1, 2, 1, 1])
-    assert q_binom(5, 2).value == LaurentPoly([1, 1, 2, 2, 2, 1, 1])
-    assert q_binom(6, 3).value == LaurentPoly([1, 1, 2, 3, 3, 3, 3, 2, 1, 1])
-    assert q_binom(5, 0).value == LaurentPoly([1])
-    assert q_binom(3, 5).value.is_zero
+    assert q_binom(4, 2) == LaurentPoly([1, 1, 2, 1, 1])
+    assert q_binom(5, 2) == LaurentPoly([1, 1, 2, 2, 2, 1, 1])
+    assert q_binom(6, 3) == LaurentPoly([1, 1, 2, 3, 3, 3, 3, 2, 1, 1])
+    assert q_binom(5, 0) == LaurentPoly([1])
+    assert q_binom(3, 5).is_zero
 
 
 def test_q_pascal_recurrence():
     for n in range(1, 31):
         for k in range(n + 1):
-            lhs = q_binom(n, k).value
-            rhs = q_binom(n - 1, k - 1).value if k else LaurentPoly()
-            rhs = rhs + q_binom(n - 1, k).value.shift(k)
+            lhs = q_binom(n, k)
+            rhs = q_binom(n - 1, k - 1) if k else LaurentPoly()
+            rhs = rhs + q_binom(n - 1, k).shift(k)
             assert lhs == rhs
 
 
 def test_q_binom_symmetry():
     for n in range(31):
         for k in range(n + 1):
-            assert q_binom(n, k).value == q_binom(n, n - k).value
+            assert q_binom(n, k) == q_binom(n, n - k)
 
 
 def test_q_binom_specializes_to_binomials():
     for n in range(31):
         for k in range(n + 1):
-            assert q_binom(n, k).value.eval_at_one() == binom_int(n, k)
+            assert q_binom(n, k).eval_at_one() == binom_int(n, k)
 
 
 def test_q_binom_degree_and_positivity():
     for n in range(25):
         for k in range(n + 1):
-            v = q_binom(n, k).value
+            v = q_binom(n, k)
             assert v.min_exp == 0
             assert v.max_exp == k * (n - k)
             assert all(c > 0 for c in v.coeffs)
