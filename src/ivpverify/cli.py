@@ -5,8 +5,9 @@
                   [--format text|json|csv] [--out PATH] [--config FILE]
 
 Exit codes: 0 when every case passes, 1 on any mathematical failure,
-2 on a usage error, 3 on an internal error (a crash, not a
-counterexample).  The report for a given configuration is
+2 on a usage error (every bound is checked before a task runs), 3 on an
+internal error: any exception a task raises, a crash, not a
+counterexample.  The report for a given configuration is
 deterministic: cases are sorted by key, wall time is quarantined in a
 metadata block, and parallel runs emit byte-identical JSON/CSV to
 serial ones.  Flag precedence is defaults < IVPVERIFY_JOBS < config
@@ -244,9 +245,6 @@ def main(argv=None) -> int:
     try:
         report = run(config)
         payload = serialize_report(report, config.format)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:
         traceback.print_exc()
         print(f"internal error: {exc!r}", file=sys.stderr)

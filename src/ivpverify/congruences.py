@@ -7,7 +7,11 @@ Severity matters here.  Most grid cells instantiate proved statements
 checks instantiate open conjectures (severity "conjecture"), so a
 failing cell there would be a counterexample, not a bug in a proof.
 Every verdict is computed on exact integers -- no modular reduction
-happens before the final divisibility test.
+happens before the final divisibility test.  The weighted sums of
+S_k(x) have degree 2n-2, so each is held as its 2n-1 integer values at
+x = 0 .. 2n-2 (`weighted_sum_values`); p/m is integer-valued exactly
+when every forward difference of those values at 0 is a multiple of m
+(see `values`).
 """
 
 from __future__ import annotations
@@ -20,25 +24,23 @@ from typing import Optional
 
 from .combinat import binom_int, catalan, double_factorial_odd
 from .gridrun import run_grid
-from .identities import build_lhs, coeff_mismatch, shifted_central
-from .ratpoly import RatPoly, is_integer_valued
+from .identities import build_lhs, coeff_mismatch
 from .report import CaseResult, VerificationReport, make_case
+from .values import coefficients, first_non_multiple
 
 __all__ = [
     "SchmidtCoeffs",
     "CongruenceCase",
     "schmidt_combination_coeffs",
     "check_lemma_schmidt",
-    "theorem1_polynomial",
+    "weighted_sum_values",
     "check_theorem1",
-    "theorem2_polynomial",
     "check_theorem2",
-    "catalan_form_polynomial",
+    "catalan_form_values",
     "check_catalan_form",
     "conjecture_final_value",
     "check_conjecture_final",
     "check_conjecture_sun_m",
-    "sun_ii_polynomial",
     "check_conjecture_sun_ii",
     "format_eps",
 ]
@@ -136,31 +138,35 @@ def _l_n_eps_grid(
     return run_grid(task, config, keys, case_fn, jobs=jobs)
 
 
-# -- weighted-sum polynomials and integer-valuedness -------------------------
+# -- weighted sums of S_k and integer-valuedness -----------------------------
 
-@lru_cache(maxsize=None)
-def theorem1_polynomial(l: int, n: int, eps: int) -> RatPoly:
-    """(1/n) sum_{k=0}^{n-1} eps^k (2k+1)^(2l-1) S_k(x)."""
+@lru_cache(maxsize=1 << 12)
+def weighted_sum_values(l: int, n: int, eps: int) -> tuple[int, ...]:
+    """sum_{k=0}^{n-1} eps^k (2k+1)^(2l-1) S_k(x) at x = 0 .. 2n-2 (degree 2n-2)."""
     if l < 1 or n < 1:
-        raise ValueError(f"theorem1_polynomial: need l, n >= 1, got {l}, {n}")
+        raise ValueError(f"weighted_sum_values: need l, n >= 1, got {l}, {n}")
     _validate_eps(eps)
     power = 2 * l - 1
-    acc = RatPoly()
+    points = 2 * n - 1
+    total = [0] * points
     for k in range(n):
-        acc = acc + build_lhs(k) * (eps ** k * (2 * k + 1) ** power)
-    return acc * Fraction(1, n)
+        weight = eps ** k * (2 * k + 1) ** power
+        for x, s in enumerate(build_lhs(k, points)):
+            total[x] += weight * s
+    return tuple(total)
 
 
-def _int_valued_case(key, poly: RatPoly, severity: str = "theorem") -> CaseResult:
-    ok, x0 = is_integer_valued(poly)
-    witness = None if ok else f"p({x0}) = {poly(x0)} is not an integer"
-    return make_case(key, ok, witness, severity=severity)
+def _int_valued_case(key, values, m: int, severity: str = "theorem") -> CaseResult:
+    """Is the polynomial with these values at 0, 1, ..., divided by m, integer-valued?"""
+    x0 = first_non_multiple(values, m)
+    witness = None if x0 is None else f"p({x0}) = {Fraction(values[x0], m)} is not an integer"
+    return make_case(key, x0 is None, witness, severity=severity)
 
 
 def _theorem1_case(key: tuple[int, int, int]) -> CaseResult:
     l, n, eps = key
     return _int_valued_case(
-        (("l", l), ("n", n), ("eps", eps)), theorem1_polynomial(l, n, eps)
+        (("l", l), ("n", n), ("eps", eps)), weighted_sum_values(l, n, eps), n
     )
 
 
@@ -171,16 +177,9 @@ def check_theorem1(
     return _l_n_eps_grid("theorem1", _theorem1_case, l_max, n_max, eps, jobs)
 
 
-@lru_cache(maxsize=None)
-def theorem2_polynomial(n: int) -> RatPoly:
-    """(1/n^2) sum_{k=0}^{n-1} (2k+1) S_k(x)."""
-    if n < 1:
-        raise ValueError(f"theorem2_polynomial: n must be >= 1, got {n}")
-    return theorem1_polynomial(1, n, 1) * Fraction(1, n)
-
-
 def _theorem2_case(n: int) -> CaseResult:
-    return _int_valued_case((("n", n),), theorem2_polynomial(n))
+    """(1/n^2) sum_{k=0}^{n-1} (2k+1) S_k(x) is integer-valued."""
+    return _int_valued_case((("n", n),), weighted_sum_values(1, n, 1), n * n)
 
 
 def check_theorem2(n_max: int, jobs: int = 1) -> VerificationReport:
@@ -197,35 +196,47 @@ def _catalan_weight(n: int, k: int) -> int:
     return catalan(k) * binom_int(n - 1, k) * binom_int(n + k, k)
 
 
-@lru_cache(maxsize=None)
-def catalan_form_polynomial(n: int) -> RatPoly:
-    """sum_{k=0}^{n-1} catalan(k) C(n-1,k) C(n+k,k) C(x+k,2k).
+def catalan_form_values(n: int) -> tuple[int, ...]:
+    """sum_{k=0}^{n-1} catalan(k) C(n-1,k) C(n+k,k) C(x+k,2k) at x = 0 .. 2n-2.
 
     Term-for-term this is (1/n) C(n,k+1) C(n+k,k) C(2k,k) C(x+k,2k);
     pulling the 1/(k+1) into the central binomial makes every scalar
     weight a visible integer.
     """
     if n < 1:
-        raise ValueError(f"catalan_form_polynomial: n must be >= 1, got {n}")
-    acc = RatPoly()
-    for k in range(n):
-        acc = acc + shifted_central(k) * _catalan_weight(n, k)
-    return acc
+        raise ValueError(f"catalan_form_values: n must be >= 1, got {n}")
+    weights = [_catalan_weight(n, k) for k in range(n)]
+    return tuple(
+        sum(w * binom_int(x + k, 2 * k) for k, w in enumerate(weights))
+        for x in range(2 * n - 1)
+    )
+
+
+def _catalan_summand_times_n(n: int, k: int, x0: int) -> int:
+    """C(n,k+1) C(n+k,k) C(2k,k) C(x0+k,2k), n times the k-th summand."""
+    return (
+        binom_int(n, k + 1) * binom_int(n + k, k) * binom_int(2 * k, k)
+        * binom_int(x0 + k, 2 * k)
+    )
 
 
 def _catalan_case(key: tuple) -> CaseResult:
     part = key[0]
     if part == "identity":
         n = key[1]
-        p, q = theorem2_polynomial(n), catalan_form_polynomial(n)
-        ok = p == q
-        return make_case((("part", part), ("n", n)), ok, None if ok else coeff_mismatch(p, q))
+        v, c = weighted_sum_values(1, n, 1), catalan_form_values(n)
+        ok = v == tuple(n * n * ci for ci in c)
+        witness = None
+        if not ok:
+            p = [Fraction(a, n * n) for a in coefficients(v)]
+            witness = coeff_mismatch(p, coefficients(c))
+        return make_case((("part", part), ("n", n)), ok, witness)
     _, n, x0 = key
     bad = None
     for k in range(n):
-        term = _catalan_weight(n, k) * shifted_central(k)(x0)
-        if term.denominator != 1:
-            bad = f"k={k} summand {term} is not an integer"
+        term = _catalan_summand_times_n(n, k, x0)
+        if term % n:
+            bad = f"k={k} summand {Fraction(term, n)} is not an integer"
             break
     return make_case((("part", part), ("n", n), ("x", x0)), bad is None, bad)
 
@@ -234,8 +245,9 @@ def check_catalan_form(
     n_max: int, x_min: int = -10, x_max: int = 10, jobs: int = 1
 ) -> VerificationReport:
     """Two claims per n: the Catalan-weighted sum equals the 1/n^2
-    weighted sum as an exact polynomial, and each of its summands is an
-    integer at every integer x in [x_min, x_max].
+    weighted sum as a polynomial (compared at its 2n-1 values), and each
+    summand (1/n) C(n,k+1) C(n+k,k) C(2k,k) C(x+k,2k) is an integer at
+    every integer x in [x_min, x_max].
     """
     if n_max < 1:
         raise ValueError(f"check_catalan_form: n_max must be >= 1, got {n_max}")
@@ -403,18 +415,13 @@ def check_conjecture_sun_m(
 
 # -- the (2l-1)!!/n^2 strengthening ------------------------------------------
 
-@lru_cache(maxsize=None)
-def sun_ii_polynomial(l: int, n: int) -> RatPoly:
-    """((2l-1)!!/n^2) sum_{k=0}^{n-1} (2k+1)^(2l-1) S_k(x)."""
-    if l < 1 or n < 1:
-        raise ValueError(f"sun_ii_polynomial: need l, n >= 1, got {l}, {n}")
-    return theorem1_polynomial(l, n, 1) * Fraction(double_factorial_odd(l), n)
-
-
 def _sun_ii_case(key: tuple[int, int]) -> CaseResult:
+    """((2l-1)!!/n^2) sum_{k=0}^{n-1} (2k+1)^(2l-1) S_k(x) is integer-valued."""
     l, n = key
     severity = "theorem" if l == 1 else "conjecture"
-    return _int_valued_case((("l", l), ("n", n)), sun_ii_polynomial(l, n), severity)
+    scale = double_factorial_odd(l)
+    values = [scale * v for v in weighted_sum_values(l, n, 1)]
+    return _int_valued_case((("l", l), ("n", n)), values, n * n, severity)
 
 
 def check_conjecture_sun_ii(l_max: int, n_max: int, jobs: int = 1) -> VerificationReport:

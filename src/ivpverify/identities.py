@@ -3,17 +3,20 @@
 The central object is the degree-2n polynomial
 
     S_n(x) = sum_{k=0}^n C(-x-1,k)^2 C(x,n-k)^2
-           = sum_{k=0}^n C(n+k,2k) C(2k,k)^2 C(x+k,2k)
+           = sum_{k=0}^n C(n+k,2k) C(2k,k)^2 C(x+k,2k).
 
-built here from *both* closed forms independently (`build_lhs`,
-`build_rhs`) and compared coefficient by coefficient.  The same module
-checks the order-2 recurrence satisfied by both forms, the
-Chu-Vandermonde convolution, a telescoping sum of odd-weighted
-binomials, and two rational-value identities at x = -1/2 and
-x = -1/4, -3/4.
+`build_lhs` and `build_rhs` evaluate the two closed forms independently
+at the integer points x = 0, 1, ..., and every polynomial claim here is
+decided on those integer values: a polynomial of degree d is zero
+exactly when it vanishes at d+1 points.  So the transformation compares
+2n+1 values, the order-2 recurrence forms its residual at 2n+5 points,
+and the Chu-Vandermonde sum of degree <= k is compared at k+1 points.
+The module also checks a telescoping sum of odd-weighted binomials and
+two rational-value identities at x = -1/2 and x = -1/4, -3/4.
 
-All checks are exact; a failure carries a witness (first differing
-coefficient, or the two unequal values).
+All checks are exact; a failure carries a witness (the first differing
+coefficient, the polynomial interpolated from the failing values, or
+the two unequal values).
 """
 
 from __future__ import annotations
@@ -24,11 +27,10 @@ from typing import Union
 
 from .combinat import binom_int, binom_rat
 from .gridrun import run_grid
-from .ratpoly import RatPoly, binom_poly, reflect_argument
 from .report import CaseResult, VerificationReport, make_case
+from .values import coefficients, poly_text
 
 __all__ = [
-    "shifted_central",
     "build_lhs",
     "build_rhs",
     "coeff_mismatch",
@@ -45,71 +47,53 @@ __all__ = [
 Rational = Union[int, Fraction]
 
 
-# -- cached polynomial factors ----------------------------------------------
-
-@lru_cache(maxsize=None)
-def _reflected_binom(j: int) -> RatPoly:
-    """C(-x-1, j) as a polynomial in x."""
-    return reflect_argument(binom_poly(j))
-
-
-@lru_cache(maxsize=None)
-def _reflected_binom_sq(j: int) -> RatPoly:
-    return _reflected_binom(j) ** 2
-
-
-@lru_cache(maxsize=None)
-def _binom_sq(j: int) -> RatPoly:
-    return binom_poly(j) ** 2
-
-
-@lru_cache(maxsize=None)
-def shifted_central(k: int) -> RatPoly:
-    """C(x+k, 2k), the degree-2k factor of the right-hand closed form."""
-    return binom_poly(2 * k, shift=k)
-
-
 # -- the two closed forms ----------------------------------------------------
 
-@lru_cache(maxsize=None)
-def build_lhs(n: int) -> RatPoly:
-    """sum_{k=0}^n C(-x-1,k)^2 C(x,n-k)^2, a polynomial of degree 2n."""
+# The weighted sums in congruences ask for S_k at 2n-1 points for every
+# k < n, about n_max^2/2 entries; this bound holds them up to n_max = 90.
+@lru_cache(maxsize=1 << 12)
+def build_lhs(n: int, points: int) -> tuple[int, ...]:
+    """S_n(0), ..., S_n(points-1) from sum_{k=0}^n C(-x-1,k)^2 C(x,n-k)^2."""
     if n < 0:
         raise ValueError(f"build_lhs: n must be >= 0, got {n}")
-    acc = RatPoly()
-    for k in range(n + 1):
-        acc = acc + _reflected_binom_sq(k) * _binom_sq(n - k)
-    return acc
+    return tuple(
+        sum(binom_int(-x - 1, k) ** 2 * binom_int(x, n - k) ** 2 for k in range(n + 1))
+        for x in range(points)
+    )
 
 
-@lru_cache(maxsize=None)
-def build_rhs(n: int) -> RatPoly:
-    """sum_{k=0}^n C(n+k,2k) C(2k,k)^2 C(x+k,2k), degree 2n."""
+@lru_cache(maxsize=1 << 12)
+def build_rhs(n: int, points: int) -> tuple[int, ...]:
+    """S_n(0), ..., S_n(points-1) from sum_{k=0}^n C(n+k,2k) C(2k,k)^2 C(x+k,2k)."""
     if n < 0:
         raise ValueError(f"build_rhs: n must be >= 0, got {n}")
-    acc = RatPoly()
-    for k in range(n + 1):
-        weight = binom_int(n + k, 2 * k) * binom_int(2 * k, k) ** 2
-        acc = acc + shifted_central(k) * weight
-    return acc
+    weights = [binom_int(n + k, 2 * k) * binom_int(2 * k, k) ** 2 for k in range(n + 1)]
+    return tuple(
+        sum(w * binom_int(x + k, 2 * k) for k, w in enumerate(weights))
+        for x in range(points)
+    )
 
 
-def coeff_mismatch(p: RatPoly, q: RatPoly) -> str:
-    """Witness for p != q: the first coefficient where they differ."""
-    for i in range(max(p.degree, q.degree) + 1):
-        if p.coeff(i) != q.coeff(i):
-            return f"coeff of x^{i}: {p.coeff(i)} vs {q.coeff(i)}"
+def coeff_mismatch(p, q) -> str:
+    """Witness for p != q, given as coefficient lists: the first
+    coefficient where they differ."""
+    for i in range(max(len(p), len(q))):
+        a = p[i] if i < len(p) else 0
+        b = q[i] if i < len(q) else 0
+        if a != b:
+            return f"coeff of x^{i}: {a} vs {b}"
     return "polynomials agree"
 
 
 def _transform_case(n: int) -> CaseResult:
-    lhs, rhs = build_lhs(n), build_rhs(n)
+    lhs, rhs = build_lhs(n, 2 * n + 1), build_rhs(n, 2 * n + 1)
     ok = lhs == rhs
-    return make_case((("n", n),), ok, None if ok else coeff_mismatch(lhs, rhs))
+    witness = None if ok else coeff_mismatch(coefficients(lhs), coefficients(rhs))
+    return make_case((("n", n),), ok, witness)
 
 
 def verify_transformation(n_max: int, jobs: int = 1) -> VerificationReport:
-    """Check build_lhs(n) == build_rhs(n) exactly for 0 <= n <= n_max."""
+    """Check that both closed forms of S_n agree for 0 <= n <= n_max."""
     if n_max < 0:
         raise ValueError(f"verify_transformation: n_max must be >= 0, got {n_max}")
     return run_grid(
@@ -119,7 +103,7 @@ def verify_transformation(n_max: int, jobs: int = 1) -> VerificationReport:
 
 # -- order-2 recurrence ------------------------------------------------------
 
-def recurrence_coefficients(n: int) -> tuple[int, RatPoly, int]:
+def recurrence_coefficients(n: int, x: int) -> tuple[int, int, int]:
     """Coefficients (a_n, b_n(x), c_n) of the order-2 recurrence
 
         a_n S_{n+2} - b_n(x) S_{n+1} + c_n S_n = 0,
@@ -129,28 +113,35 @@ def recurrence_coefficients(n: int) -> tuple[int, RatPoly, int]:
     c_n = (2n+3)(n^2+3n+3) - (n+2)^3 = (n+1)^3.
     """
     a = (n + 2) ** 3
-    b = (2 * n + 3) * RatPoly([n * n + 3 * n + 3, 2, 2])
+    b = (2 * n + 3) * (2 * x * x + 2 * x + n * n + 3 * n + 3)
     c = (n + 1) ** 3
     return a, b, c
 
 
-_BASE_CASES = {0: RatPoly([1]), 1: RatPoly([1, 2, 2])}
-_FAMILIES = {"lhs": build_lhs, "rhs": build_rhs}
+_BASE_CASES = {0: lambda x: 1, 1: lambda x: 2 * x * x + 2 * x + 1}
 
 
 def _recurrence_case(key: tuple[str, int]) -> CaseResult:
     family, n = key
     if family == "base":
-        lhs, rhs = build_lhs(n), build_rhs(n)
-        expected = _BASE_CASES[n]
+        points = 2 * n + 1
+        lhs, rhs = build_lhs(n, points), build_rhs(n, points)
+        expected = tuple(_BASE_CASES[n](x) for x in range(points))
         ok = lhs == rhs == expected
-        witness = f"S_{n}: lhs {lhs}, rhs {rhs}, expected {expected}"
+        witness = None
+        if not ok:
+            lhs_p, rhs_p, expected_p = (poly_text(coefficients(v)) for v in (lhs, rhs, expected))
+            witness = f"S_{n}: lhs {lhs_p}, rhs {rhs_p}, expected {expected_p}"
     else:
-        build = _FAMILIES[family]
-        a, b, c = recurrence_coefficients(n)
-        residual = build(n + 2) * a - b * build(n + 1) + build(n) * c
-        ok = residual.is_zero
-        witness = f"residual {residual}"
+        build = build_lhs if family == "lhs" else build_rhs
+        points = 2 * n + 5
+        s0, s1, s2 = build(n, points), build(n + 1, points), build(n + 2, points)
+        residual = []
+        for x in range(points):
+            a, b, c = recurrence_coefficients(n, x)
+            residual.append(a * s2[x] - b * s1[x] + c * s0[x])
+        ok = not any(residual)
+        witness = None if ok else f"residual {poly_text(coefficients(residual))}"
     return make_case((("family", family), ("n", n)), ok, witness)
 
 
@@ -158,7 +149,9 @@ def verify_recurrence(n_max: int, jobs: int = 1) -> VerificationReport:
     """Check that both closed forms satisfy the order-2 recurrence.
 
     Covers the shift index n = 0 .. n_max-2 for each family (so S_n up
-    to n = n_max is constructed), plus the explicit n = 0, 1 base cases.
+    to n = n_max is evaluated), plus the explicit n = 0, 1 base cases.
+    The residual has degree at most 2n+4, so it is zero exactly when it
+    vanishes at x = 0 .. 2n+4.
     """
     if n_max < 2:
         raise ValueError(f"verify_recurrence: n_max must be >= 2, got {n_max}")
@@ -172,19 +165,21 @@ def verify_recurrence(n_max: int, jobs: int = 1) -> VerificationReport:
 # -- Chu-Vandermonde convolution --------------------------------------------
 
 def _chu_case(k: int) -> CaseResult:
-    acc = RatPoly()
-    for j in range(k + 1):
-        acc = acc + _reflected_binom(j) * binom_poly(k - j)
-    expected = RatPoly([(-1) ** k])
-    return make_case(
-        (("k", k),),
-        acc == expected,
-        f"sum is {acc}, expected {(-1) ** k}",
-    )
+    values = [
+        sum(binom_int(-x - 1, j) * binom_int(x, k - j) for j in range(k + 1))
+        for x in range(k + 1)
+    ]
+    expected = (-1) ** k
+    ok = all(v == expected for v in values)
+    witness = None if ok else f"sum is {poly_text(coefficients(values))}, expected {expected}"
+    return make_case((("k", k),), ok, witness)
 
 
 def verify_chu_vandermonde(k_max: int, jobs: int = 1) -> VerificationReport:
-    """sum_j C(-x-1,j) C(x,k-j) collapses to the constant (-1)^k."""
+    """sum_j C(-x-1,j) C(x,k-j) collapses to the constant (-1)^k.
+
+    The sum has degree at most k, so it is compared at x = 0 .. k.
+    """
     if k_max < 0:
         raise ValueError(f"verify_chu_vandermonde: k_max must be >= 0, got {k_max}")
     return run_grid(

@@ -192,7 +192,9 @@ def q_integer(n: int) -> LaurentPoly:
     return LaurentPoly([1] * n)
 
 
-@lru_cache(maxsize=None)
+# The q-Pascal recursion fills every (n, k) with k <= n <= 2 n_max, about
+# 2 n_max^2 entries; this bound holds that for n_max up to 90.
+@lru_cache(maxsize=1 << 14)
 def _q_binom_poly(n: int, k: int) -> LaurentPoly:
     """Gaussian binomial via the q-Pascal rule B(n,k) = B(n-1,k-1) + q^k B(n-1,k)."""
     if k < 0 or k > n:

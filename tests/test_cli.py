@@ -142,6 +142,17 @@ def test_internal_error_exits_three(capsys, monkeypatch):
     assert "internal error: RuntimeError('worker pool died')" in captured.err
 
 
+def test_value_error_inside_a_task_exits_three(capsys, monkeypatch):
+    # Bounds are validated before a task runs, so a ValueError from a
+    # builder is a bug, not a usage error.
+    def broken(config):
+        raise ValueError("builder bug")
+
+    monkeypatch.setitem(cli._TASKS, "transform", broken)
+    assert cli.main(["transform"]) == 3
+    assert "internal error: ValueError('builder bug')" in capsys.readouterr().err
+
+
 def test_jobs_env_var_is_default(monkeypatch, capsys):
     monkeypatch.setenv(cli.JOBS_ENV, "2")
     assert cli.main(["chu-vandermonde", "--k-max", "3"]) == 0

@@ -1,10 +1,11 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from ivpverify.combinat import binom_int, double_factorial_odd
 from ivpverify.congruences import (
-    catalan_form_polynomial,
+    catalan_form_values,
     check_catalan_form,
     check_conjecture_final,
     check_conjecture_sun_ii,
@@ -14,11 +15,17 @@ from ivpverify.congruences import (
     check_theorem2,
     conjecture_final_value,
     schmidt_combination_coeffs,
-    sun_ii_polynomial,
-    theorem1_polynomial,
-    theorem2_polynomial,
+    weighted_sum_values,
 )
-from ivpverify.ratpoly import RatPoly, binom_poly, to_binomial_basis
+from ivpverify.values import coefficients, first_non_multiple, forward_differences
+
+
+def _at(coeffs, x0):
+    """Evaluate little-endian coefficients at x0 by Horner's rule."""
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x0 + c
+    return acc
 
 
 def test_schmidt_coeffs_frozen_examples():
@@ -46,28 +53,36 @@ def test_schmidt_rejects_bad_args():
 
 def test_schmidt_combination_recovers_weighted_sum():
     # Substituting x_j = C(2j,j) C(x+j,2j) into the coefficient vector
-    # must reproduce n times the 1/n weighted polynomial.
+    # must reproduce the weighted sum at each of its 2n-1 points.
     for l in (1, 2):
         for n in (1, 2, 3, 5):
             for eps in (1, -1):
                 sc = schmidt_combination_coeffs(l, n, eps)
-                acc = RatPoly()
-                for j, cj in enumerate(sc.coeffs):
-                    acc = acc + binom_poly(2 * j, shift=j) * (cj * binom_int(2 * j, j))
-                assert acc == theorem1_polynomial(l, n, eps) * n
+                values = tuple(
+                    sum(
+                        cj * binom_int(2 * j, j) * binom_int(x + j, 2 * j)
+                        for j, cj in enumerate(sc.coeffs)
+                    )
+                    for x in range(2 * n - 1)
+                )
+                assert values == weighted_sum_values(l, n, eps)
 
 
 def test_theorem1_polynomial_hand_cases():
-    assert theorem1_polynomial(1, 1, 1) == RatPoly([1])
-    assert theorem1_polynomial(1, 2, 1) == RatPoly([2, 3, 3])
-    assert theorem1_polynomial(1, 2, -1) == RatPoly([-1, -3, -3])
+    # n times the 1/n polynomial: 1, 2 (3x^2+3x+2) and -(3x^2+3x+1).
+    assert weighted_sum_values(1, 1, 1) == (1,)
+    assert coefficients(weighted_sum_values(1, 2, 1)) == [4, 6, 6]
+    assert coefficients(weighted_sum_values(1, 2, -1)) == [-2, -6, -6]
+    with pytest.raises(ValueError):
+        weighted_sum_values(1, 2, 0)
 
 
 def test_theorem1_scaled_by_n_has_integer_basis():
     for l in (1, 3):
         for n in (2, 5, 8):
-            basis = to_binomial_basis(theorem1_polynomial(l, n, -1) * n)
-            assert basis.all_integer()
+            values = weighted_sum_values(l, n, -1)
+            assert all(type(d) is int for d in forward_differences(values))
+            assert first_non_multiple(values, n) is None
 
 
 def test_theorem1_grid_is_integer_valued():
@@ -76,9 +91,10 @@ def test_theorem1_grid_is_integer_valued():
 
 
 def test_theorem2_hand_case():
-    p = theorem2_polynomial(2)
-    assert p == RatPoly([1, Fraction(3, 2), Fraction(3, 2)])
-    assert to_binomial_basis(p).coeffs == (Fraction(1), Fraction(3), Fraction(3))
+    # (1/4)(1 + 3 (2x^2+2x+1)) = 1 + 3C(x,1) + 3C(x,2)
+    values = weighted_sum_values(1, 2, 1)
+    assert [Fraction(c, 4) for c in coefficients(values)] == [1, Fraction(3, 2), Fraction(3, 2)]
+    assert forward_differences(values) == [4, 12, 12]
 
 
 def test_theorem2_grid_is_integer_valued():
@@ -88,14 +104,13 @@ def test_theorem2_grid_is_integer_valued():
 
 def test_catalan_form_matches_theorem2():
     for n in range(1, 11):
-        assert catalan_form_polynomial(n) == theorem2_polynomial(n)
+        assert weighted_sum_values(1, n, 1) == tuple(n * n * c for c in catalan_form_values(n))
 
 
 def test_catalan_form_n2_terms():
     # k=0 contributes 1; k=1 contributes catalan(1) C(1,1) C(3,1) C(x+1,2)
     # = 3 x(x+1)/2, so the total is (3x^2+3x+2)/2.
-    expected = RatPoly([1]) + RatPoly([0, Fraction(3, 2), Fraction(3, 2)])
-    assert catalan_form_polynomial(2) == expected
+    assert coefficients(catalan_form_values(2)) == [1, Fraction(3, 2), Fraction(3, 2)]
 
 
 def test_catalan_form_report_keys():
@@ -152,9 +167,9 @@ def test_sun_m_equals_two_matches_theorem1():
     assert report.ok
     # Cross-check a few cells against the polynomial route.
     for l, n, eps in [(1, 3, 1), (2, 5, -1), (2, 6, 1)]:
-        p = theorem1_polynomial(l, n, eps)
+        p = coefficients(weighted_sum_values(l, n, eps))
         for x0 in (-4, 0, 3):
-            assert p(x0).denominator == 1
+            assert (_at(p, x0) / n).denominator == 1
 
 
 def test_sun_m_three_spot_check():
@@ -171,17 +186,20 @@ def test_sun_m_completeness_note_cutoff():
 
 
 def test_sun_ii_polynomial_l1_is_theorem2():
-    for n in (1, 2, 5, 9):
-        assert sun_ii_polynomial(1, n) == theorem2_polynomial(n)
+    sun_ii = check_conjecture_sun_ii(1, 9)
+    theorem2 = check_theorem2(9)
+    assert [(c.key[1], c.status) for c in sun_ii.cases] == [
+        (c.key[0], c.status) for c in theorem2.cases
+    ]
 
 
 def test_sun_ii_l2_hand_value():
-    # l=2, n=2: (3/4)(1 + 27 (2x^2+2x+1)) = (81 x^2 + 81 x + 21)/2... check
-    # through the binomial basis instead of trusting hand algebra.
-    p = sun_ii_polynomial(2, 2)
-    assert p == (RatPoly([1]) + RatPoly([1, 2, 2]) * 27) * Fraction(3, 4)
-    basis = to_binomial_basis(p)
-    assert basis.all_integer()
+    # l=2, n=2: (3/4)(1 + 27 (2x^2+2x+1)); check through the binomial
+    # basis instead of trusting hand algebra.
+    values = weighted_sum_values(2, 2, 1)
+    assert values == tuple(1 + 27 * (2 * x * x + 2 * x + 1) for x in range(3))
+    assert forward_differences([3 * v for v in values]) == [84, 324, 324]
+    assert first_non_multiple([3 * v for v in values], 4) is None
 
 
 def test_sun_ii_grid_and_severity():
@@ -193,8 +211,27 @@ def test_sun_ii_grid_and_severity():
 
 
 def test_weight_double_factorial_consistency():
-    # sun_ii differs from theorem1(+1) by exactly (2l-1)!!/n.
+    # sun_ii is (2l-1)!!/n times theorem1(+1): the theorem1 values are
+    # multiples of n in every difference, their (2l-1)!! multiples of n^2.
     for l, n in [(2, 3), (3, 4)]:
-        lhs = sun_ii_polynomial(l, n)
-        rhs = theorem1_polynomial(l, n, 1) * Fraction(double_factorial_odd(l), n)
-        assert lhs == rhs
+        values = weighted_sum_values(l, n, 1)
+        assert first_non_multiple(values, n) is None
+        scaled = [double_factorial_odd(l) * v for v in values]
+        assert first_non_multiple(scaled, n * n) is None
+        assert check_conjecture_sun_ii(l, n).cases[-1].ok
+
+
+def test_weighted_sum_values_match_sympy():
+    # The weighted sum rebuilt from a second CAS, evaluated at x = 0 .. 2n-2.
+    x = sympy.symbols("x")
+    for l, n, eps in [(1, 1, 1), (1, 3, -1), (2, 3, 1), (2, 4, -1), (3, 2, 1)]:
+        expr = sum(
+            eps ** k * (2 * k + 1) ** (2 * l - 1)
+            * sympy.expand_func(sympy.binomial(-x - 1, j)) ** 2
+            * sympy.expand_func(sympy.binomial(x, k - j)) ** 2
+            for k in range(n)
+            for j in range(k + 1)
+        )
+        poly = sympy.Poly(sympy.expand(expr), x)
+        expected = tuple(int(poly.eval(x0)) for x0 in range(2 * n - 1))
+        assert weighted_sum_values(l, n, eps) == expected

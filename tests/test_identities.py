@@ -15,26 +15,27 @@ from ivpverify.identities import (
     verify_telescoped_sum,
     verify_transformation,
 )
-from ivpverify.ratpoly import RatPoly
+from ivpverify.values import coefficients
 
 
 def test_small_closed_forms():
-    assert build_lhs(0) == RatPoly([1])
-    assert build_rhs(0) == RatPoly([1])
-    assert build_lhs(1) == RatPoly([1, 2, 2])
-    assert build_rhs(1) == RatPoly([1, 2, 2])
+    assert build_lhs(0, 1) == build_rhs(0, 1) == (1,)
+    assert build_lhs(1, 3) == build_rhs(1, 3) == (1, 5, 13)
+    assert coefficients(build_lhs(1, 3)) == [1, 2, 2]
 
 
 def test_both_sides_agree_up_to_ten():
     for n in range(11):
-        assert build_lhs(n) == build_rhs(n), f"closed forms differ at n={n}"
+        assert build_lhs(n, 2 * n + 1) == build_rhs(n, 2 * n + 1), f"closed forms differ at n={n}"
 
 
 def test_degrees_and_leading_coefficients_match():
+    # Two points beyond 2n+1 would expose any term of degree above 2n.
     for n in range(9):
-        lhs, rhs = build_lhs(n), build_rhs(n)
-        assert lhs.degree == rhs.degree == 2 * n
-        assert lhs.coeff(2 * n) == rhs.coeff(2 * n)
+        lhs = coefficients(build_lhs(n, 2 * n + 3))
+        rhs = coefficients(build_rhs(n, 2 * n + 3))
+        assert len(lhs) == len(rhs) == 2 * n + 1
+        assert lhs[2 * n] == rhs[2 * n]
 
 
 def test_sympy_expansion_agrees_with_build_lhs():
@@ -49,35 +50,35 @@ def test_sympy_expansion_agrees_with_build_lhs():
             )
         )
         poly = sympy.Poly(expr, x)
-        ours = build_lhs(n)
         theirs = [Fraction(str(c)) for c in reversed(poly.all_coeffs())]
-        assert list(ours.coeffs) == theirs
+        assert coefficients(build_lhs(n, 2 * n + 1)) == theirs
+        assert coefficients(build_rhs(n, 2 * n + 1)) == theirs
 
 
 def test_values_at_one_are_sum_of_two_squares():
     # S_n(1) = n^2 + (n+1)^2: at x=1 only k=n-1 and k=n survive on the left.
     for n in range(25):
-        assert build_lhs(n)(1) == n * n + (n + 1) ** 2
+        assert build_lhs(n, 2)[1] == n * n + (n + 1) ** 2
 
 
 def test_value_at_zero_is_always_one():
     for n in range(25):
-        assert build_lhs(n)(0) == 1
-        assert build_rhs(n)(0) == 1
+        assert build_lhs(n, 1) == build_rhs(n, 1) == (1,)
 
 
 def test_symmetry_under_argument_reflection():
     for n in range(11):
-        p = build_lhs(n)
-        for x0 in range(-10, 11):
-            assert p(x0) == p(-x0 - 1)
+        values = build_lhs(n, 11)
+        for x0 in range(11):
+            assert eval_transform_at(n, -x0 - 1) == values[x0]
 
 
 def test_integer_points_give_nonnegative_integers():
     for n in range(21):
-        p = build_lhs(n)
-        for x0 in range(-20, 21):
-            v = p(x0)
+        for v in build_lhs(n, 41):
+            assert type(v) is int and v >= 0
+        for x0 in range(-20, 0):
+            v = eval_transform_at(n, x0)
             assert v.denominator == 1 and v >= 0
 
 
@@ -91,16 +92,16 @@ def test_verify_transformation_report():
 
 
 def test_recurrence_coefficients_at_zero():
-    a, b, c = recurrence_coefficients(0)
-    assert a == 8
-    assert b == RatPoly([9, 6, 6])  # 3 (2x^2 + 2x + 3)
-    assert c == 1
+    for x in range(-3, 4):
+        assert recurrence_coefficients(0, x) == (8, 9 + 6 * x + 6 * x * x, 1)
 
 
 def test_recurrence_explicit_n0():
-    s0, s1, s2 = build_lhs(0), build_lhs(1), build_lhs(2)
-    a, b, c = recurrence_coefficients(0)
-    assert (s2 * a - b * s1 + s0 * c).is_zero
+    # The residual has degree <= 4, so five points decide it.
+    s0, s1, s2 = build_lhs(0, 5), build_lhs(1, 5), build_lhs(2, 5)
+    for x in range(5):
+        a, b, c = recurrence_coefficients(0, x)
+        assert a * s2[x] - b * s1[x] + c * s0[x] == 0
 
 
 def test_recurrence_holds_for_both_families():
@@ -118,11 +119,11 @@ def test_chu_vandermonde_collapses_to_sign():
 
 
 def test_chu_vandermonde_hand_cases():
-    from ivpverify.ratpoly import binom_poly, reflect_argument
+    from ivpverify.combinat import binom_int
 
     # k=1: (-x-1) + x = -1
-    total = reflect_argument(binom_poly(1)) + binom_poly(1)
-    assert total == RatPoly([-1])
+    for x in range(-5, 6):
+        assert binom_int(-x - 1, 1) + binom_int(x, 1) == -1
 
 
 def test_telescoped_sum_hand_case():

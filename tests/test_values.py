@@ -1,0 +1,76 @@
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from ivpverify.values import coefficients, first_non_multiple, forward_differences, poly_text
+
+rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=1000)
+coeff_lists = st.lists(rationals, max_size=61)
+
+
+def _at(coeffs, x0):
+    """Evaluate little-endian coefficients at x0 by Horner's rule."""
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x0 + c
+    return acc
+
+
+def _trimmed(coeffs):
+    out = list(coeffs)
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def test_forward_difference_examples():
+    assert forward_differences([0, 1]) == [0, 1]  # x = C(x,1)
+    assert forward_differences([0, 1, 4]) == [0, 1, 2]  # x^2 = C(x,1) + 2C(x,2)
+    assert forward_differences([7]) == [7]
+    assert forward_differences([]) == []
+
+
+def test_interpolation_examples():
+    assert coefficients([0, 1, 4]) == [0, 0, 1]
+    assert coefficients([1, 5, 13]) == [1, 2, 2]
+    assert coefficients([0, 1, 4, 9]) == [0, 0, 1]  # trailing zeros trimmed
+    assert coefficients([0, 0]) == []
+
+
+@given(coeff_lists)
+@settings(max_examples=60)
+def test_interpolation_round_trip(coeffs):
+    values = [_at(coeffs, x) for x in range(len(coeffs))]
+    assert coefficients(values) == _trimmed(coeffs)
+
+
+@given(st.lists(st.integers(-1000, 1000), max_size=40), st.integers(1, 30))
+@settings(max_examples=40)
+def test_integer_valuedness_matches_pointwise_criterion(values, m):
+    # p/m, with p the polynomial through values, is integer-valued exactly
+    # when the difference criterion says so; a witness is a point where it is not.
+    p = coefficients(values)
+    degree = len(values) - 1
+    pointwise = all(
+        (_at(p, x0) / m).denominator == 1 for x0 in range(-degree - 1, degree + 2)
+    )
+    witness = first_non_multiple(values, m)
+    assert (witness is None) == pointwise
+    if witness is not None:
+        assert 0 <= witness <= degree
+        assert values[witness] % m
+
+
+def test_first_non_multiple_classics():
+    # x(x+1)/2 is the classic non-trivially integer-valued polynomial.
+    assert first_non_multiple([x * (x + 1) for x in range(3)], 2) is None
+    assert first_non_multiple([0, 1], 2) == 1  # x/2 fails first at x = 1
+    assert first_non_multiple([4 - 3 * x + 12 * x * x for x in range(3)], 1) is None
+    assert first_non_multiple([], 5) is None
+
+
+def test_poly_text():
+    assert poly_text([]) == "0"
+    assert poly_text([1, 2, 2]) == "2*x^2 + 2*x + 1"
+    assert poly_text([0, -9, -6, -6]) == "-6*x^3 - 6*x^2 - 9*x"
+    assert poly_text([Fraction(1, 2), -1, 0, Fraction(-3, 2)]) == "-3/2*x^3 - x + 1/2"
