@@ -87,11 +87,11 @@ def test_criterion_07_congruence_mod_n_squared_l4_n50():
     _within(120, report)
 
 
-def test_criterion_08_q_congruence_and_specialization_n20():
-    q_report = check_q_sun(20)
-    q1_report = q_specialization_check(20)
+def test_criterion_08_q_congruence_and_specialization_n40():
+    q_report = check_q_sun(40)
+    q1_report = q_specialization_check(40)
     # Cell-for-cell match against the classical l=1 column.
-    for n in range(1, 21):
+    for n in range(1, 41):
         for k in range(n):
             assert q_sun_sum(n, k).eval_at_one() == conjecture_final_value(1, n, k).value
     _within(60, q_report, q1_report)

@@ -6,16 +6,21 @@ severity, cell key or config echo changes them.  The fault-injection
 tests add a polynomial to the values one builder returns and check the
 exact witness the failing cell carries, its severity and the exit code.
 The witness literals were recorded when every polynomial was still
-built from its rational coefficients.
+built from its rational coefficients.  The q-sun and q-specialize
+faults add 1 to one coefficient of one q-sum, and the scalar tasks'
+faults change one binomial, summand or coefficient; these literals were
+recorded while q-sun still decided every cell by long division and
+the scalar tasks still formatted a witness for every cell.
 """
 
+import dataclasses
 import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 
-from ivpverify import cli, congruences, identities
+from ivpverify import cli, congruences, identities, qpoly
 
 ALL_JSON_SHA256 = "ef4fe704ddafec864b40f97e8647fb10025cf3f2bf1dd9721e3d8b865cfc4f73"
 ALL_CSV_SHA256 = "5f65842804368cb3a7e29f38cbcdf98bbcad1e406fbd8309eb2760759c0c9ca6"
@@ -169,4 +174,132 @@ def test_catalan_form_terms_fault_witness(tmp_path, monkeypatch):
     assert failed == [{
         "key": {"part": "terms", "n": 3, "x": 0}, "status": "fail",
         "witness": "k=1 summand 1/3 is not an integer", "severity": "theorem",
+    }]
+
+
+def _corrupt_q_sun_sum(monkeypatch, bad_key):
+    original = qpoly.q_sun_sum
+
+    def corrupted(n, k):  # the coefficient of q^0 gains 1
+        value = original(n, k)
+        return value + 1 if (n, k) == bad_key else value
+
+    monkeypatch.setattr(qpoly, "q_sun_sum", corrupted)
+
+
+def test_q_sun_fault_witness(tmp_path, monkeypatch):
+    _corrupt_q_sun_sum(monkeypatch, (3, 1))
+    rc, failed = _failures(tmp_path, ["q-sun", "--n-max", "3"])
+    assert rc == 1
+    assert failed == [{
+        "key": {"n": 3, "k": 1}, "status": "fail",
+        "witness": "remainder -q^-4 - 2*q^-3 - 3*q^-2 - 2*q^-1 after division by [3]^2",
+        "severity": "theorem",
+    }]
+
+
+def test_q_specialize_fault_witness(tmp_path, monkeypatch):
+    _corrupt_q_sun_sum(monkeypatch, (3, 1))
+    rc, failed = _failures(tmp_path, ["q-specialize", "--n-max", "3"])
+    assert rc == 1
+    assert failed == [{
+        "key": {"n": 3, "k": 1}, "status": "fail",
+        "witness": "q=1 value 73 != classical sum 72", "severity": "theorem",
+    }]
+
+
+def _corrupt_identities_binom(monkeypatch, bad_args):
+    original = identities.binom_int
+
+    def corrupted(top, k):
+        return original(top, k) + 1 if (top, k) == bad_args else original(top, k)
+
+    monkeypatch.setattr(identities, "binom_int", corrupted)
+
+
+def test_telescope_fault_witness(tmp_path, monkeypatch):
+    _corrupt_identities_binom(monkeypatch, (4, 3))  # only the n=4, k=2 right side
+    rc, failed = _failures(tmp_path, ["telescope", "--n-max", "4"])
+    assert rc == 1
+    assert failed == [{
+        "key": {"n": 4, "k": 2}, "status": "fail",
+        "witness": "240 != 300", "severity": "theorem",
+    }]
+
+
+def test_sun_one_fault_witness(tmp_path, monkeypatch):
+    _corrupt_identities_binom(monkeypatch, (3, 2))  # C(k, n-k) at n=5, k=3
+    rc, failed = _failures(tmp_path, ["sun-one", "--n-max", "5"])
+    assert rc == 1
+    assert failed == [{
+        "key": {"n": 5}, "status": "fail",
+        "witness": "195008 != 2243008", "severity": "theorem",
+    }]
+
+
+def test_sun_two_fault_witness(tmp_path, monkeypatch):
+    _corrupt_identities_binom(monkeypatch, (4, 2))  # first used at n=2
+    rc, failed = _failures(tmp_path, ["sun-two", "--n-max", "2"])
+    assert rc == 1
+    assert failed == [{
+        "key": {"n": 2}, "status": "fail",
+        "witness": "2008 != 2391", "severity": "theorem",
+    }]
+
+
+def test_conjecture_final_fault_witnesses(tmp_path, monkeypatch):
+    original = congruences.conjecture_final_value
+
+    def corrupted(l, n, k):
+        case = original(l, n, k)
+        if (l, n, k) == (1, 3, 1):  # still 0 mod n^2, but off the closed form
+            return dataclasses.replace(case, value=case.value + case.modulus)
+        if (l, n, k) == (2, 3, 1):
+            return dataclasses.replace(case, value=case.value + 1)
+        return case
+
+    monkeypatch.setattr(congruences, "conjecture_final_value", corrupted)
+    rc, failed = _failures(tmp_path, ["conjecture-final", "--l-max", "2", "--n-max", "3"])
+    assert rc == 1
+    assert failed == [
+        {"key": {"l": 1, "n": 3, "k": 1}, "status": "fail",
+         "witness": "value 81 != closed form 72", "severity": "theorem"},
+        {"key": {"l": 2, "n": 3, "k": 1}, "status": "fail",
+         "witness": "value 4825 = 1 mod 9", "severity": "conjecture"},
+    ]
+
+
+def test_conjecture_sun_m_fault_witness(tmp_path, monkeypatch):
+    original = congruences._power_sum_at
+
+    def corrupted(m, k, x0):
+        return original(m, k, x0) + 1 if (m, k, x0) == (3, 1, 0) else original(m, k, x0)
+
+    monkeypatch.setattr(congruences, "_power_sum_at", corrupted)
+    rc, failed = _failures(tmp_path, [
+        "conjecture-sun-m", "--m", "3", "--l-max", "1", "--n-max", "2",
+        "--eps", "+1", "--x-min", "0", "--x-max", "0",
+    ])
+    assert rc == 1
+    assert failed == [{
+        "key": {"l": 1, "n": 2, "eps": 1, "x": 0}, "status": "fail",
+        "witness": "sum 1 at x=0 is not divisible by 2", "severity": "conjecture",
+    }]
+
+
+def test_lemma_schmidt_fault_witness(tmp_path, monkeypatch):
+    original = congruences.schmidt_combination_coeffs
+
+    def corrupted(l, n, eps):  # coefficient j=1 gains 1
+        sc = original(l, n, eps)
+        if (l, n, eps) != (1, 3, -1):
+            return sc
+        return dataclasses.replace(sc, coeffs=(sc.coeffs[0], sc.coeffs[1] + 1, *sc.coeffs[2:]))
+
+    monkeypatch.setattr(congruences, "schmidt_combination_coeffs", corrupted)
+    rc, failed = _failures(tmp_path, ["lemma-schmidt", "--l-max", "1", "--n-max", "3"])
+    assert rc == 1
+    assert failed == [{
+        "key": {"l": 1, "n": 3, "eps": -1}, "status": "fail",
+        "witness": "coefficient j=1 is 25, not divisible by 3", "severity": "theorem",
     }]

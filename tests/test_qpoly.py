@@ -1,11 +1,13 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
+from ivpverify import qpoly
 from ivpverify.combinat import binom_int
 from ivpverify.congruences import conjecture_final_value
 from ivpverify.qpoly import (
     LaurentPoly,
     check_q_sun,
+    divisible_by_q_integer_squared,
     laurent_divisible,
     q_binom,
     q_integer,
@@ -14,6 +16,32 @@ from ivpverify.qpoly import (
 )
 
 Q = LaurentPoly([0, 1])
+
+
+def _schoolbook(a, b):
+    """Reference product: every coefficient pair, one at a time."""
+    if a.is_zero or b.is_zero:
+        return LaurentPoly()
+    out = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] += x * y
+    return LaurentPoly(out, a.min_exp + b.min_exp)
+
+
+def _laurent(coeffs, max_size=25):
+    return st.builds(
+        LaurentPoly, st.lists(coeffs, min_size=1, max_size=max_size), st.integers(-30, 30)
+    )
+
+
+# Small values give interior zeros and sign changes; the huge ones need
+# slots of dozens of bytes.
+_COEFFS = st.one_of(
+    st.integers(-3, 3),
+    st.integers(2 ** 200, 2 ** 260),
+    st.integers(-(2 ** 260), -(2 ** 200)),
+)
 
 
 def test_laurent_normalization():
@@ -157,6 +185,12 @@ def test_q_sun_quotients_are_certified():
             assert quot * modulus == q_sun_sum(n, k)
 
 
+def test_q_sun_raises_when_the_fast_test_and_long_division_disagree(monkeypatch):
+    monkeypatch.setattr(qpoly, "divisible_by_q_integer_squared", lambda f, n: False)
+    with pytest.raises(ArithmeticError):
+        check_q_sun(3)
+
+
 def test_q_specialization_matches_classical_sum():
     report = q_specialization_check(12)
     assert report.ok
@@ -168,3 +202,50 @@ def test_laurent_is_immutable():
     p = LaurentPoly([1, 2])
     with pytest.raises(AttributeError):
         p.coeffs = ()
+
+
+@given(_laurent(_COEFFS), _laurent(_COEFFS))
+@example(LaurentPoly([5]), LaurentPoly([-7], min_exp=-3))
+@example(LaurentPoly([2 ** 200]), LaurentPoly([1, 0, 0, -(2 ** 201)], min_exp=-5))
+@example(LaurentPoly([-1, 0, 0, 1], min_exp=-2), LaurentPoly([1, 1, 1]))
+def test_kronecker_product_matches_schoolbook(a, b):
+    assert a * b == _schoolbook(a, b)
+    assert b * a == _schoolbook(a, b)
+
+
+def _fast_agrees_with_long_division(f, n):
+    fast = divisible_by_q_integer_squared(f, n)
+    assert fast == laurent_divisible(f, _schoolbook(q_integer(n), q_integer(n)))[0]
+    return fast
+
+
+@given(_laurent(st.integers(-4, 4), max_size=40), st.integers(1, 8))
+def test_fast_square_test_on_random_polynomials(f, n):
+    _fast_agrees_with_long_division(f, n)
+
+
+@given(_laurent(st.integers(-50, 50)), st.integers(1, 8), st.integers(-15, 15))
+def test_fast_square_test_accepts_multiples_of_the_square(g, n, s):
+    f = _schoolbook(g, _schoolbook(q_integer(n), q_integer(n)))
+    assert _fast_agrees_with_long_division(f, n)
+    assert _fast_agrees_with_long_division(f.shift(s), n)
+
+
+@given(_laurent(st.integers(-50, 50)), st.integers(2, 8), st.integers(-15, 15))
+def test_fast_square_test_rejects_single_multiples(g, n, s):
+    assume(not laurent_divisible(g, q_integer(n))[0])
+    f = _schoolbook(g, q_integer(n))
+    assert not _fast_agrees_with_long_division(f, n)
+    assert not _fast_agrees_with_long_division(f.shift(s), n)
+
+
+def test_q_sun_sum_matches_term_by_term_products():
+    for n in range(1, 10):
+        for k in range(n):
+            central = q_binom(2 * k, k)
+            expected = LaurentPoly()
+            for m in range(k, n):
+                term = _schoolbook(q_integer(2 * m + 1), q_binom(m + k, 2 * k))
+                expected = expected + term.shift(-(k + 1) * m)
+            expected = _schoolbook(expected, _schoolbook(central, central))
+            assert q_sun_sum(n, k) == expected
