@@ -1,8 +1,15 @@
-"""Command-line front end: grid configuration, dispatch, report output.
+"""Command-line front end and the task table.
 
     verify <task> [--l-max N] [--n-max N] [--k-max N] [--m N]
                   [--eps +1,-1] [--x-min I] [--x-max I] [--jobs N]
                   [--format text|json|csv] [--out PATH] [--config FILE]
+
+Each task is one row of `_TASKS`: the cell function that decides one
+grid cell, the config fields its report echoes, its grid keys as a
+function of the `GridConfig`, and the smallest n_max it accepts.  `run`
+makes the one `gridrun.run_grid` call per task.  A `GridConfig` checks every
+bound when it is built, so `run(GridConfig("theorem1", n_max=25))` is
+safe to call from code as well.
 
 Exit codes: 0 when every case passes, 1 on any mathematical failure,
 2 on a usage error (every bound is checked before a task runs), 3 on an
@@ -23,10 +30,12 @@ import sys
 import time
 import traceback
 from dataclasses import dataclass, fields
-from typing import Optional
+from itertools import product
+from typing import Callable, Iterable, Optional
 
 from . import congruences, identities, qpoly
-from .report import CombinedReport, serialize_report
+from .gridrun import run_grid
+from .report import CaseResult, CombinedReport, serialize_report
 
 __all__ = ["GridConfig", "UsageError", "run", "main"]
 
@@ -40,6 +49,9 @@ class UsageError(Exception):
 
 @dataclass(frozen=True)
 class GridConfig:
+    """One run: the task, its grid bounds and how to report.  Building one
+    checks every bound, so a bad one raises UsageError before any task runs."""
+
     task: str
     l_max: int = 3
     n_max: int = 20
@@ -52,55 +64,122 @@ class GridConfig:
     format: str = "text"
     out: Optional[str] = None
 
+    def __post_init__(self):
+        if self.task != "all" and self.task not in _TASKS:
+            raise UsageError(f"unknown task {self.task!r}")
+        for name in _INT_KEYS:
+            if type(getattr(self, name)) is not int:
+                raise UsageError(f"config key {name!r} must be an integer")
+        if self.out is not None and type(self.out) is not str:
+            raise UsageError("config key 'out' must be a string")
+        if type(self.eps) is not tuple or parse_eps(self.eps) != self.eps:
+            raise UsageError(f"eps must be (1,), (-1,) or (1, -1), got {self.eps!r}")
+        for name, low in (("jobs", 1), ("l_max", 1), ("k_max", 0), ("m", 1)):
+            value = getattr(self, name)
+            if value < low:
+                raise UsageError(f"--{name.replace('_', '-')} must be >= {low}, got {value}")
+        if self.x_min > self.x_max:
+            raise UsageError(f"empty x range [{self.x_min}, {self.x_max}]")
+        if self.format not in _FORMATS:
+            raise UsageError(f"format must be one of {', '.join(_FORMATS)}")
+        tasks = _TASKS.values() if self.task == "all" else [_TASKS[self.task]]
+        floor = max(task.min_n_max for task in tasks)
+        if self.n_max < floor:
+            raise UsageError(
+                f"task {self.task} needs --n-max >= {floor}, got {self.n_max}"
+            )
 
-# Dispatch table; "all" runs these in order with shared bounds.
-_TASKS = {
-    "transform": lambda c: identities.verify_transformation(c.n_max, jobs=c.jobs),
-    "recurrence": lambda c: identities.verify_recurrence(c.n_max, jobs=c.jobs),
-    "chu-vandermonde": lambda c: identities.verify_chu_vandermonde(c.k_max, jobs=c.jobs),
-    "telescope": lambda c: identities.verify_telescoped_sum(c.n_max, jobs=c.jobs),
-    "sun-one": lambda c: identities.verify_sun_identity_one(c.n_max, jobs=c.jobs),
-    "sun-two": lambda c: identities.verify_sun_identity_two(c.n_max, jobs=c.jobs),
-    "theorem1": lambda c: congruences.check_theorem1(
-        c.l_max, c.n_max, eps=c.eps, jobs=c.jobs
-    ),
-    "theorem2": lambda c: congruences.check_theorem2(c.n_max, jobs=c.jobs),
-    "catalan-form": lambda c: congruences.check_catalan_form(
-        c.n_max, x_min=c.x_min, x_max=c.x_max, jobs=c.jobs
-    ),
-    "lemma-schmidt": lambda c: congruences.check_lemma_schmidt(
-        c.l_max, c.n_max, eps=c.eps, jobs=c.jobs
-    ),
-    "conjecture-final": lambda c: congruences.check_conjecture_final(
-        c.l_max, c.n_max, jobs=c.jobs
-    ),
-    "conjecture-sun-m": lambda c: congruences.check_conjecture_sun_m(
-        c.m, c.l_max, c.n_max, eps=c.eps, x_min=c.x_min, x_max=c.x_max, jobs=c.jobs
-    ),
-    "conjecture-sun-ii": lambda c: congruences.check_conjecture_sun_ii(
-        c.l_max, c.n_max, jobs=c.jobs
-    ),
-    "q-sun": lambda c: qpoly.check_q_sun(c.n_max, jobs=c.jobs),
-    "q-specialize": lambda c: qpoly.q_specialization_check(c.n_max, jobs=c.jobs),
-}
-_TASK_ORDER = list(_TASKS)
-TASK_NAMES = _TASK_ORDER + ["all"]
-
-# Smallest n_max each task accepts (default 1).
-_MIN_N_MAX = {
-    "transform": 0,
-    "chu-vandermonde": 0,
-    "sun-one": 0,
-    "sun-two": 0,
-    "recurrence": 2,
-    "all": 2,
-}
 
 _DEFAULTS = {f.name: f.default for f in fields(GridConfig) if f.name != "task"}
 _CONFIG_KEYS = tuple(_DEFAULTS)
 _INT_KEYS = tuple(name for name, value in _DEFAULTS.items() if type(value) is int)
 # Execution details, left out of the report's config echo.
 _RUN_KEYS = ("jobs", "format", "out")
+# What `all` echoes: every grid field, in GridConfig order.
+_SHARED_ECHO = tuple(name for name in _CONFIG_KEYS if name not in _RUN_KEYS)
+
+
+@dataclass(frozen=True)
+class _Task:
+    """One row of the task table."""
+
+    # Decides the cell at one key; module-level, so worker processes can unpickle it.
+    cell: Callable[..., CaseResult]
+    # Config fields the report echoes, in this order.
+    echo: tuple[str, ...]
+    keys: Callable[[GridConfig], Iterable]
+    min_n_max: int = 1
+    notes: Callable[[GridConfig], list[str]] = lambda config: []
+
+
+def _ls(c: GridConfig) -> range:
+    return range(1, c.l_max + 1)
+
+
+def _ns(c: GridConfig) -> range:
+    return range(1, c.n_max + 1)
+
+
+def _xs(c: GridConfig) -> range:
+    return range(c.x_min, c.x_max + 1)
+
+
+def _n_k(c: GridConfig) -> list[tuple[int, int]]:
+    return [(n, k) for n in _ns(c) for k in range(n)]
+
+
+def _l_n_eps(c: GridConfig) -> Iterable[tuple[int, int, int]]:
+    return product(_ls(c), _ns(c), c.eps)
+
+
+# The task table, in the order `all` runs it.
+_TASKS = {
+    "transform": _Task(
+        identities.transform_case, ("n_max",), lambda c: range(c.n_max + 1), min_n_max=0
+    ),
+    "recurrence": _Task(
+        identities.recurrence_case,
+        ("n_max",),
+        lambda c: [("base", 0), ("base", 1)]
+        + [(family, n) for family in ("lhs", "rhs") for n in range(c.n_max - 1)],
+        min_n_max=2,
+    ),
+    "chu-vandermonde": _Task(
+        identities.chu_case, ("k_max",), lambda c: range(c.k_max + 1), min_n_max=0
+    ),
+    "telescope": _Task(identities.telescope_case, ("n_max",), _n_k),
+    "sun-one": _Task(
+        identities.sun_one_case, ("n_max",), lambda c: range(c.n_max + 1), min_n_max=0
+    ),
+    "sun-two": _Task(
+        identities.sun_two_case, ("n_max",), lambda c: range(c.n_max + 1), min_n_max=0
+    ),
+    "theorem1": _Task(congruences.theorem1_case, ("l_max", "n_max", "eps"), _l_n_eps),
+    "theorem2": _Task(congruences.theorem2_case, ("n_max",), _ns),
+    "catalan-form": _Task(
+        congruences.catalan_form_case,
+        ("n_max", "x_min", "x_max"),
+        lambda c: [("identity", n) for n in _ns(c)]
+        + [("terms", n, x) for n in _ns(c) for x in _xs(c)],
+    ),
+    "lemma-schmidt": _Task(congruences.schmidt_case, ("l_max", "n_max", "eps"), _l_n_eps),
+    "conjecture-final": _Task(
+        congruences.conjecture_final_case,
+        ("l_max", "n_max"),
+        lambda c: [(l, n, k) for l in _ls(c) for n, k in _n_k(c)],
+    ),
+    "conjecture-sun-m": _Task(
+        congruences.sun_m_case,
+        ("m", "l_max", "n_max", "eps", "x_min", "x_max"),
+        lambda c: product([c.m], _ls(c), _ns(c), c.eps, _xs(c)),
+        notes=lambda c: [congruences.sun_m_regime(c.m, c.n_max, len(_xs(c)))],
+    ),
+    "conjecture-sun-ii": _Task(
+        congruences.sun_ii_case, ("l_max", "n_max"), lambda c: product(_ls(c), _ns(c))
+    ),
+    "q-sun": _Task(qpoly.q_sun_case, ("n_max",), _n_k),
+    "q-specialize": _Task(qpoly.q_specialize_case, ("n_max",), _n_k),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -109,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact verification of binomial-sum identities, "
         "integer-valued polynomials, and congruences over parameter grids.",
     )
-    parser.add_argument("task", choices=TASK_NAMES, help="what to verify")
+    parser.add_argument("task", choices=[*_TASKS, "all"], help="what to verify")
     parser.add_argument("--l-max", type=int, default=None, help="largest weight index l")
     parser.add_argument("--n-max", type=int, default=None, help="largest grid index n")
     parser.add_argument("--k-max", type=int, default=None,
@@ -140,11 +219,10 @@ def parse_eps(value) -> tuple[int, ...]:
         except KeyError as exc:
             raise UsageError(f"bad --eps entry {exc.args[0]!r}; want a subset of +1,-1")
     elif isinstance(value, (list, tuple)):
-        vals = []
-        for v in value:
-            if v not in (1, -1):
+        vals = list(value)
+        for v in vals:
+            if type(v) is not int or v not in (1, -1):
                 raise UsageError(f"bad eps entry {v!r}; want a subset of +1,-1")
-            vals.append(int(v))
     else:
         raise UsageError(f"bad eps value {value!r}")
     if not vals:
@@ -168,9 +246,6 @@ def _load_config_file(path: str) -> dict:
         if name not in _CONFIG_KEYS:
             raise UsageError(f"unknown config key {key!r}")
         values[name] = value
-    for name in _INT_KEYS:
-        if name in values and type(values[name]) is not int:
-            raise UsageError(f"config key {name!r} must be an integer")
     if "eps" in values:
         values["eps"] = parse_eps(values["eps"])
     return values
@@ -190,49 +265,42 @@ def resolve_config(args: argparse.Namespace) -> GridConfig:
         given = getattr(args, name)
         if given is not None:
             values[name] = parse_eps(given) if name == "eps" else given
-    config = GridConfig(task=args.task, **values)
-    _validate(config)
-    return config
+    return GridConfig(task=args.task, **values)
 
 
-def _validate(config: GridConfig) -> None:
-    if config.jobs < 1:
-        raise UsageError(f"--jobs must be >= 1, got {config.jobs}")
-    if config.l_max < 1:
-        raise UsageError(f"--l-max must be >= 1, got {config.l_max}")
-    if config.k_max < 0:
-        raise UsageError(f"--k-max must be >= 0, got {config.k_max}")
-    if config.m < 1:
-        raise UsageError(f"--m must be >= 1, got {config.m}")
-    if config.x_min > config.x_max:
-        raise UsageError(f"empty x range [{config.x_min}, {config.x_max}]")
-    if config.format not in _FORMATS:
-        raise UsageError(f"format must be one of {', '.join(_FORMATS)}")
-    floor = _MIN_N_MAX.get(config.task, 1)
-    if config.n_max < floor:
-        raise UsageError(
-            f"task {config.task} needs --n-max >= {floor}, got {config.n_max}"
-        )
+def _echo(config: GridConfig, names) -> dict:
+    """The named config fields, eps written as '+1,-1'."""
+    return {
+        name: ",".join("+1" if e > 0 else "-1" for e in config.eps)
+        if name == "eps" else getattr(config, name)
+        for name in names
+    }
 
 
-def _shared_echo(config: GridConfig) -> dict:
-    echo = {name: getattr(config, name) for name in _CONFIG_KEYS if name not in _RUN_KEYS}
-    echo["eps"] = congruences.format_eps(config.eps)
-    return echo
+def _run_task(name: str, config: GridConfig):
+    task = _TASKS[name]
+    return run_grid(
+        name,
+        _echo(config, task.echo),
+        task.keys(config),
+        task.cell,
+        jobs=config.jobs,
+        notes=task.notes(config),
+    )
 
 
 def run(config: GridConfig):
-    """Dispatch one task (or all of them) and return the report."""
-    if config.task == "all":
-        start = time.perf_counter()
-        reports = [_TASKS[name](config) for name in _TASK_ORDER]
-        return CombinedReport(
-            task="all",
-            config=_shared_echo(config),
-            reports=reports,
-            wall_time_s=time.perf_counter() - start,
-        )
-    return _TASKS[config.task](config)
+    """Run one task (or all of them, in table order) and return the report."""
+    if config.task != "all":
+        return _run_task(config.task, config)
+    start = time.perf_counter()
+    reports = [_run_task(name, config) for name in _TASKS]
+    return CombinedReport(
+        task="all",
+        config=_echo(config, _SHARED_ECHO),
+        reports=reports,
+        wall_time_s=time.perf_counter() - start,
+    )
 
 
 def main(argv=None) -> int:

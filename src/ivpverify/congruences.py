@@ -1,6 +1,8 @@
-"""Integer-side verification: integer-valuedness of the weighted
+"""Integer-side claims: integer-valuedness of the weighted
 transformation sums, divisibility of the Schmidt-combination
-coefficients, and the mod-n^2 congruence family.
+coefficients, and the mod-n^2 congruence family.  The module holds
+their builders and one cell function per claim, each deciding one grid
+cell.
 
 Severity matters here.  Most grid cells instantiate proved statements
 (severity "theorem"); the l >= 2 congruence rows and the m >= 3 spot
@@ -18,53 +20,35 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
-from itertools import product
+from functools import lru_cache
 from typing import Optional
 
 from .combinat import binom_int, catalan, double_factorial_odd
-from .gridrun import run_grid
 from .identities import build_lhs, coeff_mismatch
-from .report import CaseResult, VerificationReport, make_case
+from .report import CaseResult, make_case
 from .values import coefficients, first_non_multiple
 
 __all__ = [
     "SchmidtCoeffs",
     "CongruenceCase",
     "schmidt_combination_coeffs",
-    "check_lemma_schmidt",
+    "schmidt_case",
     "weighted_sum_values",
-    "check_theorem1",
-    "check_theorem2",
+    "theorem1_case",
+    "theorem2_case",
     "catalan_form_values",
-    "check_catalan_form",
+    "catalan_form_case",
     "conjecture_final_value",
-    "check_conjecture_final",
-    "check_conjecture_sun_m",
-    "check_conjecture_sun_ii",
-    "format_eps",
+    "conjecture_final_case",
+    "sun_m_case",
+    "sun_m_regime",
+    "sun_ii_case",
 ]
-
-_EPS_BOTH = (1, -1)
 
 
 def _validate_eps(eps: int) -> None:
     if eps not in (1, -1):
         raise ValueError(f"eps must be +1 or -1, got {eps}")
-
-
-def format_eps(eps_keys) -> str:
-    """Echo a sorted eps set as '+1,-1'."""
-    return ",".join("+1" if e > 0 else "-1" for e in eps_keys)
-
-
-def _eps_keys(eps_set) -> tuple[int, ...]:
-    out = tuple(sorted(set(eps_set), reverse=True))
-    if not out:
-        raise ValueError("eps set must be non-empty")
-    for e in out:
-        _validate_eps(e)
-    return out
 
 
 # -- Schmidt-combination coefficients ----------------------------------------
@@ -109,7 +93,8 @@ def schmidt_combination_coeffs(l: int, n: int, eps: int) -> SchmidtCoeffs:
     return SchmidtCoeffs(l=l, n=n, eps=eps, coeffs=coeffs)
 
 
-def _schmidt_case(key: tuple[int, int, int]) -> CaseResult:
+def schmidt_case(key: tuple[int, int, int]) -> CaseResult:
+    """Every Schmidt-combination coefficient for (l, n, eps) is divisible by n."""
     l, n, eps = key
     sc = schmidt_combination_coeffs(l, n, eps)
     bad = sc.first_indivisible()
@@ -117,25 +102,6 @@ def _schmidt_case(key: tuple[int, int, int]) -> CaseResult:
     if bad is not None:
         witness = f"coefficient j={bad} is {sc.coeffs[bad]}, not divisible by {n}"
     return make_case((("l", l), ("n", n), ("eps", eps)), bad is None, witness)
-
-
-def check_lemma_schmidt(
-    l_max: int, n_max: int, eps=_EPS_BOTH, jobs: int = 1
-) -> VerificationReport:
-    """Every Schmidt-combination coefficient is divisible by n, over the grid."""
-    return _l_n_eps_grid("lemma-schmidt", _schmidt_case, l_max, n_max, eps, jobs)
-
-
-def _l_n_eps_grid(
-    task: str, case_fn, l_max: int, n_max: int, eps, jobs: int
-) -> VerificationReport:
-    """Run case_fn over 1 <= l <= l_max, 1 <= n <= n_max and the eps set."""
-    if l_max < 1 or n_max < 1:
-        raise ValueError(f"{task}: need bounds >= 1, got {l_max}, {n_max}")
-    eps_keys = _eps_keys(eps)
-    keys = product(range(1, l_max + 1), range(1, n_max + 1), eps_keys)
-    config = {"l_max": l_max, "n_max": n_max, "eps": format_eps(eps_keys)}
-    return run_grid(task, config, keys, case_fn, jobs=jobs)
 
 
 # -- weighted sums of S_k and integer-valuedness -----------------------------
@@ -163,31 +129,17 @@ def _int_valued_case(key, values, m: int, severity: str = "theorem") -> CaseResu
     return make_case(key, x0 is None, witness, severity=severity)
 
 
-def _theorem1_case(key: tuple[int, int, int]) -> CaseResult:
+def theorem1_case(key: tuple[int, int, int]) -> CaseResult:
+    """The 1/n weighted sum for (l, n, eps) is integer-valued."""
     l, n, eps = key
     return _int_valued_case(
         (("l", l), ("n", n), ("eps", eps)), weighted_sum_values(l, n, eps), n
     )
 
 
-def check_theorem1(
-    l_max: int, n_max: int, eps=_EPS_BOTH, jobs: int = 1
-) -> VerificationReport:
-    """The 1/n weighted sums are integer-valued across the whole grid."""
-    return _l_n_eps_grid("theorem1", _theorem1_case, l_max, n_max, eps, jobs)
-
-
-def _theorem2_case(n: int) -> CaseResult:
+def theorem2_case(n: int) -> CaseResult:
     """(1/n^2) sum_{k=0}^{n-1} (2k+1) S_k(x) is integer-valued."""
     return _int_valued_case((("n", n),), weighted_sum_values(1, n, 1), n * n)
-
-
-def check_theorem2(n_max: int, jobs: int = 1) -> VerificationReport:
-    if n_max < 1:
-        raise ValueError(f"check_theorem2: n_max must be >= 1, got {n_max}")
-    return run_grid(
-        "theorem2", {"n_max": n_max}, range(1, n_max + 1), _theorem2_case, jobs=jobs
-    )
 
 
 # -- Catalan-weighted rewriting of the theorem2 sum --------------------------
@@ -220,7 +172,12 @@ def _catalan_summand_times_n(n: int, k: int, x0: int) -> int:
     )
 
 
-def _catalan_case(key: tuple) -> CaseResult:
+def catalan_form_case(key: tuple) -> CaseResult:
+    """One of two claims.  For key ("identity", n): the Catalan-weighted
+    sum equals the 1/n^2 weighted sum as a polynomial (compared at its
+    2n-1 values).  For key ("terms", n, x): each summand
+    (1/n) C(n,k+1) C(n+k,k) C(2k,k) C(x+k,2k) is an integer at x.
+    """
     part = key[0]
     if part == "identity":
         n = key[1]
@@ -239,28 +196,6 @@ def _catalan_case(key: tuple) -> CaseResult:
             bad = f"k={k} summand {Fraction(term, n)} is not an integer"
             break
     return make_case((("part", part), ("n", n), ("x", x0)), bad is None, bad)
-
-
-def check_catalan_form(
-    n_max: int, x_min: int = -10, x_max: int = 10, jobs: int = 1
-) -> VerificationReport:
-    """Two claims per n: the Catalan-weighted sum equals the 1/n^2
-    weighted sum as a polynomial (compared at its 2n-1 values), and each
-    summand (1/n) C(n,k+1) C(n+k,k) C(2k,k) C(x+k,2k) is an integer at
-    every integer x in [x_min, x_max].
-    """
-    if n_max < 1:
-        raise ValueError(f"check_catalan_form: n_max must be >= 1, got {n_max}")
-    if x_min > x_max:
-        raise ValueError(f"check_catalan_form: empty x range [{x_min}, {x_max}]")
-    keys: list[tuple] = [("identity", n) for n in range(1, n_max + 1)]
-    keys += [
-        ("terms", n, x0)
-        for n in range(1, n_max + 1)
-        for x0 in range(x_min, x_max + 1)
-    ]
-    config = {"n_max": n_max, "x_min": x_min, "x_max": x_max}
-    return run_grid("catalan-form", config, keys, _catalan_case, jobs=jobs)
 
 
 # -- the mod-n^2 congruence family -------------------------------------------
@@ -294,7 +229,12 @@ def conjecture_final_value(l: int, n: int, k: int) -> CongruenceCase:
     return CongruenceCase(l=l, n=n, k=k, value=total, modulus=n * n)
 
 
-def _conjecture_final_case(key: tuple[int, int, int]) -> CaseResult:
+def conjecture_final_case(key: tuple[int, int, int]) -> CaseResult:
+    """The congruence mod n^2 at (l, n, k), 0 <= k < n.
+
+    l = 1 rows are proved and also have to match the closed form
+    n C(n,k+1) C(n+k,k) C(2k,k) exactly; l >= 2 rows are conjectures.
+    """
     l, n, k = key
     case = conjecture_final_value(l, n, k)
     severity = "theorem" if l == 1 else "conjecture"
@@ -309,26 +249,6 @@ def _conjecture_final_case(key: tuple[int, int, int]) -> CaseResult:
     return make_case((("l", l), ("n", n), ("k", k)), witness is None, witness, severity=severity)
 
 
-def check_conjecture_final(l_max: int, n_max: int, jobs: int = 1) -> VerificationReport:
-    """The congruence mod n^2 over l <= l_max, n <= n_max, 0 <= k < n.
-
-    l = 1 rows also have to match the closed form
-    n C(n,k+1) C(n+k,k) C(2k,k) exactly.
-    """
-    if l_max < 1 or n_max < 1:
-        raise ValueError(
-            f"check_conjecture_final: need bounds >= 1, got {l_max}, {n_max}"
-        )
-    keys = [
-        (l, n, k)
-        for l in range(1, l_max + 1)
-        for n in range(1, n_max + 1)
-        for k in range(n)
-    ]
-    config = {"l_max": l_max, "n_max": n_max}
-    return run_grid("conjecture-final", config, keys, _conjecture_final_case, jobs=jobs)
-
-
 # -- numeric spot checks for general power m ---------------------------------
 
 @lru_cache(maxsize=1 << 20)
@@ -339,8 +259,14 @@ def _power_sum_at(m: int, k: int, x0: int) -> int:
     )
 
 
-def _sun_m_case(key: tuple[int, int, int, int], m: int) -> CaseResult:
-    l, n, eps, x0 = key
+def sun_m_case(key: tuple[int, int, int, int, int]) -> CaseResult:
+    """Pointwise integrality at key (m, l, n, eps, x) of
+    (1/n) sum_k eps^k (2k+1)^(2l-1) sum_j C(-x-1,j)^m C(x,k-j)^m.
+
+    m <= 2 instances are proved; m >= 3 ones are open.  The case key
+    leaves m out: one report holds a single m, which its config echoes.
+    """
+    m, l, n, eps, x0 = key
     power = 2 * l - 1
     total = sum(
         eps ** k * (2 * k + 1) ** power * _power_sum_at(m, k, x0) for k in range(n)
@@ -353,34 +279,14 @@ def _sun_m_case(key: tuple[int, int, int, int], m: int) -> CaseResult:
     )
 
 
-def check_conjecture_sun_m(
-    m: int,
-    l_max: int,
-    n_max: int,
-    eps=_EPS_BOTH,
-    x_min: int = -10,
-    x_max: int = 10,
-    jobs: int = 1,
-) -> VerificationReport:
-    """Pointwise integrality of (1/n) sum_k eps^k (2k+1)^(2l-1)
-    sum_j C(-x-1,j)^m C(x,k-j)^m at integer x in [x_min, x_max].
+def sun_m_regime(m: int, n_max: int, points: int) -> str:
+    """Which n an x range of `points` consecutive integers certifies.
 
-    The polynomial in question has degree m(n-1), so when the x range
-    contains at least m(n-1)+1 consecutive integers the pointwise check
-    is a complete integer-valuedness certificate for that n; beyond
-    that bound it is a spot check.  The report's notes state where the
-    cutoff falls.  m <= 2 instances are proved; m >= 3 ones are open.
+    The polynomial behind `sun_m_case` has degree m(n-1), so when the x
+    range contains at least m(n-1)+1 consecutive integers the pointwise
+    check is a complete integer-valuedness certificate for that n;
+    beyond that bound it is a spot check.
     """
-    if m < 1:
-        raise ValueError(f"check_conjecture_sun_m: m must be >= 1, got {m}")
-    if l_max < 1 or n_max < 1:
-        raise ValueError(
-            f"check_conjecture_sun_m: need bounds >= 1, got {l_max}, {n_max}"
-        )
-    if x_min > x_max:
-        raise ValueError(f"check_conjecture_sun_m: empty x range [{x_min}, {x_max}]")
-    eps_keys = _eps_keys(eps)
-    points = x_max - x_min + 1
     n_complete = (points - 1) // m + 1
     if n_complete >= n_max:
         regime = f"complete integer-valuedness certificate for every n <= {n_max}"
@@ -389,52 +295,20 @@ def check_conjecture_sun_m(
             f"complete certificate for n <= {n_complete}, "
             f"spot check for {n_complete} < n <= {n_max}"
         )
-    notes = [
-        f"degree is m(n-1) = {m}(n-1); x range holds {points} consecutive points: "
-        + regime
-    ]
-    keys = product(
-        range(1, l_max + 1), range(1, n_max + 1), eps_keys, range(x_min, x_max + 1)
-    )
-    config = {
-        "m": m,
-        "l_max": l_max,
-        "n_max": n_max,
-        "eps": format_eps(eps_keys),
-        "x_min": x_min,
-        "x_max": x_max,
-    }
-    return run_grid(
-        "conjecture-sun-m",
-        config,
-        keys,
-        partial(_sun_m_case, m=m),
-        jobs=jobs,
-        notes=notes,
-    )
+    return f"degree is m(n-1) = {m}(n-1); x range holds {points} consecutive points: " + regime
 
 
 # -- the (2l-1)!!/n^2 strengthening ------------------------------------------
 
-def _sun_ii_case(key: tuple[int, int]) -> CaseResult:
-    """((2l-1)!!/n^2) sum_{k=0}^{n-1} (2k+1)^(2l-1) S_k(x) is integer-valued."""
+def sun_ii_case(key: tuple[int, int]) -> CaseResult:
+    """((2l-1)!!/n^2) sum_{k=0}^{n-1} (2k+1)^(2l-1) S_k(x) is integer-valued.
+
+    l = 1 is the proved 1/n^2 statement; l >= 2 instances follow from
+    the open mod-n^2 congruence, so they carry conjecture severity.
+    """
     l, n = key
     severity = "theorem" if l == 1 else "conjecture"
     scale = double_factorial_odd(l)
     values = [scale * v for v in weighted_sum_values(l, n, 1)]
     return _int_valued_case((("l", l), ("n", n)), values, n * n, severity)
 
-
-def check_conjecture_sun_ii(l_max: int, n_max: int, jobs: int = 1) -> VerificationReport:
-    """Integer-valuedness of the (2l-1)!!/n^2 weighted sums.
-
-    l = 1 is the proved 1/n^2 statement; l >= 2 instances follow from
-    the open mod-n^2 congruence, so they carry conjecture severity.
-    """
-    if l_max < 1 or n_max < 1:
-        raise ValueError(
-            f"check_conjecture_sun_ii: need bounds >= 1, got {l_max}, {n_max}"
-        )
-    keys = product(range(1, l_max + 1), range(1, n_max + 1))
-    config = {"l_max": l_max, "n_max": n_max}
-    return run_grid("conjecture-sun-ii", config, keys, _sun_ii_case, jobs=jobs)

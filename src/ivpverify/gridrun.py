@@ -1,4 +1,4 @@
-"""Run a verification function over a parameter grid, optionally in parallel.
+"""Run a task's cell function over its grid keys, optionally in parallel.
 
 The contract that matters here: output is deterministic.  Cases are
 sorted by their key before being stored, so a run with --jobs 8 yields

@@ -1,4 +1,5 @@
-"""Exact verification of the binomial-sum identity family.
+"""The binomial-sum identity family: builders and one cell function per
+identity, each deciding one grid cell exactly.
 
 The central object is the degree-2n polynomial
 
@@ -26,21 +27,20 @@ from functools import lru_cache
 from typing import Union
 
 from .combinat import binom_int, binom_rat
-from .gridrun import run_grid
-from .report import CaseResult, VerificationReport, make_case
+from .report import CaseResult, make_case
 from .values import coefficients, poly_text
 
 __all__ = [
     "build_lhs",
     "build_rhs",
     "coeff_mismatch",
-    "verify_transformation",
+    "transform_case",
     "recurrence_coefficients",
-    "verify_recurrence",
-    "verify_chu_vandermonde",
-    "verify_telescoped_sum",
-    "verify_sun_identity_one",
-    "verify_sun_identity_two",
+    "recurrence_case",
+    "chu_case",
+    "telescope_case",
+    "sun_one_case",
+    "sun_two_case",
     "eval_transform_at",
 ]
 
@@ -85,20 +85,12 @@ def coeff_mismatch(p, q) -> str:
     return "polynomials agree"
 
 
-def _transform_case(n: int) -> CaseResult:
+def transform_case(n: int) -> CaseResult:
+    """Both closed forms of S_n agree, compared at their 2n+1 values."""
     lhs, rhs = build_lhs(n, 2 * n + 1), build_rhs(n, 2 * n + 1)
     ok = lhs == rhs
     witness = None if ok else coeff_mismatch(coefficients(lhs), coefficients(rhs))
     return make_case((("n", n),), ok, witness)
-
-
-def verify_transformation(n_max: int, jobs: int = 1) -> VerificationReport:
-    """Check that both closed forms of S_n agree for 0 <= n <= n_max."""
-    if n_max < 0:
-        raise ValueError(f"verify_transformation: n_max must be >= 0, got {n_max}")
-    return run_grid(
-        "transform", {"n_max": n_max}, range(n_max + 1), _transform_case, jobs=jobs
-    )
 
 
 # -- order-2 recurrence ------------------------------------------------------
@@ -121,7 +113,15 @@ def recurrence_coefficients(n: int, x: int) -> tuple[int, int, int]:
 _BASE_CASES = {0: lambda x: 1, 1: lambda x: 2 * x * x + 2 * x + 1}
 
 
-def _recurrence_case(key: tuple[str, int]) -> CaseResult:
+def recurrence_case(key: tuple[str, int]) -> CaseResult:
+    """Both closed forms satisfy the order-2 recurrence.
+
+    The key is ("base", n) for the explicit n = 0, 1 base cases, or
+    ("lhs" | "rhs", n) for the recurrence at shift index n of that
+    closed form, which evaluates S_n, S_(n+1) and S_(n+2).  The
+    residual has degree at most 2n+4, so it is zero exactly when it
+    vanishes at x = 0 .. 2n+4.
+    """
     family, n = key
     if family == "base":
         points = 2 * n + 1
@@ -145,26 +145,13 @@ def _recurrence_case(key: tuple[str, int]) -> CaseResult:
     return make_case((("family", family), ("n", n)), ok, witness)
 
 
-def verify_recurrence(n_max: int, jobs: int = 1) -> VerificationReport:
-    """Check that both closed forms satisfy the order-2 recurrence.
-
-    Covers the shift index n = 0 .. n_max-2 for each family (so S_n up
-    to n = n_max is evaluated), plus the explicit n = 0, 1 base cases.
-    The residual has degree at most 2n+4, so it is zero exactly when it
-    vanishes at x = 0 .. 2n+4.
-    """
-    if n_max < 2:
-        raise ValueError(f"verify_recurrence: n_max must be >= 2, got {n_max}")
-    keys: list[tuple[str, int]] = [("base", 0), ("base", 1)]
-    keys += [(fam, n) for fam in ("lhs", "rhs") for n in range(n_max - 1)]
-    return run_grid(
-        "recurrence", {"n_max": n_max}, keys, _recurrence_case, jobs=jobs
-    )
-
-
 # -- Chu-Vandermonde convolution --------------------------------------------
 
-def _chu_case(k: int) -> CaseResult:
+def chu_case(k: int) -> CaseResult:
+    """sum_j C(-x-1,j) C(x,k-j) collapses to the constant (-1)^k.
+
+    The sum has degree at most k, so it is compared at x = 0 .. k.
+    """
     values = [
         sum(binom_int(-x - 1, j) * binom_int(x, k - j) for j in range(k + 1))
         for x in range(k + 1)
@@ -175,21 +162,10 @@ def _chu_case(k: int) -> CaseResult:
     return make_case((("k", k),), ok, witness)
 
 
-def verify_chu_vandermonde(k_max: int, jobs: int = 1) -> VerificationReport:
-    """sum_j C(-x-1,j) C(x,k-j) collapses to the constant (-1)^k.
-
-    The sum has degree at most k, so it is compared at x = 0 .. k.
-    """
-    if k_max < 0:
-        raise ValueError(f"verify_chu_vandermonde: k_max must be >= 0, got {k_max}")
-    return run_grid(
-        "chu-vandermonde", {"k_max": k_max}, range(k_max + 1), _chu_case, jobs=jobs
-    )
-
-
 # -- telescoping sum ---------------------------------------------------------
 
-def _telescope_case(key: tuple[int, int]) -> CaseResult:
+def telescope_case(key: tuple[int, int]) -> CaseResult:
+    """sum_{m=k}^{n-1} (2m+1) C(m+k,2k) C(2k,k) = n C(n,k+1) C(n+k,k)."""
     n, k = key
     lhs = sum(
         (2 * m + 1) * binom_int(m + k, 2 * k) * binom_int(2 * k, k)
@@ -200,17 +176,10 @@ def _telescope_case(key: tuple[int, int]) -> CaseResult:
     return make_case((("n", n), ("k", k)), ok, None if ok else f"{lhs} != {rhs}")
 
 
-def verify_telescoped_sum(n_max: int, jobs: int = 1) -> VerificationReport:
-    """sum_{m=k}^{n-1} (2m+1) C(m+k,2k) C(2k,k) = n C(n,k+1) C(n+k,k)."""
-    if n_max < 1:
-        raise ValueError(f"verify_telescoped_sum: n_max must be >= 1, got {n_max}")
-    keys = [(n, k) for n in range(1, n_max + 1) for k in range(n)]
-    return run_grid("telescope", {"n_max": n_max}, keys, _telescope_case, jobs=jobs)
-
-
 # -- rational-value identities at half-integer points ------------------------
 
-def _sun_one_case(n: int) -> CaseResult:
+def sun_one_case(n: int) -> CaseResult:
+    """16^n sum C(-1/2,k)^2 C(-1/2,n-k)^2 = sum C(2k,k)^3 C(k,n-k) (-16)^(n-k)."""
     half = Fraction(-1, 2)
     lhs = 16 ** n * sum(
         binom_rat(half, k) ** 2 * binom_rat(half, n - k) ** 2 for k in range(n + 1)
@@ -223,16 +192,8 @@ def _sun_one_case(n: int) -> CaseResult:
     return make_case((("n", n),), ok, None if ok else f"{lhs} != {rhs}")
 
 
-def verify_sun_identity_one(n_max: int, jobs: int = 1) -> VerificationReport:
-    """16^n sum C(-1/2,k)^2 C(-1/2,n-k)^2 = sum C(2k,k)^3 C(k,n-k) (-16)^(n-k)."""
-    if n_max < 0:
-        raise ValueError(f"verify_sun_identity_one: n_max must be >= 0, got {n_max}")
-    return run_grid(
-        "sun-one", {"n_max": n_max}, range(n_max + 1), _sun_one_case, jobs=jobs
-    )
-
-
-def _sun_two_case(n: int) -> CaseResult:
+def sun_two_case(n: int) -> CaseResult:
+    """64^n sum C(-1/4,k)^2 C(-3/4,n-k)^2 = sum C(2k,k)^3 C(2n-2k,n-k) 16^(n-k)."""
     quarter, three_quarter = Fraction(-1, 4), Fraction(-3, 4)
     lhs = 64 ** n * sum(
         binom_rat(quarter, k) ** 2 * binom_rat(three_quarter, n - k) ** 2
@@ -244,15 +205,6 @@ def _sun_two_case(n: int) -> CaseResult:
     )
     ok = lhs == rhs
     return make_case((("n", n),), ok, None if ok else f"{lhs} != {rhs}")
-
-
-def verify_sun_identity_two(n_max: int, jobs: int = 1) -> VerificationReport:
-    """64^n sum C(-1/4,k)^2 C(-3/4,n-k)^2 = sum C(2k,k)^3 C(2n-2k,n-k) 16^(n-k)."""
-    if n_max < 0:
-        raise ValueError(f"verify_sun_identity_two: n_max must be >= 0, got {n_max}")
-    return run_grid(
-        "sun-two", {"n_max": n_max}, range(n_max + 1), _sun_two_case, jobs=jobs
-    )
 
 
 # -- pointwise cross-evaluation ----------------------------------------------

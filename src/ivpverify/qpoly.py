@@ -1,5 +1,6 @@
 """Integer Laurent polynomials in q, with q-integers, q-binomials, and
-the congruence family modulo the squared q-integer.
+the congruence family modulo the squared q-integer: the q-sum builder
+and the cell functions of q-sun and q-specialize.
 
 Products use Kronecker substitution: both coefficient lists are packed
 into one big integer each, at a slot width no coefficient of the
@@ -22,8 +23,7 @@ from itertools import accumulate
 from typing import Iterable, Optional, Sequence
 
 from .congruences import conjecture_final_value
-from .gridrun import run_grid
-from .report import CaseResult, VerificationReport, make_case
+from .report import CaseResult, make_case
 
 __all__ = [
     "LaurentPoly",
@@ -32,8 +32,8 @@ __all__ = [
     "laurent_divisible",
     "divisible_by_q_integer_squared",
     "q_sun_sum",
-    "check_q_sun",
-    "q_specialization_check",
+    "q_sun_case",
+    "q_specialize_case",
 ]
 
 
@@ -330,7 +330,8 @@ def q_sun_sum(n: int, k: int) -> LaurentPoly:
     return LaurentPoly(accumulate(diff), low) * (central * central)
 
 
-def _q_sun_case(key: tuple[int, int]) -> CaseResult:
+def q_sun_case(key: tuple[int, int]) -> CaseResult:
+    """The q-sum for (n, k), 0 <= k < n, is divisible by [n]^2."""
     n, k = key
     f = q_sun_sum(n, k)
     if divisible_by_q_integer_squared(f, n):
@@ -343,15 +344,9 @@ def _q_sun_case(key: tuple[int, int]) -> CaseResult:
     return make_case((("n", n), ("k", k)), False, witness)
 
 
-def check_q_sun(n_max: int, jobs: int = 1) -> VerificationReport:
-    """The q-sum is divisible by [n]^2 for every 1 <= n <= n_max, 0 <= k < n."""
-    if n_max < 1:
-        raise ValueError(f"check_q_sun: n_max must be >= 1, got {n_max}")
-    keys = [(n, k) for n in range(1, n_max + 1) for k in range(n)]
-    return run_grid("q-sun", {"n_max": n_max}, keys, _q_sun_case, jobs=jobs)
-
-
-def _q_specialize_case(key: tuple[int, int]) -> CaseResult:
+def q_specialize_case(key: tuple[int, int]) -> CaseResult:
+    """Setting q = 1 in the q-sum for (n, k) reproduces the classical
+    weighted sum sum_m (2m+1) C(m+k,2k) C(2k,k)^2."""
     n, k = key
     at_one = q_sun_sum(n, k).eval_at_one()
     classical = conjecture_final_value(1, n, k).value
@@ -359,11 +354,3 @@ def _q_specialize_case(key: tuple[int, int]) -> CaseResult:
     witness = None if ok else f"q=1 value {at_one} != classical sum {classical}"
     return make_case((("n", n), ("k", k)), ok, witness)
 
-
-def q_specialization_check(n_max: int, jobs: int = 1) -> VerificationReport:
-    """Setting q = 1 in the q-sum reproduces the classical weighted sum
-    sum_m (2m+1) C(m+k,2k) C(2k,k)^2 cell for cell."""
-    if n_max < 1:
-        raise ValueError(f"q_specialization_check: n_max must be >= 1, got {n_max}")
-    keys = [(n, k) for n in range(1, n_max + 1) for k in range(n)]
-    return run_grid("q-specialize", {"n_max": n_max}, keys, _q_specialize_case, jobs=jobs)

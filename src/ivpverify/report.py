@@ -13,7 +13,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 __all__ = [
     "CaseResult",
@@ -186,9 +186,6 @@ class CombinedReport:
         count = self.passed if self.ok else self.failed
         parts.append(f"overall: {verdict} {count}/{self.total}\n")
         return "\n".join(parts)
-
-
-Report = "VerificationReport | CombinedReport"
 
 
 def serialize_report(report, fmt: str, include_meta: bool = True) -> str:

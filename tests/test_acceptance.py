@@ -12,24 +12,9 @@ import time
 from fractions import Fraction
 
 from ivpverify import cli
+from ivpverify.cli import GridConfig
 from ivpverify.combinat import binom_int, catalan
-from ivpverify.congruences import (
-    check_catalan_form,
-    check_conjecture_final,
-    check_lemma_schmidt,
-    check_theorem1,
-    check_theorem2,
-    conjecture_final_value,
-)
-from ivpverify.identities import (
-    verify_chu_vandermonde,
-    verify_recurrence,
-    verify_sun_identity_one,
-    verify_sun_identity_two,
-    verify_telescoped_sum,
-    verify_transformation,
-)
-from ivpverify.qpoly import check_q_sun, q_binom, q_specialization_check, q_sun_sum
+from ivpverify.qpoly import q_binom
 from ivpverify.values import coefficients
 
 
@@ -45,11 +30,11 @@ def _within(budget_s, *reports):
 
 
 def test_criterion_01_transformation_identity_to_n40():
-    _within(30, verify_transformation(40))
+    _within(30, cli.run(GridConfig("transform", n_max=40)))
 
 
 def test_criterion_02_recurrence_both_closed_forms_to_n38():
-    report = verify_recurrence(40)
+    report = cli.run(GridConfig("recurrence", n_max=40))
     families = {dict(c.key)["family"] for c in report.cases}
     assert families == {"base", "lhs", "rhs"}
     shifts = [dict(c.key)["n"] for c in report.cases if dict(c.key)["family"] == "lhs"]
@@ -58,28 +43,28 @@ def test_criterion_02_recurrence_both_closed_forms_to_n38():
 
 
 def test_criterion_03_chu_vandermonde_to_k30():
-    _within(5, verify_chu_vandermonde(30))
+    _within(5, cli.run(GridConfig("chu-vandermonde", k_max=30)))
 
 
 def test_criterion_04_weighted_sums_integer_valued_l4_n25():
-    _within(120, check_theorem1(4, 25))
+    _within(120, cli.run(GridConfig("theorem1", l_max=4, n_max=25)))
 
 
 def test_criterion_05_squared_weight_theorem_and_catalan_form():
     _within(
         60,
-        check_theorem2(25),
-        check_catalan_form(25),
-        verify_telescoped_sum(100),
+        cli.run(GridConfig("theorem2", n_max=25)),
+        cli.run(GridConfig("catalan-form", n_max=25)),
+        cli.run(GridConfig("telescope", n_max=100)),
     )
 
 
 def test_criterion_06_schmidt_coefficients_divisible_l3_n20():
-    _within(30, check_lemma_schmidt(3, 20))
+    _within(30, cli.run(GridConfig("lemma-schmidt", l_max=3, n_max=20)))
 
 
 def test_criterion_07_congruence_mod_n_squared_l4_n50():
-    report = check_conjecture_final(4, 50)
+    report = cli.run(GridConfig("conjecture-final", l_max=4, n_max=50))
     # Open rows must be distinguishable from proved ones in the output.
     for c in report.cases:
         expected = "theorem" if dict(c.key)["l"] == 1 else "conjecture"
@@ -88,17 +73,20 @@ def test_criterion_07_congruence_mod_n_squared_l4_n50():
 
 
 def test_criterion_08_q_congruence_and_specialization_n40():
-    q_report = check_q_sun(40)
-    q1_report = q_specialization_check(40)
-    # Cell-for-cell match against the classical l=1 column.
-    for n in range(1, 41):
-        for k in range(n):
-            assert q_sun_sum(n, k).eval_at_one() == conjecture_final_value(1, n, k).value
-    _within(60, q_report, q1_report)
+    # q-specialize matches every cell against the classical l=1 column.
+    _within(
+        60,
+        cli.run(GridConfig("q-sun", n_max=40)),
+        cli.run(GridConfig("q-specialize", n_max=40)),
+    )
 
 
 def test_criterion_09_half_integer_identities_to_n30():
-    _within(10, verify_sun_identity_one(30), verify_sun_identity_two(30))
+    _within(
+        10,
+        cli.run(GridConfig("sun-one", n_max=30)),
+        cli.run(GridConfig("sun-two", n_max=30)),
+    )
 
 
 def test_criterion_10_property_suites_and_determinism(tmp_path):

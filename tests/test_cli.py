@@ -1,9 +1,10 @@
+import dataclasses
 import json
 
 import pytest
 
 from ivpverify import cli
-from ivpverify.report import VerificationReport, make_case
+from ivpverify.report import make_case
 
 
 def test_task_dispatch_exit_zero(capsys):
@@ -22,21 +23,27 @@ def test_bad_bounds_exit_two(capsys):
     assert cli.main(["transform", "--n-max", "-1"]) == 2
     assert "n-max" in capsys.readouterr().err
     assert cli.main(["recurrence", "--n-max", "1"]) == 2
+    assert cli.main(["all", "--n-max", "1"]) == 2
+    assert cli.main(["lemma-schmidt", "--n-max", "0"]) == 2
+    assert cli.main(["conjecture-final", "--n-max", "0"]) == 2
+    assert cli.main(["chu-vandermonde", "--k-max", "-1"]) == 2
     assert cli.main(["theorem1", "--l-max", "0"]) == 2
     assert cli.main(["conjecture-sun-m", "--m", "0"]) == 2
     assert cli.main(["catalan-form", "--x-min", "3", "--x-max", "-3"]) == 2
     assert cli.main(["theorem1", "--eps", "0"]) == 2
     assert cli.main(["transform", "--jobs", "0"]) == 2
+    # Code that builds a GridConfig gets the same checks.
+    with pytest.raises(cli.UsageError, match="n-max"):
+        cli.run(cli.GridConfig("theorem1", l_max=4, n_max=0))
+
+
+def _replace_cell(monkeypatch, task, cell):
+    monkeypatch.setitem(cli._TASKS, task, dataclasses.replace(cli._TASKS[task], cell=cell))
 
 
 def test_mathematical_failure_exits_one(capsys, monkeypatch):
-    broken = VerificationReport(
-        task="transform",
-        config={},
-        cases=[make_case((("n", 0),), False, "forced failure")],
-    )
-    monkeypatch.setitem(cli._TASKS, "transform", lambda c: broken)
-    assert cli.main(["transform"]) == 1
+    _replace_cell(monkeypatch, "transform", lambda n: make_case((("n", n),), False, "forced"))
+    assert cli.main(["transform", "--n-max", "0"]) == 1
     assert "FAIL 1/1" in capsys.readouterr().out
 
 
@@ -83,7 +90,7 @@ def test_all_runs_every_task(tmp_path):
     )
     assert rc == 0
     payload = json.loads(out.read_text())
-    assert [r["task"] for r in payload["reports"]] == cli._TASK_ORDER
+    assert [r["task"] for r in payload["reports"]] == list(cli._TASKS)
     assert payload["summary"]["fail"] == 0
 
 
@@ -96,6 +103,8 @@ def test_eps_parsing():
         cli.parse_eps("2")
     with pytest.raises(cli.UsageError):
         cli.parse_eps("")
+    with pytest.raises(cli.UsageError):
+        cli.GridConfig("theorem1", eps=(-1, 1))  # not canonical: parse_eps sorts it
 
 
 def test_config_file_flags_win(tmp_path, capsys):
@@ -121,6 +130,15 @@ def test_config_file_validation(tmp_path, capsys):
     bad.write_text("{broken")
     assert cli.main(["transform", "--config", str(bad)]) == 2
     assert cli.main(["transform", "--config", str(tmp_path / "absent.json")]) == 2
+    capsys.readouterr()
+    # A non-string "out" would be taken as a file descriptor by open().
+    bad.write_text(json.dumps({"out": 7}))
+    assert cli.main(["transform", "--config", str(bad)]) == 2
+    assert "config key 'out' must be a string" in capsys.readouterr().err
+    # true == 1 and -1.0 == -1, but neither is an integer eps entry.
+    bad.write_text(json.dumps({"eps": [True, -1.0]}))
+    assert cli.main(["theorem1", "--config", str(bad)]) == 2
+    assert "bad eps entry True" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key", ["jobs", "n_max"])
@@ -132,10 +150,10 @@ def test_config_file_rejects_booleans_for_integers(tmp_path, capsys, key):
 
 
 def test_internal_error_exits_three(capsys, monkeypatch):
-    def crash(config):
+    def crash(n):
         raise RuntimeError("worker pool died")
 
-    monkeypatch.setitem(cli._TASKS, "transform", crash)
+    _replace_cell(monkeypatch, "transform", crash)
     assert cli.main(["transform"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -145,10 +163,10 @@ def test_internal_error_exits_three(capsys, monkeypatch):
 def test_value_error_inside_a_task_exits_three(capsys, monkeypatch):
     # Bounds are validated before a task runs, so a ValueError from a
     # builder is a bug, not a usage error.
-    def broken(config):
+    def broken(n):
         raise ValueError("builder bug")
 
-    monkeypatch.setitem(cli._TASKS, "transform", broken)
+    _replace_cell(monkeypatch, "transform", broken)
     assert cli.main(["transform"]) == 3
     assert "internal error: ValueError('builder bug')" in capsys.readouterr().err
 

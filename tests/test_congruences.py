@@ -6,17 +6,11 @@ import sympy
 from ivpverify.combinat import binom_int, double_factorial_odd
 from ivpverify.congruences import (
     catalan_form_values,
-    check_catalan_form,
-    check_conjecture_final,
-    check_conjecture_sun_ii,
-    check_conjecture_sun_m,
-    check_lemma_schmidt,
-    check_theorem1,
-    check_theorem2,
     conjecture_final_value,
     schmidt_combination_coeffs,
     weighted_sum_values,
 )
+from ivpverify.cli import GridConfig, run
 from ivpverify.values import coefficients, first_non_multiple, forward_differences
 
 
@@ -36,7 +30,7 @@ def test_schmidt_coeffs_frozen_examples():
 
 
 def test_schmidt_divisibility_grid():
-    report = check_lemma_schmidt(3, 12)
+    report = run(GridConfig("lemma-schmidt", l_max=3, n_max=12))
     assert report.ok
     assert report.total == 3 * 12 * 2
     assert report.cases[0].label == "l=1;n=1;eps=-1"
@@ -47,8 +41,6 @@ def test_schmidt_rejects_bad_args():
         schmidt_combination_coeffs(0, 2, 1)
     with pytest.raises(ValueError):
         schmidt_combination_coeffs(1, 2, 2)
-    with pytest.raises(ValueError):
-        check_lemma_schmidt(1, 0)
 
 
 def test_schmidt_combination_recovers_weighted_sum():
@@ -86,7 +78,7 @@ def test_theorem1_scaled_by_n_has_integer_basis():
 
 
 def test_theorem1_grid_is_integer_valued():
-    report = check_theorem1(2, 10)
+    report = run(GridConfig("theorem1", l_max=2, n_max=10))
     assert report.ok and report.total == 2 * 10 * 2
 
 
@@ -98,7 +90,7 @@ def test_theorem2_hand_case():
 
 
 def test_theorem2_grid_is_integer_valued():
-    report = check_theorem2(12)
+    report = run(GridConfig("theorem2", n_max=12))
     assert report.ok and report.total == 12
 
 
@@ -114,7 +106,7 @@ def test_catalan_form_n2_terms():
 
 
 def test_catalan_form_report_keys():
-    report = check_catalan_form(4, x_min=-3, x_max=3)
+    report = run(GridConfig("catalan-form", n_max=4, x_min=-3, x_max=3))
     assert report.ok
     assert report.total == 4 + 4 * 7
     assert report.cases[0].key == (("part", "identity"), ("n", 1))
@@ -132,8 +124,6 @@ def test_conjecture_final_rejects_out_of_range_k():
         conjecture_final_value(1, 3, 3)
     with pytest.raises(ValueError):
         conjecture_final_value(1, 3, -1)
-    with pytest.raises(ValueError):
-        check_conjecture_final(1, 0)
 
 
 def test_conjecture_final_l1_closed_form():
@@ -145,7 +135,7 @@ def test_conjecture_final_l1_closed_form():
 
 
 def test_conjecture_final_grid_and_severity():
-    report = check_conjecture_final(2, 8)
+    report = run(GridConfig("conjecture-final", l_max=2, n_max=8))
     assert report.ok
     by_severity = {c.severity for c in report.cases}
     assert by_severity == {"theorem", "conjecture"}
@@ -157,13 +147,13 @@ def test_conjecture_final_grid_and_severity():
 def test_sun_m_equals_one_always_integral():
     # For m=1 the inner sum collapses to (-1)^k, so the weighted sum is
     # divisible by n by the classical alternating-odd-powers congruences.
-    report = check_conjecture_sun_m(1, 2, 8, x_min=-5, x_max=5)
+    report = run(GridConfig("conjecture-sun-m", m=1, l_max=2, n_max=8, x_min=-5, x_max=5))
     assert report.ok
     assert all(c.severity == "theorem" for c in report.cases)
 
 
 def test_sun_m_equals_two_matches_theorem1():
-    report = check_conjecture_sun_m(2, 2, 6, x_min=-4, x_max=4)
+    report = run(GridConfig("conjecture-sun-m", m=2, l_max=2, n_max=6, x_min=-4, x_max=4))
     assert report.ok
     # Cross-check a few cells against the polynomial route.
     for l, n, eps in [(1, 3, 1), (2, 5, -1), (2, 6, 1)]:
@@ -173,7 +163,7 @@ def test_sun_m_equals_two_matches_theorem1():
 
 
 def test_sun_m_three_spot_check():
-    report = check_conjecture_sun_m(3, 2, 6, x_min=-8, x_max=8)
+    report = run(GridConfig("conjecture-sun-m", m=3, l_max=2, n_max=6, x_min=-8, x_max=8))
     assert report.ok
     assert all(c.severity == "conjecture" for c in report.cases)
     assert any("complete" in note for note in report.notes)
@@ -181,13 +171,13 @@ def test_sun_m_three_spot_check():
 
 def test_sun_m_completeness_note_cutoff():
     # 11 points cover degree m(n-1) <= 10, so m=2 certifies n <= 6 fully.
-    report = check_conjecture_sun_m(2, 1, 9, x_min=-5, x_max=5)
+    report = run(GridConfig("conjecture-sun-m", m=2, l_max=1, n_max=9, x_min=-5, x_max=5))
     assert "n <= 6" in report.notes[0]
 
 
 def test_sun_ii_polynomial_l1_is_theorem2():
-    sun_ii = check_conjecture_sun_ii(1, 9)
-    theorem2 = check_theorem2(9)
+    sun_ii = run(GridConfig("conjecture-sun-ii", l_max=1, n_max=9))
+    theorem2 = run(GridConfig("theorem2", n_max=9))
     assert [(c.key[1], c.status) for c in sun_ii.cases] == [
         (c.key[0], c.status) for c in theorem2.cases
     ]
@@ -203,7 +193,7 @@ def test_sun_ii_l2_hand_value():
 
 
 def test_sun_ii_grid_and_severity():
-    report = check_conjecture_sun_ii(3, 10)
+    report = run(GridConfig("conjecture-sun-ii", l_max=3, n_max=10))
     assert report.ok and report.total == 30
     for c in report.cases:
         l = dict(c.key)["l"]
@@ -218,7 +208,7 @@ def test_weight_double_factorial_consistency():
         assert first_non_multiple(values, n) is None
         scaled = [double_factorial_odd(l) * v for v in values]
         assert first_non_multiple(scaled, n * n) is None
-        assert check_conjecture_sun_ii(l, n).cases[-1].ok
+        assert run(GridConfig("conjecture-sun-ii", l_max=l, n_max=n)).cases[-1].ok
 
 
 def test_weighted_sum_values_match_sympy():

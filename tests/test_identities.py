@@ -8,13 +8,8 @@ from ivpverify.identities import (
     build_rhs,
     eval_transform_at,
     recurrence_coefficients,
-    verify_chu_vandermonde,
-    verify_recurrence,
-    verify_sun_identity_one,
-    verify_sun_identity_two,
-    verify_telescoped_sum,
-    verify_transformation,
 )
+from ivpverify.cli import GridConfig, run
 from ivpverify.values import coefficients
 
 
@@ -83,12 +78,10 @@ def test_integer_points_give_nonnegative_integers():
 
 
 def test_verify_transformation_report():
-    report = verify_transformation(12)
+    report = run(GridConfig("transform", n_max=12))
     assert report.ok
     assert report.total == 13
     assert [c.label for c in report.cases[:3]] == ["n=0", "n=1", "n=2"]
-    with pytest.raises(ValueError):
-        verify_transformation(-1)
 
 
 def test_recurrence_coefficients_at_zero():
@@ -105,16 +98,14 @@ def test_recurrence_explicit_n0():
 
 
 def test_recurrence_holds_for_both_families():
-    report = verify_recurrence(10)
+    report = run(GridConfig("recurrence", n_max=10))
     assert report.ok
     # two base cases plus two families of shifts 0..8
     assert report.total == 2 + 2 * 9
-    with pytest.raises(ValueError):
-        verify_recurrence(1)
 
 
 def test_chu_vandermonde_collapses_to_sign():
-    report = verify_chu_vandermonde(12)
+    report = run(GridConfig("chu-vandermonde", k_max=12))
     assert report.ok and report.total == 13
 
 
@@ -144,7 +135,7 @@ def test_telescoped_sum_single_term_cases():
 
 
 def test_telescoped_sum_report():
-    report = verify_telescoped_sum(30)
+    report = run(GridConfig("telescope", n_max=30))
     assert report.ok and report.total == 30 * 31 // 2
 
 
@@ -159,7 +150,7 @@ def test_sun_identity_one_frozen_values():
         for n in range(4)
     ]
     assert values == [1, 8, 88, 1088]
-    assert verify_sun_identity_one(20).ok
+    assert run(GridConfig("sun-one", n_max=20)).ok
 
 
 def test_sun_identity_two_frozen_values():
@@ -174,7 +165,7 @@ def test_sun_identity_two_frozen_values():
         for n in range(4)
     ]
     assert values == [1, 40, 2008, 109120]
-    assert verify_sun_identity_two(20).ok
+    assert run(GridConfig("sun-two", n_max=20)).ok
 
 
 def test_eval_transform_at():

@@ -6,14 +6,13 @@ from ivpverify.combinat import binom_int
 from ivpverify.congruences import conjecture_final_value
 from ivpverify.qpoly import (
     LaurentPoly,
-    check_q_sun,
     divisible_by_q_integer_squared,
     laurent_divisible,
     q_binom,
     q_integer,
-    q_specialization_check,
     q_sun_sum,
 )
+from ivpverify.cli import GridConfig, run
 
 Q = LaurentPoly([0, 1])
 
@@ -170,7 +169,7 @@ def test_q_sun_sum_hand_cases():
 
 
 def test_q_sun_grid():
-    report = check_q_sun(12)
+    report = run(GridConfig("q-sun", n_max=12))
     assert report.ok
     assert report.total == 12 * 13 // 2
 
@@ -188,11 +187,11 @@ def test_q_sun_quotients_are_certified():
 def test_q_sun_raises_when_the_fast_test_and_long_division_disagree(monkeypatch):
     monkeypatch.setattr(qpoly, "divisible_by_q_integer_squared", lambda f, n: False)
     with pytest.raises(ArithmeticError):
-        check_q_sun(3)
+        run(GridConfig("q-sun", n_max=3))
 
 
 def test_q_specialization_matches_classical_sum():
-    report = q_specialization_check(12)
+    report = run(GridConfig("q-specialize", n_max=12))
     assert report.ok
     assert q_sun_sum(2, 0).eval_at_one() == conjecture_final_value(1, 2, 0).value == 4
     assert q_sun_sum(2, 1).eval_at_one() == conjecture_final_value(1, 2, 1).value == 12
