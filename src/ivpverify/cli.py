@@ -4,12 +4,18 @@
                   [--eps +1,-1] [--x-min I] [--x-max I] [--jobs N]
                   [--format text|json|csv] [--out PATH] [--config FILE]
 
-Each task is one row of `_TASKS`: the cell function that decides one
-grid cell, the config fields its report echoes, its grid keys as a
-function of the `GridConfig`, and the smallest n_max it accepts.  `run`
-makes the one `gridrun.run_grid` call per task.  A `GridConfig` checks every
-bound when it is built, so `run(GridConfig("theorem1", n_max=25))` is
-safe to call from code as well.
+Each task is one entry of `_TASKS`: the row function that decides every
+cell of one grid row, the config fields its report echoes, its row keys
+as a function of the `GridConfig`, and the smallest n_max it accepts.
+Where a grid row is a prefix sum over n (telescope, theorem1, theorem2,
+the catalan-form identity, lemma-schmidt, conjecture-final,
+conjecture-sun-m, conjecture-sun-ii, q-specialize), its row function
+keeps one running sum, so a cell costs O(1) instead of a fresh sum; a
+task without a sweep has one-cell rows, its cell function wrapped by
+`_one`.  `run` makes the one `gridrun.run_grid` call per task, all of
+them in one shared worker pool.  A `GridConfig` checks every bound when
+it is built, so `run(GridConfig("theorem1", n_max=25))` is safe to call
+from code as well.
 
 Exit codes: 0 when every case passes, 1 on any mathematical failure,
 2 on a usage error (every bound is checked before a task runs), 3 on an
@@ -30,11 +36,12 @@ import sys
 import time
 import traceback
 from dataclasses import dataclass, fields
+from functools import partial
 from itertools import product
 from typing import Callable, Iterable, Optional
 
 from . import congruences, identities, qpoly
-from .gridrun import run_grid
+from .gridrun import run_grid, worker_pool
 from .report import CaseResult, CombinedReport, serialize_report
 
 __all__ = ["GridConfig", "UsageError", "run", "main"]
@@ -72,6 +79,8 @@ class GridConfig:
                 raise UsageError(f"config key {name!r} must be an integer")
         if self.out is not None and type(self.out) is not str:
             raise UsageError("config key 'out' must be a string")
+        if self.out == "":
+            raise UsageError("--out must name a file, got ''")
         if type(self.eps) is not tuple or parse_eps(self.eps) != self.eps:
             raise UsageError(f"eps must be (1,), (-1,) or (1, -1), got {self.eps!r}")
         for name, low in (("jobs", 1), ("l_max", 1), ("k_max", 0), ("m", 1)):
@@ -101,15 +110,21 @@ _SHARED_ECHO = tuple(name for name in _CONFIG_KEYS if name not in _RUN_KEYS)
 
 @dataclass(frozen=True)
 class _Task:
-    """One row of the task table."""
+    """One entry of the task table."""
 
-    # Decides the cell at one key; module-level, so worker processes can unpickle it.
-    cell: Callable[..., CaseResult]
+    # Decides every cell of one grid row and returns their cases;
+    # module-level, so worker processes can unpickle it.
+    row: Callable[..., list[CaseResult]]
     # Config fields the report echoes, in this order.
     echo: tuple[str, ...]
-    keys: Callable[[GridConfig], Iterable]
+    row_keys: Callable[[GridConfig], Iterable]
     min_n_max: int = 1
     notes: Callable[[GridConfig], list[str]] = lambda config: []
+
+
+def _one(cell: Callable[..., CaseResult], key) -> list[CaseResult]:
+    """The one-cell row of a task without a sweep."""
+    return [cell(key)]
 
 
 def _ls(c: GridConfig) -> range:
@@ -128,57 +143,66 @@ def _n_k(c: GridConfig) -> list[tuple[int, int]]:
     return [(n, k) for n in _ns(c) for k in range(n)]
 
 
-def _l_n_eps(c: GridConfig) -> Iterable[tuple[int, int, int]]:
-    return product(_ls(c), _ns(c), c.eps)
+def _k_rows(c: GridConfig) -> list[tuple[int, int]]:
+    """Rows k over n = k+1 .. n_max."""
+    return [(k, c.n_max) for k in range(c.n_max)]
+
+
+def _l_eps_rows(c: GridConfig) -> Iterable[tuple[int, int, int]]:
+    """Rows (l, eps) over n = 1 .. n_max."""
+    return product(_ls(c), c.eps, [c.n_max])
 
 
 # The task table, in the order `all` runs it.
 _TASKS = {
     "transform": _Task(
-        identities.transform_case, ("n_max",), lambda c: range(c.n_max + 1), min_n_max=0
+        partial(_one, identities.transform_case), ("n_max",),
+        lambda c: range(c.n_max + 1), min_n_max=0,
     ),
     "recurrence": _Task(
-        identities.recurrence_case,
+        partial(_one, identities.recurrence_case),
         ("n_max",),
         lambda c: [("base", 0), ("base", 1)]
         + [(family, n) for family in ("lhs", "rhs") for n in range(c.n_max - 1)],
         min_n_max=2,
     ),
     "chu-vandermonde": _Task(
-        identities.chu_case, ("k_max",), lambda c: range(c.k_max + 1), min_n_max=0
+        partial(_one, identities.chu_case), ("k_max",),
+        lambda c: range(c.k_max + 1), min_n_max=0,
     ),
-    "telescope": _Task(identities.telescope_case, ("n_max",), _n_k),
+    "telescope": _Task(identities.telescope_row, ("n_max",), _k_rows),
     "sun-one": _Task(
-        identities.sun_one_case, ("n_max",), lambda c: range(c.n_max + 1), min_n_max=0
+        partial(_one, identities.sun_one_case), ("n_max",),
+        lambda c: range(c.n_max + 1), min_n_max=0,
     ),
     "sun-two": _Task(
-        identities.sun_two_case, ("n_max",), lambda c: range(c.n_max + 1), min_n_max=0
+        partial(_one, identities.sun_two_case), ("n_max",),
+        lambda c: range(c.n_max + 1), min_n_max=0,
     ),
-    "theorem1": _Task(congruences.theorem1_case, ("l_max", "n_max", "eps"), _l_n_eps),
-    "theorem2": _Task(congruences.theorem2_case, ("n_max",), _ns),
+    "theorem1": _Task(congruences.theorem1_row, ("l_max", "n_max", "eps"), _l_eps_rows),
+    "theorem2": _Task(congruences.theorem2_row, ("n_max",), lambda c: [c.n_max]),
     "catalan-form": _Task(
-        congruences.catalan_form_case,
+        congruences.catalan_form_row,
         ("n_max", "x_min", "x_max"),
-        lambda c: [("identity", n) for n in _ns(c)]
-        + [("terms", n, x) for n in _ns(c) for x in _xs(c)],
+        lambda c: [("identity", c.n_max)] + [("terms", n, x) for n in _ns(c) for x in _xs(c)],
     ),
-    "lemma-schmidt": _Task(congruences.schmidt_case, ("l_max", "n_max", "eps"), _l_n_eps),
+    "lemma-schmidt": _Task(congruences.schmidt_row, ("l_max", "n_max", "eps"), _l_eps_rows),
     "conjecture-final": _Task(
-        congruences.conjecture_final_case,
+        congruences.conjecture_final_row,
         ("l_max", "n_max"),
-        lambda c: [(l, n, k) for l in _ls(c) for n, k in _n_k(c)],
+        lambda c: product(_ls(c), range(c.n_max), [c.n_max]),
     ),
     "conjecture-sun-m": _Task(
-        congruences.sun_m_case,
+        congruences.sun_m_row,
         ("m", "l_max", "n_max", "eps", "x_min", "x_max"),
-        lambda c: product([c.m], _ls(c), _ns(c), c.eps, _xs(c)),
+        lambda c: [(c.m, x, c.l_max, c.n_max, c.eps) for x in _xs(c)],
         notes=lambda c: [congruences.sun_m_regime(c.m, c.n_max, len(_xs(c)))],
     ),
     "conjecture-sun-ii": _Task(
-        congruences.sun_ii_case, ("l_max", "n_max"), lambda c: product(_ls(c), _ns(c))
+        congruences.sun_ii_row, ("l_max", "n_max"), lambda c: product(_ls(c), [c.n_max])
     ),
-    "q-sun": _Task(qpoly.q_sun_case, ("n_max",), _n_k),
-    "q-specialize": _Task(qpoly.q_specialize_case, ("n_max",), _n_k),
+    "q-sun": _Task(partial(_one, qpoly.q_sun_case), ("n_max",), _n_k),
+    "q-specialize": _Task(qpoly.q_specialize_row, ("n_max",), _k_rows),
 }
 
 
@@ -277,24 +301,28 @@ def _echo(config: GridConfig, names) -> dict:
     }
 
 
-def _run_task(name: str, config: GridConfig):
+def _run_task(name: str, config: GridConfig, pool):
     task = _TASKS[name]
     return run_grid(
         name,
         _echo(config, task.echo),
-        task.keys(config),
-        task.cell,
+        task.row_keys(config),
+        task.row,
         jobs=config.jobs,
         notes=task.notes(config),
+        pool=pool,
     )
 
 
 def run(config: GridConfig):
-    """Run one task (or all of them, in table order) and return the report."""
-    if config.task != "all":
-        return _run_task(config.task, config)
+    """Run one task (or all of them, in table order) in one worker pool
+    and return the report."""
     start = time.perf_counter()
-    reports = [_run_task(name, config) for name in _TASKS]
+    names = list(_TASKS) if config.task == "all" else [config.task]
+    with worker_pool(config.jobs) as pool:
+        reports = [_run_task(name, config, pool) for name in names]
+    if config.task != "all":
+        return reports[0]
     return CombinedReport(
         task="all",
         config=_echo(config, _SHARED_ECHO),
@@ -317,7 +345,7 @@ def main(argv=None) -> int:
         traceback.print_exc()
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 3
-    if config.out:
+    if config.out is not None:
         try:
             with open(config.out, "w") as fh:
                 fh.write(payload)

@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-__all__ = ["binom_int", "binom_rat", "double_factorial_odd", "catalan"]
+__all__ = ["binom_int", "binom_rat", "binom_rat_row", "double_factorial_odd", "catalan"]
 
 # Bounded memo for the hot grid loops: C(m+k,2k), C(2k,k) and friends recur
 # across every congruence grid.
@@ -46,6 +46,27 @@ def binom_rat(r: Fraction | int, k: int) -> Fraction:
     for i in range(k):
         num *= r.numerator - i * r.denominator
     return Fraction(num, r.denominator**k * math.factorial(k))
+
+
+def binom_rat_row(r: Fraction | int, k_max: int) -> list[Fraction]:
+    """[C(r, 0), ..., C(r, k_max)] for rational r = p/q, in one pass.
+
+    Each entry follows from the one before by the exact ratio update
+    C(r, k+1) = C(r, k) (p - kq) / (q (k+1)), kept as an integer
+    numerator and denominator, so the row costs k_max updates instead
+    of k_max calls to :func:`binom_rat`.
+    """
+    if k_max < 0:
+        raise ValueError(f"binom_rat_row: k_max must be >= 0, got {k_max}")
+    r = Fraction(r)
+    p, q = r.numerator, r.denominator
+    num = den = 1
+    row = [Fraction(1)]
+    for k in range(k_max):
+        num *= p - k * q
+        den *= q * (k + 1)
+        row.append(Fraction(num, den))
+    return row
 
 
 def double_factorial_odd(l: int) -> int:

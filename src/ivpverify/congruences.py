@@ -1,8 +1,13 @@
 """Integer-side claims: integer-valuedness of the weighted
 transformation sums, divisibility of the Schmidt-combination
 coefficients, and the mod-n^2 congruence family.  The module holds
-their builders and one cell function per claim, each deciding one grid
-cell.
+their row builders and one row function per claim.
+
+Most grid rows are prefix sums over n: the weighted sums and the
+Schmidt coefficients sum over k < n, the congruence values over
+k <= m < n.  A row builder returns every cell of a row from one running
+sum, so a cell costs O(1) (O(n) for a vector of values) instead of a
+fresh sum, and a row function decides each of its cells.
 
 Severity matters here.  Most grid cells instantiate proved statements
 (severity "theorem"); the l >= 2 congruence rows and the m >= 3 spot
@@ -11,17 +16,14 @@ failing cell there would be a counterexample, not a bug in a proof.
 Every verdict is computed on exact integers -- no modular reduction
 happens before the final divisibility test.  The weighted sums of
 S_k(x) have degree 2n-2, so each is held as its 2n-1 integer values at
-x = 0 .. 2n-2 (`weighted_sum_values`); p/m is integer-valued exactly
+x = 0 .. 2n-2 (`weighted_sum_rows`); p/m is integer-valued exactly
 when every forward difference of those values at 0 is a multiple of m
 (see `values`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Optional
 
 from .combinat import binom_int, catalan, double_factorial_odd
 from .identities import build_lhs, coeff_mismatch
@@ -29,97 +31,87 @@ from .report import CaseResult, make_case
 from .values import coefficients, first_non_multiple
 
 __all__ = [
-    "SchmidtCoeffs",
-    "CongruenceCase",
-    "schmidt_combination_coeffs",
-    "schmidt_case",
-    "weighted_sum_values",
-    "theorem1_case",
-    "theorem2_case",
+    "schmidt_coefficient_rows",
+    "schmidt_row",
+    "weighted_sum_rows",
+    "theorem1_row",
+    "theorem2_row",
     "catalan_form_values",
-    "catalan_form_case",
-    "conjecture_final_value",
-    "conjecture_final_case",
-    "sun_m_case",
+    "catalan_form_row",
+    "conjecture_final_values",
+    "conjecture_final_row",
+    "power_sums",
+    "sun_m_row",
     "sun_m_regime",
-    "sun_ii_case",
+    "sun_ii_row",
 ]
 
 
-def _validate_eps(eps: int) -> None:
+def _validate_l_eps(name: str, l: int, eps: int, n_max: int) -> None:
+    if l < 1 or n_max < 1:
+        raise ValueError(f"{name}: need l, n_max >= 1, got {l}, {n_max}")
     if eps not in (1, -1):
-        raise ValueError(f"eps must be +1 or -1, got {eps}")
+        raise ValueError(f"{name}: eps must be +1 or -1, got {eps}")
 
 
 # -- Schmidt-combination coefficients ----------------------------------------
 
-@dataclass(frozen=True)
-class SchmidtCoeffs:
-    """Integer coefficient vector of sum_k eps^k (2k+1)^(2l-1) S_k(x_0..x_k),
+def schmidt_coefficient_rows(l: int, eps: int, n_max: int) -> list[tuple[int, ...]]:
+    """The integer coefficient vectors of sum_{k<n} eps^k (2k+1)^(2l-1) S_k(x_0..x_k)
+    for n = 1 .. n_max (entry n-1),
 
     where S_k(x_0,...,x_k) = sum_j C(k+j,2j) C(2j,j) x_j.  Collecting by
     x_j gives coeffs[j] = sum_{k=j}^{n-1} eps^k (2k+1)^(2l-1) C(k+j,2j)
-    C(2j,j).  The divisibility claim: every entry is a multiple of n.
+    C(2j,j), kept as one running sum over k per j.  The divisibility
+    claim: every entry is a multiple of n.
     """
-
-    l: int
-    n: int
-    eps: int
-    coeffs: tuple[int, ...]
-
-    def first_indivisible(self) -> Optional[int]:
-        for j, c in enumerate(self.coeffs):
-            if c % self.n:
-                return j
-        return None
-
-    def all_divisible(self) -> bool:
-        return self.first_indivisible() is None
-
-
-def schmidt_combination_coeffs(l: int, n: int, eps: int) -> SchmidtCoeffs:
-    if l < 1 or n < 1:
-        raise ValueError(f"schmidt_combination_coeffs: need l, n >= 1, got {l}, {n}")
-    _validate_eps(eps)
+    _validate_l_eps("schmidt_coefficient_rows", l, eps, n_max)
     power = 2 * l - 1
-    coeffs = tuple(
-        sum(
-            eps ** k * (2 * k + 1) ** power * binom_int(k + j, 2 * j)
-            for k in range(j, n)
-        )
-        * binom_int(2 * j, j)
-        for j in range(n)
-    )
-    return SchmidtCoeffs(l=l, n=n, eps=eps, coeffs=coeffs)
+    partial: list[int] = []
+    rows = []
+    for k in range(n_max):
+        weight = eps ** k * (2 * k + 1) ** power
+        partial.append(0)
+        for j in range(k + 1):
+            partial[j] += weight * binom_int(k + j, 2 * j)
+        rows.append(tuple(p * binom_int(2 * j, j) for j, p in enumerate(partial)))
+    return rows
 
 
-def schmidt_case(key: tuple[int, int, int]) -> CaseResult:
-    """Every Schmidt-combination coefficient for (l, n, eps) is divisible by n."""
-    l, n, eps = key
-    sc = schmidt_combination_coeffs(l, n, eps)
-    bad = sc.first_indivisible()
-    witness = None
-    if bad is not None:
-        witness = f"coefficient j={bad} is {sc.coeffs[bad]}, not divisible by {n}"
-    return make_case((("l", l), ("n", n), ("eps", eps)), bad is None, witness)
+def schmidt_row(key: tuple[int, int, int]) -> list[CaseResult]:
+    """Every Schmidt-combination coefficient for (l, n, eps) is divisible
+    by n, for the row key (l, eps, n_max) over n = 1 .. n_max."""
+    l, eps, n_max = key
+    cases = []
+    for n, coeffs in enumerate(schmidt_coefficient_rows(l, eps, n_max), 1):
+        bad = next((j for j, c in enumerate(coeffs) if c % n), None)
+        witness = None
+        if bad is not None:
+            witness = f"coefficient j={bad} is {coeffs[bad]}, not divisible by {n}"
+        cases.append(make_case((("l", l), ("n", n), ("eps", eps)), bad is None, witness))
+    return cases
 
 
 # -- weighted sums of S_k and integer-valuedness -----------------------------
 
-@lru_cache(maxsize=1 << 12)
-def weighted_sum_values(l: int, n: int, eps: int) -> tuple[int, ...]:
-    """sum_{k=0}^{n-1} eps^k (2k+1)^(2l-1) S_k(x) at x = 0 .. 2n-2 (degree 2n-2)."""
-    if l < 1 or n < 1:
-        raise ValueError(f"weighted_sum_values: need l, n >= 1, got {l}, {n}")
-    _validate_eps(eps)
+def weighted_sum_rows(l: int, eps: int, n_max: int) -> list[tuple[int, ...]]:
+    """sum_{k=0}^{n-1} eps^k (2k+1)^(2l-1) S_k(x) at x = 0 .. 2n-2 (degree
+    2n-2), for n = 1 .. n_max (entry n-1).
+
+    One table S_k(0 .. 2 n_max - 2), k < n_max, comes from `build_lhs`,
+    whose cache shares it between the rows of a run, and one running sum
+    over k gives every n.
+    """
+    _validate_l_eps("weighted_sum_rows", l, eps, n_max)
     power = 2 * l - 1
-    points = 2 * n - 1
+    points = 2 * n_max - 1
     total = [0] * points
-    for k in range(n):
+    rows = []
+    for k in range(n_max):
         weight = eps ** k * (2 * k + 1) ** power
-        for x, s in enumerate(build_lhs(k, points)):
-            total[x] += weight * s
-    return tuple(total)
+        total = [t + weight * s for t, s in zip(total, build_lhs(k, points))]
+        rows.append(tuple(total[: 2 * k + 1]))
+    return rows
 
 
 def _int_valued_case(key, values, m: int, severity: str = "theorem") -> CaseResult:
@@ -129,17 +121,22 @@ def _int_valued_case(key, values, m: int, severity: str = "theorem") -> CaseResu
     return make_case(key, x0 is None, witness, severity=severity)
 
 
-def theorem1_case(key: tuple[int, int, int]) -> CaseResult:
-    """The 1/n weighted sum for (l, n, eps) is integer-valued."""
-    l, n, eps = key
-    return _int_valued_case(
-        (("l", l), ("n", n), ("eps", eps)), weighted_sum_values(l, n, eps), n
-    )
+def theorem1_row(key: tuple[int, int, int]) -> list[CaseResult]:
+    """The 1/n weighted sum for (l, n, eps) is integer-valued, for the
+    row key (l, eps, n_max) over n = 1 .. n_max."""
+    l, eps, n_max = key
+    return [
+        _int_valued_case((("l", l), ("n", n), ("eps", eps)), values, n)
+        for n, values in enumerate(weighted_sum_rows(l, eps, n_max), 1)
+    ]
 
 
-def theorem2_case(n: int) -> CaseResult:
-    """(1/n^2) sum_{k=0}^{n-1} (2k+1) S_k(x) is integer-valued."""
-    return _int_valued_case((("n", n),), weighted_sum_values(1, n, 1), n * n)
+def theorem2_row(n_max: int) -> list[CaseResult]:
+    """(1/n^2) sum_{k=0}^{n-1} (2k+1) S_k(x) is integer-valued, for n = 1 .. n_max."""
+    return [
+        _int_valued_case((("n", n),), values, n * n)
+        for n, values in enumerate(weighted_sum_rows(1, 1, n_max), 1)
+    ]
 
 
 # -- Catalan-weighted rewriting of the theorem2 sum --------------------------
@@ -172,22 +169,25 @@ def _catalan_summand_times_n(n: int, k: int, x0: int) -> int:
     )
 
 
-def catalan_form_case(key: tuple) -> CaseResult:
-    """One of two claims.  For key ("identity", n): the Catalan-weighted
-    sum equals the 1/n^2 weighted sum as a polynomial (compared at its
-    2n-1 values).  For key ("terms", n, x): each summand
-    (1/n) C(n,k+1) C(n+k,k) C(2k,k) C(x+k,2k) is an integer at x.
+def catalan_form_row(key: tuple) -> list[CaseResult]:
+    """One of two claims.  For the row key ("identity", n_max): for every
+    n <= n_max the Catalan-weighted sum equals the 1/n^2 weighted sum as
+    a polynomial (compared at its 2n-1 values).  For the one-cell key
+    ("terms", n, x): each summand (1/n) C(n,k+1) C(n+k,k) C(2k,k) C(x+k,2k)
+    is an integer at x.
     """
     part = key[0]
     if part == "identity":
-        n = key[1]
-        v, c = weighted_sum_values(1, n, 1), catalan_form_values(n)
-        ok = v == tuple(n * n * ci for ci in c)
-        witness = None
-        if not ok:
-            p = [Fraction(a, n * n) for a in coefficients(v)]
-            witness = coeff_mismatch(p, coefficients(c))
-        return make_case((("part", part), ("n", n)), ok, witness)
+        cases = []
+        for n, v in enumerate(weighted_sum_rows(1, 1, key[1]), 1):
+            c = catalan_form_values(n)
+            ok = v == tuple(n * n * ci for ci in c)
+            witness = None
+            if not ok:
+                p = [Fraction(a, n * n) for a in coefficients(v)]
+                witness = coeff_mismatch(p, coefficients(c))
+            cases.append(make_case((("part", part), ("n", n)), ok, witness))
+        return cases
     _, n, x0 = key
     bad = None
     for k in range(n):
@@ -195,94 +195,97 @@ def catalan_form_case(key: tuple) -> CaseResult:
         if term % n:
             bad = f"k={k} summand {Fraction(term, n)} is not an integer"
             break
-    return make_case((("part", part), ("n", n), ("x", x0)), bad is None, bad)
+    return [make_case((("part", part), ("n", n), ("x", x0)), bad is None, bad)]
 
 
 # -- the mod-n^2 congruence family -------------------------------------------
 
-@dataclass(frozen=True)
-class CongruenceCase:
-    """One congruence instance: value, modulus, and the division verdict."""
-
-    l: int
-    n: int
-    k: int
-    value: int
-    modulus: int
-
-    @property
-    def holds(self) -> bool:
-        return self.value % self.modulus == 0
-
-
-def conjecture_final_value(l: int, n: int, k: int) -> CongruenceCase:
-    """(2l-1)!! sum_{m=k}^{n-1} (2m+1)^(2l-1) C(m+k,2k) C(2k,k)^2 mod n^2."""
-    if l < 1 or n < 1:
-        raise ValueError(f"conjecture_final_value: need l, n >= 1, got {l}, {n}")
-    if not 0 <= k <= n - 1:
-        raise ValueError(f"conjecture_final_value: need 0 <= k <= n-1, got k={k}, n={n}")
+def conjecture_final_values(l: int, k: int, n_max: int) -> list[int]:
+    """(2l-1)!! sum_{m=k}^{n-1} (2m+1)^(2l-1) C(m+k,2k) C(2k,k)^2 for
+    n = k+1 .. n_max (entry n-k-1), from one running sum over m."""
+    if l < 1:
+        raise ValueError(f"conjecture_final_values: need l >= 1, got {l}")
+    if not 0 <= k < n_max:
+        raise ValueError(f"conjecture_final_values: need 0 <= k < n_max, got k={k}, n_max={n_max}")
     power = 2 * l - 1
-    central_sq = binom_int(2 * k, k) ** 2
-    total = double_factorial_odd(l) * central_sq * sum(
-        (2 * m + 1) ** power * binom_int(m + k, 2 * k) for m in range(k, n)
-    )
-    return CongruenceCase(l=l, n=n, k=k, value=total, modulus=n * n)
+    scale = double_factorial_odd(l) * binom_int(2 * k, k) ** 2
+    partial = 0
+    values = []
+    for m in range(k, n_max):
+        partial += (2 * m + 1) ** power * binom_int(m + k, 2 * k)
+        values.append(scale * partial)
+    return values
 
 
-def conjecture_final_case(key: tuple[int, int, int]) -> CaseResult:
-    """The congruence mod n^2 at (l, n, k), 0 <= k < n.
+def conjecture_final_row(key: tuple[int, int, int]) -> list[CaseResult]:
+    """The congruence mod n^2 at (l, n, k), for the row key (l, k, n_max)
+    over n = k+1 .. n_max.
 
     l = 1 rows are proved and also have to match the closed form
     n C(n,k+1) C(n+k,k) C(2k,k) exactly; l >= 2 rows are conjectures.
     """
-    l, n, k = key
-    case = conjecture_final_value(l, n, k)
+    l, k, n_max = key
     severity = "theorem" if l == 1 else "conjecture"
-    witness = None
-    if not case.holds:
-        witness = f"value {case.value} = {case.value % case.modulus} mod {case.modulus}"
-    elif l == 1:
-        # The proved route: at l=1 the sum telescopes to a closed product.
-        closed = n * binom_int(n, k + 1) * binom_int(n + k, k) * binom_int(2 * k, k)
-        if case.value != closed:
-            witness = f"value {case.value} != closed form {closed}"
-    return make_case((("l", l), ("n", n), ("k", k)), witness is None, witness, severity=severity)
+    cases = []
+    for n, value in enumerate(conjecture_final_values(l, k, n_max), k + 1):
+        modulus = n * n
+        witness = None
+        if value % modulus:
+            witness = f"value {value} = {value % modulus} mod {modulus}"
+        elif l == 1:
+            # The proved route: at l=1 the sum telescopes to a closed product.
+            closed = n * binom_int(n, k + 1) * binom_int(n + k, k) * binom_int(2 * k, k)
+            if value != closed:
+                witness = f"value {value} != closed form {closed}"
+        cases.append(
+            make_case((("l", l), ("n", n), ("k", k)), witness is None, witness, severity=severity)
+        )
+    return cases
 
 
 # -- numeric spot checks for general power m ---------------------------------
 
-@lru_cache(maxsize=1 << 20)
-def _power_sum_at(m: int, k: int, x0: int) -> int:
-    """sum_j C(-x0-1,j)^m C(x0,k-j)^m at the integer point x0."""
-    return sum(
-        binom_int(-x0 - 1, j) ** m * binom_int(x0, k - j) ** m for j in range(k + 1)
-    )
+def power_sums(m: int, x0: int, count: int) -> list[int]:
+    """P_k(x0) = sum_j C(-x0-1,j)^m C(x0,k-j)^m at the integer point x0,
+    for k = 0 .. count-1."""
+    left = [binom_int(-x0 - 1, j) ** m for j in range(count)]
+    right = [binom_int(x0, j) ** m for j in range(count)]
+    return [sum(left[j] * right[k - j] for j in range(k + 1)) for k in range(count)]
 
 
-def sun_m_case(key: tuple[int, int, int, int, int]) -> CaseResult:
-    """Pointwise integrality at key (m, l, n, eps, x) of
+def sun_m_row(key: tuple) -> list[CaseResult]:
+    """Pointwise integrality at every (l, n, eps) of the row key
+    (m, x, l_max, n_max, eps values) of
     (1/n) sum_k eps^k (2k+1)^(2l-1) sum_j C(-x-1,j)^m C(x,k-j)^m.
 
-    m <= 2 instances are proved; m >= 3 ones are open.  The case key
-    leaves m out: one report holds a single m, which its config echoes.
+    The power sums are built once for the row's x, then each (l, eps)
+    keeps one running sum over n.  m <= 2 instances are proved; m >= 3
+    ones are open.  The case key leaves m out: one report holds a single
+    m, which its config echoes.
     """
-    m, l, n, eps, x0 = key
-    power = 2 * l - 1
-    total = sum(
-        eps ** k * (2 * k + 1) ** power * _power_sum_at(m, k, x0) for k in range(n)
-    )
-    ok = total % n == 0
-    witness = None if ok else f"sum {total} at x={x0} is not divisible by {n}"
+    m, x0, l_max, n_max, eps_values = key
+    sums = power_sums(m, x0, n_max)
     severity = "theorem" if m <= 2 else "conjecture"
-    return make_case(
-        (("l", l), ("n", n), ("eps", eps), ("x", x0)), ok, witness, severity=severity
-    )
+    cases = []
+    for l in range(1, l_max + 1):
+        power = 2 * l - 1
+        for eps in eps_values:
+            total = 0
+            for k, p in enumerate(sums):
+                n = k + 1
+                total += eps ** k * (2 * k + 1) ** power * p
+                ok = total % n == 0
+                witness = None if ok else f"sum {total} at x={x0} is not divisible by {n}"
+                cases.append(make_case(
+                    (("l", l), ("n", n), ("eps", eps), ("x", x0)), ok, witness, severity=severity
+                ))
+    return cases
 
 
 def sun_m_regime(m: int, n_max: int, points: int) -> str:
     """Which n an x range of `points` consecutive integers certifies.
 
-    The polynomial behind `sun_m_case` has degree m(n-1), so when the x
+    The polynomial behind `sun_m_row` has degree m(n-1), so when the x
     range contains at least m(n-1)+1 consecutive integers the pointwise
     check is a complete integer-valuedness certificate for that n;
     beyond that bound it is a spot check.
@@ -300,15 +303,17 @@ def sun_m_regime(m: int, n_max: int, points: int) -> str:
 
 # -- the (2l-1)!!/n^2 strengthening ------------------------------------------
 
-def sun_ii_case(key: tuple[int, int]) -> CaseResult:
-    """((2l-1)!!/n^2) sum_{k=0}^{n-1} (2k+1)^(2l-1) S_k(x) is integer-valued.
+def sun_ii_row(key: tuple[int, int]) -> list[CaseResult]:
+    """((2l-1)!!/n^2) sum_{k=0}^{n-1} (2k+1)^(2l-1) S_k(x) is integer-valued,
+    for the row key (l, n_max) over n = 1 .. n_max.
 
     l = 1 is the proved 1/n^2 statement; l >= 2 instances follow from
     the open mod-n^2 congruence, so they carry conjecture severity.
     """
-    l, n = key
+    l, n_max = key
     severity = "theorem" if l == 1 else "conjecture"
     scale = double_factorial_odd(l)
-    values = [scale * v for v in weighted_sum_values(l, n, 1)]
-    return _int_valued_case((("l", l), ("n", n)), values, n * n, severity)
-
+    return [
+        _int_valued_case((("l", l), ("n", n)), [scale * v for v in values], n * n, severity)
+        for n, values in enumerate(weighted_sum_rows(l, 1, n_max), 1)
+    ]

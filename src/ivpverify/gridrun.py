@@ -1,47 +1,70 @@
-"""Run a task's cell function over its grid keys, optionally in parallel.
+"""Run a task's row function over its row keys, optionally in parallel.
 
-The contract that matters here: output is deterministic.  Cases are
-sorted by their key before being stored, so a run with --jobs 8 yields
-byte-identical JSON/CSV to a serial run (wall time excepted, which is
-why it lives in the report's metadata block).
+A row function returns the cases of one grid row: a prefix-sum task
+decides every cell of a row from one running sum, and a task without a
+sweep has one-cell rows.  The contract that matters here: output is
+deterministic.  Cases are sorted by their key before being stored, so
+a run with --jobs 8 yields byte-identical JSON/CSV to a serial run
+(wall time excepted, which is why it lives in the report's metadata
+block).
+
+`worker_pool` opens one pool of worker processes that every `run_grid`
+call inside it shares, so `verify all --jobs N` starts N workers once
+and their caches stay warm from task to task.
 """
 
 from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Iterable
+from contextlib import contextmanager, nullcontext
+from typing import Callable, Iterable, Iterator, Optional
 
 from .report import CaseResult, VerificationReport
 
-__all__ = ["run_grid"]
+__all__ = ["run_grid", "worker_pool"]
 
-# Each parallel run_grid call starts its own worker pool, so worker
-# caches start cold for every task; cells go to workers _CHUNK at a time.
-_CHUNK = 8
+# Rows go to workers in chunks of about 1/_SPLIT of a worker's share,
+# so a few costly rows cannot leave the other workers idle.
+_SPLIT = 4
+
+
+@contextmanager
+def worker_pool(jobs: int) -> Iterator[Optional[ProcessPoolExecutor]]:
+    """A pool of `jobs` worker processes for the block; None when jobs == 1."""
+    if jobs == 1:
+        yield None
+        return
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        yield pool
 
 
 def run_grid(
     task: str,
     config: dict,
-    keys: Iterable[tuple],
-    case_fn: Callable[[tuple], CaseResult],
+    keys: Iterable,
+    case_fn: Callable[..., list[CaseResult]],
     jobs: int = 1,
     notes: Iterable[str] = (),
+    pool: Optional[ProcessPoolExecutor] = None,
 ) -> VerificationReport:
-    """Evaluate case_fn at every key and collect a sorted report.
+    """Evaluate case_fn at every row key and collect its cases in a sorted report.
 
-    case_fn must be a module-level callable (picklable) when jobs > 1.
+    case_fn returns the list of cases of one row; it must be a
+    module-level callable (picklable) when jobs > 1.  A parallel call
+    runs in `pool`, or in a pool of its own when none is given.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     start = time.perf_counter()
     keys = list(keys)
     if jobs == 1 or len(keys) <= 1:
-        cases = [case_fn(key) for key in keys]
+        rows = [case_fn(key) for key in keys]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            cases = list(pool.map(case_fn, keys, chunksize=_CHUNK))
+        chunk = max(1, len(keys) // (jobs * _SPLIT))
+        with worker_pool(jobs) if pool is None else nullcontext(pool) as pool:
+            rows = list(pool.map(case_fn, keys, chunksize=chunk))
+    cases = [case for row in rows for case in row]
     cases.sort(key=lambda c: c.sort_key)
     return VerificationReport(
         task=task,
@@ -50,3 +73,4 @@ def run_grid(
         notes=list(notes),
         wall_time_s=time.perf_counter() - start,
     )
+

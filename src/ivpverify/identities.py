@@ -1,5 +1,5 @@
-"""The binomial-sum identity family: builders and one cell function per
-identity, each deciding one grid cell exactly.
+"""The binomial-sum identity family: builders and one cell (or row)
+function per identity, each deciding its grid cells exactly.
 
 The central object is the degree-2n polynomial
 
@@ -12,8 +12,9 @@ decided on those integer values: a polynomial of degree d is zero
 exactly when it vanishes at d+1 points.  So the transformation compares
 2n+1 values, the order-2 recurrence forms its residual at 2n+5 points,
 and the Chu-Vandermonde sum of degree <= k is compared at k+1 points.
-The module also checks a telescoping sum of odd-weighted binomials and
-two rational-value identities at x = -1/2 and x = -1/4, -3/4.
+The module also checks a telescoping sum of odd-weighted binomials
+(each row over n shares one running sum) and two rational-value
+identities at x = -1/2 and x = -1/4, -3/4.
 
 All checks are exact; a failure carries a witness (the first differing
 coefficient, the polynomial interpolated from the failing values, or
@@ -26,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Union
 
-from .combinat import binom_int, binom_rat
+from .combinat import binom_int, binom_rat, binom_rat_row
 from .report import CaseResult, make_case
 from .values import coefficients, poly_text
 
@@ -38,7 +39,7 @@ __all__ = [
     "recurrence_coefficients",
     "recurrence_case",
     "chu_case",
-    "telescope_case",
+    "telescope_row",
     "sun_one_case",
     "sun_two_case",
     "eval_transform_at",
@@ -49,8 +50,9 @@ Rational = Union[int, Fraction]
 
 # -- the two closed forms ----------------------------------------------------
 
-# The weighted sums in congruences ask for S_k at 2n-1 points for every
-# k < n, about n_max^2/2 entries; this bound holds them up to n_max = 90.
+# A run of the weighted-sum rows in congruences asks for one table,
+# S_k at 2 n_max - 1 points for every k < n_max; transform and recurrence
+# ask for about three entries per n.  The bound holds both with room.
 @lru_cache(maxsize=1 << 12)
 def build_lhs(n: int, points: int) -> tuple[int, ...]:
     """S_n(0), ..., S_n(points-1) from sum_{k=0}^n C(-x-1,k)^2 C(x,n-k)^2."""
@@ -164,26 +166,36 @@ def chu_case(k: int) -> CaseResult:
 
 # -- telescoping sum ---------------------------------------------------------
 
-def telescope_case(key: tuple[int, int]) -> CaseResult:
-    """sum_{m=k}^{n-1} (2m+1) C(m+k,2k) C(2k,k) = n C(n,k+1) C(n+k,k)."""
-    n, k = key
-    lhs = sum(
-        (2 * m + 1) * binom_int(m + k, 2 * k) * binom_int(2 * k, k)
-        for m in range(k, n)
-    )
-    rhs = n * binom_int(n, k + 1) * binom_int(n + k, k)
-    ok = lhs == rhs
-    return make_case((("n", n), ("k", k)), ok, None if ok else f"{lhs} != {rhs}")
+def telescope_row(key: tuple[int, int]) -> list[CaseResult]:
+    """sum_{m=k}^{n-1} (2m+1) C(m+k,2k) C(2k,k) = n C(n,k+1) C(n+k,k), for
+    the row key (k, n_max) over n = k+1 .. n_max.
+
+    The left side is one running sum over m; the right side is the
+    closed form at each n.
+    """
+    k, n_max = key
+    central = binom_int(2 * k, k)
+    lhs = 0
+    cases = []
+    for n in range(k + 1, n_max + 1):
+        m = n - 1
+        lhs += (2 * m + 1) * binom_int(m + k, 2 * k) * central
+        rhs = n * binom_int(n, k + 1) * binom_int(n + k, k)
+        ok = lhs == rhs
+        cases.append(make_case((("n", n), ("k", k)), ok, None if ok else f"{lhs} != {rhs}"))
+    return cases
 
 
 # -- rational-value identities at half-integer points ------------------------
 
 def sun_one_case(n: int) -> CaseResult:
-    """16^n sum C(-1/2,k)^2 C(-1/2,n-k)^2 = sum C(2k,k)^3 C(k,n-k) (-16)^(n-k)."""
-    half = Fraction(-1, 2)
-    lhs = 16 ** n * sum(
-        binom_rat(half, k) ** 2 * binom_rat(half, n - k) ** 2 for k in range(n + 1)
-    )
+    """16^n sum C(-1/2,k)^2 C(-1/2,n-k)^2 = sum C(2k,k)^3 C(k,n-k) (-16)^(n-k).
+
+    The left side squares one row of C(-1/2, k), k <= n (see
+    `binom_rat_row`); the right side is all integers.
+    """
+    half = [c * c for c in binom_rat_row(Fraction(-1, 2), n)]
+    lhs = 16 ** n * sum(half[k] * half[n - k] for k in range(n + 1))
     rhs = sum(
         binom_int(2 * k, k) ** 3 * binom_int(k, n - k) * (-16) ** (n - k)
         for k in range(n + 1)
@@ -194,11 +206,9 @@ def sun_one_case(n: int) -> CaseResult:
 
 def sun_two_case(n: int) -> CaseResult:
     """64^n sum C(-1/4,k)^2 C(-3/4,n-k)^2 = sum C(2k,k)^3 C(2n-2k,n-k) 16^(n-k)."""
-    quarter, three_quarter = Fraction(-1, 4), Fraction(-3, 4)
-    lhs = 64 ** n * sum(
-        binom_rat(quarter, k) ** 2 * binom_rat(three_quarter, n - k) ** 2
-        for k in range(n + 1)
-    )
+    quarter = [c * c for c in binom_rat_row(Fraction(-1, 4), n)]
+    three_quarter = [c * c for c in binom_rat_row(Fraction(-3, 4), n)]
+    lhs = 64 ** n * sum(quarter[k] * three_quarter[n - k] for k in range(n + 1))
     rhs = sum(
         binom_int(2 * k, k) ** 3 * binom_int(2 * (n - k), n - k) * 16 ** (n - k)
         for k in range(n + 1)

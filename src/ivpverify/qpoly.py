@@ -1,6 +1,6 @@
 """Integer Laurent polynomials in q, with q-integers, q-binomials, and
-the congruence family modulo the squared q-integer: the q-sum builder
-and the cell functions of q-sun and q-specialize.
+the congruence family modulo the squared q-integer: the q-sum builder,
+the cell function of q-sun and the row function of q-specialize.
 
 Products use Kronecker substitution: both coefficient lists are packed
 into one big integer each, at a slot width no coefficient of the
@@ -22,7 +22,7 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Iterable, Optional, Sequence
 
-from .congruences import conjecture_final_value
+from .congruences import conjecture_final_values
 from .report import CaseResult, make_case
 
 __all__ = [
@@ -33,7 +33,7 @@ __all__ = [
     "divisible_by_q_integer_squared",
     "q_sun_sum",
     "q_sun_case",
-    "q_specialize_case",
+    "q_specialize_row",
 ]
 
 
@@ -344,13 +344,16 @@ def q_sun_case(key: tuple[int, int]) -> CaseResult:
     return make_case((("n", n), ("k", k)), False, witness)
 
 
-def q_specialize_case(key: tuple[int, int]) -> CaseResult:
+def q_specialize_row(key: tuple[int, int]) -> list[CaseResult]:
     """Setting q = 1 in the q-sum for (n, k) reproduces the classical
-    weighted sum sum_m (2m+1) C(m+k,2k) C(2k,k)^2."""
-    n, k = key
-    at_one = q_sun_sum(n, k).eval_at_one()
-    classical = conjecture_final_value(1, n, k).value
-    ok = at_one == classical
-    witness = None if ok else f"q=1 value {at_one} != classical sum {classical}"
-    return make_case((("n", n), ("k", k)), ok, witness)
-
+    weighted sum sum_m (2m+1) C(m+k,2k) C(2k,k)^2, for the row key
+    (k, n_max) over n = k+1 .. n_max; the classical sums are the l = 1
+    running sums of conjecture-final."""
+    k, n_max = key
+    cases = []
+    for n, classical in enumerate(conjecture_final_values(1, k, n_max), k + 1):
+        at_one = q_sun_sum(n, k).eval_at_one()
+        ok = at_one == classical
+        witness = None if ok else f"q=1 value {at_one} != classical sum {classical}"
+        cases.append(make_case((("n", n), ("k", k)), ok, witness))
+    return cases

@@ -1,0 +1,311 @@
+"""Per-cell formulas: an independent oracle for the row functions.
+
+The verifier decides a prefix-sum grid row from one running sum.  This
+module keeps the formulas that build every cell's sum from scratch, as
+the verifier did before its row sweeps, together with the cell keys
+of each task's grid.  `ORACLE[task]` gives (cell function, cell keys of
+a `GridConfig`); a cell function returns the `CaseResult` the row
+function must produce for that key, witness and severity included.
+
+Every binomial goes through this module's own `binom_int` and every
+S_k(x) through its own `build_lhs`, so a test can corrupt one and the
+verifier's copy the same way and compare the failing cells too.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from itertools import product
+from typing import Optional
+
+from ivpverify.combinat import binom_int, binom_rat, catalan, double_factorial_odd
+from ivpverify.identities import build_lhs, coeff_mismatch
+from ivpverify.qpoly import q_sun_sum
+from ivpverify.report import CaseResult, make_case
+from ivpverify.values import coefficients, first_non_multiple
+
+
+def _validate_eps(eps: int) -> None:
+    if eps not in (1, -1):
+        raise ValueError(f"eps must be +1 or -1, got {eps}")
+
+
+# -- the sums, one cell at a time -------------------------------------------
+
+@dataclass(frozen=True)
+class SchmidtCoeffs:
+    """coeffs[j] = sum_{k=j}^{n-1} eps^k (2k+1)^(2l-1) C(k+j,2j) C(2j,j)."""
+
+    l: int
+    n: int
+    eps: int
+    coeffs: tuple[int, ...]
+
+    def first_indivisible(self) -> Optional[int]:
+        for j, c in enumerate(self.coeffs):
+            if c % self.n:
+                return j
+        return None
+
+
+def schmidt_combination_coeffs(l: int, n: int, eps: int) -> SchmidtCoeffs:
+    if l < 1 or n < 1:
+        raise ValueError(f"schmidt_combination_coeffs: need l, n >= 1, got {l}, {n}")
+    _validate_eps(eps)
+    power = 2 * l - 1
+    coeffs = tuple(
+        sum(
+            eps ** k * (2 * k + 1) ** power * binom_int(k + j, 2 * j)
+            for k in range(j, n)
+        )
+        * binom_int(2 * j, j)
+        for j in range(n)
+    )
+    return SchmidtCoeffs(l=l, n=n, eps=eps, coeffs=coeffs)
+
+
+def weighted_sum_values(l: int, n: int, eps: int) -> tuple[int, ...]:
+    """sum_{k=0}^{n-1} eps^k (2k+1)^(2l-1) S_k(x) at x = 0 .. 2n-2 (degree 2n-2)."""
+    if l < 1 or n < 1:
+        raise ValueError(f"weighted_sum_values: need l, n >= 1, got {l}, {n}")
+    _validate_eps(eps)
+    power = 2 * l - 1
+    points = 2 * n - 1
+    total = [0] * points
+    for k in range(n):
+        weight = eps ** k * (2 * k + 1) ** power
+        for x, s in enumerate(build_lhs(k, points)):
+            total[x] += weight * s
+    return tuple(total)
+
+
+@dataclass(frozen=True)
+class CongruenceCase:
+    """One congruence instance: value, modulus, and the division verdict."""
+
+    l: int
+    n: int
+    k: int
+    value: int
+    modulus: int
+
+    @property
+    def holds(self) -> bool:
+        return self.value % self.modulus == 0
+
+
+def conjecture_final_value(l: int, n: int, k: int) -> CongruenceCase:
+    """(2l-1)!! sum_{m=k}^{n-1} (2m+1)^(2l-1) C(m+k,2k) C(2k,k)^2 mod n^2."""
+    if l < 1 or n < 1:
+        raise ValueError(f"conjecture_final_value: need l, n >= 1, got {l}, {n}")
+    if not 0 <= k <= n - 1:
+        raise ValueError(f"conjecture_final_value: need 0 <= k <= n-1, got k={k}, n={n}")
+    power = 2 * l - 1
+    central_sq = binom_int(2 * k, k) ** 2
+    total = double_factorial_odd(l) * central_sq * sum(
+        (2 * m + 1) ** power * binom_int(m + k, 2 * k) for m in range(k, n)
+    )
+    return CongruenceCase(l=l, n=n, k=k, value=total, modulus=n * n)
+
+
+def power_sum_at(m: int, k: int, x0: int) -> int:
+    """sum_j C(-x0-1,j)^m C(x0,k-j)^m at the integer point x0."""
+    return sum(
+        binom_int(-x0 - 1, j) ** m * binom_int(x0, k - j) ** m for j in range(k + 1)
+    )
+
+
+def telescope_lhs(n: int, k: int) -> int:
+    """sum_{m=k}^{n-1} (2m+1) C(m+k,2k) C(2k,k)."""
+    return sum(
+        (2 * m + 1) * binom_int(m + k, 2 * k) * binom_int(2 * k, k) for m in range(k, n)
+    )
+
+
+# -- one cell at a time ------------------------------------------------------
+
+def telescope_case(key):
+    n, k = key
+    lhs = telescope_lhs(n, k)
+    rhs = n * binom_int(n, k + 1) * binom_int(n + k, k)
+    ok = lhs == rhs
+    return make_case((("n", n), ("k", k)), ok, None if ok else f"{lhs} != {rhs}")
+
+
+def sun_one_case(n):
+    half = Fraction(-1, 2)
+    lhs = 16 ** n * sum(
+        binom_rat(half, k) ** 2 * binom_rat(half, n - k) ** 2 for k in range(n + 1)
+    )
+    rhs = sum(
+        binom_int(2 * k, k) ** 3 * binom_int(k, n - k) * (-16) ** (n - k)
+        for k in range(n + 1)
+    )
+    ok = lhs == rhs
+    return make_case((("n", n),), ok, None if ok else f"{lhs} != {rhs}")
+
+
+def sun_two_case(n):
+    quarter, three_quarter = Fraction(-1, 4), Fraction(-3, 4)
+    lhs = 64 ** n * sum(
+        binom_rat(quarter, k) ** 2 * binom_rat(three_quarter, n - k) ** 2
+        for k in range(n + 1)
+    )
+    rhs = sum(
+        binom_int(2 * k, k) ** 3 * binom_int(2 * (n - k), n - k) * 16 ** (n - k)
+        for k in range(n + 1)
+    )
+    ok = lhs == rhs
+    return make_case((("n", n),), ok, None if ok else f"{lhs} != {rhs}")
+
+
+def _int_valued_case(key, values, m, severity="theorem"):
+    x0 = first_non_multiple(values, m)
+    witness = None if x0 is None else f"p({x0}) = {Fraction(values[x0], m)} is not an integer"
+    return make_case(key, x0 is None, witness, severity=severity)
+
+
+def theorem1_case(key):
+    l, n, eps = key
+    return _int_valued_case(
+        (("l", l), ("n", n), ("eps", eps)), weighted_sum_values(l, n, eps), n
+    )
+
+
+def theorem2_case(n):
+    return _int_valued_case((("n", n),), weighted_sum_values(1, n, 1), n * n)
+
+
+def _catalan_form_values(n):
+    weights = [catalan(k) * binom_int(n - 1, k) * binom_int(n + k, k) for k in range(n)]
+    return tuple(
+        sum(w * binom_int(x + k, 2 * k) for k, w in enumerate(weights))
+        for x in range(2 * n - 1)
+    )
+
+
+def catalan_form_case(key):
+    part = key[0]
+    if part == "identity":
+        n = key[1]
+        v, c = weighted_sum_values(1, n, 1), _catalan_form_values(n)
+        ok = v == tuple(n * n * ci for ci in c)
+        witness = None
+        if not ok:
+            p = [Fraction(a, n * n) for a in coefficients(v)]
+            witness = coeff_mismatch(p, coefficients(c))
+        return make_case((("part", part), ("n", n)), ok, witness)
+    _, n, x0 = key
+    bad = None
+    for k in range(n):
+        term = (
+            binom_int(n, k + 1) * binom_int(n + k, k) * binom_int(2 * k, k)
+            * binom_int(x0 + k, 2 * k)
+        )
+        if term % n:
+            bad = f"k={k} summand {Fraction(term, n)} is not an integer"
+            break
+    return make_case((("part", part), ("n", n), ("x", x0)), bad is None, bad)
+
+
+def schmidt_case(key):
+    l, n, eps = key
+    sc = schmidt_combination_coeffs(l, n, eps)
+    bad = sc.first_indivisible()
+    witness = None
+    if bad is not None:
+        witness = f"coefficient j={bad} is {sc.coeffs[bad]}, not divisible by {n}"
+    return make_case((("l", l), ("n", n), ("eps", eps)), bad is None, witness)
+
+
+def conjecture_final_case(key):
+    l, n, k = key
+    case = conjecture_final_value(l, n, k)
+    severity = "theorem" if l == 1 else "conjecture"
+    witness = None
+    if not case.holds:
+        witness = f"value {case.value} = {case.value % case.modulus} mod {case.modulus}"
+    elif l == 1:
+        closed = n * binom_int(n, k + 1) * binom_int(n + k, k) * binom_int(2 * k, k)
+        if case.value != closed:
+            witness = f"value {case.value} != closed form {closed}"
+    return make_case((("l", l), ("n", n), ("k", k)), witness is None, witness, severity=severity)
+
+
+def sun_m_case(key):
+    m, l, n, eps, x0 = key
+    power = 2 * l - 1
+    total = sum(
+        eps ** k * (2 * k + 1) ** power * power_sum_at(m, k, x0) for k in range(n)
+    )
+    ok = total % n == 0
+    witness = None if ok else f"sum {total} at x={x0} is not divisible by {n}"
+    severity = "theorem" if m <= 2 else "conjecture"
+    return make_case(
+        (("l", l), ("n", n), ("eps", eps), ("x", x0)), ok, witness, severity=severity
+    )
+
+
+def sun_ii_case(key):
+    l, n = key
+    severity = "theorem" if l == 1 else "conjecture"
+    scale = double_factorial_odd(l)
+    values = [scale * v for v in weighted_sum_values(l, n, 1)]
+    return _int_valued_case((("l", l), ("n", n)), values, n * n, severity)
+
+
+def q_specialize_case(key):
+    n, k = key
+    at_one = q_sun_sum(n, k).eval_at_one()
+    classical = conjecture_final_value(1, n, k).value
+    ok = at_one == classical
+    witness = None if ok else f"q=1 value {at_one} != classical sum {classical}"
+    return make_case((("n", n), ("k", k)), ok, witness)
+
+
+# -- the cell keys of each task's grid ---------------------------------------
+
+def _ls(c):
+    return range(1, c.l_max + 1)
+
+
+def _ns(c):
+    return range(1, c.n_max + 1)
+
+
+def _xs(c):
+    return range(c.x_min, c.x_max + 1)
+
+
+def _n_k(c):
+    return [(n, k) for n in _ns(c) for k in range(n)]
+
+
+ORACLE: dict[str, tuple] = {
+    "telescope": (telescope_case, _n_k),
+    "sun-one": (sun_one_case, lambda c: range(c.n_max + 1)),
+    "sun-two": (sun_two_case, lambda c: range(c.n_max + 1)),
+    "theorem1": (theorem1_case, lambda c: product(_ls(c), _ns(c), c.eps)),
+    "theorem2": (theorem2_case, _ns),
+    "catalan-form": (
+        catalan_form_case,
+        lambda c: [("identity", n) for n in _ns(c)]
+        + [("terms", n, x) for n in _ns(c) for x in _xs(c)],
+    ),
+    "lemma-schmidt": (schmidt_case, lambda c: product(_ls(c), _ns(c), c.eps)),
+    "conjecture-final": (
+        conjecture_final_case, lambda c: [(l, n, k) for l in _ls(c) for n, k in _n_k(c)]
+    ),
+    "conjecture-sun-m": (
+        sun_m_case, lambda c: product([c.m], _ls(c), _ns(c), c.eps, _xs(c))
+    ),
+    "conjecture-sun-ii": (sun_ii_case, lambda c: product(_ls(c), _ns(c))),
+    "q-specialize": (q_specialize_case, _n_k),
+}
+
+
+def oracle_cases(task: str, config) -> list[CaseResult]:
+    """Every cell of `task` on the grid of `config`, one cell at a time, sorted by key."""
+    cell, keys = ORACLE[task]
+    return sorted((cell(key) for key in keys(config)), key=lambda c: c.sort_key)

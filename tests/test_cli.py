@@ -1,9 +1,10 @@
 import dataclasses
+import functools
 import json
 
 import pytest
 
-from ivpverify import cli
+from ivpverify import cli, gridrun
 from ivpverify.report import make_case
 
 
@@ -38,7 +39,8 @@ def test_bad_bounds_exit_two(capsys):
 
 
 def _replace_cell(monkeypatch, task, cell):
-    monkeypatch.setitem(cli._TASKS, task, dataclasses.replace(cli._TASKS[task], cell=cell))
+    row = functools.partial(cli._one, cell)
+    monkeypatch.setitem(cli._TASKS, task, dataclasses.replace(cli._TASKS[task], row=row))
 
 
 def test_mathematical_failure_exits_one(capsys, monkeypatch):
@@ -70,6 +72,41 @@ def test_csv_deterministic_across_jobs(tmp_path):
     assert cli.main(base + ["--jobs", "1", "--out", str(a)]) == 0
     assert cli.main(base + ["--jobs", "3", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_all_shares_one_worker_pool(tmp_path, monkeypatch):
+    started = []
+
+    class CountingPool(gridrun.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    monkeypatch.setattr(gridrun, "ProcessPoolExecutor", CountingPool)
+    a, b = tmp_path / "serial.csv", tmp_path / "parallel.csv"
+    base = ["all", "--n-max", "4", "--l-max", "2", "--x-min", "-2", "--x-max", "2",
+            "--format", "csv"]
+    assert cli.main(base + ["--jobs", "1", "--out", str(a)]) == 0
+    assert started == []
+    assert cli.main(base + ["--jobs", "2", "--out", str(b)]) == 0
+    assert len(started) == 1
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_empty_out_flag_exits_two(capsys):
+    assert cli.main(["transform", "--n-max", "1", "--out", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--out must name a file" in captured.err
+
+
+def test_empty_out_in_config_file_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps({"out": ""}))
+    assert cli.main(["transform", "--n-max", "1", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--out must name a file" in captured.err
 
 
 def test_json_deterministic_modulo_meta(tmp_path):

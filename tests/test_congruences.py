@@ -6,12 +6,17 @@ import sympy
 from ivpverify.combinat import binom_int, double_factorial_odd
 from ivpverify.congruences import (
     catalan_form_values,
-    conjecture_final_value,
-    schmidt_combination_coeffs,
-    weighted_sum_values,
+    conjecture_final_values,
+    schmidt_coefficient_rows,
+    weighted_sum_rows,
 )
 from ivpverify.cli import GridConfig, run
 from ivpverify.values import coefficients, first_non_multiple, forward_differences
+
+
+def _weighted(l, n, eps):
+    """The weighted sum for (l, n, eps): the last entry of its row."""
+    return weighted_sum_rows(l, eps, n)[-1]
 
 
 def _at(coeffs, x0):
@@ -23,10 +28,9 @@ def _at(coeffs, x0):
 
 
 def test_schmidt_coeffs_frozen_examples():
-    assert schmidt_combination_coeffs(1, 2, 1).coeffs == (4, 6)
-    assert schmidt_combination_coeffs(2, 2, -1).coeffs == (-26, -54)
-    assert schmidt_combination_coeffs(1, 1, 1).coeffs == (1,)
-    assert schmidt_combination_coeffs(1, 1, -1).all_divisible()  # mod 1
+    assert schmidt_coefficient_rows(1, 1, 2) == [(1,), (4, 6)]
+    assert schmidt_coefficient_rows(2, -1, 2)[1] == (-26, -54)
+    assert schmidt_coefficient_rows(1, -1, 1) == [(1,)]  # divisible by n = 1
 
 
 def test_schmidt_divisibility_grid():
@@ -38,41 +42,43 @@ def test_schmidt_divisibility_grid():
 
 def test_schmidt_rejects_bad_args():
     with pytest.raises(ValueError):
-        schmidt_combination_coeffs(0, 2, 1)
+        schmidt_coefficient_rows(0, 1, 2)
     with pytest.raises(ValueError):
-        schmidt_combination_coeffs(1, 2, 2)
+        schmidt_coefficient_rows(1, 2, 2)
+    with pytest.raises(ValueError):
+        schmidt_coefficient_rows(1, 1, 0)
 
 
 def test_schmidt_combination_recovers_weighted_sum():
     # Substituting x_j = C(2j,j) C(x+j,2j) into the coefficient vector
     # must reproduce the weighted sum at each of its 2n-1 points.
     for l in (1, 2):
-        for n in (1, 2, 3, 5):
-            for eps in (1, -1):
-                sc = schmidt_combination_coeffs(l, n, eps)
+        for eps in (1, -1):
+            weighted = weighted_sum_rows(l, eps, 5)
+            for n, coeffs in enumerate(schmidt_coefficient_rows(l, eps, 5), 1):
                 values = tuple(
                     sum(
                         cj * binom_int(2 * j, j) * binom_int(x + j, 2 * j)
-                        for j, cj in enumerate(sc.coeffs)
+                        for j, cj in enumerate(coeffs)
                     )
                     for x in range(2 * n - 1)
                 )
-                assert values == weighted_sum_values(l, n, eps)
+                assert values == weighted[n - 1]
 
 
 def test_theorem1_polynomial_hand_cases():
     # n times the 1/n polynomial: 1, 2 (3x^2+3x+2) and -(3x^2+3x+1).
-    assert weighted_sum_values(1, 1, 1) == (1,)
-    assert coefficients(weighted_sum_values(1, 2, 1)) == [4, 6, 6]
-    assert coefficients(weighted_sum_values(1, 2, -1)) == [-2, -6, -6]
+    assert weighted_sum_rows(1, 1, 1) == [(1,)]
+    assert coefficients(_weighted(1, 2, 1)) == [4, 6, 6]
+    assert coefficients(_weighted(1, 2, -1)) == [-2, -6, -6]
     with pytest.raises(ValueError):
-        weighted_sum_values(1, 2, 0)
+        weighted_sum_rows(1, 0, 2)
 
 
 def test_theorem1_scaled_by_n_has_integer_basis():
     for l in (1, 3):
         for n in (2, 5, 8):
-            values = weighted_sum_values(l, n, -1)
+            values = _weighted(l, n, -1)
             assert all(type(d) is int for d in forward_differences(values))
             assert first_non_multiple(values, n) is None
 
@@ -84,7 +90,7 @@ def test_theorem1_grid_is_integer_valued():
 
 def test_theorem2_hand_case():
     # (1/4)(1 + 3 (2x^2+2x+1)) = 1 + 3C(x,1) + 3C(x,2)
-    values = weighted_sum_values(1, 2, 1)
+    values = _weighted(1, 2, 1)
     assert [Fraction(c, 4) for c in coefficients(values)] == [1, Fraction(3, 2), Fraction(3, 2)]
     assert forward_differences(values) == [4, 12, 12]
 
@@ -95,8 +101,8 @@ def test_theorem2_grid_is_integer_valued():
 
 
 def test_catalan_form_matches_theorem2():
-    for n in range(1, 11):
-        assert weighted_sum_values(1, n, 1) == tuple(n * n * c for c in catalan_form_values(n))
+    for n, values in enumerate(weighted_sum_rows(1, 1, 10), 1):
+        assert values == tuple(n * n * c for c in catalan_form_values(n))
 
 
 def test_catalan_form_n2_terms():
@@ -113,23 +119,24 @@ def test_catalan_form_report_keys():
 
 
 def test_conjecture_final_frozen_values():
-    assert conjecture_final_value(1, 2, 0).value == 4
-    assert conjecture_final_value(1, 2, 1).value == 12
-    case = conjecture_final_value(2, 3, 0)
-    assert case.value == 459 and case.modulus == 9 and case.holds
+    assert conjecture_final_values(1, 0, 2) == [1, 4]  # n = 1, 2 at k = 0
+    assert conjecture_final_values(1, 1, 2) == [12]
+    value = conjecture_final_values(2, 0, 3)[2]
+    assert value == 459 and value % 9 == 0
 
 
 def test_conjecture_final_rejects_out_of_range_k():
     with pytest.raises(ValueError):
-        conjecture_final_value(1, 3, 3)
+        conjecture_final_values(1, 3, 3)
     with pytest.raises(ValueError):
-        conjecture_final_value(1, 3, -1)
+        conjecture_final_values(1, -1, 3)
+    with pytest.raises(ValueError):
+        conjecture_final_values(0, 0, 3)
 
 
 def test_conjecture_final_l1_closed_form():
-    for n in range(1, 26):
-        for k in range(n):
-            value = conjecture_final_value(1, n, k).value
+    for k in range(25):
+        for n, value in enumerate(conjecture_final_values(1, k, 25), k + 1):
             closed = n * binom_int(n, k + 1) * binom_int(n + k, k) * binom_int(2 * k, k)
             assert value == closed
 
@@ -157,7 +164,7 @@ def test_sun_m_equals_two_matches_theorem1():
     assert report.ok
     # Cross-check a few cells against the polynomial route.
     for l, n, eps in [(1, 3, 1), (2, 5, -1), (2, 6, 1)]:
-        p = coefficients(weighted_sum_values(l, n, eps))
+        p = coefficients(_weighted(l, n, eps))
         for x0 in (-4, 0, 3):
             assert (_at(p, x0) / n).denominator == 1
 
@@ -186,7 +193,7 @@ def test_sun_ii_polynomial_l1_is_theorem2():
 def test_sun_ii_l2_hand_value():
     # l=2, n=2: (3/4)(1 + 27 (2x^2+2x+1)); check through the binomial
     # basis instead of trusting hand algebra.
-    values = weighted_sum_values(2, 2, 1)
+    values = _weighted(2, 2, 1)
     assert values == tuple(1 + 27 * (2 * x * x + 2 * x + 1) for x in range(3))
     assert forward_differences([3 * v for v in values]) == [84, 324, 324]
     assert first_non_multiple([3 * v for v in values], 4) is None
@@ -204,7 +211,7 @@ def test_weight_double_factorial_consistency():
     # sun_ii is (2l-1)!!/n times theorem1(+1): the theorem1 values are
     # multiples of n in every difference, their (2l-1)!! multiples of n^2.
     for l, n in [(2, 3), (3, 4)]:
-        values = weighted_sum_values(l, n, 1)
+        values = _weighted(l, n, 1)
         assert first_non_multiple(values, n) is None
         scaled = [double_factorial_odd(l) * v for v in values]
         assert first_non_multiple(scaled, n * n) is None
@@ -224,4 +231,4 @@ def test_weighted_sum_values_match_sympy():
         )
         poly = sympy.Poly(sympy.expand(expr), x)
         expected = tuple(int(poly.eval(x0)) for x0 in range(2 * n - 1))
-        assert weighted_sum_values(l, n, eps) == expected
+        assert _weighted(l, n, eps) == expected

@@ -5,6 +5,9 @@ verifiers' helpers were merged; any change to a verdict, witness,
 severity, cell key or config echo changes them.  The fault-injection
 tests add a polynomial to the values one builder returns and check the
 exact witness the failing cell carries, its severity and the exit code.
+Where a task decides a grid row from one running sum, the fault goes
+into one entry of the row its row builder returns, or into one step of
+the running sum, which must fail that cell and every later one.
 The witness literals were recorded when every polynomial was still
 built from its rational coefficients.  The q-sun and q-specialize
 faults add 1 to one coefficient of one q-sum, and the scalar tasks'
@@ -13,7 +16,6 @@ recorded while q-sun still decided every cell by long division and
 the scalar tasks still formatted a witness for every cell.
 """
 
-import dataclasses
 import hashlib
 import json
 from fractions import Fraction
@@ -64,6 +66,28 @@ def _corrupt(monkeypatch, module, name, bad_args, delta):
     monkeypatch.setattr(module, name, corrupted)
 
 
+def _corrupt_entry(monkeypatch, module, name, bad_args, index, change):
+    """Make the row builder module.name replace entry `index` of the row it
+    returns by change(entry) when called with arguments that start with
+    bad_args."""
+    original = getattr(module, name)
+
+    def corrupted(*args):
+        row = original(*args)
+        if args[:len(bad_args)] != bad_args:
+            return row
+        row = list(row)
+        row[index] = change(row[index])
+        return row
+
+    monkeypatch.setattr(module, name, corrupted)
+
+
+def _plus(delta):
+    """Add delta(x) to a row entry's value at each point x = 0, 1, ..."""
+    return lambda values: tuple(v + delta(x) for x, v in enumerate(values))
+
+
 def _failures(tmp_path, argv):
     out = tmp_path / "report.json"
     rc = cli.main(argv + ["--format", "json", "--out", str(out)])
@@ -94,8 +118,8 @@ def test_catalan_form_identity_fault_witness(tmp_path, monkeypatch):
 
 
 def test_theorem1_fault_witness(tmp_path, monkeypatch):
-    # p = v/n gains x/2, so its values v gain x.
-    _corrupt(monkeypatch, congruences, "weighted_sum_values", (1, 2, -1), lambda x: x)
+    # p = v/n gains x/2 at (l, n, eps) = (1, 2, -1), so its values v gain x.
+    _corrupt_entry(monkeypatch, congruences, "weighted_sum_rows", (1, -1), 1, _plus(lambda x: x))
     rc, failed = _failures(tmp_path, ["theorem1", "--l-max", "1", "--n-max", "3"])
     assert rc == 1
     assert failed == [{
@@ -105,8 +129,8 @@ def test_theorem1_fault_witness(tmp_path, monkeypatch):
 
 
 def test_theorem2_fault_witness(tmp_path, monkeypatch):
-    # p = v/n^2 gains 1/3, so its values v gain 3.
-    _corrupt(monkeypatch, congruences, "weighted_sum_values", (1, 3, 1), lambda x: 3)
+    # p = v/n^2 gains 1/3 at n = 3, so its values v gain 3.
+    _corrupt_entry(monkeypatch, congruences, "weighted_sum_rows", (1, 1), 2, _plus(lambda x: 3))
     rc, failed = _failures(tmp_path, ["theorem2", "--n-max", "4"])
     assert rc == 1
     assert failed == [{
@@ -115,9 +139,25 @@ def test_theorem2_fault_witness(tmp_path, monkeypatch):
     }]
 
 
+def test_running_sum_step_fault_fails_from_that_cell_on(tmp_path, monkeypatch):
+    # S_2 enters theorem2's one running sum at step k = 2, the cell n = 3.
+    # With 1 added at every point, each later sum is 5 too large, and
+    # 5/n^2 is not an integer for any n >= 3.
+    _corrupt(monkeypatch, congruences, "build_lhs", (2,), lambda x: 1)
+    rc, failed = _failures(tmp_path, ["theorem2", "--n-max", "6"])
+    assert rc == 1
+    assert [case["key"] for case in failed] == [{"n": n} for n in range(3, 7)]
+    assert failed[0] == {
+        "key": {"n": 3}, "status": "fail",
+        "witness": "p(0) = 14/9 is not an integer", "severity": "theorem",
+    }
+
+
 def test_conjecture_sun_ii_fault_witness(tmp_path, monkeypatch):
-    # p = 3v/n^2 gains 1/3, so its values v gain 4/9.
-    _corrupt(monkeypatch, congruences, "weighted_sum_values", (2, 2, 1), lambda x: Fraction(4, 9))
+    # p = 3v/n^2 gains 1/3 at (l, n) = (2, 2), so its values v gain 4/9.
+    _corrupt_entry(
+        monkeypatch, congruences, "weighted_sum_rows", (2, 1), 1, _plus(lambda x: Fraction(4, 9))
+    )
     rc, failed = _failures(tmp_path, ["conjecture-sun-ii", "--l-max", "2", "--n-max", "3"])
     assert rc == 1
     assert failed == [{
@@ -248,17 +288,10 @@ def test_sun_two_fault_witness(tmp_path, monkeypatch):
 
 
 def test_conjecture_final_fault_witnesses(tmp_path, monkeypatch):
-    original = congruences.conjecture_final_value
-
-    def corrupted(l, n, k):
-        case = original(l, n, k)
-        if (l, n, k) == (1, 3, 1):  # still 0 mod n^2, but off the closed form
-            return dataclasses.replace(case, value=case.value + case.modulus)
-        if (l, n, k) == (2, 3, 1):
-            return dataclasses.replace(case, value=case.value + 1)
-        return case
-
-    monkeypatch.setattr(congruences, "conjecture_final_value", corrupted)
+    # Entry 1 of the row (l, k = 1) is the cell n = 3.  At l = 1 it gains
+    # n^2, so it is still 0 mod n^2 but off the closed form.
+    _corrupt_entry(monkeypatch, congruences, "conjecture_final_values", (1, 1), 1, lambda v: v + 9)
+    _corrupt_entry(monkeypatch, congruences, "conjecture_final_values", (2, 1), 1, lambda v: v + 1)
     rc, failed = _failures(tmp_path, ["conjecture-final", "--l-max", "2", "--n-max", "3"])
     assert rc == 1
     assert failed == [
@@ -270,12 +303,8 @@ def test_conjecture_final_fault_witnesses(tmp_path, monkeypatch):
 
 
 def test_conjecture_sun_m_fault_witness(tmp_path, monkeypatch):
-    original = congruences._power_sum_at
-
-    def corrupted(m, k, x0):
-        return original(m, k, x0) + 1 if (m, k, x0) == (3, 1, 0) else original(m, k, x0)
-
-    monkeypatch.setattr(congruences, "_power_sum_at", corrupted)
+    # The power sum P_1(0) at m = 3 gains 1.
+    _corrupt_entry(monkeypatch, congruences, "power_sums", (3, 0), 1, lambda v: v + 1)
     rc, failed = _failures(tmp_path, [
         "conjecture-sun-m", "--m", "3", "--l-max", "1", "--n-max", "2",
         "--eps", "+1", "--x-min", "0", "--x-max", "0",
@@ -288,15 +317,11 @@ def test_conjecture_sun_m_fault_witness(tmp_path, monkeypatch):
 
 
 def test_lemma_schmidt_fault_witness(tmp_path, monkeypatch):
-    original = congruences.schmidt_combination_coeffs
-
-    def corrupted(l, n, eps):  # coefficient j=1 gains 1
-        sc = original(l, n, eps)
-        if (l, n, eps) != (1, 3, -1):
-            return sc
-        return dataclasses.replace(sc, coeffs=(sc.coeffs[0], sc.coeffs[1] + 1, *sc.coeffs[2:]))
-
-    monkeypatch.setattr(congruences, "schmidt_combination_coeffs", corrupted)
+    # Coefficient j=1 of (l, n, eps) = (1, 3, -1) gains 1.
+    _corrupt_entry(
+        monkeypatch, congruences, "schmidt_coefficient_rows", (1, -1), 2,
+        lambda coeffs: (coeffs[0], coeffs[1] + 1, *coeffs[2:]),
+    )
     rc, failed = _failures(tmp_path, ["lemma-schmidt", "--l-max", "1", "--n-max", "3"])
     assert rc == 1
     assert failed == [{

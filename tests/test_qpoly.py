@@ -1,9 +1,9 @@
 import pytest
+from cell_oracle import conjecture_final_value
 from hypothesis import assume, example, given, strategies as st
 
 from ivpverify import qpoly
 from ivpverify.combinat import binom_int
-from ivpverify.congruences import conjecture_final_value
 from ivpverify.qpoly import (
     LaurentPoly,
     divisible_by_q_integer_squared,

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from ivpverify.gridrun import run_grid
+from ivpverify.gridrun import run_grid, worker_pool
 from ivpverify.report import (
     CaseResult,
     CombinedReport,
@@ -111,20 +111,24 @@ def test_combined_report_aggregates():
     assert serialize_report(combined, "text").endswith("overall: FAIL 1/6\n")
 
 
-def _square_case(key):
-    n = key
-    return make_case((("n", n),), n * n >= 0)
+def _square_row(key):
+    """Row key n: the cells n + 100 and n, out of order."""
+    return [make_case((("n", n),), n * n >= 0) for n in (key + 100, key)]
 
 
 def test_run_grid_sorts_cases_and_times():
-    report = run_grid("demo", {}, [3, 1, 2], _square_case)
-    assert [c.sort_key for c in report.cases] == [(1,), (2,), (3,)]
+    report = run_grid("demo", {}, [3, 1, 2], _square_row)
+    assert [c.sort_key for c in report.cases] == [(1,), (2,), (3,), (101,), (102,), (103,)]
     assert report.wall_time_s >= 0
 
 
 def test_run_grid_parallel_matches_serial():
-    serial = run_grid("demo", {}, range(20), _square_case, jobs=1)
-    parallel = run_grid("demo", {}, range(20), _square_case, jobs=4)
+    serial = run_grid("demo", {}, range(20), _square_row, jobs=1)
+    parallel = run_grid("demo", {}, range(20), _square_row, jobs=4)
     assert serial.cases == parallel.cases
+    with worker_pool(2) as pool:
+        first = run_grid("demo", {}, range(5), _square_row, jobs=2, pool=pool)
+        shared = run_grid("demo", {}, range(20), _square_row, jobs=2, pool=pool)
+    assert shared.cases == serial.cases and first.total == 10
     with pytest.raises(ValueError):
-        run_grid("demo", {}, [1], _square_case, jobs=0)
+        run_grid("demo", {}, [1], _square_row, jobs=0)

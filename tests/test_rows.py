@@ -1,0 +1,107 @@
+"""The row functions against the per-cell oracle in cell_oracle.py.
+
+A row function decides a whole grid row from one running sum, so a
+bug in it would corrupt every later cell of the row.  These tests
+rebuild each cell from scratch and compare the two cell for cell:
+key, status, witness and severity.  With a fault drawn into one
+binomial coefficient (the same fault in the verifier and in the
+oracle) the failing cells and their witnesses must agree as well.
+"""
+
+from contextlib import ExitStack
+from fractions import Fraction
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import cell_oracle
+from ivpverify import cli, congruences, identities
+from ivpverify.combinat import binom_int, binom_rat, binom_rat_row
+from ivpverify.congruences import (
+    conjecture_final_values,
+    power_sums,
+    schmidt_coefficient_rows,
+    weighted_sum_rows,
+)
+
+
+def _row_cases(task, config):
+    entry = cli._TASKS[task]
+    cases = [case for key in entry.row_keys(config) for case in entry.row(key)]
+    return sorted(cases, key=lambda c: c.sort_key)
+
+
+def _corrupted_binom(bad, delta):
+    def corrupted(top, k):
+        value = binom_int(top, k)
+        return value + delta if (top, k) == bad else value
+
+    return corrupted
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    l_max=st.integers(1, 3),
+    n_max=st.integers(1, 12),
+    x_min=st.integers(-8, 8),
+    width=st.integers(0, 5),
+    eps=st.sampled_from([(1,), (-1,), (1, -1)]),
+    m=st.integers(1, 3),
+    fault=st.none() | st.tuples(st.integers(-6, 14), st.integers(0, 8), st.integers(1, 5)),
+)
+def test_rows_match_per_cell_oracle(l_max, n_max, x_min, width, eps, m, fault):
+    with ExitStack() as stack:
+        if fault is not None:
+            corrupted = _corrupted_binom(fault[:2], fault[2])
+            for module in (congruences, identities, cell_oracle):
+                stack.enter_context(mock.patch.object(module, "binom_int", corrupted))
+            # The S_k tables are cached: build them afresh under the fault
+            # and drop them again after it.
+            for cached in (identities.build_lhs, identities.build_rhs):
+                cached.cache_clear()
+                stack.callback(cached.cache_clear)
+        for task in cell_oracle.ORACLE:
+            config = cli.GridConfig(
+                task, l_max=l_max, n_max=n_max, m=m, eps=eps,
+                x_min=x_min, x_max=x_min + width,
+            )
+            assert _row_cases(task, config) == cell_oracle.oracle_cases(task, config), task
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    l=st.integers(1, 3),
+    eps=st.sampled_from([1, -1]),
+    n_max=st.integers(1, 12),
+    m=st.integers(1, 3),
+    x0=st.integers(-8, 8),
+)
+def test_row_builders_match_per_cell_sums(l, eps, n_max, m, x0):
+    # Values, not only verdicts: a sum off by a multiple of the modulus
+    # would still pass a cell.
+    ns = range(1, n_max + 1)
+    assert weighted_sum_rows(l, eps, n_max) == [
+        cell_oracle.weighted_sum_values(l, n, eps) for n in ns
+    ]
+    assert schmidt_coefficient_rows(l, eps, n_max) == [
+        cell_oracle.schmidt_combination_coeffs(l, n, eps).coeffs for n in ns
+    ]
+    for k in range(n_max):
+        assert conjecture_final_values(l, k, n_max) == [
+            cell_oracle.conjecture_final_value(l, n, k).value for n in range(k + 1, n_max + 1)
+        ]
+    assert power_sums(m, x0, n_max) == [cell_oracle.power_sum_at(m, k, x0) for k in range(n_max)]
+
+
+@given(
+    r=st.fractions(min_value=-20, max_value=20, max_denominator=12),
+    k_max=st.integers(0, 25),
+)
+def test_binom_rat_row_matches_binom_rat(r, k_max):
+    assert binom_rat_row(r, k_max) == [binom_rat(r, k) for k in range(k_max + 1)]
+
+
+def test_binom_rat_row_examples():
+    assert binom_rat_row(Fraction(-1, 2), 3) == [1, Fraction(-1, 2), Fraction(3, 8), Fraction(-5, 16)]
+    assert binom_rat_row(5, 6) == [1, 5, 10, 10, 5, 1, 0]
