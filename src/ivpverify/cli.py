@@ -10,10 +10,11 @@ as a function of the `GridConfig`, and the smallest n_max it accepts.
 Where a grid row is a prefix sum over n (telescope, theorem1, theorem2,
 the catalan-form identity, lemma-schmidt, conjecture-final,
 conjecture-sun-m, conjecture-sun-ii, q-specialize), its row function
-keeps one running sum, so a cell costs O(1) instead of a fresh sum; a
-task without a sweep has one-cell rows, its cell function wrapped by
-`_one`.  `run` makes the one `gridrun.run_grid` call per task, all of
-them in one shared worker pool.  A `GridConfig` checks every bound when
+keeps one running sum, so a cell costs O(1) instead of a fresh sum.
+The weighted-sum rows and the lhs and rhs recurrence rows build their
+S_k table once per row; other tasks have one-cell rows (`_one`).
+`run` makes one `gridrun.run_grid` call per task, all of them in one
+shared worker pool.  A `GridConfig` checks every bound when
 it is built, so `run(GridConfig("theorem1", n_max=25))` is safe to call
 from code as well.
 
@@ -148,11 +149,6 @@ def _k_rows(c: GridConfig) -> list[tuple[int, int]]:
     return [(k, c.n_max) for k in range(c.n_max)]
 
 
-def _l_eps_rows(c: GridConfig) -> Iterable[tuple[int, int, int]]:
-    """Rows (l, eps) over n = 1 .. n_max."""
-    return product(_ls(c), c.eps, [c.n_max])
-
-
 # The task table, in the order `all` runs it.
 _TASKS = {
     "transform": _Task(
@@ -160,11 +156,8 @@ _TASKS = {
         lambda c: range(c.n_max + 1), min_n_max=0,
     ),
     "recurrence": _Task(
-        partial(_one, identities.recurrence_case),
-        ("n_max",),
-        lambda c: [("base", 0), ("base", 1)]
-        + [(family, n) for family in ("lhs", "rhs") for n in range(c.n_max - 1)],
-        min_n_max=2,
+        identities.recurrence_row, ("n_max",),
+        lambda c: [(family, c.n_max) for family in ("base", "lhs", "rhs")], min_n_max=2,
     ),
     "chu-vandermonde": _Task(
         partial(_one, identities.chu_case), ("k_max",),
@@ -179,14 +172,19 @@ _TASKS = {
         partial(_one, identities.sun_two_case), ("n_max",),
         lambda c: range(c.n_max + 1), min_n_max=0,
     ),
-    "theorem1": _Task(congruences.theorem1_row, ("l_max", "n_max", "eps"), _l_eps_rows),
+    "theorem1": _Task(
+        congruences.theorem1_row, ("l_max", "n_max", "eps"), lambda c: [(c.l_max, c.eps, c.n_max)]
+    ),
     "theorem2": _Task(congruences.theorem2_row, ("n_max",), lambda c: [c.n_max]),
     "catalan-form": _Task(
         congruences.catalan_form_row,
         ("n_max", "x_min", "x_max"),
         lambda c: [("identity", c.n_max)] + [("terms", n, x) for n in _ns(c) for x in _xs(c)],
     ),
-    "lemma-schmidt": _Task(congruences.schmidt_row, ("l_max", "n_max", "eps"), _l_eps_rows),
+    "lemma-schmidt": _Task(
+        congruences.schmidt_row, ("l_max", "n_max", "eps"),
+        lambda c: product(_ls(c), c.eps, [c.n_max]),
+    ),
     "conjecture-final": _Task(
         congruences.conjecture_final_row,
         ("l_max", "n_max"),
@@ -199,7 +197,7 @@ _TASKS = {
         notes=lambda c: [congruences.sun_m_regime(c.m, c.n_max, len(_xs(c)))],
     ),
     "conjecture-sun-ii": _Task(
-        congruences.sun_ii_row, ("l_max", "n_max"), lambda c: product(_ls(c), [c.n_max])
+        congruences.sun_ii_row, ("l_max", "n_max"), lambda c: [(c.l_max, c.n_max)]
     ),
     "q-sun": _Task(partial(_one, qpoly.q_sun_case), ("n_max",), _n_k),
     "q-specialize": _Task(qpoly.q_specialize_row, ("n_max",), _k_rows),

@@ -9,13 +9,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 __all__ = ["binom_int", "binom_rat", "binom_rat_row", "double_factorial_odd", "catalan"]
 
-# Bounded memo for the hot grid loops: C(m+k,2k), C(2k,k) and friends recur
-# across every congruence grid.
-@lru_cache(maxsize=1 << 16)
+
 def binom_int(n: int, k: int) -> int:
     """Binomial coefficient C(n, k) for any integer n and k >= 0.
 

@@ -16,9 +16,9 @@ failing cell there would be a counterexample, not a bug in a proof.
 Every verdict is computed on exact integers -- no modular reduction
 happens before the final divisibility test.  The weighted sums of
 S_k(x) have degree 2n-2, so each is held as its 2n-1 integer values at
-x = 0 .. 2n-2 (`weighted_sum_rows`); p/m is integer-valued exactly
-when every forward difference of those values at 0 is a multiple of m
-(see `values`).
+x = 0 .. 2n-2 (`weighted_sum_rows`, on the one S_k table `s_table` its
+row function builds); p/m is integer-valued exactly when every forward
+difference of those values at 0 is a multiple of m (see `values`).
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .values import coefficients, first_non_multiple
 __all__ = [
     "schmidt_coefficient_rows",
     "schmidt_row",
+    "s_table",
     "weighted_sum_rows",
     "theorem1_row",
     "theorem2_row",
@@ -94,22 +95,23 @@ def schmidt_row(key: tuple[int, int, int]) -> list[CaseResult]:
 
 # -- weighted sums of S_k and integer-valuedness -----------------------------
 
-def weighted_sum_rows(l: int, eps: int, n_max: int) -> list[tuple[int, ...]]:
-    """sum_{k=0}^{n-1} eps^k (2k+1)^(2l-1) S_k(x) at x = 0 .. 2n-2 (degree
-    2n-2), for n = 1 .. n_max (entry n-1).
+def s_table(n_max: int) -> list[tuple[int, ...]]:
+    """S_k(0 .. 2 n_max - 2) for k < n_max: what `weighted_sum_rows` sums."""
+    return [build_lhs(k, 2 * n_max - 1) for k in range(n_max)]
 
-    One table S_k(0 .. 2 n_max - 2), k < n_max, comes from `build_lhs`,
-    whose cache shares it between the rows of a run, and one running sum
-    over k gives every n.
-    """
+
+def weighted_sum_rows(l: int, eps: int, table: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """sum_{k=0}^{n-1} eps^k (2k+1)^(2l-1) S_k(x) at x = 0 .. 2n-2 (degree
+    2n-2), for n = 1 .. n_max (entry n-1), as one running sum over the
+    rows of `table` = `s_table(n_max)`, built once per row function."""
+    n_max = len(table)
     _validate_l_eps("weighted_sum_rows", l, eps, n_max)
     power = 2 * l - 1
-    points = 2 * n_max - 1
-    total = [0] * points
+    total = [0] * (2 * n_max - 1)
     rows = []
-    for k in range(n_max):
+    for k, s_k in enumerate(table):
         weight = eps ** k * (2 * k + 1) ** power
-        total = [t + weight * s for t, s in zip(total, build_lhs(k, points))]
+        total = [t + weight * s for t, s in zip(total, s_k)]
         rows.append(tuple(total[: 2 * k + 1]))
     return rows
 
@@ -121,13 +123,16 @@ def _int_valued_case(key, values, m: int, severity: str = "theorem") -> CaseResu
     return make_case(key, x0 is None, witness, severity=severity)
 
 
-def theorem1_row(key: tuple[int, int, int]) -> list[CaseResult]:
+def theorem1_row(key: tuple[int, tuple[int, ...], int]) -> list[CaseResult]:
     """The 1/n weighted sum for (l, n, eps) is integer-valued, for the
-    row key (l, eps, n_max) over n = 1 .. n_max."""
-    l, eps, n_max = key
+    row key (l_max, eps values, n_max) over every l, eps and n = 1 .. n_max."""
+    l_max, eps_values, n_max = key
+    table = s_table(n_max)
     return [
         _int_valued_case((("l", l), ("n", n), ("eps", eps)), values, n)
-        for n, values in enumerate(weighted_sum_rows(l, eps, n_max), 1)
+        for l in range(1, l_max + 1)
+        for eps in eps_values
+        for n, values in enumerate(weighted_sum_rows(l, eps, table), 1)
     ]
 
 
@@ -135,15 +140,11 @@ def theorem2_row(n_max: int) -> list[CaseResult]:
     """(1/n^2) sum_{k=0}^{n-1} (2k+1) S_k(x) is integer-valued, for n = 1 .. n_max."""
     return [
         _int_valued_case((("n", n),), values, n * n)
-        for n, values in enumerate(weighted_sum_rows(1, 1, n_max), 1)
+        for n, values in enumerate(weighted_sum_rows(1, 1, s_table(n_max)), 1)
     ]
 
 
 # -- Catalan-weighted rewriting of the theorem2 sum --------------------------
-
-def _catalan_weight(n: int, k: int) -> int:
-    return catalan(k) * binom_int(n - 1, k) * binom_int(n + k, k)
-
 
 def catalan_form_values(n: int) -> tuple[int, ...]:
     """sum_{k=0}^{n-1} catalan(k) C(n-1,k) C(n+k,k) C(x+k,2k) at x = 0 .. 2n-2.
@@ -154,7 +155,7 @@ def catalan_form_values(n: int) -> tuple[int, ...]:
     """
     if n < 1:
         raise ValueError(f"catalan_form_values: n must be >= 1, got {n}")
-    weights = [_catalan_weight(n, k) for k in range(n)]
+    weights = [catalan(k) * binom_int(n - 1, k) * binom_int(n + k, k) for k in range(n)]
     return tuple(
         sum(w * binom_int(x + k, 2 * k) for k, w in enumerate(weights))
         for x in range(2 * n - 1)
@@ -179,7 +180,7 @@ def catalan_form_row(key: tuple) -> list[CaseResult]:
     part = key[0]
     if part == "identity":
         cases = []
-        for n, v in enumerate(weighted_sum_rows(1, 1, key[1]), 1):
+        for n, v in enumerate(weighted_sum_rows(1, 1, s_table(key[1])), 1):
             c = catalan_form_values(n)
             ok = v == tuple(n * n * ci for ci in c)
             witness = None
@@ -305,15 +306,18 @@ def sun_m_regime(m: int, n_max: int, points: int) -> str:
 
 def sun_ii_row(key: tuple[int, int]) -> list[CaseResult]:
     """((2l-1)!!/n^2) sum_{k=0}^{n-1} (2k+1)^(2l-1) S_k(x) is integer-valued,
-    for the row key (l, n_max) over n = 1 .. n_max.
+    for the row key (l_max, n_max) over every l and n = 1 .. n_max.
 
     l = 1 is the proved 1/n^2 statement; l >= 2 instances follow from
     the open mod-n^2 congruence, so they carry conjecture severity.
     """
-    l, n_max = key
-    severity = "theorem" if l == 1 else "conjecture"
-    scale = double_factorial_odd(l)
+    l_max, n_max = key
+    table = s_table(n_max)
     return [
-        _int_valued_case((("l", l), ("n", n)), [scale * v for v in values], n * n, severity)
-        for n, values in enumerate(weighted_sum_rows(l, 1, n_max), 1)
+        _int_valued_case(
+            (("l", l), ("n", n)), [double_factorial_odd(l) * v for v in values], n * n,
+            "theorem" if l == 1 else "conjecture",
+        )
+        for l in range(1, l_max + 1)
+        for n, values in enumerate(weighted_sum_rows(l, 1, table), 1)
     ]

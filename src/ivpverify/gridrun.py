@@ -9,8 +9,7 @@ a run with --jobs 8 yields byte-identical JSON/CSV to a serial run
 block).
 
 `worker_pool` opens one pool of worker processes that every `run_grid`
-call inside it shares, so `verify all --jobs N` starts N workers once
-and their caches stay warm from task to task.
+call inside it shares, so `verify all --jobs N` starts N workers once.
 """
 
 from __future__ import annotations

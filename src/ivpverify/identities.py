@@ -6,12 +6,13 @@ The central object is the degree-2n polynomial
     S_n(x) = sum_{k=0}^n C(-x-1,k)^2 C(x,n-k)^2
            = sum_{k=0}^n C(n+k,2k) C(2k,k)^2 C(x+k,2k).
 
-`build_lhs` and `build_rhs` evaluate the two closed forms independently
-at the integer points x = 0, 1, ..., and every polynomial claim here is
-decided on those integer values: a polynomial of degree d is zero
-exactly when it vanishes at d+1 points.  So the transformation compares
-2n+1 values, the order-2 recurrence forms its residual at 2n+5 points,
-and the Chu-Vandermonde sum of degree <= k is compared at k+1 points.
+`build_lhs` and `build_rhs` evaluate the two closed forms independently,
+by exact integer ratio updates, at the integer points x = 0, 1, ...;
+nothing is cached.  Every polynomial claim here is decided on those
+integer values: a polynomial of degree d is zero exactly when it
+vanishes at d+1 points.  So the transformation compares 2n+1 values,
+the order-2 recurrence forms its residual at 2n+5 points, and the
+Chu-Vandermonde sum of degree <= k is compared at k+1 points.
 The module also checks a telescoping sum of odd-weighted binomials
 (each row over n shares one running sum) and two rational-value
 identities at x = -1/2 and x = -1/4, -3/4.
@@ -24,8 +25,6 @@ the two unequal values).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from typing import Union
 
 from .combinat import binom_int, binom_rat, binom_rat_row
 from .report import CaseResult, make_case
@@ -37,7 +36,7 @@ __all__ = [
     "coeff_mismatch",
     "transform_case",
     "recurrence_coefficients",
-    "recurrence_case",
+    "recurrence_row",
     "chu_case",
     "telescope_row",
     "sun_one_case",
@@ -45,35 +44,38 @@ __all__ = [
     "eval_transform_at",
 ]
 
-Rational = Union[int, Fraction]
-
 
 # -- the two closed forms ----------------------------------------------------
 
-# A run of the weighted-sum rows in congruences asks for one table,
-# S_k at 2 n_max - 1 points for every k < n_max; transform and recurrence
-# ask for about three entries per n.  The bound holds both with room.
-@lru_cache(maxsize=1 << 12)
 def build_lhs(n: int, points: int) -> tuple[int, ...]:
-    """S_n(0), ..., S_n(points-1) from sum_{k=0}^n C(-x-1,k)^2 C(x,n-k)^2."""
+    """S_n(0), ..., S_n(points-1) from sum_{k=0}^n C(-x-1,k)^2 C(x,n-k)^2, with
+    the rows C(r, 0..n), r = -x-1 and x, from C(r, k+1) = C(r, k) (r-k) / (k+1)."""
     if n < 0:
         raise ValueError(f"build_lhs: n must be >= 0, got {n}")
-    return tuple(
-        sum(binom_int(-x - 1, k) ** 2 * binom_int(x, n - k) ** 2 for k in range(n + 1))
-        for x in range(points)
-    )
+    values = []
+    for x in range(points):
+        left, right = [1], [1]
+        for k in range(n):
+            left.append(left[-1] * (-x - 1 - k) // (k + 1))
+            right.append(right[-1] * (x - k) // (k + 1))
+        values.append(sum((left[k] * right[n - k]) ** 2 for k in range(n + 1)))
+    return tuple(values)
 
 
-@lru_cache(maxsize=1 << 12)
 def build_rhs(n: int, points: int) -> tuple[int, ...]:
-    """S_n(0), ..., S_n(points-1) from sum_{k=0}^n C(n+k,2k) C(2k,k)^2 C(x+k,2k)."""
+    """S_n(0), ..., S_n(points-1) from sum_{k=0}^n C(n+k,2k) C(2k,k)^2 C(x+k,2k),
+    with C(x+k+1,2k+2) = C(x+k,2k) (x+k+1)(x-k) / ((2k+1)(2k+2)) over k."""
     if n < 0:
         raise ValueError(f"build_rhs: n must be >= 0, got {n}")
     weights = [binom_int(n + k, 2 * k) * binom_int(2 * k, k) ** 2 for k in range(n + 1)]
-    return tuple(
-        sum(w * binom_int(x + k, 2 * k) for k, w in enumerate(weights))
-        for x in range(points)
-    )
+    values = []
+    for x in range(points):
+        total, c = 0, 1
+        for k, w in enumerate(weights):
+            total += w * c
+            c = c * (x + k + 1) * (x - k) // ((2 * k + 1) * (2 * k + 2))
+        values.append(total)
+    return tuple(values)
 
 
 def coeff_mismatch(p, q) -> str:
@@ -115,36 +117,36 @@ def recurrence_coefficients(n: int, x: int) -> tuple[int, int, int]:
 _BASE_CASES = {0: lambda x: 1, 1: lambda x: 2 * x * x + 2 * x + 1}
 
 
-def recurrence_case(key: tuple[str, int]) -> CaseResult:
-    """Both closed forms satisfy the order-2 recurrence.
-
-    The key is ("base", n) for the explicit n = 0, 1 base cases, or
-    ("lhs" | "rhs", n) for the recurrence at shift index n of that
-    closed form, which evaluates S_n, S_(n+1) and S_(n+2).  The
-    residual has degree at most 2n+4, so it is zero exactly when it
-    vanishes at x = 0 .. 2n+4.
-    """
-    family, n = key
+def recurrence_row(key: tuple[str, int]) -> list[CaseResult]:
+    """Both closed forms satisfy the order-2 recurrence.  The row ("base",
+    n_max) holds the n = 0, 1 base cases; ("lhs" | "rhs", n_max) builds
+    S_0 .. S_{n_max} of that form once and, at each n <= n_max - 2, forms
+    the residual, of degree at most 2n+4, at x = 0 .. 2n+4."""
+    family, n_max = key
+    cases = []
     if family == "base":
-        points = 2 * n + 1
-        lhs, rhs = build_lhs(n, points), build_rhs(n, points)
-        expected = tuple(_BASE_CASES[n](x) for x in range(points))
-        ok = lhs == rhs == expected
-        witness = None
-        if not ok:
-            lhs_p, rhs_p, expected_p = (poly_text(coefficients(v)) for v in (lhs, rhs, expected))
-            witness = f"S_{n}: lhs {lhs_p}, rhs {rhs_p}, expected {expected_p}"
-    else:
-        build = build_lhs if family == "lhs" else build_rhs
-        points = 2 * n + 5
-        s0, s1, s2 = build(n, points), build(n + 1, points), build(n + 2, points)
+        for n, base in _BASE_CASES.items():
+            points = 2 * n + 1
+            lhs, rhs = build_lhs(n, points), build_rhs(n, points)
+            expected = tuple(base(x) for x in range(points))
+            ok = lhs == rhs == expected
+            witness = None
+            if not ok:
+                lhs_p, rhs_p, expected_p = (poly_text(coefficients(v)) for v in (lhs, rhs, expected))
+                witness = f"S_{n}: lhs {lhs_p}, rhs {rhs_p}, expected {expected_p}"
+            cases.append(make_case((("family", family), ("n", n)), ok, witness))
+        return cases
+    build = build_lhs if family == "lhs" else build_rhs
+    table = [build(j, 2 * n_max + 1) for j in range(n_max + 1)]
+    for n in range(n_max - 1):
         residual = []
-        for x in range(points):
+        for x in range(2 * n + 5):
             a, b, c = recurrence_coefficients(n, x)
-            residual.append(a * s2[x] - b * s1[x] + c * s0[x])
+            residual.append(a * table[n + 2][x] - b * table[n + 1][x] + c * table[n][x])
         ok = not any(residual)
         witness = None if ok else f"residual {poly_text(coefficients(residual))}"
-    return make_case((("family", family), ("n", n)), ok, witness)
+        cases.append(make_case((("family", family), ("n", n)), ok, witness))
+    return cases
 
 
 # -- Chu-Vandermonde convolution --------------------------------------------
@@ -219,7 +221,7 @@ def sun_two_case(n: int) -> CaseResult:
 
 # -- pointwise cross-evaluation ----------------------------------------------
 
-def eval_transform_at(n: int, x0: Rational) -> Fraction:
+def eval_transform_at(n: int, x0: int | Fraction) -> Fraction:
     """Evaluate both closed forms of S_n at x0 and return the common value.
 
     The two sums are evaluated independently (no shared polynomial

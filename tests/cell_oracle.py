@@ -7,9 +7,13 @@ of each task's grid.  `ORACLE[task]` gives (cell function, cell keys of
 a `GridConfig`); a cell function returns the `CaseResult` the row
 function must produce for that key, witness and severity included.
 
-Every binomial goes through this module's own `binom_int` and every
-S_k(x) through its own `build_lhs`, so a test can corrupt one and the
-verifier's copy the same way and compare the failing cells too.
+Every binomial of a cell goes through this module's own `binom_int` and
+every S_k(x) through its own `build_lhs`, so a test can corrupt one and
+the verifier's copy the same way and compare the failing cells too.
+`build_lhs` and `build_rhs` keep the per-term formulas of the two closed
+forms, one `combinat.binom_int` call per binomial: they oracle the
+verifier's ratio-updated builders, and a fault drawn into this module's
+`binom_int` does not reach them, as it does not reach the verifier's.
 """
 
 from __future__ import annotations
@@ -19,8 +23,9 @@ from fractions import Fraction
 from itertools import product
 from typing import Optional
 
+from ivpverify import combinat
 from ivpverify.combinat import binom_int, binom_rat, catalan, double_factorial_odd
-from ivpverify.identities import build_lhs, coeff_mismatch
+from ivpverify.identities import coeff_mismatch
 from ivpverify.qpoly import q_sun_sum
 from ivpverify.report import CaseResult, make_case
 from ivpverify.values import coefficients, first_non_multiple
@@ -29,6 +34,30 @@ from ivpverify.values import coefficients, first_non_multiple
 def _validate_eps(eps: int) -> None:
     if eps not in (1, -1):
         raise ValueError(f"eps must be +1 or -1, got {eps}")
+
+
+# -- the two closed forms of S_n, one binomial per term ----------------------
+
+def build_lhs(n: int, points: int) -> tuple[int, ...]:
+    """S_n(0), ..., S_n(points-1) from sum_{k=0}^n C(-x-1,k)^2 C(x,n-k)^2."""
+    return tuple(
+        sum(
+            combinat.binom_int(-x - 1, k) ** 2 * combinat.binom_int(x, n - k) ** 2
+            for k in range(n + 1)
+        )
+        for x in range(points)
+    )
+
+
+def build_rhs(n: int, points: int) -> tuple[int, ...]:
+    """S_n(0), ..., S_n(points-1) from sum_{k=0}^n C(n+k,2k) C(2k,k)^2 C(x+k,2k)."""
+    weights = [
+        combinat.binom_int(n + k, 2 * k) * combinat.binom_int(2 * k, k) ** 2 for k in range(n + 1)
+    ]
+    return tuple(
+        sum(w * combinat.binom_int(x + k, 2 * k) for k, w in enumerate(weights))
+        for x in range(points)
+    )
 
 
 # -- the sums, one cell at a time -------------------------------------------

@@ -7,6 +7,7 @@ from ivpverify.combinat import binom_int, double_factorial_odd
 from ivpverify.congruences import (
     catalan_form_values,
     conjecture_final_values,
+    s_table,
     schmidt_coefficient_rows,
     weighted_sum_rows,
 )
@@ -16,7 +17,7 @@ from ivpverify.values import coefficients, first_non_multiple, forward_differenc
 
 def _weighted(l, n, eps):
     """The weighted sum for (l, n, eps): the last entry of its row."""
-    return weighted_sum_rows(l, eps, n)[-1]
+    return weighted_sum_rows(l, eps, s_table(n))[-1]
 
 
 def _at(coeffs, x0):
@@ -54,7 +55,7 @@ def test_schmidt_combination_recovers_weighted_sum():
     # must reproduce the weighted sum at each of its 2n-1 points.
     for l in (1, 2):
         for eps in (1, -1):
-            weighted = weighted_sum_rows(l, eps, 5)
+            weighted = weighted_sum_rows(l, eps, s_table(5))
             for n, coeffs in enumerate(schmidt_coefficient_rows(l, eps, 5), 1):
                 values = tuple(
                     sum(
@@ -68,11 +69,11 @@ def test_schmidt_combination_recovers_weighted_sum():
 
 def test_theorem1_polynomial_hand_cases():
     # n times the 1/n polynomial: 1, 2 (3x^2+3x+2) and -(3x^2+3x+1).
-    assert weighted_sum_rows(1, 1, 1) == [(1,)]
+    assert weighted_sum_rows(1, 1, s_table(1)) == [(1,)]
     assert coefficients(_weighted(1, 2, 1)) == [4, 6, 6]
     assert coefficients(_weighted(1, 2, -1)) == [-2, -6, -6]
     with pytest.raises(ValueError):
-        weighted_sum_rows(1, 0, 2)
+        weighted_sum_rows(1, 0, s_table(2))
 
 
 def test_theorem1_scaled_by_n_has_integer_basis():
@@ -101,7 +102,7 @@ def test_theorem2_grid_is_integer_valued():
 
 
 def test_catalan_form_matches_theorem2():
-    for n, values in enumerate(weighted_sum_rows(1, 1, 10), 1):
+    for n, values in enumerate(weighted_sum_rows(1, 1, s_table(10)), 1):
         assert values == tuple(n * n * c for c in catalan_form_values(n))
 
 

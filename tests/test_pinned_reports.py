@@ -181,6 +181,26 @@ def test_recurrence_fault_witness(tmp_path, monkeypatch):
     ]
 
 
+@pytest.mark.parametrize("j", range(6))
+def test_recurrence_sweep_fault_fails_the_cells_reading_it(tmp_path, monkeypatch, j):
+    # S_j of the lhs table gains 1 at every point.  The lhs cell at n reads
+    # S_n, S_(n+1) and S_(n+2), so exactly n = j-2, j-1 and j fail, those of
+    # them with 0 <= n <= n_max - 2; the base cell n = j fails too, and the
+    # rhs family still passes.
+    _corrupt(monkeypatch, identities, "build_lhs", (j,), lambda x: 1)
+    rc, failed = _failures(tmp_path, ["recurrence", "--n-max", "5"])
+    assert rc == 1
+    failed_n = {
+        family: [c["key"]["n"] for c in failed if c["key"]["family"] == family]
+        for family in ("base", "lhs", "rhs")
+    }
+    assert failed_n == {
+        "base": [j] if j <= 1 else [],
+        "lhs": [n for n in (j - 2, j - 1, j) if 0 <= n <= 3],
+        "rhs": [],
+    }
+
+
 def test_chu_vandermonde_fault_witness(tmp_path, monkeypatch):
     original = identities.binom_int
 

@@ -4,8 +4,9 @@ A row function decides a whole grid row from one running sum, so a
 bug in it would corrupt every later cell of the row.  These tests
 rebuild each cell from scratch and compare the two cell for cell:
 key, status, witness and severity.  With a fault drawn into one
-binomial coefficient (the same fault in the verifier and in the
-oracle) the failing cells and their witnesses must agree as well.
+binomial coefficient, or into one value S_k(x) of the S_k tables that
+the weighted-sum rows read (the same fault in the verifier and in the
+oracle), the failing cells and their witnesses must agree as well.
 """
 
 from contextlib import ExitStack
@@ -21,6 +22,7 @@ from ivpverify.combinat import binom_int, binom_rat, binom_rat_row
 from ivpverify.congruences import (
     conjecture_final_values,
     power_sums,
+    s_table,
     schmidt_coefficient_rows,
     weighted_sum_rows,
 )
@@ -40,6 +42,19 @@ def _corrupted_binom(bad, delta):
     return corrupted
 
 
+def _corrupted_s(build, bad, delta):
+    """build, with delta added to S_k(x) wherever (k, x) == bad is built."""
+    k, x = bad
+
+    def corrupted(n, points):
+        values = build(n, points)
+        if n != k or x >= points:
+            return values
+        return values[:x] + (values[x] + delta,) + values[x + 1:]
+
+    return corrupted
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     l_max=st.integers(1, 3),
@@ -49,18 +64,20 @@ def _corrupted_binom(bad, delta):
     eps=st.sampled_from([(1,), (-1,), (1, -1)]),
     m=st.integers(1, 3),
     fault=st.none() | st.tuples(st.integers(-6, 14), st.integers(0, 8), st.integers(1, 5)),
+    s_fault=st.none() | st.tuples(st.integers(0, 11), st.integers(0, 22), st.integers(1, 5)),
 )
-def test_rows_match_per_cell_oracle(l_max, n_max, x_min, width, eps, m, fault):
+def test_rows_match_per_cell_oracle(l_max, n_max, x_min, width, eps, m, fault, s_fault):
     with ExitStack() as stack:
         if fault is not None:
             corrupted = _corrupted_binom(fault[:2], fault[2])
             for module in (congruences, identities, cell_oracle):
                 stack.enter_context(mock.patch.object(module, "binom_int", corrupted))
-            # The S_k tables are cached: build them afresh under the fault
-            # and drop them again after it.
-            for cached in (identities.build_lhs, identities.build_rhs):
-                cached.cache_clear()
-                stack.callback(cached.cache_clear)
+        if s_fault is not None:
+            # The verifier's S_k comes from ratio updates, not binom_int, so
+            # the weighted-sum running sums meet a fault only through S_k.
+            for module in (congruences, cell_oracle):
+                corrupted = _corrupted_s(module.build_lhs, s_fault[:2], s_fault[2])
+                stack.enter_context(mock.patch.object(module, "build_lhs", corrupted))
         for task in cell_oracle.ORACLE:
             config = cli.GridConfig(
                 task, l_max=l_max, n_max=n_max, m=m, eps=eps,
@@ -81,7 +98,7 @@ def test_row_builders_match_per_cell_sums(l, eps, n_max, m, x0):
     # Values, not only verdicts: a sum off by a multiple of the modulus
     # would still pass a cell.
     ns = range(1, n_max + 1)
-    assert weighted_sum_rows(l, eps, n_max) == [
+    assert weighted_sum_rows(l, eps, s_table(n_max)) == [
         cell_oracle.weighted_sum_values(l, n, eps) for n in ns
     ]
     assert schmidt_coefficient_rows(l, eps, n_max) == [
@@ -92,6 +109,16 @@ def test_row_builders_match_per_cell_sums(l, eps, n_max, m, x0):
             cell_oracle.conjecture_final_value(l, n, k).value for n in range(k + 1, n_max + 1)
         ]
     assert power_sums(m, x0, n_max) == [cell_oracle.power_sum_at(m, k, x0) for k in range(n_max)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(0, 30), data=st.data())
+def test_closed_forms_match_per_term_formulas(n, data):
+    # The verifier builds both closed forms by ratio updates; the oracle
+    # keeps one binom_int call per term.
+    points = data.draw(st.integers(0, 2 * n + 5))
+    assert identities.build_lhs(n, points) == cell_oracle.build_lhs(n, points)
+    assert identities.build_rhs(n, points) == cell_oracle.build_rhs(n, points)
 
 
 @given(
