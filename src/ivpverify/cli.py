@@ -9,10 +9,12 @@ cell of one grid row, the config fields its report echoes, its row keys
 as a function of the `GridConfig`, and the smallest n_max it accepts.
 Where a grid row is a prefix sum over n (telescope, theorem1, theorem2,
 the catalan-form identity, lemma-schmidt, conjecture-final,
-conjecture-sun-m, conjecture-sun-ii, q-specialize), its row function
-keeps one running sum, so a cell costs O(1) instead of a fresh sum.
-The weighted-sum rows and the lhs and rhs recurrence rows build their
-S_k table once per row; other tasks have one-cell rows (`_one`).
+conjecture-sun-m, conjecture-sun-ii, q-sun, q-specialize), its row
+function keeps one running sum, so a cell costs O(1) instead of a
+fresh sum (q-sun and q-specialize each run their own sweep of
+`qpoly.q_sun_sums` over the rows k).  The weighted-sum rows and the
+lhs and rhs recurrence rows build their S_k table once per row; other
+tasks have one-cell rows (`_one`).
 `run` makes one `gridrun.run_grid` call per task, all of them in one
 shared worker pool.  A `GridConfig` checks every bound when
 it is built, so `run(GridConfig("theorem1", n_max=25))` is safe to call
@@ -140,10 +142,6 @@ def _xs(c: GridConfig) -> range:
     return range(c.x_min, c.x_max + 1)
 
 
-def _n_k(c: GridConfig) -> list[tuple[int, int]]:
-    return [(n, k) for n in _ns(c) for k in range(n)]
-
-
 def _k_rows(c: GridConfig) -> list[tuple[int, int]]:
     """Rows k over n = k+1 .. n_max."""
     return [(k, c.n_max) for k in range(c.n_max)]
@@ -199,7 +197,7 @@ _TASKS = {
     "conjecture-sun-ii": _Task(
         congruences.sun_ii_row, ("l_max", "n_max"), lambda c: [(c.l_max, c.n_max)]
     ),
-    "q-sun": _Task(partial(_one, qpoly.q_sun_case), ("n_max",), _n_k),
+    "q-sun": _Task(qpoly.q_sun_row, ("n_max",), _k_rows),
     "q-specialize": _Task(qpoly.q_specialize_row, ("n_max",), _k_rows),
 }
 

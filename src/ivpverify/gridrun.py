@@ -9,14 +9,16 @@ a run with --jobs 8 yields byte-identical JSON/CSV to a serial run
 block).
 
 `worker_pool` opens one pool of worker processes that every `run_grid`
-call inside it shares, so `verify all --jobs N` starts N workers once.
+call inside it shares, so `verify all --jobs N` starts its workers
+once.  It starts at most one worker per core, whatever N is.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from typing import Callable, Iterable, Iterator, Optional
 
 from .report import CaseResult, VerificationReport
@@ -28,13 +30,19 @@ __all__ = ["run_grid", "worker_pool"]
 _SPLIT = 4
 
 
+def _workers(jobs: int) -> int:
+    """Worker processes for `jobs`: no more than the cores."""
+    return min(jobs, os.cpu_count() or 1)
+
+
 @contextmanager
 def worker_pool(jobs: int) -> Iterator[Optional[ProcessPoolExecutor]]:
-    """A pool of `jobs` worker processes for the block; None when jobs == 1."""
+    """A pool of min(jobs, core count) worker processes for the block;
+    None when jobs == 1."""
     if jobs == 1:
         yield None
         return
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=_workers(jobs)) as pool:
         yield pool
 
 
@@ -51,18 +59,19 @@ def run_grid(
 
     case_fn returns the list of cases of one row; it must be a
     module-level callable (picklable) when jobs > 1.  A parallel call
-    runs in `pool`, or in a pool of its own when none is given.
+    runs in `pool`, which `worker_pool(jobs)` opens.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if jobs > 1 and pool is None:
+        raise ValueError("a parallel run_grid call needs a pool from worker_pool")
     start = time.perf_counter()
     keys = list(keys)
     if jobs == 1 or len(keys) <= 1:
         rows = [case_fn(key) for key in keys]
     else:
-        chunk = max(1, len(keys) // (jobs * _SPLIT))
-        with worker_pool(jobs) if pool is None else nullcontext(pool) as pool:
-            rows = list(pool.map(case_fn, keys, chunksize=chunk))
+        chunk = max(1, len(keys) // (_workers(jobs) * _SPLIT))
+        rows = list(pool.map(case_fn, keys, chunksize=chunk))
     cases = [case for row in rows for case in row]
     cases.sort(key=lambda c: c.sort_key)
     return VerificationReport(

@@ -1,25 +1,26 @@
 """Integer Laurent polynomials in q, with q-integers, q-binomials, and
-the congruence family modulo the squared q-integer: the q-sum builder,
-the cell function of q-sun and the row function of q-specialize.
+the congruence family modulo the squared q-integer: the q-sum row
+builder and the row functions of q-sun and q-specialize.
 
 Products use Kronecker substitution: both coefficient lists are packed
 into one big integer each, at a slot width no coefficient of the
 product can overflow, so a single integer multiplication (Karatsuba in
 CPython) does the whole convolution.
 
-Divisibility of f by [n]^2 is decided in linear time.  Since
-[n] (1 - q) = 1 - q^n and Z[q] has no zero divisors, [n] divides f
-exactly when 1 - q^n divides f (1 - q), and dividing by 1 - q^n is the
-recurrence h_i = g_i + h_(i-n), which succeeds when its last n entries
-are zero; q-sun divides by [n] this way twice.  The general `laurent_divisible` (long
-division in the Laurent ring) only writes the remainder witness of a
-failing cell.
+Everything else rests on one linear-time pair: multiplying by 1 - q^j,
+and dividing by it with the recurrence h_i = f_i + h_(i-j), which is
+exact when its last j entries are zero.  A q-binomial is the product
+formula prod_i (1 - q^(n-k+i)) / (1 - q^i), a q-sum row steps
+[m+k choose 2k] and [2m+1] along m by the same ratios, and since
+[n] (1 - q) = 1 - q^n, [n]^2 divides f exactly when (1 - q^n)^2 divides
+f (1 - q)^2.  The general `laurent_divisible` (long division in the
+Laurent ring) only writes the remainder witness of a failing cell.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import accumulate
+from operator import add, sub
 from typing import Iterable, Optional, Sequence
 
 from .congruences import conjecture_final_values
@@ -31,8 +32,8 @@ __all__ = [
     "q_binom",
     "laurent_divisible",
     "divisible_by_q_integer_squared",
-    "q_sun_sum",
-    "q_sun_case",
+    "q_sun_sums",
+    "q_sun_row",
     "q_specialize_row",
 ]
 
@@ -82,12 +83,6 @@ class LaurentPoly:
         """Largest exponent with nonzero coefficient (min_exp - 1 if zero)."""
         return self.min_exp + len(self.coeffs) - 1
 
-    def coeff(self, e: int) -> int:
-        i = e - self.min_exp
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return 0
-
     def __eq__(self, other) -> bool:
         if isinstance(other, LaurentPoly):
             return self.min_exp == other.min_exp and self.coeffs == other.coeffs
@@ -105,9 +100,6 @@ class LaurentPoly:
         if self.is_zero:
             return self
         return LaurentPoly(self.coeffs, self.min_exp + s)
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly([-c for c in self.coeffs], self.min_exp)
 
     def __add__(self, other) -> "LaurentPoly":
         if isinstance(other, int):
@@ -129,16 +121,6 @@ class LaurentPoly:
 
     __radd__ = __add__
 
-    def __sub__(self, other) -> "LaurentPoly":
-        if isinstance(other, int):
-            other = LaurentPoly([other])
-        elif not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "LaurentPoly":
-        return (-self) + other
-
     def __mul__(self, other) -> "LaurentPoly":
         if isinstance(other, int):
             return LaurentPoly([c * other for c in self.coeffs], self.min_exp)
@@ -150,18 +132,6 @@ class LaurentPoly:
         return LaurentPoly(product, self.min_exp + other.min_exp)
 
     __rmul__ = __mul__
-
-    def __pow__(self, exp: int) -> "LaurentPoly":
-        if exp < 0:
-            raise ValueError("LaurentPoly only supports non-negative powers")
-        result = LaurentPoly([1])
-        base = self
-        while exp:
-            if exp & 1:
-                result = result * base
-            base = base * base
-            exp >>= 1
-        return result
 
     def eval_at_one(self) -> int:
         """Specialize q = 1: simply the sum of the coefficients."""
@@ -228,23 +198,48 @@ def q_integer(n: int) -> LaurentPoly:
     return LaurentPoly([1] * n)
 
 
-# The q-Pascal recursion fills every (n, k) with k <= n <= 2 n_max, about
-# 2 n_max^2 entries; this bound holds that for n_max up to 90.
-@lru_cache(maxsize=1 << 14)
-def _q_binom_poly(n: int, k: int) -> LaurentPoly:
-    """Gaussian binomial via the q-Pascal rule B(n,k) = B(n-1,k-1) + q^k B(n-1,k)."""
-    if k < 0 or k > n:
-        return LaurentPoly()
-    if k == 0 or k == n:
-        return LaurentPoly([1])
-    return _q_binom_poly(n - 1, k - 1) + _q_binom_poly(n - 1, k).shift(k)
+def _times_one_minus(coeffs: Sequence[int], j: int) -> list[int]:
+    """Coefficients of f (1 - q^j), j >= 1, for f with these coefficients."""
+    out = [*coeffs, *[0] * j]
+    out[j:] = map(sub, out[j:], coeffs)
+    return out
+
+
+def _over_one_minus(coeffs: Sequence[int], j: int) -> Optional[list[int]]:
+    """Coefficients of f / (1 - q^j), j >= 1, or None when 1 - q^j does not
+    divide f.  The quotient satisfies h_i = f_i + h_(i-j), a running sum
+    along each residue class of i mod j; the division is exact when the
+    last j entries are zero."""
+    h = list(coeffs)
+    for r in range(min(j, len(h))):
+        h[r::j] = accumulate(h[r::j])
+    if any(h[-j:]):
+        return None
+    return h[:-j]
+
+
+def _ratio_step(coeffs: Sequence[int], up: int, down: int) -> list[int]:
+    """f (1 - q^up) / (1 - q^down), one step of a q-binomial product
+    formula: every partial product there is a polynomial, so the
+    division is exact."""
+    quotient = _over_one_minus(_times_one_minus(coeffs, up), down)
+    if quotient is None:
+        raise ArithmeticError(f"1 - q^{down} does not divide a q-binomial partial product")
+    return quotient
 
 
 def q_binom(n: int, k: int) -> LaurentPoly:
-    """The Gaussian coefficient [n choose k]; zero polynomial when k > n."""
+    """The Gaussian coefficient [n choose k] = prod_{i=1..k} (1 - q^(n-k+i)) / (1 - q^i);
+    zero polynomial when k > n."""
     if n < 0 or k < 0:
         raise ValueError(f"q_binom: need n, k >= 0, got {n}, {k}")
-    return _q_binom_poly(n, k)
+    if k > n:
+        return LaurentPoly()
+    k = min(k, n - k)
+    coeffs = [1]
+    for i in range(1, k + 1):
+        coeffs = _ratio_step(coeffs, n - k + i, i)
+    return LaurentPoly(coeffs)
 
 
 def laurent_divisible(f: LaurentPoly, g: LaurentPoly) -> tuple[bool, LaurentPoly]:
@@ -291,57 +286,53 @@ def laurent_divisible(f: LaurentPoly, g: LaurentPoly) -> tuple[bool, LaurentPoly
     return True, LaurentPoly(quot, f.min_exp - g.min_exp)
 
 
-def _divide_by_q_integer(coeffs: Sequence[int], n: int) -> Optional[list[int]]:
-    """Coefficients of f / [n] for f with these coefficients, or None when
-    [n] does not divide f: g = f (1 - q) is divided by 1 - q^n."""
-    g = [c - prev for c, prev in zip([*coeffs, 0], [0, *coeffs])]
-    for i in range(n, len(g)):
-        g[i] += g[i - n]
-    if any(g[-n:]):
-        return None
-    return g[:-n]
-
-
 def divisible_by_q_integer_squared(f: LaurentPoly, n: int) -> bool:
-    """Whether [n]^2 divides f, in time linear in the length of f."""
-    once = _divide_by_q_integer(f.coeffs, n)
-    return once is not None and _divide_by_q_integer(once, n) is not None
+    """Whether [n]^2 divides f, that is whether (1 - q^n)^2 divides
+    f (1 - q)^2, in time linear in the length of f."""
+    g = _times_one_minus(_times_one_minus(f.coeffs, 1), 1)
+    once = _over_one_minus(g, n)
+    return once is not None and _over_one_minus(once, n) is not None
 
 
-def q_sun_sum(n: int, k: int) -> LaurentPoly:
-    """sum_{m=k}^{n-1} [2m+1] [m+k choose 2k] [2k choose k]^2 q^(-(k+1)m)."""
-    if n < 1:
-        raise ValueError(f"q_sun_sum: n must be >= 1, got {n}")
-    if not 0 <= k <= n - 1:
-        raise ValueError(f"q_sun_sum: need 0 <= k <= n-1, got k={k}, n={n}")
-    # [2m+1] = (1 - q^(2m+1)) / (1 - q): every term adds q^s (1 - q^(2m+1))
-    # times its q-binomial to one list, and one running sum divides the
-    # total by 1 - q.  The m = n-1 term, of degree 2m + 2k(m-k) above its
-    # shift -(k+1)m, spans the lowest and the highest exponent of the sum.
-    low = -(k + 1) * (n - 1)
-    high = (k + 1) * (n - 1) - 2 * k * k
-    diff = [0] * (high - low + 2)
-    for m in range(k, n):
+def q_sun_sums(k: int, n_max: int) -> list[LaurentPoly]:
+    """The q-sums sum_{m=k}^{n-1} [2m+1] [m+k choose 2k] [2k choose k]^2 q^(-(k+1)m)
+    for n = k+1 .. n_max, from one running sum over m."""
+    central = q_binom(2 * k, k)
+    central_sq = central * central
+    # The m-th term spans the exponents -(k+1)m .. (k+1)m - 2k^2, so it
+    # covers every earlier term: the partial sum up to m is the window
+    # of `total` under the m-th term.
+    low = -(k + 1) * (n_max - 1)
+    total = [0] * ((k + 1) * (n_max - 1) - 2 * k * k - low + 1)
+    binom = [1]  # [m+k choose 2k], from [2k choose 2k] = 1 at m = k
+    sums = []
+    for m in range(k, n_max):
+        if m > k:
+            binom = _ratio_step(binom, m + k, m - k)
+        term = _ratio_step(binom, 2 * m + 1, 1)  # times [2m+1]
         start = -(k + 1) * m - low
-        for i, c in enumerate(_q_binom_poly(m + k, 2 * k).coeffs, start):
-            diff[i] += c
-            diff[i + 2 * m + 1] -= c
-    central = _q_binom_poly(2 * k, k)
-    return LaurentPoly(accumulate(diff), low) * (central * central)
+        window = slice(start, start + len(term))
+        total[window] = map(add, total[window], term)
+        sums.append(LaurentPoly(total[window], -(k + 1) * m) * central_sq)
+    return sums
 
 
-def q_sun_case(key: tuple[int, int]) -> CaseResult:
-    """The q-sum for (n, k), 0 <= k < n, is divisible by [n]^2."""
-    n, k = key
-    f = q_sun_sum(n, k)
-    if divisible_by_q_integer_squared(f, n):
-        return make_case((("n", n), ("k", k)), True)
-    modulus = q_integer(n)
-    ok, witness_poly = laurent_divisible(f, modulus * modulus)
-    if ok:
-        raise ArithmeticError(f"q-sun n={n}, k={k}: long division and the [n] recurrence disagree")
-    witness = f"remainder {witness_poly} after division by [{n}]^2"
-    return make_case((("n", n), ("k", k)), False, witness)
+def q_sun_row(key: tuple[int, int]) -> list[CaseResult]:
+    """The q-sum for (n, k) is divisible by [n]^2, for the row key
+    (k, n_max) over n = k+1 .. n_max."""
+    k, n_max = key
+    cases = []
+    for n, f in enumerate(q_sun_sums(k, n_max), k + 1):
+        if divisible_by_q_integer_squared(f, n):
+            cases.append(make_case((("n", n), ("k", k)), True))
+            continue
+        modulus = q_integer(n)
+        ok, witness_poly = laurent_divisible(f, modulus * modulus)
+        if ok:
+            raise ArithmeticError(f"q-sun n={n}, k={k}: long division and the linear-time test disagree")
+        witness = f"remainder {witness_poly} after division by [{n}]^2"
+        cases.append(make_case((("n", n), ("k", k)), False, witness))
+    return cases
 
 
 def q_specialize_row(key: tuple[int, int]) -> list[CaseResult]:
@@ -351,8 +342,9 @@ def q_specialize_row(key: tuple[int, int]) -> list[CaseResult]:
     running sums of conjecture-final."""
     k, n_max = key
     cases = []
-    for n, classical in enumerate(conjecture_final_values(1, k, n_max), k + 1):
-        at_one = q_sun_sum(n, k).eval_at_one()
+    pairs = zip(q_sun_sums(k, n_max), conjecture_final_values(1, k, n_max))
+    for n, (f, classical) in enumerate(pairs, k + 1):
+        at_one = f.eval_at_one()
         ok = at_one == classical
         witness = None if ok else f"q=1 value {at_one} != classical sum {classical}"
         cases.append(make_case((("n", n), ("k", k)), ok, witness))

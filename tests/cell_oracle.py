@@ -14,19 +14,23 @@ the verifier's copy the same way and compare the failing cells too.
 forms, one `combinat.binom_int` call per binomial: they oracle the
 verifier's ratio-updated builders, and a fault drawn into this module's
 `binom_int` does not reach them, as it does not reach the verifier's.
+The q side keeps the per-cell q-sum, each q-binomial from the q-Pascal
+rule: a test corrupts `q_sun_sum` here and the verifier's row builder
+`qpoly.q_sun_sums` the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from functools import lru_cache
+from itertools import accumulate, product
 from typing import Optional
 
 from ivpverify import combinat
 from ivpverify.combinat import binom_int, binom_rat, catalan, double_factorial_odd
 from ivpverify.identities import coeff_mismatch
-from ivpverify.qpoly import q_sun_sum
+from ivpverify.qpoly import LaurentPoly, laurent_divisible, q_integer
 from ivpverify.report import CaseResult, make_case
 from ivpverify.values import coefficients, first_non_multiple
 
@@ -150,6 +154,34 @@ def telescope_lhs(n: int, k: int) -> int:
     return sum(
         (2 * m + 1) * binom_int(m + k, 2 * k) * binom_int(2 * k, k) for m in range(k, n)
     )
+
+
+@lru_cache(maxsize=None)
+def q_binom(n: int, k: int) -> LaurentPoly:
+    """Gaussian binomial via the q-Pascal rule B(n,k) = B(n-1,k-1) + q^k B(n-1,k)."""
+    if k < 0 or k > n:
+        return LaurentPoly()
+    if k == 0 or k == n:
+        return LaurentPoly([1])
+    return q_binom(n - 1, k - 1) + q_binom(n - 1, k).shift(k)
+
+
+def q_sun_sum(n: int, k: int) -> LaurentPoly:
+    """sum_{m=k}^{n-1} [2m+1] [m+k choose 2k] [2k choose k]^2 q^(-(k+1)m)."""
+    # [2m+1] = (1 - q^(2m+1)) / (1 - q): every term adds q^s (1 - q^(2m+1))
+    # times its q-binomial to one list, and one running sum divides the
+    # total by 1 - q.  The m = n-1 term spans the lowest and the highest
+    # exponent of the sum.
+    low = -(k + 1) * (n - 1)
+    high = (k + 1) * (n - 1) - 2 * k * k
+    diff = [0] * (high - low + 2)
+    for m in range(k, n):
+        start = -(k + 1) * m - low
+        for i, c in enumerate(q_binom(m + k, 2 * k).coeffs, start):
+            diff[i] += c
+            diff[i + 2 * m + 1] -= c
+    central = q_binom(2 * k, k)
+    return LaurentPoly(accumulate(diff), low) * (central * central)
 
 
 # -- one cell at a time ------------------------------------------------------
@@ -284,6 +316,16 @@ def sun_ii_case(key):
     return _int_valued_case((("l", l), ("n", n)), values, n * n, severity)
 
 
+def q_sun_case(key):
+    """Decided by long division alone; the verifier uses it only to write
+    the witness of a failing cell."""
+    n, k = key
+    modulus = q_integer(n)
+    ok, witness_poly = laurent_divisible(q_sun_sum(n, k), modulus * modulus)
+    witness = None if ok else f"remainder {witness_poly} after division by [{n}]^2"
+    return make_case((("n", n), ("k", k)), ok, witness)
+
+
 def q_specialize_case(key):
     n, k = key
     at_one = q_sun_sum(n, k).eval_at_one()
@@ -330,6 +372,7 @@ ORACLE: dict[str, tuple] = {
         sun_m_case, lambda c: product([c.m], _ls(c), _ns(c), c.eps, _xs(c))
     ),
     "conjecture-sun-ii": (sun_ii_case, lambda c: product(_ls(c), _ns(c))),
+    "q-sun": (q_sun_case, _n_k),
     "q-specialize": (q_specialize_case, _n_k),
 }
 

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import json
+import os
 
 import pytest
 
@@ -91,6 +92,31 @@ def test_all_shares_one_worker_pool(tmp_path, monkeypatch):
     assert cli.main(base + ["--jobs", "2", "--out", str(b)]) == 0
     assert len(started) == 1
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_jobs_beyond_the_cores_open_one_worker_per_core(monkeypatch):
+    # A stand-in pool that records its size and maps in this process:
+    # the test starts no process, whatever --jobs asks for.
+    opened = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, keys, chunksize=1):
+            return map(fn, keys)
+
+    monkeypatch.setattr(gridrun, "ProcessPoolExecutor", InProcessPool)
+    for task in ("theorem2", "q-sun"):
+        report = cli.run(cli.GridConfig(task, n_max=3, jobs=10 ** 6))
+        assert report.cases == cli.run(cli.GridConfig(task, n_max=3)).cases
+    assert opened == [os.cpu_count() or 1] * 2
 
 
 def test_empty_out_flag_exits_two(capsys):

@@ -237,18 +237,21 @@ def test_catalan_form_terms_fault_witness(tmp_path, monkeypatch):
     }]
 
 
-def _corrupt_q_sun_sum(monkeypatch, bad_key):
-    original = qpoly.q_sun_sum
+def _corrupt_q_sun_sums(monkeypatch, bad_key):
+    original = qpoly.q_sun_sums
+    bad_n, bad_k = bad_key
 
-    def corrupted(n, k):  # the coefficient of q^0 gains 1
-        value = original(n, k)
-        return value + 1 if (n, k) == bad_key else value
+    def corrupted(k, n_max):  # the coefficient of q^0 in entry n = bad_n gains 1
+        sums = original(k, n_max)
+        if k == bad_k and bad_n <= n_max:
+            sums[bad_n - k - 1] += 1
+        return sums
 
-    monkeypatch.setattr(qpoly, "q_sun_sum", corrupted)
+    monkeypatch.setattr(qpoly, "q_sun_sums", corrupted)
 
 
 def test_q_sun_fault_witness(tmp_path, monkeypatch):
-    _corrupt_q_sun_sum(monkeypatch, (3, 1))
+    _corrupt_q_sun_sums(monkeypatch, (3, 1))
     rc, failed = _failures(tmp_path, ["q-sun", "--n-max", "3"])
     assert rc == 1
     assert failed == [{
@@ -259,7 +262,7 @@ def test_q_sun_fault_witness(tmp_path, monkeypatch):
 
 
 def test_q_specialize_fault_witness(tmp_path, monkeypatch):
-    _corrupt_q_sun_sum(monkeypatch, (3, 1))
+    _corrupt_q_sun_sums(monkeypatch, (3, 1))
     rc, failed = _failures(tmp_path, ["q-specialize", "--n-max", "3"])
     assert rc == 1
     assert failed == [{

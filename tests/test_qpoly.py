@@ -10,11 +10,16 @@ from ivpverify.qpoly import (
     laurent_divisible,
     q_binom,
     q_integer,
-    q_sun_sum,
+    q_sun_sums,
 )
 from ivpverify.cli import GridConfig, run
 
 Q = LaurentPoly([0, 1])
+
+
+def q_sun_sum(n, k):
+    """The q-sum of the cell (n, k), the last entry of row k up to n."""
+    return q_sun_sums(k, n)[-1]
 
 
 def _schoolbook(a, b):
@@ -60,12 +65,11 @@ def test_laurent_rejects_non_integer_coeffs():
 def test_laurent_ring_ops():
     one_plus_q = LaurentPoly([1, 1])
     assert one_plus_q * one_plus_q == LaurentPoly([1, 2, 1])
-    assert one_plus_q + (-one_plus_q) == LaurentPoly()
+    assert one_plus_q + (-1 * one_plus_q) == LaurentPoly()
     assert (Q.shift(-2)) * (Q.shift(2)) == Q * Q
-    assert one_plus_q - 1 == Q
+    assert one_plus_q + (-1) == Q
     assert 2 * one_plus_q == LaurentPoly([2, 2])
-    assert one_plus_q ** 3 == LaurentPoly([1, 3, 3, 1])
-    assert one_plus_q.coeff(0) == 1 and one_plus_q.coeff(5) == 0
+    assert one_plus_q * one_plus_q * one_plus_q == LaurentPoly([1, 3, 3, 1])
 
 
 def test_laurent_shift_and_eval():
@@ -89,6 +93,14 @@ def test_q_binom_frozen_expansions():
     assert q_binom(6, 3) == LaurentPoly([1, 1, 2, 3, 3, 3, 3, 2, 1, 1])
     assert q_binom(5, 0) == LaurentPoly([1])
     assert q_binom(3, 5).is_zero
+    with pytest.raises(ValueError):
+        q_binom(-1, 0)
+
+
+def test_q_binom_of_large_n_needs_no_recursion():
+    # The q-Pascal recursion this replaced overflowed the stack here.
+    assert q_binom(1100, 1) == q_integer(1100)
+    assert q_binom(1100, 1099) == q_integer(1100)
 
 
 def test_q_pascal_recurrence():
@@ -150,7 +162,7 @@ def test_laurent_divisible_products_round_trip():
 
 @given(st.integers(-10, 10), st.integers(2, 12))
 def test_divisibility_is_shift_invariant(s, n):
-    modulus = q_integer(n) ** 2
+    modulus = q_integer(n) * q_integer(n)
     f = q_sun_sum(n, 0)
     ok_base, _ = laurent_divisible(f, modulus)
     ok_shifted, _ = laurent_divisible(f.shift(s), modulus)
@@ -158,14 +170,12 @@ def test_divisibility_is_shift_invariant(s, n):
 
 
 def test_q_sun_sum_hand_cases():
-    assert q_sun_sum(1, 0) == LaurentPoly([1])
-    assert q_sun_sum(2, 0) == LaurentPoly([1, 2, 1], min_exp=-1)
+    assert q_sun_sums(0, 2) == [LaurentPoly([1]), LaurentPoly([1, 2, 1], min_exp=-1)]
     expected = (q_integer(3) * LaurentPoly([1, 2, 1])).shift(-2)
-    assert q_sun_sum(2, 1) == expected
+    assert q_sun_sums(1, 2) == [expected]
+    assert q_sun_sums(2, 2) == []
     with pytest.raises(ValueError):
-        q_sun_sum(2, 2)
-    with pytest.raises(ValueError):
-        q_sun_sum(0, 0)
+        q_sun_sums(-1, 2)
 
 
 def test_q_sun_grid():
@@ -176,12 +186,12 @@ def test_q_sun_grid():
 
 def test_q_sun_quotients_are_certified():
     # Re-multiply quotient by modulus to confirm the division certificate.
-    for n in range(1, 9):
-        for k in range(n):
-            modulus = q_integer(n) ** 2
-            ok, quot = laurent_divisible(q_sun_sum(n, k), modulus)
+    for k in range(8):
+        for n, f in enumerate(q_sun_sums(k, 8), k + 1):
+            modulus = q_integer(n) * q_integer(n)
+            ok, quot = laurent_divisible(f, modulus)
             assert ok
-            assert quot * modulus == q_sun_sum(n, k)
+            assert quot * modulus == f
 
 
 def test_q_sun_raises_when_the_fast_test_and_long_division_disagree(monkeypatch):
@@ -239,12 +249,29 @@ def test_fast_square_test_rejects_single_multiples(g, n, s):
 
 
 def test_q_sun_sum_matches_term_by_term_products():
-    for n in range(1, 10):
-        for k in range(n):
-            central = q_binom(2 * k, k)
-            expected = LaurentPoly()
-            for m in range(k, n):
-                term = _schoolbook(q_integer(2 * m + 1), q_binom(m + k, 2 * k))
-                expected = expected + term.shift(-(k + 1) * m)
-            expected = _schoolbook(expected, _schoolbook(central, central))
-            assert q_sun_sum(n, k) == expected
+    for k in range(9):
+        central = q_binom(2 * k, k)
+        expected = LaurentPoly()
+        row = []
+        for m in range(k, 9):
+            term = _schoolbook(q_integer(2 * m + 1), q_binom(m + k, 2 * k))
+            expected = expected + term.shift(-(k + 1) * m)
+            row.append(_schoolbook(expected, _schoolbook(central, central)))
+        assert q_sun_sums(k, 9) == row
+
+
+def _one_minus(j):
+    return LaurentPoly([1] + [0] * (j - 1) + [-1])
+
+
+@given(_laurent(_COEFFS), st.integers(1, 30), st.integers(-40, 40))
+@example(LaurentPoly(), 3, 0)
+@example(LaurentPoly([1, 1]), 5, 1)
+def test_one_minus_pair_matches_laurent_products(f, j, i):
+    product = _schoolbook(f, _one_minus(j))
+    times = qpoly._times_one_minus(f.coeffs, j)
+    assert LaurentPoly(times, f.min_exp) == product
+    assert LaurentPoly(qpoly._over_one_minus(times, j), f.min_exp) == f
+    assert LaurentPoly(qpoly._over_one_minus(product.coeffs, j), product.min_exp) == f
+    # Negative control: q^i is no multiple of 1 - q^j, so neither is the sum.
+    assert qpoly._over_one_minus((product + LaurentPoly([1], i)).coeffs, j) is None

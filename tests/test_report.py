@@ -124,7 +124,8 @@ def test_run_grid_sorts_cases_and_times():
 
 def test_run_grid_parallel_matches_serial():
     serial = run_grid("demo", {}, range(20), _square_row, jobs=1)
-    parallel = run_grid("demo", {}, range(20), _square_row, jobs=4)
+    with worker_pool(4) as pool:
+        parallel = run_grid("demo", {}, range(20), _square_row, jobs=4, pool=pool)
     assert serial.cases == parallel.cases
     with worker_pool(2) as pool:
         first = run_grid("demo", {}, range(5), _square_row, jobs=2, pool=pool)
@@ -132,3 +133,6 @@ def test_run_grid_parallel_matches_serial():
     assert shared.cases == serial.cases and first.total == 10
     with pytest.raises(ValueError):
         run_grid("demo", {}, [1], _square_row, jobs=0)
+    # A parallel call opens no pool of its own.
+    with pytest.raises(ValueError, match="worker_pool"):
+        run_grid("demo", {}, range(20), _square_row, jobs=2)

@@ -7,6 +7,9 @@ key, status, witness and severity.  With a fault drawn into one
 binomial coefficient, or into one value S_k(x) of the S_k tables that
 the weighted-sum rows read (the same fault in the verifier and in the
 oracle), the failing cells and their witnesses must agree as well.
+The q-sun and q-specialize rows meet a fault as 1 added to one
+coefficient of one cell's q-sum, in the verifier's row and in the
+oracle's per-cell sum alike.
 """
 
 from contextlib import ExitStack
@@ -17,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cell_oracle
-from ivpverify import cli, congruences, identities
+from ivpverify import cli, congruences, identities, qpoly
 from ivpverify.combinat import binom_int, binom_rat, binom_rat_row
 from ivpverify.congruences import (
     conjecture_final_values,
@@ -26,6 +29,7 @@ from ivpverify.congruences import (
     schmidt_coefficient_rows,
     weighted_sum_rows,
 )
+from ivpverify.qpoly import LaurentPoly
 
 
 def _row_cases(task, config):
@@ -55,6 +59,31 @@ def _corrupted_s(build, bad, delta):
     return corrupted
 
 
+def _corrupted_q_sums(bad, exponent):
+    """qpoly.q_sun_sums, with q^exponent added to the sum of the cell bad = (n, k)."""
+    n, k = bad
+    original = qpoly.q_sun_sums
+
+    def corrupted(row_k, n_max):
+        sums = original(row_k, n_max)
+        if row_k == k and n <= n_max:
+            sums[n - k - 1] += LaurentPoly([1], exponent)
+        return sums
+
+    return corrupted
+
+
+def _corrupted_q_sum(bad, exponent):
+    """cell_oracle.q_sun_sum with the same fault."""
+    original = cell_oracle.q_sun_sum
+
+    def corrupted(n, k):
+        value = original(n, k)
+        return value + LaurentPoly([1], exponent) if (n, k) == bad else value
+
+    return corrupted
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     l_max=st.integers(1, 3),
@@ -65,8 +94,9 @@ def _corrupted_s(build, bad, delta):
     m=st.integers(1, 3),
     fault=st.none() | st.tuples(st.integers(-6, 14), st.integers(0, 8), st.integers(1, 5)),
     s_fault=st.none() | st.tuples(st.integers(0, 11), st.integers(0, 22), st.integers(1, 5)),
+    q_fault=st.none() | st.tuples(st.integers(1, 12), st.integers(0, 11), st.integers(-40, 30)),
 )
-def test_rows_match_per_cell_oracle(l_max, n_max, x_min, width, eps, m, fault, s_fault):
+def test_rows_match_per_cell_oracle(l_max, n_max, x_min, width, eps, m, fault, s_fault, q_fault):
     with ExitStack() as stack:
         if fault is not None:
             corrupted = _corrupted_binom(fault[:2], fault[2])
@@ -78,6 +108,15 @@ def test_rows_match_per_cell_oracle(l_max, n_max, x_min, width, eps, m, fault, s
             for module in (congruences, cell_oracle):
                 corrupted = _corrupted_s(module.build_lhs, s_fault[:2], s_fault[2])
                 stack.enter_context(mock.patch.object(module, "build_lhs", corrupted))
+        if q_fault is not None:
+            n, k, exponent = q_fault
+            bad = (n, min(k, n - 1))
+            stack.enter_context(
+                mock.patch.object(qpoly, "q_sun_sums", _corrupted_q_sums(bad, exponent))
+            )
+            stack.enter_context(
+                mock.patch.object(cell_oracle, "q_sun_sum", _corrupted_q_sum(bad, exponent))
+            )
         for task in cell_oracle.ORACLE:
             config = cli.GridConfig(
                 task, l_max=l_max, n_max=n_max, m=m, eps=eps,
