@@ -11,8 +11,9 @@ Where a grid row is a prefix sum over n (telescope, theorem1, theorem2,
 the catalan-form identity, lemma-schmidt, conjecture-final,
 conjecture-sun-m, conjecture-sun-ii, q-sun, q-specialize), its row
 function keeps one running sum, so a cell costs O(1) instead of a
-fresh sum (q-sun and q-specialize each run their own sweep of
-`qpoly.q_sun_sums` over the rows k).  The weighted-sum rows and the
+fresh sum (q-sun and q-specialize each sweep the unscaled q-sums
+`qpoly.q_sun_sums` over the rows k, and apply [2k choose k]^2 only in a
+residue modulo (1 - q^n)^2 or at q = 1).  The weighted-sum rows and the
 lhs and rhs recurrence rows build their S_k table once per row; other
 tasks have one-cell rows (`_one`).
 `run` makes one `gridrun.run_grid` call per task, all of them in one

@@ -2,25 +2,27 @@
 the congruence family modulo the squared q-integer: the q-sum row
 builder and the row functions of q-sun and q-specialize.
 
-Products use Kronecker substitution: both coefficient lists are packed
-into one big integer each, at a slot width no coefficient of the
-product can overflow, so a single integer multiplication (Karatsuba in
-CPython) does the whole convolution.
-
-Everything else rests on one linear-time pair: multiplying by 1 - q^j,
+Everything rests on one linear-time pair: multiplying by 1 - q^j,
 and dividing by it with the recurrence h_i = f_i + h_(i-j), which is
 exact when its last j entries are zero.  A q-binomial is the product
-formula prod_i (1 - q^(n-k+i)) / (1 - q^i), a q-sum row steps
-[m+k choose 2k] and [2m+1] along m by the same ratios, and since
-[n] (1 - q) = 1 - q^n, [n]^2 divides f exactly when (1 - q^n)^2 divides
-f (1 - q)^2.  The general `laurent_divisible` (long division in the
-Laurent ring) only writes the remainder witness of a failing cell.
+formula prod_i (1 - q^(n-k+i)) / (1 - q^i), and a q-sum row steps
+[m+k choose 2k] and [2m+1] along m by the same ratios.
+
+q-sun never forms the product A [2k choose k]^2 of a cell.  Since
+[n]^2 (1 - q)^2 = (1 - q^n)^2, the remainder of a polynomial on
+division by [n]^2 is the remainder of its residue modulo
+(1 - q^n)^2, so each factor is reduced to 2n coefficients, the
+residues are multiplied and reduced again, and two steps of division
+by the monic [n]^2 leave the remainder: zero decides the cell, and a
+nonzero one is its witness.  Products are schoolbook.  The general
+`laurent_divisible` (long division in the Laurent ring) is the
+reference the tests check this against.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
-from operator import add, sub
+from operator import add, mul, sub
 from typing import Iterable, Optional, Sequence
 
 from .congruences import conjecture_final_values
@@ -31,7 +33,7 @@ __all__ = [
     "q_integer",
     "q_binom",
     "laurent_divisible",
-    "divisible_by_q_integer_squared",
+    "remainder_by_q_integer_squared",
     "q_sun_sums",
     "q_sun_row",
     "q_specialize_row",
@@ -126,10 +128,7 @@ class LaurentPoly:
             return LaurentPoly([c * other for c in self.coeffs], self.min_exp)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return LaurentPoly()
-        product = _kronecker_mul(self.coeffs, other.coeffs)
-        return LaurentPoly(product, self.min_exp + other.min_exp)
+        return LaurentPoly(_product(self.coeffs, other.coeffs), self.min_exp + other.min_exp)
 
     __rmul__ = __mul__
 
@@ -160,35 +159,15 @@ class LaurentPoly:
         return f"LaurentPoly({self})"
 
 
-def _pack(coeffs: Sequence[int], width: int) -> int:
-    """sum_i c_i 2^(8 width i): the positive and the negative coefficients
-    are packed separately, each as one run of unsigned slots."""
-    value = int.from_bytes(
-        b"".join((c if c > 0 else 0).to_bytes(width, "little") for c in coeffs), "little"
-    )
-    if min(coeffs) < 0:
-        value -= int.from_bytes(
-            b"".join((-c if c < 0 else 0).to_bytes(width, "little") for c in coeffs), "little"
-        )
-    return value
-
-
-def _kronecker_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Coefficients of the product of two nonempty coefficient lists."""
-    # No product coefficient exceeds this in absolute value; one more bit
-    # holds the sign, rounded up to whole bytes.
-    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
-    width = bound.bit_length() // 8 + 1
-    size = len(a) + len(b) - 1
-    # Adding half a slot to every slot makes each one a nonnegative digit
-    # below 2^(8 width), so no borrow crosses a slot boundary.
-    half = 1 << (8 * width - 1)
-    bias = int.from_bytes((bytes(width - 1) + b"\x80") * size, "little")
-    data = (_pack(a, width) * _pack(b, width) + bias).to_bytes(width * size, "little")
-    return [
-        int.from_bytes(data[i:i + width], "little") - half
-        for i in range(0, width * size, width)
-    ]
+def _product(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Coefficients of the product of two coefficient lists (schoolbook:
+    one shifted copy of b per coefficient of a)."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        if x:
+            window = slice(i, i + len(b))
+            out[window] = map(add, out[window], [x * y for y in b])
+    return out
 
 
 def q_integer(n: int) -> LaurentPoly:
@@ -249,9 +228,7 @@ def laurent_divisible(f: LaurentPoly, g: LaurentPoly) -> tuple[bool, LaurentPoly
     obstruction is the nonzero partial remainder at which integer long
     division stopped: either a term whose coefficient the divisor's
     leading coefficient does not divide, or a nonzero tail of degree
-    below deg g.  q-sun does not decide with it: it calls it only for a
-    cell that `divisible_by_q_integer_squared` failed, to write that
-    obstruction as the witness.
+    below deg g.
 
     Writing f = q^a F and g = q^b G with F, G having nonzero constant
     terms, any Laurent cofactor h with Gh = F must itself be a genuine
@@ -286,19 +263,41 @@ def laurent_divisible(f: LaurentPoly, g: LaurentPoly) -> tuple[bool, LaurentPoly
     return True, LaurentPoly(quot, f.min_exp - g.min_exp)
 
 
-def divisible_by_q_integer_squared(f: LaurentPoly, n: int) -> bool:
-    """Whether [n]^2 divides f, that is whether (1 - q^n)^2 divides
-    f (1 - q)^2, in time linear in the length of f."""
-    g = _times_one_minus(_times_one_minus(f.coeffs, 1), 1)
-    once = _over_one_minus(g, n)
-    return once is not None and _over_one_minus(once, n) is not None
+def _residue(coeffs: Sequence[int], n: int) -> list[int]:
+    """The 2n coefficients of f modulo (1 - q^n)^2, the same residue as
+    folding q^i -> 2 q^(i-n) - q^(i-2n) from the top.  Writing
+    f = sum_(r<n) q^r g_r(q^n), each g_r(x) is g_r(1) + g_r'(1) (x - 1)
+    modulo (x - 1)^2."""
+    value, slope = [], []
+    for r in range(n):
+        column = coeffs[r::n]
+        d = sum(map(mul, range(len(column)), column))
+        value.append(sum(column) - d)
+        slope.append(d)
+    return value + slope
+
+
+def remainder_by_q_integer_squared(a: LaurentPoly, c: LaurentPoly, n: int) -> LaurentPoly:
+    """The remainder of a c^2 on division by [n]^2, shifted as
+    `laurent_divisible` leaves it: zero exactly when [n]^2 divides a c^2.
+    Works on residues modulo (1 - q^n)^2 = [n]^2 (1 - q)^2 and never
+    forms a c^2."""
+    c_mod = _residue(c.coeffs, n)
+    rem = _residue(_product(_residue(a.coeffs, n), _residue(_product(c_mod, c_mod), n)), n)
+    square = [*range(1, n + 1), *range(n - 1, 0, -1)]  # [n]^2, monic of degree 2n - 2
+    for i in (1, 0):  # the quotient of a residue has degree at most 1
+        step = rem[i + 2 * n - 2]
+        window = slice(i, i + 2 * n - 1)
+        rem[window] = map(sub, rem[window], [step * d for d in square])
+    return LaurentPoly(rem, a.min_exp + 2 * c.min_exp)
 
 
 def q_sun_sums(k: int, n_max: int) -> list[LaurentPoly]:
-    """The q-sums sum_{m=k}^{n-1} [2m+1] [m+k choose 2k] [2k choose k]^2 q^(-(k+1)m)
-    for n = k+1 .. n_max, from one running sum over m."""
-    central = q_binom(2 * k, k)
-    central_sq = central * central
+    """The q-sums A_n = sum_{m=k}^{n-1} [2m+1] [m+k choose 2k] q^(-(k+1)m)
+    for n = k+1 .. n_max, from one running sum over m.  q-sun's claim
+    is that [n]^2 divides A_n [2k choose k]^2."""
+    if k < 0:
+        raise ValueError(f"q_sun_sums: need k >= 0, got {k}")
     # The m-th term spans the exponents -(k+1)m .. (k+1)m - 2k^2, so it
     # covers every earlier term: the partial sum up to m is the window
     # of `total` under the m-th term.
@@ -313,38 +312,34 @@ def q_sun_sums(k: int, n_max: int) -> list[LaurentPoly]:
         start = -(k + 1) * m - low
         window = slice(start, start + len(term))
         total[window] = map(add, total[window], term)
-        sums.append(LaurentPoly(total[window], -(k + 1) * m) * central_sq)
+        sums.append(LaurentPoly(total[window], -(k + 1) * m))
     return sums
 
 
 def q_sun_row(key: tuple[int, int]) -> list[CaseResult]:
-    """The q-sum for (n, k) is divisible by [n]^2, for the row key
+    """[n]^2 divides the q-sum A_n [2k choose k]^2, for the row key
     (k, n_max) over n = k+1 .. n_max."""
     k, n_max = key
+    central = q_binom(2 * k, k)
     cases = []
-    for n, f in enumerate(q_sun_sums(k, n_max), k + 1):
-        if divisible_by_q_integer_squared(f, n):
-            cases.append(make_case((("n", n), ("k", k)), True))
-            continue
-        modulus = q_integer(n)
-        ok, witness_poly = laurent_divisible(f, modulus * modulus)
-        if ok:
-            raise ArithmeticError(f"q-sun n={n}, k={k}: long division and the linear-time test disagree")
-        witness = f"remainder {witness_poly} after division by [{n}]^2"
-        cases.append(make_case((("n", n), ("k", k)), False, witness))
+    for n, a in enumerate(q_sun_sums(k, n_max), k + 1):
+        remainder = remainder_by_q_integer_squared(a, central, n)
+        witness = f"remainder {remainder} after division by [{n}]^2" if remainder else None
+        cases.append(make_case((("n", n), ("k", k)), not remainder, witness))
     return cases
 
 
 def q_specialize_row(key: tuple[int, int]) -> list[CaseResult]:
-    """Setting q = 1 in the q-sum for (n, k) reproduces the classical
-    weighted sum sum_m (2m+1) C(m+k,2k) C(2k,k)^2, for the row key
-    (k, n_max) over n = k+1 .. n_max; the classical sums are the l = 1
-    running sums of conjecture-final."""
+    """Setting q = 1 in the q-sum A_n [2k choose k]^2 reproduces the
+    classical weighted sum sum_m (2m+1) C(m+k,2k) C(2k,k)^2, for the row
+    key (k, n_max) over n = k+1 .. n_max; the classical sums are the
+    l = 1 running sums of conjecture-final."""
     k, n_max = key
+    central_sq = q_binom(2 * k, k).eval_at_one() ** 2
     cases = []
     pairs = zip(q_sun_sums(k, n_max), conjecture_final_values(1, k, n_max))
-    for n, (f, classical) in enumerate(pairs, k + 1):
-        at_one = f.eval_at_one()
+    for n, (a, classical) in enumerate(pairs, k + 1):
+        at_one = a.eval_at_one() * central_sq
         ok = at_one == classical
         witness = None if ok else f"q=1 value {at_one} != classical sum {classical}"
         cases.append(make_case((("n", n), ("k", k)), ok, witness))

@@ -15,8 +15,9 @@ forms, one `combinat.binom_int` call per binomial: they oracle the
 verifier's ratio-updated builders, and a fault drawn into this module's
 `binom_int` does not reach them, as it does not reach the verifier's.
 The q side keeps the per-cell q-sum, each q-binomial from the q-Pascal
-rule: a test corrupts `q_sun_sum` here and the verifier's row builder
-`qpoly.q_sun_sums` the same way.
+rule, and forms the full product with [2k choose k]^2 that the verifier
+never forms: a test corrupts the unscaled `q_sun_sum` here and the
+verifier's row builder `qpoly.q_sun_sums` the same way.
 """
 
 from __future__ import annotations
@@ -167,7 +168,7 @@ def q_binom(n: int, k: int) -> LaurentPoly:
 
 
 def q_sun_sum(n: int, k: int) -> LaurentPoly:
-    """sum_{m=k}^{n-1} [2m+1] [m+k choose 2k] [2k choose k]^2 q^(-(k+1)m)."""
+    """A_n = sum_{m=k}^{n-1} [2m+1] [m+k choose 2k] q^(-(k+1)m)."""
     # [2m+1] = (1 - q^(2m+1)) / (1 - q): every term adds q^s (1 - q^(2m+1))
     # times its q-binomial to one list, and one running sum divides the
     # total by 1 - q.  The m = n-1 term spans the lowest and the highest
@@ -180,8 +181,13 @@ def q_sun_sum(n: int, k: int) -> LaurentPoly:
         for i, c in enumerate(q_binom(m + k, 2 * k).coeffs, start):
             diff[i] += c
             diff[i + 2 * m + 1] -= c
+    return LaurentPoly(accumulate(diff), low)
+
+
+def q_sun_product(n: int, k: int) -> LaurentPoly:
+    """The q-sum of the claim, A_n [2k choose k]^2."""
     central = q_binom(2 * k, k)
-    return LaurentPoly(accumulate(diff), low) * (central * central)
+    return q_sun_sum(n, k) * (central * central)
 
 
 # -- one cell at a time ------------------------------------------------------
@@ -317,18 +323,18 @@ def sun_ii_case(key):
 
 
 def q_sun_case(key):
-    """Decided by long division alone; the verifier uses it only to write
-    the witness of a failing cell."""
+    """Decided by long division of the full product; the verifier divides
+    residues modulo (1 - q^n)^2 instead."""
     n, k = key
     modulus = q_integer(n)
-    ok, witness_poly = laurent_divisible(q_sun_sum(n, k), modulus * modulus)
+    ok, witness_poly = laurent_divisible(q_sun_product(n, k), modulus * modulus)
     witness = None if ok else f"remainder {witness_poly} after division by [{n}]^2"
     return make_case((("n", n), ("k", k)), ok, witness)
 
 
 def q_specialize_case(key):
     n, k = key
-    at_one = q_sun_sum(n, k).eval_at_one()
+    at_one = q_sun_product(n, k).eval_at_one()
     classical = conjecture_final_value(1, n, k).value
     ok = at_one == classical
     witness = None if ok else f"q=1 value {at_one} != classical sum {classical}"

@@ -8,12 +8,15 @@ exact witness the failing cell carries, its severity and the exit code.
 Where a task decides a grid row from one running sum, the fault goes
 into one entry of the row its row builder returns, or into one step of
 the running sum, which must fail that cell and every later one.
-The witness literals were recorded when every polynomial was still
-built from its rational coefficients.  The q-sun and q-specialize
-faults add 1 to one coefficient of one q-sum, and the scalar tasks'
-faults change one binomial, summand or coefficient; these literals were
-recorded while q-sun still decided every cell by long division and
-the scalar tasks still formatted a witness for every cell.
+The scalar tasks' witness literals were recorded when every polynomial
+was still built from its rational coefficients and every cell still
+formatted a witness; their faults change one binomial, summand or
+coefficient.  The q-sun and q-specialize faults add 1 to one
+coefficient of one unscaled q-sum A_n, so the full product
+A_n [2k choose k]^2 gains [2k choose k]^2; each of their literals is
+checked against long division of that faulted full product, which
+q-sun itself never forms.  The q reports are pinned to n = 25 as well,
+digests recorded while q-sun still formed every full product.
 """
 
 import hashlib
@@ -26,6 +29,10 @@ from ivpverify import cli, congruences, identities, qpoly
 
 ALL_JSON_SHA256 = "ef4fe704ddafec864b40f97e8647fb10025cf3f2bf1dd9721e3d8b865cfc4f73"
 ALL_CSV_SHA256 = "5f65842804368cb3a7e29f38cbcdf98bbcad1e406fbd8309eb2760759c0c9ca6"
+Q_CSV_SHA256 = {
+    "q-sun": "b7a9e12e16f85a83141a03bc8d34deec6f518585af917a0af82f0f02a3763964",
+    "q-specialize": "f818e83247a8b684bf388b62e5931dc1b427e9529565276d66b3dde7761e7af1",
+}
 
 
 def _sha256(data: bytes) -> str:
@@ -50,6 +57,13 @@ def test_verify_all_csv_bytes_pinned(tmp_path):
     out = tmp_path / "all.csv"
     assert cli.main(["all", "--n-max", "8", "--format", "csv", "--out", str(out)]) == 0
     assert _sha256(out.read_bytes()) == ALL_CSV_SHA256
+
+
+@pytest.mark.parametrize("task", sorted(Q_CSV_SHA256))
+def test_q_task_csv_bytes_pinned_to_n_25(tmp_path, task):
+    out = tmp_path / "q.csv"
+    assert cli.main([task, "--n-max", "25", "--format", "csv", "--out", str(out)]) == 0
+    assert _sha256(out.read_bytes()) == Q_CSV_SHA256[task]
 
 
 def _corrupt(monkeypatch, module, name, bad_args, delta):
@@ -238,37 +252,46 @@ def test_catalan_form_terms_fault_witness(tmp_path, monkeypatch):
 
 
 def _corrupt_q_sun_sums(monkeypatch, bad_key):
+    """Add 1 to the coefficient of q^0 in the unscaled q-sum A_n of the
+    cell bad_key = (n, k); return the faulted full product A_n [2k choose k]^2."""
     original = qpoly.q_sun_sums
     bad_n, bad_k = bad_key
 
-    def corrupted(k, n_max):  # the coefficient of q^0 in entry n = bad_n gains 1
+    def corrupted(k, n_max):
         sums = original(k, n_max)
         if k == bad_k and bad_n <= n_max:
             sums[bad_n - k - 1] += 1
         return sums
 
     monkeypatch.setattr(qpoly, "q_sun_sums", corrupted)
+    central = qpoly.q_binom(2 * bad_k, bad_k)
+    return corrupted(bad_k, bad_n)[-1] * central * central
 
 
 def test_q_sun_fault_witness(tmp_path, monkeypatch):
-    _corrupt_q_sun_sums(monkeypatch, (3, 1))
+    product = _corrupt_q_sun_sums(monkeypatch, (3, 1))
     rc, failed = _failures(tmp_path, ["q-sun", "--n-max", "3"])
     assert rc == 1
+    remainder = "2*q^-4 + 4*q^-3 + 5*q^-2 + 2*q^-1"
     assert failed == [{
         "key": {"n": 3, "k": 1}, "status": "fail",
-        "witness": "remainder -q^-4 - 2*q^-3 - 3*q^-2 - 2*q^-1 after division by [3]^2",
+        "witness": f"remainder {remainder} after division by [3]^2",
         "severity": "theorem",
     }]
+    modulus = qpoly.q_integer(3) * qpoly.q_integer(3)
+    ok, obstruction = qpoly.laurent_divisible(product, modulus)
+    assert not ok and str(obstruction) == remainder
 
 
 def test_q_specialize_fault_witness(tmp_path, monkeypatch):
-    _corrupt_q_sun_sums(monkeypatch, (3, 1))
+    product = _corrupt_q_sun_sums(monkeypatch, (3, 1))
     rc, failed = _failures(tmp_path, ["q-specialize", "--n-max", "3"])
     assert rc == 1
     assert failed == [{
         "key": {"n": 3, "k": 1}, "status": "fail",
-        "witness": "q=1 value 73 != classical sum 72", "severity": "theorem",
+        "witness": "q=1 value 76 != classical sum 72", "severity": "theorem",
     }]
+    assert product.eval_at_one() == 76
 
 
 def _corrupt_identities_binom(monkeypatch, bad_args):

@@ -1,16 +1,17 @@
 import pytest
 from cell_oracle import conjecture_final_value
 from hypothesis import assume, example, given, strategies as st
+from sympy import Poly, symbols
 
 from ivpverify import qpoly
 from ivpverify.combinat import binom_int
 from ivpverify.qpoly import (
     LaurentPoly,
-    divisible_by_q_integer_squared,
     laurent_divisible,
     q_binom,
     q_integer,
     q_sun_sums,
+    remainder_by_q_integer_squared,
 )
 from ivpverify.cli import GridConfig, run
 
@@ -18,19 +19,14 @@ Q = LaurentPoly([0, 1])
 
 
 def q_sun_sum(n, k):
-    """The q-sum of the cell (n, k), the last entry of row k up to n."""
+    """The unscaled q-sum A_n of the cell (n, k), the last entry of row k up to n."""
     return q_sun_sums(k, n)[-1]
 
 
-def _schoolbook(a, b):
-    """Reference product: every coefficient pair, one at a time."""
-    if a.is_zero or b.is_zero:
-        return LaurentPoly()
-    out = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
-    for i, x in enumerate(a.coeffs):
-        for j, y in enumerate(b.coeffs):
-            out[i + j] += x * y
-    return LaurentPoly(out, a.min_exp + b.min_exp)
+def q_sun_product(n, k):
+    """The full product A_n [2k choose k]^2 that q-sun never forms."""
+    central = q_binom(2 * k, k)
+    return q_sun_sum(n, k) * central * central
 
 
 def _laurent(coeffs, max_size=25):
@@ -39,8 +35,8 @@ def _laurent(coeffs, max_size=25):
     )
 
 
-# Small values give interior zeros and sign changes; the huge ones need
-# slots of dozens of bytes.
+# Small values give interior zeros and sign changes; the huge ones are
+# far beyond machine words.
 _COEFFS = st.one_of(
     st.integers(-3, 3),
     st.integers(2 ** 200, 2 ** 260),
@@ -171,8 +167,7 @@ def test_divisibility_is_shift_invariant(s, n):
 
 def test_q_sun_sum_hand_cases():
     assert q_sun_sums(0, 2) == [LaurentPoly([1]), LaurentPoly([1, 2, 1], min_exp=-1)]
-    expected = (q_integer(3) * LaurentPoly([1, 2, 1])).shift(-2)
-    assert q_sun_sums(1, 2) == [expected]
+    assert q_sun_sums(1, 2) == [q_integer(3).shift(-2)]  # [3] [2 choose 2] q^-2
     assert q_sun_sums(2, 2) == []
     with pytest.raises(ValueError):
         q_sun_sums(-1, 2)
@@ -187,24 +182,20 @@ def test_q_sun_grid():
 def test_q_sun_quotients_are_certified():
     # Re-multiply quotient by modulus to confirm the division certificate.
     for k in range(8):
-        for n, f in enumerate(q_sun_sums(k, 8), k + 1):
+        for n in range(k + 1, 9):
+            f = q_sun_product(n, k)
             modulus = q_integer(n) * q_integer(n)
             ok, quot = laurent_divisible(f, modulus)
             assert ok
             assert quot * modulus == f
 
 
-def test_q_sun_raises_when_the_fast_test_and_long_division_disagree(monkeypatch):
-    monkeypatch.setattr(qpoly, "divisible_by_q_integer_squared", lambda f, n: False)
-    with pytest.raises(ArithmeticError):
-        run(GridConfig("q-sun", n_max=3))
-
-
 def test_q_specialization_matches_classical_sum():
     report = run(GridConfig("q-specialize", n_max=12))
     assert report.ok
-    assert q_sun_sum(2, 0).eval_at_one() == conjecture_final_value(1, 2, 0).value == 4
-    assert q_sun_sum(2, 1).eval_at_one() == conjecture_final_value(1, 2, 1).value == 12
+    assert q_sun_product(2, 0).eval_at_one() == conjecture_final_value(1, 2, 0).value == 4
+    assert q_sun_product(2, 1).eval_at_one() == conjecture_final_value(1, 2, 1).value == 12
+    assert q_sun_sum(2, 1).eval_at_one() == 3
 
 
 def test_laurent_is_immutable():
@@ -213,50 +204,80 @@ def test_laurent_is_immutable():
         p.coeffs = ()
 
 
+X = symbols("x")
+
+
+def _sympy(p):
+    """p q^(-min_exp) as a sympy Poly in x."""
+    return Poly(list(p.coeffs[::-1]) or [0], X)
+
+
 @given(_laurent(_COEFFS), _laurent(_COEFFS))
 @example(LaurentPoly([5]), LaurentPoly([-7], min_exp=-3))
 @example(LaurentPoly([2 ** 200]), LaurentPoly([1, 0, 0, -(2 ** 201)], min_exp=-5))
 @example(LaurentPoly([-1, 0, 0, 1], min_exp=-2), LaurentPoly([1, 1, 1]))
-def test_kronecker_product_matches_schoolbook(a, b):
-    assert a * b == _schoolbook(a, b)
-    assert b * a == _schoolbook(a, b)
+def test_product_matches_sympy(a, b):
+    expected = (_sympy(a) * _sympy(b)).all_coeffs()[::-1]
+    assert a * b == LaurentPoly(map(int, expected), a.min_exp + b.min_exp)
+    assert b * a == a * b
 
 
-def _fast_agrees_with_long_division(f, n):
-    fast = divisible_by_q_integer_squared(f, n)
-    assert fast == laurent_divisible(f, _schoolbook(q_integer(n), q_integer(n)))[0]
-    return fast
+def _agrees_with_long_division(a, c, n):
+    """The residue remainder of a c^2 by [n]^2, checked against long
+    division of the full product: the same verdict and the same text."""
+    remainder = remainder_by_q_integer_squared(a, c, n)
+    ok, obstruction = laurent_divisible(a * c * c, q_integer(n) * q_integer(n))
+    assert ok == remainder.is_zero
+    if not ok:
+        assert str(remainder) == str(obstruction)
+    return remainder
 
 
-@given(_laurent(st.integers(-4, 4), max_size=40), st.integers(1, 8))
-def test_fast_square_test_on_random_polynomials(f, n):
-    _fast_agrees_with_long_division(f, n)
+def _central(data, n):
+    k = data.draw(st.integers(0, n - 1), label="k")
+    return q_binom(2 * k, k)
 
 
-@given(_laurent(st.integers(-50, 50)), st.integers(1, 8), st.integers(-15, 15))
-def test_fast_square_test_accepts_multiples_of_the_square(g, n, s):
-    f = _schoolbook(g, _schoolbook(q_integer(n), q_integer(n)))
-    assert _fast_agrees_with_long_division(f, n)
-    assert _fast_agrees_with_long_division(f.shift(s), n)
+@given(_laurent(st.integers(-4, 4), max_size=40), st.integers(-15, 15), st.integers(1, 12), st.data())
+def test_residue_remainder_matches_long_division(a, s, n, data):
+    c = _central(data, n).shift(data.draw(st.integers(-3, 3), label="shift of c"))
+    _agrees_with_long_division(a.shift(s), c, n)
 
 
-@given(_laurent(st.integers(-50, 50)), st.integers(2, 8), st.integers(-15, 15))
-def test_fast_square_test_rejects_single_multiples(g, n, s):
-    assume(not laurent_divisible(g, q_integer(n))[0])
-    f = _schoolbook(g, q_integer(n))
-    assert not _fast_agrees_with_long_division(f, n)
-    assert not _fast_agrees_with_long_division(f.shift(s), n)
+@given(_laurent(st.integers(-50, 50)), st.integers(-15, 15), st.integers(1, 12), st.data())
+def test_residue_remainder_vanishes_on_multiples_of_the_square(g, s, n, data):
+    a = (g * q_integer(n) * q_integer(n)).shift(s)
+    assert not _agrees_with_long_division(a, _central(data, n), n)
+
+
+@given(_laurent(st.integers(-50, 50)), st.integers(-15, 15), st.integers(2, 12), st.data())
+def test_residue_remainder_stays_on_single_multiples(g, s, n, data):
+    c = _central(data, n)
+    assume(not laurent_divisible(g * c * c, q_integer(n))[0])
+    assert _agrees_with_long_division((g * q_integer(n)).shift(s), c, n)
+
+
+def test_single_q_integer_is_its_own_remainder():
+    # deg [n] < deg [n]^2: the residue path must not lose a single [n].
+    for n in range(2, 41):
+        assert remainder_by_q_integer_squared(q_integer(n), LaurentPoly([1]), n) == q_integer(n)
+
+
+@given(_laurent(_COEFFS, max_size=60), st.integers(1, 12))
+def test_residue_differs_by_a_multiple_of_the_modulus(f, n):
+    residue = LaurentPoly(qpoly._residue(f.coeffs, n), f.min_exp)
+    ok, _ = laurent_divisible(f + -1 * residue, _one_minus(n) * _one_minus(n))
+    assert ok
 
 
 def test_q_sun_sum_matches_term_by_term_products():
     for k in range(9):
-        central = q_binom(2 * k, k)
         expected = LaurentPoly()
         row = []
         for m in range(k, 9):
-            term = _schoolbook(q_integer(2 * m + 1), q_binom(m + k, 2 * k))
+            term = q_integer(2 * m + 1) * q_binom(m + k, 2 * k)
             expected = expected + term.shift(-(k + 1) * m)
-            row.append(_schoolbook(expected, _schoolbook(central, central)))
+            row.append(expected)
         assert q_sun_sums(k, 9) == row
 
 
@@ -268,7 +289,7 @@ def _one_minus(j):
 @example(LaurentPoly(), 3, 0)
 @example(LaurentPoly([1, 1]), 5, 1)
 def test_one_minus_pair_matches_laurent_products(f, j, i):
-    product = _schoolbook(f, _one_minus(j))
+    product = f * _one_minus(j)
     times = qpoly._times_one_minus(f.coeffs, j)
     assert LaurentPoly(times, f.min_exp) == product
     assert LaurentPoly(qpoly._over_one_minus(times, j), f.min_exp) == f

@@ -8,8 +8,9 @@ binomial coefficient, or into one value S_k(x) of the S_k tables that
 the weighted-sum rows read (the same fault in the verifier and in the
 oracle), the failing cells and their witnesses must agree as well.
 The q-sun and q-specialize rows meet a fault as 1 added to one
-coefficient of one cell's q-sum, in the verifier's row and in the
-oracle's per-cell sum alike.
+coefficient of one cell's unscaled q-sum A_n, in the verifier's row and
+in the oracle's per-cell sum alike; the oracle then forms the full
+product A_n [2k choose k]^2, which the verifier never does.
 """
 
 from contextlib import ExitStack
@@ -60,7 +61,7 @@ def _corrupted_s(build, bad, delta):
 
 
 def _corrupted_q_sums(bad, exponent):
-    """qpoly.q_sun_sums, with q^exponent added to the sum of the cell bad = (n, k)."""
+    """qpoly.q_sun_sums, with q^exponent added to the unscaled sum A_n of the cell bad = (n, k)."""
     n, k = bad
     original = qpoly.q_sun_sums
 
