@@ -5,6 +5,12 @@ of the case (n, k, l, eps, ...).  Case ordering is lexicographic in the
 key fields and therefore independent of how the grid was executed.
 Wall time lives in a separate metadata block so that JSON and CSV
 output are byte-identical across runs with identical configuration.
+
+JSON is written by a writer for the report's one fixed schema (task,
+config, summary, then cases and notes or, for `all`, the sub-reports,
+then meta): each case is one f-string over its fields, with no
+intermediate dict and no pass of json's pure-Python indent encoder.
+The bytes are those of `json.dumps(..., indent=2)` on the same data.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Optional, Sequence
 
 __all__ = [
@@ -95,26 +102,6 @@ class VerificationReport:
     def failures(self) -> list[CaseResult]:
         return [c for c in self.cases if not c.ok]
 
-    def to_dict(self, include_meta: bool = True) -> dict:
-        d = {
-            "task": self.task,
-            "config": dict(self.config),
-            "summary": {"total": self.total, "pass": self.passed, "fail": self.failed},
-            "cases": [
-                {
-                    "key": {name: value for name, value in c.key},
-                    "status": c.status,
-                    "witness": c.witness,
-                    "severity": c.severity,
-                }
-                for c in self.cases
-            ],
-            "notes": list(self.notes),
-        }
-        if include_meta:
-            d["meta"] = {"wall_time_s": round(self.wall_time_s, 6)}
-        return d
-
     def csv_records(self) -> list[list[str]]:
         return [
             [self.task, c.label, c.status, c.witness or "", c.severity]
@@ -163,17 +150,6 @@ class CombinedReport:
     def ok(self) -> bool:
         return self.failed == 0
 
-    def to_dict(self, include_meta: bool = True) -> dict:
-        d = {
-            "task": self.task,
-            "config": dict(self.config),
-            "summary": {"total": self.total, "pass": self.passed, "fail": self.failed},
-            "reports": [r.to_dict(include_meta=False) for r in self.reports],
-        }
-        if include_meta:
-            d["meta"] = {"wall_time_s": round(self.wall_time_s, 6)}
-        return d
-
     def csv_records(self) -> list[list[str]]:
         out = []
         for r in self.reports:
@@ -188,14 +164,85 @@ class CombinedReport:
         return "\n".join(parts)
 
 
+def _json_value(v) -> str:
+    """A scalar as json.dumps writes it."""
+    if type(v) is str:
+        return _json_str(v)
+    if type(v) is int:
+        return int.__repr__(v)
+    if v is None:  # the witness of every passing case: skip json.dumps' call overhead
+        return "null"
+    return json.dumps(v)  # bool, float; raises TypeError on anything unencodable
+
+
+def _json_object(items, pad: str) -> str:
+    """(str name, scalar) pairs as an object whose closing brace is at pad."""
+    if not items:
+        return "{}"
+    inner = pad + "  "
+    body = ",\n".join([f"{inner}{_json_str(name)}: {_json_value(v)}" for name, v in items])
+    return f"{{\n{body}\n{pad}}}"
+
+
+def _json_array(rendered: list[str], pad: str) -> list[str]:
+    """Rendered elements as the pieces of an array whose closing bracket is at pad."""
+    if not rendered:
+        return ["[]"]
+    inner = pad + "  "
+    return [f"[\n{inner}", f",\n{inner}".join(rendered), f"\n{pad}]"]
+
+
+def _json_case(c: CaseResult, pad: str) -> str:
+    """One case as an object whose closing brace is at pad."""
+    inner = pad + "  "
+    return (
+        f'{{\n{inner}"key": {_json_object(c.key, inner)},\n'
+        f'{inner}"status": {_json_value(c.status)},\n'
+        f'{inner}"witness": {_json_value(c.witness)},\n'
+        f'{inner}"severity": {_json_value(c.severity)}\n{pad}}}'
+    )
+
+
+def _json_report(report, include_meta: bool, pad: str) -> list[str]:
+    """The pieces of a report written as an object whose closing brace is
+    at pad; the sub-reports of a CombinedReport are written without meta.
+    Pieces, not one string, so that the case array is copied only once
+    more, by the final join."""
+    inner = pad + "  "
+    element = inner + "  "
+    summary = (("total", report.total), ("pass", report.passed), ("fail", report.failed))
+    pieces = [
+        f'{{\n{inner}"task": {_json_value(report.task)},\n'
+        f'{inner}"config": {_json_object(report.config.items(), inner)},\n'
+        f'{inner}"summary": {_json_object(summary, inner)},\n'
+    ]
+    if isinstance(report, CombinedReport):
+        subreports = ["".join(_json_report(r, False, element)) for r in report.reports]
+        pieces += [f'{inner}"reports": ', *_json_array(subreports, inner)]
+    else:
+        cases = [_json_case(c, element) for c in report.cases]
+        notes = [_json_value(n) for n in report.notes]
+        pieces += [f'{inner}"cases": ', *_json_array(cases, inner)]
+        pieces += [f',\n{inner}"notes": ', *_json_array(notes, inner)]
+    if include_meta:
+        meta = (("wall_time_s", round(report.wall_time_s, 6)),)
+        pieces.append(f',\n{inner}"meta": {_json_object(meta, inner)}')
+    pieces.append(f"\n{pad}}}")
+    return pieces
+
+
 def serialize_report(report, fmt: str, include_meta: bool = True) -> str:
     """Render a report as text, JSON or CSV.
 
-    JSON is a single object with stable key order; CSV rows follow the
-    fixed header task,case_key,status,witness,severity.
+    JSON comes from the fixed-schema writer above and is byte for byte
+    what `json.dumps(d, indent=2) + "\\n"` writes for the report as a
+    dict d (task, config, summary, cases and notes or reports, meta),
+    for key names and config keys that are distinct strings and scalar
+    values; a value json cannot encode raises TypeError.  CSV rows
+    follow the fixed header task,case_key,status,witness,severity.
     """
     if fmt == "json":
-        return json.dumps(report.to_dict(include_meta=include_meta), indent=2) + "\n"
+        return "".join([*_json_report(report, include_meta, ""), "\n"])
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

@@ -2,7 +2,11 @@
 
 The digests below were recorded from `verify all --n-max 8` before the
 verifiers' helpers were merged; any change to a verdict, witness,
-severity, cell key or config echo changes them.  The fault-injection
+severity, cell key or config echo changes them.  The JSON digest is of
+`json.dumps(indent=2)` bytes without `meta`: one test re-encodes the
+file `verify` writes, as when it was recorded, and one hashes the
+writer's own bytes as written, so drift in its whitespace or escaping
+shows too.  The fault-injection
 tests add a polynomial to the values one builder returns and check the
 exact witness the failing cell carries, its severity and the exit code.
 Where a task decides a grid row from one running sum, the fault goes
@@ -26,6 +30,7 @@ from fractions import Fraction
 import pytest
 
 from ivpverify import cli, congruences, identities, qpoly
+from ivpverify.report import serialize_report
 
 ALL_JSON_SHA256 = "ef4fe704ddafec864b40f97e8647fb10025cf3f2bf1dd9721e3d8b865cfc4f73"
 ALL_CSV_SHA256 = "5f65842804368cb3a7e29f38cbcdf98bbcad1e406fbd8309eb2760759c0c9ca6"
@@ -51,6 +56,13 @@ def test_verify_all_json_bytes_pinned(tmp_path):
     payload = json.loads(out.read_text())
     payload.pop("meta")
     assert _sha256((json.dumps(payload, indent=2) + "\n").encode()) == ALL_JSON_SHA256
+
+
+def test_verify_all_json_writer_bytes_pinned():
+    # The writer's own bytes, not a re-encoding of them.
+    report = cli.run(cli.GridConfig("all", n_max=8))
+    payload = serialize_report(report, "json", include_meta=False)
+    assert _sha256(payload.encode()) == ALL_JSON_SHA256
 
 
 def test_verify_all_csv_bytes_pinned(tmp_path):

@@ -1,9 +1,13 @@
 import csv
 import io
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from ivpverify import cli
 from ivpverify.gridrun import run_grid, worker_pool
 from ivpverify.report import (
     CaseResult,
@@ -12,6 +16,37 @@ from ivpverify.report import (
     make_case,
     serialize_report,
 )
+
+
+def to_dict(report, include_meta=True) -> dict:
+    """The report as a dict, in the JSON schema's key order: the stdlib
+    oracle whose `json.dumps(..., indent=2) + "\\n"` the JSON writer must
+    reproduce byte for byte.  Sub-reports carry no meta."""
+    d = {
+        "task": report.task,
+        "config": dict(report.config),
+        "summary": {"total": report.total, "pass": report.passed, "fail": report.failed},
+    }
+    if isinstance(report, CombinedReport):
+        d["reports"] = [to_dict(r, include_meta=False) for r in report.reports]
+    else:
+        d["cases"] = [
+            {
+                "key": {name: value for name, value in c.key},
+                "status": c.status,
+                "witness": c.witness,
+                "severity": c.severity,
+            }
+            for c in report.cases
+        ]
+        d["notes"] = list(report.notes)
+    if include_meta:
+        d["meta"] = {"wall_time_s": round(report.wall_time_s, 6)}
+    return d
+
+
+def _stdlib_json(report, include_meta):
+    return json.dumps(to_dict(report, include_meta), indent=2) + "\n"
 
 
 def _sample_report(fail=False):
@@ -136,3 +171,64 @@ def test_run_grid_parallel_matches_serial():
     # A parallel call opens no pool of its own.
     with pytest.raises(ValueError, match="worker_pool"):
         run_grid("demo", {}, range(20), _square_row, jobs=2)
+
+
+# Non-ASCII (BMP and astral), quote, backslash, and C0/DEL/U+2028 controls.
+_text = st.text(
+    st.sampled_from('ab é€😀"\\/\n\t\r\b\f\x00\x1f\x7f\u2028') | st.characters(),
+    max_size=6,
+)
+_scalar = st.integers() | _text | st.booleans() | st.none()
+_cases = st.builds(
+    CaseResult,
+    key=st.lists(st.tuples(_text, _scalar), max_size=4, unique_by=lambda kv: kv[0]).map(tuple),
+    status=st.sampled_from(["pass", "fail"]) | _text,
+    witness=st.none() | _text,
+    severity=st.sampled_from(["theorem", "conjecture"]) | _text,
+)
+_config = st.dictionaries(_text, _scalar | st.floats(), max_size=3)
+_wall = st.floats(min_value=0, max_value=1e6)
+_reports = st.builds(
+    VerificationReport,
+    task=_text,
+    config=_config,
+    cases=st.lists(_cases, max_size=4),
+    notes=st.lists(_text, max_size=3),
+    wall_time_s=_wall,
+)
+_combined = st.builds(
+    CombinedReport,
+    task=_text,
+    config=_config,
+    reports=st.lists(_reports, max_size=3),
+    wall_time_s=_wall,
+)
+
+
+_EMPTY = VerificationReport(task="", config={}, cases=[make_case((), True)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(report=_reports | _combined, include_meta=st.booleans())
+@example(report=_EMPTY, include_meta=True)
+@example(report=CombinedReport(task="all", config={}, reports=[]), include_meta=False)
+@example(
+    report=CombinedReport(task="all", config={}, reports=[_EMPTY, _sample_report(True)]),
+    include_meta=True,
+)
+def test_json_writer_matches_stdlib_indent_encoder(report, include_meta):
+    assert serialize_report(report, "json", include_meta) == _stdlib_json(report, include_meta)
+
+
+@pytest.mark.parametrize("report", [
+    VerificationReport(task="demo", config={}, cases=[make_case((("n", Fraction(1, 2)),), True)]),
+    VerificationReport(task="demo", config={"x": Fraction(1, 2)}, cases=[]),
+])
+def test_unencodable_value_raises_type_error_and_exits_three(report, capsys, monkeypatch):
+    with pytest.raises(TypeError):
+        _stdlib_json(report, True)
+    with pytest.raises(TypeError):
+        serialize_report(report, "json")
+    monkeypatch.setattr(cli, "run", lambda config: report)
+    assert cli.main(["transform", "--n-max", "1", "--format", "json"]) == 3
+    assert "TypeError" in capsys.readouterr().err
