@@ -22,9 +22,10 @@ it is built, so `run(GridConfig("theorem1", n_max=25))` is safe to call
 from code as well.
 
 Exit codes: 0 when every case passes, 1 on any mathematical failure,
-2 on a usage error (every bound is checked before a task runs), 3 on an
-internal error: any exception a task raises, a crash, not a
-counterexample.  The report for a given configuration is
+2 on a usage error (flags, bounds and the config file are checked
+before a task runs; whether the output path can be written shows only
+when the report is written, after the run), 3 on an internal error:
+any exception a task raises, a crash, not a counterexample.  The report for a given configuration is
 deterministic: cases are sorted by key, wall time is quarantined in a
 metadata block, and parallel runs emit byte-identical JSON/CSV to
 serial ones.  Flag precedence is defaults < IVPVERIFY_JOBS < config
@@ -251,10 +252,23 @@ def parse_eps(value) -> tuple[int, ...]:
     return tuple(sorted(set(vals), reverse=True))
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object whose keys name distinct settings: "n-max" and
+    "n_max" are one key, so giving both, or either one twice, is an
+    error rather than a silent last-one-wins."""
+    seen = {}
+    for key, _ in pairs:
+        name = key.replace("-", "_")
+        if name in seen:
+            raise UsageError(f"config key {name!r} is given twice (as {seen[name]!r} and {key!r})")
+        seen[name] = key
+    return dict(pairs)
+
+
 def _load_config_file(path: str) -> dict:
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise UsageError(f"cannot read config file {path!r}: {exc}")
     except json.JSONDecodeError as exc:

@@ -1,4 +1,5 @@
-"""Exact scalar combinatorics: binomial coefficients, double factorials,
+"""Exact scalar combinatorics: binomial coefficients (for a rational
+upper argument, a whole row C(r, 0..k) at once), double factorials,
 Catalan numbers.
 
 Everything runs on Python's arbitrary-precision integers and
@@ -10,7 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-__all__ = ["binom_int", "binom_rat", "binom_rat_row", "double_factorial_odd", "catalan"]
+__all__ = ["binom_int", "binom_rat_row", "double_factorial_odd", "catalan"]
 
 
 def binom_int(n: int, k: int) -> int:
@@ -31,27 +32,13 @@ def binom_int(n: int, k: int) -> int:
     return sign * math.comb(k - n - 1, k)
 
 
-def binom_rat(r: Fraction | int, k: int) -> Fraction:
-    """C(r, k) = r(r-1)...(r-k+1) / k! for rational r and integer k >= 0.
-
-    Agrees with :func:`binom_int` whenever r is an integer.
-    """
-    if k < 0:
-        raise ValueError(f"binom_rat: k must be >= 0, got {k}")
-    r = Fraction(r)
-    num = 1
-    for i in range(k):
-        num *= r.numerator - i * r.denominator
-    return Fraction(num, r.denominator**k * math.factorial(k))
-
-
 def binom_rat_row(r: Fraction | int, k_max: int) -> list[Fraction]:
     """[C(r, 0), ..., C(r, k_max)] for rational r = p/q, in one pass.
 
     Each entry follows from the one before by the exact ratio update
     C(r, k+1) = C(r, k) (p - kq) / (q (k+1)), kept as an integer
-    numerator and denominator, so the row costs k_max updates instead
-    of k_max calls to :func:`binom_rat`.
+    numerator and denominator, so the row costs k_max updates; for
+    integer r it agrees with :func:`binom_int`.
     """
     if k_max < 0:
         raise ValueError(f"binom_rat_row: k_max must be >= 0, got {k_max}")

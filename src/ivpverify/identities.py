@@ -15,7 +15,9 @@ the order-2 recurrence forms its residual at 2n+5 points, and the
 Chu-Vandermonde sum of degree <= k is compared at k+1 points.
 The module also checks a telescoping sum of odd-weighted binomials
 (each row over n shares one running sum) and two rational-value
-identities at x = -1/2 and x = -1/4, -3/4.
+identities at x = -1/2 and x = -1/4, -3/4.  Evaluating both closed
+forms at any rational point, which no task needs, is left to the
+tests (`eval_transform_at` in tests/cell_oracle.py).
 
 All checks are exact; a failure carries a witness (the first differing
 coefficient, the polynomial interpolated from the failing values, or
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .combinat import binom_int, binom_rat, binom_rat_row
+from .combinat import binom_int, binom_rat_row
 from .report import CaseResult, make_case
 from .values import coefficients, poly_text
 
@@ -41,7 +43,6 @@ __all__ = [
     "telescope_row",
     "sun_one_case",
     "sun_two_case",
-    "eval_transform_at",
 ]
 
 
@@ -218,29 +219,3 @@ def sun_two_case(n: int) -> CaseResult:
     ok = lhs == rhs
     return make_case((("n", n),), ok, None if ok else f"{lhs} != {rhs}")
 
-
-# -- pointwise cross-evaluation ----------------------------------------------
-
-def eval_transform_at(n: int, x0: int | Fraction) -> Fraction:
-    """Evaluate both closed forms of S_n at x0 and return the common value.
-
-    The two sums are evaluated independently (no shared polynomial
-    construction), so agreement here is a genuine cross-check; a
-    mismatch would mean the identity itself fails at (n, x0) and raises
-    RuntimeError.
-    """
-    if n < 0:
-        raise ValueError(f"eval_transform_at: n must be >= 0, got {n}")
-    x0 = Fraction(x0)
-    lhs = sum(
-        binom_rat(-x0 - 1, k) ** 2 * binom_rat(x0, n - k) ** 2 for k in range(n + 1)
-    )
-    rhs = sum(
-        binom_int(n + k, 2 * k) * binom_int(2 * k, k) ** 2 * binom_rat(x0 + k, 2 * k)
-        for k in range(n + 1)
-    )
-    if lhs != rhs:
-        raise RuntimeError(
-            f"closed forms disagree at n={n}, x={x0}: {lhs} vs {rhs}"
-        )
-    return Fraction(lhs)

@@ -18,20 +18,29 @@ The q side keeps the per-cell q-sum, each q-binomial from the q-Pascal
 rule, and forms the full product with [2k choose k]^2 that the verifier
 never forms: a test corrupts the unscaled `q_sun_sum` here and the
 verifier's row builder `qpoly.q_sun_sums` the same way.
+
+The module also holds the algebra that only the tests use, as their
+oracle: `LaurentPoly`, a trimmed integer Laurent polynomial with its
+own schoolbook product, `q_integer`, `laurent_divisible` (long division
+in the Laurent ring, against which the verifier's residue remainder is
+checked), `binom_rat` (one rational binomial C(r, k), against which
+`combinat.binom_rat_row` is checked), and `eval_transform_at` (both
+closed forms of S_n at a rational point).  The verifier works on
+plain coefficient lists and never imports any of it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, product
-from typing import Optional
+from typing import Iterable, Optional
 
 from ivpverify import combinat
-from ivpverify.combinat import binom_int, binom_rat, catalan, double_factorial_odd
+from ivpverify.combinat import binom_int, catalan, double_factorial_odd
 from ivpverify.identities import coeff_mismatch
-from ivpverify.qpoly import LaurentPoly, laurent_divisible, q_integer
 from ivpverify.report import CaseResult, make_case
 from ivpverify.values import coefficients, first_non_multiple
 
@@ -39,6 +48,22 @@ from ivpverify.values import coefficients, first_non_multiple
 def _validate_eps(eps: int) -> None:
     if eps not in (1, -1):
         raise ValueError(f"eps must be +1 or -1, got {eps}")
+
+
+# -- rational binomials -------------------------------------------------------
+
+def binom_rat(r: Fraction | int, k: int) -> Fraction:
+    """C(r, k) = r(r-1)...(r-k+1) / k! for rational r and integer k >= 0.
+
+    Agrees with `combinat.binom_int` whenever r is an integer.
+    """
+    if k < 0:
+        raise ValueError(f"binom_rat: k must be >= 0, got {k}")
+    r = Fraction(r)
+    num = 1
+    for i in range(k):
+        num *= r.numerator - i * r.denominator
+    return Fraction(num, r.denominator**k * math.factorial(k))
 
 
 # -- the two closed forms of S_n, one binomial per term ----------------------
@@ -63,6 +88,32 @@ def build_rhs(n: int, points: int) -> tuple[int, ...]:
         sum(w * combinat.binom_int(x + k, 2 * k) for k, w in enumerate(weights))
         for x in range(points)
     )
+
+
+def eval_transform_at(n: int, x0: int | Fraction) -> Fraction:
+    """Evaluate both closed forms of S_n at x0 and return the common value.
+
+    The two sums are evaluated independently (no shared polynomial
+    construction), so agreement here is a genuine cross-check; a
+    mismatch would mean the identity itself fails at (n, x0) and raises
+    RuntimeError.
+    """
+    if n < 0:
+        raise ValueError(f"eval_transform_at: n must be >= 0, got {n}")
+    x0 = Fraction(x0)
+    lhs = sum(
+        binom_rat(-x0 - 1, k) ** 2 * binom_rat(x0, n - k) ** 2 for k in range(n + 1)
+    )
+    rhs = sum(
+        combinat.binom_int(n + k, 2 * k) * combinat.binom_int(2 * k, k) ** 2
+        * binom_rat(x0 + k, 2 * k)
+        for k in range(n + 1)
+    )
+    if lhs != rhs:
+        raise RuntimeError(
+            f"closed forms disagree at n={n}, x={x0}: {lhs} vs {rhs}"
+        )
+    return Fraction(lhs)
 
 
 # -- the sums, one cell at a time -------------------------------------------
@@ -156,6 +207,165 @@ def telescope_lhs(n: int, k: int) -> int:
         (2 * m + 1) * binom_int(m + k, 2 * k) * binom_int(2 * k, k) for m in range(k, n)
     )
 
+
+# -- integer Laurent polynomials in q ---------------------------------------
+
+class LaurentPoly:
+    """Immutable polynomial in q with integer coefficients and possibly
+    negative exponents.
+
+    coeffs[i] is the coefficient of q**(min_exp + i); both ends are kept
+    trimmed, and the zero polynomial is the empty tuple with min_exp 0.
+    """
+
+    __slots__ = ("min_exp", "coeffs")
+
+    min_exp: int
+    coeffs: tuple[int, ...]
+
+    def __init__(self, coeffs: Iterable[int] = (), min_exp: int = 0):
+        cs = list(coeffs)
+        for c in cs:
+            if not isinstance(c, int):
+                raise TypeError(f"LaurentPoly coefficients must be int, got {type(c)}")
+        while cs and cs[-1] == 0:
+            cs.pop()
+        drop = 0
+        while drop < len(cs) and cs[drop] == 0:
+            drop += 1
+        cs = cs[drop:]
+        min_exp = min_exp + drop if cs else 0
+        object.__setattr__(self, "min_exp", min_exp)
+        object.__setattr__(self, "coeffs", tuple(cs))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("LaurentPoly is immutable")
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    @property
+    def max_exp(self) -> int:
+        """Largest exponent with nonzero coefficient (min_exp - 1 if zero)."""
+        return self.min_exp + len(self.coeffs) - 1
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, LaurentPoly):
+            return self.min_exp == other.min_exp and self.coeffs == other.coeffs
+        return NotImplemented
+
+    def shift(self, s: int) -> "LaurentPoly":
+        """Multiply by q**s."""
+        return LaurentPoly(self.coeffs, self.min_exp + s)
+
+    def __add__(self, other) -> "LaurentPoly":
+        if isinstance(other, int):
+            other = LaurentPoly([other])
+        elif not isinstance(other, LaurentPoly):
+            return NotImplemented
+        if self.is_zero:
+            return other
+        if other.is_zero:
+            return self
+        lo = min(self.min_exp, other.min_exp)
+        out = [0] * (max(self.max_exp, other.max_exp) - lo + 1)
+        for p in (self, other):
+            for i, c in enumerate(p.coeffs, p.min_exp - lo):
+                out[i] += c
+        return LaurentPoly(out, lo)
+
+    def __mul__(self, other) -> "LaurentPoly":
+        if isinstance(other, int):
+            other = LaurentPoly([other])
+        elif not isinstance(other, LaurentPoly):
+            return NotImplemented
+        out = [0] * (len(self.coeffs) + len(other.coeffs))
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return LaurentPoly(out, self.min_exp + other.min_exp)
+
+    __rmul__ = __mul__
+
+    def eval_at_one(self) -> int:
+        """Specialize q = 1: simply the sum of the coefficients."""
+        return sum(self.coeffs)
+
+    def __str__(self) -> str:
+        if self.is_zero:
+            return "0"
+        parts = []
+        for i, c in enumerate(self.coeffs):
+            if not c:
+                continue
+            e = self.min_exp + i
+            if e == 0:
+                term = str(abs(c))
+            else:
+                mag = "" if abs(c) == 1 else f"{abs(c)}*"
+                term = f"{mag}q" if e == 1 else f"{mag}q^{e}"
+            parts.append(("- " if c < 0 else "+ ") + term)
+        text = " ".join(parts)
+        return text[2:] if text.startswith("+ ") else "-" + text[2:]
+
+    def __repr__(self) -> str:
+        return f"LaurentPoly({self})"
+
+
+def q_integer(n: int) -> LaurentPoly:
+    """[n] = 1 + q + ... + q^(n-1)."""
+    if n < 1:
+        raise ValueError(f"q_integer: n must be >= 1, got {n}")
+    return LaurentPoly([1] * n)
+
+
+def laurent_divisible(f: LaurentPoly, g: LaurentPoly) -> tuple[bool, LaurentPoly]:
+    """Decide whether f = g*h for some integer-coefficient Laurent h.
+
+    Returns (True, quotient) or (False, obstruction), where the
+    obstruction is the nonzero partial remainder at which integer long
+    division stopped: either a term whose coefficient the divisor's
+    leading coefficient does not divide, or a nonzero tail of degree
+    below deg g.
+
+    Writing f = q^a F and g = q^b G with F, G having nonzero constant
+    terms, any Laurent cofactor h with Gh = F must itself be a genuine
+    polynomial (a negative shift in h would force a zero constant term
+    on one side), so dividing F by G over the integers is a complete
+    decision procedure; the Laurent quotient is the polynomial quotient
+    shifted by q^(a-b).
+    """
+    if g.is_zero:
+        raise ValueError("laurent_divisible: divisor must be nonzero")
+    if f.is_zero:
+        return True, LaurentPoly()
+    rem = list(f.coeffs)
+    div = g.coeffs
+    lead = div[-1]
+    span = len(rem) - len(div) + 1
+    if span <= 0:
+        return False, f
+    quot = [0] * span
+    for i in range(span - 1, -1, -1):
+        c = rem[i + len(div) - 1]
+        if not c:
+            continue
+        step, leftover = divmod(c, lead)
+        if leftover:
+            return False, LaurentPoly(rem, f.min_exp)
+        quot[i] = step
+        for j, d in enumerate(div):
+            rem[i + j] -= step * d
+    if any(rem):
+        return False, LaurentPoly(rem, f.min_exp)
+    return True, LaurentPoly(quot, f.min_exp - g.min_exp)
+
+
+# -- the q-sums, one cell at a time ------------------------------------------
 
 @lru_cache(maxsize=None)
 def q_binom(n: int, k: int) -> LaurentPoly:

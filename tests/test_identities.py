@@ -2,13 +2,9 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from cell_oracle import binom_rat, eval_transform_at
 
-from ivpverify.identities import (
-    build_lhs,
-    build_rhs,
-    eval_transform_at,
-    recurrence_coefficients,
-)
+from ivpverify.identities import build_lhs, build_rhs, recurrence_coefficients
 from ivpverify.cli import GridConfig, run
 from ivpverify.values import coefficients
 
@@ -142,8 +138,6 @@ def test_telescoped_sum_report():
 def test_sun_identity_one_frozen_values():
     # 16^n * sum C(-1/2,k)^2 C(-1/2,n-k)^2 for n = 0..3
     halves = Fraction(-1, 2)
-    from ivpverify.combinat import binom_rat
-
     values = [
         16 ** n
         * sum(binom_rat(halves, k) ** 2 * binom_rat(halves, n - k) ** 2 for k in range(n + 1))
@@ -154,8 +148,6 @@ def test_sun_identity_one_frozen_values():
 
 
 def test_sun_identity_two_frozen_values():
-    from ivpverify.combinat import binom_rat
-
     values = [
         64 ** n
         * sum(

@@ -28,6 +28,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from cell_oracle import LaurentPoly, laurent_divisible, q_integer
 
 from ivpverify import cli, congruences, identities, qpoly
 from ivpverify.report import serialize_report
@@ -272,12 +273,15 @@ def _corrupt_q_sun_sums(monkeypatch, bad_key):
     def corrupted(k, n_max):
         sums = original(k, n_max)
         if k == bad_k and bad_n <= n_max:
-            sums[bad_n - k - 1] += 1
+            low, coeffs = sums[bad_n - k - 1]
+            faulted = LaurentPoly(coeffs, low) + 1
+            sums[bad_n - k - 1] = (faulted.min_exp, list(faulted.coeffs))
         return sums
 
     monkeypatch.setattr(qpoly, "q_sun_sums", corrupted)
-    central = qpoly.q_binom(2 * bad_k, bad_k)
-    return corrupted(bad_k, bad_n)[-1] * central * central
+    low, coeffs = corrupted(bad_k, bad_n)[-1]
+    central = LaurentPoly(qpoly.q_binom(2 * bad_k, bad_k))
+    return LaurentPoly(coeffs, low) * central * central
 
 
 def test_q_sun_fault_witness(tmp_path, monkeypatch):
@@ -290,8 +294,8 @@ def test_q_sun_fault_witness(tmp_path, monkeypatch):
         "witness": f"remainder {remainder} after division by [3]^2",
         "severity": "theorem",
     }]
-    modulus = qpoly.q_integer(3) * qpoly.q_integer(3)
-    ok, obstruction = qpoly.laurent_divisible(product, modulus)
+    modulus = q_integer(3) * q_integer(3)
+    ok, obstruction = laurent_divisible(product, modulus)
     assert not ok and str(obstruction) == remainder
 
 

@@ -1,26 +1,32 @@
+"""The q side's coefficient lists against the test oracle.
+
+`LaurentPoly`, `q_integer` and `laurent_divisible` live in
+cell_oracle.py: the verifier works on plain int lists, and these tests
+wrap what it returns in the oracle's `LaurentPoly` to compare.
+"""
+
 import pytest
-from cell_oracle import conjecture_final_value
+from cell_oracle import LaurentPoly, conjecture_final_value, laurent_divisible, q_integer
 from hypothesis import assume, example, given, strategies as st
 from sympy import Poly, symbols
 
 from ivpverify import qpoly
 from ivpverify.combinat import binom_int
-from ivpverify.qpoly import (
-    LaurentPoly,
-    laurent_divisible,
-    q_binom,
-    q_integer,
-    q_sun_sums,
-    remainder_by_q_integer_squared,
-)
+from ivpverify.qpoly import q_sun_sums, remainder_by_q_integer_squared
 from ivpverify.cli import GridConfig, run
 
 Q = LaurentPoly([0, 1])
 
 
+def q_binom(n, k):
+    """The verifier's q-binomial list, as an oracle polynomial."""
+    return LaurentPoly(qpoly.q_binom(n, k))
+
+
 def q_sun_sum(n, k):
     """The unscaled q-sum A_n of the cell (n, k), the last entry of row k up to n."""
-    return q_sun_sums(k, n)[-1]
+    low, coeffs = q_sun_sums(k, n)[-1]
+    return LaurentPoly(coeffs, low)
 
 
 def q_sun_product(n, k):
@@ -75,6 +81,34 @@ def test_laurent_shift_and_eval():
     assert str(p) == "q^-1 + 2 + q"
 
 
+# Zeros and units often; huge magnitudes now and then.
+_TEXT_COEFFS = st.one_of(
+    st.integers(-2, 2),
+    st.integers(2 ** 200, 2 ** 201),
+    st.integers(-(2 ** 201), -(2 ** 200)),
+)
+
+
+@given(st.lists(_TEXT_COEFFS, max_size=12), st.integers(-8, 3))
+@example([], 0)
+@example([0, 0, 0], -2)
+@example([0, -1, 1, 0, -1, 0, 0], -2)
+@example([0, 1, -1, 2 ** 200], -1)
+@example([-(2 ** 200), 0, 1], 0)
+def test_q_text_matches_oracle_str(coeffs, low):
+    # The witness text of a coefficient list against the oracle's own
+    # copy of the renderer, which sees the list trimmed.
+    assert qpoly._q_text(coeffs, low) == str(LaurentPoly(coeffs, low))
+
+
+def test_q_text_hand_cases():
+    assert qpoly._q_text([1, 2, 1], -1) == "q^-1 + 2 + q"
+    assert qpoly._q_text([0, -1, 1, 0, -1, 0, 0], -2) == "-q^-1 + 1 - q^2"
+    assert qpoly._q_text([0, 0], 5) == "0"
+    assert qpoly._q_text([], 0) == "0"
+    assert qpoly._q_text([0, 3, -2], 0) == "3*q - 2*q^2"
+
+
 def test_q_integer():
     assert q_integer(1) == LaurentPoly([1])
     assert q_integer(3) == LaurentPoly([1, 1, 1])
@@ -84,13 +118,13 @@ def test_q_integer():
 
 
 def test_q_binom_frozen_expansions():
-    assert q_binom(4, 2) == LaurentPoly([1, 1, 2, 1, 1])
-    assert q_binom(5, 2) == LaurentPoly([1, 1, 2, 2, 2, 1, 1])
-    assert q_binom(6, 3) == LaurentPoly([1, 1, 2, 3, 3, 3, 3, 2, 1, 1])
-    assert q_binom(5, 0) == LaurentPoly([1])
-    assert q_binom(3, 5).is_zero
+    assert qpoly.q_binom(4, 2) == [1, 1, 2, 1, 1]
+    assert qpoly.q_binom(5, 2) == [1, 1, 2, 2, 2, 1, 1]
+    assert qpoly.q_binom(6, 3) == [1, 1, 2, 3, 3, 3, 3, 2, 1, 1]
+    assert qpoly.q_binom(5, 0) == [1]
+    assert qpoly.q_binom(3, 5) == []
     with pytest.raises(ValueError):
-        q_binom(-1, 0)
+        qpoly.q_binom(-1, 0)
 
 
 def test_q_binom_of_large_n_needs_no_recursion():
@@ -121,12 +155,12 @@ def test_q_binom_specializes_to_binomials():
 
 
 def test_q_binom_degree_and_positivity():
+    # Every coefficient positive: the list has no zeros at either end.
     for n in range(25):
         for k in range(n + 1):
-            v = q_binom(n, k)
-            assert v.min_exp == 0
-            assert v.max_exp == k * (n - k)
-            assert all(c > 0 for c in v.coeffs)
+            v = qpoly.q_binom(n, k)
+            assert len(v) - 1 == k * (n - k)
+            assert all(c > 0 for c in v)
 
 
 def test_laurent_divisible_basics():
@@ -166,8 +200,8 @@ def test_divisibility_is_shift_invariant(s, n):
 
 
 def test_q_sun_sum_hand_cases():
-    assert q_sun_sums(0, 2) == [LaurentPoly([1]), LaurentPoly([1, 2, 1], min_exp=-1)]
-    assert q_sun_sums(1, 2) == [q_integer(3).shift(-2)]  # [3] [2 choose 2] q^-2
+    assert q_sun_sums(0, 2) == [(0, [1]), (-1, [1, 2, 1])]
+    assert q_sun_sums(1, 2) == [(-2, [1, 1, 1])]  # [3] [2 choose 2] q^-2
     assert q_sun_sums(2, 2) == []
     with pytest.raises(ValueError):
         q_sun_sums(-1, 2)
@@ -218,19 +252,31 @@ def _sympy(p):
 @example(LaurentPoly([-1, 0, 0, 1], min_exp=-2), LaurentPoly([1, 1, 1]))
 def test_product_matches_sympy(a, b):
     expected = (_sympy(a) * _sympy(b)).all_coeffs()[::-1]
-    assert a * b == LaurentPoly(map(int, expected), a.min_exp + b.min_exp)
-    assert b * a == a * b
+    product = qpoly._product(a.coeffs, b.coeffs)
+    assert product == ([int(c) for c in expected] if a and b else [])
+    assert qpoly._product(b.coeffs, a.coeffs) == product
 
 
-def _agrees_with_long_division(a, c, n):
-    """The residue remainder of a c^2 by [n]^2, checked against long
-    division of the full product: the same verdict and the same text."""
-    remainder = remainder_by_q_integer_squared(a, c, n)
+def _untrimmed(data, p, label):
+    """p as (low, coeffs) with up to three zeros drawn onto each end."""
+    front = data.draw(st.integers(0, 3), label=f"zeros before {label}")
+    back = data.draw(st.integers(0, 3), label=f"zeros after {label}")
+    return p.min_exp - front, [0] * front + list(p.coeffs) + [0] * back
+
+
+def _agrees_with_long_division(a, c, n, data):
+    """The residue remainder of a c^2 by [n]^2, from untrimmed coefficient
+    lists, checked against long division of the full product: the same
+    verdict and the same text."""
+    low_a, a_coeffs = _untrimmed(data, a, "a")
+    low_c, c_coeffs = _untrimmed(data, c, "c")
+    remainder = remainder_by_q_integer_squared(a_coeffs, c_coeffs, n)
     ok, obstruction = laurent_divisible(a * c * c, q_integer(n) * q_integer(n))
-    assert ok == remainder.is_zero
+    assert ok == (not any(remainder))
+    low = low_a + 2 * low_c
     if not ok:
-        assert str(remainder) == str(obstruction)
-    return remainder
+        assert qpoly._q_text(remainder, low) == str(obstruction)
+    return LaurentPoly(remainder, low)
 
 
 def _central(data, n):
@@ -241,26 +287,27 @@ def _central(data, n):
 @given(_laurent(st.integers(-4, 4), max_size=40), st.integers(-15, 15), st.integers(1, 12), st.data())
 def test_residue_remainder_matches_long_division(a, s, n, data):
     c = _central(data, n).shift(data.draw(st.integers(-3, 3), label="shift of c"))
-    _agrees_with_long_division(a.shift(s), c, n)
+    _agrees_with_long_division(a.shift(s), c, n, data)
 
 
 @given(_laurent(st.integers(-50, 50)), st.integers(-15, 15), st.integers(1, 12), st.data())
 def test_residue_remainder_vanishes_on_multiples_of_the_square(g, s, n, data):
     a = (g * q_integer(n) * q_integer(n)).shift(s)
-    assert not _agrees_with_long_division(a, _central(data, n), n)
+    assert not _agrees_with_long_division(a, _central(data, n), n, data)
 
 
 @given(_laurent(st.integers(-50, 50)), st.integers(-15, 15), st.integers(2, 12), st.data())
 def test_residue_remainder_stays_on_single_multiples(g, s, n, data):
     c = _central(data, n)
     assume(not laurent_divisible(g * c * c, q_integer(n))[0])
-    assert _agrees_with_long_division((g * q_integer(n)).shift(s), c, n)
+    assert _agrees_with_long_division((g * q_integer(n)).shift(s), c, n, data)
 
 
 def test_single_q_integer_is_its_own_remainder():
     # deg [n] < deg [n]^2: the residue path must not lose a single [n].
     for n in range(2, 41):
-        assert remainder_by_q_integer_squared(q_integer(n), LaurentPoly([1]), n) == q_integer(n)
+        remainder = remainder_by_q_integer_squared([1] * n, [1], n)
+        assert LaurentPoly(remainder) == q_integer(n)
 
 
 @given(_laurent(_COEFFS, max_size=60), st.integers(1, 12))
@@ -278,7 +325,7 @@ def test_q_sun_sum_matches_term_by_term_products():
             term = q_integer(2 * m + 1) * q_binom(m + k, 2 * k)
             expected = expected + term.shift(-(k + 1) * m)
             row.append(expected)
-        assert q_sun_sums(k, 9) == row
+        assert [LaurentPoly(coeffs, low) for low, coeffs in q_sun_sums(k, 9)] == row
 
 
 def _one_minus(j):

@@ -21,8 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cell_oracle
+from cell_oracle import LaurentPoly, binom_rat
 from ivpverify import cli, congruences, identities, qpoly
-from ivpverify.combinat import binom_int, binom_rat, binom_rat_row
+from ivpverify.combinat import binom_int, binom_rat_row
 from ivpverify.congruences import (
     conjecture_final_values,
     power_sums,
@@ -30,7 +31,6 @@ from ivpverify.congruences import (
     schmidt_coefficient_rows,
     weighted_sum_rows,
 )
-from ivpverify.qpoly import LaurentPoly
 
 
 def _row_cases(task, config):
@@ -61,14 +61,18 @@ def _corrupted_s(build, bad, delta):
 
 
 def _corrupted_q_sums(bad, exponent):
-    """qpoly.q_sun_sums, with q^exponent added to the unscaled sum A_n of the cell bad = (n, k)."""
+    """qpoly.q_sun_sums, with q^exponent added to the unscaled sum A_n of
+    the cell bad = (n, k): its (low, coeffs) pair grows at either end
+    when q^exponent lies outside it."""
     n, k = bad
     original = qpoly.q_sun_sums
 
     def corrupted(row_k, n_max):
         sums = original(row_k, n_max)
         if row_k == k and n <= n_max:
-            sums[n - k - 1] += LaurentPoly([1], exponent)
+            low, coeffs = sums[n - k - 1]
+            faulted = LaurentPoly(coeffs, low) + LaurentPoly([1], exponent)
+            sums[n - k - 1] = (faulted.min_exp, list(faulted.coeffs))
         return sums
 
     return corrupted
