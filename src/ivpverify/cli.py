@@ -22,10 +22,12 @@ it is built, so `run(GridConfig("theorem1", n_max=25))` is safe to call
 from code as well.
 
 Exit codes: 0 when every case passes, 1 on any mathematical failure,
-2 on a usage error (flags, bounds and the config file are checked
-before a task runs; whether the output path can be written shows only
-when the report is written, after the run), 3 on an internal error:
-any exception a task raises, a crash, not a counterexample.  The report for a given configuration is
+2 on a usage error (flags, bounds, the config file and the output
+path are checked before a task runs: `--out` must name a file in a
+directory that exists; a write that still fails, such as on a full
+disk, shows when the report is written, after the run), 3 on an
+internal error: any exception a task raises, a crash, not a
+counterexample.  The report for a given configuration is
 deterministic: cases are sorted by key, wall time is quarantined in a
 metadata block, and parallel runs emit byte-identical JSON/CSV to
 serial ones.  Flag precedence is defaults < IVPVERIFY_JOBS < config
@@ -342,10 +344,23 @@ def run(config: GridConfig):
     )
 
 
+def _check_out(path: Optional[str]) -> None:
+    """Refuse an output path whose directory is missing, or that is a
+    directory itself, before the run rather than after it."""
+    if path is None:
+        return
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise UsageError(f"cannot write report to {path!r}: no directory {directory!r}")
+    if os.path.isdir(path):
+        raise UsageError(f"cannot write report to {path!r}: it is a directory")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = resolve_config(args)
+        _check_out(config.out)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,17 +1,15 @@
-"""Exact scalar combinatorics: binomial coefficients (for a rational
-upper argument, a whole row C(r, 0..k) at once), double factorials,
-Catalan numbers.
+"""Exact scalar combinatorics: binomial coefficients with an integer
+upper argument, double factorials, Catalan numbers.
 
-Everything runs on Python's arbitrary-precision integers and
-`fractions.Fraction`; there are no floating-point code paths anywhere.
+Everything runs on Python's arbitrary-precision integers; there are no
+rational or floating-point code paths.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
-__all__ = ["binom_int", "binom_rat_row", "double_factorial_odd", "catalan"]
+__all__ = ["binom_int", "double_factorial_odd", "catalan"]
 
 
 def binom_int(n: int, k: int) -> int:
@@ -30,27 +28,6 @@ def binom_int(n: int, k: int) -> int:
         return math.comb(n, k)
     sign = -1 if k % 2 else 1
     return sign * math.comb(k - n - 1, k)
-
-
-def binom_rat_row(r: Fraction | int, k_max: int) -> list[Fraction]:
-    """[C(r, 0), ..., C(r, k_max)] for rational r = p/q, in one pass.
-
-    Each entry follows from the one before by the exact ratio update
-    C(r, k+1) = C(r, k) (p - kq) / (q (k+1)), kept as an integer
-    numerator and denominator, so the row costs k_max updates; for
-    integer r it agrees with :func:`binom_int`.
-    """
-    if k_max < 0:
-        raise ValueError(f"binom_rat_row: k_max must be >= 0, got {k_max}")
-    r = Fraction(r)
-    p, q = r.numerator, r.denominator
-    num = den = 1
-    row = [Fraction(1)]
-    for k in range(k_max):
-        num *= p - k * q
-        den *= q * (k + 1)
-        row.append(Fraction(num, den))
-    return row
 
 
 def double_factorial_odd(l: int) -> int:

@@ -15,20 +15,27 @@ the order-2 recurrence forms its residual at 2n+5 points, and the
 Chu-Vandermonde sum of degree <= k is compared at k+1 points.
 The module also checks a telescoping sum of odd-weighted binomials
 (each row over n shares one running sum) and two rational-value
-identities at x = -1/2 and x = -1/4, -3/4.  Evaluating both closed
-forms at any rational point, which no task needs, is left to the
-tests (`eval_transform_at` in tests/cell_oracle.py).
+identities at x = -1/2 and x = -1/4, -3/4, decided on integers: with
+C(p/q, k) = p(p-q)...(p-(k-1)q) / (q^k k!), the scaled left side is a
+fraction N / D of integers, and a cell passes when N = rhs D.
+Evaluating both closed forms at any rational point, which no task
+needs, is left to the tests (`eval_transform_at` in
+tests/cell_oracle.py).
 
-All checks are exact; a failure carries a witness (the first differing
-coefficient, the polynomial interpolated from the failing values, or
-the two unequal values).
+All checks are exact and run on `int`; a failure carries a witness
+(the first differing coefficient, the polynomial interpolated from the
+failing values, or the two unequal values), and only a witness uses
+`Fraction`.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 
-from .combinat import binom_int, binom_rat_row
+from .combinat import binom_int
 from .report import CaseResult, make_case
 from .values import coefficients, poly_text
 
@@ -191,31 +198,40 @@ def telescope_row(key: tuple[int, int]) -> list[CaseResult]:
 
 # -- rational-value identities at half-integer points ------------------------
 
+def _rational_point_lhs(p1: int, p2: int, q: int, scale: int, n: int) -> tuple[int, int]:
+    """scale^n sum_k C(p1/q,k)^2 C(p2/q,n-k)^2 as an integer pair (N, D),
+    equal to N / D, with D = (q^n n!)^2.
+
+    C(p/q, k) = a_k / (q^k k!) with a_k = p(p-q)...(p-(k-1)q), so each
+    product C(p1/q,k) C(p2/q,n-k) is C(n,k) a_k b_(n-k) / (q^n n!).
+    """
+    a = list(accumulate(range(p1, p1 - n * q, -q), mul, initial=1))
+    b = list(accumulate(range(p2, p2 - n * q, -q), mul, initial=1))
+    total = sum((math.comb(n, k) * a[k] * b[n - k]) ** 2 for k in range(n + 1))
+    return scale ** n * total, (q ** n * math.factorial(n)) ** 2
+
+
 def sun_one_case(n: int) -> CaseResult:
     """16^n sum C(-1/2,k)^2 C(-1/2,n-k)^2 = sum C(2k,k)^3 C(k,n-k) (-16)^(n-k).
 
-    The left side squares one row of C(-1/2, k), k <= n (see
-    `binom_rat_row`); the right side is all integers.
+    The left side is the integer fraction N / D of `_rational_point_lhs`,
+    so the cell passes when N == rhs D; only a failing cell forms N / D.
     """
-    half = [c * c for c in binom_rat_row(Fraction(-1, 2), n)]
-    lhs = 16 ** n * sum(half[k] * half[n - k] for k in range(n + 1))
     rhs = sum(
         binom_int(2 * k, k) ** 3 * binom_int(k, n - k) * (-16) ** (n - k)
         for k in range(n + 1)
     )
-    ok = lhs == rhs
-    return make_case((("n", n),), ok, None if ok else f"{lhs} != {rhs}")
+    num, den = _rational_point_lhs(-1, -1, 2, 16, n)
+    ok = num == rhs * den
+    return make_case((("n", n),), ok, None if ok else f"{Fraction(num, den)} != {rhs}")
 
 
 def sun_two_case(n: int) -> CaseResult:
     """64^n sum C(-1/4,k)^2 C(-3/4,n-k)^2 = sum C(2k,k)^3 C(2n-2k,n-k) 16^(n-k)."""
-    quarter = [c * c for c in binom_rat_row(Fraction(-1, 4), n)]
-    three_quarter = [c * c for c in binom_rat_row(Fraction(-3, 4), n)]
-    lhs = 64 ** n * sum(quarter[k] * three_quarter[n - k] for k in range(n + 1))
     rhs = sum(
         binom_int(2 * k, k) ** 3 * binom_int(2 * (n - k), n - k) * 16 ** (n - k)
         for k in range(n + 1)
     )
-    ok = lhs == rhs
-    return make_case((("n", n),), ok, None if ok else f"{lhs} != {rhs}")
-
+    num, den = _rational_point_lhs(-1, -3, 4, 64, n)
+    ok = num == rhs * den
+    return make_case((("n", n),), ok, None if ok else f"{Fraction(num, den)} != {rhs}")

@@ -31,6 +31,7 @@ from typing import Optional, Sequence
 
 from .congruences import conjecture_final_values
 from .report import CaseResult, make_case
+from .values import terms_text
 
 __all__ = [
     "q_binom",
@@ -164,23 +165,9 @@ def q_sun_sums(k: int, n_max: int) -> list[tuple[int, list[int]]]:
 
 
 def _q_text(coeffs: Sequence[int], low: int) -> str:
-    """sum_i coeffs[i] q^(low+i) as text, by increasing exponent and
-    without its zero terms, such as "2*q^-1 - 3 + q"; "0" when every
-    coefficient is zero."""
-    parts = []
-    for e, c in enumerate(coeffs, low):
-        if not c:
-            continue
-        if e == 0:
-            term = str(abs(c))
-        else:
-            mag = "" if abs(c) == 1 else f"{abs(c)}*"
-            term = f"{mag}q" if e == 1 else f"{mag}q^{e}"
-        parts.append(("- " if c < 0 else "+ ") + term)
-    if not parts:
-        return "0"
-    text = " ".join(parts)
-    return text[2:] if text.startswith("+ ") else "-" + text[2:]
+    """sum_i coeffs[i] q^(low+i) by increasing exponent, such as
+    "2*q^-1 - 3 + q"."""
+    return terms_text(enumerate(coeffs, low), "q")
 
 
 def q_sun_row(key: tuple[int, int]) -> list[CaseResult]:

@@ -9,17 +9,24 @@ each of them is a multiple of m (Polya's criterion for integer-valued
 polynomials; Cahen-Chabert, *Integer-Valued Polynomials*, 1997).  Every
 verdict therefore runs on exact integers.
 
-Monomial coefficients are recovered by Newton interpolation only to
-write the witness of a failing cell.
+Monomial coefficients, as `Fraction`s, are recovered by Newton
+interpolation only to write the witness of a failing cell; `terms_text`
+writes them, and the q side's Laurent polynomials, as text.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-__all__ = ["forward_differences", "first_non_multiple", "coefficients", "poly_text"]
+__all__ = [
+    "forward_differences",
+    "first_non_multiple",
+    "coefficients",
+    "terms_text",
+    "poly_text",
+]
 
 
 def forward_differences(values: Sequence) -> list:
@@ -61,20 +68,26 @@ def coefficients(values: Sequence) -> list[Fraction]:
     return coeffs
 
 
-def poly_text(coeffs: Sequence[Fraction]) -> str:
-    """Render little-endian coefficients as e.g. '2*x^2 - x + 1/2'."""
+def terms_text(terms: Iterable[tuple[int, Fraction | int]], var: str) -> str:
+    """(exponent, coefficient) pairs, in writing order, as a sum in var
+    without its zero terms, such as '2*x^2 - x + 1/2'; "0" when every
+    coefficient is zero."""
     parts = []
-    for i in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[i]
+    for e, c in terms:
         if not c:
             continue
-        if i == 0:
+        if e == 0:
             term = str(abs(c))
         else:
             mag = "" if abs(c) == 1 else f"{abs(c)}*"
-            term = f"{mag}x" if i == 1 else f"{mag}x^{i}"
+            term = f"{mag}{var}" if e == 1 else f"{mag}{var}^{e}"
         parts.append(("- " if c < 0 else "+ ") + term)
     if not parts:
         return "0"
     text = " ".join(parts)
     return text[2:] if text.startswith("+ ") else "-" + text[2:]
+
+
+def poly_text(coeffs: Sequence[Fraction]) -> str:
+    """Little-endian coefficients in x, highest power first."""
+    return terms_text(reversed(list(enumerate(coeffs))), "x")

@@ -24,9 +24,10 @@ oracle: `LaurentPoly`, a trimmed integer Laurent polynomial with its
 own schoolbook product, `q_integer`, `laurent_divisible` (long division
 in the Laurent ring, against which the verifier's residue remainder is
 checked), `binom_rat` (one rational binomial C(r, k), against which
-`combinat.binom_rat_row` is checked), and `eval_transform_at` (both
-closed forms of S_n at a rational point).  The verifier works on
-plain coefficient lists and never imports any of it.
+the integer left side of sun-one and sun-two is checked), and
+`eval_transform_at` (both closed forms of S_n at a rational point).
+The verifier works on plain coefficient lists and never imports any
+of it.
 """
 
 from __future__ import annotations

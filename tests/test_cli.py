@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import json
 import os
+from fractions import Fraction
 
 import pytest
 
@@ -65,6 +66,44 @@ def test_unwritable_out_path_exits_two(tmp_path, capsys):
     rc = cli.main(["transform", "--n-max", "2", "--out", str(target)])
     assert rc == 2
     assert "cannot write" in capsys.readouterr().err
+
+
+def _no_run(config):
+    raise AssertionError("the run started before --out was checked")
+
+
+@pytest.mark.parametrize("target", ["missing/x.csv", "."])
+def test_bad_out_path_exits_two_before_the_run(tmp_path, capsys, monkeypatch, target):
+    # A missing directory, or a directory given as the file, is a usage
+    # error found before any task runs.
+    monkeypatch.setattr(cli, "run", _no_run)
+    rc = cli.main(["all", "--out", str(tmp_path / target)])
+    assert rc == 2
+    assert "cannot write report to" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_out_write_failure_after_the_run_exits_two(capsys):
+    # /dev/full passes the early check; the write itself fails (ENOSPC).
+    rc = cli.main(["transform", "--n-max", "2", "--out", "/dev/full"])
+    assert rc == 2
+    assert "cannot write report to" in capsys.readouterr().err
+
+
+def test_passing_run_constructs_no_fraction(tmp_path, monkeypatch):
+    # Every verdict runs on int: Fraction only writes a failing witness.
+    made = []
+    original = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    assert Fraction(1, 2) == Fraction(2, 4) and len(made) == 2  # the wrapper counts
+    made.clear()
+    assert cli.main(["all", "--jobs", "1", "--format", "json", "--out", str(tmp_path / "a.json")]) == 0
+    assert made == []
 
 
 def test_csv_deterministic_across_jobs(tmp_path):

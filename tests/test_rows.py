@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 import cell_oracle
 from cell_oracle import LaurentPoly, binom_rat
 from ivpverify import cli, congruences, identities, qpoly
-from ivpverify.combinat import binom_int, binom_rat_row
+from ivpverify.combinat import binom_int
 from ivpverify.congruences import (
     conjecture_final_values,
     power_sums,
@@ -165,14 +165,37 @@ def test_closed_forms_match_per_term_formulas(n, data):
     assert identities.build_rhs(n, points) == cell_oracle.build_rhs(n, points)
 
 
+@settings(max_examples=80, deadline=None)
 @given(
-    r=st.fractions(min_value=-20, max_value=20, max_denominator=12),
-    k_max=st.integers(0, 25),
+    q=st.integers(1, 8),
+    p1=st.integers(-20, 20),
+    p2=st.integers(-20, 20),
+    scale=st.integers(),
+    n=st.integers(0, 30),
 )
-def test_binom_rat_row_matches_binom_rat(r, k_max):
-    assert binom_rat_row(r, k_max) == [binom_rat(r, k) for k in range(k_max + 1)]
+def test_rational_point_lhs_matches_fraction_sum(q, p1, p2, scale, n):
+    # The integer pair (N, D) against the sum itself, term by term in
+    # Fractions; p/q need not be in lowest terms.
+    num, den = identities._rational_point_lhs(p1, p2, q, scale, n)
+    r1, r2 = Fraction(p1, q), Fraction(p2, q)
+    expected = scale ** n * sum(
+        binom_rat(r1, k) ** 2 * binom_rat(r2, n - k) ** 2 for k in range(n + 1)
+    )
+    assert Fraction(num, den) == expected
 
 
-def test_binom_rat_row_examples():
-    assert binom_rat_row(Fraction(-1, 2), 3) == [1, Fraction(-1, 2), Fraction(3, 8), Fraction(-5, 16)]
-    assert binom_rat_row(5, 6) == [1, 5, 10, 10, 5, 1, 0]
+def test_rational_point_faults_match_oracle_at_large_n():
+    # Every right side off by one binomial change: each n in 1..60 fails
+    # in the verifier's integer decider and in the oracle's Fraction
+    # cell, with the same witness text.
+    def corrupted(top, k):
+        return binom_int(top, k) + 1
+
+    with ExitStack() as stack:
+        for module in (identities, cell_oracle):
+            stack.enter_context(mock.patch.object(module, "binom_int", corrupted))
+        for task in ("sun_one_case", "sun_two_case"):
+            for n in range(1, 61):
+                case = getattr(identities, task)(n)
+                assert case.status == "fail", (task, n)
+                assert case == getattr(cell_oracle, task)(n), (task, n)
