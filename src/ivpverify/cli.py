@@ -4,18 +4,22 @@
                   [--eps +1,-1] [--x-min I] [--x-max I] [--jobs N]
                   [--format text|json|csv] [--out PATH] [--config FILE]
 
-Each task is one entry of `_TASKS`: the row function that decides every
-cell of one grid row, the config fields its report echoes, its row keys
-as a function of the `GridConfig`, and the smallest n_max it accepts.
-Where a grid row is a prefix sum over n (telescope, theorem1, theorem2,
-the catalan-form identity, lemma-schmidt, conjecture-final,
-conjecture-sun-m, conjecture-sun-ii, q-sun, q-specialize), its row
-function keeps one running sum, so a cell costs O(1) instead of a
-fresh sum (q-sun and q-specialize each sweep the unscaled q-sums
-`qpoly.q_sun_sums` over the rows k, and apply [2k choose k]^2 only in a
-residue modulo (1 - q^n)^2 or at q = 1).  The weighted-sum rows and the
-lhs and rhs recurrence rows build their S_k table once per row; other
-tasks have one-cell rows (`_one`).
+Each task is one entry of `_TASKS`: the config fields its report
+echoes, its rows as a function of the `GridConfig`, and the smallest
+n_max it accepts.  Rows are calls: each is a `functools.partial` of a
+module-level row function with its own arguments, which returns the
+cases of one grid row, so the table is the one place that says which
+calls make up a task.  Where a grid row is a prefix sum over n
+(telescope, theorem1, theorem2, the catalan-form identity,
+lemma-schmidt, conjecture-final, conjecture-sun-m, conjecture-sun-ii,
+q-sun, q-specialize), its row function keeps one running sum, so a
+cell costs O(1) instead of a fresh sum (q-sun and q-specialize each
+sweep the unscaled q-sums `qpoly.q_sun_sums` over the rows k, and
+apply [2k choose k]^2 only in a residue modulo (1 - q^n)^2 or at
+q = 1).  The weighted-sum rows and the lhs and rhs recurrence rows
+build their S_k table once per row, and the chu-vandermonde row its
+power sums once per x; transform, sun-one, sun-two and the
+catalan-form summands have one-cell rows (`_one`).
 `run` makes one `gridrun.run_grid` call per task, all of them in one
 shared worker pool.  A `GridConfig` checks every bound when
 it is built, so `run(GridConfig("theorem1", n_max=25))` is safe to call
@@ -44,8 +48,7 @@ import time
 import traceback
 from dataclasses import dataclass, fields
 from functools import partial
-from itertools import product
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from . import congruences, identities, qpoly
 from .gridrun import run_grid, worker_pool
@@ -119,90 +122,80 @@ _SHARED_ECHO = tuple(name for name in _CONFIG_KEYS if name not in _RUN_KEYS)
 class _Task:
     """One entry of the task table."""
 
-    # Decides every cell of one grid row and returns their cases;
-    # module-level, so worker processes can unpickle it.
-    row: Callable[..., list[CaseResult]]
     # Config fields the report echoes, in this order.
     echo: tuple[str, ...]
-    row_keys: Callable[[GridConfig], Iterable]
+    # The task's rows, in the order they go to the pool: partials of
+    # module-level row functions with int, tuple and str arguments, so
+    # worker processes can unpickle them; each returns its row's cases.
+    rows: Callable[[GridConfig], list[partial]]
     min_n_max: int = 1
     notes: Callable[[GridConfig], list[str]] = lambda config: []
 
 
-def _one(cell: Callable[..., CaseResult], key) -> list[CaseResult]:
-    """The one-cell row of a task without a sweep."""
-    return [cell(key)]
+def _one(cell: Callable[..., CaseResult], *args) -> list[CaseResult]:
+    """The one-cell row cell(*args) of a task without a sweep."""
+    return [cell(*args)]
 
 
-def _ls(c: GridConfig) -> range:
-    return range(1, c.l_max + 1)
-
-
-def _ns(c: GridConfig) -> range:
-    return range(1, c.n_max + 1)
+def _call(row: partial) -> list[CaseResult]:
+    """Run one row: the `case_fn` that `run_grid` maps over a task's rows."""
+    return row()
 
 
 def _xs(c: GridConfig) -> range:
     return range(c.x_min, c.x_max + 1)
 
 
-def _k_rows(c: GridConfig) -> list[tuple[int, int]]:
-    """Rows k over n = k+1 .. n_max."""
-    return [(k, c.n_max) for k in range(c.n_max)]
-
-
 # The task table, in the order `all` runs it.
 _TASKS = {
-    "transform": _Task(
-        partial(_one, identities.transform_case), ("n_max",),
-        lambda c: range(c.n_max + 1), min_n_max=0,
-    ),
-    "recurrence": _Task(
-        identities.recurrence_row, ("n_max",),
-        lambda c: [(family, c.n_max) for family in ("base", "lhs", "rhs")], min_n_max=2,
-    ),
+    "transform": _Task(("n_max",), lambda c: [
+        partial(_one, identities.transform_case, n) for n in range(c.n_max + 1)
+    ], min_n_max=0),
+    "recurrence": _Task(("n_max",), lambda c: [
+        partial(identities.recurrence_base_row),
+        *(partial(identities.recurrence_row, family, c.n_max) for family in ("lhs", "rhs")),
+    ], min_n_max=2),
     "chu-vandermonde": _Task(
-        partial(_one, identities.chu_case), ("k_max",),
-        lambda c: range(c.k_max + 1), min_n_max=0,
+        ("k_max",), lambda c: [partial(identities.chu_row, c.k_max)], min_n_max=0
     ),
-    "telescope": _Task(identities.telescope_row, ("n_max",), _k_rows),
-    "sun-one": _Task(
-        partial(_one, identities.sun_one_case), ("n_max",),
-        lambda c: range(c.n_max + 1), min_n_max=0,
-    ),
-    "sun-two": _Task(
-        partial(_one, identities.sun_two_case), ("n_max",),
-        lambda c: range(c.n_max + 1), min_n_max=0,
-    ),
-    "theorem1": _Task(
-        congruences.theorem1_row, ("l_max", "n_max", "eps"), lambda c: [(c.l_max, c.eps, c.n_max)]
-    ),
-    "theorem2": _Task(congruences.theorem2_row, ("n_max",), lambda c: [c.n_max]),
-    "catalan-form": _Task(
-        congruences.catalan_form_row,
-        ("n_max", "x_min", "x_max"),
-        lambda c: [("identity", c.n_max)] + [("terms", n, x) for n in _ns(c) for x in _xs(c)],
-    ),
-    "lemma-schmidt": _Task(
-        congruences.schmidt_row, ("l_max", "n_max", "eps"),
-        lambda c: product(_ls(c), c.eps, [c.n_max]),
-    ),
-    "conjecture-final": _Task(
-        congruences.conjecture_final_row,
-        ("l_max", "n_max"),
-        lambda c: product(_ls(c), range(c.n_max), [c.n_max]),
-    ),
-    "conjecture-sun-m": _Task(
-        congruences.sun_m_row,
-        ("m", "l_max", "n_max", "eps", "x_min", "x_max"),
-        lambda c: [(c.m, x, c.l_max, c.n_max, c.eps) for x in _xs(c)],
-        notes=lambda c: [congruences.sun_m_regime(c.m, c.n_max, len(_xs(c)))],
-    ),
-    "conjecture-sun-ii": _Task(
-        congruences.sun_ii_row, ("l_max", "n_max"), lambda c: [(c.l_max, c.n_max)]
-    ),
-    "q-sun": _Task(qpoly.q_sun_row, ("n_max",), _k_rows),
-    "q-specialize": _Task(qpoly.q_specialize_row, ("n_max",), _k_rows),
+    "telescope": _Task(("n_max",), lambda c: [
+        partial(identities.telescope_row, k, c.n_max) for k in range(c.n_max)
+    ]),
+    "sun-one": _Task(("n_max",), lambda c: [
+        partial(_one, identities.sun_one_case, n) for n in range(c.n_max + 1)
+    ], min_n_max=0),
+    "sun-two": _Task(("n_max",), lambda c: [
+        partial(_one, identities.sun_two_case, n) for n in range(c.n_max + 1)
+    ], min_n_max=0),
+    "theorem1": _Task(("l_max", "n_max", "eps"), lambda c: [
+        partial(congruences.theorem1_row, c.l_max, c.eps, c.n_max)
+    ]),
+    "theorem2": _Task(("n_max",), lambda c: [partial(congruences.theorem2_row, c.n_max)]),
+    "catalan-form": _Task(("n_max", "x_min", "x_max"), lambda c: [
+        partial(congruences.catalan_identity_row, c.n_max),
+        *(partial(_one, congruences.catalan_terms_case, n, x)
+          for n in range(1, c.n_max + 1) for x in _xs(c)),
+    ]),
+    "lemma-schmidt": _Task(("l_max", "n_max", "eps"), lambda c: [
+        partial(congruences.schmidt_row, l, eps, c.n_max)
+        for l in range(1, c.l_max + 1) for eps in c.eps
+    ]),
+    "conjecture-final": _Task(("l_max", "n_max"), lambda c: [
+        partial(congruences.conjecture_final_row, l, k, c.n_max)
+        for l in range(1, c.l_max + 1) for k in range(c.n_max)
+    ]),
+    "conjecture-sun-m": _Task(("m", "l_max", "n_max", "eps", "x_min", "x_max"), lambda c: [
+        partial(congruences.sun_m_row, c.m, x, c.l_max, c.n_max, c.eps) for x in _xs(c)
+    ], notes=lambda c: [congruences.sun_m_regime(c.m, c.n_max, len(_xs(c)))]),
+    "conjecture-sun-ii": _Task(("l_max", "n_max"), lambda c: [
+        partial(congruences.sun_ii_row, c.l_max, c.n_max)
+    ]),
+    "q-sun": _Task(("n_max",), lambda c: [
+        partial(qpoly.q_sun_row, k, c.n_max) for k in range(c.n_max)
+    ]),
+    "q-specialize": _Task(("n_max",), lambda c: [
+        partial(qpoly.q_specialize_row, k, c.n_max) for k in range(c.n_max)
+    ]),
 }
 
 
@@ -319,8 +312,8 @@ def _run_task(name: str, config: GridConfig, pool):
     return run_grid(
         name,
         _echo(config, task.echo),
-        task.row_keys(config),
-        task.row,
+        task.rows(config),
+        _call,
         jobs=config.jobs,
         notes=task.notes(config),
         pool=pool,

@@ -1,7 +1,8 @@
 """Integer-side claims: integer-valuedness of the weighted
 transformation sums, divisibility of the Schmidt-combination
 coefficients, and the mod-n^2 congruence family.  The module holds
-their row builders and one row function per claim.
+their row builders and one row function per claim, each taking its own
+arguments.
 
 Most grid rows are prefix sums over n: the weighted sums and the
 Schmidt coefficients sum over k < n, the congruence values over
@@ -26,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .combinat import binom_int, catalan, double_factorial_odd
-from .identities import build_lhs, coeff_mismatch
+from .identities import build_lhs, coeff_mismatch, power_sums
 from .report import CaseResult, make_case
 from .values import coefficients, first_non_multiple
 
@@ -38,10 +39,10 @@ __all__ = [
     "theorem1_row",
     "theorem2_row",
     "catalan_form_values",
-    "catalan_form_row",
+    "catalan_identity_row",
+    "catalan_terms_case",
     "conjecture_final_values",
     "conjecture_final_row",
-    "power_sums",
     "sun_m_row",
     "sun_m_regime",
     "sun_ii_row",
@@ -79,10 +80,9 @@ def schmidt_coefficient_rows(l: int, eps: int, n_max: int) -> list[tuple[int, ..
     return rows
 
 
-def schmidt_row(key: tuple[int, int, int]) -> list[CaseResult]:
+def schmidt_row(l: int, eps: int, n_max: int) -> list[CaseResult]:
     """Every Schmidt-combination coefficient for (l, n, eps) is divisible
-    by n, for the row key (l, eps, n_max) over n = 1 .. n_max."""
-    l, eps, n_max = key
+    by n, for n = 1 .. n_max."""
     cases = []
     for n, coeffs in enumerate(schmidt_coefficient_rows(l, eps, n_max), 1):
         bad = next((j for j, c in enumerate(coeffs) if c % n), None)
@@ -123,10 +123,9 @@ def _int_valued_case(key, values, m: int, severity: str = "theorem") -> CaseResu
     return make_case(key, x0 is None, witness, severity=severity)
 
 
-def theorem1_row(key: tuple[int, tuple[int, ...], int]) -> list[CaseResult]:
-    """The 1/n weighted sum for (l, n, eps) is integer-valued, for the
-    row key (l_max, eps values, n_max) over every l, eps and n = 1 .. n_max."""
-    l_max, eps_values, n_max = key
+def theorem1_row(l_max: int, eps_values: tuple[int, ...], n_max: int) -> list[CaseResult]:
+    """The 1/n weighted sum for (l, n, eps) is integer-valued, for every
+    l <= l_max, eps in eps_values and n = 1 .. n_max."""
     table = s_table(n_max)
     return [
         _int_valued_case((("l", l), ("n", n), ("eps", eps)), values, n)
@@ -170,33 +169,30 @@ def _catalan_summand_times_n(n: int, k: int, x0: int) -> int:
     )
 
 
-def catalan_form_row(key: tuple) -> list[CaseResult]:
-    """One of two claims.  For the row key ("identity", n_max): for every
-    n <= n_max the Catalan-weighted sum equals the 1/n^2 weighted sum as
-    a polynomial (compared at its 2n-1 values).  For the one-cell key
-    ("terms", n, x): each summand (1/n) C(n,k+1) C(n+k,k) C(2k,k) C(x+k,2k)
-    is an integer at x.
-    """
-    part = key[0]
-    if part == "identity":
-        cases = []
-        for n, v in enumerate(weighted_sum_rows(1, 1, s_table(key[1])), 1):
-            c = catalan_form_values(n)
-            ok = v == tuple(n * n * ci for ci in c)
-            witness = None
-            if not ok:
-                p = [Fraction(a, n * n) for a in coefficients(v)]
-                witness = coeff_mismatch(p, coefficients(c))
-            cases.append(make_case((("part", part), ("n", n)), ok, witness))
-        return cases
-    _, n, x0 = key
+def catalan_identity_row(n_max: int) -> list[CaseResult]:
+    """For every n <= n_max the Catalan-weighted sum equals the 1/n^2
+    weighted sum as a polynomial (compared at its 2n-1 values)."""
+    cases = []
+    for n, v in enumerate(weighted_sum_rows(1, 1, s_table(n_max)), 1):
+        c = catalan_form_values(n)
+        ok = v == tuple(n * n * ci for ci in c)
+        witness = None
+        if not ok:
+            p = [Fraction(a, n * n) for a in coefficients(v)]
+            witness = coeff_mismatch(p, coefficients(c))
+        cases.append(make_case((("part", "identity"), ("n", n)), ok, witness))
+    return cases
+
+
+def catalan_terms_case(n: int, x0: int) -> CaseResult:
+    """Each summand (1/n) C(n,k+1) C(n+k,k) C(2k,k) C(x0+k,2k) is an integer."""
     bad = None
     for k in range(n):
         term = _catalan_summand_times_n(n, k, x0)
         if term % n:
             bad = f"k={k} summand {Fraction(term, n)} is not an integer"
             break
-    return [make_case((("part", part), ("n", n), ("x", x0)), bad is None, bad)]
+    return make_case((("part", "terms"), ("n", n), ("x", x0)), bad is None, bad)
 
 
 # -- the mod-n^2 congruence family -------------------------------------------
@@ -218,14 +214,12 @@ def conjecture_final_values(l: int, k: int, n_max: int) -> list[int]:
     return values
 
 
-def conjecture_final_row(key: tuple[int, int, int]) -> list[CaseResult]:
-    """The congruence mod n^2 at (l, n, k), for the row key (l, k, n_max)
-    over n = k+1 .. n_max.
+def conjecture_final_row(l: int, k: int, n_max: int) -> list[CaseResult]:
+    """The congruence mod n^2 at (l, n, k), for n = k+1 .. n_max.
 
     l = 1 rows are proved and also have to match the closed form
     n C(n,k+1) C(n+k,k) C(2k,k) exactly; l >= 2 rows are conjectures.
     """
-    l, k, n_max = key
     severity = "theorem" if l == 1 else "conjecture"
     cases = []
     for n, value in enumerate(conjecture_final_values(l, k, n_max), k + 1):
@@ -246,25 +240,18 @@ def conjecture_final_row(key: tuple[int, int, int]) -> list[CaseResult]:
 
 # -- numeric spot checks for general power m ---------------------------------
 
-def power_sums(m: int, x0: int, count: int) -> list[int]:
-    """P_k(x0) = sum_j C(-x0-1,j)^m C(x0,k-j)^m at the integer point x0,
-    for k = 0 .. count-1."""
-    left = [binom_int(-x0 - 1, j) ** m for j in range(count)]
-    right = [binom_int(x0, j) ** m for j in range(count)]
-    return [sum(left[j] * right[k - j] for j in range(k + 1)) for k in range(count)]
+def sun_m_row(
+    m: int, x0: int, l_max: int, n_max: int, eps_values: tuple[int, ...]
+) -> list[CaseResult]:
+    """Pointwise integrality at x0, for every l <= l_max, n <= n_max and
+    eps in eps_values, of
+    (1/n) sum_k eps^k (2k+1)^(2l-1) sum_j C(-x0-1,j)^m C(x0,k-j)^m.
 
-
-def sun_m_row(key: tuple) -> list[CaseResult]:
-    """Pointwise integrality at every (l, n, eps) of the row key
-    (m, x, l_max, n_max, eps values) of
-    (1/n) sum_k eps^k (2k+1)^(2l-1) sum_j C(-x-1,j)^m C(x,k-j)^m.
-
-    The power sums are built once for the row's x, then each (l, eps)
-    keeps one running sum over n.  m <= 2 instances are proved; m >= 3
-    ones are open.  The case key leaves m out: one report holds a single
-    m, which its config echoes.
+    The power sums (`identities.power_sums`) are built once for the
+    row's x0, then each (l, eps) keeps one running sum over n.  m <= 2
+    instances are proved; m >= 3 ones are open.  The case key leaves m
+    out: one report holds a single m, which its config echoes.
     """
-    m, x0, l_max, n_max, eps_values = key
     sums = power_sums(m, x0, n_max)
     severity = "theorem" if m <= 2 else "conjecture"
     cases = []
@@ -304,14 +291,13 @@ def sun_m_regime(m: int, n_max: int, points: int) -> str:
 
 # -- the (2l-1)!!/n^2 strengthening ------------------------------------------
 
-def sun_ii_row(key: tuple[int, int]) -> list[CaseResult]:
+def sun_ii_row(l_max: int, n_max: int) -> list[CaseResult]:
     """((2l-1)!!/n^2) sum_{k=0}^{n-1} (2k+1)^(2l-1) S_k(x) is integer-valued,
-    for the row key (l_max, n_max) over every l and n = 1 .. n_max.
+    for every l <= l_max and n = 1 .. n_max.
 
     l = 1 is the proved 1/n^2 statement; l >= 2 instances follow from
     the open mod-n^2 congruence, so they carry conjecture severity.
     """
-    l_max, n_max = key
     table = s_table(n_max)
     return [
         _int_valued_case(

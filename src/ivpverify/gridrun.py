@@ -1,12 +1,12 @@
-"""Run a task's row function over its row keys, optionally in parallel.
+"""Run a task's rows, optionally in parallel.
 
-A row function returns the cases of one grid row: a prefix-sum task
-decides every cell of a row from one running sum, and a task without a
-sweep has one-cell rows.  The contract that matters here: output is
-deterministic.  Cases are sorted by their key before being stored, so
-a run with --jobs 8 yields byte-identical JSON/CSV to a serial run
-(wall time excepted, which is why it lives in the report's metadata
-block).
+`run_grid` maps `case_fn` over `keys`, and each call returns the cases
+of one grid row; `cli` passes a task's rows, which are calls, as the
+keys and a function that makes the call as `case_fn`.  The contract
+that matters here: output is deterministic.  Cases are sorted by their
+key before being stored, so a run with --jobs 8 yields byte-identical
+JSON/CSV to a serial run (wall time excepted, which is why it lives in
+the report's metadata block).
 
 `worker_pool` opens one pool of worker processes that every `run_grid`
 call inside it shares, so `verify all --jobs N` starts its workers
@@ -55,7 +55,7 @@ def run_grid(
     notes: Iterable[str] = (),
     pool: Optional[ProcessPoolExecutor] = None,
 ) -> VerificationReport:
-    """Evaluate case_fn at every row key and collect its cases in a sorted report.
+    """Evaluate case_fn at every key and collect its cases in a sorted report.
 
     case_fn returns the list of cases of one row; it must be a
     module-level callable (picklable) when jobs > 1.  A parallel call

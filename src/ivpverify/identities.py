@@ -1,5 +1,6 @@
-"""The binomial-sum identity family: builders and one cell (or row)
-function per identity, each deciding its grid cells exactly.
+"""The binomial-sum identity family: builders and one row (or cell)
+function per claim, each deciding its grid cells exactly.  A row
+function takes its own arguments, and the task table in `cli` calls it.
 
 The central object is the degree-2n polynomial
 
@@ -8,19 +9,19 @@ The central object is the degree-2n polynomial
 
 `build_lhs` and `build_rhs` evaluate the two closed forms independently,
 by exact integer ratio updates, at the integer points x = 0, 1, ...;
-nothing is cached.  Every polynomial claim here is decided on those
-integer values: a polynomial of degree d is zero exactly when it
-vanishes at d+1 points.  So the transformation compares 2n+1 values,
-the order-2 recurrence forms its residual at 2n+5 points, and the
-Chu-Vandermonde sum of degree <= k is compared at k+1 points.
+nothing is cached.  `power_sums` builds the convolutions
+sum_j C(-x-1,j)^m C(x,k-j)^m at one integer x for every k at once; at
+m = 2 they are S_k(x), and at m = 1 they are the Chu-Vandermonde sums.
+Every polynomial claim here is decided on integer values: a polynomial
+of degree d is zero exactly when it vanishes at d+1 points.  So the
+transformation compares 2n+1 values, the order-2 recurrence forms its
+residual at 2n+5 points, and the Chu-Vandermonde sum of degree <= k is
+compared at k+1 points.
 The module also checks a telescoping sum of odd-weighted binomials
 (each row over n shares one running sum) and two rational-value
 identities at x = -1/2 and x = -1/4, -3/4, decided on integers: with
 C(p/q, k) = p(p-q)...(p-(k-1)q) / (q^k k!), the scaled left side is a
 fraction N / D of integers, and a cell passes when N = rhs D.
-Evaluating both closed forms at any rational point, which no task
-needs, is left to the tests (`eval_transform_at` in
-tests/cell_oracle.py).
 
 All checks are exact and run on `int`; a failure carries a witness
 (the first differing coefficient, the polynomial interpolated from the
@@ -42,11 +43,13 @@ from .values import coefficients, poly_text
 __all__ = [
     "build_lhs",
     "build_rhs",
+    "power_sums",
     "coeff_mismatch",
     "transform_case",
     "recurrence_coefficients",
+    "recurrence_base_row",
     "recurrence_row",
-    "chu_case",
+    "chu_row",
     "telescope_row",
     "sun_one_case",
     "sun_two_case",
@@ -84,6 +87,14 @@ def build_rhs(n: int, points: int) -> tuple[int, ...]:
             c = c * (x + k + 1) * (x - k) // ((2 * k + 1) * (2 * k + 2))
         values.append(total)
     return tuple(values)
+
+
+def power_sums(m: int, x0: int, count: int) -> list[int]:
+    """P_k(x0) = sum_j C(-x0-1,j)^m C(x0,k-j)^m at the integer point x0,
+    for k = 0 .. count-1."""
+    left = [binom_int(-x0 - 1, j) ** m for j in range(count)]
+    right = [binom_int(x0, j) ** m for j in range(count)]
+    return [sum(left[j] * right[k - j] for j in range(k + 1)) for k in range(count)]
 
 
 def coeff_mismatch(p, q) -> str:
@@ -125,26 +136,30 @@ def recurrence_coefficients(n: int, x: int) -> tuple[int, int, int]:
 _BASE_CASES = {0: lambda x: 1, 1: lambda x: 2 * x * x + 2 * x + 1}
 
 
-def recurrence_row(key: tuple[str, int]) -> list[CaseResult]:
-    """Both closed forms satisfy the order-2 recurrence.  The row ("base",
-    n_max) holds the n = 0, 1 base cases; ("lhs" | "rhs", n_max) builds
-    S_0 .. S_{n_max} of that form once and, at each n <= n_max - 2, forms
-    the residual, of degree at most 2n+4, at x = 0 .. 2n+4."""
-    family, n_max = key
+def recurrence_base_row() -> list[CaseResult]:
+    """Both closed forms give the base cases S_0 = 1 and S_1 = 2x^2+2x+1
+    that start the order-2 recurrence."""
     cases = []
-    if family == "base":
-        for n, base in _BASE_CASES.items():
-            points = 2 * n + 1
-            lhs, rhs = build_lhs(n, points), build_rhs(n, points)
-            expected = tuple(base(x) for x in range(points))
-            ok = lhs == rhs == expected
-            witness = None
-            if not ok:
-                lhs_p, rhs_p, expected_p = (poly_text(coefficients(v)) for v in (lhs, rhs, expected))
-                witness = f"S_{n}: lhs {lhs_p}, rhs {rhs_p}, expected {expected_p}"
-            cases.append(make_case((("family", family), ("n", n)), ok, witness))
-        return cases
+    for n, base in _BASE_CASES.items():
+        points = 2 * n + 1
+        lhs, rhs = build_lhs(n, points), build_rhs(n, points)
+        expected = tuple(base(x) for x in range(points))
+        ok = lhs == rhs == expected
+        witness = None
+        if not ok:
+            lhs_p, rhs_p, expected_p = (poly_text(coefficients(v)) for v in (lhs, rhs, expected))
+            witness = f"S_{n}: lhs {lhs_p}, rhs {rhs_p}, expected {expected_p}"
+        cases.append(make_case((("family", "base"), ("n", n)), ok, witness))
+    return cases
+
+
+def recurrence_row(family: str, n_max: int) -> list[CaseResult]:
+    """The closed form `family` ("lhs" or "rhs") satisfies the order-2
+    recurrence: S_0 .. S_{n_max} are built once and, at each
+    n <= n_max - 2, the residual, of degree at most 2n+4, is formed at
+    x = 0 .. 2n+4."""
     build = build_lhs if family == "lhs" else build_rhs
+    cases = []
     table = [build(j, 2 * n_max + 1) for j in range(n_max + 1)]
     for n in range(n_max - 1):
         residual = []
@@ -159,31 +174,34 @@ def recurrence_row(key: tuple[str, int]) -> list[CaseResult]:
 
 # -- Chu-Vandermonde convolution --------------------------------------------
 
-def chu_case(k: int) -> CaseResult:
-    """sum_j C(-x-1,j) C(x,k-j) collapses to the constant (-1)^k.
+def chu_row(k_max: int) -> list[CaseResult]:
+    """sum_j C(-x-1,j) C(x,k-j) collapses to the constant (-1)^k, for
+    k = 0 .. k_max.
 
-    The sum has degree at most k, so it is compared at x = 0 .. k.
+    The sum has degree at most k, so it is compared at x = 0 .. k: the
+    m = 1 power sums at each x <= k_max are built once, and cell k reads
+    them at x = 0 .. k.
     """
-    values = [
-        sum(binom_int(-x - 1, j) * binom_int(x, k - j) for j in range(k + 1))
-        for x in range(k + 1)
-    ]
-    expected = (-1) ** k
-    ok = all(v == expected for v in values)
-    witness = None if ok else f"sum is {poly_text(coefficients(values))}, expected {expected}"
-    return make_case((("k", k),), ok, witness)
+    sums = [power_sums(1, x, k_max + 1) for x in range(k_max + 1)]
+    cases = []
+    for k in range(k_max + 1):
+        values = [sums[x][k] for x in range(k + 1)]
+        expected = (-1) ** k
+        ok = all(v == expected for v in values)
+        witness = None if ok else f"sum is {poly_text(coefficients(values))}, expected {expected}"
+        cases.append(make_case((("k", k),), ok, witness))
+    return cases
 
 
 # -- telescoping sum ---------------------------------------------------------
 
-def telescope_row(key: tuple[int, int]) -> list[CaseResult]:
+def telescope_row(k: int, n_max: int) -> list[CaseResult]:
     """sum_{m=k}^{n-1} (2m+1) C(m+k,2k) C(2k,k) = n C(n,k+1) C(n+k,k), for
-    the row key (k, n_max) over n = k+1 .. n_max.
+    n = k+1 .. n_max.
 
     The left side is one running sum over m; the right side is the
     closed form at each n.
     """
-    k, n_max = key
     central = binom_int(2 * k, k)
     lhs = 0
     cases = []

@@ -3,8 +3,7 @@ of q-sun and q-specialize, all on integer coefficient lists.
 
 A polynomial in q is a list of int coefficients, entry i that of q^i,
 and a Laurent polynomial is a pair (low, coeffs) with low the exponent
-of coeffs[0].  Lists are the only representation: there is no value
-class, and a witness is written from its list by `_q_text`.
+of coeffs[0].  A witness is written from its list by `_q_text`.
 
 Everything rests on one linear-time pair: multiplying by 1 - q^j,
 and dividing by it with the recurrence h_i = f_i + h_(i-j), which is
@@ -170,10 +169,8 @@ def _q_text(coeffs: Sequence[int], low: int) -> str:
     return terms_text(enumerate(coeffs, low), "q")
 
 
-def q_sun_row(key: tuple[int, int]) -> list[CaseResult]:
-    """[n]^2 divides the q-sum A_n [2k choose k]^2, for the row key
-    (k, n_max) over n = k+1 .. n_max."""
-    k, n_max = key
+def q_sun_row(k: int, n_max: int) -> list[CaseResult]:
+    """[n]^2 divides the q-sum A_n [2k choose k]^2, for n = k+1 .. n_max."""
     central = q_binom(2 * k, k)
     cases = []
     for n, (low, a) in enumerate(q_sun_sums(k, n_max), k + 1):
@@ -184,12 +181,11 @@ def q_sun_row(key: tuple[int, int]) -> list[CaseResult]:
     return cases
 
 
-def q_specialize_row(key: tuple[int, int]) -> list[CaseResult]:
+def q_specialize_row(k: int, n_max: int) -> list[CaseResult]:
     """Setting q = 1 in the q-sum A_n [2k choose k]^2 reproduces the
-    classical weighted sum sum_m (2m+1) C(m+k,2k) C(2k,k)^2, for the row
-    key (k, n_max) over n = k+1 .. n_max; the classical sums are the
-    l = 1 running sums of conjecture-final."""
-    k, n_max = key
+    classical weighted sum sum_m (2m+1) C(m+k,2k) C(2k,k)^2, for
+    n = k+1 .. n_max; the classical sums are the l = 1 running sums of
+    conjecture-final."""
     central_sq = sum(q_binom(2 * k, k)) ** 2
     cases = []
     pairs = zip(q_sun_sums(k, n_max), conjecture_final_values(1, k, n_max))

@@ -1,9 +1,9 @@
 """Per-cell formulas: an independent oracle for the row functions.
 
-The verifier decides a prefix-sum grid row from one running sum.  This
-module keeps the formulas that build every cell's sum from scratch, as
-the verifier did before its row sweeps, together with the cell keys
-of each task's grid.  `ORACLE[task]` gives (cell function, cell keys of
+The verifier decides a prefix-sum grid row from one running sum, and
+the Chu-Vandermonde row from power sums shared by its cells.  This
+module keeps the formulas that build every cell's sum from scratch,
+together with the cell keys of each task's grid.  `ORACLE[task]` gives (cell function, cell keys of
 a `GridConfig`); a cell function returns the `CaseResult` the row
 function must produce for that key, witness and severity included.
 
@@ -43,7 +43,7 @@ from ivpverify import combinat
 from ivpverify.combinat import binom_int, catalan, double_factorial_odd
 from ivpverify.identities import coeff_mismatch
 from ivpverify.report import CaseResult, make_case
-from ivpverify.values import coefficients, first_non_multiple
+from ivpverify.values import coefficients, first_non_multiple, poly_text
 
 
 def _validate_eps(eps: int) -> None:
@@ -403,6 +403,18 @@ def q_sun_product(n: int, k: int) -> LaurentPoly:
 
 # -- one cell at a time ------------------------------------------------------
 
+def chu_case(k):
+    """The convolution at x = 0 .. k, one binom_int pair per term."""
+    values = [
+        sum(binom_int(-x - 1, j) * binom_int(x, k - j) for j in range(k + 1))
+        for x in range(k + 1)
+    ]
+    expected = (-1) ** k
+    ok = all(v == expected for v in values)
+    witness = None if ok else f"sum is {poly_text(coefficients(values))}, expected {expected}"
+    return make_case((("k", k),), ok, witness)
+
+
 def telescope_case(key):
     n, k = key
     lhs = telescope_lhs(n, k)
@@ -571,6 +583,7 @@ def _n_k(c):
 
 
 ORACLE: dict[str, tuple] = {
+    "chu-vandermonde": (chu_case, lambda c: range(c.k_max + 1)),
     "telescope": (telescope_case, _n_k),
     "sun-one": (sun_one_case, lambda c: range(c.n_max + 1)),
     "sun-two": (sun_two_case, lambda c: range(c.n_max + 1)),

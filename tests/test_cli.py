@@ -41,8 +41,13 @@ def test_bad_bounds_exit_two(capsys):
 
 
 def _replace_cell(monkeypatch, task, cell):
-    row = functools.partial(cli._one, cell)
-    monkeypatch.setitem(cli._TASKS, task, dataclasses.replace(cli._TASKS[task], row=row))
+    """Make every one-cell row of task call cell on the row's arguments."""
+    entry = cli._TASKS[task]
+
+    def rows(config):
+        return [functools.partial(cli._one, cell, *row.args[1:]) for row in entry.rows(config)]
+
+    monkeypatch.setitem(cli._TASKS, task, dataclasses.replace(entry, rows=rows))
 
 
 def test_mathematical_failure_exits_one(capsys, monkeypatch):

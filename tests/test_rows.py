@@ -13,6 +13,8 @@ in the oracle's per-cell sum alike; the oracle then forms the full
 product A_n [2k choose k]^2, which the verifier never does.
 """
 
+import functools
+import pickle
 from contextlib import ExitStack
 from fractions import Fraction
 from unittest import mock
@@ -34,9 +36,29 @@ from ivpverify.congruences import (
 
 
 def _row_cases(task, config):
-    entry = cli._TASKS[task]
-    cases = [case for key in entry.row_keys(config) for case in entry.row(key)]
+    cases = [case for row in cli._TASKS[task].rows(config) for case in row()]
     return sorted(cases, key=lambda c: c.sort_key)
+
+
+def _is_package_function(value):
+    return callable(value) and value.__module__.startswith("ivpverify.")
+
+
+def test_rows_are_picklable_calls_that_make_up_the_report():
+    # A task's rows are partials of package functions, with arguments a
+    # worker process can unpickle; called in order, they give exactly
+    # the cases of the task's report.
+    for task in cli._TASKS:
+        config = cli.GridConfig(task, l_max=2, n_max=4, k_max=5, m=3, x_min=-2, x_max=2)
+        rows = cli._TASKS[task].rows(config)
+        for row in rows:
+            assert isinstance(row, functools.partial), task
+            assert _is_package_function(row.func), (task, row)
+            assert all(_is_package_function(a) for a in row.args if callable(a)), (task, row)
+            copy = pickle.loads(pickle.dumps(row))
+            assert (copy.func, copy.args, copy.keywords) == (row.func, row.args, row.keywords)
+        cases = sorted((case for row in rows for case in row()), key=lambda c: c.sort_key)
+        assert cases == cli.run(config).cases, task
 
 
 def _corrupted_binom(bad, delta):
