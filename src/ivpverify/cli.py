@@ -16,10 +16,10 @@ q-sun, q-specialize), its row function keeps one running sum, so a
 cell costs O(1) instead of a fresh sum (q-sun and q-specialize each
 sweep the unscaled q-sums `qpoly.q_sun_sums` over the rows k, and
 apply [2k choose k]^2 only in a residue modulo (1 - q^n)^2 or at
-q = 1).  The weighted-sum rows and the lhs and rhs recurrence rows
-build their S_k table once per row, and the chu-vandermonde row its
-power sums once per x; transform, sun-one, sun-two and the
-catalan-form summands have one-cell rows (`_one`).
+q = 1).  The transform, weighted-sum, catalan-form identity and
+recurrence rows each build one S_k table per closed form they read,
+the chu-vandermonde row its power sums once per x; sun-one, sun-two
+and the catalan-form summands have one-cell rows (`_one`).
 `run` makes one `gridrun.run_grid` call per task, all of them in one
 shared worker pool.  A `GridConfig` checks every bound when
 it is built, so `run(GridConfig("theorem1", n_max=25))` is safe to call
@@ -148,9 +148,9 @@ def _xs(c: GridConfig) -> range:
 
 # The task table, in the order `all` runs it.
 _TASKS = {
-    "transform": _Task(("n_max",), lambda c: [
-        partial(_one, identities.transform_case, n) for n in range(c.n_max + 1)
-    ], min_n_max=0),
+    "transform": _Task(
+        ("n_max",), lambda c: [partial(identities.transform_row, c.n_max)], min_n_max=0
+    ),
     "recurrence": _Task(("n_max",), lambda c: [
         partial(identities.recurrence_base_row),
         *(partial(identities.recurrence_row, family, c.n_max) for family in ("lhs", "rhs")),

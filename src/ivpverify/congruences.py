@@ -17,9 +17,10 @@ failing cell there would be a counterexample, not a bug in a proof.
 Every verdict is computed on exact integers -- no modular reduction
 happens before the final divisibility test.  The weighted sums of
 S_k(x) have degree 2n-2, so each is held as its 2n-1 integer values at
-x = 0 .. 2n-2 (`weighted_sum_rows`, on the one S_k table `s_table` its
-row function builds); p/m is integer-valued exactly when every forward
-difference of those values at 0 is a multiple of m (see `values`).
+x = 0 .. 2n-2 (`weighted_sum_rows`, on the one table
+`identities.build_lhs(n_max - 1, 2 n_max - 1)` its row function
+builds); p/m is integer-valued exactly when every forward difference of
+those values at 0 is a multiple of m (see `values`).
 """
 
 from __future__ import annotations
@@ -27,14 +28,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .combinat import binom_int, catalan, double_factorial_odd
-from .identities import build_lhs, coeff_mismatch, power_sums
+from .identities import build_lhs, coeff_mismatch, in_central_basis, power_sums
 from .report import CaseResult, make_case
 from .values import coefficients, first_non_multiple
 
 __all__ = [
     "schmidt_coefficient_rows",
     "schmidt_row",
-    "s_table",
     "weighted_sum_rows",
     "theorem1_row",
     "theorem2_row",
@@ -95,15 +95,10 @@ def schmidt_row(l: int, eps: int, n_max: int) -> list[CaseResult]:
 
 # -- weighted sums of S_k and integer-valuedness -----------------------------
 
-def s_table(n_max: int) -> list[tuple[int, ...]]:
-    """S_k(0 .. 2 n_max - 2) for k < n_max: what `weighted_sum_rows` sums."""
-    return [build_lhs(k, 2 * n_max - 1) for k in range(n_max)]
-
-
 def weighted_sum_rows(l: int, eps: int, table: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """sum_{k=0}^{n-1} eps^k (2k+1)^(2l-1) S_k(x) at x = 0 .. 2n-2 (degree
     2n-2), for n = 1 .. n_max (entry n-1), as one running sum over the
-    rows of `table` = `s_table(n_max)`, built once per row function."""
+    entries of `table` = `build_lhs(n_max - 1, 2 n_max - 1)`."""
     n_max = len(table)
     _validate_l_eps("weighted_sum_rows", l, eps, n_max)
     power = 2 * l - 1
@@ -126,7 +121,7 @@ def _int_valued_case(key, values, m: int, severity: str = "theorem") -> CaseResu
 def theorem1_row(l_max: int, eps_values: tuple[int, ...], n_max: int) -> list[CaseResult]:
     """The 1/n weighted sum for (l, n, eps) is integer-valued, for every
     l <= l_max, eps in eps_values and n = 1 .. n_max."""
-    table = s_table(n_max)
+    table = build_lhs(n_max - 1, 2 * n_max - 1)
     return [
         _int_valued_case((("l", l), ("n", n), ("eps", eps)), values, n)
         for l in range(1, l_max + 1)
@@ -137,28 +132,29 @@ def theorem1_row(l_max: int, eps_values: tuple[int, ...], n_max: int) -> list[Ca
 
 def theorem2_row(n_max: int) -> list[CaseResult]:
     """(1/n^2) sum_{k=0}^{n-1} (2k+1) S_k(x) is integer-valued, for n = 1 .. n_max."""
+    table = build_lhs(n_max - 1, 2 * n_max - 1)
     return [
         _int_valued_case((("n", n),), values, n * n)
-        for n, values in enumerate(weighted_sum_rows(1, 1, s_table(n_max)), 1)
+        for n, values in enumerate(weighted_sum_rows(1, 1, table), 1)
     ]
 
 
 # -- Catalan-weighted rewriting of the theorem2 sum --------------------------
 
-def catalan_form_values(n: int) -> tuple[int, ...]:
-    """sum_{k=0}^{n-1} catalan(k) C(n-1,k) C(n+k,k) C(x+k,2k) at x = 0 .. 2n-2.
+def catalan_form_values(n_max: int) -> list[tuple[int, ...]]:
+    """sum_{k=0}^{n-1} catalan(k) C(n-1,k) C(n+k,k) C(x+k,2k) at
+    x = 0 .. 2 n_max - 2, for n = 1 .. n_max (entry n-1).
 
     Term-for-term this is (1/n) C(n,k+1) C(n+k,k) C(2k,k) C(x+k,2k);
     pulling the 1/(k+1) into the central binomial makes every scalar
     weight a visible integer.
     """
-    if n < 1:
-        raise ValueError(f"catalan_form_values: n must be >= 1, got {n}")
-    weights = [catalan(k) * binom_int(n - 1, k) * binom_int(n + k, k) for k in range(n)]
-    return tuple(
-        sum(w * binom_int(x + k, 2 * k) for k, w in enumerate(weights))
-        for x in range(2 * n - 1)
-    )
+    if n_max < 1:
+        raise ValueError(f"catalan_form_values: n_max must be >= 1, got {n_max}")
+    return in_central_basis([
+        [catalan(k) * binom_int(n - 1, k) * binom_int(n + k, k) for k in range(n)]
+        for n in range(1, n_max + 1)
+    ], 2 * n_max - 1)
 
 
 def _catalan_summand_times_n(n: int, k: int, x0: int) -> int:
@@ -172,9 +168,10 @@ def _catalan_summand_times_n(n: int, k: int, x0: int) -> int:
 def catalan_identity_row(n_max: int) -> list[CaseResult]:
     """For every n <= n_max the Catalan-weighted sum equals the 1/n^2
     weighted sum as a polynomial (compared at its 2n-1 values)."""
+    weighted = weighted_sum_rows(1, 1, build_lhs(n_max - 1, 2 * n_max - 1))
     cases = []
-    for n, v in enumerate(weighted_sum_rows(1, 1, s_table(n_max)), 1):
-        c = catalan_form_values(n)
+    for n, (v, c) in enumerate(zip(weighted, catalan_form_values(n_max)), 1):
+        c = c[: 2 * n - 1]
         ok = v == tuple(n * n * ci for ci in c)
         witness = None
         if not ok:
@@ -298,7 +295,7 @@ def sun_ii_row(l_max: int, n_max: int) -> list[CaseResult]:
     l = 1 is the proved 1/n^2 statement; l >= 2 instances follow from
     the open mod-n^2 congruence, so they carry conjecture severity.
     """
-    table = s_table(n_max)
+    table = build_lhs(n_max - 1, 2 * n_max - 1)
     return [
         _int_valued_case(
             (("l", l), ("n", n)), [double_factorial_odd(l) * v for v in values], n * n,

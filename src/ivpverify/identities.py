@@ -7,11 +7,12 @@ The central object is the degree-2n polynomial
     S_n(x) = sum_{k=0}^n C(-x-1,k)^2 C(x,n-k)^2
            = sum_{k=0}^n C(n+k,2k) C(2k,k)^2 C(x+k,2k).
 
-`build_lhs` and `build_rhs` evaluate the two closed forms independently,
-by exact integer ratio updates, at the integer points x = 0, 1, ...;
-nothing is cached.  `power_sums` builds the convolutions
-sum_j C(-x-1,j)^m C(x,k-j)^m at one integer x for every k at once; at
-m = 2 they are S_k(x), and at m = 1 they are the Chu-Vandermonde sums.
+`build_lhs` and `build_rhs` evaluate the two closed forms independently
+at x = 0, 1, ..., as one table S_0 .. S_n per call; nothing is cached.
+`power_sums` builds sum_j C(-x-1,j)^m C(x,k-j)^m at one integer x for
+every k at once: the Chu-Vandermonde sums at m = 1, the left table at
+m = 2.  `in_central_basis` evaluates sums in the basis C(x+k,2k): the
+right table, and the Catalan form in `congruences`.
 Every polynomial claim here is decided on integer values: a polynomial
 of degree d is zero exactly when it vanishes at d+1 points.  So the
 transformation compares 2n+1 values, the order-2 recurrence forms its
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, zip_longest
 from operator import mul
 
 from .combinat import binom_int
@@ -44,8 +45,9 @@ __all__ = [
     "build_lhs",
     "build_rhs",
     "power_sums",
+    "in_central_basis",
     "coeff_mismatch",
-    "transform_case",
+    "transform_row",
     "recurrence_coefficients",
     "recurrence_base_row",
     "recurrence_row",
@@ -58,37 +60,6 @@ __all__ = [
 
 # -- the two closed forms ----------------------------------------------------
 
-def build_lhs(n: int, points: int) -> tuple[int, ...]:
-    """S_n(0), ..., S_n(points-1) from sum_{k=0}^n C(-x-1,k)^2 C(x,n-k)^2, with
-    the rows C(r, 0..n), r = -x-1 and x, from C(r, k+1) = C(r, k) (r-k) / (k+1)."""
-    if n < 0:
-        raise ValueError(f"build_lhs: n must be >= 0, got {n}")
-    values = []
-    for x in range(points):
-        left, right = [1], [1]
-        for k in range(n):
-            left.append(left[-1] * (-x - 1 - k) // (k + 1))
-            right.append(right[-1] * (x - k) // (k + 1))
-        values.append(sum((left[k] * right[n - k]) ** 2 for k in range(n + 1)))
-    return tuple(values)
-
-
-def build_rhs(n: int, points: int) -> tuple[int, ...]:
-    """S_n(0), ..., S_n(points-1) from sum_{k=0}^n C(n+k,2k) C(2k,k)^2 C(x+k,2k),
-    with C(x+k+1,2k+2) = C(x+k,2k) (x+k+1)(x-k) / ((2k+1)(2k+2)) over k."""
-    if n < 0:
-        raise ValueError(f"build_rhs: n must be >= 0, got {n}")
-    weights = [binom_int(n + k, 2 * k) * binom_int(2 * k, k) ** 2 for k in range(n + 1)]
-    values = []
-    for x in range(points):
-        total, c = 0, 1
-        for k, w in enumerate(weights):
-            total += w * c
-            c = c * (x + k + 1) * (x - k) // ((2 * k + 1) * (2 * k + 2))
-        values.append(total)
-    return tuple(values)
-
-
 def power_sums(m: int, x0: int, count: int) -> list[int]:
     """P_k(x0) = sum_j C(-x0-1,j)^m C(x0,k-j)^m at the integer point x0,
     for k = 0 .. count-1."""
@@ -97,23 +68,53 @@ def power_sums(m: int, x0: int, count: int) -> list[int]:
     return [sum(left[j] * right[k - j] for j in range(k + 1)) for k in range(count)]
 
 
+def in_central_basis(weights: list[list[int]], points: int) -> list[tuple[int, ...]]:
+    """sum_k w[k] C(x+k,2k) at x = 0 .. points-1, for each (ragged) weight list w."""
+    size = max(map(len, weights), default=0)
+    basis = [[binom_int(x + k, 2 * k) for k in range(size)] for x in range(points)]
+    return [tuple(sum(map(mul, w, row)) for row in basis) for w in weights]
+
+
+def build_lhs(n_max: int, points: int) -> list[tuple[int, ...]]:
+    """S_0 .. S_{n_max}, each at x = 0 .. points-1, from the left closed form
+    sum_{k=0}^n C(-x-1,k)^2 C(x,n-k)^2: the m = 2 power sums at each x."""
+    if n_max < 0:
+        raise ValueError(f"build_lhs: n_max must be >= 0, got {n_max}")
+    sums = [power_sums(2, x, n_max + 1) for x in range(points)]
+    return [tuple(row[n] for row in sums) for n in range(n_max + 1)]
+
+
+def build_rhs(n_max: int, points: int) -> list[tuple[int, ...]]:
+    """S_0 .. S_{n_max}, each at x = 0 .. points-1, from the right closed form
+    sum_{k=0}^n C(n+k,2k) C(2k,k)^2 C(x+k,2k)."""
+    if n_max < 0:
+        raise ValueError(f"build_rhs: n_max must be >= 0, got {n_max}")
+    return in_central_basis([
+        [binom_int(n + k, 2 * k) * binom_int(2 * k, k) ** 2 for k in range(n + 1)]
+        for n in range(n_max + 1)
+    ], points)
+
+
 def coeff_mismatch(p, q) -> str:
     """Witness for p != q, given as coefficient lists: the first
     coefficient where they differ."""
-    for i in range(max(len(p), len(q))):
-        a = p[i] if i < len(p) else 0
-        b = q[i] if i < len(q) else 0
+    for i, (a, b) in enumerate(zip_longest(p, q, fillvalue=0)):
         if a != b:
             return f"coeff of x^{i}: {a} vs {b}"
     return "polynomials agree"
 
 
-def transform_case(n: int) -> CaseResult:
-    """Both closed forms of S_n agree, compared at their 2n+1 values."""
-    lhs, rhs = build_lhs(n, 2 * n + 1), build_rhs(n, 2 * n + 1)
-    ok = lhs == rhs
-    witness = None if ok else coeff_mismatch(coefficients(lhs), coefficients(rhs))
-    return make_case((("n", n),), ok, witness)
+def transform_row(n_max: int) -> list[CaseResult]:
+    """Both closed forms of S_n agree, for n = 0 .. n_max: cell n compares
+    the first 2n+1 values of one table of each form at x = 0 .. 2 n_max."""
+    lhs, rhs = build_lhs(n_max, 2 * n_max + 1), build_rhs(n_max, 2 * n_max + 1)
+    cases = []
+    for n in range(n_max + 1):
+        left, right = lhs[n][: 2 * n + 1], rhs[n][: 2 * n + 1]
+        ok = left == right
+        witness = None if ok else coeff_mismatch(coefficients(left), coefficients(right))
+        cases.append(make_case((("n", n),), ok, witness))
+    return cases
 
 
 # -- order-2 recurrence ------------------------------------------------------
@@ -139,10 +140,11 @@ _BASE_CASES = {0: lambda x: 1, 1: lambda x: 2 * x * x + 2 * x + 1}
 def recurrence_base_row() -> list[CaseResult]:
     """Both closed forms give the base cases S_0 = 1 and S_1 = 2x^2+2x+1
     that start the order-2 recurrence."""
+    left, right = build_lhs(1, 3), build_rhs(1, 3)
     cases = []
     for n, base in _BASE_CASES.items():
         points = 2 * n + 1
-        lhs, rhs = build_lhs(n, points), build_rhs(n, points)
+        lhs, rhs = left[n][:points], right[n][:points]
         expected = tuple(base(x) for x in range(points))
         ok = lhs == rhs == expected
         witness = None
@@ -155,12 +157,12 @@ def recurrence_base_row() -> list[CaseResult]:
 
 def recurrence_row(family: str, n_max: int) -> list[CaseResult]:
     """The closed form `family` ("lhs" or "rhs") satisfies the order-2
-    recurrence: S_0 .. S_{n_max} are built once and, at each
+    recurrence: one table S_0 .. S_{n_max} is built and, at each
     n <= n_max - 2, the residual, of degree at most 2n+4, is formed at
     x = 0 .. 2n+4."""
     build = build_lhs if family == "lhs" else build_rhs
+    table = build(n_max, 2 * n_max + 1)
     cases = []
-    table = [build(j, 2 * n_max + 1) for j in range(n_max + 1)]
     for n in range(n_max - 1):
         residual = []
         for x in range(2 * n + 5):

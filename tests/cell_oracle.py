@@ -1,7 +1,8 @@
 """Per-cell formulas: an independent oracle for the row functions.
 
-The verifier decides a prefix-sum grid row from one running sum, and
-the Chu-Vandermonde row from power sums shared by its cells.  This
+The verifier decides a prefix-sum grid row from one running sum, the
+Chu-Vandermonde row from power sums shared by its cells, and the
+transform row from one table of each closed form.  This
 module keeps the formulas that build every cell's sum from scratch,
 together with the cell keys of each task's grid.  `ORACLE[task]` gives (cell function, cell keys of
 a `GridConfig`); a cell function returns the `CaseResult` the row
@@ -11,9 +12,10 @@ Every binomial of a cell goes through this module's own `binom_int` and
 every S_k(x) through its own `build_lhs`, so a test can corrupt one and
 the verifier's copy the same way and compare the failing cells too.
 `build_lhs` and `build_rhs` keep the per-term formulas of the two closed
-forms, one `combinat.binom_int` call per binomial: they oracle the
-verifier's ratio-updated builders, and a fault drawn into this module's
-`binom_int` does not reach them, as it does not reach the verifier's.
+forms, one S_n per call and one `binom_int` call per binomial: they
+oracle the verifier's table builders, whose values come through
+`binom_int` as well, so a fault drawn into this module's `binom_int`
+reaches both sides.
 The q side keeps the per-cell q-sum, each q-binomial from the q-Pascal
 rule, and forms the full product with [2k choose k]^2 that the verifier
 never forms: a test corrupts the unscaled `q_sun_sum` here and the
@@ -72,21 +74,16 @@ def binom_rat(r: Fraction | int, k: int) -> Fraction:
 def build_lhs(n: int, points: int) -> tuple[int, ...]:
     """S_n(0), ..., S_n(points-1) from sum_{k=0}^n C(-x-1,k)^2 C(x,n-k)^2."""
     return tuple(
-        sum(
-            combinat.binom_int(-x - 1, k) ** 2 * combinat.binom_int(x, n - k) ** 2
-            for k in range(n + 1)
-        )
+        sum(binom_int(-x - 1, k) ** 2 * binom_int(x, n - k) ** 2 for k in range(n + 1))
         for x in range(points)
     )
 
 
 def build_rhs(n: int, points: int) -> tuple[int, ...]:
     """S_n(0), ..., S_n(points-1) from sum_{k=0}^n C(n+k,2k) C(2k,k)^2 C(x+k,2k)."""
-    weights = [
-        combinat.binom_int(n + k, 2 * k) * combinat.binom_int(2 * k, k) ** 2 for k in range(n + 1)
-    ]
+    weights = [binom_int(n + k, 2 * k) * binom_int(2 * k, k) ** 2 for k in range(n + 1)]
     return tuple(
-        sum(w * combinat.binom_int(x + k, 2 * k) for k, w in enumerate(weights))
+        sum(w * binom_int(x + k, 2 * k) for k, w in enumerate(weights))
         for x in range(points)
     )
 
@@ -403,6 +400,14 @@ def q_sun_product(n: int, k: int) -> LaurentPoly:
 
 # -- one cell at a time ------------------------------------------------------
 
+def transform_case(n):
+    """Both closed forms of S_n, each from its per-term formula, at x = 0 .. 2n."""
+    lhs, rhs = build_lhs(n, 2 * n + 1), build_rhs(n, 2 * n + 1)
+    ok = lhs == rhs
+    witness = None if ok else coeff_mismatch(coefficients(lhs), coefficients(rhs))
+    return make_case((("n", n),), ok, witness)
+
+
 def chu_case(k):
     """The convolution at x = 0 .. k, one binom_int pair per term."""
     values = [
@@ -583,6 +588,7 @@ def _n_k(c):
 
 
 ORACLE: dict[str, tuple] = {
+    "transform": (transform_case, lambda c: range(c.n_max + 1)),
     "chu-vandermonde": (chu_case, lambda c: range(c.k_max + 1)),
     "telescope": (telescope_case, _n_k),
     "sun-one": (sun_one_case, lambda c: range(c.n_max + 1)),

@@ -51,8 +51,8 @@ def _replace_cell(monkeypatch, task, cell):
 
 
 def test_mathematical_failure_exits_one(capsys, monkeypatch):
-    _replace_cell(monkeypatch, "transform", lambda n: make_case((("n", n),), False, "forced"))
-    assert cli.main(["transform", "--n-max", "0"]) == 1
+    _replace_cell(monkeypatch, "sun-one", lambda n: make_case((("n", n),), False, "forced"))
+    assert cli.main(["sun-one", "--n-max", "0"]) == 1
     assert "FAIL 1/1" in capsys.readouterr().out
 
 
@@ -279,8 +279,8 @@ def test_internal_error_exits_three(capsys, monkeypatch):
     def crash(n):
         raise RuntimeError("worker pool died")
 
-    _replace_cell(monkeypatch, "transform", crash)
-    assert cli.main(["transform"]) == 3
+    _replace_cell(monkeypatch, "sun-one", crash)
+    assert cli.main(["sun-one"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "internal error: RuntimeError('worker pool died')" in captured.err
@@ -292,8 +292,8 @@ def test_value_error_inside_a_task_exits_three(capsys, monkeypatch):
     def broken(n):
         raise ValueError("builder bug")
 
-    _replace_cell(monkeypatch, "transform", broken)
-    assert cli.main(["transform"]) == 3
+    _replace_cell(monkeypatch, "sun-one", broken)
+    assert cli.main(["sun-one"]) == 3
     assert "internal error: ValueError('builder bug')" in capsys.readouterr().err
 
 

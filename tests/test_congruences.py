@@ -7,17 +7,17 @@ from ivpverify.combinat import binom_int, double_factorial_odd
 from ivpverify.congruences import (
     catalan_form_values,
     conjecture_final_values,
-    s_table,
     schmidt_coefficient_rows,
     weighted_sum_rows,
 )
 from ivpverify.cli import GridConfig, run
+from ivpverify.identities import build_lhs
 from ivpverify.values import coefficients, first_non_multiple, forward_differences
 
 
 def _weighted(l, n, eps):
     """The weighted sum for (l, n, eps): the last entry of its row."""
-    return weighted_sum_rows(l, eps, s_table(n))[-1]
+    return weighted_sum_rows(l, eps, build_lhs(n - 1, 2 * n - 1))[-1]
 
 
 def _at(coeffs, x0):
@@ -55,7 +55,7 @@ def test_schmidt_combination_recovers_weighted_sum():
     # must reproduce the weighted sum at each of its 2n-1 points.
     for l in (1, 2):
         for eps in (1, -1):
-            weighted = weighted_sum_rows(l, eps, s_table(5))
+            weighted = weighted_sum_rows(l, eps, build_lhs(4, 9))
             for n, coeffs in enumerate(schmidt_coefficient_rows(l, eps, 5), 1):
                 values = tuple(
                     sum(
@@ -69,11 +69,11 @@ def test_schmidt_combination_recovers_weighted_sum():
 
 def test_theorem1_polynomial_hand_cases():
     # n times the 1/n polynomial: 1, 2 (3x^2+3x+2) and -(3x^2+3x+1).
-    assert weighted_sum_rows(1, 1, s_table(1)) == [(1,)]
+    assert weighted_sum_rows(1, 1, build_lhs(0, 1)) == [(1,)]
     assert coefficients(_weighted(1, 2, 1)) == [4, 6, 6]
     assert coefficients(_weighted(1, 2, -1)) == [-2, -6, -6]
     with pytest.raises(ValueError):
-        weighted_sum_rows(1, 0, s_table(2))
+        weighted_sum_rows(1, 0, build_lhs(1, 3))
 
 
 def test_theorem1_scaled_by_n_has_integer_basis():
@@ -102,14 +102,14 @@ def test_theorem2_grid_is_integer_valued():
 
 
 def test_catalan_form_matches_theorem2():
-    for n, values in enumerate(weighted_sum_rows(1, 1, s_table(10)), 1):
-        assert values == tuple(n * n * c for c in catalan_form_values(n))
+    for n, values in enumerate(weighted_sum_rows(1, 1, build_lhs(9, 19)), 1):
+        assert values == tuple(n * n * c for c in catalan_form_values(n)[n - 1])
 
 
 def test_catalan_form_n2_terms():
     # k=0 contributes 1; k=1 contributes catalan(1) C(1,1) C(3,1) C(x+1,2)
     # = 3 x(x+1)/2, so the total is (3x^2+3x+2)/2.
-    assert coefficients(catalan_form_values(2)) == [1, Fraction(3, 2), Fraction(3, 2)]
+    assert coefficients(catalan_form_values(2)[1]) == [1, Fraction(3, 2), Fraction(3, 2)]
 
 
 def test_catalan_form_report_keys():

@@ -10,21 +10,22 @@ from ivpverify.values import coefficients
 
 
 def test_small_closed_forms():
-    assert build_lhs(0, 1) == build_rhs(0, 1) == (1,)
-    assert build_lhs(1, 3) == build_rhs(1, 3) == (1, 5, 13)
-    assert coefficients(build_lhs(1, 3)) == [1, 2, 2]
+    assert build_lhs(0, 1)[0] == build_rhs(0, 1)[0] == (1,)
+    assert build_lhs(1, 3)[1] == build_rhs(1, 3)[1] == (1, 5, 13)
+    assert coefficients(build_lhs(1, 3)[1]) == [1, 2, 2]
 
 
 def test_both_sides_agree_up_to_ten():
     for n in range(11):
-        assert build_lhs(n, 2 * n + 1) == build_rhs(n, 2 * n + 1), f"closed forms differ at n={n}"
+        lhs, rhs = build_lhs(n, 2 * n + 1)[n], build_rhs(n, 2 * n + 1)[n]
+        assert lhs == rhs, f"closed forms differ at n={n}"
 
 
 def test_degrees_and_leading_coefficients_match():
     # Two points beyond 2n+1 would expose any term of degree above 2n.
     for n in range(9):
-        lhs = coefficients(build_lhs(n, 2 * n + 3))
-        rhs = coefficients(build_rhs(n, 2 * n + 3))
+        lhs = coefficients(build_lhs(n, 2 * n + 3)[n])
+        rhs = coefficients(build_rhs(n, 2 * n + 3)[n])
         assert len(lhs) == len(rhs) == 2 * n + 1
         assert lhs[2 * n] == rhs[2 * n]
 
@@ -42,31 +43,31 @@ def test_sympy_expansion_agrees_with_build_lhs():
         )
         poly = sympy.Poly(expr, x)
         theirs = [Fraction(str(c)) for c in reversed(poly.all_coeffs())]
-        assert coefficients(build_lhs(n, 2 * n + 1)) == theirs
-        assert coefficients(build_rhs(n, 2 * n + 1)) == theirs
+        assert coefficients(build_lhs(n, 2 * n + 1)[n]) == theirs
+        assert coefficients(build_rhs(n, 2 * n + 1)[n]) == theirs
 
 
 def test_values_at_one_are_sum_of_two_squares():
     # S_n(1) = n^2 + (n+1)^2: at x=1 only k=n-1 and k=n survive on the left.
     for n in range(25):
-        assert build_lhs(n, 2)[1] == n * n + (n + 1) ** 2
+        assert build_lhs(n, 2)[n][1] == n * n + (n + 1) ** 2
 
 
 def test_value_at_zero_is_always_one():
     for n in range(25):
-        assert build_lhs(n, 1) == build_rhs(n, 1) == (1,)
+        assert build_lhs(n, 1)[n] == build_rhs(n, 1)[n] == (1,)
 
 
 def test_symmetry_under_argument_reflection():
     for n in range(11):
-        values = build_lhs(n, 11)
+        values = build_lhs(n, 11)[n]
         for x0 in range(11):
             assert eval_transform_at(n, -x0 - 1) == values[x0]
 
 
 def test_integer_points_give_nonnegative_integers():
     for n in range(21):
-        for v in build_lhs(n, 41):
+        for v in build_lhs(n, 41)[n]:
             assert type(v) is int and v >= 0
         for x0 in range(-20, 0):
             v = eval_transform_at(n, x0)
@@ -87,7 +88,7 @@ def test_recurrence_coefficients_at_zero():
 
 def test_recurrence_explicit_n0():
     # The residual has degree <= 4, so five points decide it.
-    s0, s1, s2 = build_lhs(0, 5), build_lhs(1, 5), build_lhs(2, 5)
+    s0, s1, s2 = build_lhs(0, 5)[0], build_lhs(1, 5)[1], build_lhs(2, 5)[2]
     for x in range(5):
         a, b, c = recurrence_coefficients(0, x)
         assert a * s2[x] - b * s1[x] + c * s0[x] == 0

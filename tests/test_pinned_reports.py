@@ -7,11 +7,12 @@ severity, cell key or config echo changes them.  The JSON digest is of
 file `verify` writes, as when it was recorded, and one hashes the
 writer's own bytes as written, so drift in its whitespace or escaping
 shows too.  The fault-injection
-tests add a polynomial to the values one builder returns and check the
-exact witness the failing cell carries, its severity and the exit code.
-Where a task decides a grid row from one running sum, the fault goes
-into one entry of the row its row builder returns, or into one step of
-the running sum, which must fail that cell and every later one.
+tests add a polynomial to the values of one entry of the table or row
+one builder returns and check the exact witness the failing cell
+carries, its severity and the exit code.  Where a task decides a grid
+row from one running sum, the fault goes into one entry of the row its
+row builder returns, or into one step of the running sum, which must
+fail that cell and every later one.
 The scalar tasks' witness literals were recorded when every polynomial
 was still built from its rational coefficients and every cell still
 formatted a witness; their faults change one binomial, summand or
@@ -79,29 +80,16 @@ def test_q_task_csv_bytes_pinned_to_n_25(tmp_path, task):
     assert _sha256(out.read_bytes()) == Q_CSV_SHA256[task]
 
 
-def _corrupt(monkeypatch, module, name, bad_args, delta):
-    """Make module.name add delta(x) to its value at each point x = 0, 1, ...
-    when called with arguments that start with bad_args."""
-    original = getattr(module, name)
-
-    def corrupted(*args):
-        values = original(*args)
-        if args[:len(bad_args)] != bad_args:
-            return values
-        return tuple(v + delta(x) for x, v in enumerate(values))
-
-    monkeypatch.setattr(module, name, corrupted)
-
-
 def _corrupt_entry(monkeypatch, module, name, bad_args, index, change):
-    """Make the row builder module.name replace entry `index` of the row it
-    returns by change(entry) when called with arguments that start with
-    bad_args."""
+    """Make the row or table builder module.name replace entry `index` of
+    what it returns by change(entry) when called with arguments that
+    start with bad_args; a row or table without that entry is left as
+    it is."""
     original = getattr(module, name)
 
     def corrupted(*args):
         row = original(*args)
-        if args[:len(bad_args)] != bad_args:
+        if args[:len(bad_args)] != bad_args or index >= len(row):
             return row
         row = list(row)
         row[index] = change(row[index])
@@ -123,7 +111,7 @@ def _failures(tmp_path, argv):
 
 
 def test_transform_fault_witness(tmp_path, monkeypatch):
-    _corrupt(monkeypatch, identities, "build_rhs", (0,), lambda x: 1)
+    _corrupt_entry(monkeypatch, identities, "build_rhs", (), 0, _plus(lambda x: 1))
     rc, failed = _failures(tmp_path, ["transform", "--n-max", "3"])
     assert rc == 1
     assert failed == [{
@@ -133,7 +121,9 @@ def test_transform_fault_witness(tmp_path, monkeypatch):
 
 
 def test_catalan_form_identity_fault_witness(tmp_path, monkeypatch):
-    _corrupt(monkeypatch, congruences, "catalan_form_values", (2,), lambda x: 5 * x * x)
+    _corrupt_entry(
+        monkeypatch, congruences, "catalan_form_values", (), 1, _plus(lambda x: 5 * x * x)
+    )
     rc, failed = _failures(
         tmp_path, ["catalan-form", "--n-max", "3", "--x-min", "-1", "--x-max", "1"]
     )
@@ -170,7 +160,7 @@ def test_running_sum_step_fault_fails_from_that_cell_on(tmp_path, monkeypatch):
     # S_2 enters theorem2's one running sum at step k = 2, the cell n = 3.
     # With 1 added at every point, each later sum is 5 too large, and
     # 5/n^2 is not an integer for any n >= 3.
-    _corrupt(monkeypatch, congruences, "build_lhs", (2,), lambda x: 1)
+    _corrupt_entry(monkeypatch, congruences, "build_lhs", (), 2, _plus(lambda x: 1))
     rc, failed = _failures(tmp_path, ["theorem2", "--n-max", "6"])
     assert rc == 1
     assert [case["key"] for case in failed] == [{"n": n} for n in range(3, 7)]
@@ -194,7 +184,7 @@ def test_conjecture_sun_ii_fault_witness(tmp_path, monkeypatch):
 
 
 def test_recurrence_fault_witness(tmp_path, monkeypatch):
-    _corrupt(monkeypatch, identities, "build_lhs", (1,), lambda x: x)
+    _corrupt_entry(monkeypatch, identities, "build_lhs", (), 1, _plus(lambda x: x))
     rc, failed = _failures(tmp_path, ["recurrence", "--n-max", "3"])
     assert rc == 1
     assert failed == [
@@ -214,7 +204,7 @@ def test_recurrence_sweep_fault_fails_the_cells_reading_it(tmp_path, monkeypatch
     # S_n, S_(n+1) and S_(n+2), so exactly n = j-2, j-1 and j fail, those of
     # them with 0 <= n <= n_max - 2; the base cell n = j fails too, and the
     # rhs family still passes.
-    _corrupt(monkeypatch, identities, "build_lhs", (j,), lambda x: 1)
+    _corrupt_entry(monkeypatch, identities, "build_lhs", (), j, _plus(lambda x: 1))
     rc, failed = _failures(tmp_path, ["recurrence", "--n-max", "5"])
     assert rc == 1
     failed_n = {

@@ -5,8 +5,9 @@ bug in it would corrupt every later cell of the row.  These tests
 rebuild each cell from scratch and compare the two cell for cell:
 key, status, witness and severity.  With a fault drawn into one
 binomial coefficient, or into one value S_k(x) of the S_k tables that
-the weighted-sum rows read (the same fault in the verifier and in the
-oracle), the failing cells and their witnesses must agree as well.
+the transform and weighted-sum rows read (the same fault in the
+verifier's tables and in the oracle's one-S_k builds), the failing
+cells and their witnesses must agree as well.
 The q-sun and q-specialize rows meet a fault as 1 added to one
 coefficient of one cell's unscaled q-sum A_n, in the verifier's row and
 in the oracle's per-cell sum alike; the oracle then forms the full
@@ -19,7 +20,7 @@ from contextlib import ExitStack
 from fractions import Fraction
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cell_oracle
@@ -29,10 +30,10 @@ from ivpverify.combinat import binom_int
 from ivpverify.congruences import (
     conjecture_final_values,
     power_sums,
-    s_table,
     schmidt_coefficient_rows,
     weighted_sum_rows,
 )
+from ivpverify.identities import build_lhs
 
 
 def _row_cases(task, config):
@@ -69,15 +70,31 @@ def _corrupted_binom(bad, delta):
     return corrupted
 
 
+def _plus_at(values, x, delta):
+    return values[:x] + (values[x] + delta,) + values[x + 1:]
+
+
 def _corrupted_s(build, bad, delta):
-    """build, with delta added to S_k(x) wherever (k, x) == bad is built."""
+    """The oracle's build of one S_n, with delta added to S_k(x) wherever
+    (k, x) == bad is built."""
     k, x = bad
 
     def corrupted(n, points):
         values = build(n, points)
-        if n != k or x >= points:
-            return values
-        return values[:x] + (values[x] + delta,) + values[x + 1:]
+        return _plus_at(values, x, delta) if n == k and x < points else values
+
+    return corrupted
+
+
+def _corrupted_table(build, bad, delta):
+    """The verifier's table S_0 .. S_{n_max}, with the same fault."""
+    k, x = bad
+
+    def corrupted(n_max, points):
+        table = build(n_max, points)
+        if k > n_max or x >= points:
+            return table
+        return [_plus_at(values, x, delta) if n == k else values for n, values in enumerate(table)]
 
     return corrupted
 
@@ -130,11 +147,14 @@ def test_rows_match_per_cell_oracle(l_max, n_max, x_min, width, eps, m, fault, s
             for module in (congruences, identities, cell_oracle):
                 stack.enter_context(mock.patch.object(module, "binom_int", corrupted))
         if s_fault is not None:
-            # The verifier's S_k comes from ratio updates, not binom_int, so
-            # the weighted-sum running sums meet a fault only through S_k.
-            for module in (congruences, cell_oracle):
-                corrupted = _corrupted_s(module.build_lhs, s_fault[:2], s_fault[2])
+            # One value S_k(x) of the left closed form, in every table the
+            # verifier builds and in every build of S_k by the oracle.
+            bad, delta = s_fault[:2], s_fault[2]
+            for module in (identities, congruences):
+                corrupted = _corrupted_table(module.build_lhs, bad, delta)
                 stack.enter_context(mock.patch.object(module, "build_lhs", corrupted))
+            corrupted = _corrupted_s(cell_oracle.build_lhs, bad, delta)
+            stack.enter_context(mock.patch.object(cell_oracle, "build_lhs", corrupted))
         if q_fault is not None:
             n, k, exponent = q_fault
             bad = (n, min(k, n - 1))
@@ -164,7 +184,7 @@ def test_row_builders_match_per_cell_sums(l, eps, n_max, m, x0):
     # Values, not only verdicts: a sum off by a multiple of the modulus
     # would still pass a cell.
     ns = range(1, n_max + 1)
-    assert weighted_sum_rows(l, eps, s_table(n_max)) == [
+    assert weighted_sum_rows(l, eps, build_lhs(n_max - 1, 2 * n_max - 1)) == [
         cell_oracle.weighted_sum_values(l, n, eps) for n in ns
     ]
     assert schmidt_coefficient_rows(l, eps, n_max) == [
@@ -178,13 +198,43 @@ def test_row_builders_match_per_cell_sums(l, eps, n_max, m, x0):
 
 
 @settings(max_examples=40, deadline=None)
-@given(n=st.integers(0, 30), data=st.data())
-def test_closed_forms_match_per_term_formulas(n, data):
-    # The verifier builds both closed forms by ratio updates; the oracle
-    # keeps one binom_int call per term.
-    points = data.draw(st.integers(0, 2 * n + 5))
-    assert identities.build_lhs(n, points) == cell_oracle.build_lhs(n, points)
-    assert identities.build_rhs(n, points) == cell_oracle.build_rhs(n, points)
+@given(n_max=st.integers(0, 30), data=st.data())
+def test_closed_forms_match_per_term_formulas(n_max, data):
+    # The verifier builds each closed form as one table S_0 .. S_n_max;
+    # the oracle builds one S_n per call, one binom_int call per term.
+    points = data.draw(st.integers(0, 2 * n_max + 5))
+    ns = range(n_max + 1)
+    assert identities.build_lhs(n_max, points) == [cell_oracle.build_lhs(n, points) for n in ns]
+    assert identities.build_rhs(n_max, points) == [cell_oracle.build_rhs(n, points) for n in ns]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    weights=st.lists(st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=12), max_size=6),
+    points=st.integers(0, 20),
+    n_max=st.integers(1, 15),
+)
+@example(weights=[[1, 2, 3], [], [5]], points=0, n_max=1)
+def test_central_basis_sums_match_per_term_sums(weights, points, n_max):
+    # Values, not verdicts.  The weight lists are ragged, and at
+    # points = 0 each of them gives an empty tuple.
+    assert identities.in_central_basis(weights, points) == [
+        tuple(sum(c * binom_int(x + k, 2 * k) for k, c in enumerate(w)) for x in range(points))
+        for w in weights
+    ]
+    # n times entry n-1 is the term-for-term form
+    # sum_k C(n,k+1) C(n+k,k) C(2k,k) C(x+k,2k), at every x of the table.
+    table = congruences.catalan_form_values(n_max)
+    assert len(table) == n_max
+    for n, values in enumerate(table, 1):
+        assert [n * v for v in values] == [
+            sum(
+                binom_int(n, k + 1) * binom_int(n + k, k) * binom_int(2 * k, k)
+                * binom_int(x + k, 2 * k)
+                for k in range(n)
+            )
+            for x in range(2 * n_max - 1)
+        ]
 
 
 @settings(max_examples=80, deadline=None)
