@@ -12,8 +12,9 @@ cases of one grid row, so the table is the one place that says which
 calls make up a task.  Where a grid row is a prefix sum over n
 (telescope, theorem1, theorem2, the catalan-form identity,
 lemma-schmidt, conjecture-final, conjecture-sun-m, conjecture-sun-ii,
-q-sun, q-specialize), its row function keeps one running sum, so a
-cell costs O(1) instead of a fresh sum (q-sun and q-specialize each
+q-sun, q-specialize), its row function reads one running sum, so a
+cell costs O(1) instead of a fresh sum: the integer rows all take
+theirs from `identities.odd_power_sums` (q-sun and q-specialize each
 sweep the unscaled q-sums `qpoly.q_sun_sums` over the rows k, and
 apply [2k choose k]^2 only in a residue modulo (1 - q^n)^2 or at
 q = 1).  The transform, weighted-sum, catalan-form identity and
@@ -289,7 +290,7 @@ def resolve_config(args: argparse.Namespace) -> GridConfig:
             values["jobs"] = int(env_jobs)
         except ValueError:
             raise UsageError(f"{JOBS_ENV} must be an integer, got {env_jobs!r}")
-    if args.config:
+    if args.config is not None:
         values.update(_load_config_file(args.config))
     for name in _CONFIG_KEYS:
         given = getattr(args, name)

@@ -4,11 +4,12 @@ coefficients, and the mod-n^2 congruence family.  The module holds
 their row builders and one row function per claim, each taking its own
 arguments.
 
-Most grid rows are prefix sums over n: the weighted sums and the
-Schmidt coefficients sum over k < n, the congruence values over
-k <= m < n.  A row builder returns every cell of a row from one running
-sum, so a cell costs O(1) (O(n) for a vector of values) instead of a
-fresh sum, and a row function decides each of its cells.
+Most grid rows are prefix sums over n of sum_{k<n} eps^k (2k+1)^(2l-1) X_k,
+read off the one running sum `identities.odd_power_sums`, with X_k the
+S_k(x) of the weighted sums, C(k+j,2j) of the Schmidt coefficients,
+C(m+k,2k) of the congruence values or a power sum of the spot checks.
+So a cell costs O(1) (O(n) for a vector of values) instead of a fresh
+sum, and a row function decides each of its cells.
 
 Severity matters here.  Most grid cells instantiate proved statements
 (severity "theorem"); the l >= 2 congruence rows and the m >= 3 spot
@@ -17,8 +18,8 @@ failing cell there would be a counterexample, not a bug in a proof.
 Every verdict is computed on exact integers -- no modular reduction
 happens before the final divisibility test.  The weighted sums of
 S_k(x) have degree 2n-2, so each is held as its 2n-1 integer values at
-x = 0 .. 2n-2 (`weighted_sum_rows`, on the one table
-`identities.build_lhs(n_max - 1, 2 n_max - 1)` its row function
+x = 0 .. 2n-2 (`weighted_sum_rows`, one running sum per x of the one
+table `identities.build_lhs(n_max - 1, 2 n_max - 1)` its row function
 builds); p/m is integer-valued exactly when every forward difference of
 those values at 0 is a multiple of m (see `values`).
 """
@@ -26,9 +27,10 @@ those values at 0 is a multiple of m (see `values`).
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 from .combinat import binom_int, catalan, double_factorial_odd
-from .identities import build_lhs, coeff_mismatch, in_central_basis, power_sums
+from .identities import build_lhs, coeff_mismatch, in_central_basis, odd_power_sums, power_sums
 from .report import CaseResult, make_case
 from .values import coefficients, first_non_multiple
 
@@ -49,13 +51,6 @@ __all__ = [
 ]
 
 
-def _validate_l_eps(name: str, l: int, eps: int, n_max: int) -> None:
-    if l < 1 or n_max < 1:
-        raise ValueError(f"{name}: need l, n_max >= 1, got {l}, {n_max}")
-    if eps not in (1, -1):
-        raise ValueError(f"{name}: eps must be +1 or -1, got {eps}")
-
-
 # -- Schmidt-combination coefficients ----------------------------------------
 
 def schmidt_coefficient_rows(l: int, eps: int, n_max: int) -> list[tuple[int, ...]]:
@@ -64,20 +59,17 @@ def schmidt_coefficient_rows(l: int, eps: int, n_max: int) -> list[tuple[int, ..
 
     where S_k(x_0,...,x_k) = sum_j C(k+j,2j) C(2j,j) x_j.  Collecting by
     x_j gives coeffs[j] = sum_{k=j}^{n-1} eps^k (2k+1)^(2l-1) C(k+j,2j)
-    C(2j,j), kept as one running sum over k per j.  The divisibility
+    C(2j,j): one `odd_power_sums` column per j.  C(k+j,2j) = 0 for k < j,
+    so those entries are written as 0, not read.  The divisibility
     claim: every entry is a multiple of n.
     """
-    _validate_l_eps("schmidt_coefficient_rows", l, eps, n_max)
-    power = 2 * l - 1
-    partial: list[int] = []
-    rows = []
-    for k in range(n_max):
-        weight = eps ** k * (2 * k + 1) ** power
-        partial.append(0)
-        for j in range(k + 1):
-            partial[j] += weight * binom_int(k + j, 2 * j)
-        rows.append(tuple(p * binom_int(2 * j, j) for j, p in enumerate(partial)))
-    return rows
+    if n_max < 1:
+        raise ValueError(f"schmidt_coefficient_rows: need n_max >= 1, got {n_max}")
+    sums = odd_power_sums(l, eps, *(
+        [0] * j + [binom_int(k + j, 2 * j) for k in range(j, n_max)] for j in range(n_max)
+    ))
+    central = [binom_int(2 * j, j) for j in range(n_max)]
+    return [tuple(map(mul, central, row[:n])) for n, row in enumerate(zip(*sums), 1)]
 
 
 def schmidt_row(l: int, eps: int, n_max: int) -> list[CaseResult]:
@@ -97,18 +89,13 @@ def schmidt_row(l: int, eps: int, n_max: int) -> list[CaseResult]:
 
 def weighted_sum_rows(l: int, eps: int, table: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """sum_{k=0}^{n-1} eps^k (2k+1)^(2l-1) S_k(x) at x = 0 .. 2n-2 (degree
-    2n-2), for n = 1 .. n_max (entry n-1), as one running sum over the
-    entries of `table` = `build_lhs(n_max - 1, 2 n_max - 1)`."""
+    2n-2), for n = 1 .. n_max (entry n-1): one `odd_power_sums` column
+    per x of `table` = `build_lhs(n_max - 1, 2 n_max - 1)`."""
     n_max = len(table)
-    _validate_l_eps("weighted_sum_rows", l, eps, n_max)
-    power = 2 * l - 1
-    total = [0] * (2 * n_max - 1)
-    rows = []
-    for k, s_k in enumerate(table):
-        weight = eps ** k * (2 * k + 1) ** power
-        total = [t + weight * s for t, s in zip(total, s_k)]
-        rows.append(tuple(total[: 2 * k + 1]))
-    return rows
+    if n_max < 1:
+        raise ValueError(f"weighted_sum_rows: need n_max >= 1, got {n_max}")
+    sums = odd_power_sums(l, eps, *zip(*table))
+    return [row[: 2 * n - 1] for n, row in enumerate(zip(*sums), 1)]
 
 
 def _int_valued_case(key, values, m: int, severity: str = "theorem") -> CaseResult:
@@ -196,19 +183,13 @@ def catalan_terms_case(n: int, x0: int) -> CaseResult:
 
 def conjecture_final_values(l: int, k: int, n_max: int) -> list[int]:
     """(2l-1)!! sum_{m=k}^{n-1} (2m+1)^(2l-1) C(m+k,2k) C(2k,k)^2 for
-    n = k+1 .. n_max (entry n-k-1), from one running sum over m."""
-    if l < 1:
-        raise ValueError(f"conjecture_final_values: need l >= 1, got {l}")
+    n = k+1 .. n_max (entry n-k-1): the eps = 1 `odd_power_sums` column
+    C(m+k,2k), m >= k."""
     if not 0 <= k < n_max:
         raise ValueError(f"conjecture_final_values: need 0 <= k < n_max, got k={k}, n_max={n_max}")
-    power = 2 * l - 1
+    [sums] = odd_power_sums(l, 1, [binom_int(m + k, 2 * k) for m in range(k, n_max)], first=k)
     scale = double_factorial_odd(l) * binom_int(2 * k, k) ** 2
-    partial = 0
-    values = []
-    for m in range(k, n_max):
-        partial += (2 * m + 1) ** power * binom_int(m + k, 2 * k)
-        values.append(scale * partial)
-    return values
+    return [scale * partial for partial in sums]
 
 
 def conjecture_final_row(l: int, k: int, n_max: int) -> list[CaseResult]:
@@ -245,20 +226,18 @@ def sun_m_row(
     (1/n) sum_k eps^k (2k+1)^(2l-1) sum_j C(-x0-1,j)^m C(x0,k-j)^m.
 
     The power sums (`identities.power_sums`) are built once for the
-    row's x0, then each (l, eps) keeps one running sum over n.  m <= 2
-    instances are proved; m >= 3 ones are open.  The case key leaves m
-    out: one report holds a single m, which its config echoes.
+    row's x0 and summed by `odd_power_sums` for each (l, eps): at m = 2
+    they are `build_lhs`'s column x0, so the sums are theorem1's at x0.
+    m <= 2 instances are proved; m >= 3 ones are open.  The case key
+    leaves m out: one report holds a single m, which its config echoes.
     """
     sums = power_sums(m, x0, n_max)
     severity = "theorem" if m <= 2 else "conjecture"
     cases = []
     for l in range(1, l_max + 1):
-        power = 2 * l - 1
         for eps in eps_values:
-            total = 0
-            for k, p in enumerate(sums):
-                n = k + 1
-                total += eps ** k * (2 * k + 1) ** power * p
+            [totals] = odd_power_sums(l, eps, sums)
+            for n, total in enumerate(totals, 1):
                 ok = total % n == 0
                 witness = None if ok else f"sum {total} at x={x0} is not divisible by {n}"
                 cases.append(make_case(

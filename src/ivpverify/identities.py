@@ -13,13 +13,16 @@ at x = 0, 1, ..., as one table S_0 .. S_n per call; nothing is cached.
 every k at once: the Chu-Vandermonde sums at m = 1, the left table at
 m = 2.  `in_central_basis` evaluates sums in the basis C(x+k,2k): the
 right table, and the Catalan form in `congruences`.
+`odd_power_sums` is the one weighted running sum
+sum_{k<n} eps^k (2k+1)^(2l-1) X_k, of the telescope's left side here
+and of every prefix-sum row in `congruences`.
 Every polynomial claim here is decided on integer values: a polynomial
 of degree d is zero exactly when it vanishes at d+1 points.  So the
 transformation compares 2n+1 values, the order-2 recurrence forms its
 residual at 2n+5 points, and the Chu-Vandermonde sum of degree <= k is
 compared at k+1 points.
 The module also checks a telescoping sum of odd-weighted binomials
-(each row over n shares one running sum) and two rational-value
+(each row over n is one `odd_power_sums` column) and two rational-value
 identities at x = -1/2 and x = -1/4, -3/4, decided on integers: with
 C(p/q, k) = p(p-q)...(p-(k-1)q) / (q^k k!), the scaled left side is a
 fraction N / D of integers, and a cell passes when N = rhs D.
@@ -35,7 +38,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import accumulate, zip_longest
-from operator import mul
+from operator import mul, neg
 
 from .combinat import binom_int
 from .report import CaseResult, make_case
@@ -46,6 +49,7 @@ __all__ = [
     "build_rhs",
     "power_sums",
     "in_central_basis",
+    "odd_power_sums",
     "coeff_mismatch",
     "transform_row",
     "recurrence_coefficients",
@@ -73,6 +77,20 @@ def in_central_basis(weights: list[list[int]], points: int) -> list[tuple[int, .
     size = max(map(len, weights), default=0)
     basis = [[binom_int(x + k, 2 * k) for k in range(size)] for x in range(points)]
     return [tuple(sum(map(mul, w, row)) for row in basis) for w in weights]
+
+
+def odd_power_sums(l: int, eps: int, *columns, first: int = 0) -> list[list[int]]:
+    """sum_{k=first}^{n-1} eps^k (2k+1)^(2l-1) X_k for n = first+1, ...
+    (entry n-first-1), for each column X_first, X_first+1, ... of ints;
+    the weights are formed once for all columns."""
+    if l < 1 or eps not in (1, -1):
+        raise ValueError(f"odd_power_sums: need l >= 1 and eps = +1 or -1, got l={l}, eps={eps}")
+    size = max(map(len, columns), default=0)
+    weights = [(2 * k + 1) ** (2 * l - 1) for k in range(first, first + size)]
+    if eps == -1:
+        odd_k = slice(1 - first % 2, None, 2)
+        weights[odd_k] = map(neg, weights[odd_k])
+    return [list(accumulate(map(mul, weights, column))) for column in columns]
 
 
 def build_lhs(n_max: int, points: int) -> list[tuple[int, ...]]:
@@ -201,15 +219,15 @@ def telescope_row(k: int, n_max: int) -> list[CaseResult]:
     """sum_{m=k}^{n-1} (2m+1) C(m+k,2k) C(2k,k) = n C(n,k+1) C(n+k,k), for
     n = k+1 .. n_max.
 
-    The left side is one running sum over m; the right side is the
-    closed form at each n.
+    The left side is the l = 1, eps = 1 `odd_power_sums` column
+    C(m+k,2k), m >= k, times C(2k,k); the right side is the closed
+    form at each n.
     """
     central = binom_int(2 * k, k)
-    lhs = 0
+    [sums] = odd_power_sums(1, 1, [binom_int(m + k, 2 * k) for m in range(k, n_max)], first=k)
     cases = []
-    for n in range(k + 1, n_max + 1):
-        m = n - 1
-        lhs += (2 * m + 1) * binom_int(m + k, 2 * k) * central
+    for n, partial in enumerate(sums, k + 1):
+        lhs = partial * central
         rhs = n * binom_int(n, k + 1) * binom_int(n + k, k)
         ok = lhs == rhs
         cases.append(make_case((("n", n), ("k", k)), ok, None if ok else f"{lhs} != {rhs}"))

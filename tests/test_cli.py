@@ -238,6 +238,9 @@ def test_config_file_validation(tmp_path, capsys):
     assert cli.main(["transform", "--config", str(bad)]) == 2
     assert cli.main(["transform", "--config", str(tmp_path / "absent.json")]) == 2
     capsys.readouterr()
+    # An empty path names no file; it is not "no config file".
+    assert cli.main(["theorem2", "--n-max", "3", "--config", ""]) == 2
+    assert "cannot read config file ''" in capsys.readouterr().err
     # A non-string "out" would be taken as a file descriptor by open().
     bad.write_text(json.dumps({"out": 7}))
     assert cli.main(["transform", "--config", str(bad)]) == 2

@@ -20,6 +20,7 @@ from contextlib import ExitStack
 from fractions import Fraction
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -140,6 +141,12 @@ def _corrupted_q_sum(bad, exponent):
     s_fault=st.none() | st.tuples(st.integers(0, 11), st.integers(0, 22), st.integers(1, 5)),
     q_fault=st.none() | st.tuples(st.integers(1, 12), st.integers(0, 11), st.integers(-40, 30)),
 )
+# C(3,4) = 0 is the Schmidt term C(k+j,2j) at k = 1 < j = 2, which no
+# cell sums; it must not reach lemma-schmidt through the fault.
+@example(
+    l_max=1, n_max=4, x_min=0, width=0, eps=(1, -1), m=1,
+    fault=(3, 4, 1), s_fault=None, q_fault=None,
+)
 def test_rows_match_per_cell_oracle(l_max, n_max, x_min, width, eps, m, fault, s_fault, q_fault):
     with ExitStack() as stack:
         if fault is not None:
@@ -195,6 +202,47 @@ def test_row_builders_match_per_cell_sums(l, eps, n_max, m, x0):
             cell_oracle.conjecture_final_value(l, n, k).value for n in range(k + 1, n_max + 1)
         ]
     assert power_sums(m, x0, n_max) == [cell_oracle.power_sum_at(m, k, x0) for k in range(n_max)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    l=st.integers(1, 4),
+    eps=st.sampled_from([1, -1]),
+    first=st.integers(0, 8),
+    columns=st.lists(st.lists(st.integers(-10 ** 12, 10 ** 12), max_size=10), max_size=4),
+)
+@example(l=1, eps=1, first=0, columns=[])
+@example(l=4, eps=-1, first=3, columns=[[], [5, -7, 2], [1]])
+def test_odd_power_sums_match_per_term_sums(l, eps, first, columns):
+    # Values, not verdicts: a sun-m or telescope sum off by a multiple
+    # of n would still pass its cell.  Columns may be empty and of
+    # different lengths; term i of a column has k = first + i.
+    def term(k, x):
+        return eps ** k * (2 * k + 1) ** (2 * l - 1) * x
+
+    assert identities.odd_power_sums(l, eps, *columns, first=first) == [
+        [sum(term(first + i, x) for i, x in enumerate(c[:n])) for n in range(1, len(c) + 1)]
+        for c in columns
+    ]
+
+
+@pytest.mark.parametrize("l, eps", [(0, 1), (1, 0)])
+def test_odd_power_sums_rejects_bad_weights(l, eps):
+    with pytest.raises(ValueError):
+        identities.odd_power_sums(l, eps, [1, 2, 3])
+
+
+@settings(max_examples=20, deadline=None)
+@given(l=st.integers(1, 4), eps=st.sampled_from([1, -1]), n_max=st.integers(1, 10))
+def test_sun_m_sums_at_m_2_are_the_weighted_sums(l, eps, n_max):
+    # conjecture-sun-m at m = 2 sums the power sums of build_lhs's
+    # column x0, so its sums at x0 are theorem1's weighted sums there.
+    weighted = weighted_sum_rows(l, eps, build_lhs(n_max - 1, 2 * n_max - 1))
+    for x0 in range(2 * n_max - 1):
+        [sums] = identities.odd_power_sums(l, eps, power_sums(2, x0, n_max))
+        # Row n of the weighted sums holds x = 0 .. 2n-2.
+        ns = [n for n in range(1, n_max + 1) if x0 <= 2 * n - 2]
+        assert [sums[n - 1] for n in ns] == [weighted[n - 1][x0] for n in ns]
 
 
 @settings(max_examples=40, deadline=None)
