@@ -19,8 +19,10 @@ sweep the unscaled q-sums `qpoly.q_sun_sums` over the rows k, and
 apply [2k choose k]^2 only in a residue modulo (1 - q^n)^2 or at
 q = 1).  The transform, weighted-sum, catalan-form identity and
 recurrence rows each build one S_k table per closed form they read,
-the chu-vandermonde row its power sums once per x; sun-one, sun-two
-and the catalan-form summands have one-cell rows (`_one`).
+the chu-vandermonde row its power sums once per x, only at the points
+x = 0 .. d that decide a symmetric claim of degree 2d (the symmetric
+rule of `values`); sun-one, sun-two and the catalan-form summands have
+one-cell rows (`_one`).
 `run` makes one `gridrun.run_grid` call per task, all of them in one
 shared worker pool.  A `GridConfig` checks every bound when
 it is built, so `run(GridConfig("theorem1", n_max=25))` is safe to call

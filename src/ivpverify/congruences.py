@@ -17,11 +17,11 @@ checks instantiate open conjectures (severity "conjecture"), so a
 failing cell there would be a counterexample, not a bug in a proof.
 Every verdict is computed on exact integers -- no modular reduction
 happens before the final divisibility test.  The weighted sums of
-S_k(x) have degree 2n-2, so each is held as its 2n-1 integer values at
-x = 0 .. 2n-2 (`weighted_sum_rows`, one running sum per x of the one
-table `identities.build_lhs(n_max - 1, 2 n_max - 1)` its row function
-builds); p/m is integer-valued exactly when every forward difference of
-those values at 0 is a multiple of m (see `values`).
+S_k(x) are symmetric of degree 2n-2, so by the symmetric rule of
+`values` each is decided on its n values at x = 0 .. n-1: p/m is
+integer-valued exactly when each of them is a multiple of m.  They come
+from `weighted_sum_rows`, one running sum per x of the one table
+`identities.build_lhs(n_max - 1, n_max)` its row function builds.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from operator import mul
 from .combinat import binom_int, catalan, double_factorial_odd
 from .identities import build_lhs, coeff_mismatch, in_central_basis, odd_power_sums, power_sums
 from .report import CaseResult, make_case
-from .values import coefficients, first_non_multiple
+from .values import coefficients
 
 __all__ = [
     "schmidt_coefficient_rows",
@@ -88,9 +88,9 @@ def schmidt_row(l: int, eps: int, n_max: int) -> list[CaseResult]:
 # -- weighted sums of S_k and integer-valuedness -----------------------------
 
 def weighted_sum_rows(l: int, eps: int, table: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """sum_{k=0}^{n-1} eps^k (2k+1)^(2l-1) S_k(x) at x = 0 .. 2n-2 (degree
-    2n-2), for n = 1 .. n_max (entry n-1): one `odd_power_sums` column
-    per x of `table` = `build_lhs(n_max - 1, 2 n_max - 1)`."""
+    """sum_{k=0}^{n-1} eps^k (2k+1)^(2l-1) S_k(x) at the points x of
+    `table` = `build_lhs(n_max - 1, points)` up to its degree 2n-2, for
+    n = 1 .. n_max (entry n-1): one `odd_power_sums` column per x."""
     n_max = len(table)
     if n_max < 1:
         raise ValueError(f"weighted_sum_rows: need n_max >= 1, got {n_max}")
@@ -99,8 +99,8 @@ def weighted_sum_rows(l: int, eps: int, table: list[tuple[int, ...]]) -> list[tu
 
 
 def _int_valued_case(key, values, m: int, severity: str = "theorem") -> CaseResult:
-    """Is the polynomial with these values at 0, 1, ..., divided by m, integer-valued?"""
-    x0 = first_non_multiple(values, m)
+    """Is p/m integer-valued, p symmetric with these values at x = 0 .. d (see `values`)?"""
+    x0 = next((x for x, v in enumerate(values) if v % m), None)
     witness = None if x0 is None else f"p({x0}) = {Fraction(values[x0], m)} is not an integer"
     return make_case(key, x0 is None, witness, severity=severity)
 
@@ -108,9 +108,9 @@ def _int_valued_case(key, values, m: int, severity: str = "theorem") -> CaseResu
 def theorem1_row(l_max: int, eps_values: tuple[int, ...], n_max: int) -> list[CaseResult]:
     """The 1/n weighted sum for (l, n, eps) is integer-valued, for every
     l <= l_max, eps in eps_values and n = 1 .. n_max."""
-    table = build_lhs(n_max - 1, 2 * n_max - 1)
+    table = build_lhs(n_max - 1, n_max)
     return [
-        _int_valued_case((("l", l), ("n", n), ("eps", eps)), values, n)
+        _int_valued_case((("l", l), ("n", n), ("eps", eps)), values[:n], n)
         for l in range(1, l_max + 1)
         for eps in eps_values
         for n, values in enumerate(weighted_sum_rows(l, eps, table), 1)
@@ -119,9 +119,9 @@ def theorem1_row(l_max: int, eps_values: tuple[int, ...], n_max: int) -> list[Ca
 
 def theorem2_row(n_max: int) -> list[CaseResult]:
     """(1/n^2) sum_{k=0}^{n-1} (2k+1) S_k(x) is integer-valued, for n = 1 .. n_max."""
-    table = build_lhs(n_max - 1, 2 * n_max - 1)
+    table = build_lhs(n_max - 1, n_max)
     return [
-        _int_valued_case((("n", n),), values, n * n)
+        _int_valued_case((("n", n),), values[:n], n * n)
         for n, values in enumerate(weighted_sum_rows(1, 1, table), 1)
     ]
 
@@ -130,7 +130,7 @@ def theorem2_row(n_max: int) -> list[CaseResult]:
 
 def catalan_form_values(n_max: int) -> list[tuple[int, ...]]:
     """sum_{k=0}^{n-1} catalan(k) C(n-1,k) C(n+k,k) C(x+k,2k) at
-    x = 0 .. 2 n_max - 2, for n = 1 .. n_max (entry n-1).
+    x = 0 .. n_max - 1, for n = 1 .. n_max (entry n-1).
 
     Term-for-term this is (1/n) C(n,k+1) C(n+k,k) C(2k,k) C(x+k,2k);
     pulling the 1/(k+1) into the central binomial makes every scalar
@@ -141,7 +141,7 @@ def catalan_form_values(n_max: int) -> list[tuple[int, ...]]:
     return in_central_basis([
         [catalan(k) * binom_int(n - 1, k) * binom_int(n + k, k) for k in range(n)]
         for n in range(1, n_max + 1)
-    ], 2 * n_max - 1)
+    ], n_max)
 
 
 def _catalan_summand_times_n(n: int, k: int, x0: int) -> int:
@@ -154,14 +154,15 @@ def _catalan_summand_times_n(n: int, k: int, x0: int) -> int:
 
 def catalan_identity_row(n_max: int) -> list[CaseResult]:
     """For every n <= n_max the Catalan-weighted sum equals the 1/n^2
-    weighted sum as a polynomial (compared at its 2n-1 values)."""
-    weighted = weighted_sum_rows(1, 1, build_lhs(n_max - 1, 2 * n_max - 1))
+    weighted sum as a polynomial (compared at x = 0 .. n-1, see `values`)."""
+    weighted = weighted_sum_rows(1, 1, build_lhs(n_max - 1, n_max))
     cases = []
     for n, (v, c) in enumerate(zip(weighted, catalan_form_values(n_max)), 1):
-        c = c[: 2 * n - 1]
-        ok = v == tuple(n * n * ci for ci in c)
+        ok = v[:n] == tuple(n * n * ci for ci in c[:n])
         witness = None
-        if not ok:
+        if not ok:  # the witness reads both sides at x = 0 .. 2n-2
+            v = weighted_sum_rows(1, 1, build_lhs(n - 1, 2 * n - 1))[n - 1]
+            c = catalan_form_values(2 * n - 1)[n - 1]
             p = [Fraction(a, n * n) for a in coefficients(v)]
             witness = coeff_mismatch(p, coefficients(c))
         cases.append(make_case((("part", "identity"), ("n", n)), ok, witness))
@@ -274,10 +275,10 @@ def sun_ii_row(l_max: int, n_max: int) -> list[CaseResult]:
     l = 1 is the proved 1/n^2 statement; l >= 2 instances follow from
     the open mod-n^2 congruence, so they carry conjecture severity.
     """
-    table = build_lhs(n_max - 1, 2 * n_max - 1)
+    table = build_lhs(n_max - 1, n_max)
     return [
         _int_valued_case(
-            (("l", l), ("n", n)), [double_factorial_odd(l) * v for v in values], n * n,
+            (("l", l), ("n", n)), [double_factorial_odd(l) * v for v in values[:n]], n * n,
             "theorem" if l == 1 else "conjecture",
         )
         for l in range(1, l_max + 1)

@@ -16,11 +16,11 @@ right table, and the Catalan form in `congruences`.
 `odd_power_sums` is the one weighted running sum
 sum_{k<n} eps^k (2k+1)^(2l-1) X_k, of the telescope's left side here
 and of every prefix-sum row in `congruences`.
-Every polynomial claim here is decided on integer values: a polynomial
-of degree d is zero exactly when it vanishes at d+1 points.  So the
-transformation compares 2n+1 values, the order-2 recurrence forms its
-residual at 2n+5 points, and the Chu-Vandermonde sum of degree <= k is
-compared at k+1 points.
+Every polynomial claim here is symmetric about x = -1/2, so by the
+symmetric rule of `values` it is decided at x = 0 .. d only: S_n at
+x = 0 .. n, the order-2 recurrence's residual at x = 0 .. n+2, the
+Chu-Vandermonde sum at x = 0 .. k//2.  A failing cell rebuilds its
+values at x = 0 .. 2d for its witness.
 The module also checks a telescoping sum of odd-weighted binomials
 (each row over n is one `odd_power_sums` column) and two rational-value
 identities at x = -1/2 and x = -1/4, -3/4, decided on integers: with
@@ -122,15 +122,19 @@ def coeff_mismatch(p, q) -> str:
     return "polynomials agree"
 
 
+def _forms(n: int, points: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """S_n at x = 0 .. points-1 from each closed form, for one cell."""
+    return build_lhs(n, points)[n], build_rhs(n, points)[n]
+
+
 def transform_row(n_max: int) -> list[CaseResult]:
     """Both closed forms of S_n agree, for n = 0 .. n_max: cell n compares
-    the first 2n+1 values of one table of each form at x = 0 .. 2 n_max."""
-    lhs, rhs = build_lhs(n_max, 2 * n_max + 1), build_rhs(n_max, 2 * n_max + 1)
+    the first n+1 values of one table of each form at x = 0 .. n_max."""
+    lhs, rhs = build_lhs(n_max, n_max + 1), build_rhs(n_max, n_max + 1)
     cases = []
     for n in range(n_max + 1):
-        left, right = lhs[n][: 2 * n + 1], rhs[n][: 2 * n + 1]
-        ok = left == right
-        witness = None if ok else coeff_mismatch(coefficients(left), coefficients(right))
+        ok = lhs[n][: n + 1] == rhs[n][: n + 1]
+        witness = None if ok else coeff_mismatch(*map(coefficients, _forms(n, 2 * n + 1)))
         cases.append(make_case((("n", n),), ok, witness))
     return cases
 
@@ -152,42 +156,45 @@ def recurrence_coefficients(n: int, x: int) -> tuple[int, int, int]:
     return a, b, c
 
 
-_BASE_CASES = {0: lambda x: 1, 1: lambda x: 2 * x * x + 2 * x + 1}
+_BASE_CASES = {0: [1], 1: [1, 2, 2]}  # S_0 and S_1, little-endian in x
 
 
 def recurrence_base_row() -> list[CaseResult]:
     """Both closed forms give the base cases S_0 = 1 and S_1 = 2x^2+2x+1
-    that start the order-2 recurrence."""
-    left, right = build_lhs(1, 3), build_rhs(1, 3)
+    that start the order-2 recurrence, compared at x = 0 .. n."""
     cases = []
     for n, base in _BASE_CASES.items():
-        points = 2 * n + 1
-        lhs, rhs = left[n][:points], right[n][:points]
-        expected = tuple(base(x) for x in range(points))
-        ok = lhs == rhs == expected
+        lhs, rhs = _forms(n, n + 1)
+        ok = lhs == rhs == tuple(sum(c * x ** i for i, c in enumerate(base)) for x in range(n + 1))
         witness = None
-        if not ok:
-            lhs_p, rhs_p, expected_p = (poly_text(coefficients(v)) for v in (lhs, rhs, expected))
-            witness = f"S_{n}: lhs {lhs_p}, rhs {rhs_p}, expected {expected_p}"
+        if not ok:  # the witness reads both forms at x = 0 .. 2n
+            lhs_p, rhs_p = (poly_text(coefficients(v)) for v in _forms(n, 2 * n + 1))
+            witness = f"S_{n}: lhs {lhs_p}, rhs {rhs_p}, expected {poly_text(base)}"
         cases.append(make_case((("family", "base"), ("n", n)), ok, witness))
     return cases
 
 
+def _residual(table: list[tuple[int, ...]], n: int, points: int) -> list[int]:
+    """a_n S_{n+2} - b_n S_{n+1} + c_n S_n at x = 0 .. points-1, from `table`."""
+    coeffs = (recurrence_coefficients(n, x) for x in range(points))
+    return [a * table[n + 2][x] - b * table[n + 1][x] + c * table[n][x]
+            for x, (a, b, c) in enumerate(coeffs)]
+
+
 def recurrence_row(family: str, n_max: int) -> list[CaseResult]:
     """The closed form `family` ("lhs" or "rhs") satisfies the order-2
-    recurrence: one table S_0 .. S_{n_max} is built and, at each
-    n <= n_max - 2, the residual, of degree at most 2n+4, is formed at
-    x = 0 .. 2n+4."""
+    recurrence: one table S_0 .. S_{n_max} at x = 0 .. n_max is built and,
+    at each n <= n_max - 2, the residual, symmetric of degree at most
+    2n+4 (b_n depends on x only through x(x+1)), is formed at x = 0 .. n+2."""
     build = build_lhs if family == "lhs" else build_rhs
-    table = build(n_max, 2 * n_max + 1)
+    table = build(n_max, n_max + 1)
     cases = []
     for n in range(n_max - 1):
-        residual = []
-        for x in range(2 * n + 5):
-            a, b, c = recurrence_coefficients(n, x)
-            residual.append(a * table[n + 2][x] - b * table[n + 1][x] + c * table[n][x])
-        ok = not any(residual)
-        witness = None if ok else f"residual {poly_text(coefficients(residual))}"
+        ok = not any(_residual(table, n, n + 3))
+        witness = None
+        if not ok:  # the witness reads the residual at x = 0 .. 2n+4
+            residual = _residual(build(n + 2, 2 * n + 5), n, 2 * n + 5)
+            witness = f"residual {poly_text(coefficients(residual))}"
         cases.append(make_case((("family", family), ("n", n)), ok, witness))
     return cases
 
@@ -198,17 +205,19 @@ def chu_row(k_max: int) -> list[CaseResult]:
     """sum_j C(-x-1,j) C(x,k-j) collapses to the constant (-1)^k, for
     k = 0 .. k_max.
 
-    The sum has degree at most k, so it is compared at x = 0 .. k: the
-    m = 1 power sums at each x <= k_max are built once, and cell k reads
-    them at x = 0 .. k.
+    The sum is symmetric of degree at most k, so it is compared at
+    x = 0 .. k//2: the m = 1 power sums at each x <= k_max//2 are built
+    once, and cell k reads them at x = 0 .. k//2.
     """
-    sums = [power_sums(1, x, k_max + 1) for x in range(k_max + 1)]
+    sums = [power_sums(1, x, k_max + 1) for x in range(k_max // 2 + 1)]
     cases = []
     for k in range(k_max + 1):
-        values = [sums[x][k] for x in range(k + 1)]
         expected = (-1) ** k
-        ok = all(v == expected for v in values)
-        witness = None if ok else f"sum is {poly_text(coefficients(values))}, expected {expected}"
+        ok = all(sums[x][k] == expected for x in range(k // 2 + 1))
+        witness = None
+        if not ok:  # the witness reads the sum at x = 0 .. k
+            values = [power_sums(1, x, k + 1)[k] for x in range(k + 1)]
+            witness = f"sum is {poly_text(coefficients(values))}, expected {expected}"
         cases.append(make_case((("k", k),), ok, witness))
     return cases
 

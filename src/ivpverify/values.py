@@ -1,56 +1,44 @@
-"""Polynomials of known degree held as their integer values at x = 0..deg.
+"""Polynomials of known degree held as their integer values at x = 0, 1, ...
 
-A polynomial of degree at most d is fixed by its values at the d+1
-points 0, 1, ..., d, so two such polynomials are equal exactly when
-those values agree.  Its coefficients in the binomial basis C(x,0),
-C(x,1), ... are the forward differences of the values at 0 (Newton's
-forward formula), and p/m maps every integer to an integer exactly when
-each of them is a multiple of m (Polya's criterion for integer-valued
-polynomials; Cahen-Chabert, *Integer-Valued Polynomials*, 1997).  Every
-verdict therefore runs on exact integers.
+A polynomial of degree at most d is fixed by its values at x = 0 .. d.
+Its coefficients in the binomial basis C(x,0), C(x,1), ... are the
+forward differences of those values at 0 (Newton's forward formula),
+and p/m maps every integer to an integer exactly when each of them is
+a multiple of m (Polya's criterion; Cahen-Chabert, *Integer-Valued
+Polynomials*, 1997, ch. I).
+
+The symmetric rule.  Every polynomial claimed about S_n(x) is symmetric,
+p(-1-x) = p(x), so one of degree at most 2d is sum_{k<=d} c_k C(x+k,2k);
+as C(x+k,2k) = 0 for 0 <= x < k and C(2k,2k) = 1, its values at
+x = 0 .. d fix c_0 .. c_d unitriangularly over the integers.  So p is
+zero exactly when p(0..d) = 0, and p/m is integer-valued exactly when m
+divides p(0), ..., p(d); the first x >= 0 with p(x) % m is then <= d.
+Every verdict runs on exact integers at these d+1 points.
 
 Monomial coefficients, as `Fraction`s, are recovered by Newton
-interpolation only to write the witness of a failing cell; `terms_text`
-writes them, and the q side's Laurent polynomials, as text.
+interpolation from the values at x = 0 .. 2d only to write the witness
+of a failing cell; `terms_text` writes them, and the q side's Laurent
+polynomials, as text.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
-__all__ = [
-    "forward_differences",
-    "first_non_multiple",
-    "coefficients",
-    "terms_text",
-    "poly_text",
-]
+__all__ = ["forward_differences", "coefficients", "terms_text", "poly_text"]
 
 
 def forward_differences(values: Sequence) -> list:
     """[D^0 p(0), D^1 p(0), ...] from p(0), p(1), ..., the binomial-basis
-    coefficients of the polynomial through those values."""
+    coefficients of the polynomial through those values, for `coefficients`."""
     out = []
     row = list(values)
     while row:
         out.append(row[0])
         row = [b - a for a, b in zip(row, row[1:])]
     return out
-
-
-def first_non_multiple(values: Sequence, m: int) -> Optional[int]:
-    """First i whose i-th forward difference at 0 is not a multiple of m.
-
-    None means p/m is integer-valued.  Otherwise p(i)/m is itself not an
-    integer: p(i) = sum_{j<=i} C(i,j) D^j p(0), where every term but the
-    last is a multiple of m.
-    """
-    for i, d in enumerate(forward_differences(values)):
-        if d % m:
-            return i
-    return None
 
 
 def coefficients(values: Sequence) -> list[Fraction]:

@@ -3,8 +3,11 @@ from fractions import Fraction
 import pytest
 import sympy
 from cell_oracle import binom_rat, eval_transform_at
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ivpverify.identities import build_lhs, build_rhs, recurrence_coefficients
+from ivpverify.combinat import binom_int
+from ivpverify.identities import build_lhs, build_rhs, power_sums, recurrence_coefficients
 from ivpverify.cli import GridConfig, run
 from ivpverify.values import coefficients
 
@@ -92,6 +95,30 @@ def test_recurrence_explicit_n0():
     for x in range(5):
         a, b, c = recurrence_coefficients(0, x)
         assert a * s2[x] - b * s1[x] + c * s0[x] == 0
+
+
+# The verdicts on S read each claim at x = 0 .. d only, which is sound
+# because every claim is symmetric about x = -1/2 (see `values`).  These
+# tests check that premise on the unfaulted builders' ingredients.
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 3), x=st.integers(-40, 40), count=st.integers(0, 25))
+def test_power_sums_are_symmetric(m, x, count):
+    # m = 1 is the Chu-Vandermonde sum, m = 2 the left form of S.
+    assert power_sums(m, x, count) == power_sums(m, -1 - x, count)
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=st.integers(-60, 60), k=st.integers(0, 40))
+def test_central_basis_is_symmetric(x, k):
+    # C(x+k,2k) carries the right form of S and the Catalan form.
+    assert binom_int(x + k, 2 * k) == binom_int(k - 1 - x, 2 * k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(0, 200), x=st.integers(-10 ** 6, 10 ** 6))
+def test_recurrence_coefficients_are_symmetric(n, x):
+    assert recurrence_coefficients(n, x) == recurrence_coefficients(n, -1 - x)
 
 
 def test_recurrence_holds_for_both_families():

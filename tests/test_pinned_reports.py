@@ -40,6 +40,19 @@ Q_CSV_SHA256 = {
     "q-sun": "b7a9e12e16f85a83141a03bc8d34deec6f518585af917a0af82f0f02a3763964",
     "q-specialize": "f818e83247a8b684bf388b62e5931dc1b427e9529565276d66b3dde7761e7af1",
 }
+# The S tasks past their defaults, recorded while every S claim was
+# still decided on its values at x = 0 .. 2d, before the verdicts moved
+# to x = 0 .. d.
+S_CSV_SHA256 = {
+    "transform --n-max 60": "b96f9227b10289057e7e649d854f6439ddb9f4f0eed690263f19d58918b4e335",
+    "recurrence --n-max 40": "12685bfc1d6fc3f7915fcd686d7322fd06a6f113377c78635e79853b94783c4b",
+    "chu-vandermonde --k-max 60": "56f0874ec0f0b8540f789deb518c46724466e68afd2786108984f3289292e72c",
+    "theorem1 --l-max 4 --n-max 40": "2b0c5722f28b527744beb176e574e3ba86ab655e6d0670647329e89059796734",
+    "theorem2 --n-max 60": "ddfa4f133f5ac32b3887a2019b15e1f22911b7de1b0511ccde9e0e297ca9c7d4",
+    "conjecture-sun-ii --l-max 4 --n-max 40":
+        "0d242ee514e8939d7fddb1cd30d77d929eddea38203618273644665ddc7b6dba",
+    "catalan-form --n-max 30": "6b774d607f1b6621e9494e32f5697b9a8578c2cc2e7928518bd0c12ca9f5abc1",
+}
 
 
 def _sha256(data: bytes) -> str:
@@ -78,6 +91,13 @@ def test_q_task_csv_bytes_pinned_to_n_25(tmp_path, task):
     out = tmp_path / "q.csv"
     assert cli.main([task, "--n-max", "25", "--format", "csv", "--out", str(out)]) == 0
     assert _sha256(out.read_bytes()) == Q_CSV_SHA256[task]
+
+
+@pytest.mark.parametrize("argv", sorted(S_CSV_SHA256))
+def test_s_task_csv_bytes_pinned_past_defaults(tmp_path, argv):
+    out = tmp_path / "s.csv"
+    assert cli.main(argv.split() + ["--format", "csv", "--out", str(out)]) == 0
+    assert _sha256(out.read_bytes()) == S_CSV_SHA256[argv]
 
 
 def _corrupt_entry(monkeypatch, module, name, bad_args, index, change):
@@ -380,3 +400,60 @@ def test_lemma_schmidt_fault_witness(tmp_path, monkeypatch):
         "key": {"l": 1, "n": 3, "eps": -1}, "status": "fail",
         "witness": "coefficient j=1 is 25, not divisible by 3", "severity": "theorem",
     }]
+
+
+# A symmetric claim of degree 2d is decided at x = 0 .. d.  Each fault
+# below is added at that last deciding point x = d alone, so a row that
+# read one point too few would pass the cell it must fail.
+
+def _at_point(x0, delta=1):
+    """Add delta to a row entry's value at x0 alone."""
+    return _plus(lambda x: delta if x == x0 else 0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_transform_fault_at_last_point_fails(tmp_path, monkeypatch, n):
+    _corrupt_entry(monkeypatch, identities, "build_rhs", (), n, _at_point(n))
+    rc, failed = _failures(tmp_path, ["transform", "--n-max", "6"])
+    assert rc == 1 and [c["key"] for c in failed] == [{"n": n}]
+
+
+@pytest.mark.parametrize("family", ["lhs", "rhs"])
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_recurrence_fault_at_last_point_fails(tmp_path, monkeypatch, family, n):
+    # S_n at x = n+2 is read by the cell n alone: the cells n-1 and n-2
+    # read S_n only up to x = n+1 and x = n, and the base row up to x = n.
+    _corrupt_entry(monkeypatch, identities, f"build_{family}", (), n, _at_point(n + 2))
+    rc, failed = _failures(tmp_path, ["recurrence", "--n-max", "5"])
+    assert rc == 1 and [c["key"] for c in failed] == [{"family": family, "n": n}]
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 6])
+def test_chu_vandermonde_fault_at_last_point_fails(tmp_path, monkeypatch, k):
+    # The m = 1 power sum P_k at x = k//2; odd and even k both.
+    _corrupt_entry(monkeypatch, identities, "power_sums", (1, k // 2), k, lambda v: v + 1)
+    rc, failed = _failures(tmp_path, ["chu-vandermonde", "--k-max", "7"])
+    assert rc == 1 and [c["key"] for c in failed] == [{"k": k}]
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_weighted_sum_faults_at_last_point_fail(tmp_path, monkeypatch, n):
+    # Entry n-1 of a weighted-sum row gains 1 at x = n-1; 1 and 3 are
+    # multiples of neither n nor n^2, so the cell n fails in each task.
+    for args in [(1, -1), (1, 1), (2, 1)]:
+        _corrupt_entry(monkeypatch, congruences, "weighted_sum_rows", args, n - 1, _at_point(n - 1))
+    runs = {
+        "theorem1": ["--l-max", "1"], "theorem2": [],
+        "conjecture-sun-ii": ["--l-max", "2"], "catalan-form": ["--x-min", "0", "--x-max", "0"],
+    }
+    expected = {
+        "theorem1": [{"l": 1, "n": n, "eps": -1}, {"l": 1, "n": n, "eps": 1}],
+        "theorem2": [{"n": n}],
+        "conjecture-sun-ii": [{"l": 1, "n": n}, {"l": 2, "n": n}],
+        "catalan-form": [{"part": "identity", "n": n}],
+    }
+    for task, flags in runs.items():
+        rc, failed = _failures(tmp_path, [task, "--n-max", "6", *flags])
+        assert rc == 1 and [c["key"] for c in failed] == expected[task], task
+        if task != "catalan-form":
+            assert all(c["witness"].startswith(f"p({n - 1}) = ") for c in failed), task

@@ -281,7 +281,7 @@ def test_central_basis_sums_match_per_term_sums(weights, points, n_max):
                 * binom_int(x + k, 2 * k)
                 for k in range(n)
             )
-            for x in range(2 * n_max - 1)
+            for x in range(n_max)
         ]
 
 

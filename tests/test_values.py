@@ -1,8 +1,11 @@
 from fractions import Fraction
 
+from cell_oracle import first_non_multiple
 from hypothesis import given, settings, strategies as st
 
-from ivpverify.values import coefficients, first_non_multiple, forward_differences, poly_text
+from ivpverify import congruences
+from ivpverify.combinat import binom_int
+from ivpverify.values import coefficients, forward_differences, poly_text
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=1000)
 coeff_lists = st.lists(rationals, max_size=61)
@@ -59,6 +62,32 @@ def test_integer_valuedness_matches_pointwise_criterion(values, m):
     if witness is not None:
         assert 0 <= witness <= degree
         assert values[witness] % m
+
+
+@given(
+    st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1, max_size=12),
+    st.integers(1, 400),
+    st.integers(0, 12),
+)
+@settings(max_examples=300)
+def test_symmetric_first_non_multiple_is_read_at_x_up_to_d(coords, m, multiples):
+    # p = sum_{k<=d} c_k C(x+k,2k) is symmetric of degree <= 2d.  The
+    # first x <= d with p(x) % m is the first forward difference over
+    # x = 0 .. 2d that m does not divide, so the witness p(x0) of an
+    # integer-valuedness cell is the same from d+1 values as from 2d+1.
+    # The first `multiples` coordinates are made multiples of m, so the
+    # first failing x lands anywhere in 0 .. d, or nowhere.
+    coords = [c * m for c in coords[:multiples]] + coords[multiples:]
+    d = len(coords) - 1
+    values = [
+        sum(c * binom_int(x + k, 2 * k) for k, c in enumerate(coords)) for x in range(2 * d + 1)
+    ]
+    x0 = first_non_multiple(values, m)
+    assert next((x for x, v in enumerate(values[: d + 1]) if v % m), None) == x0
+    case = congruences._int_valued_case((("d", d),), values[: d + 1], m)
+    assert case.ok == (x0 is None)
+    if x0 is not None:
+        assert case.witness == f"p({x0}) = {Fraction(values[x0], m)} is not an integer"
 
 
 def test_first_non_multiple_classics():
