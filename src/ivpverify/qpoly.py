@@ -11,15 +11,26 @@ exact when its last j entries are zero.  A q-binomial is the product
 formula prod_i (1 - q^(n-k+i)) / (1 - q^i), and a q-sum row steps
 [m+k choose 2k] and [2m+1] along m by the same ratios.
 
-q-sun never forms the product A [2k choose k]^2 of a cell.  Since
-[n]^2 (1 - q)^2 = (1 - q^n)^2, the remainder of a polynomial on
-division by [n]^2 is the remainder of its residue modulo
-(1 - q^n)^2, so each factor is reduced to 2n coefficients, the
-residues are multiplied and reduced again, and two steps of division
-by the monic [n]^2 leave the remainder: zero decides the cell, and a
-nonzero one is its witness.  Products are schoolbook.  General long
-division in the Laurent ring, `laurent_divisible` in
-tests/cell_oracle.py, is the reference the tests check this against.
+q-sun never forms the product A [2k choose k]^2 of a cell.  It
+decides each cell from the cyclotomic factors of [n]^2: [n] is the
+product of the cyclotomic polynomials Phi_d with d | n, d > 1, and
+Phi_d divides [2k choose k] floor(2k/d) - 2 floor(k/d) times, which is
+0 or 1.  So [n]^2 divides A [2k choose k]^2 exactly when Phi_d^2
+divides A for every d | n, d > 1, with floor(2k/d) = 2 floor(k/d).
+Phi_d^2 divides (1 - q^d)^2, so A is reduced to its 2d coefficients
+modulo (1 - q^d)^2 and these are divided by the monic Phi_d^2, each d
+in increasing order until one does not divide; Phi_d is the product of
+the (1 - q^e)^mu(d/e) over e | d, by the same pair.
+
+Only a failing cell forms a remainder, its witness, and that path
+works on residues too: since [n]^2 (1 - q)^2 = (1 - q^n)^2, the
+remainder of a polynomial on division by [n]^2 is the remainder of its
+residue modulo (1 - q^n)^2, so each factor is reduced to 2n
+coefficients, the residues are multiplied and reduced again, and two
+steps of division by the monic [n]^2 leave the remainder.  Products
+are schoolbook.  General long division in the Laurent ring,
+`laurent_divisible` in tests/cell_oracle.py, is the reference the
+tests check both against.
 """
 
 from __future__ import annotations
@@ -43,8 +54,9 @@ __all__ = [
 
 def _product(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Coefficients of the product of two coefficient lists (schoolbook:
-    one shifted copy of b per coefficient of a).  Its only use is the
-    multiply of two residues in `remainder_by_q_integer_squared`."""
+    one shifted copy of b per coefficient of a).  It squares Phi_d, once
+    per d in a q-sun row, and multiplies the residues of a failing cell
+    in `remainder_by_q_integer_squared`."""
     out = [0] * (len(a) + len(b) - 1) if a and b else []
     for i, x in enumerate(a):
         if x:
@@ -117,6 +129,62 @@ def _low_zeros(coeffs: Sequence[int]) -> int:
     return next((i for i, c in enumerate(coeffs) if c), len(coeffs))
 
 
+def _mobius(m: int) -> int:
+    """The Moebius function mu(m), m >= 1, by trial division."""
+    mu, p = 1, 2
+    while p * p <= m:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return -mu if m > 1 else mu
+
+
+def _cyclotomic(d: int) -> list[int]:
+    """The coefficients of Phi_d = prod_{e | d} (1 - q^e)^mu(d/e), d > 1.
+    Every factor with mu = 1 is multiplied in before any with mu = -1
+    divides, so each division is exact."""
+    mu = [(e, _mobius(d // e)) for e in range(1, d + 1) if d % e == 0]
+    coeffs = [1]
+    for e, sign in mu:
+        if sign == 1:
+            coeffs = _times_one_minus(coeffs, e)
+    for e, sign in mu:
+        if sign == -1:
+            coeffs = _over_one_minus(coeffs, e)
+    return coeffs
+
+
+def _divides_monic(coeffs: Sequence[int], divisor: Sequence[int]) -> bool:
+    """Whether the monic divisor divides f, by long division from the top."""
+    rem = list(coeffs)
+    top = len(divisor) - 1
+    for i in range(len(rem) - 1, top - 1, -1):
+        step = rem[i]
+        if step:
+            window = slice(i - top, i + 1)
+            rem[window] = map(sub, rem[window], [step * c for c in divisor])
+    return not any(rem[:top])
+
+
+def _cyclotomic_verdict(a: Sequence[int], n: int, k: int, squares: dict[int, list[int]]) -> bool:
+    """Whether [n]^2 divides a [2k choose k]^2: whether Phi_d^2 divides
+    a for each d | n, d > 1, with floor(2k/d) = 2 floor(k/d), tried in
+    increasing order.  q is a unit modulo Phi_d^2, so the exponent of
+    a's first coefficient does not matter.  squares maps d to Phi_d^2
+    and gains each one this call is the first to need."""
+    for d in range(2, n + 1):
+        if n % d == 0 and 2 * k // d == 2 * (k // d):
+            if d not in squares:
+                phi = _cyclotomic(d)
+                squares[d] = _product(phi, phi)
+            if not _divides_monic(_residue(a, d), squares[d]):
+                return False
+    return True
+
+
 def remainder_by_q_integer_squared(a: Sequence[int], c: Sequence[int], n: int) -> list[int]:
     """The remainder of a c^2 on division by [n]^2, for coefficient lists
     a and c: all zero exactly when [n]^2 divides a c^2.  Works on residues
@@ -170,13 +238,20 @@ def _q_text(coeffs: Sequence[int], low: int) -> str:
 
 
 def q_sun_row(k: int, n_max: int) -> list[CaseResult]:
-    """[n]^2 divides the q-sum A_n [2k choose k]^2, for n = k+1 .. n_max."""
-    central = q_binom(2 * k, k)
+    """[n]^2 divides the q-sum A_n [2k choose k]^2, for n = k+1 .. n_max.
+    Each cell is decided from the cyclotomic factors of [n]^2; only a
+    failing cell forms [2k choose k] and its remainder, the witness,
+    and raises ArithmeticError if that remainder is zero."""
+    squares: dict[int, list[int]] = {}  # Phi_d^2 by d, built once per row
     cases = []
     for n, (low, a) in enumerate(q_sun_sums(k, n_max), k + 1):
-        remainder = remainder_by_q_integer_squared(a, central, n)
-        ok = not any(remainder)
-        witness = None if ok else f"remainder {_q_text(remainder, low)} after division by [{n}]^2"
+        ok = _cyclotomic_verdict(a, n, k, squares)
+        witness = None
+        if not ok:
+            remainder = remainder_by_q_integer_squared(a, q_binom(2 * k, k), n)
+            if not any(remainder):
+                raise ArithmeticError(f"q-sun n={n}, k={k}: Phi_d^2 fails but [n]^2 divides")
+            witness = f"remainder {_q_text(remainder, low)} after division by [{n}]^2"
         cases.append(make_case((("n", n), ("k", k)), ok, witness))
     return cases
 

@@ -20,8 +20,12 @@ coefficient.  The q-sun and q-specialize faults add 1 to one
 coefficient of one unscaled q-sum A_n, so the full product
 A_n [2k choose k]^2 gains [2k choose k]^2; each of their literals is
 checked against long division of that faulted full product, which
-q-sun itself never forms.  The q reports are pinned to n = 25 as well,
-digests recorded while q-sun still formed every full product.
+q-sun itself never forms: it decides a cell from the cyclotomic
+factors of [n]^2 and forms a remainder only for a failing cell's
+witness.  The q reports are pinned to n = 25 as well, digests recorded
+while q-sun still formed every full product, and q-sun to n = 45, a
+digest recorded while it still formed the residue remainder of every
+cell.
 """
 
 import hashlib
@@ -40,6 +44,9 @@ Q_CSV_SHA256 = {
     "q-sun": "b7a9e12e16f85a83141a03bc8d34deec6f518585af917a0af82f0f02a3763964",
     "q-specialize": "f818e83247a8b684bf388b62e5931dc1b427e9529565276d66b3dde7761e7af1",
 }
+# q-sun past its default, recorded while every cell still multiplied
+# its residues modulo (1 - q^n)^2, before the cyclotomic decider.
+Q_SUN_N45_CSV_SHA256 = "5b2644cd8c89f7f46053147aa3f7ac7efe4428f6c03cd3bf5d5ef386e5427f39"
 # The S tasks past their defaults, recorded while every S claim was
 # still decided on its values at x = 0 .. 2d, before the verdicts moved
 # to x = 0 .. d.
@@ -91,6 +98,12 @@ def test_q_task_csv_bytes_pinned_to_n_25(tmp_path, task):
     out = tmp_path / "q.csv"
     assert cli.main([task, "--n-max", "25", "--format", "csv", "--out", str(out)]) == 0
     assert _sha256(out.read_bytes()) == Q_CSV_SHA256[task]
+
+
+def test_q_sun_csv_bytes_pinned_to_n_45(tmp_path):
+    out = tmp_path / "q.csv"
+    assert cli.main(["q-sun", "--n-max", "45", "--format", "csv", "--out", str(out)]) == 0
+    assert _sha256(out.read_bytes()) == Q_SUN_N45_CSV_SHA256
 
 
 @pytest.mark.parametrize("argv", sorted(S_CSV_SHA256))
@@ -307,6 +320,17 @@ def test_q_sun_fault_witness(tmp_path, monkeypatch):
     modulus = q_integer(3) * q_integer(3)
     ok, obstruction = laurent_divisible(product, modulus)
     assert not ok and str(obstruction) == remainder
+
+
+def test_q_sun_zero_remainder_on_a_failing_cell_exits_three(capsys, monkeypatch):
+    # The cyclotomic test fails the faulted cell; a remainder that says
+    # [n]^2 divides after all is a bug in one of the two, not a verdict.
+    _corrupt_q_sun_sums(monkeypatch, (3, 1))
+    monkeypatch.setattr(qpoly, "remainder_by_q_integer_squared", lambda a, c, n: [0] * (2 * n))
+    assert cli.main(["q-sun", "--n-max", "5"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "internal error: ArithmeticError(" in captured.err
 
 
 def test_q_specialize_fault_witness(tmp_path, monkeypatch):

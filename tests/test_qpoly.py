@@ -2,13 +2,17 @@
 
 `LaurentPoly`, `q_integer` and `laurent_divisible` live in
 cell_oracle.py: the verifier works on plain int lists, and these tests
-wrap what it returns in the oracle's `LaurentPoly` to compare.
+wrap what it returns in the oracle's `LaurentPoly` to compare.  The
+cyclotomic polynomials the q-sun decider rests on are checked against
+sympy's, and their multiplicities in [2k choose k] by exact division.
 """
+
+from functools import lru_cache
 
 import pytest
 from cell_oracle import LaurentPoly, conjecture_final_value, laurent_divisible, q_integer
-from hypothesis import assume, example, given, strategies as st
-from sympy import Poly, symbols
+from hypothesis import assume, example, given, settings, strategies as st
+from sympy import Poly, cyclotomic_poly, symbols
 
 from ivpverify import qpoly
 from ivpverify.combinat import binom_int
@@ -343,3 +347,116 @@ def test_one_minus_pair_matches_laurent_products(f, j, i):
     assert LaurentPoly(qpoly._over_one_minus(product.coeffs, j), product.min_exp) == f
     # Negative control: q^i is no multiple of 1 - q^j, so neither is the sum.
     assert qpoly._over_one_minus((product + LaurentPoly([1], i)).coeffs, j) is None
+
+
+def _phi(d):
+    """sympy's cyclotomic polynomial Phi_d, as an oracle polynomial."""
+    return LaurentPoly([int(c) for c in Poly(cyclotomic_poly(d, X), X).all_coeffs()[::-1]])
+
+
+def test_moebius_cyclotomic_matches_sympy():
+    for d in range(2, 81):
+        assert qpoly._cyclotomic(d) == list(_phi(d).coeffs)
+
+
+def test_central_q_binomial_has_the_cyclotomic_factors_the_decider_skips():
+    # Phi_d divides [2k choose k] exactly floor(2k/d) - 2 floor(k/d)
+    # times, 0 or 1.  As Phi_d divides 1 - q^d, it divides [2k choose k]
+    # exactly when it divides the fold of [2k choose k] modulo 1 - q^d.
+    # The Phi_d that divide are distinct irreducibles whose degrees add
+    # up to deg [2k choose k] = k^2, so [2k choose k] is their product:
+    # none divides twice.
+    phis = {d: _phi(d) for d in range(2, 81)}
+    for k in range(41):
+        b = qpoly.q_binom(2 * k, k)
+        degree = 0
+        for d, phi in phis.items():
+            times = 2 * k // d - 2 * (k // d)
+            fold = LaurentPoly([sum(b[r::d]) for r in range(d)])
+            assert laurent_divisible(fold, phi)[0] == (times == 1), (k, d)
+            degree += times * phi.max_exp
+        assert degree == len(b) - 1 == k * k
+
+
+@lru_cache(maxsize=None)
+def _central_square(k):
+    central = q_binom(2 * k, k)
+    return central * central
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 30), st.integers(0, 29),
+    st.sampled_from(("coefficient", "times 1 - q^e", "times Phi_n^2")),
+    st.sampled_from((1, 2, 3, "n")), st.sampled_from((1, -1)),
+    st.integers(0, 10 ** 4), st.integers(1, 30),
+)
+@example(4, 1, "times Phi_n^2", 1, 1, 3, 1)  # only d = 4 of 2, 4 is tested: the cell passes
+@example(6, 0, "times Phi_n^2", 1, -1, 0, 1)  # Phi_6^2 divides the fault, Phi_2^2 does not
+@example(7, 2, "coefficient", 1, -1, 0, 1)  # the lowest coefficient 1 of A_7 becomes 0
+@example(7, 2, "times 1 - q^e", 2, 1, 5, 7)  # Phi_7 divides the fault once
+def test_q_sun_row_matches_long_division_under_faults(n, k, shape, scale, sign, j, e):
+    # Add c q^j, c (1 - q^e) q^j or c Phi_n^2 q^j to the coefficients
+    # of A_n from its entry j, c = ±1..3 or ±n, and decide the cell.
+    k, e = k % n, (e - 1) % n + 1
+    low, a = q_sun_sums(k, n)[-1]
+    factor = {
+        "coefficient": [1],
+        "times 1 - q^e": _one_minus(e).coeffs,
+        "times Phi_n^2": (_phi(n) * _phi(n)).coeffs,
+    }
+    c = sign * (n if scale == "n" else scale)
+    j %= len(a)
+    faulted = a + [0] * max(0, j + len(factor[shape]) - len(a))
+    for i, f in enumerate(factor[shape]):
+        faulted[j + i] += c * f
+
+    def corrupted(row_k, n_max):
+        sums = q_sun_sums(row_k, n_max)
+        sums[-1] = (low, faulted)
+        return sums
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qpoly, "q_sun_sums", corrupted)
+        *earlier, cell = qpoly.q_sun_row(k, n)
+    assert all(case.ok for case in earlier)
+    full = LaurentPoly(faulted, low) * _central_square(k)
+    ok, obstruction = laurent_divisible(full, q_integer(n) * q_integer(n))
+    remainder = remainder_by_q_integer_squared(faulted, qpoly.q_binom(2 * k, k), n)
+    assert cell.ok == ok == (not any(remainder))
+    if not ok:
+        text = qpoly._q_text(remainder, low)
+        assert text == str(obstruction)
+        assert cell.witness == f"remainder {text} after division by [{n}]^2"
+
+
+def test_passing_q_sun_rows_only_square_phi_and_reduce_by_each_tested_d(monkeypatch):
+    # A passing cell never forms [2k choose k]; the only products square
+    # Phi_d, each d once per row, and the cell reduces A_n once per d it
+    # tests, to 2d coefficients.
+    central_calls, squared, moduli = [], [], []
+    product, residue = qpoly._product, qpoly._residue
+
+    def counting_product(a, b):
+        squared.append(b if a == b else None)
+        return product(a, b)
+
+    def counting_residue(coeffs, d):
+        moduli.append(d)
+        return residue(coeffs, d)
+
+    monkeypatch.setattr(qpoly, "q_binom", lambda *args: central_calls.append(args))
+    monkeypatch.setattr(qpoly, "_product", counting_product)
+    monkeypatch.setattr(qpoly, "_residue", counting_residue)
+    n_max = 24
+    for k in range(n_max):
+        squared.clear()
+        moduli.clear()
+        assert all(case.ok for case in qpoly.q_sun_row(k, n_max))
+        tested = [
+            d for n in range(k + 1, n_max + 1) for d in range(2, n + 1)
+            if n % d == 0 and 2 * k // d == 2 * (k // d)
+        ]
+        assert moduli == tested
+        assert squared == [list(_phi(d).coeffs) for d in dict.fromkeys(tested)]
+    assert central_calls == []
