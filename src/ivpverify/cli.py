@@ -23,10 +23,12 @@ the chu-vandermonde row its power sums once per x, only at the points
 x = 0 .. d that decide a symmetric claim of degree 2d (the symmetric
 rule of `values`); sun-one, sun-two and the catalan-form summands have
 one-cell rows (`_one`).
-`run` makes one `gridrun.run_grid` call per task, all of them in one
-shared worker pool.  A `GridConfig` checks every bound when
-it is built, so `run(GridConfig("theorem1", n_max=25))` is safe to call
-from code as well.
+`run` hands every task's rows to the row runner of one
+`gridrun.worker_pool` before it collects any task's report, so at
+--jobs > 1 all of them are queued in one shared pool at once.  A
+`GridConfig` checks every bound when it is built, so
+`run(GridConfig("theorem1", n_max=25))` is safe to call from code as
+well.
 
 Exit codes: 0 when every case passes, 1 on any mathematical failure,
 2 on a usage error (flags, bounds, the config file and the output
@@ -54,7 +56,7 @@ from functools import partial
 from typing import Callable, Optional
 
 from . import congruences, identities, qpoly
-from .gridrun import run_grid, worker_pool
+from .gridrun import collect, worker_pool
 from .report import CaseResult, CombinedReport, serialize_report
 
 __all__ = ["GridConfig", "UsageError", "run", "main"]
@@ -138,11 +140,6 @@ class _Task:
 def _one(cell: Callable[..., CaseResult], *args) -> list[CaseResult]:
     """The one-cell row cell(*args) of a task without a sweep."""
     return [cell(*args)]
-
-
-def _call(row: partial) -> list[CaseResult]:
-    """Run one row: the `case_fn` that `run_grid` maps over a task's rows."""
-    return row()
 
 
 def _xs(c: GridConfig) -> range:
@@ -310,26 +307,18 @@ def _echo(config: GridConfig, names) -> dict:
     }
 
 
-def _run_task(name: str, config: GridConfig, pool):
-    task = _TASKS[name]
-    return run_grid(
-        name,
-        _echo(config, task.echo),
-        task.rows(config),
-        _call,
-        jobs=config.jobs,
-        notes=task.notes(config),
-        pool=pool,
-    )
-
-
 def run(config: GridConfig):
-    """Run one task (or all of them, in table order) in one worker pool
-    and return the report."""
+    """Run one task (or all of them, in table order) and return the
+    report: every task's rows go to the row runner, then each task's
+    results are collected."""
     start = time.perf_counter()
     names = list(_TASKS) if config.task == "all" else [config.task]
-    with worker_pool(config.jobs) as pool:
-        reports = [_run_task(name, config, pool) for name in names]
+    with worker_pool(config.jobs) as run_rows:
+        results = [run_rows(_TASKS[name].rows(config)) for name in names]
+        reports = [
+            collect(name, _echo(config, _TASKS[name].echo), rows, _TASKS[name].notes(config))
+            for name, rows in zip(names, results)
+        ]
     if config.task != "all":
         return reports[0]
     return CombinedReport(

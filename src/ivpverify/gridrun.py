@@ -1,16 +1,16 @@
-"""Run a task's rows, optionally in parallel.
+"""Run rows, optionally in parallel, and collect each task's report.
 
-`run_grid` maps `case_fn` over `keys`, and each call returns the cases
-of one grid row; `cli` passes a task's rows, which are calls, as the
-keys and a function that makes the call as `case_fn`.  The contract
-that matters here: output is deterministic.  Cases are sorted by their
-key before being stored, so a run with --jobs 8 yields byte-identical
-JSON/CSV to a serial run (wall time excepted, which is why it lives in
-the report's metadata block).
+A row is a call that returns the cases of one grid row.  `worker_pool`
+hands out a run's row runner, `run_rows(rows)`: an iterator over the
+rows' results in row order.  At jobs == 1 it is the builtin `map`, so
+each row runs when its result is read; otherwise it submits every row
+at once to one pool, at most one worker per core, that the whole run
+shares.  `cli` hands every task's rows to the runner before `collect`
+reads any, so at --jobs > 1 no task waits for the one before it.
 
-`worker_pool` opens one pool of worker processes that every `run_grid`
-call inside it shares, so `verify all --jobs N` starts its workers
-once.  It starts at most one worker per core, whatever N is.
+Output is deterministic: `collect` sorts the cases by key, so a run
+with --jobs 8 yields byte-identical JSON/CSV to a serial run (wall
+time excepted, which is why it lives in the report's metadata block).
 """
 
 from __future__ import annotations
@@ -19,14 +19,17 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from typing import Callable, Iterable, Iterator, Optional
+from functools import partial
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .report import CaseResult, VerificationReport
 
-__all__ = ["run_grid", "worker_pool"]
+__all__ = ["collect", "worker_pool"]
 
-# Rows go to workers in chunks of about 1/_SPLIT of a worker's share,
-# so a few costly rows cannot leave the other workers idle.
+Row = Callable[[], list[CaseResult]]
+
+# Rows go to workers in chunks of about 1/_SPLIT of a worker's share
+# of a task, so a few costly rows cannot leave the other workers idle.
 _SPLIT = 4
 
 
@@ -35,44 +38,42 @@ def _workers(jobs: int) -> int:
     return min(jobs, os.cpu_count() or 1)
 
 
+def _call(row: Row) -> list[CaseResult]:
+    """Run one row: the function the row runner maps over rows."""
+    return row()
+
+
 @contextmanager
-def worker_pool(jobs: int) -> Iterator[Optional[ProcessPoolExecutor]]:
-    """A pool of min(jobs, core count) worker processes for the block;
-    None when jobs == 1."""
+def worker_pool(jobs: int) -> Iterator[Callable[[Sequence[Row]], Iterator[list[CaseResult]]]]:
+    """The row runner of the block.  At jobs > 1 every call of it shares
+    one pool of min(jobs, core count) worker processes; if the block
+    raises, the rows still queued are cancelled before the error goes
+    on, so a crash does not wait for them."""
     if jobs == 1:
-        yield None
+        yield partial(map, _call)
         return
-    with ProcessPoolExecutor(max_workers=_workers(jobs)) as pool:
-        yield pool
+    workers = _workers(jobs)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+
+        def run_rows(rows: Sequence[Row]) -> Iterator[list[CaseResult]]:
+            chunk = max(1, len(rows) // (workers * _SPLIT))
+            return pool.map(_call, rows, chunksize=chunk)
+
+        try:
+            yield run_rows
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
-def run_grid(
-    task: str,
-    config: dict,
-    keys: Iterable,
-    case_fn: Callable[..., list[CaseResult]],
-    jobs: int = 1,
-    notes: Iterable[str] = (),
-    pool: Optional[ProcessPoolExecutor] = None,
+def collect(
+    task: str, config: dict, results: Iterable[list[CaseResult]], notes: Iterable[str]
 ) -> VerificationReport:
-    """Evaluate case_fn at every key and collect its cases in a sorted report.
-
-    case_fn returns the list of cases of one row; it must be a
-    module-level callable (picklable) when jobs > 1.  A parallel call
-    runs in `pool`, which `worker_pool(jobs)` opens.
-    """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if jobs > 1 and pool is None:
-        raise ValueError("a parallel run_grid call needs a pool from worker_pool")
+    """A task's report from its rows' results, the cases sorted by key.
+    Its wall time is the time spent reading the results: the task's
+    compute time at jobs == 1, the wait for its results otherwise."""
     start = time.perf_counter()
-    keys = list(keys)
-    if jobs == 1 or len(keys) <= 1:
-        rows = [case_fn(key) for key in keys]
-    else:
-        chunk = max(1, len(keys) // (_workers(jobs) * _SPLIT))
-        rows = list(pool.map(case_fn, keys, chunksize=chunk))
-    cases = [case for row in rows for case in row]
+    cases = [case for row in results for case in row]
     cases.sort(key=lambda c: c.sort_key)
     return VerificationReport(
         task=task,
@@ -81,4 +82,3 @@ def run_grid(
         notes=list(notes),
         wall_time_s=time.perf_counter() - start,
     )
-

@@ -26,9 +26,9 @@ Only a failing cell forms a remainder, its witness, and that path
 works on residues too: since [n]^2 (1 - q)^2 = (1 - q^n)^2, the
 remainder of a polynomial on division by [n]^2 is the remainder of its
 residue modulo (1 - q^n)^2, so each factor is reduced to 2n
-coefficients, the residues are multiplied and reduced again, and two
-steps of division by the monic [n]^2 leave the remainder.  Products
-are schoolbook.  General long division in the Laurent ring,
+coefficients, the residues are multiplied and reduced again, and long
+division by the monic [n]^2, as by Phi_d^2, leaves the remainder.
+Products are schoolbook.  General long division in the Laurent ring,
 `laurent_divisible` in tests/cell_oracle.py, is the reference the
 tests check both against.
 """
@@ -157,8 +157,9 @@ def _cyclotomic(d: int) -> list[int]:
     return coeffs
 
 
-def _divides_monic(coeffs: Sequence[int], divisor: Sequence[int]) -> bool:
-    """Whether the monic divisor divides f, by long division from the top."""
+def _monic_remainder(coeffs: Sequence[int], divisor: Sequence[int]) -> list[int]:
+    """The remainder of f on long division from the top by the monic
+    divisor: its len(divisor) - 1 low coefficients."""
     rem = list(coeffs)
     top = len(divisor) - 1
     for i in range(len(rem) - 1, top - 1, -1):
@@ -166,7 +167,7 @@ def _divides_monic(coeffs: Sequence[int], divisor: Sequence[int]) -> bool:
         if step:
             window = slice(i - top, i + 1)
             rem[window] = map(sub, rem[window], [step * c for c in divisor])
-    return not any(rem[:top])
+    return rem[:top]
 
 
 def _cyclotomic_verdict(a: Sequence[int], n: int, k: int, squares: dict[int, list[int]]) -> bool:
@@ -180,7 +181,7 @@ def _cyclotomic_verdict(a: Sequence[int], n: int, k: int, squares: dict[int, lis
             if d not in squares:
                 phi = _cyclotomic(d)
                 squares[d] = _product(phi, phi)
-            if not _divides_monic(_residue(a, d), squares[d]):
+            if any(_monic_remainder(_residue(a, d), squares[d])):
                 return False
     return True
 
@@ -199,11 +200,7 @@ def remainder_by_q_integer_squared(a: Sequence[int], c: Sequence[int], n: int) -
     c_mod = _residue(c[zeros_c:], n)
     rem = _residue(_product(_residue(a[zeros_a:], n), _residue(_product(c_mod, c_mod), n)), n)
     square = [*range(1, n + 1), *range(n - 1, 0, -1)]  # [n]^2, monic of degree 2n - 2
-    for i in (1, 0):  # the quotient of a residue has degree at most 1
-        step = rem[i + 2 * n - 2]
-        window = slice(i, i + 2 * n - 1)
-        rem[window] = map(sub, rem[window], [step * d for d in square])
-    return [0] * (zeros_a + 2 * zeros_c) + rem
+    return [0] * (zeros_a + 2 * zeros_c) + _monic_remainder(rem, square)
 
 
 def q_sun_sums(k: int, n_max: int) -> list[tuple[int, list[int]]]:

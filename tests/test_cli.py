@@ -163,6 +163,55 @@ def test_jobs_beyond_the_cores_open_one_worker_per_core(monkeypatch):
     assert opened == [os.cpu_count() or 1] * 2
 
 
+def test_every_task_is_queued_before_any_result_is_read(monkeypatch):
+    # A stand-in pool that logs each map call and the first read of its
+    # results: at --jobs 2 no task waits for the one before it.  Each
+    # task's rows go in chunks of about a quarter of a worker's share.
+    log, chunks = [], []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, rows, chunksize=1):
+            log.append("map")
+            chunks.append((len(rows), chunksize))
+
+            def results():
+                log.append("read")
+                yield from map(fn, rows)
+
+            return results()
+
+    monkeypatch.setattr(gridrun, "ProcessPoolExecutor", InProcessPool)
+    config = cli.GridConfig("all", n_max=4, l_max=2, x_min=-2, x_max=2, jobs=2)
+    parallel = cli.run(config)
+    assert log == ["map"] * len(cli._TASKS) + ["read"] * len(cli._TASKS)
+    workers = min(2, os.cpu_count() or 1)
+    assert [chunk for _, chunk in chunks] == [max(1, n // (workers * 4)) for n, _ in chunks]
+    assert max(chunk for _, chunk in chunks) > 1
+    serial = cli.run(dataclasses.replace(config, jobs=1))
+    assert [r.cases for r in parallel.reports] == [r.cases for r in serial.reports]
+
+
+def test_a_raising_row_in_a_worker_exits_three(capsys, monkeypatch):
+    # The first task's one row raises in a worker process while the rows
+    # of every later task are queued behind it.
+    first = next(iter(cli._TASKS))
+    broken = dataclasses.replace(cli._TASKS[first], rows=lambda c: [functools.partial(divmod, 1, 0)])
+    monkeypatch.setitem(cli._TASKS, first, broken)
+    assert cli.main(["all", "--n-max", "4", "--l-max", "2", "--jobs", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "internal error: ZeroDivisionError(" in captured.err
+
+
 def test_empty_out_flag_exits_two(capsys):
     assert cli.main(["transform", "--n-max", "1", "--out", ""]) == 2
     captured = capsys.readouterr()

@@ -1,14 +1,16 @@
 import csv
 import io
 import json
+import time
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ivpverify import cli
-from ivpverify.gridrun import run_grid, worker_pool
+from ivpverify import cli, gridrun
+from ivpverify.gridrun import collect, worker_pool
 from ivpverify.report import (
     CaseResult,
     CombinedReport,
@@ -151,26 +153,84 @@ def _square_row(key):
     return [make_case((("n", n),), n * n >= 0) for n in (key + 100, key)]
 
 
-def test_run_grid_sorts_cases_and_times():
-    report = run_grid("demo", {}, [3, 1, 2], _square_row)
+def test_collect_sorts_cases_and_times():
+    def slow_rows():
+        for key in (3, 1, 2):
+            time.sleep(0.01)
+            yield _square_row(key)
+
+    report = collect("demo", {"n_max": 3}, slow_rows(), ["a note"])
     assert [c.sort_key for c in report.cases] == [(1,), (2,), (3,), (101,), (102,), (103,)]
-    assert report.wall_time_s >= 0
+    assert report.config == {"n_max": 3} and report.notes == ["a note"]
+    # The wall time is the time spent reading the results.
+    assert report.wall_time_s >= 0.03
 
 
-def test_run_grid_parallel_matches_serial():
-    serial = run_grid("demo", {}, range(20), _square_row, jobs=1)
-    with worker_pool(4) as pool:
-        parallel = run_grid("demo", {}, range(20), _square_row, jobs=4, pool=pool)
-    assert serial.cases == parallel.cases
-    with worker_pool(2) as pool:
-        first = run_grid("demo", {}, range(5), _square_row, jobs=2, pool=pool)
-        shared = run_grid("demo", {}, range(20), _square_row, jobs=2, pool=pool)
-    assert shared.cases == serial.cases and first.total == 10
-    with pytest.raises(ValueError):
-        run_grid("demo", {}, [1], _square_row, jobs=0)
-    # A parallel call opens no pool of its own.
-    with pytest.raises(ValueError, match="worker_pool"):
-        run_grid("demo", {}, range(20), _square_row, jobs=2)
+def test_runner_parallel_matches_serial(monkeypatch):
+    started = []
+
+    class CountingPool(gridrun.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    monkeypatch.setattr(gridrun, "ProcessPoolExecutor", CountingPool)
+    rows = [partial(_square_row, key) for key in range(20)]
+    with worker_pool(1) as run_rows:
+        serial = list(run_rows(rows))
+    assert started == []
+    with worker_pool(4) as run_rows:
+        assert list(run_rows(rows)) == serial
+    # Two runner calls in one block share one pool, and may be read in
+    # either order.
+    with worker_pool(2) as run_rows:
+        first, second = run_rows(rows[:5]), run_rows(rows)
+        assert list(second) == serial and list(first) == serial[:5]
+    assert len(started) == 2
+
+
+def test_serial_runner_runs_a_row_when_its_result_is_read():
+    ran = []
+
+    def row(key):
+        ran.append(key)
+        return _square_row(key)
+
+    with worker_pool(1) as run_rows:
+        results = run_rows([partial(row, key) for key in range(3)])
+        assert ran == []
+        next(results)
+        assert ran == [0]
+
+
+def test_a_raising_block_cancels_the_queued_rows(monkeypatch):
+    shutdowns = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            shutdowns.append([])
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, rows, chunksize=1):
+            return map(fn, rows)
+
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            shutdowns[-1].append(cancel_futures)
+
+    monkeypatch.setattr(gridrun, "ProcessPoolExecutor", InProcessPool)
+    with pytest.raises(RuntimeError, match="row failed"):
+        with worker_pool(2) as run_rows:
+            run_rows([partial(_square_row, 1)])
+            raise RuntimeError("row failed")
+    with worker_pool(2) as run_rows:
+        assert list(run_rows([partial(_square_row, 1)])) == [_square_row(1)]
+    # Only the raising block shuts its pool down, cancelling what is queued.
+    assert shutdowns == [[True], []]
 
 
 # Non-ASCII (BMP and astral), quote, backslash, and C0/DEL/U+2028 controls.
