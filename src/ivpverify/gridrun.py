@@ -20,6 +20,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from functools import partial
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .report import CaseResult, VerificationReport
@@ -31,6 +32,8 @@ Row = Callable[[], list[CaseResult]]
 # Rows go to workers in chunks of about 1/_SPLIT of a worker's share
 # of a task, so a few costly rows cannot leave the other workers idle.
 _SPLIT = 4
+
+_by_key = attrgetter("key")
 
 
 def _workers(jobs: int) -> int:
@@ -71,10 +74,18 @@ def collect(
 ) -> VerificationReport:
     """A task's report from its rows' results, the cases sorted by key.
     Its wall time is the time spent reading the results: the task's
-    compute time at jobs == 1, the wait for its results otherwise."""
+    compute time at jobs == 1, the wait for its results otherwise.
+
+    The sort compares the key pairs themselves, with no tuple built per
+    case, and gives the order of the cases' `sort_key` (their values
+    alone): within one task the names at a key position agree wherever
+    the values before it tie, so a name never decides a comparison.
+    catalan-form's two key shapes, ("part", "identity"), ("n", n) and
+    ("part", "terms"), ("n", n), ("x", x), already differ in the value
+    at position 0."""
     start = time.perf_counter()
     cases = [case for row in results for case in row]
-    cases.sort(key=lambda c: c.sort_key)
+    cases.sort(key=_by_key)
     return VerificationReport(
         task=task,
         config=config,

@@ -39,6 +39,7 @@ import math
 from fractions import Fraction
 from itertools import accumulate, zip_longest
 from operator import mul, neg
+from typing import Optional
 
 from .combinat import binom_int
 from .report import CaseResult, make_case
@@ -64,12 +65,16 @@ __all__ = [
 
 # -- the two closed forms ----------------------------------------------------
 
-def power_sums(m: int, x0: int, count: int) -> list[int]:
+def power_sums(m: int, x0: int, count: int, first: int = 0) -> list[Optional[int]]:
     """P_k(x0) = sum_j C(-x0-1,j)^m C(x0,k-j)^m at the integer point x0,
-    for k = 0 .. count-1."""
+    entry k for k = 0 .. count-1; the entries k < first are None, not
+    computed."""
     left = [binom_int(-x0 - 1, j) ** m for j in range(count)]
     right = [binom_int(x0, j) ** m for j in range(count)]
-    return [sum(left[j] * right[k - j] for j in range(k + 1)) for k in range(count)]
+    skipped = [None] * min(first, count)
+    return skipped + [
+        sum(left[j] * right[k - j] for j in range(k + 1)) for k in range(first, count)
+    ]
 
 
 def in_central_basis(weights: list[list[int]], points: int) -> list[tuple[int, ...]]:
@@ -207,9 +212,10 @@ def chu_row(k_max: int) -> list[CaseResult]:
 
     The sum is symmetric of degree at most k, so it is compared at
     x = 0 .. k//2: the m = 1 power sums at each x <= k_max//2 are built
-    once, and cell k reads them at x = 0 .. k//2.
+    once, and cell k reads them at x = 0 .. k//2, so at x only the
+    entries k >= 2x are computed.
     """
-    sums = [power_sums(1, x, k_max + 1) for x in range(k_max // 2 + 1)]
+    sums = [power_sums(1, x, k_max + 1, 2 * x) for x in range(k_max // 2 + 1)]
     cases = []
     for k in range(k_max + 1):
         expected = (-1) ** k

@@ -6,10 +6,17 @@ key fields and therefore independent of how the grid was executed.
 Wall time lives in a separate metadata block so that JSON and CSV
 output are byte-identical across runs with identical configuration.
 
+A case is a NamedTuple, built by `make_case` straight from its four
+fields: cheap to make, to sort and to send back from a worker
+process, where it pickles as a plain tuple.  A report counts its
+failures in one pass over the case statuses.
+
 JSON is written by a writer for the report's one fixed schema (task,
 config, summary, then cases and notes or, for `all`, the sub-reports,
 then meta): each case is one f-string over its fields, with no
 intermediate dict and no pass of json's pure-Python indent encoder.
+Int key values are written without a call per value, and the text
+after the key of a case without a witness is rendered once per report.
 The bytes are those of `json.dumps(..., indent=2)` on the same data.
 """
 
@@ -20,7 +27,7 @@ import io
 import json
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 __all__ = [
     "CaseResult",
@@ -30,17 +37,22 @@ __all__ = [
     "serialize_report",
 ]
 
+_int_repr = int.__repr__
+
 CSV_HEADER = ["task", "case_key", "status", "witness", "severity"]
 
 
-@dataclass(frozen=True)
-class CaseResult:
+class CaseResult(NamedTuple):
     """Outcome of one grid cell.
 
     key holds ordered (name, value) pairs, e.g. (("l", 1), ("n", 2)).
     severity records whether the statement checked is a proved theorem
     or an open conjecture; a failing "conjecture" case is a mathematical
     discovery, not a build bug.
+
+    A NamedTuple: immutable and hashable, it pickles as a plain tuple
+    (small results from worker processes) and compares equal to the
+    plain tuple (key, status, witness, severity) of its fields.
     """
 
     key: tuple[tuple[str, object], ...]
@@ -61,18 +73,19 @@ class CaseResult:
         return ";".join(f"{name}={value}" for name, value in self.key)
 
 
+_new_case = tuple.__new__
+
+
 def make_case(
     key: Sequence[tuple[str, object]],
     ok: bool,
     witness: Optional[str] = None,
     severity: str = "theorem",
 ) -> CaseResult:
-    return CaseResult(
-        key=tuple(key),
-        status="pass" if ok else "fail",
-        witness=None if ok else witness,
-        severity=severity,
-    )
+    """The case of one cell; a passing case keeps no witness."""
+    if ok:
+        return _new_case(CaseResult, (tuple(key), "pass", None, severity))
+    return _new_case(CaseResult, (tuple(key), "fail", witness, severity))
 
 
 @dataclass
@@ -89,7 +102,7 @@ class VerificationReport:
 
     @property
     def failed(self) -> int:
-        return sum(1 for c in self.cases if not c.ok)
+        return len(self.cases) - [c.status for c in self.cases].count("pass")
 
     @property
     def passed(self) -> int:
@@ -169,7 +182,7 @@ def _json_value(v) -> str:
     if type(v) is str:
         return _json_str(v)
     if type(v) is int:
-        return int.__repr__(v)
+        return _int_repr(v)
     if v is None:  # the witness of every passing case: skip json.dumps' call overhead
         return "null"
     return json.dumps(v)  # bool, float; raises TypeError on anything unencodable
@@ -192,14 +205,37 @@ def _json_array(rendered: list[str], pad: str) -> list[str]:
     return [f"[\n{inner}", f",\n{inner}".join(rendered), f"\n{pad}]"]
 
 
-def _json_case(c: CaseResult, pad: str) -> str:
-    """One case as an object whose closing brace is at pad."""
+def _json_cases(cases: Sequence[CaseResult], pad: str) -> list[str]:
+    """Each case as an object whose closing brace is at pad.  Int key
+    values skip _json_value's call, and the text after the key of a
+    case without a witness depends only on its status and severity
+    strings, so it is rendered once per report."""
+    inner = pad + "  "
+    field = inner + "  "
+    head = f'{{\n{inner}"key": '
+    sep = f",\n{field}"
+    tails = {}
+    out = []
+    for key, status, witness, severity in cases:
+        if witness is not None:
+            tail = _json_case_tail(status, witness, severity, pad)
+        elif (tail := tails.get((status, severity))) is None:
+            tail = tails[status, severity] = _json_case_tail(status, None, severity, pad)
+        body = sep.join([
+            f"{_json_str(name)}: {_int_repr(v) if type(v) is int else _json_value(v)}"
+            for name, v in key
+        ])
+        out.append(f"{head}{{\n{field}{body}\n{inner}}}{tail}" if key else f"{head}{{}}{tail}")
+    return out
+
+
+def _json_case_tail(status: str, witness, severity: str, pad: str) -> str:
+    """A case object from the comma after its key to its closing brace at pad."""
     inner = pad + "  "
     return (
-        f'{{\n{inner}"key": {_json_object(c.key, inner)},\n'
-        f'{inner}"status": {_json_value(c.status)},\n'
-        f'{inner}"witness": {_json_value(c.witness)},\n'
-        f'{inner}"severity": {_json_value(c.severity)}\n{pad}}}'
+        f',\n{inner}"status": {_json_value(status)},\n'
+        f'{inner}"witness": {_json_value(witness)},\n'
+        f'{inner}"severity": {_json_value(severity)}\n{pad}}}'
     )
 
 
@@ -210,7 +246,8 @@ def _json_report(report, include_meta: bool, pad: str) -> list[str]:
     more, by the final join."""
     inner = pad + "  "
     element = inner + "  "
-    summary = (("total", report.total), ("pass", report.passed), ("fail", report.failed))
+    total, failed = report.total, report.failed
+    summary = (("total", total), ("pass", total - failed), ("fail", failed))
     pieces = [
         f'{{\n{inner}"task": {_json_value(report.task)},\n'
         f'{inner}"config": {_json_object(report.config.items(), inner)},\n'
@@ -220,7 +257,7 @@ def _json_report(report, include_meta: bool, pad: str) -> list[str]:
         subreports = ["".join(_json_report(r, False, element)) for r in report.reports]
         pieces += [f'{inner}"reports": ', *_json_array(subreports, inner)]
     else:
-        cases = [_json_case(c, element) for c in report.cases]
+        cases = _json_cases(report.cases, element)
         notes = [_json_value(n) for n in report.notes]
         pieces += [f'{inner}"cases": ', *_json_array(cases, inner)]
         pieces += [f',\n{inner}"notes": ', *_json_array(notes, inner)]

@@ -25,7 +25,8 @@ factors of [n]^2 and forms a remainder only for a failing cell's
 witness.  The q reports are pinned to n = 25 as well, digests recorded
 while q-sun still formed every full product, and q-sun to n = 45, a
 digest recorded while it still formed the residue remainder of every
-cell.
+cell.  The scalar tasks are pinned at the benchmark's bounds by the
+digest of the JSON writer's own bytes.
 """
 
 import hashlib
@@ -59,6 +60,22 @@ S_CSV_SHA256 = {
     "conjecture-sun-ii --l-max 4 --n-max 40":
         "0d242ee514e8939d7fddb1cd30d77d929eddea38203618273644665ddc7b6dba",
     "catalan-form --n-max 30": "6b774d607f1b6621e9494e32f5697b9a8578c2cc2e7928518bd0c12ca9f5abc1",
+}
+
+# The scalar tasks at the benchmark's bounds: digests of the JSON
+# writer's own bytes without meta, recorded while cases were still
+# frozen dataclasses, sorted by their sort_key tuples and written
+# through one generic value encoder.
+SCALAR_JSON_SHA256 = {
+    "conjecture-final --l-max 4 --n-max 90":
+        "da7a6c321fddf957ccbcce0c7903c2423b7030f04ef101b18fb3e4a4c68bcc6f",
+    "lemma-schmidt --l-max 4 --n-max 60":
+        "35944fd31ea60677deda42b525d3a19eacff067ba4290905c13575b4468dd76e",
+    "telescope --n-max 90": "bde29ffab6d5b75447929e4aa38bd6165b5a8e5ca4494e33b414ee779097dc12",
+    "conjecture-sun-m --m 3 --l-max 3 --n-max 24 --x-min -12 --x-max 12":
+        "00b67098b9d0d6d3407a8911d3b5cb40edfb4b4ba9363f04dd1cfa0a47f4ca46",
+    "sun-one --n-max 90": "fda52c9bd57db28076384c4e11cc6a14e29c0cc4a5e5f2b76313a37fd3e86a27",
+    "sun-two --n-max 90": "8f11d7a15b9174f3061653e10498deff86857ec696c2aacc0ec15f5e3844d642",
 }
 
 
@@ -111,6 +128,13 @@ def test_s_task_csv_bytes_pinned_past_defaults(tmp_path, argv):
     out = tmp_path / "s.csv"
     assert cli.main(argv.split() + ["--format", "csv", "--out", str(out)]) == 0
     assert _sha256(out.read_bytes()) == S_CSV_SHA256[argv]
+
+
+@pytest.mark.parametrize("argv", sorted(SCALAR_JSON_SHA256))
+def test_scalar_task_json_writer_bytes_pinned(argv):
+    config = cli.resolve_config(cli.build_parser().parse_args(argv.split()))
+    payload = serialize_report(cli.run(config), "json", include_meta=False)
+    assert _sha256(payload.encode()) == SCALAR_JSON_SHA256[argv]
 
 
 def _corrupt_entry(monkeypatch, module, name, bad_args, index, change):

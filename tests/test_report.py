@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import pickle
 import time
 from fractions import Fraction
 from functools import partial
@@ -23,11 +24,15 @@ from ivpverify.report import (
 def to_dict(report, include_meta=True) -> dict:
     """The report as a dict, in the JSON schema's key order: the stdlib
     oracle whose `json.dumps(..., indent=2) + "\\n"` the JSON writer must
-    reproduce byte for byte.  Sub-reports carry no meta."""
+    reproduce byte for byte.  Sub-reports carry no meta.  The summary is
+    counted here from the cases, not read from the report: any status
+    other than "pass" is a failure."""
+    cases = _all_cases(report)
+    failed = sum(1 for c in cases if c.status != "pass")
     d = {
         "task": report.task,
         "config": dict(report.config),
-        "summary": {"total": report.total, "pass": report.passed, "fail": report.failed},
+        "summary": {"total": len(cases), "pass": len(cases) - failed, "fail": failed},
     }
     if isinstance(report, CombinedReport):
         d["reports"] = [to_dict(r, include_meta=False) for r in report.reports]
@@ -45,6 +50,13 @@ def to_dict(report, include_meta=True) -> dict:
     if include_meta:
         d["meta"] = {"wall_time_s": round(report.wall_time_s, 6)}
     return d
+
+
+def _all_cases(report) -> list:
+    """The cases of a report, or of every sub-report of a CombinedReport."""
+    if isinstance(report, CombinedReport):
+        return [c for r in report.reports for c in r.cases]
+    return report.cases
 
 
 def _stdlib_json(report, include_meta):
@@ -74,6 +86,20 @@ def test_make_case_drops_witness_on_pass():
     assert c.witness is None
     c = make_case((("n", 1),), False, "kept")
     assert c.witness == "kept"
+    c = make_case((("n", 1),), ok=True, witness="x", severity="conjecture")
+    assert (c.status, c.witness, c.severity) == ("pass", None, "conjecture")
+
+
+def test_case_result_is_an_immutable_picklable_tuple():
+    c = make_case([("l", 1), ("n", 3)], False, "value 7 not divisible by 9", "conjecture")
+    fields = ((("l", 1), ("n", 3)), "fail", "value 7 not divisible by 9", "conjecture")
+    assert c == CaseResult(*fields) and c == fields
+    assert type(c.key) is tuple and hash(c) == hash(tuple(c))
+    for name in ("key", "status", "witness", "severity"):
+        with pytest.raises(AttributeError):
+            setattr(c, name, None)
+    copy = pickle.loads(pickle.dumps(c))
+    assert type(copy) is CaseResult and copy == c and copy.label == "l=1;n=3"
 
 
 def test_report_counts():
@@ -164,6 +190,27 @@ def test_collect_sorts_cases_and_times():
     assert report.config == {"n_max": 3} and report.notes == ["a note"]
     # The wall time is the time spent reading the results.
     assert report.wall_time_s >= 0.03
+
+
+def test_collect_orders_two_key_shapes_by_their_values():
+    # catalan-form's identity and terms cells, rows fed in reverse order.
+    rows = [
+        [make_case((("part", "identity"), ("n", n)), True) for n in (1, 2, 3)],
+        *([make_case((("part", "terms"), ("n", n), ("x", x)), True) for x in (-1, 0, 1)]
+          for n in (1, 2, 3)),
+    ]
+    report = collect("catalan-form", {}, reversed(rows), [])
+    assert report.cases == sorted(report.cases, key=lambda c: c.sort_key)
+    assert [c.label for c in report.cases[:4]] == [
+        "part=identity;n=1", "part=identity;n=2", "part=identity;n=3", "part=terms;n=1;x=-1",
+    ]
+    assert report.cases[-1].label == "part=terms;n=3;x=1"
+
+
+def test_every_task_orders_its_cases_by_sort_key():
+    report = cli.run(cli.GridConfig("all", n_max=8))
+    for sub in report.reports:
+        assert sub.cases == sorted(sub.cases, key=lambda c: c.sort_key), sub.task
 
 
 def test_runner_parallel_matches_serial(monkeypatch):

@@ -201,7 +201,12 @@ def test_row_builders_match_per_cell_sums(l, eps, n_max, m, x0):
         assert conjecture_final_values(l, k, n_max) == [
             cell_oracle.conjecture_final_value(l, n, k).value for n in range(k + 1, n_max + 1)
         ]
-    assert power_sums(m, x0, n_max) == [cell_oracle.power_sum_at(m, k, x0) for k in range(n_max)]
+    expected = [cell_oracle.power_sum_at(m, k, x0) for k in range(n_max)]
+    assert power_sums(m, x0, n_max) == expected
+    # Skipped entries are None; the others keep their index and value.
+    for first in (1, n_max // 2, n_max, n_max + 1):
+        skipped = min(first, n_max)
+        assert power_sums(m, x0, n_max, first) == [None] * skipped + expected[skipped:]
 
 
 @settings(max_examples=60, deadline=None)
