@@ -23,9 +23,12 @@ the chu-vandermonde row its power sums once per x, only at the points
 x = 0 .. d that decide a symmetric claim of degree 2d (the symmetric
 rule of `values`); sun-one, sun-two and the catalan-form summands have
 one-cell rows (`_one`).
-`run` hands every task's rows to the row runner of one
+`run` hands every task's rows, as one list, to the row runner of one
 `gridrun.worker_pool` before it collects any task's report, so at
---jobs > 1 all of them are queued in one shared pool at once.  A
+--jobs > 1 the rows of every task are shared out at once between this
+process and one pool of workers, and no task waits for the one before
+it.  --jobs N counts the processes at work, this one included, at most
+one per core.  A
 `GridConfig` checks every bound when it is built, so
 `run(GridConfig("theorem1", n_max=25))` is safe to call from code as
 well.
@@ -53,6 +56,7 @@ import time
 import traceback
 from dataclasses import dataclass, fields
 from functools import partial
+from itertools import chain, islice
 from typing import Callable, Optional
 
 from . import congruences, identities, qpoly
@@ -217,7 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--x-min", type=int, default=None, help="left end of x range")
     parser.add_argument("--x-max", type=int, default=None, help="right end of x range")
     parser.add_argument("--jobs", type=int, default=None,
-                        help=f"worker processes (default ${JOBS_ENV} or 1)")
+                        help=f"processes at work, this one included, at most one per core "
+                        f"(default ${JOBS_ENV} or 1)")
     parser.add_argument("--format", choices=_FORMATS, default=None,
                         help="report format (default text)")
     parser.add_argument("--out", default=None, help="write report to this path")
@@ -309,15 +314,17 @@ def _echo(config: GridConfig, names) -> dict:
 
 def run(config: GridConfig):
     """Run one task (or all of them, in table order) and return the
-    report: every task's rows go to the row runner, then each task's
-    results are collected."""
+    report: every task's rows go to the row runner in one call, then
+    each task's report is collected from its slice of the results."""
     start = time.perf_counter()
     names = list(_TASKS) if config.task == "all" else [config.task]
+    rows = [_TASKS[name].rows(config) for name in names]
     with worker_pool(config.jobs) as run_rows:
-        results = [run_rows(_TASKS[name].rows(config)) for name in names]
+        results = run_rows(list(chain.from_iterable(rows)))
         reports = [
-            collect(name, _echo(config, _TASKS[name].echo), rows, _TASKS[name].notes(config))
-            for name, rows in zip(names, results)
+            collect(name, _echo(config, _TASKS[name].echo), islice(results, len(task_rows)),
+                    _TASKS[name].notes(config))
+            for name, task_rows in zip(names, rows)
         ]
     if config.task != "all":
         return reports[0]

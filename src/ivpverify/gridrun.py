@@ -2,11 +2,20 @@
 
 A row is a call that returns the cases of one grid row.  `worker_pool`
 hands out a run's row runner, `run_rows(rows)`: an iterator over the
-rows' results in row order.  At jobs == 1 it is the builtin `map`, so
-each row runs when its result is read; otherwise it submits every row
-at once to one pool, at most one worker per core, that the whole run
-shares.  `cli` hands every task's rows to the runner before `collect`
-reads any, so at --jobs > 1 no task waits for the one before it.
+rows' results in row order.  `cli` calls it once per run, with every
+task's rows, and hands each task's `collect` its slice of the results.
+
+At --jobs N the run has min(N, core count) processes at work, the
+calling process among them.  With one, the runner is the builtin `map`,
+so each row runs when its result is read.  Otherwise a pool of the
+other processes serves the run: the rows are dealt round-robin into
+_SPLIT chunks per process, chunk i holding rows[i::count], so every
+chunk is a cross-section of every task.  Every chunk is submitted;
+then the caller runs the chunks no worker has taken yet, from the back
+of the list, and waits for the rest.  Between its rows it checks
+whether a worker's chunk has raised, and once the run fails the
+workers skip the rows they have left, so a crash ends the run within
+about one row.
 
 Output is deterministic: `collect` sorts the cases by key, so a run
 with --jobs 8 yields byte-identical JSON/CSV to a serial run (wall
@@ -15,9 +24,10 @@ time excepted, which is why it lives in the report's metadata block).
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, Future, ProcessPoolExecutor, wait
 from contextlib import contextmanager
 from functools import partial
 from operator import attrgetter
@@ -29,42 +39,108 @@ __all__ = ["collect", "worker_pool"]
 
 Row = Callable[[], list[CaseResult]]
 
-# Rows go to workers in chunks of about 1/_SPLIT of a worker's share
-# of a task, so a few costly rows cannot leave the other workers idle.
-_SPLIT = 4
+# Chunks per process at work.  Once the caller meets a chunk a worker
+# has taken, it waits for every chunk the workers hold: one running in
+# each and up to workers + 1 in the pool's call queue.  So chunks must
+# be small against a process's share; but each chunk a worker runs
+# costs a round trip through the pool.
+_SPLIT = 32
 
 _by_key = attrgetter("key")
 
+# In a worker: the pool's stop event, which the caller sets once the
+# run has failed, so that the worker skips the rows it has left.
+_stop = None
+
 
 def _workers(jobs: int) -> int:
-    """Worker processes for `jobs`: no more than the cores."""
-    return min(jobs, os.cpu_count() or 1)
+    """Worker processes for `jobs`: the caller is one of the at most
+    one process per core at work, so one fewer than that."""
+    return min(jobs, os.cpu_count() or 1) - 1
 
 
 def _call(row: Row) -> list[CaseResult]:
-    """Run one row: the function the row runner maps over rows."""
+    """Run one row: the function the serial runner maps over rows."""
     return row()
+
+
+def _start_worker(stop) -> None:
+    """The pool's initializer: keep the run's stop event."""
+    global _stop
+    _stop = stop
+
+
+def _run_chunk(chunk: Sequence[Row]) -> list[list[CaseResult]]:
+    """Run a chunk of rows in a worker, none after the run has failed
+    (its results are then never read)."""
+    results = []
+    for row in chunk:
+        if _stop.is_set():
+            break
+        results.append(row())
+    return results
+
+
+def _run_inline(chunk: Sequence[Row], failed: list[Future]) -> list[list[CaseResult]]:
+    """Run a chunk of rows in the caller, raising a worker's error
+    before the next row once one of their chunks has failed."""
+    results = []
+    for row in chunk:
+        if failed:
+            failed[0].result()
+        results.append(row())
+    return results
+
+
+def _run_shared(
+    pool: ProcessPoolExecutor, processes: int, rows: Sequence[Row]
+) -> Iterator[list[CaseResult]]:
+    """The rows' results in row order, from `pool`'s workers and this
+    process together.  Chunk i is rows[i::count]: the caller cancels
+    chunks from the back and runs each itself until it meets one a
+    worker has started, then waits for the started ones."""
+    count = min(len(rows), processes * _SPLIT)
+    chunks = [rows[i::count] for i in range(count)]
+    failed: list[Future] = []
+
+    def note_failure(future: Future) -> None:
+        if not future.cancelled() and future.exception() is not None:
+            failed.append(future)
+
+    futures = [pool.submit(_run_chunk, chunk) for chunk in chunks]
+    for future in futures:
+        future.add_done_callback(note_failure)
+    results: list = [None] * len(rows)
+    started = count
+    while started and futures[started - 1].cancel():
+        started -= 1
+        results[started::count] = _run_inline(chunks[started], failed)
+    done, _ = wait(futures[:started], return_when=FIRST_EXCEPTION)
+    for future in done:
+        future.result()  # a worker's error goes on from here
+    for i in range(started):
+        results[i::count] = futures[i].result()
+    return iter(results)
 
 
 @contextmanager
 def worker_pool(jobs: int) -> Iterator[Callable[[Sequence[Row]], Iterator[list[CaseResult]]]]:
-    """The row runner of the block.  At jobs > 1 every call of it shares
-    one pool of min(jobs, core count) worker processes; if the block
-    raises, the rows still queued are cancelled before the error goes
-    on, so a crash does not wait for them."""
-    if jobs == 1:
+    """The row runner of the block.  When min(jobs, core count) > 1,
+    every call of it shares one pool of one worker fewer than that, and
+    runs rows in this process too.  If the block raises, the chunks
+    still queued are cancelled and the workers skip the rows left in
+    theirs before the error goes on, so a crash does not wait for
+    them."""
+    workers = _workers(jobs)
+    if workers == 0:
         yield partial(map, _call)
         return
-    workers = _workers(jobs)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-
-        def run_rows(rows: Sequence[Row]) -> Iterator[list[CaseResult]]:
-            chunk = max(1, len(rows) // (workers * _SPLIT))
-            return pool.map(_call, rows, chunksize=chunk)
-
+    stop = multiprocessing.Event()
+    with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker, initargs=(stop,)) as pool:
         try:
-            yield run_rows
+            yield partial(_run_shared, pool, workers + 1)
         except BaseException:
+            stop.set()
             pool.shutdown(cancel_futures=True)
             raise
 
@@ -74,7 +150,8 @@ def collect(
 ) -> VerificationReport:
     """A task's report from its rows' results, the cases sorted by key.
     Its wall time is the time spent reading the results: the task's
-    compute time at jobs == 1, the wait for its results otherwise.
+    compute time when the rows run serially; with a pool every row has
+    run before any is read, so it is the time to gather and sort them.
 
     The sort compares the key pairs themselves, with no tuple built per
     case, and gives the order of the cases' `sort_key` (their values

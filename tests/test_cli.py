@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from inprocess_pool import stand_in_pool, watch_rows
 from ivpverify import cli, gridrun
 from ivpverify.report import make_case
 
@@ -120,6 +121,7 @@ def test_csv_deterministic_across_jobs(tmp_path):
 
 
 def test_all_shares_one_worker_pool(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # one worker besides the caller
     started = []
 
     class CountingPool(gridrun.ProcessPoolExecutor):
@@ -139,63 +141,39 @@ def test_all_shares_one_worker_pool(tmp_path, monkeypatch):
 
 
 def test_jobs_beyond_the_cores_open_one_worker_per_core(monkeypatch):
-    # A stand-in pool that records its size and maps in this process:
-    # the test starts no process, whatever --jobs asks for.
-    opened = []
-
-    class InProcessPool:
-        def __init__(self, max_workers):
-            opened.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, keys, chunksize=1):
-            return map(fn, keys)
-
-    monkeypatch.setattr(gridrun, "ProcessPoolExecutor", InProcessPool)
+    # The stand-in pool starts no process, whatever --jobs asks for.  The
+    # caller is one of the processes at work, at most one per core, so
+    # four cores give one pool of three workers.
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    pool = stand_in_pool(monkeypatch)
     for task in ("theorem2", "q-sun"):
         report = cli.run(cli.GridConfig(task, n_max=3, jobs=10 ** 6))
         assert report.cases == cli.run(cli.GridConfig(task, n_max=3)).cases
-    assert opened == [os.cpu_count() or 1] * 2
+    assert pool.opened == [3] * 2
 
 
 def test_every_task_is_queued_before_any_result_is_read(monkeypatch):
-    # A stand-in pool that logs each map call and the first read of its
-    # results: at --jobs 2 no task waits for the one before it.  Each
-    # task's rows go in chunks of about a quarter of a worker's share.
-    log, chunks = [], []
-
-    class InProcessPool:
-        def __init__(self, max_workers):
-            pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, rows, chunksize=1):
-            log.append("map")
-            chunks.append((len(rows), chunksize))
-
-            def results():
-                log.append("read")
-                yield from map(fn, rows)
-
-            return results()
-
-    monkeypatch.setattr(gridrun, "ProcessPoolExecutor", InProcessPool)
+    # The stand-in pool starts no chunk, so the caller runs every row
+    # itself: at --jobs 2 every task's rows must be submitted, in one
+    # call, before it runs any.  Chunk i holds rows[i::count] of the
+    # run's rows, _SPLIT chunks per process at work.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    pool = stand_in_pool(monkeypatch)
+    submitted_when_run = []
+    watch_rows(monkeypatch, lambda row: submitted_when_run.append(len(pool.submitted)))
     config = cli.GridConfig("all", n_max=4, l_max=2, x_min=-2, x_max=2, jobs=2)
     parallel = cli.run(config)
-    assert log == ["map"] * len(cli._TASKS) + ["read"] * len(cli._TASKS)
-    workers = min(2, os.cpu_count() or 1)
-    assert [chunk for _, chunk in chunks] == [max(1, n // (workers * 4)) for n, _ in chunks]
-    assert max(chunk for _, chunk in chunks) > 1
+    rows = [row for name in cli._TASKS for row in cli._TASKS[name].rows(config)]
+    count = min(len(rows), 2 * gridrun._SPLIT)
+    assert pool.opened == [1] and len(pool.submitted) == count
+    assert submitted_when_run == [count] * len(rows)
+
+    def calls(rows):  # the row functions and arguments under the watch
+        return [(row.args[0].func, row.args[0].args) for row in rows]
+
+    assert [calls(chunk) for (chunk,) in pool.submitted] == [
+        calls(rows[i::count]) for i in range(count)
+    ]
     serial = cli.run(dataclasses.replace(config, jobs=1))
     assert [r.cases for r in parallel.reports] == [r.cases for r in serial.reports]
 

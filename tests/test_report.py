@@ -1,6 +1,8 @@
 import csv
+import dataclasses
 import io
 import json
+import os
 import pickle
 import time
 from fractions import Fraction
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from inprocess_pool import stand_in_pool, watch_rows
 from ivpverify import cli, gridrun
 from ivpverify.gridrun import collect, worker_pool
 from ivpverify.report import (
@@ -214,6 +217,7 @@ def test_every_task_orders_its_cases_by_sort_key():
 
 
 def test_runner_parallel_matches_serial(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # one worker besides the caller
     started = []
 
     class CountingPool(gridrun.ProcessPoolExecutor):
@@ -251,33 +255,98 @@ def test_serial_runner_runs_a_row_when_its_result_is_read():
 
 
 def test_a_raising_block_cancels_the_queued_rows(monkeypatch):
-    shutdowns = []
-
-    class InProcessPool:
-        def __init__(self, max_workers):
-            shutdowns.append([])
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, rows, chunksize=1):
-            return map(fn, rows)
-
-        def shutdown(self, wait=True, *, cancel_futures=False):
-            shutdowns[-1].append(cancel_futures)
-
-    monkeypatch.setattr(gridrun, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    pool = stand_in_pool(monkeypatch)
     with pytest.raises(RuntimeError, match="row failed"):
         with worker_pool(2) as run_rows:
             run_rows([partial(_square_row, 1)])
             raise RuntimeError("row failed")
+    # The workers are told to stop: a stopped worker runs no more rows.
+    assert gridrun._stop.is_set() and gridrun._run_chunk([partial(_square_row, 1)]) == []
     with worker_pool(2) as run_rows:
         assert list(run_rows([partial(_square_row, 1)])) == [_square_row(1)]
+    assert not gridrun._stop.is_set()
     # Only the raising block shuts its pool down, cancelling what is queued.
-    assert shutdowns == [[True], []]
+    assert pool.shutdowns == [[True], []]
+
+
+_CHUNKS = 2 * gridrun._SPLIT  # on two cores: the caller and one worker
+_ROWS = 3 * _CHUNKS + 5  # some chunks one row longer than others
+
+
+@pytest.mark.parametrize("started", [0, 1, _CHUNKS])
+def test_the_caller_runs_the_chunks_no_worker_started(monkeypatch, started):
+    # The stand-in pool starts the first `started` chunks; the caller
+    # runs every other one itself, from the back, and waits for no chunk
+    # that no worker took.  Each row runs once, and the results come
+    # back in row order.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    pool = stand_in_pool(monkeypatch, started=started)
+    ran = []
+
+    def row(key):
+        ran.append(key)
+        return _square_row(key)
+
+    rows = [partial(row, key) for key in range(_ROWS)]
+    serial = list(map(gridrun._call, rows))
+    ran.clear()
+    with worker_pool(2) as run_rows:
+        assert list(run_rows(rows)) == serial
+    chunk_keys = [list(range(i, _ROWS, _CHUNKS)) for i in range(_CHUNKS)]
+    assert ran == [key for i in [*range(started), *reversed(range(started, _CHUNKS))]
+                   for key in chunk_keys[i]]
+    assert [future.cancelled() for future in pool.futures] == [
+        i >= started for i in range(_CHUNKS)
+    ]
+    assert pool.late == []
+
+
+def test_a_failing_chunk_stops_the_caller_before_its_next_row(monkeypatch):
+    # The worker's chunk 0 is running when the caller starts; it fails
+    # during the caller's first row, and the caller must raise its error
+    # before it runs another.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    pool = stand_in_pool(monkeypatch, started=1, start=lambda future, fn, *args: None)
+    ran = []
+
+    def row(key):
+        ran.append(key)
+        if not pool.futures[0].done():
+            pool.futures[0].set_exception(ZeroDivisionError("in a worker"))
+        return _square_row(key)
+
+    with pytest.raises(ZeroDivisionError, match="in a worker"):
+        with worker_pool(2) as run_rows:
+            run_rows([partial(row, key) for key in range(_ROWS)])
+    assert ran == [_CHUNKS - 1]
+    assert pool.shutdowns == [[True]]
+
+
+def test_a_chunk_failed_before_the_caller_starts_exits_three(monkeypatch, capsys):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+    def fail(future, fn, *args):
+        future.set_exception(ZeroDivisionError("in a worker"))
+
+    stand_in_pool(monkeypatch, started=1, start=fail)
+    ran = []
+    watch_rows(monkeypatch, ran.append)
+    assert cli.main(["all", "--n-max", "4", "--l-max", "2", "--jobs", "2"]) == 3
+    assert ran == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "internal error: ZeroDivisionError('in a worker')" in captured.err
+
+
+def test_jobs_on_one_core_run_serially(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    pool = stand_in_pool(monkeypatch)
+    config = cli.GridConfig("all", n_max=4, l_max=2, x_min=-2, x_max=2, jobs=2)
+    parallel = cli.run(config)
+    assert pool.opened == []
+    serial = cli.run(dataclasses.replace(config, jobs=1))
+    assert [r.cases for r in parallel.reports] == [r.cases for r in serial.reports]
 
 
 # Non-ASCII (BMP and astral), quote, backslash, and C0/DEL/U+2028 controls.
