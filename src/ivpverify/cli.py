@@ -21,8 +21,9 @@ q = 1).  The transform, weighted-sum, catalan-form identity and
 recurrence rows each build one S_k table per closed form they read,
 the chu-vandermonde row its power sums once per x, only at the points
 x = 0 .. d that decide a symmetric claim of degree 2d (the symmetric
-rule of `values`); sun-one, sun-two and the catalan-form summands have
-one-cell rows (`_one`).
+rule of `values`).  sun-one and sun-two are one row each, which forms
+what every n shares once, and the catalan-form summands one row per n,
+which forms its weights once for every x.
 `run` hands every task's rows, as one list, to the row runner of one
 `gridrun.worker_pool` before it collects any task's report, so at
 --jobs > 1 the rows of every task are shared out at once between this
@@ -61,7 +62,7 @@ from typing import Callable, Optional
 
 from . import congruences, identities, qpoly
 from .gridrun import collect, worker_pool
-from .report import CaseResult, CombinedReport, serialize_report
+from .report import CombinedReport, serialize_report
 
 __all__ = ["GridConfig", "UsageError", "run", "main"]
 
@@ -141,11 +142,6 @@ class _Task:
     notes: Callable[[GridConfig], list[str]] = lambda config: []
 
 
-def _one(cell: Callable[..., CaseResult], *args) -> list[CaseResult]:
-    """The one-cell row cell(*args) of a task without a sweep."""
-    return [cell(*args)]
-
-
 def _xs(c: GridConfig) -> range:
     return range(c.x_min, c.x_max + 1)
 
@@ -165,20 +161,20 @@ _TASKS = {
     "telescope": _Task(("n_max",), lambda c: [
         partial(identities.telescope_row, k, c.n_max) for k in range(c.n_max)
     ]),
-    "sun-one": _Task(("n_max",), lambda c: [
-        partial(_one, identities.sun_one_case, n) for n in range(c.n_max + 1)
-    ], min_n_max=0),
-    "sun-two": _Task(("n_max",), lambda c: [
-        partial(_one, identities.sun_two_case, n) for n in range(c.n_max + 1)
-    ], min_n_max=0),
+    "sun-one": _Task(
+        ("n_max",), lambda c: [partial(identities.sun_one_row, c.n_max)], min_n_max=0
+    ),
+    "sun-two": _Task(
+        ("n_max",), lambda c: [partial(identities.sun_two_row, c.n_max)], min_n_max=0
+    ),
     "theorem1": _Task(("l_max", "n_max", "eps"), lambda c: [
         partial(congruences.theorem1_row, c.l_max, c.eps, c.n_max)
     ]),
     "theorem2": _Task(("n_max",), lambda c: [partial(congruences.theorem2_row, c.n_max)]),
     "catalan-form": _Task(("n_max", "x_min", "x_max"), lambda c: [
         partial(congruences.catalan_identity_row, c.n_max),
-        *(partial(_one, congruences.catalan_terms_case, n, x)
-          for n in range(1, c.n_max + 1) for x in _xs(c)),
+        *(partial(congruences.catalan_terms_row, n, c.x_min, c.x_max)
+          for n in range(1, c.n_max + 1)),
     ]),
     "lemma-schmidt": _Task(("l_max", "n_max", "eps"), lambda c: [
         partial(congruences.schmidt_row, l, eps, c.n_max)

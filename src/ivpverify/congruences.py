@@ -9,7 +9,9 @@ read off the one running sum `identities.odd_power_sums`, with X_k the
 S_k(x) of the weighted sums, C(k+j,2j) of the Schmidt coefficients,
 C(m+k,2k) of the congruence values or a power sum of the spot checks.
 So a cell costs O(1) (O(n) for a vector of values) instead of a fresh
-sum, and a row function decides each of its cells.
+sum, and a row function decides each of its cells.  The Catalan-form
+summands are one row per n, which forms the summands' integer weights
+once and reads them at each x of the window.
 
 Severity matters here.  Most grid cells instantiate proved statements
 (severity "theorem"); the l >= 2 congruence rows and the m >= 3 spot
@@ -42,7 +44,7 @@ __all__ = [
     "theorem2_row",
     "catalan_form_values",
     "catalan_identity_row",
-    "catalan_terms_case",
+    "catalan_terms_row",
     "conjecture_final_values",
     "conjecture_final_row",
     "sun_m_row",
@@ -144,14 +146,6 @@ def catalan_form_values(n_max: int) -> list[tuple[int, ...]]:
     ], n_max)
 
 
-def _catalan_summand_times_n(n: int, k: int, x0: int) -> int:
-    """C(n,k+1) C(n+k,k) C(2k,k) C(x0+k,2k), n times the k-th summand."""
-    return (
-        binom_int(n, k + 1) * binom_int(n + k, k) * binom_int(2 * k, k)
-        * binom_int(x0 + k, 2 * k)
-    )
-
-
 def catalan_identity_row(n_max: int) -> list[CaseResult]:
     """For every n <= n_max the Catalan-weighted sum equals the 1/n^2
     weighted sum as a polynomial (compared at x = 0 .. n-1, see `values`)."""
@@ -169,15 +163,27 @@ def catalan_identity_row(n_max: int) -> list[CaseResult]:
     return cases
 
 
-def catalan_terms_case(n: int, x0: int) -> CaseResult:
-    """Each summand (1/n) C(n,k+1) C(n+k,k) C(2k,k) C(x0+k,2k) is an integer."""
-    bad = None
-    for k in range(n):
-        term = _catalan_summand_times_n(n, k, x0)
-        if term % n:
-            bad = f"k={k} summand {Fraction(term, n)} is not an integer"
-            break
-    return make_case((("part", "terms"), ("n", n), ("x", x0)), bad is None, bad)
+def catalan_terms_row(n: int, x_min: int, x_max: int) -> list[CaseResult]:
+    """Each summand (1/n) W_k C(x+k,2k), W_k = C(n,k+1) C(n+k,k) C(2k,k),
+    is an integer, at x = x_min .. x_max.
+
+    The weights W_k are formed once for the row.  A summand whose weight
+    n divides is an integer at every x, so only the others are read at
+    each x, in increasing k; the first that is not an integer is the
+    witness.
+    """
+    weights = [binom_int(n, k + 1) * binom_int(n + k, k) * binom_int(2 * k, k) for k in range(n)]
+    suspects = [k for k, weight in enumerate(weights) if weight % n]
+    cases = []
+    for x in range(x_min, x_max + 1):
+        bad = None
+        for k in suspects:
+            term = weights[k] * binom_int(x + k, 2 * k)
+            if term % n:
+                bad = f"k={k} summand {Fraction(term, n)} is not an integer"
+                break
+        cases.append(make_case((("part", "terms"), ("n", n), ("x", x)), bad is None, bad))
+    return cases
 
 
 # -- the mod-n^2 congruence family -------------------------------------------

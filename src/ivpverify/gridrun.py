@@ -12,10 +12,11 @@ other processes serves the run: the rows are dealt round-robin into
 _SPLIT chunks per process, chunk i holding rows[i::count], so every
 chunk is a cross-section of every task.  Every chunk is submitted;
 then the caller runs the chunks no worker has taken yet, from the back
-of the list, and waits for the rest.  Between its rows it checks
-whether a worker's chunk has raised, and once the run fails the
-workers skip the rows they have left, so a crash ends the run within
-about one row.
+of the list, and waits for the rest.  Every process, the caller among
+them, checks one stop event between its rows; a worker's chunk that
+raises sets it, as does a block that raises, so once the run fails
+every process skips the rows it has left, and a crash ends the run
+within about one row.
 
 Output is deterministic: `collect` sorts the cases by key, so a run
 with --jobs 8 yields byte-identical JSON/CSV to a serial run (wall
@@ -48,8 +49,8 @@ _SPLIT = 32
 
 _by_key = attrgetter("key")
 
-# In a worker: the pool's stop event, which the caller sets once the
-# run has failed, so that the worker skips the rows it has left.
+# In a worker and in the caller: the pool's stop event, set once the
+# run has failed, so that every process skips the rows it has left.
 _stop = None
 
 
@@ -65,14 +66,15 @@ def _call(row: Row) -> list[CaseResult]:
 
 
 def _start_worker(stop) -> None:
-    """The pool's initializer: keep the run's stop event."""
+    """The pool's initializer, run in the caller too: keep the run's
+    stop event."""
     global _stop
     _stop = stop
 
 
 def _run_chunk(chunk: Sequence[Row]) -> list[list[CaseResult]]:
-    """Run a chunk of rows in a worker, none after the run has failed
-    (its results are then never read)."""
+    """Run a chunk of rows, none after the run has failed: a chunk cut
+    short is never read."""
     results = []
     for row in chunk:
         if _stop.is_set():
@@ -81,15 +83,11 @@ def _run_chunk(chunk: Sequence[Row]) -> list[list[CaseResult]]:
     return results
 
 
-def _run_inline(chunk: Sequence[Row], failed: list[Future]) -> list[list[CaseResult]]:
-    """Run a chunk of rows in the caller, raising a worker's error
-    before the next row once one of their chunks has failed."""
-    results = []
-    for row in chunk:
-        if failed:
-            failed[0].result()
-        results.append(row())
-    return results
+def _stop_on_failure(future: Future) -> None:
+    """A chunk's done-callback: once a worker's chunk has raised, every
+    process stops before its next row."""
+    if not future.cancelled() and future.exception() is not None:
+        _stop.set()
 
 
 def _run_shared(
@@ -98,23 +96,22 @@ def _run_shared(
     """The rows' results in row order, from `pool`'s workers and this
     process together.  Chunk i is rows[i::count]: the caller cancels
     chunks from the back and runs each itself until it meets one a
-    worker has started, then waits for the started ones."""
+    worker has started, then waits for the started ones.  A chunk of
+    the caller's cut short means a worker's chunk has raised; that
+    chunk is among the started ones, so the wait raises its error."""
     count = min(len(rows), processes * _SPLIT)
     chunks = [rows[i::count] for i in range(count)]
-    failed: list[Future] = []
-
-    def note_failure(future: Future) -> None:
-        if not future.cancelled() and future.exception() is not None:
-            failed.append(future)
-
     futures = [pool.submit(_run_chunk, chunk) for chunk in chunks]
     for future in futures:
-        future.add_done_callback(note_failure)
+        future.add_done_callback(_stop_on_failure)
     results: list = [None] * len(rows)
     started = count
     while started and futures[started - 1].cancel():
         started -= 1
-        results[started::count] = _run_inline(chunks[started], failed)
+        ran = _run_chunk(chunks[started])
+        if len(ran) < len(chunks[started]):
+            break
+        results[started::count] = ran
     done, _ = wait(futures[:started], return_when=FIRST_EXCEPTION)
     for future in done:
         future.result()  # a worker's error goes on from here
@@ -136,6 +133,7 @@ def worker_pool(jobs: int) -> Iterator[Callable[[Sequence[Row]], Iterator[list[C
         yield partial(map, _call)
         return
     stop = multiprocessing.Event()
+    _start_worker(stop)
     with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker, initargs=(stop,)) as pool:
         try:
             yield partial(_run_shared, pool, workers + 1)

@@ -1,6 +1,6 @@
-"""The binomial-sum identity family: builders and one row (or cell)
-function per claim, each deciding its grid cells exactly.  A row
-function takes its own arguments, and the task table in `cli` calls it.
+"""The binomial-sum identity family: builders and one row function per
+claim, each deciding its grid cells exactly.  A row function takes its
+own arguments, and the task table in `cli` calls it.
 
 The central object is the degree-2n polynomial
 
@@ -23,9 +23,10 @@ Chu-Vandermonde sum at x = 0 .. k//2.  A failing cell rebuilds its
 values at x = 0 .. 2d for its witness.
 The module also checks a telescoping sum of odd-weighted binomials
 (each row over n is one `odd_power_sums` column) and two rational-value
-identities at x = -1/2 and x = -1/4, -3/4, decided on integers: with
-C(p/q, k) = p(p-q)...(p-(k-1)q) / (q^k k!), the scaled left side is a
-fraction N / D of integers, and a cell passes when N = rhs D.
+identities at x = -1/2 and x = -1/4, -3/4, one row over n each, decided
+on integers: with C(p/q, k) = p(p-q)...(p-(k-1)q) / (q^k k!), the
+scaled left side is a fraction N / D of integers, and a cell passes
+when N = rhs D.
 
 All checks are exact and run on `int`; a failure carries a witness
 (the first differing coefficient, the polynomial interpolated from the
@@ -39,7 +40,7 @@ import math
 from fractions import Fraction
 from itertools import accumulate, zip_longest
 from operator import mul, neg
-from typing import Optional
+from typing import Callable, Optional
 
 from .combinat import binom_int
 from .report import CaseResult, make_case
@@ -58,8 +59,8 @@ __all__ = [
     "recurrence_row",
     "chu_row",
     "telescope_row",
-    "sun_one_case",
-    "sun_two_case",
+    "sun_one_row",
+    "sun_two_row",
 ]
 
 
@@ -251,40 +252,49 @@ def telescope_row(k: int, n_max: int) -> list[CaseResult]:
 
 # -- rational-value identities at half-integer points ------------------------
 
-def _rational_point_lhs(p1: int, p2: int, q: int, scale: int, n: int) -> tuple[int, int]:
+def _rational_point_lhs(p1: int, p2: int, q: int, scale: int, n_max: int) -> list[tuple[int, int]]:
     """scale^n sum_k C(p1/q,k)^2 C(p2/q,n-k)^2 as an integer pair (N, D),
-    equal to N / D, with D = (q^n n!)^2.
+    equal to N / D, with D = (q^n n!)^2, for n = 0 .. n_max (entry n).
 
     C(p/q, k) = a_k / (q^k k!) with a_k = p(p-q)...(p-(k-1)q), so each
-    product C(p1/q,k) C(p2/q,n-k) is C(n,k) a_k b_(n-k) / (q^n n!).
+    product C(p1/q,k) C(p2/q,n-k) is C(n,k) a_k b_(n-k) / (q^n n!); the
+    a_k and b_k are formed once for every n.
     """
-    a = list(accumulate(range(p1, p1 - n * q, -q), mul, initial=1))
-    b = list(accumulate(range(p2, p2 - n * q, -q), mul, initial=1))
-    total = sum((math.comb(n, k) * a[k] * b[n - k]) ** 2 for k in range(n + 1))
-    return scale ** n * total, (q ** n * math.factorial(n)) ** 2
+    a, b = (list(accumulate(range(p, p - n_max * q, -q), mul, initial=1)) for p in (p1, p2))
+    return [
+        (scale ** n * sum((math.comb(n, k) * a[k] * b[n - k]) ** 2 for k in range(n + 1)),
+         (q ** n * math.factorial(n)) ** 2)
+        for n in range(n_max + 1)
+    ]
 
 
-def sun_one_case(n: int) -> CaseResult:
-    """16^n sum C(-1/2,k)^2 C(-1/2,n-k)^2 = sum C(2k,k)^3 C(k,n-k) (-16)^(n-k).
+def _rational_point_row(
+    p1: int, p2: int, q: int, scale: int, n_max: int, term: Callable[[int, int], int]
+) -> list[CaseResult]:
+    """Cell n, for n = 0 .. n_max, compares the pair (N, D) of
+    `_rational_point_lhs` with rhs = sum_{k<=n} term(n, k) and passes
+    when N == rhs D; only a failing cell forms N / D."""
+    cases = []
+    for n, (num, den) in enumerate(_rational_point_lhs(p1, p2, q, scale, n_max)):
+        rhs = sum(term(n, k) for k in range(n + 1))
+        ok = num == rhs * den
+        cases.append(make_case((("n", n),), ok, None if ok else f"{Fraction(num, den)} != {rhs}"))
+    return cases
 
-    The left side is the integer fraction N / D of `_rational_point_lhs`,
-    so the cell passes when N == rhs D; only a failing cell forms N / D.
-    """
-    rhs = sum(
-        binom_int(2 * k, k) ** 3 * binom_int(k, n - k) * (-16) ** (n - k)
-        for k in range(n + 1)
+
+def sun_one_row(n_max: int) -> list[CaseResult]:
+    """16^n sum C(-1/2,k)^2 C(-1/2,n-k)^2 = sum C(2k,k)^3 C(k,n-k) (-16)^(n-k),
+    for n = 0 .. n_max; C(2k,k)^3 is formed once for every n."""
+    cubes = [binom_int(2 * k, k) ** 3 for k in range(n_max + 1)]
+    return _rational_point_row(
+        -1, -1, 2, 16, n_max, lambda n, k: cubes[k] * binom_int(k, n - k) * (-16) ** (n - k)
     )
-    num, den = _rational_point_lhs(-1, -1, 2, 16, n)
-    ok = num == rhs * den
-    return make_case((("n", n),), ok, None if ok else f"{Fraction(num, den)} != {rhs}")
 
 
-def sun_two_case(n: int) -> CaseResult:
-    """64^n sum C(-1/4,k)^2 C(-3/4,n-k)^2 = sum C(2k,k)^3 C(2n-2k,n-k) 16^(n-k)."""
-    rhs = sum(
-        binom_int(2 * k, k) ** 3 * binom_int(2 * (n - k), n - k) * 16 ** (n - k)
-        for k in range(n + 1)
+def sun_two_row(n_max: int) -> list[CaseResult]:
+    """64^n sum C(-1/4,k)^2 C(-3/4,n-k)^2 = sum C(2k,k)^3 C(2n-2k,n-k) 16^(n-k),
+    for n = 0 .. n_max; C(2k,k) is formed once for every n."""
+    central = [binom_int(2 * k, k) for k in range(n_max + 1)]
+    return _rational_point_row(
+        -1, -3, 4, 64, n_max, lambda n, k: central[k] ** 3 * central[n - k] * 16 ** (n - k)
     )
-    num, den = _rational_point_lhs(-1, -3, 4, 64, n)
-    ok = num == rhs * den
-    return make_case((("n", n),), ok, None if ok else f"{Fraction(num, den)} != {rhs}")

@@ -41,18 +41,21 @@ def test_bad_bounds_exit_two(capsys):
         cli.run(cli.GridConfig("theorem1", l_max=4, n_max=0))
 
 
-def _replace_cell(monkeypatch, task, cell):
-    """Make every one-cell row of task call cell on the row's arguments."""
+def _replace_rows(monkeypatch, task, row):
+    """Make every row of task call `row` on that row's arguments instead."""
     entry = cli._TASKS[task]
 
     def rows(config):
-        return [functools.partial(cli._one, cell, *row.args[1:]) for row in entry.rows(config)]
+        return [functools.partial(row, *original.args) for original in entry.rows(config)]
 
     monkeypatch.setitem(cli._TASKS, task, dataclasses.replace(entry, rows=rows))
 
 
 def test_mathematical_failure_exits_one(capsys, monkeypatch):
-    _replace_cell(monkeypatch, "sun-one", lambda n: make_case((("n", n),), False, "forced"))
+    def forced(n_max):
+        return [make_case((("n", n_max),), False, "forced")]
+
+    _replace_rows(monkeypatch, "sun-one", forced)
     assert cli.main(["sun-one", "--n-max", "0"]) == 1
     assert "FAIL 1/1" in capsys.readouterr().out
 
@@ -306,10 +309,10 @@ def test_config_file_rejects_booleans_for_integers(tmp_path, capsys, key):
 
 
 def test_internal_error_exits_three(capsys, monkeypatch):
-    def crash(n):
+    def crash(n_max):
         raise RuntimeError("worker pool died")
 
-    _replace_cell(monkeypatch, "sun-one", crash)
+    _replace_rows(monkeypatch, "sun-one", crash)
     assert cli.main(["sun-one"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -319,10 +322,10 @@ def test_internal_error_exits_three(capsys, monkeypatch):
 def test_value_error_inside_a_task_exits_three(capsys, monkeypatch):
     # Bounds are validated before a task runs, so a ValueError from a
     # builder is a bug, not a usage error.
-    def broken(n):
+    def broken(n_max):
         raise ValueError("builder bug")
 
-    _replace_cell(monkeypatch, "sun-one", broken)
+    _replace_rows(monkeypatch, "sun-one", broken)
     assert cli.main(["sun-one"]) == 3
     assert "internal error: ValueError('builder bug')" in capsys.readouterr().err
 

@@ -15,9 +15,11 @@ row builder returns, or into one step of the running sum, which must
 fail that cell and every later one.
 The scalar tasks' witness literals were recorded when every polynomial
 was still built from its rational coefficients and every cell still
-formatted a witness; their faults change one binomial, summand or
-coefficient.  The q-sun and q-specialize faults add 1 to one
-coefficient of one unscaled q-sum A_n, so the full product
+formatted a witness; their faults change one binomial or
+coefficient.  The catalan-form summand literals were recorded when the
+summands became one row per n, which forms each weight once: their
+faults change one binomial of a weight.  The q-sun and q-specialize
+faults add 1 to one coefficient of one unscaled q-sum A_n, so the full product
 A_n [2k choose k]^2 gains [2k choose k]^2; each of their literals is
 checked against long division of that faulted full product, which
 q-sun itself never forms: it decides a cell from the cyclotomic
@@ -294,21 +296,33 @@ def test_chu_vandermonde_fault_witness(tmp_path, monkeypatch):
 
 
 def test_catalan_form_terms_fault_witness(tmp_path, monkeypatch):
-    original = congruences._catalan_summand_times_n
-
-    def corrupted(n, k, x0):
-        value = original(n, k, x0)
-        return value + 1 if (n, k, x0) == (3, 1, 0) else value
-
-    monkeypatch.setattr(congruences, "_catalan_summand_times_n", corrupted)
+    # C(3,2) is the factor C(n,k+1) of the weight W_1 = 24 of n = 3,
+    # which becomes 32; its summand 32 C(x+1,2)/3 is 0 at x = -1, 0.
+    _corrupt_binom(monkeypatch, congruences, (3, 2))
     rc, failed = _failures(
         tmp_path, ["catalan-form", "--n-max", "3", "--x-min", "-1", "--x-max", "1"]
     )
     assert rc == 1
     assert failed == [{
-        "key": {"part": "terms", "n": 3, "x": 0}, "status": "fail",
-        "witness": "k=1 summand 1/3 is not an integer", "severity": "theorem",
+        "key": {"part": "terms", "n": 3, "x": 1}, "status": "fail",
+        "witness": "k=1 summand 32/3 is not an integer", "severity": "theorem",
     }]
+
+
+def test_catalan_form_last_summand_fault_witness(tmp_path, monkeypatch):
+    # At n <= 3, C(4,2) is read only as the factor C(2k,k) of the last
+    # summand k = n-1 = 2 of n = 3, whose weight 60 becomes 70, and as
+    # C(x+1,2) at x = 3, outside the window.  The summand 70 C(x+2,4)/3
+    # is 70/3 at x = -3 and x = 2 and 0 in between.
+    _corrupt_binom(monkeypatch, congruences, (4, 2))
+    rc, failed = _failures(
+        tmp_path, ["catalan-form", "--n-max", "3", "--x-min", "-3", "--x-max", "2"]
+    )
+    assert rc == 1
+    assert failed == [{
+        "key": {"part": "terms", "n": 3, "x": x}, "status": "fail",
+        "witness": "k=2 summand 70/3 is not an integer", "severity": "theorem",
+    } for x in (-3, 2)]
 
 
 def _corrupt_q_sun_sums(monkeypatch, bad_key):
@@ -368,17 +382,18 @@ def test_q_specialize_fault_witness(tmp_path, monkeypatch):
     assert product.eval_at_one() == 76
 
 
-def _corrupt_identities_binom(monkeypatch, bad_args):
-    original = identities.binom_int
+def _corrupt_binom(monkeypatch, module, bad_args):
+    """Add 1 to the binomial C(*bad_args) wherever module reads it."""
+    original = module.binom_int
 
     def corrupted(top, k):
         return original(top, k) + 1 if (top, k) == bad_args else original(top, k)
 
-    monkeypatch.setattr(identities, "binom_int", corrupted)
+    monkeypatch.setattr(module, "binom_int", corrupted)
 
 
 def test_telescope_fault_witness(tmp_path, monkeypatch):
-    _corrupt_identities_binom(monkeypatch, (4, 3))  # only the n=4, k=2 right side
+    _corrupt_binom(monkeypatch, identities, (4, 3))  # only the n=4, k=2 right side
     rc, failed = _failures(tmp_path, ["telescope", "--n-max", "4"])
     assert rc == 1
     assert failed == [{
@@ -388,7 +403,7 @@ def test_telescope_fault_witness(tmp_path, monkeypatch):
 
 
 def test_sun_one_fault_witness(tmp_path, monkeypatch):
-    _corrupt_identities_binom(monkeypatch, (3, 2))  # C(k, n-k) at n=5, k=3
+    _corrupt_binom(monkeypatch, identities, (3, 2))  # C(k, n-k) at n=5, k=3
     rc, failed = _failures(tmp_path, ["sun-one", "--n-max", "5"])
     assert rc == 1
     assert failed == [{
@@ -398,7 +413,7 @@ def test_sun_one_fault_witness(tmp_path, monkeypatch):
 
 
 def test_sun_two_fault_witness(tmp_path, monkeypatch):
-    _corrupt_identities_binom(monkeypatch, (4, 2))  # first used at n=2
+    _corrupt_binom(monkeypatch, identities, (4, 2))  # first used at n=2
     rc, failed = _failures(tmp_path, ["sun-two", "--n-max", "2"])
     assert rc == 1
     assert failed == [{

@@ -147,6 +147,12 @@ def _corrupted_q_sum(bad, exponent):
     l_max=1, n_max=4, x_min=0, width=0, eps=(1, -1), m=1,
     fault=(3, 4, 1), s_fault=None, q_fault=None,
 )
+# C(2,1) = 3 makes both catalan-form summands of n = 2 non-integers at
+# x = 1 (3/2 and 9/2); the witness must name the first.
+@example(
+    l_max=1, n_max=2, x_min=1, width=0, eps=(1,), m=1,
+    fault=(2, 1, 1), s_fault=None, q_fault=None,
+)
 def test_rows_match_per_cell_oracle(l_max, n_max, x_min, width, eps, m, fault, s_fault, q_fault):
     with ExitStack() as stack:
         if fault is not None:
@@ -296,31 +302,34 @@ def test_central_basis_sums_match_per_term_sums(weights, points, n_max):
     p1=st.integers(-20, 20),
     p2=st.integers(-20, 20),
     scale=st.integers(),
-    n=st.integers(0, 30),
+    n_max=st.integers(0, 30),
 )
-def test_rational_point_lhs_matches_fraction_sum(q, p1, p2, scale, n):
-    # The integer pair (N, D) against the sum itself, term by term in
-    # Fractions; p/q need not be in lowest terms.
-    num, den = identities._rational_point_lhs(p1, p2, q, scale, n)
+def test_rational_point_lhs_matches_fraction_sum(q, p1, p2, scale, n_max):
+    # Every integer pair (N, D) of one sweep against the sum itself, term
+    # by term in Fractions; p/q need not be in lowest terms.
+    pairs = identities._rational_point_lhs(p1, p2, q, scale, n_max)
+    assert len(pairs) == n_max + 1
     r1, r2 = Fraction(p1, q), Fraction(p2, q)
-    expected = scale ** n * sum(
-        binom_rat(r1, k) ** 2 * binom_rat(r2, n - k) ** 2 for k in range(n + 1)
-    )
-    assert Fraction(num, den) == expected
+    for n, (num, den) in enumerate(pairs):
+        expected = scale ** n * sum(
+            binom_rat(r1, k) ** 2 * binom_rat(r2, n - k) ** 2 for k in range(n + 1)
+        )
+        assert Fraction(num, den) == expected, n
 
 
 def test_rational_point_faults_match_oracle_at_large_n():
-    # Every right side off by one binomial change: each n in 1..60 fails
-    # in the verifier's integer decider and in the oracle's Fraction
-    # cell, with the same witness text.
+    # Every right side off by one binomial change: each n in 1..60 of one
+    # sweep fails in the verifier's integer decider and in the oracle's
+    # Fraction cell, with the same witness text.
     def corrupted(top, k):
         return binom_int(top, k) + 1
 
     with ExitStack() as stack:
         for module in (identities, cell_oracle):
             stack.enter_context(mock.patch.object(module, "binom_int", corrupted))
-        for task in ("sun_one_case", "sun_two_case"):
+        for row, cell in ((identities.sun_one_row, cell_oracle.sun_one_case),
+                          (identities.sun_two_row, cell_oracle.sun_two_case)):
+            cases = row(60)
             for n in range(1, 61):
-                case = getattr(identities, task)(n)
-                assert case.status == "fail", (task, n)
-                assert case == getattr(cell_oracle, task)(n), (task, n)
+                assert cases[n].status == "fail", (row, n)
+                assert cases[n] == cell(n), (row, n)
