@@ -29,7 +29,7 @@ which forms its weights once for every x.
 --jobs > 1 the rows of every task are shared out at once between this
 process and one pool of workers, and no task waits for the one before
 it.  --jobs N counts the processes at work, this one included, at most
-one per core.  A
+one per core and one per row of the run.  A
 `GridConfig` checks every bound when it is built, so
 `run(GridConfig("theorem1", n_max=25))` is safe to call from code as
 well.
@@ -315,8 +315,10 @@ def run(config: GridConfig):
     start = time.perf_counter()
     names = list(_TASKS) if config.task == "all" else [config.task]
     rows = [_TASKS[name].rows(config) for name in names]
-    with worker_pool(config.jobs) as run_rows:
-        results = run_rows(list(chain.from_iterable(rows)))
+    every_row = list(chain.from_iterable(rows))
+    # No more processes than rows: a one-row run opens no pool.
+    with worker_pool(min(config.jobs, len(every_row))) as run_rows:
+        results = run_rows(every_row)
         reports = [
             collect(name, _echo(config, _TASKS[name].echo), islice(results, len(task_rows)),
                     _TASKS[name].notes(config))

@@ -13,11 +13,16 @@ failures in one pass over the case statuses.
 
 JSON is written by a writer for the report's one fixed schema (task,
 config, summary, then cases and notes or, for `all`, the sub-reports,
-then meta): each case is one f-string over its fields, with no
-intermediate dict and no pass of json's pure-Python indent encoder.
-Int key values are written without a call per value, and the text
-after the key of a case without a witness is rendered once per report.
-The bytes are those of `json.dumps(..., indent=2)` on the same data.
+then meta), with no intermediate dict and no pass of json's
+pure-Python indent encoder.  The cases are written in slices of up to
+1024 and, within a slice, by runs rather than one by one: a run is a
+stretch of cases whose keys have one shape (the same names in order),
+found by C-level passes over the slice.  A run is a single %-format of
+a template for one of its cases, repeated, over the run's key values:
+an int column through %d, any other column encoded first.  The text
+after a case's key is rendered once per distinct outcome (status,
+witness, severity).  The bytes are those of `json.dumps(...,
+indent=2)` on the same data.
 """
 
 from __future__ import annotations
@@ -26,7 +31,9 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
+from itertools import chain, groupby
 from json.encoder import encode_basestring_ascii as _json_str
+from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence
 
 __all__ = [
@@ -38,6 +45,14 @@ __all__ = [
 ]
 
 _int_repr = int.__repr__
+_first = itemgetter(0)
+_second = itemgetter(1)
+_outcome = itemgetter(1, 2, 3)  # a case's (status, witness, severity)
+
+# Cases per slice of a report's cases, and so at most per %-format: a
+# bound on the template and on the lists of keys and values one slice
+# builds, which a long report would otherwise hold for all its cases.
+_SLICE = 1024
 
 CSV_HEADER = ["task", "case_key", "status", "witness", "severity"]
 
@@ -198,35 +213,53 @@ def _json_object(items, pad: str) -> str:
 
 
 def _json_array(rendered: list[str], pad: str) -> list[str]:
-    """Rendered elements as the pieces of an array whose closing bracket is at pad."""
+    """Rendered elements as the pieces of an array whose closing bracket
+    is at pad: the elements themselves with the text between them, so
+    that the final join is the one copy of them."""
     if not rendered:
         return ["[]"]
     inner = pad + "  "
-    return [f"[\n{inner}", f",\n{inner}".join(rendered), f"\n{pad}]"]
+    pieces = [f",\n{inner}"] * (2 * len(rendered))
+    pieces[0] = f"[\n{inner}"
+    pieces[1::2] = rendered
+    pieces.append(f"\n{pad}]")
+    return pieces
 
 
 def _json_cases(cases: Sequence[CaseResult], pad: str) -> list[str]:
-    """Each case as an object whose closing brace is at pad.  Int key
-    values skip _json_value's call, and the text after the key of a
-    case without a witness depends only on its status and severity
-    strings, so it is rendered once per report."""
-    inner = pad + "  "
-    field = inner + "  "
-    head = f'{{\n{inner}"key": '
-    sep = f",\n{field}"
-    tails = {}
-    out = []
-    for key, status, witness, severity in cases:
-        if witness is not None:
-            tail = _json_case_tail(status, witness, severity, pad)
-        elif (tail := tails.get((status, severity))) is None:
-            tail = tails[status, severity] = _json_case_tail(status, None, severity, pad)
-        body = sep.join([
-            f"{_json_str(name)}: {_int_repr(v) if type(v) is int else _json_value(v)}"
-            for name, v in key
-        ])
-        out.append(f"{head}{{\n{field}{body}\n{inner}}}{tail}" if key else f"{head}{{}}{tail}")
-    return out
+    """The cases as pieces of an array's elements, each case an object
+    whose closing brace is at pad, the pieces joined as the array joins
+    its elements.  The cases go in slices of at most _SLICE; a run is a
+    stretch of a slice whose keys have one shape, the same names in the
+    same order: the whole slice for every task but catalan-form, whose
+    two shapes can split one.  The text after a case's key depends only
+    on its outcome (status, witness, severity) and is rendered once per
+    distinct outcome: into the template when every case has the same
+    one, else as an argument of each case."""
+    outcomes = set(map(_outcome, cases))
+    if len(outcomes) == 1:
+        tail = _json_case_tail(*outcomes.pop(), pad).replace("%", "%%")
+        text = None
+    else:
+        tail = "%s"
+        text = {outcome: _json_case_tail(*outcome, pad) for outcome in outcomes}
+    pieces = []
+    for start in range(0, len(cases), _SLICE):
+        chunk = cases[start:start + _SLICE]
+        keys = list(map(_first, chunk))
+        tails = text and list(map(text.__getitem__, map(_outcome, chunk)))
+        names = list(map(_first, keys[0]))
+        if set(map(len, keys)) == {len(names)} and list(
+            map(_first, chain.from_iterable(keys))
+        ) == names * len(keys):
+            pieces.append(_json_run(keys, tail, tails, pad))
+            continue
+        at = 0
+        for _, run in groupby(keys, _names):
+            run = list(run)
+            pieces.append(_json_run(run, tail, tails and tails[at:at + len(run)], pad))
+            at += len(run)
+    return pieces
 
 
 def _json_case_tail(status: str, witness, severity: str, pad: str) -> str:
@@ -239,11 +272,51 @@ def _json_case_tail(status: str, witness, severity: str, pad: str) -> str:
     )
 
 
+def _names(key) -> tuple:
+    """The names of a key, in order: the shape of its case."""
+    return tuple(map(_first, key))
+
+
+def _json_run(keys: list, tail: str, tails: Optional[list], pad: str) -> str:
+    """A run of cases, given by their keys (one shape), as one %-format
+    of a template repeated once per case.  tail is the template's text
+    after the key: the text all the cases share, or %s for each case's
+    own, from tails.  A column of int key values goes through %d; any
+    other column is encoded by _json_value first and goes through %s."""
+    inner = pad + "  "
+    field = inner + "  "
+    width = len(keys[0])
+    flat = list(map(_second, chain.from_iterable(keys)))
+    if tails is None:
+        values, step = flat, width
+    else:
+        step = width + 1
+        values = [None] * (len(keys) * step)
+        values[width::step] = tails
+    specs = []
+    for i, (name, _) in enumerate(keys[0]):
+        column = flat[i::width]
+        if set(map(type, column)) == {int}:
+            spec = "%d"
+            if tails is not None:
+                values[i::step] = column
+        else:
+            spec = "%s"
+            values[i::step] = list(map(_json_value, column))
+        specs.append(f'{_json_str(name).replace("%", "%%")}: {spec}')
+    body = f",\n{field}".join(specs)
+    case = (
+        f'{{\n{inner}"key": {{\n{field}{body}\n{inner}}}{tail}' if width
+        else f'{{\n{inner}"key": {{}}{tail}'
+    )
+    return f",\n{pad}".join([case] * len(keys)) % tuple(values)
+
+
 def _json_report(report, include_meta: bool, pad: str) -> list[str]:
     """The pieces of a report written as an object whose closing brace is
     at pad; the sub-reports of a CombinedReport are written without meta.
-    Pieces, not one string, so that the case array is copied only once
-    more, by the final join."""
+    Pieces, not one string: the case array is one piece per slice of its
+    cases, which only the final join copies."""
     inner = pad + "  "
     element = inner + "  "
     total, failed = report.total, report.failed
@@ -271,12 +344,14 @@ def _json_report(report, include_meta: bool, pad: str) -> list[str]:
 def serialize_report(report, fmt: str, include_meta: bool = True) -> str:
     """Render a report as text, JSON or CSV.
 
-    JSON comes from the fixed-schema writer above and is byte for byte
-    what `json.dumps(d, indent=2) + "\\n"` writes for the report as a
-    dict d (task, config, summary, cases and notes or reports, meta),
-    for key names and config keys that are distinct strings and scalar
-    values; a value json cannot encode raises TypeError.  CSV rows
-    follow the fixed header task,case_key,status,witness,severity.
+    JSON comes from the fixed-schema writer above, its cases written by
+    runs of one key shape in slices of at most 1024 cases, and is byte
+    for byte what `json.dumps(d, indent=2) + "\\n"` writes for the
+    report as a dict d (task, config, summary, cases and notes or
+    reports, meta), for key names and config keys that are distinct
+    strings and scalar values; a value json cannot encode raises
+    TypeError.  CSV rows follow the fixed header
+    task,case_key,status,witness,severity.
     """
     if fmt == "json":
         return "".join([*_json_report(report, include_meta, ""), "\n"])

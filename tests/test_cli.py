@@ -146,13 +146,30 @@ def test_all_shares_one_worker_pool(tmp_path, monkeypatch):
 def test_jobs_beyond_the_cores_open_one_worker_per_core(monkeypatch):
     # The stand-in pool starts no process, whatever --jobs asks for.  The
     # caller is one of the processes at work, at most one per core, so
-    # four cores give one pool of three workers.
+    # four cores give one pool of three workers to a run of six rows.
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     pool = stand_in_pool(monkeypatch)
-    for task in ("theorem2", "q-sun"):
-        report = cli.run(cli.GridConfig(task, n_max=3, jobs=10 ** 6))
-        assert report.cases == cli.run(cli.GridConfig(task, n_max=3)).cases
+    for task in ("telescope", "q-sun"):
+        report = cli.run(cli.GridConfig(task, n_max=6, jobs=10 ** 6))
+        assert report.cases == cli.run(cli.GridConfig(task, n_max=6)).cases
     assert pool.opened == [3] * 2
+
+
+def test_a_run_opens_no_more_processes_than_it_has_rows(monkeypatch):
+    # sun-one is one row: at --jobs 2 the caller runs it and no pool
+    # opens.  recurrence's three rows still share one worker; at --jobs
+    # 8 on four cores, its three rows open two workers beside the caller.
+    pool = stand_in_pool(monkeypatch)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    report = cli.run(cli.GridConfig("sun-one", n_max=20, jobs=2))
+    assert pool.opened == [] and pool.submitted == []
+    assert report.cases == cli.run(cli.GridConfig("sun-one", n_max=20)).cases
+    report = cli.run(cli.GridConfig("recurrence", n_max=8, jobs=2))
+    assert pool.opened == [1]
+    assert report.cases == cli.run(cli.GridConfig("recurrence", n_max=8)).cases
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    cli.run(cli.GridConfig("recurrence", n_max=8, jobs=8))
+    assert pool.opened == [1, 2]
 
 
 def test_every_task_is_queued_before_any_result_is_read(monkeypatch):

@@ -7,6 +7,7 @@ import pickle
 import time
 from fractions import Fraction
 from functools import partial
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from inprocess_pool import stand_in_pool, watch_rows
 from ivpverify import cli, gridrun
+from ivpverify import report as report_module
 from ivpverify.gridrun import collect, worker_pool
 from ivpverify.report import (
     CaseResult,
@@ -394,6 +396,69 @@ _EMPTY = VerificationReport(task="", config={}, cases=[make_case((), True)])
 )
 def test_json_writer_matches_stdlib_indent_encoder(report, include_meta):
     assert serialize_report(report, "json", include_meta) == _stdlib_json(report, include_meta)
+
+
+# Runs: one key shape, then 0-40 cases on it.  A column holds ints
+# (negative, and beyond 2**63), bools, or any scalar; names, statuses
+# and witnesses hold %, %d and %%, which the writer's templates must
+# escape; a run's cases draw from 1-3 outcomes, so outcomes repeat and
+# alternate.
+_percent = st.sampled_from(["n", "%", "%d", "%%", "%s", "x%(n)s"]) | _text
+_ints = (
+    st.integers()
+    | st.integers(min_value=2 ** 63, max_value=2 ** 100)
+    | st.integers(min_value=-(2 ** 100), max_value=-(2 ** 63))
+)
+_outcomes = st.tuples(
+    st.sampled_from(["pass", "fail"]) | _percent,
+    st.none() | _percent,
+    st.sampled_from(["theorem", "conjecture"]) | _percent,
+)
+
+
+@st.composite
+def _run_reports(draw) -> VerificationReport:
+    names = draw(st.lists(_percent, max_size=4, unique=True))
+    columns = [draw(st.sampled_from([_ints, st.booleans(), _scalar])) for _ in names]
+    outcomes = draw(st.lists(_outcomes, min_size=1, max_size=3))
+    cases = [
+        CaseResult(tuple((name, draw(column)) for name, column in zip(names, columns)),
+                   *draw(st.sampled_from(outcomes)))
+        for _ in range(draw(st.integers(min_value=0, max_value=40)))
+    ]
+    return VerificationReport(task="runs", config={}, cases=cases)
+
+
+def _cases_report(*cases) -> VerificationReport:
+    return VerificationReport(task="runs", config={}, cases=list(cases))
+
+
+@settings(max_examples=200, deadline=None)
+@given(report=_run_reports(), slice_=st.sampled_from([1, 2, 3, 1024]))
+@example(  # an all-int run of three cases
+    report=_cases_report(*(make_case((("l", l), ("n", n)), True) for l, n in
+                           [(1, 2), (1, 3), (2, -(2 ** 70))])),
+    slice_=2,
+)
+@example(  # a bool-valued run: True is true, not 1
+    report=_cases_report(make_case((("flag", True), ("n", 1)), True),
+                         make_case((("flag", False), ("n", 0)), True)),
+    slice_=1024,
+)
+@example(  # two key shapes in one outcome, as catalan-form writes them
+    report=_cases_report(
+        make_case((("part", "identity"), ("n", 1)), True),
+        make_case((("part", "identity"), ("n", 2)), True),
+        make_case((("part", "terms"), ("n", 1), ("x", -1)), True),
+        make_case((("part", "terms"), ("n", 1), ("x", 0)), False, "100% %d %%"),
+    ),
+    slice_=1,
+)
+def test_json_writer_matches_stdlib_indent_encoder_on_runs(report, slice_):
+    # slice_ stands in for the writer's cases per %-format, so that
+    # short runs cross slice boundaries too.
+    with mock.patch.object(report_module, "_SLICE", slice_):
+        assert serialize_report(report, "json") == _stdlib_json(report, True)
 
 
 @pytest.mark.parametrize("report", [
