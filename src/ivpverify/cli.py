@@ -24,6 +24,15 @@ x = 0 .. d that decide a symmetric claim of degree 2d (the symmetric
 rule of `values`).  sun-one and sun-two are one row each, which forms
 what every n shares once, and the catalan-form summands one row per n,
 which forms its weights once for every x.
+Which row is which: transform, chu-vandermonde, telescope, sun-one,
+sun-two, theorem1, theorem2 and conjecture-sun-ii are one row each;
+recurrence is a base row and one row per closed form; catalan-form is
+its identity row and one summand row per n; lemma-schmidt,
+conjecture-final and conjecture-sun-m are one row per l (lemma-schmidt
+with every eps, conjecture-sun-m with every eps and the whole x
+window); q-sun and q-specialize are one row per k.  Every row but the
+q rows emits its cases in key order, each key pair built once per row
+(or per n), so a task's flattened results are one sorted run.
 `run` hands every task's rows, as one list, to the row runner of one
 `gridrun.worker_pool` before it collects any task's report, so at
 --jobs > 1 the rows of every task are shared out at once between this
@@ -158,9 +167,7 @@ _TASKS = {
     "chu-vandermonde": _Task(
         ("k_max",), lambda c: [partial(identities.chu_row, c.k_max)], min_n_max=0
     ),
-    "telescope": _Task(("n_max",), lambda c: [
-        partial(identities.telescope_row, k, c.n_max) for k in range(c.n_max)
-    ]),
+    "telescope": _Task(("n_max",), lambda c: [partial(identities.telescope_row, c.n_max)]),
     "sun-one": _Task(
         ("n_max",), lambda c: [partial(identities.sun_one_row, c.n_max)], min_n_max=0
     ),
@@ -177,15 +184,14 @@ _TASKS = {
           for n in range(1, c.n_max + 1)),
     ]),
     "lemma-schmidt": _Task(("l_max", "n_max", "eps"), lambda c: [
-        partial(congruences.schmidt_row, l, eps, c.n_max)
-        for l in range(1, c.l_max + 1) for eps in c.eps
+        partial(congruences.schmidt_row, l, c.eps, c.n_max) for l in range(1, c.l_max + 1)
     ]),
     "conjecture-final": _Task(("l_max", "n_max"), lambda c: [
-        partial(congruences.conjecture_final_row, l, k, c.n_max)
-        for l in range(1, c.l_max + 1) for k in range(c.n_max)
+        partial(congruences.conjecture_final_row, l, c.n_max) for l in range(1, c.l_max + 1)
     ]),
     "conjecture-sun-m": _Task(("m", "l_max", "n_max", "eps", "x_min", "x_max"), lambda c: [
-        partial(congruences.sun_m_row, c.m, x, c.l_max, c.n_max, c.eps) for x in _xs(c)
+        partial(congruences.sun_m_row, c.m, l, c.n_max, c.eps, c.x_min, c.x_max)
+        for l in range(1, c.l_max + 1)
     ], notes=lambda c: [congruences.sun_m_regime(c.m, c.n_max, len(_xs(c)))]),
     "conjecture-sun-ii": _Task(("l_max", "n_max"), lambda c: [
         partial(congruences.sun_ii_row, c.l_max, c.n_max)

@@ -11,7 +11,10 @@ C(m+k,2k) of the congruence values or a power sum of the spot checks.
 So a cell costs O(1) (O(n) for a vector of values) instead of a fresh
 sum, and a row function decides each of its cells.  The Catalan-form
 summands are one row per n, which forms the summands' integer weights
-once and reads them at each x of the window.
+once and reads them at each x of the window.  The Schmidt, congruence
+and spot-check rows are one row per l, and every row emits its cells
+in key order, eps ascending (-1 before +1), with each key pair built
+once per row or per n.
 
 Severity matters here.  Most grid cells instantiate proved statements
 (severity "theorem"); the l >= 2 congruence rows and the m >= 3 spot
@@ -74,16 +77,24 @@ def schmidt_coefficient_rows(l: int, eps: int, n_max: int) -> list[tuple[int, ..
     return [tuple(map(mul, central, row[:n])) for n, row in enumerate(zip(*sums), 1)]
 
 
-def schmidt_row(l: int, eps: int, n_max: int) -> list[CaseResult]:
+def schmidt_row(l: int, eps_values: tuple[int, ...], n_max: int) -> list[CaseResult]:
     """Every Schmidt-combination coefficient for (l, n, eps) is divisible
-    by n, for n = 1 .. n_max."""
+    by n, for n = 1 .. n_max and eps in eps_values, in key order: eps
+    ascending within each n."""
+    signs = sorted(eps_values)
+    rows = [schmidt_coefficient_rows(l, eps, n_max) for eps in signs]
+    l_pair = ("l", l)
+    eps_pairs = [("eps", eps) for eps in signs]
     cases = []
-    for n, coeffs in enumerate(schmidt_coefficient_rows(l, eps, n_max), 1):
-        bad = next((j for j, c in enumerate(coeffs) if c % n), None)
-        witness = None
-        if bad is not None:
-            witness = f"coefficient j={bad} is {coeffs[bad]}, not divisible by {n}"
-        cases.append(make_case((("l", l), ("n", n), ("eps", eps)), bad is None, witness))
+    for n in range(1, n_max + 1):
+        n_pair = ("n", n)
+        for eps_pair, row in zip(eps_pairs, rows):
+            coeffs = row[n - 1]
+            bad = next((j for j, c in enumerate(coeffs) if c % n), None)
+            witness = None
+            if bad is not None:
+                witness = f"coefficient j={bad} is {coeffs[bad]}, not divisible by {n}"
+            cases.append(make_case((l_pair, n_pair, eps_pair), bad is None, witness))
     return cases
 
 
@@ -109,14 +120,20 @@ def _int_valued_case(key, values, m: int, severity: str = "theorem") -> CaseResu
 
 def theorem1_row(l_max: int, eps_values: tuple[int, ...], n_max: int) -> list[CaseResult]:
     """The 1/n weighted sum for (l, n, eps) is integer-valued, for every
-    l <= l_max, eps in eps_values and n = 1 .. n_max."""
+    l <= l_max, eps in eps_values and n = 1 .. n_max, in key order: eps
+    ascending within each (l, n)."""
     table = build_lhs(n_max - 1, n_max)
-    return [
-        _int_valued_case((("l", l), ("n", n), ("eps", eps)), values[:n], n)
-        for l in range(1, l_max + 1)
-        for eps in eps_values
-        for n, values in enumerate(weighted_sum_rows(l, eps, table), 1)
-    ]
+    signs = sorted(eps_values)
+    eps_pairs = [("eps", eps) for eps in signs]
+    cases = []
+    for l in range(1, l_max + 1):
+        l_pair = ("l", l)
+        rows = [weighted_sum_rows(l, eps, table) for eps in signs]
+        for n in range(1, n_max + 1):
+            n_pair = ("n", n)
+            for eps_pair, row in zip(eps_pairs, rows):
+                cases.append(_int_valued_case((l_pair, n_pair, eps_pair), row[n - 1][:n], n))
+    return cases
 
 
 def theorem2_row(n_max: int) -> list[CaseResult]:
@@ -199,57 +216,72 @@ def conjecture_final_values(l: int, k: int, n_max: int) -> list[int]:
     return [scale * partial for partial in sums]
 
 
-def conjecture_final_row(l: int, k: int, n_max: int) -> list[CaseResult]:
-    """The congruence mod n^2 at (l, n, k), for n = k+1 .. n_max.
+def conjecture_final_row(l: int, n_max: int) -> list[CaseResult]:
+    """The congruence mod n^2 at (l, n, k), for n = 1 .. n_max and k < n,
+    in key order.
 
-    l = 1 rows are proved and also have to match the closed form
-    n C(n,k+1) C(n+k,k) C(2k,k) exactly; l >= 2 rows are conjectures.
+    Cell (n, k) is entry n-k-1 of the row's `conjecture_final_values`
+    column k.  The key pairs are built once: ("l", l) for the row,
+    ("n", n) per n, ("k", k) per k.  l = 1 cells are proved and also
+    have to match the closed form n C(n,k+1) C(n+k,k) C(2k,k) exactly;
+    l >= 2 cells are conjectures.
     """
     severity = "theorem" if l == 1 else "conjecture"
+    columns = [conjecture_final_values(l, k, n_max) for k in range(n_max)]
+    l_pair = ("l", l)
+    k_pairs = [("k", k) for k in range(n_max)]
     cases = []
-    for n, value in enumerate(conjecture_final_values(l, k, n_max), k + 1):
+    for n in range(1, n_max + 1):
+        n_pair = ("n", n)
         modulus = n * n
-        witness = None
-        if value % modulus:
-            witness = f"value {value} = {value % modulus} mod {modulus}"
-        elif l == 1:
-            # The proved route: at l=1 the sum telescopes to a closed product.
-            closed = n * binom_int(n, k + 1) * binom_int(n + k, k) * binom_int(2 * k, k)
-            if value != closed:
-                witness = f"value {value} != closed form {closed}"
-        cases.append(
-            make_case((("l", l), ("n", n), ("k", k)), witness is None, witness, severity=severity)
-        )
+        for k in range(n):
+            value = columns[k][n - k - 1]
+            witness = None
+            if value % modulus:
+                witness = f"value {value} = {value % modulus} mod {modulus}"
+            elif l == 1:
+                # The proved route: at l=1 the sum telescopes to a closed product.
+                closed = n * binom_int(n, k + 1) * binom_int(n + k, k) * binom_int(2 * k, k)
+                if value != closed:
+                    witness = f"value {value} != closed form {closed}"
+            key = (l_pair, n_pair, k_pairs[k])
+            cases.append(make_case(key, witness is None, witness, severity))
     return cases
 
 
 # -- numeric spot checks for general power m ---------------------------------
 
 def sun_m_row(
-    m: int, x0: int, l_max: int, n_max: int, eps_values: tuple[int, ...]
+    m: int, l: int, n_max: int, eps_values: tuple[int, ...], x_min: int, x_max: int
 ) -> list[CaseResult]:
-    """Pointwise integrality at x0, for every l <= l_max, n <= n_max and
-    eps in eps_values, of
-    (1/n) sum_k eps^k (2k+1)^(2l-1) sum_j C(-x0-1,j)^m C(x0,k-j)^m.
+    """Pointwise integrality at each x0 = x_min .. x_max, for every
+    n <= n_max and eps in eps_values, of
+    (1/n) sum_k eps^k (2k+1)^(2l-1) sum_j C(-x0-1,j)^m C(x0,k-j)^m,
+    in key order: (n, eps, x), eps ascending.
 
-    The power sums (`identities.power_sums`) are built once for the
-    row's x0 and summed by `odd_power_sums` for each (l, eps): at m = 2
-    they are `build_lhs`'s column x0, so the sums are theorem1's at x0.
+    The power sums (`identities.power_sums`) are built once per x0 and
+    summed by `odd_power_sums` for each eps: at m = 2 they are
+    `build_lhs`'s column x0, so the sums are theorem1's at x0.
     m <= 2 instances are proved; m >= 3 ones are open.  The case key
     leaves m out: one report holds a single m, which its config echoes.
     """
-    sums = power_sums(m, x0, n_max)
+    xs = range(x_min, x_max + 1)
+    sums = [power_sums(m, x0, n_max) for x0 in xs]
+    signs = sorted(eps_values)
+    totals = [odd_power_sums(l, eps, *sums) for eps in signs]
     severity = "theorem" if m <= 2 else "conjecture"
+    l_pair = ("l", l)
+    eps_pairs = [("eps", eps) for eps in signs]
+    x_pairs = [("x", x0) for x0 in xs]
     cases = []
-    for l in range(1, l_max + 1):
-        for eps in eps_values:
-            [totals] = odd_power_sums(l, eps, sums)
-            for n, total in enumerate(totals, 1):
+    for n in range(1, n_max + 1):
+        n_pair = ("n", n)
+        for eps_pair, by_x in zip(eps_pairs, totals):
+            for x_pair, column in zip(x_pairs, by_x):
+                total = column[n - 1]
                 ok = total % n == 0
-                witness = None if ok else f"sum {total} at x={x0} is not divisible by {n}"
-                cases.append(make_case(
-                    (("l", l), ("n", n), ("eps", eps), ("x", x0)), ok, witness, severity=severity
-                ))
+                witness = None if ok else f"sum {total} at x={x_pair[1]} is not divisible by {n}"
+                cases.append(make_case((l_pair, n_pair, eps_pair, x_pair), ok, witness, severity))
     return cases
 
 

@@ -151,6 +151,12 @@ def collect(
     compute time when the rows run serially; with a pool every row has
     run before any is read, so it is the time to gather and sort them.
 
+    The sort stays as the guarantee of a deterministic report, but it
+    is rarely work: every row except q-sun's and q-specialize's (one
+    row per k, with keys (n, k)) emits its cases in key order, and a
+    task's rows come in key order too, so their flattened cases are one
+    sorted run, which the sort checks in a single linear pass.
+
     The sort compares the key pairs themselves, with no tuple built per
     case, and gives the order of the cases' `sort_key` (their values
     alone): within one task the names at a key position agree wherever

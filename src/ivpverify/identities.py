@@ -22,7 +22,7 @@ x = 0 .. n, the order-2 recurrence's residual at x = 0 .. n+2, the
 Chu-Vandermonde sum at x = 0 .. k//2.  A failing cell rebuilds its
 values at x = 0 .. 2d for its witness.
 The module also checks a telescoping sum of odd-weighted binomials
-(each row over n is one `odd_power_sums` column) and two rational-value
+(one row, one `odd_power_sums` column per k) and two rational-value
 identities at x = -1/2 and x = -1/4, -3/4, one row over n each, decided
 on integers: with C(p/q, k) = p(p-q)...(p-(k-1)q) / (q^k k!), the
 scaled left side is a fraction N / D of integers, and a cell passes
@@ -231,22 +231,29 @@ def chu_row(k_max: int) -> list[CaseResult]:
 
 # -- telescoping sum ---------------------------------------------------------
 
-def telescope_row(k: int, n_max: int) -> list[CaseResult]:
+def telescope_row(n_max: int) -> list[CaseResult]:
     """sum_{m=k}^{n-1} (2m+1) C(m+k,2k) C(2k,k) = n C(n,k+1) C(n+k,k), for
-    n = k+1 .. n_max.
+    n = 1 .. n_max and k < n, in key order.
 
-    The left side is the l = 1, eps = 1 `odd_power_sums` column
-    C(m+k,2k), m >= k, times C(2k,k); the right side is the closed
-    form at each n.
+    The left side of cell (n, k) is entry n-k-1 of the l = 1, eps = 1
+    `odd_power_sums` column C(m+k,2k), m >= k, times C(2k,k); the right
+    side is the closed form at (n, k).  The key pairs ("n", n) and
+    ("k", k) are built once each.
     """
-    central = binom_int(2 * k, k)
-    [sums] = odd_power_sums(1, 1, [binom_int(m + k, 2 * k) for m in range(k, n_max)], first=k)
+    columns = [
+        odd_power_sums(1, 1, [binom_int(m + k, 2 * k) for m in range(k, n_max)], first=k)[0]
+        for k in range(n_max)
+    ]
+    centrals = [binom_int(2 * k, k) for k in range(n_max)]
+    k_pairs = [("k", k) for k in range(n_max)]
     cases = []
-    for n, partial in enumerate(sums, k + 1):
-        lhs = partial * central
-        rhs = n * binom_int(n, k + 1) * binom_int(n + k, k)
-        ok = lhs == rhs
-        cases.append(make_case((("n", n), ("k", k)), ok, None if ok else f"{lhs} != {rhs}"))
+    for n in range(1, n_max + 1):
+        n_pair = ("n", n)
+        for k in range(n):
+            lhs = columns[k][n - k - 1] * centrals[k]
+            rhs = n * binom_int(n, k + 1) * binom_int(n + k, k)
+            ok = lhs == rhs
+            cases.append(make_case((n_pair, k_pairs[k]), ok, None if ok else f"{lhs} != {rhs}"))
     return cases
 
 

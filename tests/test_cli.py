@@ -115,11 +115,25 @@ def test_passing_run_constructs_no_fraction(tmp_path, monkeypatch):
     assert made == []
 
 
-def test_csv_deterministic_across_jobs(tmp_path):
+def test_csv_deterministic_across_jobs(tmp_path, monkeypatch):
+    # lemma-schmidt is one row per l, both eps inside: three rows at the
+    # default l_max, so --jobs 8 on eight cores opens one pool of two
+    # workers beside the caller.
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    opened = []
+
+    class CountingPool(gridrun.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            super().__init__(max_workers, **kwargs)
+            opened.append(max_workers)
+
+    monkeypatch.setattr(gridrun, "ProcessPoolExecutor", CountingPool)
     a, b = tmp_path / "serial.csv", tmp_path / "parallel.csv"
     base = ["lemma-schmidt", "--n-max", "8", "--format", "csv"]
     assert cli.main(base + ["--jobs", "1", "--out", str(a)]) == 0
-    assert cli.main(base + ["--jobs", "3", "--out", str(b)]) == 0
+    assert opened == []
+    assert cli.main(base + ["--jobs", "8", "--out", str(b)]) == 0
+    assert opened == [2]
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -146,10 +160,12 @@ def test_all_shares_one_worker_pool(tmp_path, monkeypatch):
 def test_jobs_beyond_the_cores_open_one_worker_per_core(monkeypatch):
     # The stand-in pool starts no process, whatever --jobs asks for.  The
     # caller is one of the processes at work, at most one per core, so
-    # four cores give one pool of three workers to a run of six rows.
+    # four cores give one pool of three workers to a run of six rows
+    # (q-sun, one per k) or seven (catalan-form, the identity and one
+    # row per n).
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     pool = stand_in_pool(monkeypatch)
-    for task in ("telescope", "q-sun"):
+    for task in ("catalan-form", "q-sun"):
         report = cli.run(cli.GridConfig(task, n_max=6, jobs=10 ** 6))
         assert report.cases == cli.run(cli.GridConfig(task, n_max=6)).cases
     assert pool.opened == [3] * 2

@@ -437,6 +437,19 @@ def test_conjecture_final_fault_witnesses(tmp_path, monkeypatch):
     ]
 
 
+def test_conjecture_final_fault_keeps_its_k(tmp_path, monkeypatch):
+    # Entry 2 of the row (l = 2, k = 0) is the cell n = 3, k = 0: the
+    # key of the failing case must name the column the value came from,
+    # not another k of the same n.
+    _corrupt_entry(monkeypatch, congruences, "conjecture_final_values", (2, 0), 2, lambda v: v + 1)
+    rc, failed = _failures(tmp_path, ["conjecture-final", "--l-max", "2", "--n-max", "3"])
+    assert rc == 1
+    assert failed == [
+        {"key": {"l": 2, "n": 3, "k": 0}, "status": "fail",
+         "witness": "value 460 = 1 mod 9", "severity": "conjecture"},
+    ]
+
+
 def test_conjecture_sun_m_fault_witness(tmp_path, monkeypatch):
     # The power sum P_1(0) at m = 3 gains 1.
     _corrupt_entry(monkeypatch, congruences, "power_sums", (3, 0), 1, lambda v: v + 1)

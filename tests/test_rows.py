@@ -63,6 +63,34 @@ def test_rows_are_picklable_calls_that_make_up_the_report():
         assert cases == cli.run(config).cases, task
 
 
+# q-sun and q-specialize keep one row per k, the q side's unit of
+# parallel work: their cases come in (k, n) order and `collect` sorts
+# them, a few hundred cases at the grids the q side can afford.
+_ROWS_PER_K = {"q-sun", "q-specialize"}
+
+_KEY_ORDER_GRIDS = [
+    # the benchmark's all-jobs2 grid
+    dict(l_max=3, n_max=14, k_max=30, m=2, eps=(1, -1), x_min=-10, x_max=10),
+    *(dict(eps=eps) for eps in [(1,), (-1,), (1, -1)]),
+    *(dict(l_max=l_max) for l_max in (1, 4)),
+    *(dict(n_max=n_max) for n_max in (1, 2, 20)),
+    # x windows without 0
+    dict(m=3, x_min=3, x_max=7),
+    dict(x_min=-6, x_max=-2, eps=(-1,)),
+]
+
+
+@pytest.mark.parametrize("grid", _KEY_ORDER_GRIDS, ids=repr)
+def test_rows_emit_their_cases_in_key_order(grid):
+    # Every other task's rows, flattened in table order, are one sorted
+    # run, so `collect`'s sort is a single linear pass.
+    for name, task in cli._TASKS.items():
+        if name in _ROWS_PER_K or grid.get("n_max", 20) < task.min_n_max:
+            continue
+        cases = [case for row in task.rows(cli.GridConfig(name, **grid)) for case in row()]
+        assert cases == sorted(cases, key=lambda c: c.sort_key), (name, grid)
+
+
 def _corrupted_binom(bad, delta):
     def corrupted(top, k):
         value = binom_int(top, k)
