@@ -33,12 +33,14 @@ with every eps, conjecture-sun-m with every eps and the whole x
 window); q-sun and q-specialize are one row per k.  Every row but the
 q rows emits its cases in key order, each key pair built once per row
 (or per n), so a task's flattened results are one sorted run.
-`run` hands every task's rows, as one list, to the row runner of one
-`gridrun.worker_pool` before it collects any task's report, so at
---jobs > 1 the rows of every task are shared out at once between this
-process and one pool of workers, and no task waits for the one before
-it.  --jobs N counts the processes at work, this one included, at most
-one per core and one per row of the run.  A
+`run` hands every task's rows, as one list, to one `gridrun.run_rows`
+call before it collects any task's report, so at --jobs > 1 the rows
+of every task are dealt out at once between this process and the
+workers it forks for the call, and no task waits for the one before
+it; where `os.fork` does not exist the rows run serially.  --jobs N
+counts the processes at work, this one included, at most one per core
+and one per row of the run.  The argument parser is built once, at
+import, for every `main` call of the process.  A
 `GridConfig` checks every bound when it is built, so
 `run(GridConfig("theorem1", n_max=25))` is safe to call from code as
 well.
@@ -63,14 +65,13 @@ import json
 import os
 import sys
 import time
-import traceback
 from dataclasses import dataclass, fields
 from functools import partial
 from itertools import chain, islice
 from typing import Callable, Optional
 
 from . import congruences, identities, qpoly
-from .gridrun import collect, worker_pool
+from .gridrun import collect, run_rows
 from .report import CombinedReport, serialize_report
 
 __all__ = ["GridConfig", "UsageError", "run", "main"]
@@ -143,9 +144,9 @@ class _Task:
 
     # Config fields the report echoes, in this order.
     echo: tuple[str, ...]
-    # The task's rows, in the order they go to the pool: partials of
-    # module-level row functions with int, tuple and str arguments, so
-    # worker processes can unpickle them; each returns its row's cases.
+    # The task's rows, in run order: partials of module-level row
+    # functions with int, tuple and str arguments; each returns its
+    # row's cases.
     rows: Callable[[GridConfig], list[partial]]
     min_n_max: int = 1
     notes: Callable[[GridConfig], list[str]] = lambda config: []
@@ -231,6 +232,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", default=None,
                         help="JSON file with the same keys as the flags; flags win")
     return parser
+
+
+# One parser serves every `main` call of the process.
+_PARSER = build_parser()
 
 
 def parse_eps(value) -> tuple[int, ...]:
@@ -321,15 +326,12 @@ def run(config: GridConfig):
     start = time.perf_counter()
     names = list(_TASKS) if config.task == "all" else [config.task]
     rows = [_TASKS[name].rows(config) for name in names]
-    every_row = list(chain.from_iterable(rows))
-    # No more processes than rows: a one-row run opens no pool.
-    with worker_pool(min(config.jobs, len(every_row))) as run_rows:
-        results = run_rows(every_row)
-        reports = [
-            collect(name, _echo(config, _TASKS[name].echo), islice(results, len(task_rows)),
-                    _TASKS[name].notes(config))
-            for name, task_rows in zip(names, rows)
-        ]
+    results = run_rows(list(chain.from_iterable(rows)), config.jobs)
+    reports = [
+        collect(name, _echo(config, _TASKS[name].echo), islice(results, len(task_rows)),
+                _TASKS[name].notes(config))
+        for name, task_rows in zip(names, rows)
+    ]
     if config.task != "all":
         return reports[0]
     return CombinedReport(
@@ -353,7 +355,7 @@ def _check_out(path: Optional[str]) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         config = resolve_config(args)
         _check_out(config.out)
@@ -364,6 +366,8 @@ def main(argv=None) -> int:
         report = run(config)
         payload = serialize_report(report, config.format)
     except Exception as exc:
+        import traceback
+
         traceback.print_exc()
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 3

@@ -31,13 +31,12 @@ from `weighted_sum_rows`, one running sum per x of the one table
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import mul
 
 from .combinat import binom_int, catalan, double_factorial_odd
 from .identities import build_lhs, coeff_mismatch, in_central_basis, odd_power_sums, power_sums
 from .report import CaseResult, make_case
-from .values import coefficients
+from .values import coefficients, fraction
 
 __all__ = [
     "schmidt_coefficient_rows",
@@ -114,7 +113,7 @@ def weighted_sum_rows(l: int, eps: int, table: list[tuple[int, ...]]) -> list[tu
 def _int_valued_case(key, values, m: int, severity: str = "theorem") -> CaseResult:
     """Is p/m integer-valued, p symmetric with these values at x = 0 .. d (see `values`)?"""
     x0 = next((x for x, v in enumerate(values) if v % m), None)
-    witness = None if x0 is None else f"p({x0}) = {Fraction(values[x0], m)} is not an integer"
+    witness = None if x0 is None else f"p({x0}) = {fraction(values[x0], m)} is not an integer"
     return make_case(key, x0 is None, witness, severity=severity)
 
 
@@ -174,7 +173,7 @@ def catalan_identity_row(n_max: int) -> list[CaseResult]:
         if not ok:  # the witness reads both sides at x = 0 .. 2n-2
             v = weighted_sum_rows(1, 1, build_lhs(n - 1, 2 * n - 1))[n - 1]
             c = catalan_form_values(2 * n - 1)[n - 1]
-            p = [Fraction(a, n * n) for a in coefficients(v)]
+            p = [fraction(a, n * n) for a in coefficients(v)]
             witness = coeff_mismatch(p, coefficients(c))
         cases.append(make_case((("part", "identity"), ("n", n)), ok, witness))
     return cases
@@ -197,7 +196,7 @@ def catalan_terms_row(n: int, x_min: int, x_max: int) -> list[CaseResult]:
         for k in suspects:
             term = weights[k] * binom_int(x + k, 2 * k)
             if term % n:
-                bad = f"k={k} summand {Fraction(term, n)} is not an integer"
+                bad = f"k={k} summand {fraction(term, n)} is not an integer"
                 break
         cases.append(make_case((("part", "terms"), ("n", n), ("x", x)), bad is None, bad))
     return cases

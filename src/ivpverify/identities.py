@@ -37,14 +37,13 @@ failing values, or the two unequal values), and only a witness uses
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import accumulate, zip_longest
 from operator import mul, neg
 from typing import Callable, Optional
 
 from .combinat import binom_int
 from .report import CaseResult, make_case
-from .values import coefficients, poly_text
+from .values import coefficients, fraction, poly_text
 
 __all__ = [
     "build_lhs",
@@ -285,7 +284,7 @@ def _rational_point_row(
     for n, (num, den) in enumerate(_rational_point_lhs(p1, p2, q, scale, n_max)):
         rhs = sum(term(n, k) for k in range(n + 1))
         ok = num == rhs * den
-        cases.append(make_case((("n", n),), ok, None if ok else f"{Fraction(num, den)} != {rhs}"))
+        cases.append(make_case((("n", n),), ok, None if ok else f"{fraction(num, den)} != {rhs}"))
     return cases
 
 

@@ -7,9 +7,10 @@ Wall time lives in a separate metadata block so that JSON and CSV
 output are byte-identical across runs with identical configuration.
 
 A case is a NamedTuple, built by `make_case` straight from its four
-fields: cheap to make, to sort and to send back from a worker
-process, where it pickles as a plain tuple.  A report counts its
-failures in one pass over the case statuses.
+fields: cheap to make and to sort, and sent back from a worker process
+as the plain tuple of its fields.  A report counts its failures in one
+pass over the case statuses.  `csv` is imported only when a CSV report
+is written.
 
 JSON is written by a writer for the report's one fixed schema (task,
 config, summary, then cases and notes or, for `all`, the sub-reports,
@@ -27,7 +28,6 @@ indent=2)` on the same data.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 from dataclasses import dataclass, field
@@ -65,9 +65,9 @@ class CaseResult(NamedTuple):
     or an open conjecture; a failing "conjecture" case is a mathematical
     discovery, not a build bug.
 
-    A NamedTuple: immutable and hashable, it pickles as a plain tuple
-    (small results from worker processes) and compares equal to the
-    plain tuple (key, status, witness, severity) of its fields.
+    A NamedTuple: immutable and hashable, it compares equal to the
+    plain tuple (key, status, witness, severity) of its fields, the
+    form in which a worker process sends it back.
     """
 
     key: tuple[tuple[str, object], ...]
@@ -356,6 +356,8 @@ def serialize_report(report, fmt: str, include_meta: bool = True) -> str:
     if fmt == "json":
         return "".join([*_json_report(report, include_meta, ""), "\n"])
     if fmt == "csv":
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_HEADER)

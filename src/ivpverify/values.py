@@ -18,16 +18,19 @@ Every verdict runs on exact integers at these d+1 points.
 Monomial coefficients, as `Fraction`s, are recovered by Newton
 interpolation from the values at x = 0 .. 2d only to write the witness
 of a failing cell; `terms_text` writes them, and the q side's Laurent
-polynomials, as text.
+polynomials, as text.  Only a witness needs a `Fraction`, so
+`fractions` is imported when `coefficients` or `fraction` first runs.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-__all__ = ["forward_differences", "coefficients", "terms_text", "poly_text"]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+__all__ = ["forward_differences", "coefficients", "fraction", "terms_text", "poly_text"]
 
 
 def forward_differences(values: Sequence) -> list:
@@ -44,6 +47,8 @@ def forward_differences(values: Sequence) -> list:
 def coefficients(values: Sequence) -> list[Fraction]:
     """Monomial coefficients, little-endian with trailing zeros trimmed, of
     the polynomial of degree < len(values) taking values[x] at x."""
+    from fractions import Fraction
+
     coeffs = [Fraction(0)] * len(values)
     falling = [1]  # x(x-1)...(x-i+1), little-endian
     for i, d in enumerate(forward_differences(values)):
@@ -54,6 +59,13 @@ def coefficients(values: Sequence) -> list[Fraction]:
     while coeffs and not coeffs[-1]:
         coeffs.pop()
     return coeffs
+
+
+def fraction(num, den) -> Fraction:
+    """num / den in lowest terms, for a witness's text."""
+    from fractions import Fraction
+
+    return Fraction(num, den)
 
 
 def terms_text(terms: Iterable[tuple[int, Fraction | int]], var: str) -> str:

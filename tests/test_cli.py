@@ -2,11 +2,12 @@ import dataclasses
 import functools
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from inprocess_pool import stand_in_pool, watch_rows
 from ivpverify import cli, gridrun
 from ivpverify.report import make_case
 
@@ -115,106 +116,139 @@ def test_passing_run_constructs_no_fraction(tmp_path, monkeypatch):
     assert made == []
 
 
-def test_csv_deterministic_across_jobs(tmp_path, monkeypatch):
+def test_a_passing_serial_run_imports_no_module_it_does_not_use(tmp_path):
+    # A fresh interpreter: the pool modules, pickle, fractions (and the
+    # decimal it imports), csv and traceback serve only parallel runs,
+    # failing witnesses, CSV reports or the exit-3 path.
+    code = (
+        "import sys\n"
+        "from ivpverify import cli\n"
+        f"rc = cli.main(['all', '--jobs', '1', '--format', 'json', '--out', {str(tmp_path / 'a.json')!r}])\n"
+        "print(rc, sorted({'multiprocessing', 'concurrent.futures', 'pickle', 'fractions', "
+        "'decimal', 'csv', 'traceback'} & set(sys.modules)))\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop(cli.JOBS_ENV, None)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "0 []\n"
+
+
+def test_csv_deterministic_across_jobs(tmp_path, monkeypatch, forks):
     # lemma-schmidt is one row per l, both eps inside: three rows at the
-    # default l_max, so --jobs 8 on eight cores opens one pool of two
-    # workers beside the caller.
+    # default l_max, so --jobs 8 on eight cores forks two workers beside
+    # the caller.
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    opened = []
-
-    class CountingPool(gridrun.ProcessPoolExecutor):
-        def __init__(self, max_workers, **kwargs):
-            super().__init__(max_workers, **kwargs)
-            opened.append(max_workers)
-
-    monkeypatch.setattr(gridrun, "ProcessPoolExecutor", CountingPool)
     a, b = tmp_path / "serial.csv", tmp_path / "parallel.csv"
     base = ["lemma-schmidt", "--n-max", "8", "--format", "csv"]
     assert cli.main(base + ["--jobs", "1", "--out", str(a)]) == 0
-    assert opened == []
+    assert forks == []
     assert cli.main(base + ["--jobs", "8", "--out", str(b)]) == 0
-    assert opened == [2]
+    assert len(forks) == 2
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_all_shares_one_worker_pool(tmp_path, monkeypatch):
+def test_all_shares_one_worker_pool(tmp_path, monkeypatch, forks):
+    # Every task's rows share the one worker `verify all` forks.
     monkeypatch.setattr(os, "cpu_count", lambda: 2)  # one worker besides the caller
-    started = []
-
-    class CountingPool(gridrun.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            started.append(self)
-
-    monkeypatch.setattr(gridrun, "ProcessPoolExecutor", CountingPool)
     a, b = tmp_path / "serial.csv", tmp_path / "parallel.csv"
     base = ["all", "--n-max", "4", "--l-max", "2", "--x-min", "-2", "--x-max", "2",
             "--format", "csv"]
     assert cli.main(base + ["--jobs", "1", "--out", str(a)]) == 0
-    assert started == []
+    assert forks == []
     assert cli.main(base + ["--jobs", "2", "--out", str(b)]) == 0
-    assert len(started) == 1
+    assert len(forks) == 1
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_jobs_beyond_the_cores_open_one_worker_per_core(monkeypatch):
-    # The stand-in pool starts no process, whatever --jobs asks for.  The
-    # caller is one of the processes at work, at most one per core, so
-    # four cores give one pool of three workers to a run of six rows
-    # (q-sun, one per k) or seven (catalan-form, the identity and one
-    # row per n).
+def test_jobs_beyond_the_cores_open_one_worker_per_core(monkeypatch, forks):
+    # The caller is one of the processes at work, at most one per core,
+    # so four cores give three workers to a run of six rows (q-sun, one
+    # per k) or seven (catalan-form, the identity and one row per n),
+    # whatever --jobs asks for.
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    pool = stand_in_pool(monkeypatch)
     for task in ("catalan-form", "q-sun"):
         report = cli.run(cli.GridConfig(task, n_max=6, jobs=10 ** 6))
         assert report.cases == cli.run(cli.GridConfig(task, n_max=6)).cases
-    assert pool.opened == [3] * 2
+    assert len(forks) == 3 * 2
 
 
-def test_a_run_opens_no_more_processes_than_it_has_rows(monkeypatch):
-    # sun-one is one row: at --jobs 2 the caller runs it and no pool
-    # opens.  recurrence's three rows still share one worker; at --jobs
-    # 8 on four cores, its three rows open two workers beside the caller.
-    pool = stand_in_pool(monkeypatch)
+def test_a_run_opens_no_more_processes_than_it_has_rows(monkeypatch, forks):
+    # sun-one is one row: at --jobs 2 the caller runs it and forks no
+    # worker.  recurrence's three rows still share one worker; at --jobs
+    # 8 on four cores, its three rows fork two workers beside the caller.
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     report = cli.run(cli.GridConfig("sun-one", n_max=20, jobs=2))
-    assert pool.opened == [] and pool.submitted == []
+    assert forks == []
     assert report.cases == cli.run(cli.GridConfig("sun-one", n_max=20)).cases
     report = cli.run(cli.GridConfig("recurrence", n_max=8, jobs=2))
-    assert pool.opened == [1]
+    assert len(forks) == 1
     assert report.cases == cli.run(cli.GridConfig("recurrence", n_max=8)).cases
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     cli.run(cli.GridConfig("recurrence", n_max=8, jobs=8))
-    assert pool.opened == [1, 2]
+    assert len(forks) == 1 + 2
 
 
-def test_every_task_is_queued_before_any_result_is_read(monkeypatch):
-    # The stand-in pool starts no chunk, so the caller runs every row
-    # itself: at --jobs 2 every task's rows must be submitted, in one
-    # call, before it runs any.  Chunk i holds rows[i::count] of the
-    # run's rows, _SPLIT chunks per process at work.
+def test_every_task_is_queued_before_any_result_is_read(monkeypatch, forks, row_log, watch_rows):
+    # At --jobs 2 every task's chunk numbers go into the deal, in one
+    # write, before the worker is forked and before any row runs, in
+    # either process.  Chunk i holds rows[i::count] of the run's rows,
+    # _SPLIT chunks per process at work, and each row runs once.
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    pool = stand_in_pool(monkeypatch)
-    submitted_when_run = []
-    watch_rows(monkeypatch, lambda row: submitted_when_run.append(len(pool.submitted)))
+    caller = os.getpid()
+    events = []  # in the caller: the deal's write, the fork, every row
+    real_write, real_fork, real_take = os.write, os.fork, gridrun._take
+
+    def write(fd, data):
+        if os.getpid() == caller:
+            events.append(("write", len(data)))
+        return real_write(fd, data)
+
+    def fork():
+        events.append(("fork",))
+        return real_fork()
+
+    dealt = []
+
+    def take(deal, chunks, stop):
+        if os.getpid() == caller:
+            dealt.append(chunks)
+        return real_take(deal, chunks, stop)
+
+    def on_run(row):
+        if os.getpid() == caller:
+            events.append(("row",))
+        row_log.record(repr((row.func.__name__, row.args)))
+
+    watch_rows(on_run)
+    monkeypatch.setattr(os, "write", write)
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(gridrun, "_take", take)
     config = cli.GridConfig("all", n_max=4, l_max=2, x_min=-2, x_max=2, jobs=2)
     parallel = cli.run(config)
+    monkeypatch.undo()  # the serial run and the row lists below go unwatched
     rows = [row for name in cli._TASKS for row in cli._TASKS[name].rows(config)]
     count = min(len(rows), 2 * gridrun._SPLIT)
-    assert pool.opened == [1] and len(pool.submitted) == count
-    assert submitted_when_run == [count] * len(rows)
+    assert events[:2] == [("write", count * gridrun._RECORD), ("fork",)]
+    assert {event for event in events[2:]} <= {("row",)}
+    assert len(forks) == 1
 
-    def calls(rows):  # the row functions and arguments under the watch
-        return [(row.args[0].func, row.args[0].args) for row in rows]
+    def calls(rows):
+        return [(row.func, row.args) for row in rows]
 
-    assert [calls(chunk) for (chunk,) in pool.submitted] == [
+    (chunks,) = dealt  # of watched rows, each holding its row as its argument
+    assert [calls(row.args[0] for row in chunk) for chunk in chunks] == [
         calls(rows[i::count]) for i in range(count)
     ]
+    ran = sorted(key for _, key in row_log.read())
+    assert ran == sorted(repr((row.func.__name__, row.args)) for row in rows)
     serial = cli.run(dataclasses.replace(config, jobs=1))
     assert [r.cases for r in parallel.reports] == [r.cases for r in serial.reports]
 
 
-def test_a_raising_row_in_a_worker_exits_three(capsys, monkeypatch):
+def test_a_raising_row_in_a_worker_exits_three(capsys, monkeypatch, forks):
     # The first task's one row raises in a worker process while the rows
     # of every later task are queued behind it.
     first = next(iter(cli._TASKS))
@@ -224,6 +258,32 @@ def test_a_raising_row_in_a_worker_exits_three(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "internal error: ZeroDivisionError(" in captured.err
+
+
+def test_a_worker_that_dies_in_a_row_exits_three(capsys, monkeypatch, forks, watch_rows):
+    # A worker that leaves without a word, as a crash would, takes its
+    # chunk with it: the run fails with the worker's exit code.  The
+    # caller takes no chunk until the worker is gone, so the worker
+    # surely took one.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    caller = os.getpid()
+    real_take = gridrun._take
+
+    def take(deal, chunks, stop):
+        if os.getpid() == caller:
+            forks.wait_for_exit(forks[0])
+        return real_take(deal, chunks, stop)
+
+    def on_run(row):
+        if os.getpid() != caller:
+            os._exit(7)
+
+    watch_rows(on_run)
+    monkeypatch.setattr(gridrun, "_take", take)
+    assert cli.main(["all", "--n-max", "4", "--l-max", "2", "--jobs", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"worker process {forks[0]} ended without a result (exit code 7)" in captured.err
 
 
 def test_empty_out_flag_exits_two(capsys):

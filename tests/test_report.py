@@ -4,7 +4,9 @@ import io
 import json
 import os
 import pickle
+import signal
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import partial
 from unittest import mock
@@ -13,10 +15,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from inprocess_pool import stand_in_pool, watch_rows
+from conftest import running, wait_until
 from ivpverify import cli, gridrun
 from ivpverify import report as report_module
-from ivpverify.gridrun import collect, worker_pool
+from ivpverify.gridrun import collect, run_rows
 from ivpverify.report import (
     CaseResult,
     CombinedReport,
@@ -218,28 +220,17 @@ def test_every_task_orders_its_cases_by_sort_key():
         assert sub.cases == sorted(sub.cases, key=lambda c: c.sort_key), sub.task
 
 
-def test_runner_parallel_matches_serial(monkeypatch):
+def test_runner_parallel_matches_serial(monkeypatch, forks):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)  # one worker besides the caller
-    started = []
-
-    class CountingPool(gridrun.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            started.append(self)
-
-    monkeypatch.setattr(gridrun, "ProcessPoolExecutor", CountingPool)
     rows = [partial(_square_row, key) for key in range(20)]
-    with worker_pool(1) as run_rows:
-        serial = list(run_rows(rows))
-    assert started == []
-    with worker_pool(4) as run_rows:
-        assert list(run_rows(rows)) == serial
-    # Two runner calls in one block share one pool, and may be read in
-    # either order.
-    with worker_pool(2) as run_rows:
-        first, second = run_rows(rows[:5]), run_rows(rows)
-        assert list(second) == serial and list(first) == serial[:5]
-    assert len(started) == 2
+    serial = list(run_rows(rows, 1))
+    assert forks == []
+    assert list(run_rows(rows, 4)) == serial
+    # Each parallel call forks its own worker, reaped before it returns,
+    # and its results may be read in either order.
+    first, second = run_rows(rows[:5], 2), run_rows(rows, 2)
+    assert list(second) == serial and list(first) == serial[:5]
+    assert len(forks) == 3
 
 
 def test_serial_runner_runs_a_row_when_its_result_is_read():
@@ -249,106 +240,284 @@ def test_serial_runner_runs_a_row_when_its_result_is_read():
         ran.append(key)
         return _square_row(key)
 
-    with worker_pool(1) as run_rows:
-        results = run_rows([partial(row, key) for key in range(3)])
-        assert ran == []
-        next(results)
-        assert ran == [0]
-
-
-def test_a_raising_block_cancels_the_queued_rows(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    pool = stand_in_pool(monkeypatch)
-    with pytest.raises(RuntimeError, match="row failed"):
-        with worker_pool(2) as run_rows:
-            run_rows([partial(_square_row, 1)])
-            raise RuntimeError("row failed")
-    # The workers are told to stop: a stopped worker runs no more rows.
-    assert gridrun._stop.is_set() and gridrun._run_chunk([partial(_square_row, 1)]) == []
-    with worker_pool(2) as run_rows:
-        assert list(run_rows([partial(_square_row, 1)])) == [_square_row(1)]
-    assert not gridrun._stop.is_set()
-    # Only the raising block shuts its pool down, cancelling what is queued.
-    assert pool.shutdowns == [[True], []]
+    results = run_rows([partial(row, key) for key in range(3)], 1)
+    assert ran == []
+    next(results)
+    assert ran == [0]
 
 
 _CHUNKS = 2 * gridrun._SPLIT  # on two cores: the caller and one worker
 _ROWS = 3 * _CHUNKS + 5  # some chunks one row longer than others
 
 
+def _dealt(numbers) -> int:
+    """The read end of a deal of these chunk numbers."""
+    deal, dealer = os.pipe()
+    os.write(dealer, b"".join(i.to_bytes(gridrun._RECORD, "little") for i in numbers))
+    os.close(dealer)
+    return deal
+
+
+def test_a_set_stop_byte_runs_no_further_row(monkeypatch, forks, row_log):
+    # The take loop, in this process: with the stop byte set it takes a
+    # chunk but runs none of its rows; unset, it runs every chunk in the
+    # deal's order.
+    chunks = [[partial(row_log.record, key) for key in keys] for keys in ([0, 2], [1, 3])]
+    deal = _dealt(range(2))
+    assert gridrun._take(deal, chunks, bytearray(b"\x01")) == []
+    assert row_log.read() == []
+    assert gridrun._take(deal, chunks, bytearray(b"\x00")) == [(1, [None, None])]
+    os.close(deal)
+    deal = _dealt(range(2))
+    assert gridrun._take(deal, chunks, bytearray(b"\x00")) == [(0, [None, None]), (1, [None, None])]
+    os.close(deal)
+    assert [key for _, key in row_log.read()] == ["1", "3", "0", "2", "1", "3"]
+    # In a run, a row of the caller's that raises stops the worker
+    # before its next row.  Every row the worker runs takes 50 ms; the
+    # caller's first row waits for the worker's first, then raises.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    caller = os.getpid()
+
+    def row(key):
+        if os.getpid() == caller:
+            wait_until(row_log.read)
+            raise RuntimeError("row failed")
+        row_log.record(key)
+        time.sleep(0.05)
+        return _square_row(key)
+
+    row_log.path.write_text("")
+    with pytest.raises(RuntimeError, match="row failed"):
+        run_rows([partial(row, key) for key in range(_ROWS)], 2)
+    assert 1 <= len(row_log.read()) <= 3
+    # The next run has a stop byte of its own.
+    assert list(run_rows([partial(_square_row, 1)] * 2, 2)) == [_square_row(1)] * 2
+    assert len(forks) == 2
+
+
+def test_the_deal_fits_in_one_page(monkeypatch, forks):
+    # However many chunks the split asks for, the deal is written in one
+    # write that a pipe's smallest buffer holds.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(gridrun, "_SPLIT", 4000)
+    caller = os.getpid()
+    writes = []
+    real_write = os.write
+
+    def write(fd, data):
+        if os.getpid() == caller:
+            writes.append(len(data))
+        return real_write(fd, data)
+
+    monkeypatch.setattr(os, "write", write)
+    rows = [partial(_square_row, key) for key in range(3000)]
+    assert list(run_rows(rows, 2)) == [_square_row(key) for key in range(3000)]
+    assert writes == [4096]
+
+
 @pytest.mark.parametrize("started", [0, 1, _CHUNKS])
-def test_the_caller_runs_the_chunks_no_worker_started(monkeypatch, started):
-    # The stand-in pool starts the first `started` chunks; the caller
-    # runs every other one itself, from the back, and waits for no chunk
-    # that no worker took.  Each row runs once, and the results come
+def test_the_caller_runs_the_chunks_no_worker_started(monkeypatch, forks, row_log, started):
+    # The worker takes the first `started` chunks of the deal and runs
+    # them, then takes no more until the caller is done; the caller runs
+    # every other chunk itself, in the deal's order, and waits for none
+    # that no process took.  Each row runs once, and the results come
     # back in row order.
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    pool = stand_in_pool(monkeypatch, started=started)
-    ran = []
-
-    def row(key):
-        ran.append(key)
-        return _square_row(key)
-
-    rows = [partial(row, key) for key in range(_ROWS)]
-    serial = list(map(gridrun._call, rows))
-    ran.clear()
-    with worker_pool(2) as run_rows:
-        assert list(run_rows(rows)) == serial
+    caller = os.getpid()
     chunk_keys = [list(range(i, _ROWS, _CHUNKS)) for i in range(_CHUNKS)]
-    assert ran == [key for i in [*range(started), *reversed(range(started, _CHUNKS))]
-                   for key in chunk_keys[i]]
-    assert [future.cancelled() for future in pool.futures] == [
-        i >= started for i in range(_CHUNKS)
-    ]
-    assert pool.late == []
+    gate, opener = os.pipe()
+    real_take = gridrun._take
 
-
-def test_a_failing_chunk_stops_the_caller_before_its_next_row(monkeypatch):
-    # The worker's chunk 0 is running when the caller starts; it fails
-    # during the caller's first row, and the caller must raise its error
-    # before it runs another.
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    pool = stand_in_pool(monkeypatch, started=1, start=lambda future, fn, *args: None)
-    ran = []
+    def take(deal, chunks, stop):
+        if os.getpid() != caller:  # the worker: its first chunks, then the rest after the caller
+            first = _dealt(int.from_bytes(os.read(deal, gridrun._RECORD), "little")
+                           for _ in range(started))
+            taken = real_take(first, chunks, stop)
+            os.close(first)
+            os.read(gate, 1)
+            return taken + real_take(deal, chunks, stop)
+        worker_rows = sum(map(len, chunk_keys[:started]))
+        wait_until(lambda: len(row_log.read()) >= worker_rows)
+        taken = real_take(deal, chunks, stop)
+        os.write(opener, b"x")
+        return taken
 
     def row(key):
-        ran.append(key)
-        if not pool.futures[0].done():
-            pool.futures[0].set_exception(ZeroDivisionError("in a worker"))
+        row_log.record(key)
         return _square_row(key)
 
-    with pytest.raises(ZeroDivisionError, match="in a worker"):
-        with worker_pool(2) as run_rows:
-            run_rows([partial(row, key) for key in range(_ROWS)])
-    assert ran == [_CHUNKS - 1]
-    assert pool.shutdowns == [[True]]
+    monkeypatch.setattr(gridrun, "_take", take)
+    rows = [partial(row, key) for key in range(_ROWS)]
+    try:
+        assert list(run_rows(rows, 2)) == [_square_row(key) for key in range(_ROWS)]
+    finally:
+        os.close(gate)
+        os.close(opener)
+    (worker,) = forks
+    assert [int(key) for key in row_log.keys(worker)] == [
+        key for keys in chunk_keys[:started] for key in keys
+    ]
+    assert [int(key) for key in row_log.keys(caller)] == [
+        key for keys in chunk_keys[started:] for key in keys
+    ]
 
 
-def test_a_chunk_failed_before_the_caller_starts_exits_three(monkeypatch, capsys):
+def test_a_failing_chunk_stops_the_caller_before_its_next_row(monkeypatch, forks, row_log):
+    # The worker's first row fails during the caller's first row, which
+    # waits until the worker has gone; the caller must raise the
+    # worker's error, with the worker's traceback as its cause, before
+    # it runs another row.
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    caller = os.getpid()
 
-    def fail(future, fn, *args):
-        future.set_exception(ZeroDivisionError("in a worker"))
+    def row(key):
+        if os.getpid() != caller:
+            raise ZeroDivisionError("in a worker")
+        row_log.record(key)
+        forks.wait_for_exit(forks[0])
+        return _square_row(key)
 
-    stand_in_pool(monkeypatch, started=1, start=fail)
-    ran = []
-    watch_rows(monkeypatch, ran.append)
+    with pytest.raises(ZeroDivisionError, match="in a worker") as raised:
+        run_rows([partial(row, key) for key in range(_ROWS)], 2)
+    assert len(row_log.read()) == 1
+    cause = raised.value.__cause__
+    assert isinstance(cause, gridrun.WorkerTraceback)
+    assert "ZeroDivisionError: in a worker" in str(cause) and "in row" in str(cause)
+
+
+def test_a_chunk_failed_before_the_caller_starts_exits_three(monkeypatch, capsys, forks,
+                                                             row_log, watch_rows):
+    # The caller takes no chunk until the worker, whose first row
+    # fails, has gone: it then runs no row at all.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    caller = os.getpid()
+    real_take = gridrun._take
+
+    def take(deal, chunks, stop):
+        if os.getpid() == caller:
+            forks.wait_for_exit(forks[0])
+        return real_take(deal, chunks, stop)
+
+    def on_run(row):
+        if os.getpid() != caller:
+            raise ZeroDivisionError("in a worker")
+        row_log.record(row)
+
+    monkeypatch.setattr(gridrun, "_take", take)
+    watch_rows(on_run)
     assert cli.main(["all", "--n-max", "4", "--l-max", "2", "--jobs", "2"]) == 3
-    assert ran == []
+    assert row_log.read() == []
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "internal error: ZeroDivisionError('in a worker')" in captured.err
 
 
-def test_jobs_on_one_core_run_serially(monkeypatch):
+@contextmanager
+def _hang_guard(forks, seconds=20):
+    """Kill every worker still running `seconds` into the block, so that
+    a run that would wait for one forever fails its test instead; yields
+    the list of workers killed."""
+    killed = []
+
+    def kill(signum, frame):
+        for pid in forks:
+            if running(pid):
+                os.kill(pid, signal.SIGKILL)
+                killed.append(pid)
+
+    previous = signal.signal(signal.SIGALRM, kill)
+    signal.setitimer(signal.ITIMER_REAL, seconds)  # not inherited by a forked worker
+    try:
+        yield killed
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _big_row(row_log, key):
+    """Row `key`, logged: 100 failing cases, about 100 KB of witnesses."""
+    row_log.record(key)
+    return [make_case((("n", key), ("i", i)), False, "w" * 1000) for i in range(100)]
+
+
+def test_a_failing_caller_reads_a_worker_holding_a_full_pipe(monkeypatch, forks, row_log):
+    # The worker's results outgrow the pipe's 64 KiB, so it can only
+    # leave once the caller reads them; the caller's own row raises
+    # after the worker has run two rows, and must still read and reap
+    # the worker instead of waiting for it first.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    caller = os.getpid()
+
+    def row(key):
+        if os.getpid() == caller:
+            raise RuntimeError("the caller's row failed")
+        return _big_row(row_log, key)
+
+    real_take = gridrun._take
+
+    def take(deal, chunks, stop):  # the caller's chunks start after the worker's second
+        if os.getpid() == caller:
+            wait_until(lambda: len(row_log.read()) >= 2)
+        return real_take(deal, chunks, stop)
+
+    monkeypatch.setattr(gridrun, "_take", take)
+    with _hang_guard(forks) as killed:
+        with pytest.raises(RuntimeError, match="the caller's row failed"):
+            run_rows([partial(row, key) for key in range(_CHUNKS)], 2)  # one row a chunk
+    assert killed == [] and len(row_log.read()) >= 2
+
+
+def test_an_interrupt_while_reading_a_worker_still_reaps_it(monkeypatch, forks, row_log):
+    # An interrupt at the caller's first read of the worker's results
+    # (more than the pipe holds) closes the pipe: the worker, blocked
+    # in its write, fails at once and is reaped.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    caller = os.getpid()
+    real_take, real_read = gridrun._take, os.read
+    taken = []
+
+    def take(deal, chunks, stop):  # the caller starts after the worker's second row
+        if os.getpid() != caller:
+            return real_take(deal, chunks, stop)
+        wait_until(lambda: len(row_log.read()) >= 2)
+        taken.append(real_take(deal, chunks, stop))
+        return taken[-1]
+
+    def read(fd, size):
+        if os.getpid() == caller and taken:
+            taken.clear()
+            raise KeyboardInterrupt
+        return real_read(fd, size)
+
+    monkeypatch.setattr(gridrun, "_take", take)
+    monkeypatch.setattr(os, "read", read)
+    with _hang_guard(forks) as killed:
+        with pytest.raises(KeyboardInterrupt):
+            run_rows([partial(_big_row, row_log, key) for key in range(_CHUNKS)], 2)
+    assert killed == [] and len(forks) == 1
+
+
+def test_jobs_on_one_core_run_serially(monkeypatch, forks):
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    pool = stand_in_pool(monkeypatch)
     config = cli.GridConfig("all", n_max=4, l_max=2, x_min=-2, x_max=2, jobs=2)
     parallel = cli.run(config)
-    assert pool.opened == []
+    assert forks == []
     serial = cli.run(dataclasses.replace(config, jobs=1))
     assert [r.cases for r in parallel.reports] == [r.cases for r in serial.reports]
+
+
+def test_without_fork_the_rows_run_serially(monkeypatch, forks):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.delattr(os, "fork")
+    ran = []
+
+    def row(key):
+        ran.append(key)
+        return _square_row(key)
+
+    results = run_rows([partial(row, key) for key in range(3)], 2)
+    assert ran == []
+    assert list(results) == [_square_row(key) for key in range(3)] and ran == [0, 1, 2]
 
 
 # Non-ASCII (BMP and astral), quote, backslash, and C0/DEL/U+2028 controls.
