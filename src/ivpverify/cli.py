@@ -36,10 +36,13 @@ q rows emits its cases in key order, each key pair built once per row
 `run` hands every task's rows, as one list, to one `gridrun.run_rows`
 call before it collects any task's report, so at --jobs > 1 the rows
 of every task are dealt out at once between this process and the
-workers it forks for the call, and no task waits for the one before
-it; where `os.fork` does not exist the rows run serially.  --jobs N
-counts the processes at work, this one included, at most one per core
-and one per row of the run.  The argument parser is built once, at
+workers it forks for the call, one chunk of rows at a time from one
+pipe, and no task waits for the one before it; a row that raises
+drains that pipe, so the run stops within one chunk (one row in a run
+of up to 1024 rows).  Where `os.fork` does not exist the rows run
+serially.  --jobs N counts the processes at work, this one included,
+at most one per usable core (those of the CPU affinity mask) and one
+per row of the run.  The argument parser is built once, at
 import, for every `main` call of the process.  A
 `GridConfig` checks every bound when it is built, so
 `run(GridConfig("theorem1", n_max=25))` is safe to call from code as
@@ -224,8 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--x-min", type=int, default=None, help="left end of x range")
     parser.add_argument("--x-max", type=int, default=None, help="right end of x range")
     parser.add_argument("--jobs", type=int, default=None,
-                        help=f"processes at work, this one included, at most one per core "
-                        f"(default ${JOBS_ENV} or 1)")
+                        help=f"processes at work, this one included, at most one per usable "
+                        f"core (default ${JOBS_ENV} or 1)")
     parser.add_argument("--format", choices=_FORMATS, default=None,
                         help="report format (default text)")
     parser.add_argument("--out", default=None, help="write report to this path")

@@ -5,19 +5,25 @@ A row is a call that returns the cases of one grid row.
 their results in row order.  `cli` calls it once per run, with every
 task's rows, and hands each task's `collect` its slice of the results.
 
-At --jobs N the run has min(N, core count, row count) processes at
-work, the calling process among them.  With one, or where `os.fork`
-does not exist, the runner is the builtin `map`, so each row runs when
-its result is read.  Otherwise the caller forks the other processes
-itself for this one call.  The rows are dealt round-robin into _SPLIT
-chunks per process, chunk i holding rows[i::count], so every chunk is
-a cross-section of every task.  Before the first fork every chunk
-number goes into one pipe, the deal; each process, the caller among
-them, takes one number at a time from it and runs that chunk, until
-the deal is empty.  Every process checks one shared stop byte before
-each row; a worker whose row raises sets it, as does the caller, so
-once the run fails every process skips the rows it has left, and a
-crash ends the run within about one row.
+At --jobs N the run has min(N, usable cores, row count) processes at
+work, the calling process among them; the usable cores are those of
+the process's CPU affinity mask where the platform has one (as under
+`taskset`), else `os.cpu_count()`.  With one process, or where
+`os.fork` does not exist, the runner is a generator, so each row runs
+when its result is read.  Otherwise the caller forks the other
+processes itself for this one call.  The rows are dealt round-robin
+into count = min(row count, _MAX_CHUNKS) chunks, chunk i holding
+rows[i::count], so every chunk is a cross-section of every task, and
+in a run of up to _MAX_CHUNKS (1024) rows every chunk is one row.
+Before the first fork every chunk number goes into one pipe, the deal;
+each process, the caller among them, takes one number at a time from
+it and runs that chunk, until the deal is empty.  The deal is also
+how a run stops: a worker whose row raises, and the caller on any
+error of its own (a row, a failed fork, an interrupt), reads the deal
+to its end, so no process takes another chunk.  A crash thus ends
+every other process's work once it has run its current chunk: before
+its next row in a run of up to 1024 rows, within one chunk of
+ceil(rows / 1024) rows in a larger one.
 
 A worker sends its results back once, as one pickle through a pipe of
 its own: its chunks' cases as plain tuples, or its error and the
@@ -48,15 +54,10 @@ __all__ = ["collect", "run_rows"]
 
 Row = Callable[[], list[CaseResult]]
 
-# Chunks per process at work.  A process takes its next chunk only when
-# it has run the last, so at the end of a run the others wait for at
-# most one chunk each: chunks must be small against a process's share.
-_SPLIT = 32
-
 # A chunk number in the deal is one record of this many bytes.  The
 # caller writes every record, in one write, before any process reads,
-# and nothing drains the pipe meanwhile: so the records must fit in the
-# smallest buffer a pipe has, one 4096-byte page (Linux gives a pipe
+# and no process reads the pipe meanwhile: so the records must fit in
+# the smallest buffer a pipe has, one 4096-byte page (Linux gives a pipe
 # less than its 64 KiB default only past the user's pipe limit, and
 # never less than a page).  Hence at most _MAX_CHUNKS chunks.
 _RECORD = 4
@@ -72,68 +73,69 @@ class WorkerTraceback(Exception):
 
 def _workers(jobs: int) -> int:
     """Worker processes for `jobs`: the caller is one of the at most
-    one process per core at work, so one fewer than that; none where
-    this platform cannot fork."""
+    one process per usable core at work, so one fewer than that; none
+    where this platform cannot fork."""
     if not hasattr(os, "fork"):
         return 0
-    return min(jobs, os.cpu_count() or 1) - 1
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    return min(jobs, cores) - 1
 
 
 def run_rows(rows: Sequence[Row], jobs: int) -> Iterator[list[CaseResult]]:
-    """The rows' results, in row order, from min(jobs, core count, row
+    """The rows' results, in row order, from min(jobs, usable cores, row
     count) processes at work, this one included.  Serially, a row runs
     when its result is read; otherwise every row has run, or the run
     has raised, before this returns."""
     workers = _workers(min(jobs, len(rows)))
     if workers <= 0:
-        return map(_call, rows)
+        return (row() for row in rows)
     return iter(_run_forked(rows, workers + 1))
 
 
-def _call(row: Row) -> list[CaseResult]:
-    """Run one row: the function the serial runner maps over rows."""
-    return row()
-
-
-def _take(deal: int, chunks: Sequence[Sequence[Row]], stop) -> list:
+def _take(deal: int, chunks: Sequence[Sequence[Row]]) -> list:
     """(chunk number, its rows' results) for each chunk this process
     takes from the deal, until the deal is empty.  Every process has
     the deal to itself for one record at a time, so each chunk is taken
-    once.  Once the stop byte is set no further row runs: the chunks
-    taken are then cut short, and never read."""
+    once."""
     taken = []
     while record := os.read(deal, _RECORD):
         number = int.from_bytes(record, "little")
-        ran = []
-        for row in chunks[number]:
-            if stop[0]:
-                return taken
-            ran.append(row())
-        taken.append((number, ran))
+        taken.append((number, [row() for row in chunks[number]]))
     return taken
 
 
-def _work(deal: int, chunks: Sequence[Sequence[Row]], stop, out: int, others: list[int]) -> None:
+def _drain(deal: int) -> None:
+    """Read the deal to its end, so that no process, this one or
+    another, takes a further chunk: how a failing process stops the
+    run."""
+    while os.read(deal, _MAX_CHUNKS * _RECORD):
+        pass
+
+
+def _work(deal: int, chunks: Sequence[Sequence[Row]], out: int, others: list[int]) -> None:
     """A forked worker's whole life: close the read ends it inherited
     (`others`, so that a pipe the caller closes has no reader left),
     run the chunks it takes, write one pickle to `out` and leave without
     returning to the caller's code.  The pickle is a list of (chunk
     number, its rows' cases as plain tuples, which pickle far cheaper
-    than `CaseResult`s), or else a tuple (error, the error's traceback
-    text)."""
+    than `CaseResult`s), or else, once its run has raised and the deal
+    has been drained, a tuple (error, the error's traceback text)."""
     try:
         import pickle
 
         for fd in others:
             os.close(fd)
         try:
-            taken = _take(deal, chunks, stop)
+            taken = _take(deal, chunks)
             payload = pickle.dumps(
                 [(number, [list(map(tuple, cases)) for cases in ran]) for number, ran in taken],
                 pickle.HIGHEST_PROTOCOL,
             )
         except BaseException as exc:
-            stop[0] = 1
+            _drain(deal)
             import traceback
 
             text = traceback.format_exc()
@@ -150,17 +152,17 @@ def _work(deal: int, chunks: Sequence[Sequence[Row]], stop, out: int, others: li
 
 def _run_forked(rows: Sequence[Row], processes: int) -> list[list[CaseResult]]:
     """Every row's results, in row order, from this process and
-    `processes` - 1 workers it forks.  Chunk i is rows[i::count].  Every
-    worker's pipe is read to its end and the worker reaped on every
-    path out, an interrupt included.  An error of this process's own
-    goes on first, then a worker's error, then a worker that ended
+    `processes` - 1 workers it forks.  Chunk i is rows[i::count].  On
+    an error of this process's own, a failed fork or an interrupt
+    included, the deal is drained, so every worker stops once it has
+    run its current chunk.  Every worker's pipe is read to its end and
+    the worker reaped on every path out.  An error of this process's
+    own goes on first, then a worker's error, then a worker that ended
     without a result."""
-    import mmap
     import pickle
 
-    count = min(len(rows), processes * _SPLIT, _MAX_CHUNKS)
+    count = min(len(rows), _MAX_CHUNKS)
     chunks = [rows[i::count] for i in range(count)]
-    stop = mmap.mmap(-1, 1)  # a shared page: every forked worker sees one byte
     deal, dealer = os.pipe()
     os.write(dealer, b"".join(i.to_bytes(_RECORD, "little") for i in range(count)))
     os.close(dealer)
@@ -175,17 +177,16 @@ def _run_forked(rows: Sequence[Row], processes: int) -> list[list[CaseResult]]:
                 os.close(out)
                 raise
             if pid == 0:
-                _work(deal, chunks, stop, out, [read_end, *(fd for _, fd in workers)])
+                _work(deal, chunks, out, [read_end, *(fd for _, fd in workers)])
             os.close(out)
             workers.append((pid, read_end))
-        taken = _take(deal, chunks, stop)
+        taken = _take(deal, chunks)
     except BaseException:
-        stop[0] = 1
+        _drain(deal)
         raise
     finally:
         os.close(deal)
         payloads = _reap(workers)
-        stop.close()
     results: list = [None] * len(rows)
     for number, ran in taken:
         results[number::count] = ran

@@ -1,7 +1,8 @@
 """Fixtures for the tests that run rows in forked worker processes.
 
-`forks` counts the workers a test forks and, after the test, checks
-that every one was reaped and no file descriptor was left open;
+`cores` sets the cores the runner sees.  `forks` counts the workers a
+test forks and, after the test, checks that every one was reaped and
+no file descriptor was left open;
 `wait_until` polls a condition and fails the test when it times out.
 `row_log` records which process ran which row, in a file every forked
 process appends to.  `watch_rows` lets a test see each cli task's rows
@@ -43,6 +44,18 @@ class Forks(list):
     def wait_for_exit(self, pid: int) -> None:
         """Wait until the worker `pid` has exited, without reaping it."""
         wait_until(lambda: not running(pid))
+
+
+@pytest.fixture
+def cores(monkeypatch):
+    """cores(n): make the runner see n usable cores, as the process's
+    CPU affinity mask and as the machine's core count alike."""
+
+    def set_cores(n: int) -> None:
+        monkeypatch.setattr(os, "cpu_count", lambda: n)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+    return set_cores
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import functools
 import json
@@ -136,11 +137,25 @@ def test_a_passing_serial_run_imports_no_module_it_does_not_use(tmp_path):
     assert done.stdout == "0 []\n"
 
 
-def test_csv_deterministic_across_jobs(tmp_path, monkeypatch, forks):
+def test_the_package_holds_no_assert_statement():
+    # `python -O` strips every assert, so no check of the runtime
+    # package may be one: a verdict or bound resting on it would vanish.
+    package = os.path.dirname(cli.__file__)
+    found = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name)) as fh:
+                tree = ast.parse(fh.read(), name)
+            found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_csv_deterministic_across_jobs(tmp_path, cores, forks):
     # lemma-schmidt is one row per l, both eps inside: three rows at the
     # default l_max, so --jobs 8 on eight cores forks two workers beside
     # the caller.
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    cores(8)
     a, b = tmp_path / "serial.csv", tmp_path / "parallel.csv"
     base = ["lemma-schmidt", "--n-max", "8", "--format", "csv"]
     assert cli.main(base + ["--jobs", "1", "--out", str(a)]) == 0
@@ -150,9 +165,9 @@ def test_csv_deterministic_across_jobs(tmp_path, monkeypatch, forks):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_all_shares_one_worker_pool(tmp_path, monkeypatch, forks):
+def test_all_shares_one_worker_pool(tmp_path, cores, forks):
     # Every task's rows share the one worker `verify all` forks.
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # one worker besides the caller
+    cores(2)  # one worker besides the caller
     a, b = tmp_path / "serial.csv", tmp_path / "parallel.csv"
     base = ["all", "--n-max", "4", "--l-max", "2", "--x-min", "-2", "--x-max", "2",
             "--format", "csv"]
@@ -163,40 +178,53 @@ def test_all_shares_one_worker_pool(tmp_path, monkeypatch, forks):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_jobs_beyond_the_cores_open_one_worker_per_core(monkeypatch, forks):
+def test_jobs_beyond_the_cores_open_one_worker_per_core(cores, forks):
     # The caller is one of the processes at work, at most one per core,
     # so four cores give three workers to a run of six rows (q-sun, one
     # per k) or seven (catalan-form, the identity and one row per n),
     # whatever --jobs asks for.
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    cores(4)
     for task in ("catalan-form", "q-sun"):
         report = cli.run(cli.GridConfig(task, n_max=6, jobs=10 ** 6))
         assert report.cases == cli.run(cli.GridConfig(task, n_max=6)).cases
     assert len(forks) == 3 * 2
 
 
-def test_a_run_opens_no_more_processes_than_it_has_rows(monkeypatch, forks):
+def test_a_run_opens_no_more_processes_than_it_has_rows(cores, forks):
     # sun-one is one row: at --jobs 2 the caller runs it and forks no
     # worker.  recurrence's three rows still share one worker; at --jobs
     # 8 on four cores, its three rows fork two workers beside the caller.
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    cores(2)
     report = cli.run(cli.GridConfig("sun-one", n_max=20, jobs=2))
     assert forks == []
     assert report.cases == cli.run(cli.GridConfig("sun-one", n_max=20)).cases
     report = cli.run(cli.GridConfig("recurrence", n_max=8, jobs=2))
     assert len(forks) == 1
     assert report.cases == cli.run(cli.GridConfig("recurrence", n_max=8)).cases
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    cores(4)
     cli.run(cli.GridConfig("recurrence", n_max=8, jobs=8))
     assert len(forks) == 1 + 2
 
 
-def test_every_task_is_queued_before_any_result_is_read(monkeypatch, forks, row_log, watch_rows):
+def test_an_affinity_of_one_cpu_forks_no_worker(monkeypatch, capsys, forks):
+    # Under `taskset -c 0` the process may run on one CPU of two: the
+    # affinity mask, not the machine's core count, bounds the processes.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert cli.main(["q-sun", "--n-max", "10", "--jobs", "2", "--format", "csv"]) == 0
+    assert forks == []
+    parallel = capsys.readouterr().out
+    assert cli.main(["q-sun", "--n-max", "10", "--jobs", "1", "--format", "csv"]) == 0
+    assert capsys.readouterr().out == parallel
+
+
+def test_every_task_is_queued_before_any_result_is_read(monkeypatch, cores, forks, row_log,
+                                                        watch_rows):
     # At --jobs 2 every task's chunk numbers go into the deal, in one
     # write, before the worker is forked and before any row runs, in
     # either process.  Chunk i holds rows[i::count] of the run's rows,
-    # _SPLIT chunks per process at work, and each row runs once.
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    # one chunk per row up to _MAX_CHUNKS rows, and each row runs once.
+    cores(2)
     caller = os.getpid()
     events = []  # in the caller: the deal's write, the fork, every row
     real_write, real_fork, real_take = os.write, os.fork, gridrun._take
@@ -212,10 +240,10 @@ def test_every_task_is_queued_before_any_result_is_read(monkeypatch, forks, row_
 
     dealt = []
 
-    def take(deal, chunks, stop):
+    def take(deal, chunks):
         if os.getpid() == caller:
             dealt.append(chunks)
-        return real_take(deal, chunks, stop)
+        return real_take(deal, chunks)
 
     def on_run(row):
         if os.getpid() == caller:
@@ -230,7 +258,7 @@ def test_every_task_is_queued_before_any_result_is_read(monkeypatch, forks, row_
     parallel = cli.run(config)
     monkeypatch.undo()  # the serial run and the row lists below go unwatched
     rows = [row for name in cli._TASKS for row in cli._TASKS[name].rows(config)]
-    count = min(len(rows), 2 * gridrun._SPLIT)
+    count = min(len(rows), gridrun._MAX_CHUNKS)
     assert events[:2] == [("write", count * gridrun._RECORD), ("fork",)]
     assert {event for event in events[2:]} <= {("row",)}
     assert len(forks) == 1
@@ -260,19 +288,19 @@ def test_a_raising_row_in_a_worker_exits_three(capsys, monkeypatch, forks):
     assert "internal error: ZeroDivisionError(" in captured.err
 
 
-def test_a_worker_that_dies_in_a_row_exits_three(capsys, monkeypatch, forks, watch_rows):
+def test_a_worker_that_dies_in_a_row_exits_three(capsys, monkeypatch, cores, forks, watch_rows):
     # A worker that leaves without a word, as a crash would, takes its
     # chunk with it: the run fails with the worker's exit code.  The
     # caller takes no chunk until the worker is gone, so the worker
     # surely took one.
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    cores(2)
     caller = os.getpid()
     real_take = gridrun._take
 
-    def take(deal, chunks, stop):
+    def take(deal, chunks):
         if os.getpid() == caller:
             forks.wait_for_exit(forks[0])
-        return real_take(deal, chunks, stop)
+        return real_take(deal, chunks)
 
     def on_run(row):
         if os.getpid() != caller:

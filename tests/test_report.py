@@ -220,8 +220,8 @@ def test_every_task_orders_its_cases_by_sort_key():
         assert sub.cases == sorted(sub.cases, key=lambda c: c.sort_key), sub.task
 
 
-def test_runner_parallel_matches_serial(monkeypatch, forks):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # one worker besides the caller
+def test_runner_parallel_matches_serial(cores, forks):
+    cores(2)  # one worker besides the caller
     rows = [partial(_square_row, key) for key in range(20)]
     serial = list(run_rows(rows, 1))
     assert forks == []
@@ -246,8 +246,8 @@ def test_serial_runner_runs_a_row_when_its_result_is_read():
     assert ran == [0]
 
 
-_CHUNKS = 2 * gridrun._SPLIT  # on two cores: the caller and one worker
-_ROWS = 3 * _CHUNKS + 5  # some chunks one row longer than others
+_ROWS = 197  # up to gridrun._MAX_CHUNKS rows, every row is a chunk of its own
+_MANY = 2 * gridrun._MAX_CHUNKS + 52  # chunks 0..51 of three rows, the rest of two
 
 
 def _dealt(numbers) -> int:
@@ -258,24 +258,26 @@ def _dealt(numbers) -> int:
     return deal
 
 
-def test_a_set_stop_byte_runs_no_further_row(monkeypatch, forks, row_log):
-    # The take loop, in this process: with the stop byte set it takes a
-    # chunk but runs none of its rows; unset, it runs every chunk in the
-    # deal's order.
-    chunks = [[partial(row_log.record, key) for key in keys] for keys in ([0, 2], [1, 3])]
-    deal = _dealt(range(2))
-    assert gridrun._take(deal, chunks, bytearray(b"\x01")) == []
+def test_a_drained_deal_runs_no_further_row(cores, forks, row_log):
+    # The take loop, in this process: from a deal drained after one
+    # chunk was taken it takes no chunk and runs no row; from a full
+    # deal it runs every chunk in the deal's order.
+    chunks = [[partial(row_log.record, key) for key in keys] for keys in ([0, 2], [1, 3], [4])]
+    deal = _dealt(range(3))
+    os.read(deal, gridrun._RECORD)
+    gridrun._drain(deal)
+    assert gridrun._take(deal, chunks) == []
+    os.close(deal)
     assert row_log.read() == []
-    assert gridrun._take(deal, chunks, bytearray(b"\x00")) == [(1, [None, None])]
-    os.close(deal)
     deal = _dealt(range(2))
-    assert gridrun._take(deal, chunks, bytearray(b"\x00")) == [(0, [None, None]), (1, [None, None])]
+    assert gridrun._take(deal, chunks) == [(0, [None, None]), (1, [None, None])]
     os.close(deal)
-    assert [key for _, key in row_log.read()] == ["1", "3", "0", "2", "1", "3"]
-    # In a run, a row of the caller's that raises stops the worker
-    # before its next row.  Every row the worker runs takes 50 ms; the
-    # caller's first row waits for the worker's first, then raises.
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert [key for _, key in row_log.read()] == ["0", "2", "1", "3"]
+    # In a run, a row of the caller's that raises drains the deal, which
+    # stops the worker before its next row.  Every row the worker runs
+    # takes 50 ms; the caller's first row waits for the worker's first,
+    # then raises.
+    cores(2)
     caller = os.getpid()
 
     def row(key):
@@ -290,16 +292,38 @@ def test_a_set_stop_byte_runs_no_further_row(monkeypatch, forks, row_log):
     with pytest.raises(RuntimeError, match="row failed"):
         run_rows([partial(row, key) for key in range(_ROWS)], 2)
     assert 1 <= len(row_log.read()) <= 3
-    # The next run has a stop byte of its own.
+    # The next run has a full deal of its own.
     assert list(run_rows([partial(_square_row, 1)] * 2, 2)) == [_square_row(1)] * 2
     assert len(forks) == 2
 
 
-def test_the_deal_fits_in_one_page(monkeypatch, forks):
-    # However many chunks the split asks for, the deal is written in one
-    # write that a pipe's smallest buffer holds.
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(gridrun, "_SPLIT", 4000)
+def test_a_failed_fork_stops_the_workers_already_started(monkeypatch, cores, forks, row_log):
+    # On three cores the second fork fails: the caller drains the deal
+    # before it raises, so the one worker forked stops before its next
+    # row, although every row it runs takes 50 ms.
+    cores(3)
+    real_fork = os.fork
+
+    def fork():
+        if forks:
+            raise OSError("fork failed")
+        return real_fork()
+
+    def row(key):
+        row_log.record(key)
+        time.sleep(0.05)
+        return _square_row(key)
+
+    monkeypatch.setattr(os, "fork", fork)
+    with pytest.raises(OSError, match="fork failed"):
+        run_rows([partial(row, key) for key in range(_ROWS)], 3)
+    assert len(forks) == 1 and len(row_log.read()) <= 3
+
+
+def test_the_deal_fits_in_one_page(monkeypatch, cores, forks):
+    # 3000 rows are dealt as _MAX_CHUNKS chunks, in one write that a
+    # pipe's smallest buffer holds.
+    cores(2)
     caller = os.getpid()
     writes = []
     real_write = os.write
@@ -315,30 +339,75 @@ def test_the_deal_fits_in_one_page(monkeypatch, forks):
     assert writes == [4096]
 
 
-@pytest.mark.parametrize("started", [0, 1, _CHUNKS])
-def test_the_caller_runs_the_chunks_no_worker_started(monkeypatch, forks, row_log, started):
-    # The worker takes the first `started` chunks of the deal and runs
-    # them, then takes no more until the caller is done; the caller runs
-    # every other chunk itself, in the deal's order, and waits for none
-    # that no process took.  Each row runs once, and the results come
-    # back in row order.
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+def test_past_the_chunk_cap_a_chunk_is_a_stripe_of_rows(cores, forks, row_log):
+    # Past _MAX_CHUNKS rows, chunk i holds rows[i::_MAX_CHUNKS]: each
+    # process runs whole chunks, each in row order, every row runs once,
+    # and the results come back in row order.
+    cores(2)
     caller = os.getpid()
-    chunk_keys = [list(range(i, _ROWS, _CHUNKS)) for i in range(_CHUNKS)]
+    stride = gridrun._MAX_CHUNKS
+
+    def row(key):
+        row_log.record(key)
+        return _square_row(key)
+
+    rows = [partial(row, key) for key in range(_MANY)]
+    assert list(run_rows(rows, 2)) == [_square_row(key) for key in range(_MANY)]
+    ran = []
+    for pid in (caller, *forks):
+        keys = [int(key) for key in row_log.keys(pid)]
+        while keys:
+            chunk = list(range(keys[0], _MANY, stride))
+            assert keys[0] < stride and keys[:len(chunk)] == chunk
+            ran += chunk
+            keys = keys[len(chunk):]
+    assert sorted(ran) == list(range(_MANY))
+    # A row that raises in the worker, once the caller has started a
+    # chunk, ends the run within that chunk: the caller's first row
+    # waits until the worker has failed and gone, and the caller then
+    # runs the rest of its chunk and no other.
+    row_log.path.write_text("")
+
+    def failing(key):
+        if os.getpid() != caller:
+            wait_until(lambda: row_log.keys(caller))
+            raise ZeroDivisionError("in a worker")
+        row_log.record(key)
+        forks.wait_for_exit(forks[-1])
+        return _square_row(key)
+
+    with pytest.raises(ZeroDivisionError, match="in a worker"):
+        run_rows([partial(failing, key) for key in range(_MANY)], 2)
+    keys = [int(key) for key in row_log.keys(caller)]
+    assert keys[0] < stride and keys == list(range(keys[0], _MANY, stride))
+    assert len(forks) == 2
+
+
+@pytest.mark.parametrize("started", [0, 1, 64])
+def test_the_caller_runs_the_chunks_no_worker_started(monkeypatch, cores, forks, row_log, started):
+    # The worker takes the first `started` chunks of the deal, one row
+    # each, and runs them, then takes no more until the caller is done;
+    # the caller runs every other chunk itself, in the deal's order, and
+    # waits for none that no process took.  Each row runs once, and the
+    # results come back in row order.
+    cores(2)
+    caller = os.getpid()
+    count = min(_ROWS, gridrun._MAX_CHUNKS)
+    chunk_keys = [list(range(i, _ROWS, count)) for i in range(count)]
     gate, opener = os.pipe()
     real_take = gridrun._take
 
-    def take(deal, chunks, stop):
+    def take(deal, chunks):
         if os.getpid() != caller:  # the worker: its first chunks, then the rest after the caller
             first = _dealt(int.from_bytes(os.read(deal, gridrun._RECORD), "little")
                            for _ in range(started))
-            taken = real_take(first, chunks, stop)
+            taken = real_take(first, chunks)
             os.close(first)
             os.read(gate, 1)
-            return taken + real_take(deal, chunks, stop)
+            return taken + real_take(deal, chunks)
         worker_rows = sum(map(len, chunk_keys[:started]))
         wait_until(lambda: len(row_log.read()) >= worker_rows)
-        taken = real_take(deal, chunks, stop)
+        taken = real_take(deal, chunks)
         os.write(opener, b"x")
         return taken
 
@@ -362,16 +431,19 @@ def test_the_caller_runs_the_chunks_no_worker_started(monkeypatch, forks, row_lo
     ]
 
 
-def test_a_failing_chunk_stops_the_caller_before_its_next_row(monkeypatch, forks, row_log):
+def test_a_failing_chunk_stops_the_caller_before_its_next_row(cores, forks, row_log):
     # The worker's first row fails during the caller's first row, which
     # waits until the worker has gone; the caller must raise the
     # worker's error, with the worker's traceback as its cause, before
-    # it runs another row.
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    # it runs another row.  The worker's row fails only once the
+    # caller's has started: else it could drain the deal before the
+    # caller takes any chunk.
+    cores(2)
     caller = os.getpid()
 
     def row(key):
         if os.getpid() != caller:
+            wait_until(row_log.read)
             raise ZeroDivisionError("in a worker")
         row_log.record(key)
         forks.wait_for_exit(forks[0])
@@ -385,18 +457,18 @@ def test_a_failing_chunk_stops_the_caller_before_its_next_row(monkeypatch, forks
     assert "ZeroDivisionError: in a worker" in str(cause) and "in row" in str(cause)
 
 
-def test_a_chunk_failed_before_the_caller_starts_exits_three(monkeypatch, capsys, forks,
+def test_a_chunk_failed_before_the_caller_starts_exits_three(monkeypatch, cores, capsys, forks,
                                                              row_log, watch_rows):
     # The caller takes no chunk until the worker, whose first row
     # fails, has gone: it then runs no row at all.
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    cores(2)
     caller = os.getpid()
     real_take = gridrun._take
 
-    def take(deal, chunks, stop):
+    def take(deal, chunks):
         if os.getpid() == caller:
             forks.wait_for_exit(forks[0])
-        return real_take(deal, chunks, stop)
+        return real_take(deal, chunks)
 
     def on_run(row):
         if os.getpid() != caller:
@@ -440,12 +512,12 @@ def _big_row(row_log, key):
     return [make_case((("n", key), ("i", i)), False, "w" * 1000) for i in range(100)]
 
 
-def test_a_failing_caller_reads_a_worker_holding_a_full_pipe(monkeypatch, forks, row_log):
+def test_a_failing_caller_reads_a_worker_holding_a_full_pipe(monkeypatch, cores, forks, row_log):
     # The worker's results outgrow the pipe's 64 KiB, so it can only
     # leave once the caller reads them; the caller's own row raises
     # after the worker has run two rows, and must still read and reap
     # the worker instead of waiting for it first.
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    cores(2)
     caller = os.getpid()
 
     def row(key):
@@ -455,32 +527,32 @@ def test_a_failing_caller_reads_a_worker_holding_a_full_pipe(monkeypatch, forks,
 
     real_take = gridrun._take
 
-    def take(deal, chunks, stop):  # the caller's chunks start after the worker's second
+    def take(deal, chunks):  # the caller's chunks start after the worker's second
         if os.getpid() == caller:
             wait_until(lambda: len(row_log.read()) >= 2)
-        return real_take(deal, chunks, stop)
+        return real_take(deal, chunks)
 
     monkeypatch.setattr(gridrun, "_take", take)
     with _hang_guard(forks) as killed:
         with pytest.raises(RuntimeError, match="the caller's row failed"):
-            run_rows([partial(row, key) for key in range(_CHUNKS)], 2)  # one row a chunk
+            run_rows([partial(row, key) for key in range(64)], 2)  # one row a chunk
     assert killed == [] and len(row_log.read()) >= 2
 
 
-def test_an_interrupt_while_reading_a_worker_still_reaps_it(monkeypatch, forks, row_log):
+def test_an_interrupt_while_reading_a_worker_still_reaps_it(monkeypatch, cores, forks, row_log):
     # An interrupt at the caller's first read of the worker's results
     # (more than the pipe holds) closes the pipe: the worker, blocked
     # in its write, fails at once and is reaped.
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    cores(2)
     caller = os.getpid()
     real_take, real_read = gridrun._take, os.read
     taken = []
 
-    def take(deal, chunks, stop):  # the caller starts after the worker's second row
+    def take(deal, chunks):  # the caller starts after the worker's second row
         if os.getpid() != caller:
-            return real_take(deal, chunks, stop)
+            return real_take(deal, chunks)
         wait_until(lambda: len(row_log.read()) >= 2)
-        taken.append(real_take(deal, chunks, stop))
+        taken.append(real_take(deal, chunks))
         return taken[-1]
 
     def read(fd, size):
@@ -493,12 +565,12 @@ def test_an_interrupt_while_reading_a_worker_still_reaps_it(monkeypatch, forks, 
     monkeypatch.setattr(os, "read", read)
     with _hang_guard(forks) as killed:
         with pytest.raises(KeyboardInterrupt):
-            run_rows([partial(_big_row, row_log, key) for key in range(_CHUNKS)], 2)
+            run_rows([partial(_big_row, row_log, key) for key in range(64)], 2)
     assert killed == [] and len(forks) == 1
 
 
-def test_jobs_on_one_core_run_serially(monkeypatch, forks):
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+def test_jobs_on_one_core_run_serially(cores, forks):
+    cores(1)
     config = cli.GridConfig("all", n_max=4, l_max=2, x_min=-2, x_max=2, jobs=2)
     parallel = cli.run(config)
     assert forks == []
@@ -506,8 +578,8 @@ def test_jobs_on_one_core_run_serially(monkeypatch, forks):
     assert [r.cases for r in parallel.reports] == [r.cases for r in serial.reports]
 
 
-def test_without_fork_the_rows_run_serially(monkeypatch, forks):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+def test_without_fork_the_rows_run_serially(monkeypatch, cores, forks):
+    cores(2)
     monkeypatch.delattr(os, "fork")
     ran = []
 
