@@ -5,24 +5,35 @@
                   [--format text|json|csv] [--out PATH] [--config FILE]
 
 Each task is one entry of `_TASKS`: the config fields its report
-echoes, its rows as a function of the `GridConfig`, and the smallest
-n_max it accepts.  Rows are calls: each is a `functools.partial` of a
-module-level row function with its own arguments, which returns the
-cases of one grid row, so the table is the one place that says which
-calls make up a task.  Where a grid row is a prefix sum over n
-(telescope, theorem1, theorem2, the catalan-form identity,
-lemma-schmidt, conjecture-final, conjecture-sun-m, conjecture-sun-ii,
-q-sun, q-specialize), its row function reads one running sum, so a
-cell costs O(1) instead of a fresh sum: the integer rows all take
-theirs from `identities.odd_power_sums` (q-sun and q-specialize each
-sweep the unscaled q-sums `qpoly.q_sun_sums` over the rows k, and
-apply [2k choose k]^2 only in a residue modulo (1 - q^n)^2 or at
-q = 1).  The transform, weighted-sum, catalan-form identity and
-recurrence rows each build one S_k table per closed form they read,
-the chu-vandermonde row its power sums once per x, only at the points
-x = 0 .. d that decide a symmetric claim of degree 2d (the symmetric
-rule of `values`).  sun-one and sun-two are one row each, which forms
-what every n shares once, and the catalan-form summands one row per n,
+echoes, its rows as a function of the `GridConfig` and the run's
+tables, and the smallest n_max it accepts.  Rows are calls: each is a
+`functools.partial` of a module-level row function with its own
+arguments, which returns the cases of one grid row, so the table is
+the one place that says which calls make up a task.  Where a grid row
+is a prefix sum over n (telescope, theorem1, theorem2, the
+catalan-form identity, lemma-schmidt, conjecture-final,
+conjecture-sun-m, conjecture-sun-ii, q-sun, q-specialize), its row
+function reads one running sum, so a cell costs O(1) instead of a
+fresh sum: the integer rows all take theirs from the weights of
+`identities.odd_weights` (q-sun and q-specialize each sweep the
+unscaled q-sums `qpoly.q_sun_sums` over the rows k, and apply
+[2k choose k]^2 only in a residue modulo (1 - q^n)^2 or at q = 1).
+What several rows of a run read, or several cells of a row, is a
+table `_Tables` builds once per run, in this process, before any row
+runs, by the module-level builder the row once called itself: the S
+tables of both closed forms (`identities.build_lhs`/`build_rhs`, one
+pair for transform, recurrence and, by its corner S_k(x), k, x <
+n_max, the weighted-sum rows; those build only the corner when
+neither transform nor recurrence runs), the columns C(m+k,2k) and
+C(2k,k) (`identities.central_columns`: conjecture-final, telescope,
+q-specialize, lemma-schmidt), the sun-m power sums once per x
+(`congruences.sun_m_sums`) and Phi_d^2 for d <= n_max
+(`qpoly.phi_squares`: q-sun).  A forked worker inherits them, and they
+go when the run's rows do: nothing outlives `run`.  The chu-vandermonde
+row builds its power sums once per x, only at the points x = 0 .. d
+that decide a symmetric claim of degree 2d (the symmetric rule of
+`values`).  sun-one and sun-two are one row each, which forms what
+every n shares once, and the catalan-form summands one row per n,
 which forms its weights once for every x.
 Which row is which: transform, chu-vandermonde, telescope, sun-one,
 sun-two, theorem1, theorem2 and conjecture-sun-ii are one row each;
@@ -69,7 +80,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, fields
-from functools import partial
+from functools import cached_property, partial
 from itertools import chain, islice
 from typing import Callable, Optional
 
@@ -141,16 +152,74 @@ _RUN_KEYS = ("jobs", "format", "out")
 _SHARED_ECHO = tuple(name for name in _CONFIG_KEYS if name not in _RUN_KEYS)
 
 
+class _Tables:
+    """The tables that several rows of one run read, or several cells of
+    one row, each built once per run, on its first read, by the
+    module-level builder its rows called before they shared it, so a
+    task run alone builds only what it reads.  `run` reads them while it
+    builds every task's rows, before `gridrun.run_rows`, so forked
+    workers inherit them, and they go when the run's rows do.  A failing
+    cell still builds the values its witness reads itself."""
+
+    def __init__(self, config: GridConfig, names: list[str]):
+        self.config = config
+        # transform and recurrence read S_0 .. S_{n_max}; the other
+        # readers of S, S_0 .. S_{n_max - 1} alone.
+        self.s_to_n_max = not {"transform", "recurrence"}.isdisjoint(names)
+
+    @cached_property
+    def columns(self) -> tuple[list[list[int]], list[int]]:
+        """C(m+k,2k) and C(2k,k): conjecture-final, telescope,
+        q-specialize and lemma-schmidt."""
+        return identities.central_columns(self.config.n_max)
+
+    @cached_property
+    def lhs(self) -> list[tuple[int, ...]]:
+        """S_0 .. S_{n_max} at x = 0 .. n_max, the left closed form."""
+        n = self.config.n_max
+        return identities.build_lhs(n, n + 1)
+
+    @cached_property
+    def rhs(self) -> list[tuple[int, ...]]:
+        """S_0 .. S_{n_max} at x = 0 .. n_max, the right closed form."""
+        n = self.config.n_max
+        return identities.build_rhs(n, n + 1)
+
+    @cached_property
+    def weighted(self) -> list[tuple[int, ...]]:
+        """S_0 .. S_{n_max - 1} at x = 0 .. n_max - 1, the left closed form:
+        the corner of `lhs` where that is built too, else a table of its
+        own.  theorem1, theorem2, the catalan-form identity and
+        conjecture-sun-ii."""
+        n = self.config.n_max
+        if self.s_to_n_max:
+            return [values[:n] for values in self.lhs[:n]]
+        return congruences.build_lhs(n - 1, n)
+
+    @cached_property
+    def sun_m_sums(self) -> list[list[int]]:
+        """The m-th power sums at each x of the window: conjecture-sun-m."""
+        c = self.config
+        return congruences.sun_m_sums(c.m, c.n_max, c.x_min, c.x_max)
+
+    @cached_property
+    def phi_squares(self) -> list[list[int]]:
+        """Phi_d^2 for d = 2 .. n_max: q-sun."""
+        return qpoly.phi_squares(self.config.n_max)
+
+
 @dataclass(frozen=True)
 class _Task:
     """One entry of the task table."""
 
     # Config fields the report echoes, in this order.
     echo: tuple[str, ...]
-    # The task's rows, in run order: partials of module-level row
-    # functions with int, tuple and str arguments; each returns its
-    # row's cases.
-    rows: Callable[[GridConfig], list[partial]]
+    # The task's rows, in run order, from the config and the run's
+    # tables: partials of module-level row functions whose arguments
+    # are ints, tuples and strs, and the tables the rows read (lists
+    # and tuples of ints, and of lists and tuples of ints); each returns
+    # its row's cases.
+    rows: Callable[[GridConfig, _Tables], list[partial]]
     min_n_max: int = 1
     notes: Callable[[GridConfig], list[str]] = lambda config: []
 
@@ -161,50 +230,51 @@ def _xs(c: GridConfig) -> range:
 
 # The task table, in the order `all` runs it.
 _TASKS = {
-    "transform": _Task(
-        ("n_max",), lambda c: [partial(identities.transform_row, c.n_max)], min_n_max=0
-    ),
-    "recurrence": _Task(("n_max",), lambda c: [
-        partial(identities.recurrence_base_row),
-        *(partial(identities.recurrence_row, family, c.n_max) for family in ("lhs", "rhs")),
+    "transform": _Task(("n_max",), lambda c, t: [
+        partial(identities.transform_row, t.lhs, t.rhs)
+    ], min_n_max=0),
+    "recurrence": _Task(("n_max",), lambda c, t: [
+        partial(identities.recurrence_base_row, t.lhs, t.rhs),
+        partial(identities.recurrence_row, "lhs", t.lhs),
+        partial(identities.recurrence_row, "rhs", t.rhs),
     ], min_n_max=2),
     "chu-vandermonde": _Task(
-        ("k_max",), lambda c: [partial(identities.chu_row, c.k_max)], min_n_max=0
+        ("k_max",), lambda c, t: [partial(identities.chu_row, c.k_max)], min_n_max=0
     ),
-    "telescope": _Task(("n_max",), lambda c: [partial(identities.telescope_row, c.n_max)]),
+    "telescope": _Task(("n_max",), lambda c, t: [partial(identities.telescope_row, t.columns)]),
     "sun-one": _Task(
-        ("n_max",), lambda c: [partial(identities.sun_one_row, c.n_max)], min_n_max=0
+        ("n_max",), lambda c, t: [partial(identities.sun_one_row, c.n_max)], min_n_max=0
     ),
     "sun-two": _Task(
-        ("n_max",), lambda c: [partial(identities.sun_two_row, c.n_max)], min_n_max=0
+        ("n_max",), lambda c, t: [partial(identities.sun_two_row, c.n_max)], min_n_max=0
     ),
-    "theorem1": _Task(("l_max", "n_max", "eps"), lambda c: [
-        partial(congruences.theorem1_row, c.l_max, c.eps, c.n_max)
+    "theorem1": _Task(("l_max", "n_max", "eps"), lambda c, t: [
+        partial(congruences.theorem1_row, c.l_max, c.eps, t.weighted)
     ]),
-    "theorem2": _Task(("n_max",), lambda c: [partial(congruences.theorem2_row, c.n_max)]),
-    "catalan-form": _Task(("n_max", "x_min", "x_max"), lambda c: [
-        partial(congruences.catalan_identity_row, c.n_max),
+    "theorem2": _Task(("n_max",), lambda c, t: [partial(congruences.theorem2_row, t.weighted)]),
+    "catalan-form": _Task(("n_max", "x_min", "x_max"), lambda c, t: [
+        partial(congruences.catalan_identity_row, t.weighted),
         *(partial(congruences.catalan_terms_row, n, c.x_min, c.x_max)
           for n in range(1, c.n_max + 1)),
     ]),
-    "lemma-schmidt": _Task(("l_max", "n_max", "eps"), lambda c: [
-        partial(congruences.schmidt_row, l, c.eps, c.n_max) for l in range(1, c.l_max + 1)
+    "lemma-schmidt": _Task(("l_max", "n_max", "eps"), lambda c, t: [
+        partial(congruences.schmidt_row, l, c.eps, t.columns) for l in range(1, c.l_max + 1)
     ]),
-    "conjecture-final": _Task(("l_max", "n_max"), lambda c: [
-        partial(congruences.conjecture_final_row, l, c.n_max) for l in range(1, c.l_max + 1)
+    "conjecture-final": _Task(("l_max", "n_max"), lambda c, t: [
+        partial(congruences.conjecture_final_row, l, t.columns) for l in range(1, c.l_max + 1)
     ]),
-    "conjecture-sun-m": _Task(("m", "l_max", "n_max", "eps", "x_min", "x_max"), lambda c: [
-        partial(congruences.sun_m_row, c.m, l, c.n_max, c.eps, c.x_min, c.x_max)
+    "conjecture-sun-m": _Task(("m", "l_max", "n_max", "eps", "x_min", "x_max"), lambda c, t: [
+        partial(congruences.sun_m_row, c.m, l, c.eps, c.x_min, t.sun_m_sums)
         for l in range(1, c.l_max + 1)
     ], notes=lambda c: [congruences.sun_m_regime(c.m, c.n_max, len(_xs(c)))]),
-    "conjecture-sun-ii": _Task(("l_max", "n_max"), lambda c: [
-        partial(congruences.sun_ii_row, c.l_max, c.n_max)
+    "conjecture-sun-ii": _Task(("l_max", "n_max"), lambda c, t: [
+        partial(congruences.sun_ii_row, c.l_max, t.weighted)
     ]),
-    "q-sun": _Task(("n_max",), lambda c: [
-        partial(qpoly.q_sun_row, k, c.n_max) for k in range(c.n_max)
+    "q-sun": _Task(("n_max",), lambda c, t: [
+        partial(qpoly.q_sun_row, k, c.n_max, t.phi_squares) for k in range(c.n_max)
     ]),
-    "q-specialize": _Task(("n_max",), lambda c: [
-        partial(qpoly.q_specialize_row, k, c.n_max) for k in range(c.n_max)
+    "q-specialize": _Task(("n_max",), lambda c, t: [
+        partial(qpoly.q_specialize_row, k, t.columns) for k in range(c.n_max)
     ]),
 }
 
@@ -304,6 +374,8 @@ def resolve_config(args: argparse.Namespace) -> GridConfig:
             values["jobs"] = int(env_jobs)
         except ValueError:
             raise UsageError(f"{JOBS_ENV} must be an integer, got {env_jobs!r}")
+        if values["jobs"] < 1:
+            raise UsageError(f"{JOBS_ENV} must be >= 1, got {env_jobs!r}")
     if args.config is not None:
         values.update(_load_config_file(args.config))
     for name in _CONFIG_KEYS:
@@ -322,18 +394,25 @@ def _echo(config: GridConfig, names) -> dict:
     }
 
 
+def _task_rows(config: GridConfig) -> dict[str, list[partial]]:
+    """The rows of each task of the run, by task name in table order; the
+    run's tables are built here, as the rows are made."""
+    names = list(_TASKS) if config.task == "all" else [config.task]
+    tables = _Tables(config, names)
+    return {name: _TASKS[name].rows(config, tables) for name in names}
+
+
 def run(config: GridConfig):
     """Run one task (or all of them, in table order) and return the
     report: every task's rows go to the row runner in one call, then
     each task's report is collected from its slice of the results."""
     start = time.perf_counter()
-    names = list(_TASKS) if config.task == "all" else [config.task]
-    rows = [_TASKS[name].rows(config) for name in names]
-    results = run_rows(list(chain.from_iterable(rows)), config.jobs)
+    rows = _task_rows(config)
+    results = run_rows(list(chain.from_iterable(rows.values())), config.jobs)
     reports = [
-        collect(name, _echo(config, _TASKS[name].echo), islice(results, len(task_rows)),
+        collect(name, _echo(config, _TASKS[name].echo), islice(results, len(rows[name])),
                 _TASKS[name].notes(config))
-        for name, task_rows in zip(names, rows)
+        for name in rows
     ]
     if config.task != "all":
         return reports[0]

@@ -5,9 +5,14 @@ their row builders and one row function per claim, each taking its own
 arguments.
 
 Most grid rows are prefix sums over n of sum_{k<n} eps^k (2k+1)^(2l-1) X_k,
-read off the one running sum `identities.odd_power_sums`, with X_k the
-S_k(x) of the weighted sums, C(k+j,2j) of the Schmidt coefficients,
-C(m+k,2k) of the congruence values or a power sum of the spot checks.
+read off one running sum with the weights `identities.odd_weights`
+forms once per (l, eps), with X_k the S_k(x) of the weighted sums,
+C(k+j,2j) of the Schmidt coefficients, C(m+k,2k) of the congruence
+values or a power sum of the spot checks.  The tables X_k comes from
+are arguments of the row functions, which `cli` builds once per run
+with this module's builders: the S table, `identities.central_columns`
+(the Schmidt coefficients' and the congruence values' columns) and
+`sun_m_sums`.
 So a cell costs O(1) (O(n) for a vector of values) instead of a fresh
 sum, and a row function decides each of its cells.  The Catalan-form
 summands are one row per n, which forms the summands' integer weights
@@ -26,15 +31,27 @@ S_k(x) are symmetric of degree 2n-2, so by the symmetric rule of
 `values` each is decided on its n values at x = 0 .. n-1: p/m is
 integer-valued exactly when each of them is a multiple of m.  They come
 from `weighted_sum_rows`, one running sum per x of the one table
-`identities.build_lhs(n_max - 1, n_max)` its row function builds.
+`identities.build_lhs(n_max - 1, n_max)` (or the same corner of a
+larger table) its row function reads.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from operator import mul
+from typing import Optional
 
 from .combinat import binom_int, catalan, double_factorial_odd
-from .identities import build_lhs, coeff_mismatch, in_central_basis, odd_power_sums, power_sums
+from .identities import (
+    build_lhs,
+    coeff_mismatch,
+    in_central_basis,
+    odd_power_sums,
+    odd_weights,
+    power_sums,
+    staggered_sums,
+    telescope_rhs,
+)
 from .report import CaseResult, make_case
 from .values import coefficients, fraction
 
@@ -49,6 +66,7 @@ __all__ = [
     "catalan_terms_row",
     "conjecture_final_values",
     "conjecture_final_row",
+    "sun_m_sums",
     "sun_m_row",
     "sun_m_regime",
     "sun_ii_row",
@@ -57,31 +75,37 @@ __all__ = [
 
 # -- Schmidt-combination coefficients ----------------------------------------
 
-def schmidt_coefficient_rows(l: int, eps: int, n_max: int) -> list[tuple[int, ...]]:
+def schmidt_coefficient_rows(
+    l: int, eps: int, table: tuple[list[list[int]], list[int]]
+) -> list[tuple[int, ...]]:
     """The integer coefficient vectors of sum_{k<n} eps^k (2k+1)^(2l-1) S_k(x_0..x_k)
-    for n = 1 .. n_max (entry n-1),
+    for n = 1 .. n_max (entry n-1), from table = `central_columns(n_max)`,
 
     where S_k(x_0,...,x_k) = sum_j C(k+j,2j) C(2j,j) x_j.  Collecting by
     x_j gives coeffs[j] = sum_{k=j}^{n-1} eps^k (2k+1)^(2l-1) C(k+j,2j)
-    C(2j,j): one `odd_power_sums` column per j.  C(k+j,2j) = 0 for k < j,
-    so those entries are written as 0, not read.  The divisibility
-    claim: every entry is a multiple of n.
+    C(2j,j): the running sum of the table's column j, from k = j on, as
+    C(k+j,2j) = 0 for k < j.  The divisibility claim: every entry is a
+    multiple of n.
     """
+    columns, central = table
+    n_max = len(columns)
     if n_max < 1:
         raise ValueError(f"schmidt_coefficient_rows: need n_max >= 1, got {n_max}")
-    sums = odd_power_sums(l, eps, *(
-        [0] * j + [binom_int(k + j, 2 * j) for k in range(j, n_max)] for j in range(n_max)
-    ))
-    central = [binom_int(2 * j, j) for j in range(n_max)]
-    return [tuple(map(mul, central, row[:n])) for n, row in enumerate(zip(*sums), 1)]
+    sums = staggered_sums(odd_weights(l, eps, n_max), columns)
+    return [
+        tuple(central[j] * sums[j][n - 1 - j] for j in range(n)) for n in range(1, n_max + 1)
+    ]
 
 
-def schmidt_row(l: int, eps_values: tuple[int, ...], n_max: int) -> list[CaseResult]:
+def schmidt_row(
+    l: int, eps_values: tuple[int, ...], table: tuple[list[list[int]], list[int]]
+) -> list[CaseResult]:
     """Every Schmidt-combination coefficient for (l, n, eps) is divisible
     by n, for n = 1 .. n_max and eps in eps_values, in key order: eps
-    ascending within each n."""
+    ascending within each n.  table = `central_columns(n_max)`."""
     signs = sorted(eps_values)
-    rows = [schmidt_coefficient_rows(l, eps, n_max) for eps in signs]
+    n_max = len(table[0])
+    rows = [schmidt_coefficient_rows(l, eps, table) for eps in signs]
     l_pair = ("l", l)
     eps_pairs = [("eps", eps) for eps in signs]
     cases = []
@@ -117,11 +141,13 @@ def _int_valued_case(key, values, m: int, severity: str = "theorem") -> CaseResu
     return make_case(key, x0 is None, witness, severity=severity)
 
 
-def theorem1_row(l_max: int, eps_values: tuple[int, ...], n_max: int) -> list[CaseResult]:
+def theorem1_row(
+    l_max: int, eps_values: tuple[int, ...], table: list[tuple[int, ...]]
+) -> list[CaseResult]:
     """The 1/n weighted sum for (l, n, eps) is integer-valued, for every
     l <= l_max, eps in eps_values and n = 1 .. n_max, in key order: eps
-    ascending within each (l, n)."""
-    table = build_lhs(n_max - 1, n_max)
+    ascending within each (l, n).  table = `build_lhs(n_max - 1, n_max)`."""
+    n_max = len(table)
     signs = sorted(eps_values)
     eps_pairs = [("eps", eps) for eps in signs]
     cases = []
@@ -135,9 +161,9 @@ def theorem1_row(l_max: int, eps_values: tuple[int, ...], n_max: int) -> list[Ca
     return cases
 
 
-def theorem2_row(n_max: int) -> list[CaseResult]:
-    """(1/n^2) sum_{k=0}^{n-1} (2k+1) S_k(x) is integer-valued, for n = 1 .. n_max."""
-    table = build_lhs(n_max - 1, n_max)
+def theorem2_row(table: list[tuple[int, ...]]) -> list[CaseResult]:
+    """(1/n^2) sum_{k=0}^{n-1} (2k+1) S_k(x) is integer-valued, for n = 1 .. n_max,
+    from table = `build_lhs(n_max - 1, n_max)`."""
     return [
         _int_valued_case((("n", n),), values[:n], n * n)
         for n, values in enumerate(weighted_sum_rows(1, 1, table), 1)
@@ -162,12 +188,13 @@ def catalan_form_values(n_max: int) -> list[tuple[int, ...]]:
     ], n_max)
 
 
-def catalan_identity_row(n_max: int) -> list[CaseResult]:
+def catalan_identity_row(table: list[tuple[int, ...]]) -> list[CaseResult]:
     """For every n <= n_max the Catalan-weighted sum equals the 1/n^2
-    weighted sum as a polynomial (compared at x = 0 .. n-1, see `values`)."""
-    weighted = weighted_sum_rows(1, 1, build_lhs(n_max - 1, n_max))
+    weighted sum as a polynomial (compared at x = 0 .. n-1, see `values`),
+    the latter from table = `build_lhs(n_max - 1, n_max)`."""
+    weighted = weighted_sum_rows(1, 1, table)
     cases = []
-    for n, (v, c) in enumerate(zip(weighted, catalan_form_values(n_max)), 1):
+    for n, (v, c) in enumerate(zip(weighted, catalan_form_values(len(table))), 1):
         ok = v[:n] == tuple(n * n * ci for ci in c[:n])
         witness = None
         if not ok:  # the witness reads both sides at x = 0 .. 2n-2
@@ -204,43 +231,55 @@ def catalan_terms_row(n: int, x_min: int, x_max: int) -> list[CaseResult]:
 
 # -- the mod-n^2 congruence family -------------------------------------------
 
-def conjecture_final_values(l: int, k: int, n_max: int) -> list[int]:
+def conjecture_final_values(
+    l: int, k: int, table: tuple[list[list[int]], list[int]], weights: Optional[list[int]] = None
+) -> list[int]:
     """(2l-1)!! sum_{m=k}^{n-1} (2m+1)^(2l-1) C(m+k,2k) C(2k,k)^2 for
-    n = k+1 .. n_max (entry n-k-1): the eps = 1 `odd_power_sums` column
-    C(m+k,2k), m >= k."""
-    if not 0 <= k < n_max:
-        raise ValueError(f"conjecture_final_values: need 0 <= k < n_max, got k={k}, n_max={n_max}")
-    [sums] = odd_power_sums(l, 1, [binom_int(m + k, 2 * k) for m in range(k, n_max)], first=k)
-    scale = double_factorial_odd(l) * binom_int(2 * k, k) ** 2
-    return [scale * partial for partial in sums]
+    n = k+1 .. n_max (entry n-k-1): the eps = 1 running sum of column k
+    of table = `central_columns(n_max)`.  weights, when given, are
+    `odd_weights(l, 1, n_max)`, formed once for every k of a row."""
+    columns, centrals = table
+    if not 0 <= k < len(columns):
+        raise ValueError(
+            f"conjecture_final_values: need 0 <= k < n_max, got k={k}, n_max={len(columns)}"
+        )
+    if weights is None:
+        weights = odd_weights(l, 1, len(columns))
+    scale = double_factorial_odd(l) * centrals[k] ** 2
+    return [scale * partial for partial in accumulate(map(mul, weights[k:], columns[k]))]
 
 
-def conjecture_final_row(l: int, n_max: int) -> list[CaseResult]:
+def conjecture_final_row(l: int, table: tuple[list[list[int]], list[int]]) -> list[CaseResult]:
     """The congruence mod n^2 at (l, n, k), for n = 1 .. n_max and k < n,
-    in key order.
+    in key order, from table = `central_columns(n_max)`.
 
     Cell (n, k) is entry n-k-1 of the row's `conjecture_final_values`
     column k.  The key pairs are built once: ("l", l) for the row,
     ("n", n) per n, ("k", k) per k.  l = 1 cells are proved and also
-    have to match the closed form n C(n,k+1) C(n+k,k) C(2k,k) exactly;
-    l >= 2 cells are conjectures.
+    have to match the closed form n C(n,k+1) C(n+k,k) C(2k,k) exactly,
+    entry k of `telescope_rhs(n)` times C(2k,k); l >= 2 cells are
+    conjectures.
     """
     severity = "theorem" if l == 1 else "conjecture"
-    columns = [conjecture_final_values(l, k, n_max) for k in range(n_max)]
+    centrals = table[1]
+    n_max = len(centrals)
+    weights = odd_weights(l, 1, n_max)
+    columns = [conjecture_final_values(l, k, table, weights) for k in range(n_max)]
     l_pair = ("l", l)
     k_pairs = [("k", k) for k in range(n_max)]
     cases = []
     for n in range(1, n_max + 1):
         n_pair = ("n", n)
         modulus = n * n
+        # The proved route: at l=1 the sum telescopes to a closed product.
+        closed_forms = telescope_rhs(n) if l == 1 else None
         for k in range(n):
             value = columns[k][n - k - 1]
             witness = None
             if value % modulus:
                 witness = f"value {value} = {value % modulus} mod {modulus}"
             elif l == 1:
-                # The proved route: at l=1 the sum telescopes to a closed product.
-                closed = n * binom_int(n, k + 1) * binom_int(n + k, k) * binom_int(2 * k, k)
+                closed = closed_forms[k] * centrals[k]
                 if value != closed:
                     witness = f"value {value} != closed form {closed}"
             key = (l_pair, n_pair, k_pairs[k])
@@ -250,22 +289,29 @@ def conjecture_final_row(l: int, n_max: int) -> list[CaseResult]:
 
 # -- numeric spot checks for general power m ---------------------------------
 
+def sun_m_sums(m: int, n_max: int, x_min: int, x_max: int) -> list[list[int]]:
+    """The power sums `power_sums(m, x0, n_max)` at x0 = x_min .. x_max,
+    which every l row of conjecture-sun-m reads."""
+    return [power_sums(m, x0, n_max) for x0 in range(x_min, x_max + 1)]
+
+
 def sun_m_row(
-    m: int, l: int, n_max: int, eps_values: tuple[int, ...], x_min: int, x_max: int
+    m: int, l: int, eps_values: tuple[int, ...], x_min: int, sums: list[list[int]]
 ) -> list[CaseResult]:
     """Pointwise integrality at each x0 = x_min .. x_max, for every
     n <= n_max and eps in eps_values, of
     (1/n) sum_k eps^k (2k+1)^(2l-1) sum_j C(-x0-1,j)^m C(x0,k-j)^m,
     in key order: (n, eps, x), eps ascending.
 
-    The power sums (`identities.power_sums`) are built once per x0 and
-    summed by `odd_power_sums` for each eps: at m = 2 they are
-    `build_lhs`'s column x0, so the sums are theorem1's at x0.
-    m <= 2 instances are proved; m >= 3 ones are open.  The case key
-    leaves m out: one report holds a single m, which its config echoes.
+    sums = `sun_m_sums(m, n_max, x_min, x_max)`, the power sums
+    (`identities.power_sums`) at each x0, are summed by `odd_power_sums`
+    for each eps: at m = 2 they are `build_lhs`'s column x0, so the sums
+    are theorem1's at x0.  m <= 2 instances are proved; m >= 3 ones are
+    open.  The case key leaves m out: one report holds a single m, which
+    its config echoes.
     """
-    xs = range(x_min, x_max + 1)
-    sums = [power_sums(m, x0, n_max) for x0 in xs]
+    xs = range(x_min, x_min + len(sums))
+    n_max = len(sums[0])
     signs = sorted(eps_values)
     totals = [odd_power_sums(l, eps, *sums) for eps in signs]
     severity = "theorem" if m <= 2 else "conjecture"
@@ -305,14 +351,14 @@ def sun_m_regime(m: int, n_max: int, points: int) -> str:
 
 # -- the (2l-1)!!/n^2 strengthening ------------------------------------------
 
-def sun_ii_row(l_max: int, n_max: int) -> list[CaseResult]:
+def sun_ii_row(l_max: int, table: list[tuple[int, ...]]) -> list[CaseResult]:
     """((2l-1)!!/n^2) sum_{k=0}^{n-1} (2k+1)^(2l-1) S_k(x) is integer-valued,
-    for every l <= l_max and n = 1 .. n_max.
+    for every l <= l_max and n = 1 .. n_max, from table =
+    `build_lhs(n_max - 1, n_max)`.
 
     l = 1 is the proved 1/n^2 statement; l >= 2 instances follow from
     the open mod-n^2 congruence, so they carry conjecture severity.
     """
-    table = build_lhs(n_max - 1, n_max)
     return [
         _int_valued_case(
             (("l", l), ("n", n)), [double_factorial_odd(l) * v for v in values[:n]], n * n,

@@ -13,16 +13,22 @@ at x = 0, 1, ..., as one table S_0 .. S_n per call; nothing is cached.
 every k at once: the Chu-Vandermonde sums at m = 1, the left table at
 m = 2.  `in_central_basis` evaluates sums in the basis C(x+k,2k): the
 right table, and the Catalan form in `congruences`.
-`odd_power_sums` is the one weighted running sum
-sum_{k<n} eps^k (2k+1)^(2l-1) X_k, of the telescope's left side here
-and of every prefix-sum row in `congruences`.
+`odd_weights` forms the weights of the weighted running sum
+sum_{k<n} eps^k (2k+1)^(2l-1) X_k of every prefix-sum row, here and in
+`congruences`.  `odd_power_sums` sums columns that all start at one k;
+`staggered_sums` sums column k from weight k on, which is how the
+telescope's left side here, and conjecture-final and lemma-schmidt in
+`congruences`, read the columns C(m+k,2k) of `central_columns`.  Tables
+that several rows read arrive as arguments: `cli` builds them once per
+run.
 Every polynomial claim here is symmetric about x = -1/2, so by the
 symmetric rule of `values` it is decided at x = 0 .. d only: S_n at
 x = 0 .. n, the order-2 recurrence's residual at x = 0 .. n+2, the
 Chu-Vandermonde sum at x = 0 .. k//2.  A failing cell rebuilds its
 values at x = 0 .. 2d for its witness.
 The module also checks a telescoping sum of odd-weighted binomials
-(one row, one `odd_power_sums` column per k) and two rational-value
+(one row, one running sum per column k, against the closed form that
+`telescope_rhs` forms by running products) and two rational-value
 identities at x = -1/2 and x = -1/4, -3/4, one row over n each, decided
 on integers: with C(p/q, k) = p(p-q)...(p-(k-1)q) / (q^k k!), the
 scaled left side is a fraction N / D of integers, and a cell passes
@@ -39,7 +45,7 @@ from __future__ import annotations
 import math
 from itertools import accumulate, zip_longest
 from operator import mul, neg
-from typing import Callable, Optional
+from typing import Optional
 
 from .combinat import binom_int
 from .report import CaseResult, make_case
@@ -50,7 +56,11 @@ __all__ = [
     "build_rhs",
     "power_sums",
     "in_central_basis",
+    "odd_weights",
     "odd_power_sums",
+    "staggered_sums",
+    "central_columns",
+    "telescope_rhs",
     "coeff_mismatch",
     "transform_row",
     "recurrence_coefficients",
@@ -84,18 +94,40 @@ def in_central_basis(weights: list[list[int]], points: int) -> list[tuple[int, .
     return [tuple(sum(map(mul, w, row)) for row in basis) for w in weights]
 
 
+def odd_weights(l: int, eps: int, stop: int, first: int = 0) -> list[int]:
+    """eps^k (2k+1)^(2l-1) for k = first .. stop-1."""
+    if l < 1 or eps not in (1, -1):
+        raise ValueError(f"odd_weights: need l >= 1 and eps = +1 or -1, got l={l}, eps={eps}")
+    weights = [(2 * k + 1) ** (2 * l - 1) for k in range(first, stop)]
+    if eps == -1:
+        odd_k = slice(1 - first % 2, None, 2)
+        weights[odd_k] = map(neg, weights[odd_k])
+    return weights
+
+
 def odd_power_sums(l: int, eps: int, *columns, first: int = 0) -> list[list[int]]:
     """sum_{k=first}^{n-1} eps^k (2k+1)^(2l-1) X_k for n = first+1, ...
     (entry n-first-1), for each column X_first, X_first+1, ... of ints;
     the weights are formed once for all columns."""
-    if l < 1 or eps not in (1, -1):
-        raise ValueError(f"odd_power_sums: need l >= 1 and eps = +1 or -1, got l={l}, eps={eps}")
     size = max(map(len, columns), default=0)
-    weights = [(2 * k + 1) ** (2 * l - 1) for k in range(first, first + size)]
-    if eps == -1:
-        odd_k = slice(1 - first % 2, None, 2)
-        weights[odd_k] = map(neg, weights[odd_k])
+    weights = odd_weights(l, eps, first + size, first)
     return [list(accumulate(map(mul, weights, column))) for column in columns]
+
+
+def staggered_sums(weights: list[int], columns: list[list[int]]) -> list[list[int]]:
+    """sum_{m=k}^{n-1} weights[m] X_m for n = k+1, ... (entry n-k-1), for
+    each column k = 0, 1, ... of ints X_k, X_k+1, ...: column k is summed
+    from weight k on, so one list of `odd_weights` serves every column."""
+    return [list(accumulate(map(mul, weights[k:], column))) for k, column in enumerate(columns)]
+
+
+def central_columns(n_max: int) -> tuple[list[list[int]], list[int]]:
+    """(columns, centrals) for k = 0 .. n_max-1: column k holds C(m+k,2k)
+    for m = k .. n_max-1, and centrals[k] is C(2k,k).  The telescope's
+    left side sums them, and so do conjecture-final, q-specialize and
+    lemma-schmidt (as C(k+j,2j), k >= j) in `congruences`."""
+    columns = [[binom_int(m + k, 2 * k) for m in range(k, n_max)] for k in range(n_max)]
+    return columns, [binom_int(2 * k, k) for k in range(n_max)]
 
 
 def build_lhs(n_max: int, points: int) -> list[tuple[int, ...]]:
@@ -132,12 +164,12 @@ def _forms(n: int, points: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return build_lhs(n, points)[n], build_rhs(n, points)[n]
 
 
-def transform_row(n_max: int) -> list[CaseResult]:
+def transform_row(lhs: list[tuple[int, ...]], rhs: list[tuple[int, ...]]) -> list[CaseResult]:
     """Both closed forms of S_n agree, for n = 0 .. n_max: cell n compares
-    the first n+1 values of one table of each form at x = 0 .. n_max."""
-    lhs, rhs = build_lhs(n_max, n_max + 1), build_rhs(n_max, n_max + 1)
+    the first n+1 values of the tables lhs = `build_lhs(n_max, n_max + 1)`
+    and rhs = `build_rhs(n_max, n_max + 1)`."""
     cases = []
-    for n in range(n_max + 1):
+    for n in range(len(lhs)):
         ok = lhs[n][: n + 1] == rhs[n][: n + 1]
         witness = None if ok else coeff_mismatch(*map(coefficients, _forms(n, 2 * n + 1)))
         cases.append(make_case((("n", n),), ok, witness))
@@ -164,13 +196,16 @@ def recurrence_coefficients(n: int, x: int) -> tuple[int, int, int]:
 _BASE_CASES = {0: [1], 1: [1, 2, 2]}  # S_0 and S_1, little-endian in x
 
 
-def recurrence_base_row() -> list[CaseResult]:
+def recurrence_base_row(
+    lhs: list[tuple[int, ...]], rhs: list[tuple[int, ...]]
+) -> list[CaseResult]:
     """Both closed forms give the base cases S_0 = 1 and S_1 = 2x^2+2x+1
-    that start the order-2 recurrence, compared at x = 0 .. n."""
+    that start the order-2 recurrence, compared at x = 0 .. n: the first
+    n+1 values of entry n of the tables lhs and rhs of `recurrence_row`."""
     cases = []
     for n, base in _BASE_CASES.items():
-        lhs, rhs = _forms(n, n + 1)
-        ok = lhs == rhs == tuple(sum(c * x ** i for i, c in enumerate(base)) for x in range(n + 1))
+        expected = tuple(sum(c * x ** i for i, c in enumerate(base)) for x in range(n + 1))
+        ok = lhs[n][: n + 1] == rhs[n][: n + 1] == expected
         witness = None
         if not ok:  # the witness reads both forms at x = 0 .. 2n
             lhs_p, rhs_p = (poly_text(coefficients(v)) for v in _forms(n, 2 * n + 1))
@@ -186,15 +221,14 @@ def _residual(table: list[tuple[int, ...]], n: int, points: int) -> list[int]:
             for x, (a, b, c) in enumerate(coeffs)]
 
 
-def recurrence_row(family: str, n_max: int) -> list[CaseResult]:
+def recurrence_row(family: str, table: list[tuple[int, ...]]) -> list[CaseResult]:
     """The closed form `family` ("lhs" or "rhs") satisfies the order-2
-    recurrence: one table S_0 .. S_{n_max} at x = 0 .. n_max is built and,
-    at each n <= n_max - 2, the residual, symmetric of degree at most
-    2n+4 (b_n depends on x only through x(x+1)), is formed at x = 0 .. n+2."""
+    recurrence: `table` is its S_0 .. S_{n_max} at x = 0 .. n_max and, at
+    each n <= n_max - 2, the residual, symmetric of degree at most 2n+4
+    (b_n depends on x only through x(x+1)), is formed at x = 0 .. n+2."""
     build = build_lhs if family == "lhs" else build_rhs
-    table = build(n_max, n_max + 1)
     cases = []
-    for n in range(n_max - 1):
+    for n in range(len(table) - 2):
         ok = not any(_residual(table, n, n + 3))
         witness = None
         if not ok:  # the witness reads the residual at x = 0 .. 2n+4
@@ -230,27 +264,35 @@ def chu_row(k_max: int) -> list[CaseResult]:
 
 # -- telescoping sum ---------------------------------------------------------
 
-def telescope_row(n_max: int) -> list[CaseResult]:
+def telescope_rhs(n: int) -> list[int]:
+    """n C(n,k+1) C(n+k,k) for k = 0 .. n-1, by a running product in k
+    from n^2 at k = 0: entry k+1 is entry k times (n-k-1)(n+k+1), divided
+    exactly by (k+1)(k+2)."""
+    forms, t = [], n * n
+    for k in range(n):
+        forms.append(t)
+        t = t * ((n - k - 1) * (n + k + 1)) // ((k + 1) * (k + 2))
+    return forms
+
+
+def telescope_row(table: tuple[list[list[int]], list[int]]) -> list[CaseResult]:
     """sum_{m=k}^{n-1} (2m+1) C(m+k,2k) C(2k,k) = n C(n,k+1) C(n+k,k), for
     n = 1 .. n_max and k < n, in key order.
 
-    The left side of cell (n, k) is entry n-k-1 of the l = 1, eps = 1
-    `odd_power_sums` column C(m+k,2k), m >= k, times C(2k,k); the right
-    side is the closed form at (n, k).  The key pairs ("n", n) and
-    ("k", k) are built once each.
+    table = `central_columns(n_max)`.  The left side of cell (n, k) is
+    entry n-k-1 of the l = 1, eps = 1 running sum of column k, times
+    C(2k,k); the right side is entry k of `telescope_rhs(n)`.  The key
+    pairs ("n", n) and ("k", k) are built once each.
     """
-    columns = [
-        odd_power_sums(1, 1, [binom_int(m + k, 2 * k) for m in range(k, n_max)], first=k)[0]
-        for k in range(n_max)
-    ]
-    centrals = [binom_int(2 * k, k) for k in range(n_max)]
+    columns, centrals = table
+    n_max = len(columns)
+    sums = staggered_sums(odd_weights(1, 1, n_max), columns)
     k_pairs = [("k", k) for k in range(n_max)]
     cases = []
     for n in range(1, n_max + 1):
         n_pair = ("n", n)
-        for k in range(n):
-            lhs = columns[k][n - k - 1] * centrals[k]
-            rhs = n * binom_int(n, k + 1) * binom_int(n + k, k)
+        for k, rhs in enumerate(telescope_rhs(n)):
+            lhs = sums[k][n - k - 1] * centrals[k]
             ok = lhs == rhs
             cases.append(make_case((n_pair, k_pairs[k]), ok, None if ok else f"{lhs} != {rhs}"))
     return cases
@@ -274,33 +316,36 @@ def _rational_point_lhs(p1: int, p2: int, q: int, scale: int, n_max: int) -> lis
     ]
 
 
-def _rational_point_row(
-    p1: int, p2: int, q: int, scale: int, n_max: int, term: Callable[[int, int], int]
-) -> list[CaseResult]:
-    """Cell n, for n = 0 .. n_max, compares the pair (N, D) of
-    `_rational_point_lhs` with rhs = sum_{k<=n} term(n, k) and passes
-    when N == rhs D; only a failing cell forms N / D."""
+def _rational_point_row(p1: int, p2: int, q: int, scale: int, rhs: list[int]) -> list[CaseResult]:
+    """Cell n, for n = 0 .. len(rhs) - 1, compares the pair (N, D) of
+    `_rational_point_lhs` with rhs[n] and passes when N == rhs[n] D;
+    only a failing cell forms N / D."""
+    lhs = _rational_point_lhs(p1, p2, q, scale, len(rhs) - 1)
     cases = []
-    for n, (num, den) in enumerate(_rational_point_lhs(p1, p2, q, scale, n_max)):
-        rhs = sum(term(n, k) for k in range(n + 1))
-        ok = num == rhs * den
-        cases.append(make_case((("n", n),), ok, None if ok else f"{fraction(num, den)} != {rhs}"))
+    for n, ((num, den), right) in enumerate(zip(lhs, rhs)):
+        ok = num == right * den
+        cases.append(make_case((("n", n),), ok, None if ok else f"{fraction(num, den)} != {right}"))
     return cases
 
 
 def sun_one_row(n_max: int) -> list[CaseResult]:
     """16^n sum C(-1/2,k)^2 C(-1/2,n-k)^2 = sum C(2k,k)^3 C(k,n-k) (-16)^(n-k),
-    for n = 0 .. n_max; C(2k,k)^3 is formed once for every n."""
+    for n = 0 .. n_max; C(2k,k)^3 and (-16)^j are formed once for every n."""
     cubes = [binom_int(2 * k, k) ** 3 for k in range(n_max + 1)]
-    return _rational_point_row(
-        -1, -1, 2, 16, n_max, lambda n, k: cubes[k] * binom_int(k, n - k) * (-16) ** (n - k)
-    )
+    powers = [(-16) ** j for j in range(n_max + 1)]
+    return _rational_point_row(-1, -1, 2, 16, [
+        sum(cubes[k] * binom_int(k, n - k) * powers[n - k] for k in range(n + 1))
+        for n in range(n_max + 1)
+    ])
 
 
 def sun_two_row(n_max: int) -> list[CaseResult]:
     """64^n sum C(-1/4,k)^2 C(-3/4,n-k)^2 = sum C(2k,k)^3 C(2n-2k,n-k) 16^(n-k),
-    for n = 0 .. n_max; C(2k,k) is formed once for every n."""
+    for n = 0 .. n_max; C(2k,k)^3 and C(2j,j) 16^j are formed once for
+    every n, and the right side is their convolution."""
     central = [binom_int(2 * k, k) for k in range(n_max + 1)]
-    return _rational_point_row(
-        -1, -3, 4, 64, n_max, lambda n, k: central[k] ** 3 * central[n - k] * 16 ** (n - k)
-    )
+    cubes = [c ** 3 for c in central]
+    tails = [c * 16 ** j for j, c in enumerate(central)]
+    return _rational_point_row(-1, -3, 4, 64, [
+        sum(map(mul, cubes[: n + 1], tails[n::-1])) for n in range(n_max + 1)
+    ])

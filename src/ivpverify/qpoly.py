@@ -20,7 +20,9 @@ divides A for every d | n, d > 1, with floor(2k/d) = 2 floor(k/d).
 Phi_d^2 divides (1 - q^d)^2, so A is reduced to its 2d coefficients
 modulo (1 - q^d)^2 and these are divided by the monic Phi_d^2, each d
 in increasing order until one does not divide; Phi_d is the product of
-the (1 - q^e)^mu(d/e) over e | d, by the same pair.
+the (1 - q^e)^mu(d/e) over e | d, by the same pair.  Each Phi_d^2,
+d <= n_max, is built and squared once per run, by `phi_squares`, and
+every q-sun row reads it.
 
 Only a failing cell forms a remainder, its witness, and that path
 works on residues too: since [n]^2 (1 - q)^2 = (1 - q^n)^2, the
@@ -47,6 +49,7 @@ __all__ = [
     "q_binom",
     "remainder_by_q_integer_squared",
     "q_sun_sums",
+    "phi_squares",
     "q_sun_row",
     "q_specialize_row",
 ]
@@ -55,8 +58,8 @@ __all__ = [
 def _product(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Coefficients of the product of two coefficient lists (schoolbook:
     one shifted copy of b per coefficient of a).  It squares Phi_d, once
-    per d in a q-sun row, and multiplies the residues of a failing cell
-    in `remainder_by_q_integer_squared`."""
+    per d in `phi_squares`, and multiplies the residues of a failing
+    cell in `remainder_by_q_integer_squared`."""
     out = [0] * (len(a) + len(b) - 1) if a and b else []
     for i, x in enumerate(a):
         if x:
@@ -170,17 +173,24 @@ def _monic_remainder(coeffs: Sequence[int], divisor: Sequence[int]) -> list[int]
     return rem[:top]
 
 
-def _cyclotomic_verdict(a: Sequence[int], n: int, k: int, squares: dict[int, list[int]]) -> bool:
+def phi_squares(n_max: int) -> list[list[int]]:
+    """Phi_d^2 at entry d, for d = 2 .. n_max (entries 0 and 1 are empty):
+    every square a q-sun row up to n_max may divide by."""
+    squares = [[], []]
+    for d in range(2, n_max + 1):
+        phi = _cyclotomic(d)
+        squares.append(_product(phi, phi))
+    return squares
+
+
+def _cyclotomic_verdict(a: Sequence[int], n: int, k: int, squares: list[list[int]]) -> bool:
     """Whether [n]^2 divides a [2k choose k]^2: whether Phi_d^2 divides
     a for each d | n, d > 1, with floor(2k/d) = 2 floor(k/d), tried in
     increasing order.  q is a unit modulo Phi_d^2, so the exponent of
-    a's first coefficient does not matter.  squares maps d to Phi_d^2
-    and gains each one this call is the first to need."""
+    a's first coefficient does not matter.  squares = `phi_squares(m)`,
+    m >= n."""
     for d in range(2, n + 1):
         if n % d == 0 and 2 * k // d == 2 * (k // d):
-            if d not in squares:
-                phi = _cyclotomic(d)
-                squares[d] = _product(phi, phi)
             if any(_monic_remainder(_residue(a, d), squares[d])):
                 return False
     return True
@@ -234,12 +244,12 @@ def _q_text(coeffs: Sequence[int], low: int) -> str:
     return terms_text(enumerate(coeffs, low), "q")
 
 
-def q_sun_row(k: int, n_max: int) -> list[CaseResult]:
+def q_sun_row(k: int, n_max: int, squares: list[list[int]]) -> list[CaseResult]:
     """[n]^2 divides the q-sum A_n [2k choose k]^2, for n = k+1 .. n_max.
-    Each cell is decided from the cyclotomic factors of [n]^2; only a
-    failing cell forms [2k choose k] and its remainder, the witness,
-    and raises ArithmeticError if that remainder is zero."""
-    squares: dict[int, list[int]] = {}  # Phi_d^2 by d, built once per row
+    Each cell is decided from the cyclotomic factors of [n]^2, with
+    squares = `phi_squares(n_max)`, built once for every row of the run;
+    only a failing cell forms [2k choose k] and its remainder, the
+    witness, and raises ArithmeticError if that remainder is zero."""
     cases = []
     for n, (low, a) in enumerate(q_sun_sums(k, n_max), k + 1):
         ok = _cyclotomic_verdict(a, n, k, squares)
@@ -253,14 +263,14 @@ def q_sun_row(k: int, n_max: int) -> list[CaseResult]:
     return cases
 
 
-def q_specialize_row(k: int, n_max: int) -> list[CaseResult]:
+def q_specialize_row(k: int, table: tuple[list[list[int]], list[int]]) -> list[CaseResult]:
     """Setting q = 1 in the q-sum A_n [2k choose k]^2 reproduces the
     classical weighted sum sum_m (2m+1) C(m+k,2k) C(2k,k)^2, for
     n = k+1 .. n_max; the classical sums are the l = 1 running sums of
-    conjecture-final."""
+    conjecture-final, from table = `identities.central_columns(n_max)`."""
     central_sq = sum(q_binom(2 * k, k)) ** 2
     cases = []
-    pairs = zip(q_sun_sums(k, n_max), conjecture_final_values(1, k, n_max))
+    pairs = zip(q_sun_sums(k, len(table[0])), conjecture_final_values(1, k, table))
     for n, ((_, a), classical) in enumerate(pairs, k + 1):
         at_one = sum(a) * central_sq
         ok = at_one == classical

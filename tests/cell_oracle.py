@@ -10,7 +10,11 @@ function must produce for that key, witness and severity included.
 
 Every binomial of a cell goes through this module's own `binom_int` and
 every S_k(x) through its own `build_lhs`, so a test can corrupt one and
-the verifier's copy the same way and compare the failing cells too.
+the verifier's copy the same way and compare the failing cells too; the
+one exception is the closed form n C(n,k+1) C(n+k,k) of the telescope
+and of conjecture-final at l = 1, which the verifier forms by running
+products and this module as `telescope_rhs`, from `math.comb`, so a
+test corrupts the two closed forms instead.
 `build_lhs` and `build_rhs` keep the per-term formulas of the two closed
 forms, one S_n per call and one `binom_int` call per binomial: they
 oracle the verifier's table builders, whose values come through
@@ -220,6 +224,13 @@ def power_sum_at(m: int, k: int, x0: int) -> int:
     return sum(
         binom_int(-x0 - 1, j) ** m * binom_int(x0, k - j) ** m for j in range(k + 1)
     )
+
+
+def telescope_rhs(n: int, k: int) -> int:
+    """n C(n,k+1) C(n+k,k), the telescope's closed form, from `math.comb`:
+    the verifier forms it by a running product in k, which reads no
+    `binom_int`, so a fault drawn into `binom_int` reaches neither."""
+    return n * math.comb(n, k + 1) * math.comb(n + k, k)
 
 
 def telescope_lhs(n: int, k: int) -> int:
@@ -448,7 +459,7 @@ def chu_case(k):
 def telescope_case(key):
     n, k = key
     lhs = telescope_lhs(n, k)
-    rhs = n * binom_int(n, k + 1) * binom_int(n + k, k)
+    rhs = telescope_rhs(n, k)
     ok = lhs == rhs
     return make_case((("n", n), ("k", k)), ok, None if ok else f"{lhs} != {rhs}")
 
@@ -549,7 +560,7 @@ def conjecture_final_case(key):
     if not case.holds:
         witness = f"value {case.value} = {case.value % case.modulus} mod {case.modulus}"
     elif l == 1:
-        closed = n * binom_int(n, k + 1) * binom_int(n + k, k) * binom_int(2 * k, k)
+        closed = telescope_rhs(n, k) * binom_int(2 * k, k)
         if case.value != closed:
             witness = f"value {case.value} != closed form {closed}"
     return make_case((("l", l), ("n", n), ("k", k)), witness is None, witness, severity=severity)

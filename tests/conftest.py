@@ -115,8 +115,12 @@ def watch_rows(monkeypatch):
             on_run(row)
             return row()
 
+        def watched_rows(rows):
+            return lambda config, tables: [partial(watched, row) for row in rows(config, tables)]
+
         for name, task in list(cli._TASKS.items()):
-            monkeypatch.setitem(cli._TASKS, name, dataclasses.replace(
-                task, rows=lambda c, rows=task.rows: [partial(watched, row) for row in rows(c)]))
+            monkeypatch.setitem(
+                cli._TASKS, name, dataclasses.replace(task, rows=watched_rows(task.rows))
+            )
 
     return watch

@@ -47,8 +47,8 @@ def _replace_rows(monkeypatch, task, row):
     """Make every row of task call `row` on that row's arguments instead."""
     entry = cli._TASKS[task]
 
-    def rows(config):
-        return [functools.partial(row, *original.args) for original in entry.rows(config)]
+    def rows(config, tables):
+        return [functools.partial(row, *original.args) for original in entry.rows(config, tables)]
 
     monkeypatch.setitem(cli._TASKS, task, dataclasses.replace(entry, rows=rows))
 
@@ -257,7 +257,7 @@ def test_every_task_is_queued_before_any_result_is_read(monkeypatch, cores, fork
     config = cli.GridConfig("all", n_max=4, l_max=2, x_min=-2, x_max=2, jobs=2)
     parallel = cli.run(config)
     monkeypatch.undo()  # the serial run and the row lists below go unwatched
-    rows = [row for name in cli._TASKS for row in cli._TASKS[name].rows(config)]
+    rows = [row for task_rows in cli._task_rows(config).values() for row in task_rows]
     count = min(len(rows), gridrun._MAX_CHUNKS)
     assert events[:2] == [("write", count * gridrun._RECORD), ("fork",)]
     assert {event for event in events[2:]} <= {("row",)}
@@ -280,7 +280,9 @@ def test_a_raising_row_in_a_worker_exits_three(capsys, monkeypatch, forks):
     # The first task's one row raises in a worker process while the rows
     # of every later task are queued behind it.
     first = next(iter(cli._TASKS))
-    broken = dataclasses.replace(cli._TASKS[first], rows=lambda c: [functools.partial(divmod, 1, 0)])
+    broken = dataclasses.replace(
+        cli._TASKS[first], rows=lambda c, t: [functools.partial(divmod, 1, 0)]
+    )
     monkeypatch.setitem(cli._TASKS, first, broken)
     assert cli.main(["all", "--n-max", "4", "--l-max", "2", "--jobs", "2"]) == 3
     captured = capsys.readouterr()
@@ -457,6 +459,16 @@ def test_jobs_env_var_is_default(monkeypatch, capsys):
     capsys.readouterr()
     monkeypatch.setenv(cli.JOBS_ENV, "zero")
     assert cli.main(["chu-vandermonde", "--k-max", "3"]) == 2
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_jobs_env_var_below_one_names_the_variable(monkeypatch, capsys, value):
+    # The bad count came from the environment, not from a --jobs flag.
+    monkeypatch.setenv(cli.JOBS_ENV, value)
+    assert cli.main(["telescope"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {cli.JOBS_ENV} must be >= 1, got {value!r}\n"
 
 
 def test_config_echo_excludes_execution_details(capsys):

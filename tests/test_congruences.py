@@ -12,7 +12,7 @@ from ivpverify.congruences import (
     weighted_sum_rows,
 )
 from ivpverify.cli import GridConfig, run
-from ivpverify.identities import build_lhs
+from ivpverify.identities import build_lhs, central_columns
 from ivpverify.values import coefficients, forward_differences
 
 
@@ -30,9 +30,9 @@ def _at(coeffs, x0):
 
 
 def test_schmidt_coeffs_frozen_examples():
-    assert schmidt_coefficient_rows(1, 1, 2) == [(1,), (4, 6)]
-    assert schmidt_coefficient_rows(2, -1, 2)[1] == (-26, -54)
-    assert schmidt_coefficient_rows(1, -1, 1) == [(1,)]  # divisible by n = 1
+    assert schmidt_coefficient_rows(1, 1, central_columns(2)) == [(1,), (4, 6)]
+    assert schmidt_coefficient_rows(2, -1, central_columns(2))[1] == (-26, -54)
+    assert schmidt_coefficient_rows(1, -1, central_columns(1)) == [(1,)]  # divisible by n = 1
 
 
 def test_schmidt_divisibility_grid():
@@ -44,11 +44,11 @@ def test_schmidt_divisibility_grid():
 
 def test_schmidt_rejects_bad_args():
     with pytest.raises(ValueError):
-        schmidt_coefficient_rows(0, 1, 2)
+        schmidt_coefficient_rows(0, 1, central_columns(2))
     with pytest.raises(ValueError):
-        schmidt_coefficient_rows(1, 2, 2)
+        schmidt_coefficient_rows(1, 2, central_columns(2))
     with pytest.raises(ValueError):
-        schmidt_coefficient_rows(1, 1, 0)
+        schmidt_coefficient_rows(1, 1, central_columns(0))
 
 
 def test_schmidt_combination_recovers_weighted_sum():
@@ -57,7 +57,7 @@ def test_schmidt_combination_recovers_weighted_sum():
     for l in (1, 2):
         for eps in (1, -1):
             weighted = weighted_sum_rows(l, eps, build_lhs(4, 9))
-            for n, coeffs in enumerate(schmidt_coefficient_rows(l, eps, 5), 1):
+            for n, coeffs in enumerate(schmidt_coefficient_rows(l, eps, central_columns(5)), 1):
                 values = tuple(
                     sum(
                         cj * binom_int(2 * j, j) * binom_int(x + j, 2 * j)
@@ -123,24 +123,24 @@ def test_catalan_form_report_keys():
 
 
 def test_conjecture_final_frozen_values():
-    assert conjecture_final_values(1, 0, 2) == [1, 4]  # n = 1, 2 at k = 0
-    assert conjecture_final_values(1, 1, 2) == [12]
-    value = conjecture_final_values(2, 0, 3)[2]
+    assert conjecture_final_values(1, 0, central_columns(2)) == [1, 4]  # n = 1, 2 at k = 0
+    assert conjecture_final_values(1, 1, central_columns(2)) == [12]
+    value = conjecture_final_values(2, 0, central_columns(3))[2]
     assert value == 459 and value % 9 == 0
 
 
 def test_conjecture_final_rejects_out_of_range_k():
     with pytest.raises(ValueError):
-        conjecture_final_values(1, 3, 3)
+        conjecture_final_values(1, 3, central_columns(3))
     with pytest.raises(ValueError):
-        conjecture_final_values(1, -1, 3)
+        conjecture_final_values(1, -1, central_columns(3))
     with pytest.raises(ValueError):
-        conjecture_final_values(0, 0, 3)
+        conjecture_final_values(0, 0, central_columns(3))
 
 
 def test_conjecture_final_l1_closed_form():
     for k in range(25):
-        for n, value in enumerate(conjecture_final_values(1, k, 25), k + 1):
+        for n, value in enumerate(conjecture_final_values(1, k, central_columns(25)), k + 1):
             closed = n * binom_int(n, k + 1) * binom_int(n + k, k) * binom_int(2 * k, k)
             assert value == closed
 

@@ -16,7 +16,10 @@ fail that cell and every later one.
 The scalar tasks' witness literals were recorded when every polynomial
 was still built from its rational coefficients and every cell still
 formatted a witness; their faults change one binomial or
-coefficient.  The catalan-form summand literals were recorded when the
+coefficient.  The closed form n C(n,k+1) C(n+k,k) of telescope and of
+conjecture-final at l = 1 is now a running product that reads no
+binomial, so their faults change the factor C(n,k+1) of one entry of
+`telescope_rhs` instead, and telescope's keeps its literal.  The catalan-form summand literals were recorded when the
 summands became one row per n, which forms each weight once: their
 faults change one binomial of a weight.  The q-sun and q-specialize
 faults add 1 to one coefficient of one unscaled q-sum A_n, so the full product
@@ -393,7 +396,9 @@ def _corrupt_binom(monkeypatch, module, bad_args):
 
 
 def test_telescope_fault_witness(tmp_path, monkeypatch):
-    _corrupt_binom(monkeypatch, identities, (4, 3))  # only the n=4, k=2 right side
+    # The closed form n C(n,k+1) C(n+k,k) at (n, k) = (4, 2), 240, as if
+    # C(4,3) = 4 read 5: its running product reads no binomial.
+    _corrupt_entry(monkeypatch, identities, "telescope_rhs", (4,), 2, lambda t: t // 4 * 5)
     rc, failed = _failures(tmp_path, ["telescope", "--n-max", "4"])
     assert rc == 1
     assert failed == [{
@@ -435,6 +440,19 @@ def test_conjecture_final_fault_witnesses(tmp_path, monkeypatch):
         {"key": {"l": 2, "n": 3, "k": 1}, "status": "fail",
          "witness": "value 4825 = 1 mod 9", "severity": "conjecture"},
     ]
+
+
+def test_conjecture_final_closed_form_fault_witness(tmp_path, monkeypatch):
+    # The l = 1 closed form at (n, k) = (3, 1) is entry 1 of
+    # telescope_rhs(3), 3 C(3,2) C(4,1) = 36, times C(2,1): as if C(3,2)
+    # = 3 read 4, it is 96, and the value 72 no longer matches it.
+    _corrupt_entry(monkeypatch, congruences, "telescope_rhs", (3,), 1, lambda t: t // 3 * 4)
+    rc, failed = _failures(tmp_path, ["conjecture-final", "--l-max", "2", "--n-max", "3"])
+    assert rc == 1
+    assert failed == [{
+        "key": {"l": 1, "n": 3, "k": 1}, "status": "fail",
+        "witness": "value 72 != closed form 96", "severity": "theorem",
+    }]
 
 
 def test_conjecture_final_fault_keeps_its_k(tmp_path, monkeypatch):

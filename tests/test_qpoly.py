@@ -14,7 +14,7 @@ from cell_oracle import LaurentPoly, conjecture_final_value, laurent_divisible, 
 from hypothesis import assume, example, given, settings, strategies as st
 from sympy import Poly, cyclotomic_poly, symbols
 
-from ivpverify import qpoly
+from ivpverify import cli, qpoly
 from ivpverify.combinat import binom_int
 from ivpverify.qpoly import q_sun_sums, remainder_by_q_integer_squared
 from ivpverify.cli import GridConfig, run
@@ -418,7 +418,7 @@ def test_q_sun_row_matches_long_division_under_faults(n, k, shape, scale, sign, 
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(qpoly, "q_sun_sums", corrupted)
-        *earlier, cell = qpoly.q_sun_row(k, n)
+        *earlier, cell = qpoly.q_sun_row(k, n, qpoly.phi_squares(n))
     assert all(case.ok for case in earlier)
     full = LaurentPoly(faulted, low) * _central_square(k)
     ok, obstruction = laurent_divisible(full, q_integer(n) * q_integer(n))
@@ -432,8 +432,8 @@ def test_q_sun_row_matches_long_division_under_faults(n, k, shape, scale, sign, 
 
 def test_passing_q_sun_rows_only_square_phi_and_reduce_by_each_tested_d(monkeypatch):
     # A passing cell never forms [2k choose k]; the only products square
-    # Phi_d, each d once per row, and the cell reduces A_n once per d it
-    # tests, to 2d coefficients.
+    # Phi_d, each d once per run, before any row runs, and the cell
+    # reduces A_n once per d it tests, to 2d coefficients.
     central_calls, squared, moduli = [], [], []
     product, residue = qpoly._product, qpoly._residue
 
@@ -449,14 +449,15 @@ def test_passing_q_sun_rows_only_square_phi_and_reduce_by_each_tested_d(monkeypa
     monkeypatch.setattr(qpoly, "_product", counting_product)
     monkeypatch.setattr(qpoly, "_residue", counting_residue)
     n_max = 24
-    for k in range(n_max):
-        squared.clear()
+    rows = cli._task_rows(cli.GridConfig("q-sun", n_max=n_max))["q-sun"]
+    assert squared == [list(_phi(d).coeffs) for d in range(2, n_max + 1)]
+    squared.clear()
+    for k, row in enumerate(rows):
         moduli.clear()
-        assert all(case.ok for case in qpoly.q_sun_row(k, n_max))
-        tested = [
+        assert all(case.ok for case in row())
+        assert moduli == [
             d for n in range(k + 1, n_max + 1) for d in range(2, n + 1)
             if n % d == 0 and 2 * k // d == 2 * (k // d)
         ]
-        assert moduli == tested
-        assert squared == [list(_phi(d).coeffs) for d in dict.fromkeys(tested)]
+    assert squared == []
     assert central_calls == []

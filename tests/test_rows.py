@@ -8,6 +8,10 @@ binomial coefficient, or into one value S_k(x) of the S_k tables that
 the transform and weighted-sum rows read (the same fault in the
 verifier's tables and in the oracle's one-S_k builds), the failing
 cells and their witnesses must agree as well.
+The closed form n C(n,k+1) C(n+k,k) of telescope and of conjecture-final
+at l = 1 reads no binomial, as the verifier forms it by running
+products; it meets a fault of its own, added to one (n, k) of the
+verifier's `telescope_rhs` and of the oracle's.
 The q-sun and q-specialize rows meet a fault as 1 added to one
 coefficient of one cell's unscaled q-sum A_n, in the verifier's row and
 in the oracle's per-cell sum alike; the oracle then forms the full
@@ -34,11 +38,11 @@ from ivpverify.congruences import (
     schmidt_coefficient_rows,
     weighted_sum_rows,
 )
-from ivpverify.identities import build_lhs
+from ivpverify.identities import build_lhs, central_columns
 
 
 def _row_cases(task, config):
-    cases = [case for row in cli._TASKS[task].rows(config) for case in row()]
+    cases = [case for row in cli._task_rows(config)[task] for case in row()]
     return sorted(cases, key=lambda c: c.sort_key)
 
 
@@ -46,17 +50,26 @@ def _is_package_function(value):
     return callable(value) and value.__module__.startswith("ivpverify.")
 
 
+def _is_plain(value):
+    """An int or a str, or a list or tuple of plain values."""
+    if type(value) in (int, str):
+        return True
+    return type(value) in (list, tuple) and all(map(_is_plain, value))
+
+
 def test_rows_are_picklable_calls_that_make_up_the_report():
-    # A task's rows are partials of package functions, with arguments a
-    # worker process can unpickle; called in order, they give exactly
-    # the cases of the task's report.
+    # A task's rows are partials of package functions, whose arguments
+    # are ints, tuples and strs and the run's tables (lists and tuples
+    # of ints, and of lists and tuples of ints), all of which a worker
+    # process could unpickle; called in order, they give exactly the
+    # cases of the task's report.
     for task in cli._TASKS:
         config = cli.GridConfig(task, l_max=2, n_max=4, k_max=5, m=3, x_min=-2, x_max=2)
-        rows = cli._TASKS[task].rows(config)
+        rows = cli._task_rows(config)[task]
         for row in rows:
             assert isinstance(row, functools.partial), task
             assert _is_package_function(row.func), (task, row)
-            assert all(_is_package_function(a) for a in row.args if callable(a)), (task, row)
+            assert all(map(_is_plain, row.args)), (task, row)
             copy = pickle.loads(pickle.dumps(row))
             assert (copy.func, copy.args, copy.keywords) == (row.func, row.args, row.keywords)
         cases = sorted((case for row in rows for case in row()), key=lambda c: c.sort_key)
@@ -87,7 +100,8 @@ def test_rows_emit_their_cases_in_key_order(grid):
     for name, task in cli._TASKS.items():
         if name in _ROWS_PER_K or grid.get("n_max", 20) < task.min_n_max:
             continue
-        cases = [case for row in task.rows(cli.GridConfig(name, **grid)) for case in row()]
+        rows = cli._task_rows(cli.GridConfig(name, **grid))[name]
+        cases = [case for row in rows for case in row()]
         assert cases == sorted(cases, key=lambda c: c.sort_key), (name, grid)
 
 
@@ -124,6 +138,31 @@ def _corrupted_table(build, bad, delta):
         if k > n_max or x >= points:
             return table
         return [_plus_at(values, x, delta) if n == k else values for n, values in enumerate(table)]
+
+    return corrupted
+
+
+def _corrupted_closed_forms(bad, delta):
+    """identities.telescope_rhs, with delta added to its entry k at n,
+    for bad = (n, k)."""
+    n, k = bad
+    original = identities.telescope_rhs
+
+    def corrupted(row_n):
+        forms = original(row_n)
+        if row_n == n:
+            forms[k] += delta
+        return forms
+
+    return corrupted
+
+
+def _corrupted_closed_form(bad, delta):
+    """cell_oracle.telescope_rhs with the same fault."""
+    original = cell_oracle.telescope_rhs
+
+    def corrupted(n, k):
+        return original(n, k) + (delta if (n, k) == bad else 0)
 
     return corrupted
 
@@ -168,20 +207,30 @@ def _corrupted_q_sum(bad, exponent):
     fault=st.none() | st.tuples(st.integers(-6, 14), st.integers(0, 8), st.integers(1, 5)),
     s_fault=st.none() | st.tuples(st.integers(0, 11), st.integers(0, 22), st.integers(1, 5)),
     q_fault=st.none() | st.tuples(st.integers(1, 12), st.integers(0, 11), st.integers(-40, 30)),
+    closed_fault=st.none() | st.tuples(st.integers(1, 12), st.integers(0, 11), st.integers(-3, 3)),
 )
 # C(3,4) = 0 is the Schmidt term C(k+j,2j) at k = 1 < j = 2, which no
 # cell sums; it must not reach lemma-schmidt through the fault.
 @example(
     l_max=1, n_max=4, x_min=0, width=0, eps=(1, -1), m=1,
-    fault=(3, 4, 1), s_fault=None, q_fault=None,
+    fault=(3, 4, 1), s_fault=None, q_fault=None, closed_fault=None,
 )
 # C(2,1) = 3 makes both catalan-form summands of n = 2 non-integers at
 # x = 1 (3/2 and 9/2); the witness must name the first.
 @example(
     l_max=1, n_max=2, x_min=1, width=0, eps=(1,), m=1,
-    fault=(2, 1, 1), s_fault=None, q_fault=None,
+    fault=(2, 1, 1), s_fault=None, q_fault=None, closed_fault=None,
 )
-def test_rows_match_per_cell_oracle(l_max, n_max, x_min, width, eps, m, fault, s_fault, q_fault):
+# C(4,3) = 4 reads 5 in the closed form of (n, k) = (4, 2): telescope's
+# right side 240 becomes 300, and conjecture-final's l = 1 closed form
+# 1440 becomes 1800.
+@example(
+    l_max=1, n_max=4, x_min=0, width=0, eps=(1,), m=1,
+    fault=None, s_fault=None, q_fault=None, closed_fault=(4, 2, 60),
+)
+def test_rows_match_per_cell_oracle(
+    l_max, n_max, x_min, width, eps, m, fault, s_fault, q_fault, closed_fault
+):
     with ExitStack() as stack:
         if fault is not None:
             corrupted = _corrupted_binom(fault[:2], fault[2])
@@ -204,6 +253,17 @@ def test_rows_match_per_cell_oracle(l_max, n_max, x_min, width, eps, m, fault, s
             )
             stack.enter_context(
                 mock.patch.object(cell_oracle, "q_sun_sum", _corrupted_q_sum(bad, exponent))
+            )
+        if closed_fault is not None:
+            # The closed form n C(n,k+1) C(n+k,k) of one (n, k), in the
+            # verifier's running products and in the oracle's cell.
+            n, k, delta = closed_fault
+            bad = (n, min(k, n - 1))
+            corrupted = _corrupted_closed_forms(bad, delta)
+            for module in (identities, congruences):
+                stack.enter_context(mock.patch.object(module, "telescope_rhs", corrupted))
+            stack.enter_context(
+                mock.patch.object(cell_oracle, "telescope_rhs", _corrupted_closed_form(bad, delta))
             )
         for task in cell_oracle.ORACLE:
             config = cli.GridConfig(
@@ -228,11 +288,11 @@ def test_row_builders_match_per_cell_sums(l, eps, n_max, m, x0):
     assert weighted_sum_rows(l, eps, build_lhs(n_max - 1, 2 * n_max - 1)) == [
         cell_oracle.weighted_sum_values(l, n, eps) for n in ns
     ]
-    assert schmidt_coefficient_rows(l, eps, n_max) == [
+    assert schmidt_coefficient_rows(l, eps, central_columns(n_max)) == [
         cell_oracle.schmidt_combination_coeffs(l, n, eps).coeffs for n in ns
     ]
     for k in range(n_max):
-        assert conjecture_final_values(l, k, n_max) == [
+        assert conjecture_final_values(l, k, central_columns(n_max)) == [
             cell_oracle.conjecture_final_value(l, n, k).value for n in range(k + 1, n_max + 1)
         ]
     expected = [cell_oracle.power_sum_at(m, k, x0) for k in range(n_max)]

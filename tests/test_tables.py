@@ -1,0 +1,118 @@
+"""What a run builds once: the tables that several rows read.
+
+`cli` builds each per-run table by its module-level builder before any
+row runs, and hands it to every row that reads it.  These tests count
+the builder calls of whole runs (at --jobs 1, so every call happens in
+this process): `verify all` builds one of each table, and a task run
+alone builds only the tables it read before they were shared, at the
+sizes it built them then.
+"""
+
+import gc
+import weakref
+from collections import Counter
+
+import pytest
+
+from ivpverify import cli, congruences, identities, qpoly
+
+# The benchmark's all-jobs2 grid.
+ALL_GRID = dict(l_max=3, n_max=14, k_max=30, m=2, eps=(1, -1), x_min=-10, x_max=10)
+
+_BUILDERS = [
+    (identities, "build_lhs"),
+    (identities, "build_rhs"),
+    (congruences, "build_lhs"),
+    (identities, "central_columns"),
+    (congruences, "power_sums"),
+    (qpoly, "_cyclotomic"),
+    (qpoly, "_product"),
+]
+
+
+@pytest.fixture
+def builds(monkeypatch) -> Counter:
+    """Counts of ("module.name", args) for each builder call of the test;
+    a call of qpoly._product is counted by the coefficients it squares,
+    or as "not a square"."""
+    calls = Counter()
+
+    for module, name in _BUILDERS:
+        original = getattr(module, name)
+        label = f"{module.__name__.rpartition('.')[2]}.{name}"
+        if name == "_product":
+            def key(a, b):
+                return tuple(a) if a == b else "not a square"
+        else:
+            def key(*args):
+                return args
+
+        def counted(*args, original=original, label=label, key=key):
+            calls[label, key(*args)] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _calls(builds: Counter, label: str) -> Counter:
+    return Counter({args: count for (name, args), count in builds.items() if name == label})
+
+
+def test_verify_all_builds_each_table_once(builds):
+    n = ALL_GRID["n_max"]
+    phis = [tuple(qpoly._cyclotomic(d)) for d in range(2, n + 1)]
+    builds.clear()
+    assert cli.run(cli.GridConfig("all", jobs=1, **ALL_GRID)).ok
+    # One S pair, sized for transform and recurrence; theorem1, theorem2,
+    # the catalan-form identity and conjecture-sun-ii read its corner.
+    assert _calls(builds, "identities.build_lhs") == {(n, n + 1): 1}
+    assert _calls(builds, "identities.build_rhs") == {(n, n + 1): 1}
+    assert _calls(builds, "congruences.build_lhs") == {}
+    # conjecture-final, telescope, lemma-schmidt and q-specialize share
+    # one column table.
+    assert _calls(builds, "identities.central_columns") == {(n,): 1}
+    # conjecture-sun-m's power sums, once per x of the window.
+    xs = range(ALL_GRID["x_min"], ALL_GRID["x_max"] + 1)
+    assert _calls(builds, "congruences.power_sums") == {(2, x0, n): 1 for x0 in xs}
+    # Each Phi_d is built and squared once, for d = 2 .. n_max, and
+    # nothing else is multiplied: every cell passes.
+    assert _calls(builds, "qpoly._cyclotomic") == {(d,): 1 for d in range(2, n + 1)}
+    assert _calls(builds, "qpoly._product") == {phi: 1 for phi in phis}
+
+
+def test_conjecture_final_builds_its_column_table_once(builds):
+    assert cli.run(cli.GridConfig("conjecture-final", l_max=4, n_max=30)).ok
+    assert builds == {("identities.central_columns", (30,)): 1}
+
+
+@pytest.mark.parametrize("task, expected", [
+    # The weighted-sum tasks build S_0 .. S_{n_max - 1} alone.
+    ("theorem1", {("congruences.build_lhs", (11, 12)): 1}),
+    ("theorem2", {("congruences.build_lhs", (11, 12)): 1}),
+    ("conjecture-sun-ii", {("congruences.build_lhs", (11, 12)): 1}),
+    # transform and recurrence build S_0 .. S_{n_max} of each closed
+    # form, once: the recurrence's base row reads the same tables.
+    ("transform", {("identities.build_lhs", (12, 13)): 1, ("identities.build_rhs", (12, 13)): 1}),
+    ("recurrence", {("identities.build_lhs", (12, 13)): 1, ("identities.build_rhs", (12, 13)): 1}),
+])
+def test_a_task_alone_builds_only_its_own_tables(builds, task, expected):
+    assert cli.run(cli.GridConfig(task, l_max=2, n_max=12)).ok
+    assert builds == expected
+
+
+def test_no_table_outlives_the_run():
+    # The tables go with the run's rows: once `run` returns, no object
+    # that holds them is left.
+    seen = []
+    real = cli._Tables.__init__
+
+    def init(self, *args):
+        real(self, *args)
+        seen.append(weakref.ref(self))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli._Tables, "__init__", init)
+        cli.run(cli.GridConfig("all", n_max=6, jobs=1))
+    gc.collect()
+    assert len(seen) == 1 and seen[0]() is None
