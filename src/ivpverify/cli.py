@@ -64,8 +64,14 @@ Exit codes: 0 when every case passes, 1 on any mathematical failure,
 path are checked before a task runs: `--out` must name a file in a
 directory that exists; a write that still fails, such as on a full
 disk, shows when the report is written, after the run), 3 on an
-internal error: any exception a task raises, a crash, not a
-counterexample.  The report for a given configuration is
+internal error: any exception a task raises, or one raised while the
+report is formed, a crash, not a counterexample.  The report goes to
+the `--out` file, or to stdout, piece by piece as
+`report.report_pieces` forms it, never as one string.  So a write
+that fails, or an error while a piece is formed, leaves what was
+written before it: the file is never deleted or renamed, since it may
+be /dev/stdout or a FIFO, and on exit 3 stderr says that the file is
+incomplete.  The report for a given configuration is
 deterministic: cases are sorted by key, wall time is quarantined in a
 metadata block, and parallel runs emit byte-identical JSON/CSV to
 serial ones.  Flag precedence is defaults < IVPVERIFY_JOBS < config
@@ -86,7 +92,7 @@ from typing import Callable, Optional
 
 from . import congruences, identities, qpoly
 from .gridrun import collect, run_rows
-from .report import CombinedReport, serialize_report
+from .report import CombinedReport, report_pieces
 
 __all__ = ["GridConfig", "UsageError", "run", "main"]
 
@@ -436,6 +442,21 @@ def _check_out(path: Optional[str]) -> None:
         raise UsageError(f"cannot write report to {path!r}: it is a directory")
 
 
+def _internal_error(exc: Exception) -> None:
+    """Report exc on stderr as exit 3 does: its traceback, then
+    `internal error: ...`."""
+    import traceback
+
+    traceback.print_exc()
+    print(f"internal error: {exc!r}", file=sys.stderr)
+
+
+def _write(pieces, fh) -> None:
+    """Write each piece of the report as it is formed."""
+    for piece in pieces:
+        fh.write(piece)
+
+
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
@@ -446,20 +467,23 @@ def main(argv=None) -> int:
         return 2
     try:
         report = run(config)
-        payload = serialize_report(report, config.format)
     except Exception as exc:
-        import traceback
-
-        traceback.print_exc()
-        print(f"internal error: {exc!r}", file=sys.stderr)
+        _internal_error(exc)
         return 3
-    if config.out is not None:
-        try:
+    pieces = report_pieces(report, config.format)
+    try:
+        if config.out is None:
+            _write(pieces, sys.stdout)
+        else:
             with open(config.out, "w") as fh:
-                fh.write(payload)
-        except OSError as exc:
-            print(f"error: cannot write report to {config.out!r}: {exc}", file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.write(payload)
+                _write(pieces, fh)
+    except OSError as exc:  # forming a piece does no I/O: this is the destination's
+        where = "stdout" if config.out is None else repr(config.out)
+        print(f"error: cannot write report to {where}: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        _internal_error(exc)
+        if config.out is not None:
+            print(f"error: the report at {config.out!r} is incomplete", file=sys.stderr)
+        return 3
     return 0 if report.ok else 1

@@ -42,7 +42,6 @@ failing values, or the two unequal values), and only a witness uses
 
 from __future__ import annotations
 
-import math
 from itertools import accumulate, zip_longest
 from operator import mul, neg
 from typing import Optional
@@ -305,15 +304,24 @@ def _rational_point_lhs(p1: int, p2: int, q: int, scale: int, n_max: int) -> lis
     equal to N / D, with D = (q^n n!)^2, for n = 0 .. n_max (entry n).
 
     C(p/q, k) = a_k / (q^k k!) with a_k = p(p-q)...(p-(k-1)q), so each
-    product C(p1/q,k) C(p2/q,n-k) is C(n,k) a_k b_(n-k) / (q^n n!); the
-    a_k and b_k are formed once for every n.
+    product C(p1/q,k) C(p2/q,n-k) is C(n,k) a_k b_(n-k) / (q^n n!).  The
+    squares a_k^2 and b_k^2 are formed once for every n, C(n,k) by a
+    running product in k (no binomial is read, so the left side stays
+    independent of the right side's), and scale^n and D by running
+    products in n.
     """
-    a, b = (list(accumulate(range(p, p - n_max * q, -q), mul, initial=1)) for p in (p1, p2))
-    return [
-        (scale ** n * sum((math.comb(n, k) * a[k] * b[n - k]) ** 2 for k in range(n + 1)),
-         (q ** n * math.factorial(n)) ** 2)
-        for n in range(n_max + 1)
-    ]
+    a, b = ([v * v for v in accumulate(range(p, p - n_max * q, -q), mul, initial=1)]
+            for p in (p1, p2))
+    pairs, power, den = [], 1, 1
+    for n in range(n_max + 1):
+        total, c = 0, 1
+        for k in range(n + 1):
+            total += c * c * a[k] * b[n - k]
+            c = c * (n - k) // (k + 1)
+        pairs.append((power * total, den))
+        power *= scale
+        den *= (q * (n + 1)) ** 2
+    return pairs
 
 
 def _rational_point_row(p1: int, p2: int, q: int, scale: int, rhs: list[int]) -> list[CaseResult]:

@@ -12,18 +12,25 @@ as the plain tuple of its fields.  A report counts its failures in one
 pass over the case statuses.  `csv` is imported only when a CSV report
 is written.
 
+Every format is one generator of pieces, `report_pieces`: a piece is
+formed only when it is asked for and holds, besides fixed text, the
+cases of at most one slice of up to 1024 cases, so a caller that writes
+each piece as it comes (as `cli.main` does) never holds the whole
+report as one string.  `serialize_report` joins the pieces, for callers
+that want the string.  CSV and text render their slices case by case.
+
 JSON is written by a writer for the report's one fixed schema (task,
 config, summary, then cases and notes or, for `all`, the sub-reports,
-then meta), with no intermediate dict and no pass of json's
-pure-Python indent encoder.  The cases are written in slices of up to
-1024 and, within a slice, by runs rather than one by one: a run is a
-stretch of cases whose keys have one shape (the same names in order),
-found by C-level passes over the slice.  A run is a single %-format of
-a template for one of its cases, repeated, over the run's key values:
-an int column through %d, any other column encoded first.  The text
-after a case's key is rendered once per distinct outcome (status,
-witness, severity).  The bytes are those of `json.dumps(...,
-indent=2)` on the same data.
+each streamed in its own pieces, then meta), with no intermediate dict
+and no pass of json's pure-Python indent encoder.  The cases are
+written in slices of up to 1024 and, within a slice, by runs rather
+than one by one: a run is a stretch of cases whose keys have one shape
+(the same names in order), found by C-level passes over the slice.  A
+run is a single %-format of a template for one of its cases, repeated,
+over the run's key values: an int column through %d, any other column
+encoded first.  The text after a case's key is rendered once per
+distinct outcome (status, witness, severity).  The bytes are those of
+`json.dumps(..., indent=2)` on the same data.
 """
 
 from __future__ import annotations
@@ -34,13 +41,14 @@ from dataclasses import dataclass, field
 from itertools import chain, groupby
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import itemgetter
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 __all__ = [
     "CaseResult",
     "VerificationReport",
     "CombinedReport",
     "make_case",
+    "report_pieces",
     "serialize_report",
 ]
 
@@ -130,28 +138,6 @@ class VerificationReport:
     def failures(self) -> list[CaseResult]:
         return [c for c in self.cases if not c.ok]
 
-    def csv_records(self) -> list[list[str]]:
-        return [
-            [self.task, c.label, c.status, c.witness or "", c.severity]
-            for c in self.cases
-        ]
-
-    def render_text(self) -> str:
-        lines = [f"task: {self.task}"]
-        if self.config:
-            lines.append("config: " + " ".join(f"{k}={v}" for k, v in self.config.items()))
-        for c in self.cases:
-            tag = "" if c.severity == "theorem" else f"  [{c.severity}]"
-            extra = f"  witness: {c.witness}" if (not c.ok and c.witness) else ""
-            lines.append(f"  {c.label}  {c.status}{tag}{extra}")
-        for note in self.notes:
-            lines.append(f"note: {note}")
-        lines.append(f"wall time: {self.wall_time_s:.3f}s")
-        verdict = "PASS" if self.ok else "FAIL"
-        count = self.passed if self.ok else self.failed
-        lines.append(f"{verdict} {count}/{self.total}")
-        return "\n".join(lines) + "\n"
-
 
 @dataclass
 class CombinedReport:
@@ -178,19 +164,6 @@ class CombinedReport:
     def ok(self) -> bool:
         return self.failed == 0
 
-    def csv_records(self) -> list[list[str]]:
-        out = []
-        for r in self.reports:
-            out.extend(r.csv_records())
-        return out
-
-    def render_text(self) -> str:
-        parts = [r.render_text() for r in self.reports]
-        verdict = "PASS" if self.ok else "FAIL"
-        count = self.passed if self.ok else self.failed
-        parts.append(f"overall: {verdict} {count}/{self.total}\n")
-        return "\n".join(parts)
-
 
 def _json_value(v) -> str:
     """A scalar as json.dumps writes it."""
@@ -212,24 +185,26 @@ def _json_object(items, pad: str) -> str:
     return f"{{\n{body}\n{pad}}}"
 
 
-def _json_array(rendered: list[str], pad: str) -> list[str]:
-    """Rendered elements as the pieces of an array whose closing bracket
-    is at pad: the elements themselves with the text between them, so
-    that the final join is the one copy of them."""
-    if not rendered:
-        return ["[]"]
+def _json_array(elements: Iterable[Iterable[str]], pad: str) -> Iterator[str]:
+    """The pieces of an array whose closing bracket is at pad, from its
+    elements, each given as its own pieces.  The text before an element
+    goes into the element's first piece, so no piece is separator text
+    alone and none holds more than the largest element piece."""
     inner = pad + "  "
-    pieces = [f",\n{inner}"] * (2 * len(rendered))
-    pieces[0] = f"[\n{inner}"
-    pieces[1::2] = rendered
-    pieces.append(f"\n{pad}]")
-    return pieces
+    lead = f"[\n{inner}"
+    for element in elements:
+        pieces = iter(element)
+        yield lead + next(pieces)
+        yield from pieces
+        lead = f",\n{inner}"
+    yield "[]" if lead[0] == "[" else f"\n{pad}]"  # "[]": no element came
 
 
-def _json_cases(cases: Sequence[CaseResult], pad: str) -> list[str]:
+def _json_cases(cases: Sequence[CaseResult], pad: str) -> Iterator[str]:
     """The cases as pieces of an array's elements, each case an object
-    whose closing brace is at pad, the pieces joined as the array joins
-    its elements.  The cases go in slices of at most _SLICE; a run is a
+    whose closing brace is at pad, each piece a run of cases joined as
+    the array joins its elements.  The cases go in slices of at most
+    _SLICE, and a piece is formed only when it is asked for; a run is a
     stretch of a slice whose keys have one shape, the same names in the
     same order: the whole slice for every task but catalan-form, whose
     two shapes can split one.  The text after a case's key depends only
@@ -243,23 +218,20 @@ def _json_cases(cases: Sequence[CaseResult], pad: str) -> list[str]:
     else:
         tail = "%s"
         text = {outcome: _json_case_tail(*outcome, pad) for outcome in outcomes}
-    pieces = []
-    for start in range(0, len(cases), _SLICE):
-        chunk = cases[start:start + _SLICE]
+    for chunk in _slices(cases):
         keys = list(map(_first, chunk))
         tails = text and list(map(text.__getitem__, map(_outcome, chunk)))
         names = list(map(_first, keys[0]))
         if set(map(len, keys)) == {len(names)} and list(
             map(_first, chain.from_iterable(keys))
         ) == names * len(keys):
-            pieces.append(_json_run(keys, tail, tails, pad))
+            yield _json_run(keys, tail, tails, pad)
             continue
         at = 0
         for _, run in groupby(keys, _names):
             run = list(run)
-            pieces.append(_json_run(run, tail, tails and tails[at:at + len(run)], pad))
+            yield _json_run(run, tail, tails and tails[at:at + len(run)], pad)
             at += len(run)
-    return pieces
 
 
 def _json_case_tail(status: str, witness, severity: str, pad: str) -> str:
@@ -270,6 +242,11 @@ def _json_case_tail(status: str, witness, severity: str, pad: str) -> str:
         f'{inner}"witness": {_json_value(witness)},\n'
         f'{inner}"severity": {_json_value(severity)}\n{pad}}}'
     )
+
+
+def _slices(cases: Sequence[CaseResult]) -> Iterator[Sequence[CaseResult]]:
+    """The cases in slices of at most _SLICE, one at a time."""
+    return (cases[start:start + _SLICE] for start in range(0, len(cases), _SLICE))
 
 
 def _names(key) -> tuple:
@@ -312,37 +289,99 @@ def _json_run(keys: list, tail: str, tails: Optional[list], pad: str) -> str:
     return f",\n{pad}".join([case] * len(keys)) % tuple(values)
 
 
-def _json_report(report, include_meta: bool, pad: str) -> list[str]:
+def _json_report(report, include_meta: bool, pad: str) -> Iterator[str]:
     """The pieces of a report written as an object whose closing brace is
-    at pad; the sub-reports of a CombinedReport are written without meta.
-    Pieces, not one string: the case array is one piece per slice of its
-    cases, which only the final join copies."""
+    at pad, each formed only when it is asked for; the sub-reports of a
+    CombinedReport are written, as pieces too, without meta.  Besides
+    its fixed text, a piece holds at most one run of one slice of cases."""
     inner = pad + "  "
     element = inner + "  "
     total, failed = report.total, report.failed
     summary = (("total", total), ("pass", total - failed), ("fail", failed))
-    pieces = [
+    head = (
         f'{{\n{inner}"task": {_json_value(report.task)},\n'
         f'{inner}"config": {_json_object(report.config.items(), inner)},\n'
         f'{inner}"summary": {_json_object(summary, inner)},\n'
-    ]
+    )
     if isinstance(report, CombinedReport):
-        subreports = ["".join(_json_report(r, False, element)) for r in report.reports]
-        pieces += [f'{inner}"reports": ', *_json_array(subreports, inner)]
+        yield f'{head}{inner}"reports": '
+        yield from _json_array((_json_report(r, False, element) for r in report.reports), inner)
     else:
-        cases = _json_cases(report.cases, element)
-        notes = [_json_value(n) for n in report.notes]
-        pieces += [f'{inner}"cases": ', *_json_array(cases, inner)]
-        pieces += [f',\n{inner}"notes": ', *_json_array(notes, inner)]
+        yield f'{head}{inner}"cases": '
+        yield from _json_array(zip(_json_cases(report.cases, element)), inner)
+        yield f',\n{inner}"notes": '
+        yield from _json_array(zip(map(_json_value, report.notes)), inner)
+    end = f"\n{pad}}}"
     if include_meta:
         meta = (("wall_time_s", round(report.wall_time_s, 6)),)
-        pieces.append(f',\n{inner}"meta": {_json_object(meta, inner)}')
-    pieces.append(f"\n{pad}}}")
-    return pieces
+        end = f',\n{inner}"meta": {_json_object(meta, inner)}{end}'
+    yield end
 
 
-def serialize_report(report, fmt: str, include_meta: bool = True) -> str:
-    """Render a report as text, JSON or CSV.
+def _csv_pieces(report) -> Iterator[str]:
+    """The CSV rows in pieces: the header with the first slice of cases,
+    then one piece per further slice of each task report's cases."""
+    import csv
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    for r in report.reports if isinstance(report, CombinedReport) else [report]:
+        for chunk in _slices(r.cases):
+            writer.writerows([r.task, c.label, c.status, c.witness or "", c.severity]
+                             for c in chunk)
+            yield buf.getvalue()
+            buf.seek(0)
+            buf.truncate()
+    if buf.tell():  # the header of a report without cases
+        yield buf.getvalue()
+
+
+def _verdict(report) -> str:
+    """PASS and the passing count, or FAIL and the failing count."""
+    if report.ok:
+        return f"PASS {report.passed}/{report.total}"
+    return f"FAIL {report.failed}/{report.total}"
+
+
+def _text_line(c: CaseResult) -> str:
+    """A case's line of the text report."""
+    tag = "" if c.severity == "theorem" else f"  [{c.severity}]"
+    extra = f"  witness: {c.witness}" if (not c.ok and c.witness) else ""
+    return f"  {c.label}  {c.status}{tag}{extra}\n"
+
+
+def _text_report(report: VerificationReport, after: str) -> Iterator[str]:
+    """A task report's text: its head with the first slice of its case
+    lines, one piece per further slice, then its notes, wall time and
+    verdict, followed by after."""
+    head = f"task: {report.task}\n"
+    if report.config:
+        head += "config: " + " ".join(f"{k}={v}" for k, v in report.config.items()) + "\n"
+    for chunk in _slices(report.cases):
+        yield "".join([head, *map(_text_line, chunk)])
+        head = ""
+    notes = "".join(f"note: {note}\n" for note in report.notes)
+    yield f"{head}{notes}wall time: {report.wall_time_s:.3f}s\n{_verdict(report)}\n{after}"
+
+
+def _text_pieces(report) -> Iterator[str]:
+    """The text of each task report, a blank line after each of a
+    CombinedReport's, then its overall verdict."""
+    if not isinstance(report, CombinedReport):
+        yield from _text_report(report, "")
+        return
+    for r in report.reports:
+        yield from _text_report(r, "\n")
+    yield f"overall: {_verdict(report)}\n"
+
+
+def report_pieces(report, fmt: str, include_meta: bool = True) -> Iterator[str]:
+    """A report as text, JSON or CSV, in pieces that are formed one at a
+    time as they are asked for, so a caller that writes each piece as it
+    comes never holds the whole report as one string.  Besides its fixed
+    text (headers, separators, a task report's notes and verdict), a
+    piece holds the cases of at most one slice of _SLICE cases.
 
     JSON comes from the fixed-schema writer above, its cases written by
     runs of one key shape in slices of at most 1024 cases, and is byte
@@ -350,19 +389,22 @@ def serialize_report(report, fmt: str, include_meta: bool = True) -> str:
     report as a dict d (task, config, summary, cases and notes or
     reports, meta), for key names and config keys that are distinct
     strings and scalar values; a value json cannot encode raises
-    TypeError.  CSV rows follow the fixed header
-    task,case_key,status,witness,severity.
+    TypeError when the piece that holds it is formed.  CSV rows follow
+    the fixed header task,case_key,status,witness,severity.  Text and
+    CSV have no meta: text always shows the wall time, CSV never.  An
+    unknown format raises ValueError at once.
     """
     if fmt == "json":
-        return "".join([*_json_report(report, include_meta, ""), "\n"])
+        return chain(_json_report(report, include_meta, ""), ("\n",))
     if fmt == "csv":
-        import csv
-
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        writer.writerows(report.csv_records())
-        return buf.getvalue()
+        return _csv_pieces(report)
     if fmt == "text":
-        return report.render_text()
+        return _text_pieces(report)
     raise ValueError(f"unknown report format: {fmt!r}")
+
+
+def serialize_report(report, fmt: str, include_meta: bool = True) -> str:
+    """The report as one string: the pieces of `report_pieces`, joined.
+    For callers that want the string, and for tests; `cli.main` writes
+    the pieces as they come instead."""
+    return "".join(report_pieces(report, fmt, include_meta))

@@ -3,14 +3,16 @@ import dataclasses
 import functools
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
-from ivpverify import cli, gridrun
-from ivpverify.report import make_case
+from ivpverify import cli, gridrun, identities
+from ivpverify import report as report_module
+from ivpverify.report import VerificationReport, make_case, serialize_report
 
 
 def test_task_dispatch_exit_zero(capsys):
@@ -99,6 +101,101 @@ def test_out_write_failure_after_the_run_exits_two(capsys):
     rc = cli.main(["transform", "--n-max", "2", "--out", "/dev/full"])
     assert rc == 2
     assert "cannot write report to" in capsys.readouterr().err
+
+
+class _Recorder:
+    """A file object that keeps each string written to it."""
+
+    def __init__(self, fail_with=None):
+        self.pieces = []
+        self.fail_with = fail_with
+
+    def write(self, piece: str) -> int:
+        if self.fail_with is not None:
+            raise self.fail_with
+        self.pieces.append(piece)
+        return len(piece)
+
+
+_CASE_LINE = {  # whether a line of a piece is one case's
+    "json": lambda line: line.lstrip().startswith('"key": '),
+    "csv": lambda line: line.startswith("conjecture-final,"),
+    "text": lambda line: line.startswith("  l="),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(_CASE_LINE))
+def test_a_report_is_written_as_it_is_formed(monkeypatch, fmt):
+    # 16,380 cases go out one slice of at most 1024 cases per write:
+    # joining the report first, then writing it, fails here.
+    out = _Recorder()
+    monkeypatch.setattr(sys, "stdout", out)
+    argv = ["conjecture-final", "--l-max", "4", "--n-max", "90", "--format", fmt]
+    assert cli.main(argv) == 0
+    per_piece = [sum(map(_CASE_LINE[fmt], piece.splitlines())) for piece in out.pieces]
+    assert sum(per_piece) == 16380
+    assert max(per_piece) <= report_module._SLICE
+    assert len(out.pieces) >= -(-16380 // report_module._SLICE)
+
+
+_META = re.compile(r',\n  "meta": \{\n    "wall_time_s": [^\n]*\n  \}')
+
+
+def _without_wall_time(text: str, fmt: str) -> str:
+    if fmt == "json":
+        return _META.sub("", text)
+    return "".join(line for line in text.splitlines(True) if not line.startswith("wall time: "))
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("argv, fault, code", [
+    ("conjecture-final --l-max 2 --n-max 40", False, 0),  # 1,640 cases: two slices
+    ("all --n-max 6", False, 0),
+    ("all --n-max 6", True, 1),  # C(4,2) read as 7
+])
+def test_out_file_stdout_and_serialize_report_give_one_report(
+        tmp_path, capsys, monkeypatch, fmt, argv, fault, code):
+    if fault:
+        original = identities.binom_int
+        monkeypatch.setattr(identities, "binom_int", lambda top, k: original(top, k) + 1
+                            if (top, k) == (4, 2) else original(top, k))
+    args = argv.split() + ["--format", fmt]
+    out = tmp_path / "report"
+    assert cli.main(args + ["--out", str(out)]) == code
+    assert cli.main(args) == code
+    stdout = capsys.readouterr().out
+    config = cli.resolve_config(cli._PARSER.parse_args(args))
+    joined = serialize_report(cli.run(config), fmt, include_meta=False)
+    assert _without_wall_time(out.read_text(), fmt) == _without_wall_time(stdout, fmt)
+    assert _without_wall_time(stdout, fmt) == _without_wall_time(joined, fmt)
+
+
+def _late_fault_report() -> VerificationReport:
+    # Case 1200 holds a key value json cannot encode: the first slice of
+    # cases is written before the piece that holds it is formed.
+    cases = [make_case((("n", n),), True) for n in range(1500)]
+    cases[1200] = make_case((("n", Fraction(1, 2)),), True)
+    return VerificationReport(task="demo", config={}, cases=cases)
+
+
+@pytest.mark.parametrize("to_file", [True, False])
+def test_a_fault_after_the_first_pieces_exits_three(tmp_path, capsys, monkeypatch, to_file):
+    monkeypatch.setattr(cli, "run", lambda config: _late_fault_report())
+    out = tmp_path / "report.json"
+    argv = ["transform", "--n-max", "1", "--format", "json"]
+    assert cli.main(argv + ["--out", str(out)] if to_file else argv) == 3
+    captured = capsys.readouterr()
+    assert "internal error: TypeError" in captured.err
+    written = out.read_text() if to_file else captured.out
+    assert written.startswith('{\n  "task": "demo"')
+    assert written.count('"key": ') == report_module._SLICE
+    assert (f"the report at {str(out)!r} is incomplete" in captured.err) == to_file
+
+
+def test_a_failing_write_to_stdout_exits_two(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", _Recorder(fail_with=BrokenPipeError(32, "Broken pipe")))
+    assert cli.main(["transform", "--n-max", "2"]) == 2
+    assert "cannot write report to stdout" in capsys.readouterr().err
 
 
 def test_passing_run_constructs_no_fraction(tmp_path, monkeypatch):

@@ -83,6 +83,10 @@ SCALAR_JSON_SHA256 = {
     "sun-two --n-max 90": "8f11d7a15b9174f3061653e10498deff86857ec696c2aacc0ec15f5e3844d642",
 }
 
+# `verify all --n-max 8` as text, its wall time lines dropped, recorded
+# while the text was still rendered as one string per report.
+ALL_TEXT_SHA256 = "3df6140f00bb33d5c13b980625926228a99c0dc0f7d22447d4e8f071d550d11a"
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -113,6 +117,14 @@ def test_verify_all_csv_bytes_pinned(tmp_path):
     out = tmp_path / "all.csv"
     assert cli.main(["all", "--n-max", "8", "--format", "csv", "--out", str(out)]) == 0
     assert _sha256(out.read_bytes()) == ALL_CSV_SHA256
+
+
+def test_verify_all_text_bytes_pinned(tmp_path):
+    out = tmp_path / "all.txt"
+    assert cli.main(["all", "--n-max", "8", "--format", "text", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines(True)
+    text = "".join(line for line in lines if not line.startswith("wall time: "))
+    assert _sha256(text.encode()) == ALL_TEXT_SHA256
 
 
 @pytest.mark.parametrize("task", sorted(Q_CSV_SHA256))

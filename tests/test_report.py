@@ -702,6 +702,61 @@ def test_json_writer_matches_stdlib_indent_encoder_on_runs(report, slice_):
         assert serialize_report(report, "json") == _stdlib_json(report, True)
 
 
+def _task_text(r) -> str:
+    """A task report's text, rendered as one string, line by line."""
+    lines = [f"task: {r.task}"]
+    if r.config:
+        lines.append("config: " + " ".join(f"{k}={v}" for k, v in r.config.items()))
+    for c in r.cases:
+        tag = "" if c.severity == "theorem" else f"  [{c.severity}]"
+        extra = f"  witness: {c.witness}" if (not c.ok and c.witness) else ""
+        lines.append(f"  {c.label}  {c.status}{tag}{extra}")
+    lines += [f"note: {note}" for note in r.notes]
+    lines.append(f"wall time: {r.wall_time_s:.3f}s")
+    lines.append(f"PASS {r.passed}/{r.total}" if r.ok else f"FAIL {r.failed}/{r.total}")
+    return "\n".join(lines) + "\n"
+
+
+def _one_string(report, fmt: str) -> str:
+    """The oracle of the text and CSV writers: the report formed whole,
+    then returned as one string."""
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["task", "case_key", "status", "witness", "severity"])
+        writer.writerows([r.task, c.label, c.status, c.witness or "", c.severity]
+                         for r in _task_reports(report) for c in r.cases)
+        return buf.getvalue()
+    if not isinstance(report, CombinedReport):
+        return _task_text(report)
+    verdict = f"PASS {report.passed}" if report.ok else f"FAIL {report.failed}"
+    return "\n".join([*map(_task_text, report.reports), f"overall: {verdict}/{report.total}\n"])
+
+
+def _task_reports(report) -> list:
+    return report.reports if isinstance(report, CombinedReport) else [report]
+
+
+@settings(max_examples=200, deadline=None)
+@given(report=_reports | _combined, fmt=st.sampled_from(["text", "csv"]),
+       slice_=st.sampled_from([1, 2, 3, 1024]))
+@example(report=CombinedReport(task="all", config={}, reports=[]), fmt="text", slice_=1)
+@example(report=VerificationReport(task="t", config={}, cases=[]), fmt="csv", slice_=1)
+def test_text_and_csv_pieces_join_to_the_one_string_oracle(report, fmt, slice_):
+    # slice_ stands in for the cases per piece, so that every report of
+    # a few cases is written in several pieces too.
+    with mock.patch.object(report_module, "_SLICE", slice_):
+        pieces = list(report_module.report_pieces(report, fmt))
+    assert "".join(pieces) == _one_string(report, fmt)
+    cases = sum(len(r.cases) for r in _task_reports(report))
+    assert len(pieces) >= -(-cases // slice_)
+
+
+def test_an_unknown_format_is_rejected_before_any_piece_is_asked_for():
+    with pytest.raises(ValueError, match="yaml"):
+        report_module.report_pieces(_sample_report(), "yaml")
+
+
 @pytest.mark.parametrize("report", [
     VerificationReport(task="demo", config={}, cases=[make_case((("n", Fraction(1, 2)),), True)]),
     VerificationReport(task="demo", config={"x": Fraction(1, 2)}, cases=[]),
