@@ -6,58 +6,26 @@
 
 Each task is one entry of `_TASKS`: the config fields its report
 echoes, its rows as a function of the `GridConfig` and the run's
-tables, and the smallest n_max it accepts.  Rows are calls: each is a
-`functools.partial` of a module-level row function with its own
-arguments, which returns the cases of one grid row, so the table is
-the one place that says which calls make up a task.  Where a grid row
-is a prefix sum over n (telescope, theorem1, theorem2, the
-catalan-form identity, lemma-schmidt, conjecture-final,
-conjecture-sun-m, conjecture-sun-ii, q-sun, q-specialize), its row
-function reads one running sum, so a cell costs O(1) instead of a
-fresh sum: the integer rows all take theirs from the weights of
-`identities.odd_weights` (q-sun and q-specialize each sweep the
-unscaled q-sums `qpoly.q_sun_sums` over the rows k, and apply
-[2k choose k]^2 only in a residue modulo (1 - q^n)^2 or at q = 1).
-What several rows of a run read, or several cells of a row, is a
-table `_Tables` builds once per run, in this process, before any row
-runs, by the module-level builder the row once called itself: the S
-tables of both closed forms (`identities.build_lhs`/`build_rhs`, one
-pair for transform, recurrence and, by its corner S_k(x), k, x <
-n_max, the weighted-sum rows; those build only the corner when
-neither transform nor recurrence runs), the columns C(m+k,2k) and
-C(2k,k) (`identities.central_columns`: conjecture-final, telescope,
-q-specialize, lemma-schmidt), the sun-m power sums once per x
-(`congruences.sun_m_sums`) and Phi_d^2 for d <= n_max
-(`qpoly.phi_squares`: q-sun).  A forked worker inherits them, and they
-go when the run's rows do: nothing outlives `run`.  The chu-vandermonde
-row builds its power sums once per x, only at the points x = 0 .. d
-that decide a symmetric claim of degree 2d (the symmetric rule of
-`values`).  sun-one and sun-two are one row each, which forms what
-every n shares once, and the catalan-form summands one row per n,
-which forms its weights once for every x.
-Which row is which: transform, chu-vandermonde, telescope, sun-one,
-sun-two, theorem1, theorem2 and conjecture-sun-ii are one row each;
-recurrence is a base row and one row per closed form; catalan-form is
-its identity row and one summand row per n; lemma-schmidt,
-conjecture-final and conjecture-sun-m are one row per l (lemma-schmidt
-with every eps, conjecture-sun-m with every eps and the whole x
-window); q-sun and q-specialize are one row per k.  Every row but the
-q rows emits its cases in key order, each key pair built once per row
-(or per n), so a task's flattened results are one sorted run.
-`run` hands every task's rows, as one list, to one `gridrun.run_rows`
-call before it collects any task's report, so at --jobs > 1 the rows
-of every task are dealt out at once between this process and the
-workers it forks for the call, one chunk of rows at a time from one
-pipe, and no task waits for the one before it; a row that raises
-drains that pipe, so the run stops within one chunk (one row in a run
-of up to 1024 rows).  Where `os.fork` does not exist the rows run
-serially.  --jobs N counts the processes at work, this one included,
-at most one per usable core (those of the CPU affinity mask) and one
-per row of the run.  The argument parser is built once, at
-import, for every `main` call of the process.  A
+tables, and the smallest n_max it accepts.  A row is a
+`functools.partial` of a module-level row function (in `identities`,
+`congruences` or `qpoly`) that returns the cases of one grid row, so
+the table is the one place that says which calls make up a task.
+What several rows of a run read, or several cells of one row, is a
+table of `_Tables`, built once per run, on its first read, before any
+row runs: forked workers inherit it, and nothing outlives `run`.
+`run` hands every task's rows to one `gridrun.run_rows` call, then
+collects each task's report from its slice of the results.  A
 `GridConfig` checks every bound when it is built, so
 `run(GridConfig("theorem1", n_max=25))` is safe to call from code as
-well.
+well.  Flag precedence is defaults < IVPVERIFY_JOBS < config file <
+explicit flags.
+
+The report goes to the `--out` file, or to stdout, piece by piece as
+`report.report_pieces` forms it, never as one string.  A write that
+fails, or an error while a piece is formed, leaves what was written
+before it: the file is never deleted or renamed, since it may be
+/dev/stdout or a FIFO, and on exit 3 stderr says that the file is
+incomplete.
 
 Exit codes: 0 when every case passes, 1 on any mathematical failure,
 2 on a usage error (flags, bounds, the config file and the output
@@ -65,17 +33,7 @@ path are checked before a task runs: `--out` must name a file in a
 directory that exists; a write that still fails, such as on a full
 disk, shows when the report is written, after the run), 3 on an
 internal error: any exception a task raises, or one raised while the
-report is formed, a crash, not a counterexample.  The report goes to
-the `--out` file, or to stdout, piece by piece as
-`report.report_pieces` forms it, never as one string.  So a write
-that fails, or an error while a piece is formed, leaves what was
-written before it: the file is never deleted or renamed, since it may
-be /dev/stdout or a FIFO, and on exit 3 stderr says that the file is
-incomplete.  The report for a given configuration is
-deterministic: cases are sorted by key, wall time is quarantined in a
-metadata block, and parallel runs emit byte-identical JSON/CSV to
-serial ones.  Flag precedence is defaults < IVPVERIFY_JOBS < config
-file < explicit flags.
+report is formed, a crash, not a counterexample.
 """
 
 from __future__ import annotations
@@ -160,18 +118,15 @@ _SHARED_ECHO = tuple(name for name in _CONFIG_KEYS if name not in _RUN_KEYS)
 
 class _Tables:
     """The tables that several rows of one run read, or several cells of
-    one row, each built once per run, on its first read, by the
-    module-level builder its rows called before they shared it, so a
-    task run alone builds only what it reads.  `run` reads them while it
-    builds every task's rows, before `gridrun.run_rows`, so forked
-    workers inherit them, and they go when the run's rows do.  A failing
-    cell still builds the values its witness reads itself."""
+    one row, each built once per run, on its first read, by one
+    module-level builder, so a task run alone builds only what it reads.
+    `run` reads them while it builds every task's rows, before
+    `gridrun.run_rows`, so forked workers inherit them, and they go when
+    the run's rows do.  A failing cell still builds the values its
+    witness reads itself."""
 
-    def __init__(self, config: GridConfig, names: list[str]):
+    def __init__(self, config: GridConfig):
         self.config = config
-        # transform and recurrence read S_0 .. S_{n_max}; the other
-        # readers of S, S_0 .. S_{n_max - 1} alone.
-        self.s_to_n_max = not {"transform", "recurrence"}.isdisjoint(names)
 
     @cached_property
     def columns(self) -> tuple[list[list[int]], list[int]]:
@@ -193,14 +148,10 @@ class _Tables:
 
     @cached_property
     def weighted(self) -> list[tuple[int, ...]]:
-        """S_0 .. S_{n_max - 1} at x = 0 .. n_max - 1, the left closed form:
-        the corner of `lhs` where that is built too, else a table of its
-        own.  theorem1, theorem2, the catalan-form identity and
-        conjecture-sun-ii."""
+        """S_0 .. S_{n_max - 1} at x = 0 .. n_max - 1, the corner of `lhs`:
+        theorem1, theorem2, the catalan-form identity and conjecture-sun-ii."""
         n = self.config.n_max
-        if self.s_to_n_max:
-            return [values[:n] for values in self.lhs[:n]]
-        return congruences.build_lhs(n - 1, n)
+        return [values[:n] for values in self.lhs[:n]]
 
     @cached_property
     def sun_m_sums(self) -> list[list[int]]:
@@ -404,7 +355,7 @@ def _task_rows(config: GridConfig) -> dict[str, list[partial]]:
     """The rows of each task of the run, by task name in table order; the
     run's tables are built here, as the rows are made."""
     names = list(_TASKS) if config.task == "all" else [config.task]
-    tables = _Tables(config, names)
+    tables = _Tables(config)
     return {name: _TASKS[name].rows(config, tables) for name in names}
 
 

@@ -9,10 +9,9 @@ read off one running sum with the weights `identities.odd_weights`
 forms once per (l, eps), with X_k the S_k(x) of the weighted sums,
 C(k+j,2j) of the Schmidt coefficients, C(m+k,2k) of the congruence
 values or a power sum of the spot checks.  The tables X_k comes from
-are arguments of the row functions, which `cli` builds once per run
-with this module's builders: the S table, `identities.central_columns`
-(the Schmidt coefficients' and the congruence values' columns) and
-`sun_m_sums`.
+are arguments of the row functions, which `cli` builds once per run:
+the S corner (below), `identities.central_columns` (the Schmidt
+coefficients' and the congruence values' columns) and `sun_m_sums`.
 So a cell costs O(1) (O(n) for a vector of values) instead of a fresh
 sum, and a row function decides each of its cells.  The Catalan-form
 summands are one row per n, which forms the summands' integer weights
@@ -30,16 +29,12 @@ happens before the final divisibility test.  The weighted sums of
 S_k(x) are symmetric of degree 2n-2, so by the symmetric rule of
 `values` each is decided on its n values at x = 0 .. n-1: p/m is
 integer-valued exactly when each of them is a multiple of m.  They come
-from `weighted_sum_rows`, one running sum per x of the one table
-`identities.build_lhs(n_max - 1, n_max)` (or the same corner of a
-larger table) its row function reads.
+from `weighted_sum_rows`, one running sum per x of the table its row
+function reads: the S corner S_k(x), k, x < n_max, which `cli` cuts
+from the run's one left table `build_lhs(n_max, n_max + 1)`.
 """
 
 from __future__ import annotations
-
-from itertools import accumulate
-from operator import mul
-from typing import Optional
 
 from .combinat import binom_int, catalan, double_factorial_odd
 from .identities import (
@@ -125,8 +120,8 @@ def schmidt_row(
 
 def weighted_sum_rows(l: int, eps: int, table: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """sum_{k=0}^{n-1} eps^k (2k+1)^(2l-1) S_k(x) at the points x of
-    `table` = `build_lhs(n_max - 1, points)` up to its degree 2n-2, for
-    n = 1 .. n_max (entry n-1): one `odd_power_sums` column per x."""
+    `table` = S_0 .. S_{n_max - 1} at x = 0 .. points-1, up to its degree
+    2n-2, for n = 1 .. n_max (entry n-1): one `odd_power_sums` column per x."""
     n_max = len(table)
     if n_max < 1:
         raise ValueError(f"weighted_sum_rows: need n_max >= 1, got {n_max}")
@@ -146,7 +141,7 @@ def theorem1_row(
 ) -> list[CaseResult]:
     """The 1/n weighted sum for (l, n, eps) is integer-valued, for every
     l <= l_max, eps in eps_values and n = 1 .. n_max, in key order: eps
-    ascending within each (l, n).  table = `build_lhs(n_max - 1, n_max)`."""
+    ascending within each (l, n).  table = the S corner S_k(x), k, x < n_max."""
     n_max = len(table)
     signs = sorted(eps_values)
     eps_pairs = [("eps", eps) for eps in signs]
@@ -163,7 +158,7 @@ def theorem1_row(
 
 def theorem2_row(table: list[tuple[int, ...]]) -> list[CaseResult]:
     """(1/n^2) sum_{k=0}^{n-1} (2k+1) S_k(x) is integer-valued, for n = 1 .. n_max,
-    from table = `build_lhs(n_max - 1, n_max)`."""
+    from table = the S corner S_k(x), k, x < n_max."""
     return [
         _int_valued_case((("n", n),), values[:n], n * n)
         for n, values in enumerate(weighted_sum_rows(1, 1, table), 1)
@@ -191,7 +186,7 @@ def catalan_form_values(n_max: int) -> list[tuple[int, ...]]:
 def catalan_identity_row(table: list[tuple[int, ...]]) -> list[CaseResult]:
     """For every n <= n_max the Catalan-weighted sum equals the 1/n^2
     weighted sum as a polynomial (compared at x = 0 .. n-1, see `values`),
-    the latter from table = `build_lhs(n_max - 1, n_max)`."""
+    the latter from table = the S corner S_k(x), k, x < n_max."""
     weighted = weighted_sum_rows(1, 1, table)
     cases = []
     for n, (v, c) in enumerate(zip(weighted, catalan_form_values(len(table))), 1):
@@ -231,40 +226,36 @@ def catalan_terms_row(n: int, x_min: int, x_max: int) -> list[CaseResult]:
 
 # -- the mod-n^2 congruence family -------------------------------------------
 
-def conjecture_final_values(
-    l: int, k: int, table: tuple[list[list[int]], list[int]], weights: Optional[list[int]] = None
-) -> list[int]:
+def conjecture_final_values(l: int, k: int, table: tuple[list[list[int]], list[int]]) -> list[int]:
     """(2l-1)!! sum_{m=k}^{n-1} (2m+1)^(2l-1) C(m+k,2k) C(2k,k)^2 for
-    n = k+1 .. n_max (entry n-k-1): the eps = 1 running sum of column k
-    of table = `central_columns(n_max)`.  weights, when given, are
-    `odd_weights(l, 1, n_max)`, formed once for every k of a row."""
+    n = k+1 .. n_max (entry n-k-1): column k of the eps = 1 staggered sum
+    of table = `central_columns(n_max)`, scaled as in `conjecture_final_row`."""
     columns, centrals = table
     if not 0 <= k < len(columns):
         raise ValueError(
             f"conjecture_final_values: need 0 <= k < n_max, got k={k}, n_max={len(columns)}"
         )
-    if weights is None:
-        weights = odd_weights(l, 1, len(columns))
+    [sums] = staggered_sums(odd_weights(l, 1, len(columns))[k:], columns[k:k + 1])
     scale = double_factorial_odd(l) * centrals[k] ** 2
-    return [scale * partial for partial in accumulate(map(mul, weights[k:], columns[k]))]
+    return [scale * partial for partial in sums]
 
 
 def conjecture_final_row(l: int, table: tuple[list[list[int]], list[int]]) -> list[CaseResult]:
     """The congruence mod n^2 at (l, n, k), for n = 1 .. n_max and k < n,
     in key order, from table = `central_columns(n_max)`.
 
-    Cell (n, k) is entry n-k-1 of the row's `conjecture_final_values`
-    column k.  The key pairs are built once: ("l", l) for the row,
-    ("n", n) per n, ("k", k) per k.  l = 1 cells are proved and also
-    have to match the closed form n C(n,k+1) C(n+k,k) C(2k,k) exactly,
-    entry k of `telescope_rhs(n)` times C(2k,k); l >= 2 cells are
-    conjectures.
+    Cell (n, k) is entry n-k-1 of column k of the row's one eps = 1
+    staggered sum of the columns, times (2l-1)!! C(2k,k)^2.  The key
+    pairs are built once: ("l", l) for the row, ("n", n) per n, ("k", k)
+    per k.  l = 1 cells are proved and also have to match the closed
+    form n C(n,k+1) C(n+k,k) C(2k,k) exactly, entry k of
+    `telescope_rhs(n)` times C(2k,k); l >= 2 cells are conjectures.
     """
     severity = "theorem" if l == 1 else "conjecture"
-    centrals = table[1]
+    columns, centrals = table
     n_max = len(centrals)
-    weights = odd_weights(l, 1, n_max)
-    columns = [conjecture_final_values(l, k, table, weights) for k in range(n_max)]
+    sums = staggered_sums(odd_weights(l, 1, n_max), columns)
+    scales = [double_factorial_odd(l) * central ** 2 for central in centrals]
     l_pair = ("l", l)
     k_pairs = [("k", k) for k in range(n_max)]
     cases = []
@@ -274,7 +265,7 @@ def conjecture_final_row(l: int, table: tuple[list[list[int]], list[int]]) -> li
         # The proved route: at l=1 the sum telescopes to a closed product.
         closed_forms = telescope_rhs(n) if l == 1 else None
         for k in range(n):
-            value = columns[k][n - k - 1]
+            value = scales[k] * sums[k][n - k - 1]
             witness = None
             if value % modulus:
                 witness = f"value {value} = {value % modulus} mod {modulus}"
@@ -353,8 +344,8 @@ def sun_m_regime(m: int, n_max: int, points: int) -> str:
 
 def sun_ii_row(l_max: int, table: list[tuple[int, ...]]) -> list[CaseResult]:
     """((2l-1)!!/n^2) sum_{k=0}^{n-1} (2k+1)^(2l-1) S_k(x) is integer-valued,
-    for every l <= l_max and n = 1 .. n_max, from table =
-    `build_lhs(n_max - 1, n_max)`.
+    for every l <= l_max and n = 1 .. n_max, from table = the S corner
+    S_k(x), k, x < n_max.
 
     l = 1 is the proved 1/n^2 statement; l >= 2 instances follow from
     the open mod-n^2 congruence, so they carry conjecture severity.

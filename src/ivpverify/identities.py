@@ -15,7 +15,7 @@ m = 2.  `in_central_basis` evaluates sums in the basis C(x+k,2k): the
 right table, and the Catalan form in `congruences`.
 `odd_weights` forms the weights of the weighted running sum
 sum_{k<n} eps^k (2k+1)^(2l-1) X_k of every prefix-sum row, here and in
-`congruences`.  `odd_power_sums` sums columns that all start at one k;
+`congruences`.  `odd_power_sums` sums columns that all start at k = 0;
 `staggered_sums` sums column k from weight k on, which is how the
 telescope's left side here, and conjecture-final and lemma-schmidt in
 `congruences`, read the columns C(m+k,2k) of `central_columns`.  Tables
@@ -93,23 +93,21 @@ def in_central_basis(weights: list[list[int]], points: int) -> list[tuple[int, .
     return [tuple(sum(map(mul, w, row)) for row in basis) for w in weights]
 
 
-def odd_weights(l: int, eps: int, stop: int, first: int = 0) -> list[int]:
-    """eps^k (2k+1)^(2l-1) for k = first .. stop-1."""
+def odd_weights(l: int, eps: int, stop: int) -> list[int]:
+    """eps^k (2k+1)^(2l-1) for k = 0 .. stop-1."""
     if l < 1 or eps not in (1, -1):
         raise ValueError(f"odd_weights: need l >= 1 and eps = +1 or -1, got l={l}, eps={eps}")
-    weights = [(2 * k + 1) ** (2 * l - 1) for k in range(first, stop)]
+    weights = [(2 * k + 1) ** (2 * l - 1) for k in range(stop)]
     if eps == -1:
-        odd_k = slice(1 - first % 2, None, 2)
-        weights[odd_k] = map(neg, weights[odd_k])
+        weights[1::2] = map(neg, weights[1::2])
     return weights
 
 
-def odd_power_sums(l: int, eps: int, *columns, first: int = 0) -> list[list[int]]:
-    """sum_{k=first}^{n-1} eps^k (2k+1)^(2l-1) X_k for n = first+1, ...
-    (entry n-first-1), for each column X_first, X_first+1, ... of ints;
-    the weights are formed once for all columns."""
-    size = max(map(len, columns), default=0)
-    weights = odd_weights(l, eps, first + size, first)
+def odd_power_sums(l: int, eps: int, *columns) -> list[list[int]]:
+    """sum_{k=0}^{n-1} eps^k (2k+1)^(2l-1) X_k for n = 1, ... (entry n-1),
+    for each column X_0, X_1, ... of ints; the weights are formed once
+    for all columns."""
+    weights = odd_weights(l, eps, max(map(len, columns), default=0))
     return [list(accumulate(map(mul, weights, column))) for column in columns]
 
 

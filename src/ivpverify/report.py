@@ -8,9 +8,9 @@ output are byte-identical across runs with identical configuration.
 
 A case is a NamedTuple, built by `make_case` straight from its four
 fields: cheap to make and to sort, and sent back from a worker process
-as the plain tuple of its fields.  A report counts its failures in one
-pass over the case statuses.  `csv` is imported only when a CSV report
-is written.
+as the plain tuple of its fields.  A report counts its failures once,
+when it is made, in one pass over the case statuses.  `csv` is
+imported only when a CSV report is written.
 
 Every format is one generator of pieces, `report_pieces`: a piece is
 formed only when it is asked for and holds, besides fixed text, the
@@ -118,14 +118,14 @@ class VerificationReport:
     cases: list[CaseResult]
     notes: list[str] = field(default_factory=list)
     wall_time_s: float = 0.0
+    failed: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.failed = len(self.cases) - [c.status for c in self.cases].count("pass")
 
     @property
     def total(self) -> int:
         return len(self.cases)
-
-    @property
-    def failed(self) -> int:
-        return len(self.cases) - [c.status for c in self.cases].count("pass")
 
     @property
     def passed(self) -> int:
@@ -147,14 +147,14 @@ class CombinedReport:
     config: dict
     reports: list[VerificationReport]
     wall_time_s: float = 0.0
+    failed: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.failed = sum(r.failed for r in self.reports)
 
     @property
     def total(self) -> int:
         return sum(r.total for r in self.reports)
-
-    @property
-    def failed(self) -> int:
-        return sum(r.failed for r in self.reports)
 
     @property
     def passed(self) -> int:

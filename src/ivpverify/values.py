@@ -17,8 +17,9 @@ Every verdict runs on exact integers at these d+1 points.
 
 Monomial coefficients, as `Fraction`s, are recovered by Newton
 interpolation from the values at x = 0 .. 2d only to write the witness
-of a failing cell; `terms_text` writes them, and the q side's Laurent
-polynomials, as text.  Only a witness needs a `Fraction`, so
+of a failing cell, on integers scaled by (2d)!, with one `Fraction`
+per coefficient at the end; `terms_text` writes them, and the q side's
+Laurent polynomials, as text.  Only a witness needs a `Fraction`, so
 `fractions` is imported when `coefficients` or `fraction` first runs.
 """
 
@@ -49,16 +50,19 @@ def coefficients(values: Sequence) -> list[Fraction]:
     the polynomial of degree < len(values) taking values[x] at x."""
     from fractions import Fraction
 
-    coeffs = [Fraction(0)] * len(values)
+    # Newton's formula times d! = (len - 1)!, so that every step is on
+    # integers: D^i p(0) d!/i! times x(x-1)...(x-i+1).
+    scale = math.factorial(max(len(values) - 1, 0))
+    coeffs = [0] * len(values)
     falling = [1]  # x(x-1)...(x-i+1), little-endian
     for i, d in enumerate(forward_differences(values)):
-        scale = Fraction(d, math.factorial(i))
+        term = d * (scale // math.factorial(i))
         for j, c in enumerate(falling):
-            coeffs[j] += scale * c
+            coeffs[j] += term * c
         falling = [a - i * b for a, b in zip([0] + falling, falling + [0])]
     while coeffs and not coeffs[-1]:
         coeffs.pop()
-    return coeffs
+    return [Fraction(c, scale) for c in coeffs]
 
 
 def fraction(num, den) -> Fraction:

@@ -232,9 +232,9 @@ def test_theorem2_fault_witness(tmp_path, monkeypatch):
 
 def test_running_sum_step_fault_fails_from_that_cell_on(tmp_path, monkeypatch):
     # S_2 enters theorem2's one running sum at step k = 2, the cell n = 3.
-    # With 1 added at every point, each later sum is 5 too large, and
-    # 5/n^2 is not an integer for any n >= 3.
-    _corrupt_entry(monkeypatch, congruences, "build_lhs", (), 2, _plus(lambda x: 1))
+    # With 1 added at every point of the run's left table, each later
+    # sum is 5 too large, and 5/n^2 is not an integer for any n >= 3.
+    _corrupt_entry(monkeypatch, identities, "build_lhs", (), 2, _plus(lambda x: 1))
     rc, failed = _failures(tmp_path, ["theorem2", "--n-max", "6"])
     assert rc == 1
     assert [case["key"] for case in failed] == [{"n": n} for n in range(3, 7)]
@@ -407,6 +407,15 @@ def _corrupt_binom(monkeypatch, module, bad_args):
     monkeypatch.setattr(module, "binom_int", corrupted)
 
 
+def _corrupt_sum(monkeypatch, l, k, index, delta):
+    """Add delta to entry `index` of column k of the eps = 1 staggered
+    sum that `congruences` forms with the weights of l at n_max = 3."""
+    _corrupt_entry(
+        monkeypatch, congruences, "staggered_sums", (identities.odd_weights(l, 1, 3),), k,
+        lambda column: [*column[:index], column[index] + delta, *column[index + 1:]],
+    )
+
+
 def test_telescope_fault_witness(tmp_path, monkeypatch):
     # The closed form n C(n,k+1) C(n+k,k) at (n, k) = (4, 2), 240, as if
     # C(4,3) = 4 read 5: its running product reads no binomial.
@@ -440,10 +449,12 @@ def test_sun_two_fault_witness(tmp_path, monkeypatch):
 
 
 def test_conjecture_final_fault_witnesses(tmp_path, monkeypatch):
-    # Entry 1 of the row (l, k = 1) is the cell n = 3.  At l = 1 it gains
-    # n^2, so it is still 0 mod n^2 but off the closed form.
-    _corrupt_entry(monkeypatch, congruences, "conjecture_final_values", (1, 1), 1, lambda v: v + 9)
-    _corrupt_entry(monkeypatch, congruences, "conjecture_final_values", (2, 1), 1, lambda v: v + 1)
+    # Entry 1 of column k = 1 of the row's staggered sum is the cell
+    # n = 3, whose value is that sum times (2l-1)!! C(2,1)^2.  At l = 1 the
+    # value gains n^2, so it is still 0 mod n^2 but off the closed form;
+    # at l = 2 it gains 1.
+    _corrupt_sum(monkeypatch, 1, 1, 1, Fraction(9, 4))
+    _corrupt_sum(monkeypatch, 2, 1, 1, Fraction(1, 12))
     rc, failed = _failures(tmp_path, ["conjecture-final", "--l-max", "2", "--n-max", "3"])
     assert rc == 1
     assert failed == [
@@ -468,10 +479,11 @@ def test_conjecture_final_closed_form_fault_witness(tmp_path, monkeypatch):
 
 
 def test_conjecture_final_fault_keeps_its_k(tmp_path, monkeypatch):
-    # Entry 2 of the row (l = 2, k = 0) is the cell n = 3, k = 0: the
-    # key of the failing case must name the column the value came from,
-    # not another k of the same n.
-    _corrupt_entry(monkeypatch, congruences, "conjecture_final_values", (2, 0), 2, lambda v: v + 1)
+    # Entry 2 of column k = 0 of the l = 2 row's staggered sum is the
+    # cell n = 3, k = 0, whose value is that sum times 3!! = 3: the key of
+    # the failing case must name the column the value came from, not
+    # another k of the same n.
+    _corrupt_sum(monkeypatch, 2, 0, 2, Fraction(1, 3))
     rc, failed = _failures(tmp_path, ["conjecture-final", "--l-max", "2", "--n-max", "3"])
     assert rc == 1
     assert failed == [

@@ -119,6 +119,30 @@ def test_report_counts():
     assert bad.failures()[0].witness == "value 7 not divisible by 9"
 
 
+class _CountedCases(list):
+    """A case list that counts the passes over it."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+def test_a_report_counts_its_failures_once():
+    # A report counts its failures as it is made: ok, passed and failed,
+    # read again and again and by the text writer's two verdicts, make
+    # no further pass over the cases.
+    cases = _CountedCases(_sample_report(fail=True).cases)
+    report = VerificationReport(task="demo", config={}, cases=cases)
+    combined = CombinedReport(task="all", config={}, reports=[report])
+    for _ in range(3):
+        assert (report.ok, report.passed, report.failed) == (False, 2, 1)
+        assert (combined.ok, combined.passed, combined.failed) == (False, 2, 1)
+    assert serialize_report(combined, "text").endswith("overall: FAIL 1/3\n")
+    assert cases.passes == 1
+
+
 def test_json_round_trip():
     report = _sample_report(fail=True)
     payload = json.loads(serialize_report(report, "json"))

@@ -307,20 +307,19 @@ def test_row_builders_match_per_cell_sums(l, eps, n_max, m, x0):
 @given(
     l=st.integers(1, 4),
     eps=st.sampled_from([1, -1]),
-    first=st.integers(0, 8),
     columns=st.lists(st.lists(st.integers(-10 ** 12, 10 ** 12), max_size=10), max_size=4),
 )
-@example(l=1, eps=1, first=0, columns=[])
-@example(l=4, eps=-1, first=3, columns=[[], [5, -7, 2], [1]])
-def test_odd_power_sums_match_per_term_sums(l, eps, first, columns):
-    # Values, not verdicts: a sun-m or telescope sum off by a multiple
+@example(l=1, eps=1, columns=[])
+@example(l=4, eps=-1, columns=[[], [5, -7, 2], [1]])
+def test_odd_power_sums_match_per_term_sums(l, eps, columns):
+    # Values, not verdicts: a sun-m or theorem1 sum off by a multiple
     # of n would still pass its cell.  Columns may be empty and of
-    # different lengths; term i of a column has k = first + i.
+    # different lengths; term k of a column is X_k.
     def term(k, x):
         return eps ** k * (2 * k + 1) ** (2 * l - 1) * x
 
-    assert identities.odd_power_sums(l, eps, *columns, first=first) == [
-        [sum(term(first + i, x) for i, x in enumerate(c[:n])) for n in range(1, len(c) + 1)]
+    assert identities.odd_power_sums(l, eps, *columns) == [
+        [sum(term(k, x) for k, x in enumerate(c[:n])) for n in range(1, len(c) + 1)]
         for c in columns
     ]
 

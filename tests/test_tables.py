@@ -4,8 +4,10 @@
 row runs, and hands it to every row that reads it.  These tests count
 the builder calls of whole runs (at --jobs 1, so every call happens in
 this process): `verify all` builds one of each table, and a task run
-alone builds only the tables it read before they were shared, at the
-sizes it built them then.
+alone builds only the tables it reads.  Every reader of S, alone or
+in `all`, reads the one left table `identities.build_lhs(n, n + 1)`:
+the weighted-sum rows read its corner, and no run builds a second,
+smaller left table.
 """
 
 import gc
@@ -64,8 +66,8 @@ def test_verify_all_builds_each_table_once(builds):
     phis = [tuple(qpoly._cyclotomic(d)) for d in range(2, n + 1)]
     builds.clear()
     assert cli.run(cli.GridConfig("all", jobs=1, **ALL_GRID)).ok
-    # One S pair, sized for transform and recurrence; theorem1, theorem2,
-    # the catalan-form identity and conjecture-sun-ii read its corner.
+    # One S pair; theorem1, theorem2, the catalan-form identity and
+    # conjecture-sun-ii read the left table's corner.
     assert _calls(builds, "identities.build_lhs") == {(n, n + 1): 1}
     assert _calls(builds, "identities.build_rhs") == {(n, n + 1): 1}
     assert _calls(builds, "congruences.build_lhs") == {}
@@ -87,14 +89,18 @@ def test_conjecture_final_builds_its_column_table_once(builds):
 
 
 @pytest.mark.parametrize("task, expected", [
-    # The weighted-sum tasks build S_0 .. S_{n_max - 1} alone.
-    ("theorem1", {("congruences.build_lhs", (11, 12)): 1}),
-    ("theorem2", {("congruences.build_lhs", (11, 12)): 1}),
-    ("conjecture-sun-ii", {("congruences.build_lhs", (11, 12)): 1}),
+    # The weighted-sum tasks build the left table alone and read its
+    # corner S_0 .. S_{n_max - 1} at x = 0 .. n_max - 1.
+    ("theorem1", {("identities.build_lhs", (12, 13)): 1}),
+    ("theorem2", {("identities.build_lhs", (12, 13)): 1}),
+    ("conjecture-sun-ii", {("identities.build_lhs", (12, 13)): 1}),
     # transform and recurrence build S_0 .. S_{n_max} of each closed
     # form, once: the recurrence's base row reads the same tables.
     ("transform", {("identities.build_lhs", (12, 13)): 1, ("identities.build_rhs", (12, 13)): 1}),
     ("recurrence", {("identities.build_lhs", (12, 13)): 1, ("identities.build_rhs", (12, 13)): 1}),
+    # The catalan-form identity row reads the corner too; its summand
+    # rows read no table.
+    ("catalan-form", {("identities.build_lhs", (12, 13)): 1}),
 ])
 def test_a_task_alone_builds_only_its_own_tables(builds, task, expected):
     assert cli.run(cli.GridConfig(task, l_max=2, n_max=12)).ok

@@ -1,9 +1,10 @@
 from fractions import Fraction
 
+import sympy
 from cell_oracle import first_non_multiple
 from hypothesis import given, settings, strategies as st
 
-from ivpverify import congruences
+from ivpverify import congruences, identities
 from ivpverify.combinat import binom_int
 from ivpverify.values import coefficients, forward_differences, poly_text
 
@@ -45,6 +46,21 @@ def test_interpolation_examples():
 def test_interpolation_round_trip(coeffs):
     values = [_at(coeffs, x) for x in range(len(coeffs))]
     assert coefficients(values) == _trimmed(coeffs)
+
+
+def _sympy_coefficients(points):
+    """Little-endian monomial coefficients, as Fractions, of sympy's
+    interpolating polynomial through the (x, value) points."""
+    x = sympy.symbols("x")
+    poly = sympy.Poly(sympy.interpolate(points, x), x)
+    return _trimmed(Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs()))
+
+
+def test_interpolation_of_s_n_matches_sympy():
+    # The witnesses' case: S_n at x = 0 .. 2n, d! as large as (2n)!.
+    for n in (0, 1, 5, 10):
+        values = identities.build_lhs(n, 2 * n + 1)[n]
+        assert coefficients(values) == _sympy_coefficients(list(enumerate(values)))
 
 
 @given(st.lists(st.integers(-1000, 1000), max_size=40), st.integers(1, 30))
