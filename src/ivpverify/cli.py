@@ -20,6 +20,12 @@ collects each task's report from its slice of the results.  A
 well.  Flag precedence is defaults < IVPVERIFY_JOBS < config file <
 explicit flags.
 
+A fresh `verify` imports `argparse`, `json` and the package, and
+nothing else beyond what the interpreter itself loads at start-up.
+Each heavier stdlib module is imported on the one path that needs it:
+`pickle` at `--jobs` > 1, `csv` for a CSV report, `fractions` for a
+failing witness, `traceback` on exit 3.
+
 The report goes to the `--out` file, or to stdout, piece by piece as
 `report.report_pieces` forms it, never as one string.  A write that
 fails, or an error while a piece is formed, leaves what was written
@@ -43,10 +49,9 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, fields
 from functools import cached_property, partial
 from itertools import chain, islice
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import congruences, identities, qpoly
 from .gridrun import collect, run_rows
@@ -62,24 +67,36 @@ class UsageError(Exception):
     """Bad flags, bounds, config file, or output destination."""
 
 
-@dataclass(frozen=True)
+# GridConfig's fields after `task`, with their defaults, in the order
+# of the `all` report's config echo.
+_DEFAULTS = {
+    "l_max": 3, "n_max": 20, "k_max": 30, "m": 2, "eps": (1, -1),
+    "x_min": -10, "x_max": 10, "jobs": 1, "format": "text", "out": None,
+}
+_CONFIG_KEYS = tuple(_DEFAULTS)
+_INT_KEYS = tuple(name for name, value in _DEFAULTS.items() if type(value) is int)
+# Execution details, left out of the report's config echo.
+_RUN_KEYS = ("jobs", "format", "out")
+# What `all` echoes: every grid field, in GridConfig order.
+_SHARED_ECHO = tuple(name for name in _CONFIG_KEYS if name not in _RUN_KEYS)
+
+
 class GridConfig:
-    """One run: the task, its grid bounds and how to report.  Building one
-    checks every bound, so a bad one raises UsageError before any task runs."""
+    """One run: the task, its grid bounds and how to report, the fields
+    of `_DEFAULTS` given by keyword.  Building one checks every bound, so
+    a bad one raises UsageError before any task runs, and no field can be
+    assigned afterwards."""
 
-    task: str
-    l_max: int = 3
-    n_max: int = 20
-    k_max: int = 30
-    m: int = 2
-    eps: tuple[int, ...] = (1, -1)
-    x_min: int = -10
-    x_max: int = 10
-    jobs: int = 1
-    format: str = "text"
-    out: Optional[str] = None
+    __slots__ = ("task", *_DEFAULTS)
 
-    def __post_init__(self):
+    def __init__(self, task: str, **fields):
+        unknown = fields.keys() - _DEFAULTS.keys()
+        if unknown:
+            raise TypeError(f"GridConfig() got an unexpected keyword argument {min(unknown)!r}")
+        init = object.__setattr__
+        init(self, "task", task)
+        for name, default in _DEFAULTS.items():
+            init(self, name, fields.get(name, default))
         if self.task != "all" and self.task not in _TASKS:
             raise UsageError(f"unknown task {self.task!r}")
         for name in _INT_KEYS:
@@ -106,14 +123,10 @@ class GridConfig:
                 f"task {self.task} needs --n-max >= {floor}, got {self.n_max}"
             )
 
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"GridConfig field {name!r} cannot be changed")
 
-_DEFAULTS = {f.name: f.default for f in fields(GridConfig) if f.name != "task"}
-_CONFIG_KEYS = tuple(_DEFAULTS)
-_INT_KEYS = tuple(name for name, value in _DEFAULTS.items() if type(value) is int)
-# Execution details, left out of the report's config echo.
-_RUN_KEYS = ("jobs", "format", "out")
-# What `all` echoes: every grid field, in GridConfig order.
-_SHARED_ECHO = tuple(name for name in _CONFIG_KEYS if name not in _RUN_KEYS)
+    __delattr__ = __setattr__
 
 
 class _Tables:
@@ -165,8 +178,7 @@ class _Tables:
         return qpoly.phi_squares(self.config.n_max)
 
 
-@dataclass(frozen=True)
-class _Task:
+class _Task(NamedTuple):
     """One entry of the task table."""
 
     # Config fields the report echoes, in this order.

@@ -9,8 +9,8 @@ output are byte-identical across runs with identical configuration.
 A case is a NamedTuple, built by `make_case` straight from its four
 fields: cheap to make and to sort, and sent back from a worker process
 as the plain tuple of its fields.  A report counts its failures once,
-when it is made, in one pass over the case statuses.  `csv` is
-imported only when a CSV report is written.
+when it is made, in one pass over the case statuses.  `csv` is one of
+the modules imported only on the path that needs it (see `cli`).
 
 Every format is one generator of pieces, `report_pieces`: a piece is
 formed only when it is asked for and holds, besides fixed text, the
@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, field
 from itertools import chain, groupby
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import itemgetter
@@ -111,17 +110,18 @@ def make_case(
     return _new_case(CaseResult, (tuple(key), "fail", witness, severity))
 
 
-@dataclass
 class VerificationReport:
-    task: str
-    config: dict
-    cases: list[CaseResult]
-    notes: list[str] = field(default_factory=list)
-    wall_time_s: float = 0.0
-    failed: int = field(init=False, repr=False, compare=False)
+    """The cases of one task's run, with the config it echoes, its notes
+    and wall time; its failures are counted once, when it is made."""
 
-    def __post_init__(self):
-        self.failed = len(self.cases) - [c.status for c in self.cases].count("pass")
+    def __init__(self, task: str, config: dict, cases: list[CaseResult],
+                 notes: Optional[list[str]] = None, wall_time_s: float = 0.0):
+        self.task = task
+        self.config = config
+        self.cases = cases
+        self.notes = [] if notes is None else notes
+        self.wall_time_s = wall_time_s
+        self.failed = len(cases) - [c.status for c in cases].count("pass")
 
     @property
     def total(self) -> int:
@@ -139,18 +139,17 @@ class VerificationReport:
         return [c for c in self.cases if not c.ok]
 
 
-@dataclass
 class CombinedReport:
-    """Aggregate of several task reports sharing one configuration."""
+    """Aggregate of several task reports sharing one configuration; its
+    failures are summed once, when it is made."""
 
-    task: str
-    config: dict
-    reports: list[VerificationReport]
-    wall_time_s: float = 0.0
-    failed: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.failed = sum(r.failed for r in self.reports)
+    def __init__(self, task: str, config: dict, reports: list[VerificationReport],
+                 wall_time_s: float = 0.0):
+        self.task = task
+        self.config = config
+        self.reports = reports
+        self.wall_time_s = wall_time_s
+        self.failed = sum(r.failed for r in reports)
 
     @property
     def total(self) -> int:

@@ -11,7 +11,6 @@ run, in whichever process runs them.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import time
 from functools import partial
@@ -120,7 +119,7 @@ def watch_rows(monkeypatch):
 
         for name, task in list(cli._TASKS.items()):
             monkeypatch.setitem(
-                cli._TASKS, name, dataclasses.replace(task, rows=watched_rows(task.rows))
+                cli._TASKS, name, task._replace(rows=watched_rows(task.rows))
             )
 
     return watch

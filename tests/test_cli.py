@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import functools
 import json
 import os
@@ -52,7 +51,7 @@ def _replace_rows(monkeypatch, task, row):
     def rows(config, tables):
         return [functools.partial(row, *original.args) for original in entry.rows(config, tables)]
 
-    monkeypatch.setitem(cli._TASKS, task, dataclasses.replace(entry, rows=rows))
+    monkeypatch.setitem(cli._TASKS, task, entry._replace(rows=rows))
 
 
 def test_mathematical_failure_exits_one(capsys, monkeypatch):
@@ -214,16 +213,29 @@ def test_passing_run_constructs_no_fraction(tmp_path, monkeypatch):
     assert made == []
 
 
+# What a fresh `import ivpverify.cli` must not load: the class machinery
+# behind dataclasses (inspect, ast, dis), the pool modules, and what
+# serves only parallel runs, failing witnesses, CSV reports or exit 3.
+_HEAVY = ("dataclasses", "inspect", "ast", "dis", "pickle", "csv", "fractions", "decimal",
+          "traceback", "multiprocessing", "concurrent.futures", "mmap")
+
+
 def test_a_passing_serial_run_imports_no_module_it_does_not_use(tmp_path):
-    # A fresh interpreter: the pool modules, pickle, fractions (and the
-    # decimal it imports), csv and traceback serve only parallel runs,
-    # failing witnesses, CSV reports or the exit-3 path.
+    # A fresh interpreter: the modules are compared against those loaded
+    # before the import, so what `site` preloads does not count.  The
+    # pool modules, pickle, fractions (and the decimal it imports), csv
+    # and traceback serve only parallel runs, failing witnesses, CSV
+    # reports or the exit-3 path, so passing serial runs load none.
+    out = str(tmp_path / "a.json")
     code = (
         "import sys\n"
+        "before = set(sys.modules)\n"
         "from ivpverify import cli\n"
-        f"rc = cli.main(['all', '--jobs', '1', '--format', 'json', '--out', {str(tmp_path / 'a.json')!r}])\n"
-        "print(rc, sorted({'multiprocessing', 'concurrent.futures', 'pickle', 'fractions', "
-        "'decimal', 'csv', 'traceback'} & set(sys.modules)))\n"
+        f"print(sorted(set(sys.modules) - before & set({_HEAVY!r})))\n"
+        "for task in (['transform', '--n-max', '3'], ['all', '--jobs', '1']):\n"
+        f"    rc = cli.main([*task, '--format', 'json', '--out', {out!r}])\n"
+        "    print(rc, sorted(set(sys.modules) - before & {'multiprocessing', "
+        "'concurrent.futures', 'pickle', 'fractions', 'decimal', 'csv', 'traceback'}))\n"
     )
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": src}
@@ -231,7 +243,7 @@ def test_a_passing_serial_run_imports_no_module_it_does_not_use(tmp_path):
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "0 []\n"
+    assert done.stdout == "[]\n0 []\n0 []\n"
 
 
 def test_the_package_holds_no_assert_statement():
@@ -369,7 +381,7 @@ def test_every_task_is_queued_before_any_result_is_read(monkeypatch, cores, fork
     ]
     ran = sorted(key for _, key in row_log.read())
     assert ran == sorted(repr((row.func.__name__, row.args)) for row in rows)
-    serial = cli.run(dataclasses.replace(config, jobs=1))
+    serial = cli.run(cli.GridConfig("all", n_max=4, l_max=2, x_min=-2, x_max=2, jobs=1))
     assert [r.cases for r in parallel.reports] == [r.cases for r in serial.reports]
 
 
@@ -377,9 +389,7 @@ def test_a_raising_row_in_a_worker_exits_three(capsys, monkeypatch, forks):
     # The first task's one row raises in a worker process while the rows
     # of every later task are queued behind it.
     first = next(iter(cli._TASKS))
-    broken = dataclasses.replace(
-        cli._TASKS[first], rows=lambda c, t: [functools.partial(divmod, 1, 0)]
-    )
+    broken = cli._TASKS[first]._replace(rows=lambda c, t: [functools.partial(divmod, 1, 0)])
     monkeypatch.setitem(cli._TASKS, first, broken)
     assert cli.main(["all", "--n-max", "4", "--l-max", "2", "--jobs", "2"]) == 3
     captured = capsys.readouterr()
@@ -462,6 +472,18 @@ def test_eps_parsing():
         cli.parse_eps("")
     with pytest.raises(cli.UsageError):
         cli.GridConfig("theorem1", eps=(-1, 1))  # not canonical: parse_eps sorts it
+
+
+def test_a_grid_config_takes_only_its_fields_and_cannot_change():
+    config = cli.GridConfig("theorem1", n_max=5)
+    assert (config.task, config.n_max, config.l_max) == ("theorem1", 5, 3)
+    with pytest.raises(AttributeError):
+        config.n_max = 6
+    with pytest.raises(AttributeError):
+        del config.n_max
+    assert config.n_max == 5
+    with pytest.raises(TypeError, match="n_maxx"):
+        cli.GridConfig("theorem1", n_maxx=5)
 
 
 def test_config_file_flags_win(tmp_path, capsys):

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import io
 import json
 import os
@@ -598,7 +597,7 @@ def test_jobs_on_one_core_run_serially(cores, forks):
     config = cli.GridConfig("all", n_max=4, l_max=2, x_min=-2, x_max=2, jobs=2)
     parallel = cli.run(config)
     assert forks == []
-    serial = cli.run(dataclasses.replace(config, jobs=1))
+    serial = cli.run(cli.GridConfig("all", n_max=4, l_max=2, x_min=-2, x_max=2, jobs=1))
     assert [r.cases for r in parallel.reports] == [r.cases for r in serial.reports]
 
 
