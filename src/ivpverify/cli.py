@@ -135,8 +135,9 @@ class _Tables:
     module-level builder, so a task run alone builds only what it reads.
     `run` reads them while it builds every task's rows, before
     `gridrun.run_rows`, so forked workers inherit them, and they go when
-    the run's rows do.  A failing cell still builds the values its
-    witness reads itself."""
+    the run's rows do.  A row with failing cells builds the wider values
+    their witnesses read once, at its last failing cell, in the process
+    that runs the row: at --jobs > 1 the caller or a forked worker."""
 
     def __init__(self, config: GridConfig):
         self.config = config

@@ -47,7 +47,7 @@ from .identities import (
     staggered_sums,
     telescope_rhs,
 )
-from .report import CaseResult, make_case
+from .report import CaseResult, make_case, row_cases
 from .values import coefficients, fraction
 
 __all__ = [
@@ -186,19 +186,19 @@ def catalan_form_values(n_max: int) -> list[tuple[int, ...]]:
 def catalan_identity_row(table: list[tuple[int, ...]]) -> list[CaseResult]:
     """For every n <= n_max the Catalan-weighted sum equals the 1/n^2
     weighted sum as a polynomial (compared at x = 0 .. n-1, see `values`),
-    the latter from table = the S corner S_k(x), k, x < n_max."""
-    weighted = weighted_sum_rows(1, 1, table)
-    cases = []
-    for n, (v, c) in enumerate(zip(weighted, catalan_form_values(len(table))), 1):
-        ok = v[:n] == tuple(n * n * ci for ci in c[:n])
-        witness = None
-        if not ok:  # the witness reads both sides at x = 0 .. 2n-2
-            v = weighted_sum_rows(1, 1, build_lhs(n - 1, 2 * n - 1))[n - 1]
-            c = catalan_form_values(2 * n - 1)[n - 1]
-            p = [fraction(a, n * n) for a in coefficients(v)]
-            witness = coeff_mismatch(p, coefficients(c))
-        cases.append(make_case((("part", "identity"), ("n", n)), ok, witness))
-    return cases
+    the latter from table = the S corner S_k(x), k, x < n_max.  The
+    witness of a failing cell n reads both sides at x = 0 .. 2n-2; cell
+    n is entry i = n-1 of the row."""
+    pairs = zip(weighted_sum_rows(1, 1, table), catalan_form_values(len(table)))
+    return row_cases(
+        [((("part", "identity"), ("n", n)), v[:n] == tuple(n * n * ci for ci in c[:n]))
+         for n, (v, c) in enumerate(pairs, 1)],
+        lambda top: (weighted_sum_rows(1, 1, build_lhs(top, 2 * top + 1)),
+                     catalan_form_values(2 * top + 1)),
+        lambda i, sides: coeff_mismatch(
+            [fraction(a, (i + 1) ** 2) for a in coefficients(sides[0][i])],
+            coefficients(sides[1][i][: 2 * i + 1])),
+    )
 
 
 def catalan_terms_row(n: int, x_min: int, x_max: int) -> list[CaseResult]:

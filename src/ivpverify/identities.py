@@ -24,8 +24,10 @@ run.
 Every polynomial claim here is symmetric about x = -1/2, so by the
 symmetric rule of `values` it is decided at x = 0 .. d only: S_n at
 x = 0 .. n, the order-2 recurrence's residual at x = 0 .. n+2, the
-Chu-Vandermonde sum at x = 0 .. k//2.  A failing cell rebuilds its
-values at x = 0 .. 2d for its witness.
+Chu-Vandermonde sum at x = 0 .. k//2.  A row decides all its cells
+from its tables first; only if one fails does it build the wider values
+its witnesses read, at x = 0 .. 2d, once, at its last failing cell
+(`report.row_cases`), and every witness reads a slice of that build.
 The module also checks a telescoping sum of odd-weighted binomials
 (one row, one running sum per column k, against the closed form that
 `telescope_rhs` forms by running products) and two rational-value
@@ -47,7 +49,7 @@ from operator import mul, neg
 from typing import Optional
 
 from .combinat import binom_int
-from .report import CaseResult, make_case
+from .report import CaseResult, make_case, row_cases
 from .values import coefficients, fraction, poly_text
 
 __all__ = [
@@ -156,21 +158,16 @@ def coeff_mismatch(p, q) -> str:
     return "polynomials agree"
 
 
-def _forms(n: int, points: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """S_n at x = 0 .. points-1 from each closed form, for one cell."""
-    return build_lhs(n, points)[n], build_rhs(n, points)[n]
-
-
 def transform_row(lhs: list[tuple[int, ...]], rhs: list[tuple[int, ...]]) -> list[CaseResult]:
     """Both closed forms of S_n agree, for n = 0 .. n_max: cell n compares
     the first n+1 values of the tables lhs = `build_lhs(n_max, n_max + 1)`
-    and rhs = `build_rhs(n_max, n_max + 1)`."""
-    cases = []
-    for n in range(len(lhs)):
-        ok = lhs[n][: n + 1] == rhs[n][: n + 1]
-        witness = None if ok else coeff_mismatch(*map(coefficients, _forms(n, 2 * n + 1)))
-        cases.append(make_case((("n", n),), ok, witness))
-    return cases
+    and rhs = `build_rhs(n_max, n_max + 1)`.  The witness of a failing
+    cell n reads both forms at x = 0 .. 2n."""
+    return row_cases(
+        [((("n", n),), lhs[n][: n + 1] == rhs[n][: n + 1]) for n in range(len(lhs))],
+        lambda top: (build_lhs(top, 2 * top + 1), build_rhs(top, 2 * top + 1)),
+        lambda n, forms: coeff_mismatch(*(coefficients(f[n][: 2 * n + 1]) for f in forms)),
+    )
 
 
 # -- order-2 recurrence ------------------------------------------------------
@@ -190,7 +187,7 @@ def recurrence_coefficients(n: int, x: int) -> tuple[int, int, int]:
     return a, b, c
 
 
-_BASE_CASES = {0: [1], 1: [1, 2, 2]}  # S_0 and S_1, little-endian in x
+_BASE_CASES = [[1], [1, 2, 2]]  # S_0 and S_1, little-endian in x
 
 
 def recurrence_base_row(
@@ -198,17 +195,17 @@ def recurrence_base_row(
 ) -> list[CaseResult]:
     """Both closed forms give the base cases S_0 = 1 and S_1 = 2x^2+2x+1
     that start the order-2 recurrence, compared at x = 0 .. n: the first
-    n+1 values of entry n of the tables lhs and rhs of `recurrence_row`."""
-    cases = []
-    for n, base in _BASE_CASES.items():
-        expected = tuple(sum(c * x ** i for i, c in enumerate(base)) for x in range(n + 1))
-        ok = lhs[n][: n + 1] == rhs[n][: n + 1] == expected
-        witness = None
-        if not ok:  # the witness reads both forms at x = 0 .. 2n
-            lhs_p, rhs_p = (poly_text(coefficients(v)) for v in _forms(n, 2 * n + 1))
-            witness = f"S_{n}: lhs {lhs_p}, rhs {rhs_p}, expected {poly_text(base)}"
-        cases.append(make_case((("family", "base"), ("n", n)), ok, witness))
-    return cases
+    n+1 values of entry n of the tables lhs and rhs of `recurrence_row`.
+    The witness of a failing cell n reads both forms at x = 0 .. 2n."""
+    return row_cases(
+        [((("family", "base"), ("n", n)), lhs[n][: n + 1] == rhs[n][: n + 1]
+          == tuple(sum(c * x ** i for i, c in enumerate(base)) for x in range(n + 1)))
+         for n, base in enumerate(_BASE_CASES)],
+        lambda top: (build_lhs(top, 2 * top + 1), build_rhs(top, 2 * top + 1)),
+        lambda n, forms: "S_{}: lhs {}, rhs {}, expected {}".format(
+            n, *(poly_text(coefficients(f[n][: 2 * n + 1])) for f in forms),
+            poly_text(_BASE_CASES[n])),
+    )
 
 
 def _residual(table: list[tuple[int, ...]], n: int, points: int) -> list[int]:
@@ -222,17 +219,14 @@ def recurrence_row(family: str, table: list[tuple[int, ...]]) -> list[CaseResult
     """The closed form `family` ("lhs" or "rhs") satisfies the order-2
     recurrence: `table` is its S_0 .. S_{n_max} at x = 0 .. n_max and, at
     each n <= n_max - 2, the residual, symmetric of degree at most 2n+4
-    (b_n depends on x only through x(x+1)), is formed at x = 0 .. n+2."""
-    build = build_lhs if family == "lhs" else build_rhs
-    cases = []
-    for n in range(len(table) - 2):
-        ok = not any(_residual(table, n, n + 3))
-        witness = None
-        if not ok:  # the witness reads the residual at x = 0 .. 2n+4
-            residual = _residual(build(n + 2, 2 * n + 5), n, 2 * n + 5)
-            witness = f"residual {poly_text(coefficients(residual))}"
-        cases.append(make_case((("family", family), ("n", n)), ok, witness))
-    return cases
+    (b_n depends on x only through x(x+1)), is formed at x = 0 .. n+2.
+    The witness of a failing cell n reads it at x = 0 .. 2n+4."""
+    return row_cases(
+        [((("family", family), ("n", n)), not any(_residual(table, n, n + 3)))
+         for n in range(len(table) - 2)],
+        lambda top: (build_lhs if family == "lhs" else build_rhs)(top + 2, 2 * top + 5),
+        lambda n, wide: f"residual {poly_text(coefficients(_residual(wide, n, 2 * n + 5)))}",
+    )
 
 
 # -- Chu-Vandermonde convolution --------------------------------------------
@@ -244,19 +238,17 @@ def chu_row(k_max: int) -> list[CaseResult]:
     The sum is symmetric of degree at most k, so it is compared at
     x = 0 .. k//2: the m = 1 power sums at each x <= k_max//2 are built
     once, and cell k reads them at x = 0 .. k//2, so at x only the
-    entries k >= 2x are computed.
+    entries k >= 2x are computed.  The witness of a failing cell k reads
+    the sum at x = 0 .. k.
     """
     sums = [power_sums(1, x, k_max + 1, 2 * x) for x in range(k_max // 2 + 1)]
-    cases = []
-    for k in range(k_max + 1):
-        expected = (-1) ** k
-        ok = all(sums[x][k] == expected for x in range(k // 2 + 1))
-        witness = None
-        if not ok:  # the witness reads the sum at x = 0 .. k
-            values = [power_sums(1, x, k + 1)[k] for x in range(k + 1)]
-            witness = f"sum is {poly_text(coefficients(values))}, expected {expected}"
-        cases.append(make_case((("k", k),), ok, witness))
-    return cases
+    return row_cases(
+        [((("k", k),), all(sums[x][k] == (-1) ** k for x in range(k // 2 + 1)))
+         for k in range(k_max + 1)],
+        lambda top: [power_sums(1, x, top + 1) for x in range(top + 1)],
+        lambda k, wide: f"sum is {poly_text(coefficients([s[k] for s in wide[: k + 1]]))}, "
+                        f"expected {(-1) ** k}",
+    )
 
 
 # -- telescoping sum ---------------------------------------------------------

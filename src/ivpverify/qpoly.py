@@ -248,14 +248,17 @@ def q_sun_row(k: int, n_max: int, squares: list[list[int]]) -> list[CaseResult]:
     """[n]^2 divides the q-sum A_n [2k choose k]^2, for n = k+1 .. n_max.
     Each cell is decided from the cyclotomic factors of [n]^2, with
     squares = `phi_squares(n_max)`, built once for every row of the run;
-    only a failing cell forms [2k choose k] and its remainder, the
-    witness, and raises ArithmeticError if that remainder is zero."""
+    only a failing cell forms its remainder, the witness, and raises
+    ArithmeticError if that remainder is zero.  [2k choose k] is formed
+    once per row, at its first failing cell."""
     cases = []
+    central = None
     for n, (low, a) in enumerate(q_sun_sums(k, n_max), k + 1):
         ok = _cyclotomic_verdict(a, n, k, squares)
         witness = None
         if not ok:
-            remainder = remainder_by_q_integer_squared(a, q_binom(2 * k, k), n)
+            central = central or q_binom(2 * k, k)
+            remainder = remainder_by_q_integer_squared(a, central, n)
             if not any(remainder):
                 raise ArithmeticError(f"q-sun n={n}, k={k}: Phi_d^2 fails but [n]^2 divides")
             witness = f"remainder {_q_text(remainder, low)} after division by [{n}]^2"

@@ -8,8 +8,9 @@ output are byte-identical across runs with identical configuration.
 
 A case is a NamedTuple, built by `make_case` straight from its four
 fields: cheap to make and to sort, and sent back from a worker process
-as the plain tuple of its fields.  A report counts its failures once,
-when it is made, in one pass over the case statuses.  `csv` is one of
+as the plain tuple of its fields.  `row_cases` makes the cases of a row
+from its verdicts.  A report counts its failures once, when it is made,
+in one pass over the case statuses.  `csv` is one of
 the modules imported only on the path that needs it (see `cli`).
 
 Every format is one generator of pieces, `report_pieces`: a piece is
@@ -40,13 +41,14 @@ import json
 from itertools import chain, groupby
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 __all__ = [
     "CaseResult",
     "VerificationReport",
     "CombinedReport",
     "make_case",
+    "row_cases",
     "report_pieces",
     "serialize_report",
 ]
@@ -108,6 +110,17 @@ def make_case(
     if ok:
         return _new_case(CaseResult, (tuple(key), "pass", None, severity))
     return _new_case(CaseResult, (tuple(key), "fail", witness, severity))
+
+
+def row_cases(cells: list[tuple], widen: Callable, witness: Callable) -> list[CaseResult]:
+    """The cases of one row from its cells' (key, verdict) pairs, all
+    decided first.  Only if a cell fails is widen(top) called, once, with
+    top the index of the last failing cell; each failing cell i gets the
+    witness witness(i, wide), read from what that call built."""
+    top = max((i for i, (_, ok) in enumerate(cells) if not ok), default=None)
+    wide = None if top is None else widen(top)
+    return [make_case(key, ok, None if ok else witness(i, wide))
+            for i, (key, ok) in enumerate(cells)]
 
 
 class VerificationReport:

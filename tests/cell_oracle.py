@@ -2,7 +2,7 @@
 
 The verifier decides a prefix-sum grid row from one running sum, the
 Chu-Vandermonde row from power sums shared by its cells, and the
-transform row from one table of each closed form.  This
+transform and recurrence rows from one table of each closed form.  This
 module keeps the formulas that build every cell's sum from scratch,
 together with the cell keys of each task's grid.  `ORACLE[task]` gives (cell function, cell keys of
 a `GridConfig`); a cell function returns the `CaseResult` the row
@@ -443,6 +443,35 @@ def transform_case(n):
     return make_case((("n", n),), ok, witness)
 
 
+def recurrence_case(key):
+    """("base", n): both closed forms give S_0 = 1 and S_1 = 2x^2+2x+1, read
+    at x = 0 .. 2n and decided on x = 0 .. n.  ("lhs" or "rhs", n): that
+    closed form satisfies (n+2)^3 S_{n+2} - (2n+3)(2x^2+2x+n^2+3n+3) S_{n+1}
+    + (n+1)^3 S_n = 0, its residual formed at x = 0 .. 2n+4 and decided
+    on x = 0 .. n+2.  Each S_k is read from its per-term formula."""
+    family, n = key
+    if family == "base":
+        base = [1] if n == 0 else [1, 2, 2]
+        lhs, rhs = build_lhs(n, 2 * n + 1), build_rhs(n, 2 * n + 1)
+        expected = tuple(sum(c * x ** i for i, c in enumerate(base)) for x in range(n + 1))
+        ok = lhs[: n + 1] == rhs[: n + 1] == expected
+        witness = None if ok else (
+            f"S_{n}: lhs {poly_text(coefficients(lhs))}, rhs {poly_text(coefficients(rhs))}, "
+            f"expected {poly_text(base)}"
+        )
+    else:
+        build = build_lhs if family == "lhs" else build_rhs
+        s0, s1, s2 = (build(m, 2 * n + 5) for m in (n, n + 1, n + 2))
+        residual = [
+            (n + 2) ** 3 * s2[x] - (2 * n + 3) * (2 * x * x + 2 * x + n * n + 3 * n + 3) * s1[x]
+            + (n + 1) ** 3 * s0[x]
+            for x in range(2 * n + 5)
+        ]
+        ok = not any(residual[: n + 3])
+        witness = None if ok else f"residual {poly_text(coefficients(residual))}"
+    return make_case((("family", family), ("n", n)), ok, witness)
+
+
 def chu_case(k):
     """The convolution at x = 0 .. k, one binom_int pair per term; decided,
     as it is symmetric of degree <= k, on x = 0 .. k//2."""
@@ -627,6 +656,11 @@ def _n_k(c):
 
 ORACLE: dict[str, tuple] = {
     "transform": (transform_case, lambda c: range(c.n_max + 1)),
+    "recurrence": (
+        recurrence_case,
+        lambda c: [("base", 0), ("base", 1)]
+        + [(family, n) for family in ("lhs", "rhs") for n in range(c.n_max - 1)],
+    ),
     "chu-vandermonde": (chu_case, lambda c: range(c.k_max + 1)),
     "telescope": (telescope_case, _n_k),
     "sun-one": (sun_one_case, lambda c: range(c.n_max + 1)),

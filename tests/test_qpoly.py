@@ -461,3 +461,25 @@ def test_passing_q_sun_rows_only_square_phi_and_reduce_by_each_tested_d(monkeypa
         ]
     assert squared == []
     assert central_calls == []
+
+
+def test_a_failing_q_sun_row_forms_its_central_q_binomial_once(monkeypatch):
+    # With 1 added to the lowest coefficient of every A_n, most cells
+    # fail; each failing row forms [2k choose k] once, for all its
+    # failing cells' remainders.
+    calls = []
+    q_binom, q_sun_sums = qpoly.q_binom, qpoly.q_sun_sums
+
+    def counting_binom(n, k):
+        calls.append((n, k))
+        return q_binom(n, k)
+
+    def corrupted(k, n_max):
+        return [(low, [coeffs[0] + 1, *coeffs[1:]]) for low, coeffs in q_sun_sums(k, n_max)]
+
+    monkeypatch.setattr(qpoly, "q_binom", counting_binom)
+    monkeypatch.setattr(qpoly, "q_sun_sums", corrupted)
+    report = cli.run(cli.GridConfig("q-sun", n_max=10, jobs=1))
+    failing = [dict(case.key)["k"] for case in report.cases if not case.ok]
+    assert len(failing) > len(set(failing)) > 1
+    assert sorted(calls) == [(2 * k, k) for k in sorted(set(failing))]

@@ -5,9 +5,10 @@ bug in it would corrupt every later cell of the row.  These tests
 rebuild each cell from scratch and compare the two cell for cell:
 key, status, witness and severity.  With a fault drawn into one
 binomial coefficient, or into one value S_k(x) of the S_k tables that
-the transform and weighted-sum rows read (the same fault in the
-verifier's tables and in the oracle's one-S_k builds), the failing
-cells and their witnesses must agree as well.
+the transform, recurrence and weighted-sum rows read (the same fault in
+the verifier's tables, in the wider builds its witnesses read, and in
+the oracle's one-S_k builds), the failing cells and their witnesses
+must agree as well.
 The closed form n C(n,k+1) C(n+k,k) of telescope and of conjecture-final
 at l = 1 reads no binomial, as the verifier forms it by running
 products; it meets a fault of its own, added to one (n, k) of the
@@ -228,6 +229,13 @@ def _corrupted_q_sum(bad, exponent):
     l_max=1, n_max=4, x_min=0, width=0, eps=(1,), m=1,
     fault=None, s_fault=None, q_fault=None, closed_fault=(4, 2, 60),
 )
+# S_3(1) one too large fails transform's n = 3 and the lhs recurrence
+# cells n = 1, 2, 3; each witness reads a slice of the one build of S_0
+# .. S_5 at x = 0 .. 10 for the last of them.
+@example(
+    l_max=1, n_max=6, x_min=0, width=0, eps=(1,), m=1,
+    fault=None, s_fault=(3, 1, 1), q_fault=None, closed_fault=None,
+)
 def test_rows_match_per_cell_oracle(
     l_max, n_max, x_min, width, eps, m, fault, s_fault, q_fault, closed_fault
 ):
@@ -266,6 +274,8 @@ def test_rows_match_per_cell_oracle(
                 mock.patch.object(cell_oracle, "telescope_rhs", _corrupted_closed_form(bad, delta))
             )
         for task in cell_oracle.ORACLE:
+            if n_max < cli._TASKS[task].min_n_max:
+                continue  # recurrence needs n_max >= 2
             config = cli.GridConfig(
                 task, l_max=l_max, n_max=n_max, m=m, eps=eps,
                 x_min=x_min, x_max=x_min + width,

@@ -7,7 +7,8 @@ this process): `verify all` builds one of each table, and a task run
 alone builds only the tables it reads.  Every reader of S, alone or
 in `all`, reads the one left table `identities.build_lhs(n, n + 1)`:
 the weighted-sum rows read its corner, and no run builds a second,
-smaller left table.
+smaller left table.  A row with failing cells builds the wider values
+their witnesses read once, at its last failing cell.
 """
 
 import gc
@@ -122,3 +123,61 @@ def test_no_table_outlives_the_run():
         cli.run(cli.GridConfig("all", n_max=6, jobs=1))
     gc.collect()
     assert len(seen) == 1 and seen[0]() is None
+
+
+@pytest.fixture
+def faulty_binom(monkeypatch) -> None:
+    """C(2, 1) one too large where `identities` and `congruences` read it."""
+    real = identities.binom_int
+
+    def binom_int(top, k):
+        return real(top, k) + 1 if (top, k) == (2, 1) else real(top, k)
+
+    for module in (identities, congruences):
+        monkeypatch.setattr(module, "binom_int", binom_int)
+
+
+def _last(failing: list[dict], **where) -> list[int]:
+    """[top], top the largest n (or k) of the failing keys that match
+    `where`, or [] when none matches: the one wider build of a row."""
+    tops = [key.get("n", key.get("k")) for key in failing
+            if all(key.get(name) == value for name, value in where.items())]
+    return [max(tops)] if tops else []
+
+
+@pytest.mark.parametrize("task", ["transform", "recurrence", "chu-vandermonde", "catalan-form"])
+def test_a_failing_row_builds_its_witness_values_once(builds, monkeypatch, faulty_binom, task):
+    # Each row decides its cells from the run's tables, then builds the
+    # wider values its witnesses read once, at its last failing cell:
+    # one more build per closed form, not one per failing cell.
+    for module, name in [(identities, "power_sums"), (congruences, "catalan_form_values")]:
+        label = f"{module.__name__.rpartition('.')[2]}.{name}"
+
+        def counted(*args, original=getattr(module, name), label=label):
+            builds[label, args] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    report = cli.run(cli.GridConfig(task, n_max=12, k_max=12, jobs=1))
+    failing = [dict(case.key) for case in report.cases if not case.ok]
+    assert len(failing) > 2
+    table = Counter({(12, 13): 1})
+    if task == "transform":
+        wide = Counter((top, 2 * top + 1) for top in _last(failing))
+        assert _calls(builds, "identities.build_lhs") == table + wide
+        assert _calls(builds, "identities.build_rhs") == table + wide
+    elif task == "recurrence":
+        base = Counter((top, 2 * top + 1) for top in _last(failing, family="base"))
+        for family in ("lhs", "rhs"):
+            wide = Counter((top + 2, 2 * top + 5) for top in _last(failing, family=family))
+            assert _calls(builds, f"identities.build_{family}") == table + base + wide
+    elif task == "chu-vandermonde":
+        [top] = _last(failing)
+        table = Counter({(1, x, 13, 2 * x): 1 for x in range(7)})
+        wide = Counter({(1, x, top + 1): 1 for x in range(top + 1)})
+        assert _calls(builds, "identities.power_sums") == table + wide
+    else:
+        [top] = _last(failing, part="identity")
+        assert _calls(builds, "identities.build_lhs") == table
+        assert _calls(builds, "congruences.build_lhs") == {(top - 1, 2 * top - 1): 1}
+        assert _calls(builds, "congruences.catalan_form_values") == {(12,): 1, (2 * top - 1,): 1}
