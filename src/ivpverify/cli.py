@@ -8,7 +8,7 @@ Each task is one entry of `_TASKS`: the config fields its report
 echoes, its rows as a function of the `GridConfig` and the run's
 tables, and the smallest n_max it accepts.  A row is a
 `functools.partial` of a module-level row function (in `identities`,
-`congruences` or `qpoly`) that returns the cases of one grid row, so
+`congruences` or `qpoly`) that returns the block of one grid row, so
 the table is the one place that says which calls make up a task.
 What several rows of a run read, or several cells of one row, is a
 table of `_Tables`, built once per run, on its first read, before any
@@ -188,7 +188,7 @@ class _Task(NamedTuple):
     # tables: partials of module-level row functions whose arguments
     # are ints, tuples and strs, and the tables the rows read (lists
     # and tuples of ints, and of lists and tuples of ints); each returns
-    # its row's cases.
+    # its row's block.
     rows: Callable[[GridConfig, _Tables], list[partial]]
     min_n_max: int = 1
     notes: Callable[[GridConfig], list[str]] = lambda config: []
@@ -238,7 +238,7 @@ _TASKS = {
         for l in range(1, c.l_max + 1)
     ], notes=lambda c: [congruences.sun_m_regime(c.m, c.n_max, len(_xs(c)))]),
     "conjecture-sun-ii": _Task(("l_max", "n_max"), lambda c, t: [
-        partial(congruences.sun_ii_row, c.l_max, t.weighted)
+        partial(congruences.sun_ii_row, l, t.weighted) for l in range(1, c.l_max + 1)
     ]),
     "q-sun": _Task(("n_max",), lambda c, t: [
         partial(qpoly.q_sun_row, k, c.n_max, t.phi_squares) for k in range(c.n_max)

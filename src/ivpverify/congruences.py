@@ -1,8 +1,7 @@
 """Integer-side claims: integer-valuedness of the weighted
 transformation sums, divisibility of the Schmidt-combination
-coefficients, and the mod-n^2 congruence family.  The module holds
-their row builders and one row function per claim, each taking its own
-arguments.
+coefficients, and the mod-n^2 congruence family: their row builders
+and one row function per claim.
 
 Most grid rows are prefix sums over n of sum_{k<n} eps^k (2k+1)^(2l-1) X_k,
 read off one running sum with the weights `identities.odd_weights`
@@ -13,12 +12,12 @@ are arguments of the row functions, which `cli` builds once per run:
 the S corner (below), `identities.central_columns` (the Schmidt
 coefficients' and the congruence values' columns) and `sun_m_sums`.
 So a cell costs O(1) (O(n) for a vector of values) instead of a fresh
-sum, and a row function decides each of its cells.  The Catalan-form
-summands are one row per n, which forms the summands' integer weights
-once and reads them at each x of the window.  The Schmidt, congruence
-and spot-check rows are one row per l, and every row emits its cells
-in key order, eps ascending (-1 before +1), with each key pair built
-once per row or per n.
+sum.  The Catalan-form summands are one row per n, which forms their
+integer weights once and reads them at each x of the window.  The
+Schmidt, congruence, spot-check and (2l-1)!!/n^2 rows are one row per
+l, so each row has one severity.  Every row returns one block
+(`report.row_cases`), its cells in key order, eps ascending, its
+verdicts decided first and each failing cell's witness after them.
 
 Severity matters here.  Most grid cells instantiate proved statements
 (severity "theorem"); the l >= 2 congruence rows and the m >= 3 spot
@@ -36,6 +35,9 @@ from the run's one left table `build_lhs(n_max, n_max + 1)`.
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import and_, eq, mod
+
 from .combinat import binom_int, catalan, double_factorial_odd
 from .identities import (
     build_lhs,
@@ -46,8 +48,9 @@ from .identities import (
     power_sums,
     staggered_sums,
     telescope_rhs,
+    triangle,
 )
-from .report import CaseResult, make_case, row_cases
+from .report import Block, grid_columns, row_cases
 from .values import coefficients, fraction
 
 __all__ = [
@@ -94,26 +97,22 @@ def schmidt_coefficient_rows(
 
 def schmidt_row(
     l: int, eps_values: tuple[int, ...], table: tuple[list[list[int]], list[int]]
-) -> list[CaseResult]:
+) -> Block:
     """Every Schmidt-combination coefficient for (l, n, eps) is divisible
     by n, for n = 1 .. n_max and eps in eps_values, in key order: eps
     ascending within each n.  table = `central_columns(n_max)`."""
     signs = sorted(eps_values)
-    n_max = len(table[0])
+    columns = grid_columns([l], range(1, len(table[0]) + 1), signs)
     rows = [schmidt_coefficient_rows(l, eps, table) for eps in signs]
-    l_pair = ("l", l)
-    eps_pairs = [("eps", eps) for eps in signs]
-    cases = []
-    for n in range(1, n_max + 1):
-        n_pair = ("n", n)
-        for eps_pair, row in zip(eps_pairs, rows):
-            coeffs = row[n - 1]
-            bad = next((j for j, c in enumerate(coeffs) if c % n), None)
-            witness = None
-            if bad is not None:
-                witness = f"coefficient j={bad} is {coeffs[bad]}, not divisible by {n}"
-            cases.append(make_case((l_pair, n_pair, eps_pair), bad is None, witness))
-    return cases
+    cells = [(n, row[n - 1]) for n in range(1, len(table[0]) + 1) for row in rows]
+
+    def witness(i, _):
+        n, coeffs = cells[i]
+        bad = next(j for j, c in enumerate(coeffs) if c % n)
+        return f"coefficient j={bad} is {coeffs[bad]}, not divisible by {n}"
+
+    return row_cases(("l", "n", "eps"), columns,
+                     [not any(map(mod, coeffs, repeat(n))) for n, coeffs in cells], witness)
 
 
 # -- weighted sums of S_k and integer-valuedness -----------------------------
@@ -129,40 +128,37 @@ def weighted_sum_rows(l: int, eps: int, table: list[tuple[int, ...]]) -> list[tu
     return [row[: 2 * n - 1] for n, row in enumerate(zip(*sums), 1)]
 
 
-def _int_valued_case(key, values, m: int, severity: str = "theorem") -> CaseResult:
-    """Is p/m integer-valued, p symmetric with these values at x = 0 .. d (see `values`)?"""
-    x0 = next((x for x, v in enumerate(values) if v % m), None)
-    witness = None if x0 is None else f"p({x0}) = {fraction(values[x0], m)} is not an integer"
-    return make_case(key, x0 is None, witness, severity=severity)
+def _int_valued_row(names, columns, cells, severity: str = "theorem") -> Block:
+    """The block of cells (values, m), each asking: is p/m integer-valued,
+    p symmetric with these values at x = 0 .. d (see `values`)?"""
+
+    def witness(i, _):
+        values, m = cells[i]
+        x0 = next(x for x, v in enumerate(values) if v % m)
+        return f"p({x0}) = {fraction(values[x0], m)} is not an integer"
+
+    return row_cases(names, columns, [not any(map(mod, values, repeat(m))) for values, m in cells],
+                     witness, severity=severity)
 
 
-def theorem1_row(
-    l_max: int, eps_values: tuple[int, ...], table: list[tuple[int, ...]]
-) -> list[CaseResult]:
+def theorem1_row(l_max: int, eps_values: tuple[int, ...], table: list[tuple[int, ...]]) -> Block:
     """The 1/n weighted sum for (l, n, eps) is integer-valued, for every
     l <= l_max, eps in eps_values and n = 1 .. n_max, in key order: eps
     ascending within each (l, n).  table = the S corner S_k(x), k, x < n_max."""
-    n_max = len(table)
     signs = sorted(eps_values)
-    eps_pairs = [("eps", eps) for eps in signs]
-    cases = []
+    ns = range(1, len(table) + 1)
+    cells = []
     for l in range(1, l_max + 1):
-        l_pair = ("l", l)
         rows = [weighted_sum_rows(l, eps, table) for eps in signs]
-        for n in range(1, n_max + 1):
-            n_pair = ("n", n)
-            for eps_pair, row in zip(eps_pairs, rows):
-                cases.append(_int_valued_case((l_pair, n_pair, eps_pair), row[n - 1][:n], n))
-    return cases
+        cells += [(row[n - 1][:n], n) for n in ns for row in rows]
+    return _int_valued_row(("l", "n", "eps"), grid_columns(range(1, l_max + 1), ns, signs), cells)
 
 
-def theorem2_row(table: list[tuple[int, ...]]) -> list[CaseResult]:
+def theorem2_row(table: list[tuple[int, ...]]) -> Block:
     """(1/n^2) sum_{k=0}^{n-1} (2k+1) S_k(x) is integer-valued, for n = 1 .. n_max,
     from table = the S corner S_k(x), k, x < n_max."""
-    return [
-        _int_valued_case((("n", n),), values[:n], n * n)
-        for n, values in enumerate(weighted_sum_rows(1, 1, table), 1)
-    ]
+    cells = [(values[:n], n * n) for n, values in enumerate(weighted_sum_rows(1, 1, table), 1)]
+    return _int_valued_row(("n",), [list(range(1, len(cells) + 1))], cells)
 
 
 # -- Catalan-weighted rewriting of the theorem2 sum --------------------------
@@ -183,7 +179,7 @@ def catalan_form_values(n_max: int) -> list[tuple[int, ...]]:
     ], n_max)
 
 
-def catalan_identity_row(table: list[tuple[int, ...]]) -> list[CaseResult]:
+def catalan_identity_row(table: list[tuple[int, ...]]) -> Block:
     """For every n <= n_max the Catalan-weighted sum equals the 1/n^2
     weighted sum as a polynomial (compared at x = 0 .. n-1, see `values`),
     the latter from table = the S corner S_k(x), k, x < n_max.  The
@@ -191,17 +187,17 @@ def catalan_identity_row(table: list[tuple[int, ...]]) -> list[CaseResult]:
     n is entry i = n-1 of the row."""
     pairs = zip(weighted_sum_rows(1, 1, table), catalan_form_values(len(table)))
     return row_cases(
-        [((("part", "identity"), ("n", n)), v[:n] == tuple(n * n * ci for ci in c[:n]))
-         for n, (v, c) in enumerate(pairs, 1)],
-        lambda top: (weighted_sum_rows(1, 1, build_lhs(top, 2 * top + 1)),
-                     catalan_form_values(2 * top + 1)),
+        ("part", "n"), [["identity"] * len(table), list(range(1, len(table) + 1))],
+        [v[:n] == tuple(n * n * ci for ci in c[:n]) for n, (v, c) in enumerate(pairs, 1)],
         lambda i, sides: coeff_mismatch(
             [fraction(a, (i + 1) ** 2) for a in coefficients(sides[0][i])],
             coefficients(sides[1][i][: 2 * i + 1])),
+        lambda top: (weighted_sum_rows(1, 1, build_lhs(top, 2 * top + 1)),
+                     catalan_form_values(2 * top + 1)),
     )
 
 
-def catalan_terms_row(n: int, x_min: int, x_max: int) -> list[CaseResult]:
+def catalan_terms_row(n: int, x_min: int, x_max: int) -> Block:
     """Each summand (1/n) W_k C(x+k,2k), W_k = C(n,k+1) C(n+k,k) C(2k,k),
     is an integer, at x = x_min .. x_max.
 
@@ -212,16 +208,17 @@ def catalan_terms_row(n: int, x_min: int, x_max: int) -> list[CaseResult]:
     """
     weights = [binom_int(n, k + 1) * binom_int(n + k, k) * binom_int(2 * k, k) for k in range(n)]
     suspects = [k for k, weight in enumerate(weights) if weight % n]
-    cases = []
-    for x in range(x_min, x_max + 1):
-        bad = None
-        for k in suspects:
-            term = weights[k] * binom_int(x + k, 2 * k)
-            if term % n:
-                bad = f"k={k} summand {fraction(term, n)} is not an integer"
-                break
-        cases.append(make_case((("part", "terms"), ("n", n), ("x", x)), bad is None, bad))
-    return cases
+    xs = list(range(x_min, x_max + 1))
+
+    def terms(x):
+        return ((k, weights[k] * binom_int(x + k, 2 * k)) for k in suspects)
+
+    def witness(i, _):
+        k, term = next((k, term) for k, term in terms(xs[i]) if term % n)
+        return f"k={k} summand {fraction(term, n)} is not an integer"
+
+    return row_cases(("part", "n", "x"), [["terms"] * len(xs), [n] * len(xs), xs],
+                     [not any(term % n for _, term in terms(x)) for x in xs], witness)
 
 
 # -- the mod-n^2 congruence family -------------------------------------------
@@ -240,42 +237,36 @@ def conjecture_final_values(l: int, k: int, table: tuple[list[list[int]], list[i
     return [scale * partial for partial in sums]
 
 
-def conjecture_final_row(l: int, table: tuple[list[list[int]], list[int]]) -> list[CaseResult]:
+def conjecture_final_row(l: int, table: tuple[list[list[int]], list[int]]) -> Block:
     """The congruence mod n^2 at (l, n, k), for n = 1 .. n_max and k < n,
     in key order, from table = `central_columns(n_max)`.
 
     Cell (n, k) is entry n-k-1 of column k of the row's one eps = 1
-    staggered sum of the columns, times (2l-1)!! C(2k,k)^2.  The key
-    pairs are built once: ("l", l) for the row, ("n", n) per n, ("k", k)
-    per k.  l = 1 cells are proved and also have to match the closed
-    form n C(n,k+1) C(n+k,k) C(2k,k) exactly, entry k of
-    `telescope_rhs(n)` times C(2k,k); l >= 2 cells are conjectures.
+    staggered sum of the columns, times (2l-1)!! C(2k,k)^2.  l = 1 cells
+    are proved and also have to match the closed form
+    n C(n,k+1) C(n+k,k) C(2k,k) exactly, entry k of `telescope_rhs(n)`
+    times C(2k,k); l >= 2 cells are conjectures.
     """
-    severity = "theorem" if l == 1 else "conjecture"
     columns, centrals = table
     n_max = len(centrals)
     sums = staggered_sums(odd_weights(l, 1, n_max), columns)
     scales = [double_factorial_odd(l) * central ** 2 for central in centrals]
-    l_pair = ("l", l)
-    k_pairs = [("k", k) for k in range(n_max)]
-    cases = []
-    for n in range(1, n_max + 1):
-        n_pair = ("n", n)
-        modulus = n * n
-        # The proved route: at l=1 the sum telescopes to a closed product.
-        closed_forms = telescope_rhs(n) if l == 1 else None
-        for k in range(n):
-            value = scales[k] * sums[k][n - k - 1]
-            witness = None
-            if value % modulus:
-                witness = f"value {value} = {value % modulus} mod {modulus}"
-            elif l == 1:
-                closed = closed_forms[k] * centrals[k]
-                if value != closed:
-                    witness = f"value {value} != closed form {closed}"
-            key = (l_pair, n_pair, k_pairs[k])
-            cases.append(make_case(key, witness is None, witness, severity))
-    return cases
+    ns, ks = triangle(n_max)
+    values = [scales[k] * sums[k][n - k - 1] for n, k in zip(ns, ks)]
+    oks = [not value % (n * n) for value, n in zip(values, ns)]
+    if l == 1:  # the proved route: the sum telescopes to a closed product
+        closed = [form * centrals[k] for n in range(1, n_max + 1)
+                  for k, form in enumerate(telescope_rhs(n))]
+        oks = map(and_, oks, map(eq, values, closed))
+
+    def witness(i, _):
+        value, modulus = values[i], ns[i] * ns[i]
+        if value % modulus:
+            return f"value {value} = {value % modulus} mod {modulus}"
+        return f"value {value} != closed form {closed[i]}"
+
+    return row_cases(("l", "n", "k"), [[l] * len(ns), ns, ks], oks, witness,
+                     severity="theorem" if l == 1 else "conjecture")
 
 
 # -- numeric spot checks for general power m ---------------------------------
@@ -288,7 +279,7 @@ def sun_m_sums(m: int, n_max: int, x_min: int, x_max: int) -> list[list[int]]:
 
 def sun_m_row(
     m: int, l: int, eps_values: tuple[int, ...], x_min: int, sums: list[list[int]]
-) -> list[CaseResult]:
+) -> Block:
     """Pointwise integrality at each x0 = x_min .. x_max, for every
     n <= n_max and eps in eps_values, of
     (1/n) sum_k eps^k (2k+1)^(2l-1) sum_j C(-x0-1,j)^m C(x0,k-j)^m,
@@ -301,24 +292,16 @@ def sun_m_row(
     open.  The case key leaves m out: one report holds a single m, which
     its config echoes.
     """
-    xs = range(x_min, x_min + len(sums))
-    n_max = len(sums[0])
     signs = sorted(eps_values)
+    ns = range(1, len(sums[0]) + 1)
+    columns = grid_columns([l], ns, signs, range(x_min, x_min + len(sums)))
     totals = [odd_power_sums(l, eps, *sums) for eps in signs]
-    severity = "theorem" if m <= 2 else "conjecture"
-    l_pair = ("l", l)
-    eps_pairs = [("eps", eps) for eps in signs]
-    x_pairs = [("x", x0) for x0 in xs]
-    cases = []
-    for n in range(1, n_max + 1):
-        n_pair = ("n", n)
-        for eps_pair, by_x in zip(eps_pairs, totals):
-            for x_pair, column in zip(x_pairs, by_x):
-                total = column[n - 1]
-                ok = total % n == 0
-                witness = None if ok else f"sum {total} at x={x_pair[1]} is not divisible by {n}"
-                cases.append(make_case((l_pair, n_pair, eps_pair, x_pair), ok, witness, severity))
-    return cases
+    values = [column[n - 1] for n in ns for by_x in totals for column in by_x]
+    return row_cases(
+        ("l", "n", "eps", "x"), columns, [not v % n for v, n in zip(values, columns[1])],
+        lambda i, _: f"sum {values[i]} at x={columns[3][i]} is not divisible by {columns[1][i]}",
+        severity="theorem" if m <= 2 else "conjecture",
+    )
 
 
 def sun_m_regime(m: int, n_max: int, points: int) -> str:
@@ -342,19 +325,15 @@ def sun_m_regime(m: int, n_max: int, points: int) -> str:
 
 # -- the (2l-1)!!/n^2 strengthening ------------------------------------------
 
-def sun_ii_row(l_max: int, table: list[tuple[int, ...]]) -> list[CaseResult]:
+def sun_ii_row(l: int, table: list[tuple[int, ...]]) -> Block:
     """((2l-1)!!/n^2) sum_{k=0}^{n-1} (2k+1)^(2l-1) S_k(x) is integer-valued,
-    for every l <= l_max and n = 1 .. n_max, from table = the S corner
-    S_k(x), k, x < n_max.
+    for n = 1 .. n_max, from table = the S corner S_k(x), k, x < n_max.
 
     l = 1 is the proved 1/n^2 statement; l >= 2 instances follow from
     the open mod-n^2 congruence, so they carry conjecture severity.
     """
-    return [
-        _int_valued_case(
-            (("l", l), ("n", n)), [double_factorial_odd(l) * v for v in values[:n]], n * n,
-            "theorem" if l == 1 else "conjecture",
-        )
-        for l in range(1, l_max + 1)
-        for n, values in enumerate(weighted_sum_rows(l, 1, table), 1)
-    ]
+    scale = double_factorial_odd(l)
+    cells = [([scale * v for v in values[:n]], n * n)
+             for n, values in enumerate(weighted_sum_rows(l, 1, table), 1)]
+    return _int_valued_row(("l", "n"), grid_columns([l], range(1, len(cells) + 1)), cells,
+                           "theorem" if l == 1 else "conjecture")

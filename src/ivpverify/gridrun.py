@@ -1,8 +1,8 @@
 """Run rows, optionally in parallel, and collect each task's report.
 
-A row is a call that returns the cases of one grid row.
-`run_rows(rows, jobs)` runs a run's rows and returns an iterator over
-their results in row order.  `cli` calls it once per run, with every
+A row is a call that returns the one block (`report.Block`) of a grid
+row.  `run_rows(rows, jobs)` runs a run's rows and returns an iterator
+over their blocks in row order.  `cli` calls it once per run, with every
 task's rows, and hands each task's `collect` its slice of the results.
 
 At --jobs N the run has min(N, usable cores, row count) processes at
@@ -26,9 +26,9 @@ its next row in a run of up to 1024 rows, within one chunk of
 ceil(rows / 1024) rows in a larger one.
 
 A worker sends its results back once, as one pickle through a pipe of
-its own: its chunks' cases as plain tuples, or its error and the
-error's traceback text.  Then it leaves with `os._exit`.  The caller
-reads every worker's pipe and reaps the worker, whatever happened; it
+its own: its chunks' blocks as they are, or its error and the error's
+traceback text.  Then it leaves with `os._exit`.  The caller reads
+every worker's pipe and reaps the worker, whatever happened; it
 raises a worker's error with the worker's traceback as its cause, and
 a worker that ends without a result fails the run.  No worker outlives
 the call.  A worker is forked, not started afresh, so it needs no
@@ -36,23 +36,24 @@ import and no pickled rows; the price is that a program that calls
 `run_rows` at --jobs > 1 must hold no other thread when it does, as
 the CLI holds none.
 
-Output is deterministic: `collect` sorts the cases by key, so a run
-with --jobs 8 yields byte-identical JSON/CSV to a serial run (wall
-time excepted, which is why it lives in the report's metadata block).
+Output is deterministic: `collect` puts a task's cells in key order,
+so a run with --jobs 8 yields byte-identical JSON/CSV to a serial run
+(wall time excepted: it lives in the report's metadata block).
 """
 
 from __future__ import annotations
 
 import os
 import time
-from operator import attrgetter
+from itertools import chain, groupby, islice, repeat
+from operator import itemgetter, le
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .report import CaseResult, VerificationReport
+from .report import Block, VerificationReport
 
 __all__ = ["collect", "run_rows"]
 
-Row = Callable[[], list[CaseResult]]
+Row = Callable[[], Block]
 
 # A chunk number in the deal is one record of this many bytes.  The
 # caller writes every record, in one write, before any process reads,
@@ -62,8 +63,6 @@ Row = Callable[[], list[CaseResult]]
 # never less than a page).  Hence at most _MAX_CHUNKS chunks.
 _RECORD = 4
 _MAX_CHUNKS = 4096 // _RECORD
-
-_by_key = attrgetter("key")
 
 
 class WorkerTraceback(Exception):
@@ -84,7 +83,7 @@ def _workers(jobs: int) -> int:
     return min(jobs, cores) - 1
 
 
-def run_rows(rows: Sequence[Row], jobs: int) -> Iterator[list[CaseResult]]:
+def run_rows(rows: Sequence[Row], jobs: int) -> Iterator[Block]:
     """The rows' results, in row order, from min(jobs, usable cores, row
     count) processes at work, this one included.  Serially, a row runs
     when its result is read; otherwise every row has run, or the run
@@ -120,20 +119,15 @@ def _work(deal: int, chunks: Sequence[Sequence[Row]], out: int, others: list[int
     (`others`, so that a pipe the caller closes has no reader left),
     run the chunks it takes, write one pickle to `out` and leave without
     returning to the caller's code.  The pickle is a list of (chunk
-    number, its rows' cases as plain tuples, which pickle far cheaper
-    than `CaseResult`s), or else, once its run has raised and the deal
-    has been drained, a tuple (error, the error's traceback text)."""
+    number, its rows' blocks), or else, once its run has raised and the
+    deal has been drained, a tuple (error, the error's traceback text)."""
     try:
         import pickle
 
         for fd in others:
             os.close(fd)
         try:
-            taken = _take(deal, chunks)
-            payload = pickle.dumps(
-                [(number, [list(map(tuple, cases)) for cases in ran]) for number, ran in taken],
-                pickle.HIGHEST_PROTOCOL,
-            )
+            payload = pickle.dumps(_take(deal, chunks), pickle.HIGHEST_PROTOCOL)
         except BaseException as exc:
             _drain(deal)
             import traceback
@@ -150,7 +144,7 @@ def _work(deal: int, chunks: Sequence[Sequence[Row]], out: int, others: list[int
         os._exit(0)
 
 
-def _run_forked(rows: Sequence[Row], processes: int) -> list[list[CaseResult]]:
+def _run_forked(rows: Sequence[Row], processes: int) -> list[Block]:
     """Every row's results, in row order, from this process and
     `processes` - 1 workers it forks.  Chunk i is rows[i::count].  On
     an error of this process's own, a failed fork or an interrupt
@@ -202,7 +196,7 @@ def _run_forked(rows: Sequence[Row], processes: int) -> list[list[CaseResult]]:
             error, text = got
             raise error from WorkerTraceback(text)
         for number, ran in got:
-            results[number::count] = [list(map(CaseResult._make, cases)) for cases in ran]
+            results[number::count] = ran
     if failure is not None:
         raise failure
     return results
@@ -228,34 +222,49 @@ def _reap(workers: list[tuple[int, int]]) -> list[tuple[bytes, int]]:
 
 
 def collect(
-    task: str, config: dict, results: Iterable[list[CaseResult]], notes: Iterable[str]
+    task: str, config: dict, results: Iterable[Block], notes: Iterable[str]
 ) -> VerificationReport:
-    """A task's report from its rows' results, the cases sorted by key.
+    """A task's report from its rows' blocks, their cells in key order.
     Its wall time is the time spent reading the results: the task's
     compute time when the rows run serially; at --jobs > 1 every row
-    has run before any is read, so it is the time to gather and sort
-    them.
+    has run before any is read, so it is the time to gather them.
 
-    The sort stays as the guarantee of a deterministic report, but it
-    is rarely work: every row except q-sun's and q-specialize's (one
-    row per k, with keys (n, k)) emits its cases in key order, and a
-    task's rows come in key order too, so their flattened cases are one
-    sorted run, which the sort checks in a single linear pass.
-
-    The sort compares the key pairs themselves, with no tuple built per
-    case, and gives the order of the cases' `sort_key` (their values
-    alone): within one task the names at a key position agree wherever
-    the values before it tie, so a name never decides a comparison.
-    catalan-form's two key shapes, ("part", "identity"), ("n", n) and
-    ("part", "terms"), ("n", n), ("x", x), already differ in the value
-    at position 0."""
+    One pass over the cells' keys, across the blocks, checks their
+    order, and the blocks are kept as they come when it holds: a task's
+    rows come in key order and emit their cells in key order, except
+    q-sun's and q-specialize's, one row per k with keys (n, k), whose
+    cells `_sorted` sorts.  catalan-form's two key shapes, ("part",
+    "identity"), ("n", n) and ("part", "terms"), ("n", n), ("x", x),
+    already differ in the value at position 0."""
     start = time.perf_counter()
-    cases = [case for row in results for case in row]
-    cases.sort(key=_by_key)
-    return VerificationReport(
-        task=task,
-        config=config,
-        cases=cases,
-        notes=list(notes),
-        wall_time_s=time.perf_counter() - start,
-    )
+    blocks = list(results)
+    if not _in_key_order(blocks):
+        blocks = _sorted(blocks)
+    return VerificationReport(task, config, blocks, list(notes), time.perf_counter() - start)
+
+
+def _keys(block: Block) -> Iterator[tuple]:
+    """The key values of each cell of a block, as tuples."""
+    return zip(*block.columns) if block.names else repeat((), len(block.status))
+
+
+def _in_key_order(blocks: list[Block]) -> bool:
+    """Whether the blocks' cells, in turn, are in key order."""
+    keys, following = (chain.from_iterable(map(_keys, blocks)) for _ in range(2))
+    return all(map(le, keys, islice(following, 1, None)))
+
+
+def _sorted(blocks: list[Block]) -> list[Block]:
+    """The blocks' cells sorted by key, as one block per stretch of
+    cells of one key shape and severity."""
+    cells = sorted(((key, ok, block.witnesses.get(i), block.names, block.severity)
+                    for block in blocks
+                    for i, (key, ok) in enumerate(zip(_keys(block), block.status))),
+                   key=itemgetter(0))
+    merged = []
+    for (names, severity), run in groupby(cells, itemgetter(3, 4)):
+        keys, oks, witnesses, _, _ = zip(*run)
+        columns = [list(column) for column in zip(*keys)] if names else []
+        failing = {j: w for j, (ok, w) in enumerate(zip(oks, witnesses)) if not ok}
+        merged.append(Block(names, columns, bytearray(oks), failing, severity))
+    return merged

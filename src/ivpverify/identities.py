@@ -24,10 +24,10 @@ run.
 Every polynomial claim here is symmetric about x = -1/2, so by the
 symmetric rule of `values` it is decided at x = 0 .. d only: S_n at
 x = 0 .. n, the order-2 recurrence's residual at x = 0 .. n+2, the
-Chu-Vandermonde sum at x = 0 .. k//2.  A row decides all its cells
-from its tables first; only if one fails does it build the wider values
-its witnesses read, at x = 0 .. 2d, once, at its last failing cell
-(`report.row_cases`), and every witness reads a slice of that build.
+Chu-Vandermonde sum at x = 0 .. k//2.  A row returns one block
+(`report.row_cases`), its cells decided from its tables first; only if
+one fails does it build the wider values its witnesses read, at
+x = 0 .. 2d, once, and every witness reads a slice of that build.
 The module also checks a telescoping sum of odd-weighted binomials
 (one row, one running sum per column k, against the closed form that
 `telescope_rhs` forms by running products) and two rational-value
@@ -44,12 +44,12 @@ failing values, or the two unequal values), and only a witness uses
 
 from __future__ import annotations
 
-from itertools import accumulate, zip_longest
-from operator import mul, neg
+from itertools import accumulate, chain, repeat, zip_longest
+from operator import eq, mul, neg
 from typing import Optional
 
 from .combinat import binom_int
-from .report import CaseResult, make_case, row_cases
+from .report import Block, row_cases
 from .values import coefficients, fraction, poly_text
 
 __all__ = [
@@ -61,6 +61,7 @@ __all__ = [
     "odd_power_sums",
     "staggered_sums",
     "central_columns",
+    "triangle",
     "telescope_rhs",
     "coeff_mismatch",
     "transform_row",
@@ -129,6 +130,12 @@ def central_columns(n_max: int) -> tuple[list[list[int]], list[int]]:
     return columns, [binom_int(2 * k, k) for k in range(n_max)]
 
 
+def triangle(n_max: int) -> tuple[list[int], list[int]]:
+    """The key columns n, k of the cells n = 1 .. n_max, k < n, in key order."""
+    ns = range(1, n_max + 1)
+    return list(chain.from_iterable(map(repeat, ns, ns))), list(chain.from_iterable(map(range, ns)))
+
+
 def build_lhs(n_max: int, points: int) -> list[tuple[int, ...]]:
     """S_0 .. S_{n_max}, each at x = 0 .. points-1, from the left closed form
     sum_{k=0}^n C(-x-1,k)^2 C(x,n-k)^2: the m = 2 power sums at each x."""
@@ -158,15 +165,16 @@ def coeff_mismatch(p, q) -> str:
     return "polynomials agree"
 
 
-def transform_row(lhs: list[tuple[int, ...]], rhs: list[tuple[int, ...]]) -> list[CaseResult]:
+def transform_row(lhs: list[tuple[int, ...]], rhs: list[tuple[int, ...]]) -> Block:
     """Both closed forms of S_n agree, for n = 0 .. n_max: cell n compares
     the first n+1 values of the tables lhs = `build_lhs(n_max, n_max + 1)`
     and rhs = `build_rhs(n_max, n_max + 1)`.  The witness of a failing
     cell n reads both forms at x = 0 .. 2n."""
+    ns = list(range(len(lhs)))
     return row_cases(
-        [((("n", n),), lhs[n][: n + 1] == rhs[n][: n + 1]) for n in range(len(lhs))],
-        lambda top: (build_lhs(top, 2 * top + 1), build_rhs(top, 2 * top + 1)),
+        ("n",), [ns], [lhs[n][: n + 1] == rhs[n][: n + 1] for n in ns],
         lambda n, forms: coeff_mismatch(*(coefficients(f[n][: 2 * n + 1]) for f in forms)),
+        lambda top: (build_lhs(top, 2 * top + 1), build_rhs(top, 2 * top + 1)),
     )
 
 
@@ -190,21 +198,20 @@ def recurrence_coefficients(n: int, x: int) -> tuple[int, int, int]:
 _BASE_CASES = [[1], [1, 2, 2]]  # S_0 and S_1, little-endian in x
 
 
-def recurrence_base_row(
-    lhs: list[tuple[int, ...]], rhs: list[tuple[int, ...]]
-) -> list[CaseResult]:
+def recurrence_base_row(lhs: list[tuple[int, ...]], rhs: list[tuple[int, ...]]) -> Block:
     """Both closed forms give the base cases S_0 = 1 and S_1 = 2x^2+2x+1
     that start the order-2 recurrence, compared at x = 0 .. n: the first
     n+1 values of entry n of the tables lhs and rhs of `recurrence_row`.
     The witness of a failing cell n reads both forms at x = 0 .. 2n."""
     return row_cases(
-        [((("family", "base"), ("n", n)), lhs[n][: n + 1] == rhs[n][: n + 1]
-          == tuple(sum(c * x ** i for i, c in enumerate(base)) for x in range(n + 1)))
+        ("family", "n"), [["base", "base"], [0, 1]],
+        [lhs[n][: n + 1] == rhs[n][: n + 1]
+         == tuple(sum(c * x ** i for i, c in enumerate(base)) for x in range(n + 1))
          for n, base in enumerate(_BASE_CASES)],
-        lambda top: (build_lhs(top, 2 * top + 1), build_rhs(top, 2 * top + 1)),
         lambda n, forms: "S_{}: lhs {}, rhs {}, expected {}".format(
             n, *(poly_text(coefficients(f[n][: 2 * n + 1])) for f in forms),
             poly_text(_BASE_CASES[n])),
+        lambda top: (build_lhs(top, 2 * top + 1), build_rhs(top, 2 * top + 1)),
     )
 
 
@@ -215,23 +222,24 @@ def _residual(table: list[tuple[int, ...]], n: int, points: int) -> list[int]:
             for x, (a, b, c) in enumerate(coeffs)]
 
 
-def recurrence_row(family: str, table: list[tuple[int, ...]]) -> list[CaseResult]:
+def recurrence_row(family: str, table: list[tuple[int, ...]]) -> Block:
     """The closed form `family` ("lhs" or "rhs") satisfies the order-2
     recurrence: `table` is its S_0 .. S_{n_max} at x = 0 .. n_max and, at
     each n <= n_max - 2, the residual, symmetric of degree at most 2n+4
     (b_n depends on x only through x(x+1)), is formed at x = 0 .. n+2.
     The witness of a failing cell n reads it at x = 0 .. 2n+4."""
+    ns = list(range(len(table) - 2))
     return row_cases(
-        [((("family", family), ("n", n)), not any(_residual(table, n, n + 3)))
-         for n in range(len(table) - 2)],
-        lambda top: (build_lhs if family == "lhs" else build_rhs)(top + 2, 2 * top + 5),
+        ("family", "n"), [[family] * len(ns), ns],
+        [not any(_residual(table, n, n + 3)) for n in ns],
         lambda n, wide: f"residual {poly_text(coefficients(_residual(wide, n, 2 * n + 5)))}",
+        lambda top: (build_lhs if family == "lhs" else build_rhs)(top + 2, 2 * top + 5),
     )
 
 
 # -- Chu-Vandermonde convolution --------------------------------------------
 
-def chu_row(k_max: int) -> list[CaseResult]:
+def chu_row(k_max: int) -> Block:
     """sum_j C(-x-1,j) C(x,k-j) collapses to the constant (-1)^k, for
     k = 0 .. k_max.
 
@@ -242,12 +250,12 @@ def chu_row(k_max: int) -> list[CaseResult]:
     the sum at x = 0 .. k.
     """
     sums = [power_sums(1, x, k_max + 1, 2 * x) for x in range(k_max // 2 + 1)]
+    ks = list(range(k_max + 1))
     return row_cases(
-        [((("k", k),), all(sums[x][k] == (-1) ** k for x in range(k // 2 + 1)))
-         for k in range(k_max + 1)],
-        lambda top: [power_sums(1, x, top + 1) for x in range(top + 1)],
+        ("k",), [ks], [all(sums[x][k] == (-1) ** k for x in range(k // 2 + 1)) for k in ks],
         lambda k, wide: f"sum is {poly_text(coefficients([s[k] for s in wide[: k + 1]]))}, "
                         f"expected {(-1) ** k}",
+        lambda top: [power_sums(1, x, top + 1) for x in range(top + 1)],
     )
 
 
@@ -264,27 +272,21 @@ def telescope_rhs(n: int) -> list[int]:
     return forms
 
 
-def telescope_row(table: tuple[list[list[int]], list[int]]) -> list[CaseResult]:
+def telescope_row(table: tuple[list[list[int]], list[int]]) -> Block:
     """sum_{m=k}^{n-1} (2m+1) C(m+k,2k) C(2k,k) = n C(n,k+1) C(n+k,k), for
     n = 1 .. n_max and k < n, in key order.
 
     table = `central_columns(n_max)`.  The left side of cell (n, k) is
     entry n-k-1 of the l = 1, eps = 1 running sum of column k, times
-    C(2k,k); the right side is entry k of `telescope_rhs(n)`.  The key
-    pairs ("n", n) and ("k", k) are built once each.
+    C(2k,k); the right side is entry k of `telescope_rhs(n)`.
     """
     columns, centrals = table
     n_max = len(columns)
     sums = staggered_sums(odd_weights(1, 1, n_max), columns)
-    k_pairs = [("k", k) for k in range(n_max)]
-    cases = []
-    for n in range(1, n_max + 1):
-        n_pair = ("n", n)
-        for k, rhs in enumerate(telescope_rhs(n)):
-            lhs = sums[k][n - k - 1] * centrals[k]
-            ok = lhs == rhs
-            cases.append(make_case((n_pair, k_pairs[k]), ok, None if ok else f"{lhs} != {rhs}"))
-    return cases
+    ns, ks = triangle(n_max)
+    lhs = [sums[k][n - k - 1] * centrals[k] for n, k in zip(ns, ks)]
+    rhs = [form for n in range(1, n_max + 1) for form in telescope_rhs(n)]
+    return row_cases(("n", "k"), [ns, ks], map(eq, lhs, rhs), lambda i, _: f"{lhs[i]} != {rhs[i]}")
 
 
 # -- rational-value identities at half-integer points ------------------------
@@ -314,19 +316,18 @@ def _rational_point_lhs(p1: int, p2: int, q: int, scale: int, n_max: int) -> lis
     return pairs
 
 
-def _rational_point_row(p1: int, p2: int, q: int, scale: int, rhs: list[int]) -> list[CaseResult]:
+def _rational_point_row(p1: int, p2: int, q: int, scale: int, rhs: list[int]) -> Block:
     """Cell n, for n = 0 .. len(rhs) - 1, compares the pair (N, D) of
     `_rational_point_lhs` with rhs[n] and passes when N == rhs[n] D;
     only a failing cell forms N / D."""
     lhs = _rational_point_lhs(p1, p2, q, scale, len(rhs) - 1)
-    cases = []
-    for n, ((num, den), right) in enumerate(zip(lhs, rhs)):
-        ok = num == right * den
-        cases.append(make_case((("n", n),), ok, None if ok else f"{fraction(num, den)} != {right}"))
-    return cases
+    return row_cases(
+        ("n",), [list(range(len(rhs)))], [num == r * den for (num, den), r in zip(lhs, rhs)],
+        lambda n, _: f"{fraction(*lhs[n])} != {rhs[n]}",
+    )
 
 
-def sun_one_row(n_max: int) -> list[CaseResult]:
+def sun_one_row(n_max: int) -> Block:
     """16^n sum C(-1/2,k)^2 C(-1/2,n-k)^2 = sum C(2k,k)^3 C(k,n-k) (-16)^(n-k),
     for n = 0 .. n_max; C(2k,k)^3 and (-16)^j are formed once for every n."""
     cubes = [binom_int(2 * k, k) ** 3 for k in range(n_max + 1)]
@@ -337,7 +338,7 @@ def sun_one_row(n_max: int) -> list[CaseResult]:
     ])
 
 
-def sun_two_row(n_max: int) -> list[CaseResult]:
+def sun_two_row(n_max: int) -> Block:
     """64^n sum C(-1/4,k)^2 C(-3/4,n-k)^2 = sum C(2k,k)^3 C(2n-2k,n-k) 16^(n-k),
     for n = 0 .. n_max; C(2k,k)^3 and C(2j,j) 16^j are formed once for
     every n, and the right side is their convolution."""

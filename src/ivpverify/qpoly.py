@@ -38,11 +38,11 @@ tests check both against.
 from __future__ import annotations
 
 from itertools import accumulate
-from operator import add, mul, sub
+from operator import add, eq, mul, sub
 from typing import Optional, Sequence
 
 from .congruences import conjecture_final_values
-from .report import CaseResult, make_case
+from .report import Block, row_cases
 from .values import terms_text
 
 __all__ = [
@@ -244,39 +244,40 @@ def _q_text(coeffs: Sequence[int], low: int) -> str:
     return terms_text(enumerate(coeffs, low), "q")
 
 
-def q_sun_row(k: int, n_max: int, squares: list[list[int]]) -> list[CaseResult]:
+def q_sun_row(k: int, n_max: int, squares: list[list[int]]) -> Block:
     """[n]^2 divides the q-sum A_n [2k choose k]^2, for n = k+1 .. n_max.
     Each cell is decided from the cyclotomic factors of [n]^2, with
     squares = `phi_squares(n_max)`, built once for every row of the run;
     only a failing cell forms its remainder, the witness, and raises
     ArithmeticError if that remainder is zero.  [2k choose k] is formed
-    once per row, at its first failing cell."""
-    cases = []
-    central = None
-    for n, (low, a) in enumerate(q_sun_sums(k, n_max), k + 1):
-        ok = _cyclotomic_verdict(a, n, k, squares)
-        witness = None
-        if not ok:
-            central = central or q_binom(2 * k, k)
-            remainder = remainder_by_q_integer_squared(a, central, n)
-            if not any(remainder):
-                raise ArithmeticError(f"q-sun n={n}, k={k}: Phi_d^2 fails but [n]^2 divides")
-            witness = f"remainder {_q_text(remainder, low)} after division by [{n}]^2"
-        cases.append(make_case((("n", n), ("k", k)), ok, witness))
-    return cases
+    once per row, if a cell fails."""
+    sums = q_sun_sums(k, n_max)
+    ns = list(range(k + 1, n_max + 1))
+
+    def witness(i, central):
+        n, (low, a) = ns[i], sums[i]
+        remainder = remainder_by_q_integer_squared(a, central, n)
+        if not any(remainder):
+            raise ArithmeticError(f"q-sun n={n}, k={k}: Phi_d^2 fails but [n]^2 divides")
+        return f"remainder {_q_text(remainder, low)} after division by [{n}]^2"
+
+    return row_cases(
+        ("n", "k"), [ns, [k] * len(ns)],
+        [_cyclotomic_verdict(a, n, k, squares) for n, (_, a) in zip(ns, sums)],
+        witness, lambda top: q_binom(2 * k, k),
+    )
 
 
-def q_specialize_row(k: int, table: tuple[list[list[int]], list[int]]) -> list[CaseResult]:
+def q_specialize_row(k: int, table: tuple[list[list[int]], list[int]]) -> Block:
     """Setting q = 1 in the q-sum A_n [2k choose k]^2 reproduces the
     classical weighted sum sum_m (2m+1) C(m+k,2k) C(2k,k)^2, for
     n = k+1 .. n_max; the classical sums are the l = 1 running sums of
     conjecture-final, from table = `identities.central_columns(n_max)`."""
     central_sq = sum(q_binom(2 * k, k)) ** 2
-    cases = []
-    pairs = zip(q_sun_sums(k, len(table[0])), conjecture_final_values(1, k, table))
-    for n, ((_, a), classical) in enumerate(pairs, k + 1):
-        at_one = sum(a) * central_sq
-        ok = at_one == classical
-        witness = None if ok else f"q=1 value {at_one} != classical sum {classical}"
-        cases.append(make_case((("n", n), ("k", k)), ok, witness))
-    return cases
+    at_one = [sum(a) * central_sq for _, a in q_sun_sums(k, len(table[0]))]
+    classical = conjecture_final_values(1, k, table)
+    ns = list(range(k + 1, k + 1 + len(at_one)))
+    return row_cases(
+        ("n", "k"), [ns, [k] * len(ns)], map(eq, at_one, classical),
+        lambda i, _: f"q=1 value {at_one[i]} != classical sum {classical[i]}",
+    )

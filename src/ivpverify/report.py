@@ -1,83 +1,75 @@
 """Structured verification reports and their serializations.
 
-A report is a list of per-case outcomes keyed by the grid coordinates
-of the case (n, k, l, eps, ...).  Case ordering is lexicographic in the
-key fields and therefore independent of how the grid was executed.
-Wall time lives in a separate metadata block so that JSON and CSV
-output are byte-identical across runs with identical configuration.
+A row's outcome is one block (`Block`), a struct of arrays as in the
+Apache Arrow columnar format: its key names, once; one column per key
+field; one status byte per cell; its failing cells' witnesses only; its
+severity, once.  `row_cases` makes a row's block from its verdicts.  A
+report holds a task's blocks with their cells in key order, the order
+of the key values (`sort_key`), so it does not depend on how the grid
+ran, and counts its failures once, from the status bytes.  `CaseResult`
+is the view of one cell, which `VerificationReport.cases` builds on
+demand; no writer reads it.  Wall time lives in a metadata block, so
+JSON and CSV are byte-identical across runs of one configuration.
 
-A case is a NamedTuple, built by `make_case` straight from its four
-fields: cheap to make and to sort, and sent back from a worker process
-as the plain tuple of its fields.  `row_cases` makes the cases of a row
-from its verdicts.  A report counts its failures once, when it is made,
-in one pass over the case statuses.  `csv` is one of
-the modules imported only on the path that needs it (see `cli`).
-
-Every format is one generator of pieces, `report_pieces`: a piece is
-formed only when it is asked for and holds, besides fixed text, the
-cases of at most one slice of up to 1024 cases, so a caller that writes
-each piece as it comes (as `cli.main` does) never holds the whole
-report as one string.  `serialize_report` joins the pieces, for callers
-that want the string.  CSV and text render their slices case by case.
-
-JSON is written by a writer for the report's one fixed schema (task,
-config, summary, then cases and notes or, for `all`, the sub-reports,
-each streamed in its own pieces, then meta), with no intermediate dict
-and no pass of json's pure-Python indent encoder.  The cases are
-written in slices of up to 1024 and, within a slice, by runs rather
-than one by one: a run is a stretch of cases whose keys have one shape
-(the same names in order), found by C-level passes over the slice.  A
-run is a single %-format of a template for one of its cases, repeated,
-over the run's key values: an int column through %d, any other column
-encoded first.  The text after a case's key is rendered once per
-distinct outcome (status, witness, severity).  The bytes are those of
-`json.dumps(..., indent=2)` on the same data.
+Every format is one generator of pieces, `report_pieces`, each formed
+when it is asked for and holding, besides fixed text, one run of up to
+1024 cells of one status in one block: a caller that writes each piece
+as it comes (as `cli.main` does) never holds the whole report as one
+string.  A run is one %-format of a template repeated per cell
+(`_stretch`), made once per block from its columns (`_fields`): a
+column of one value is written into it, an int column goes through %d,
+any other through %s.  A failing cell's text after its key (JSON) or
+its witness (text) goes through %s.  CSV writes a passing run by a
+template that `csv.writer` formed for the block, and every other row
+through `csv.writer`, so each field is quoted exactly as `csv` quotes
+it; `csv` is imported only then (see `cli`).  JSON is written for the
+report's one fixed schema, with no intermediate dict, in the bytes of
+`json.dumps(..., indent=2)`.
 """
 
 from __future__ import annotations
 
 import io
 import json
-from itertools import chain, groupby
+from itertools import chain, product, repeat
 from json.encoder import encode_basestring_ascii as _json_str
-from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 __all__ = [
+    "Block",
     "CaseResult",
     "VerificationReport",
     "CombinedReport",
-    "make_case",
+    "grid_columns",
     "row_cases",
     "report_pieces",
     "serialize_report",
 ]
 
 _int_repr = int.__repr__
-_first = itemgetter(0)
-_second = itemgetter(1)
-_outcome = itemgetter(1, 2, 3)  # a case's (status, witness, severity)
 
-# Cases per slice of a report's cases, and so at most per %-format: a
-# bound on the template and on the lists of keys and values one slice
-# builds, which a long report would otherwise hold for all its cases.
+# Cells per run at most, and so per %-format: a bound on the template
+# and on the lists of values one run builds, which a long report would
+# otherwise hold for all its cells.
 _SLICE = 1024
 
 CSV_HEADER = ["task", "case_key", "status", "witness", "severity"]
 
 
+class Block(NamedTuple):
+    """The cells of one row: key names, one column per key field, one status
+    byte per cell (1 pass, 0 fail), each failing cell's witness, one severity."""
+
+    names: tuple[str, ...]
+    columns: list[list]
+    status: bytearray
+    witnesses: dict[int, Optional[str]]
+    severity: str = "theorem"
+
+
 class CaseResult(NamedTuple):
-    """Outcome of one grid cell.
-
-    key holds ordered (name, value) pairs, e.g. (("l", 1), ("n", 2)).
-    severity records whether the statement checked is a proved theorem
-    or an open conjecture; a failing "conjecture" case is a mathematical
-    discovery, not a build bug.
-
-    A NamedTuple: immutable and hashable, it compares equal to the
-    plain tuple (key, status, witness, severity) of its fields, the
-    form in which a worker process sends it back.
-    """
+    """The view of one cell: key holds its (name, value) pairs in order.
+    A failing "conjecture" case is a mathematical discovery, not a bug."""
 
     key: tuple[tuple[str, object], ...]
     status: str  # "pass" | "fail"
@@ -97,48 +89,49 @@ class CaseResult(NamedTuple):
         return ";".join(f"{name}={value}" for name, value in self.key)
 
 
-_new_case = tuple.__new__
+def grid_columns(*axes: Sequence) -> list[list]:
+    """One key column per axis, for the cells of the product of the
+    axes in key order: the last axis varies fastest."""
+    return [list(column) for column in zip(*product(*axes))] or [[] for _ in axes]
 
 
-def make_case(
-    key: Sequence[tuple[str, object]],
-    ok: bool,
-    witness: Optional[str] = None,
-    severity: str = "theorem",
-) -> CaseResult:
-    """The case of one cell; a passing case keeps no witness."""
-    if ok:
-        return _new_case(CaseResult, (tuple(key), "pass", None, severity))
-    return _new_case(CaseResult, (tuple(key), "fail", witness, severity))
-
-
-def row_cases(cells: list[tuple], widen: Callable, witness: Callable) -> list[CaseResult]:
-    """The cases of one row from its cells' (key, verdict) pairs, all
-    decided first.  Only if a cell fails is widen(top) called, once, with
-    top the index of the last failing cell; each failing cell i gets the
-    witness witness(i, wide), read from what that call built."""
-    top = max((i for i, (_, ok) in enumerate(cells) if not ok), default=None)
-    wide = None if top is None else widen(top)
-    return [make_case(key, ok, None if ok else witness(i, wide))
-            for i, (key, ok) in enumerate(cells)]
+def row_cases(names: tuple[str, ...], columns: list[list], oks: Iterable[bool], witness: Callable,
+              widen: Optional[Callable] = None, severity: str = "theorem") -> Block:
+    """The block of one row from its key columns and its cells'
+    verdicts, all decided first.  Each failing cell i gets the witness
+    witness(i, wide).  wide is None, or, for a row whose witnesses read
+    wider values, what widen(top) built: called once, only if a cell
+    fails, with top the index of the last failing cell."""
+    status = bytearray(oks)
+    failing = [i for i, ok in enumerate(status) if not ok] if 0 in status else []
+    wide = widen(failing[-1]) if failing and widen is not None else None
+    return Block(names, columns, status, {i: witness(i, wide) for i in failing}, severity)
 
 
 class VerificationReport:
-    """The cases of one task's run, with the config it echoes, its notes
-    and wall time; its failures are counted once, when it is made."""
+    """The blocks of one task's run, in key order, with the config it
+    echoes, its notes and wall time; its cells and failures are counted
+    once, when it is made, from the status bytes."""
 
-    def __init__(self, task: str, config: dict, cases: list[CaseResult],
+    def __init__(self, task: str, config: dict, blocks: list[Block],
                  notes: Optional[list[str]] = None, wall_time_s: float = 0.0):
         self.task = task
         self.config = config
-        self.cases = cases
+        self.blocks = blocks
         self.notes = [] if notes is None else notes
         self.wall_time_s = wall_time_s
-        self.failed = len(cases) - [c.status for c in cases].count("pass")
+        self.total = sum(len(block.status) for block in blocks)
+        self.failed = sum(block.status.count(0) for block in blocks)
 
     @property
-    def total(self) -> int:
-        return len(self.cases)
+    def cases(self) -> list[CaseResult]:
+        """Every cell as a case, in key order, built when it is read."""
+        cases = []
+        for names, columns, status, witnesses, severity in self.blocks:
+            keys = zip(*(zip(repeat(name), column) for name, column in zip(names, columns)))
+            cases += [CaseResult(key, "pass" if ok else "fail", witnesses.get(i), severity)
+                      for i, (key, ok) in enumerate(zip(keys if names else repeat(()), status))]
+        return cases
 
     @property
     def passed(self) -> int:
@@ -177,6 +170,56 @@ class CombinedReport:
         return self.failed == 0
 
 
+def _fields(block: Block, head: Callable, text: Callable, other: Optional[Callable]):
+    """Each key field of a block as its %-template text, head(name) then
+    its value, and the fills, (column, encoder) of each field with a
+    value per cell: a column of one value, of one type, goes into the
+    text as text(value), an int column through %d, any other through %s
+    of other(value), or, if other is None, the block has no template."""
+    texts, fills = [], []
+    for name, column in zip(block.names, block.columns):
+        lead = head(name).replace("%", "%%")
+        first, types = column[0], set(map(type, column))
+        if len(types) == 1 and first == column[-1] and column.count(first) == len(column):
+            texts.append(lead + text(first).replace("%", "%%"))
+        elif types == {int}:
+            texts.append(lead + "%d")
+            fills.append((column, None))
+        elif other is None:
+            return None
+        else:
+            texts.append(lead + "%s")
+            fills.append((column, other))
+    return texts, fills
+
+
+def _runs(status: bytearray) -> Iterator[tuple[int, int, int]]:
+    """(start, stop, status) of each run of up to _SLICE cells of one status."""
+    start, size = 0, len(status)
+    while start < size:
+        ok, limit = status[start], min(start + _SLICE, size)
+        stop = status.find(1 - ok, start, limit)
+        stop = limit if stop < 0 else stop
+        yield start, stop, ok
+        start = stop
+
+
+def _stretch(template: str, sep: str, fills, start: int, stop: int,
+             tails: Optional[list] = None) -> str:
+    """Cells start .. stop-1 as one %-format of the template, joined by
+    sep, from the cells' values in the fills and, given tails, each
+    cell's own text last."""
+    count = stop - start
+    step = len(fills) + (tails is not None)
+    values = [None] * (count * step)
+    for i, (column, encode) in enumerate(fills):
+        part = column[start:stop]
+        values[i::step] = part if encode is None else list(map(encode, part))
+    if tails is not None:
+        values[step - 1::step] = tails
+    return sep.join([template] * count) % tuple(values)
+
+
 def _json_value(v) -> str:
     """A scalar as json.dumps writes it."""
     if type(v) is str:
@@ -212,38 +255,26 @@ def _json_array(elements: Iterable[Iterable[str]], pad: str) -> Iterator[str]:
     yield "[]" if lead[0] == "[" else f"\n{pad}]"  # "[]": no element came
 
 
-def _json_cases(cases: Sequence[CaseResult], pad: str) -> Iterator[str]:
-    """The cases as pieces of an array's elements, each case an object
-    whose closing brace is at pad, each piece a run of cases joined as
-    the array joins its elements.  The cases go in slices of at most
-    _SLICE, and a piece is formed only when it is asked for; a run is a
-    stretch of a slice whose keys have one shape, the same names in the
-    same order: the whole slice for every task but catalan-form, whose
-    two shapes can split one.  The text after a case's key depends only
-    on its outcome (status, witness, severity) and is rendered once per
-    distinct outcome: into the template when every case has the same
-    one, else as an argument of each case."""
-    outcomes = set(map(_outcome, cases))
-    if len(outcomes) == 1:
-        tail = _json_case_tail(*outcomes.pop(), pad).replace("%", "%%")
-        text = None
-    else:
-        tail = "%s"
-        text = {outcome: _json_case_tail(*outcome, pad) for outcome in outcomes}
-    for chunk in _slices(cases):
-        keys = list(map(_first, chunk))
-        tails = text and list(map(text.__getitem__, map(_outcome, chunk)))
-        names = list(map(_first, keys[0]))
-        if set(map(len, keys)) == {len(names)} and list(
-            map(_first, chain.from_iterable(keys))
-        ) == names * len(keys):
-            yield _json_run(keys, tail, tails, pad)
+def _json_cases(blocks: list[Block], pad: str) -> Iterator[str]:
+    """The cells as pieces of an array's elements, each cell an object
+    whose closing brace is at pad, each piece one run of a block, its
+    cells joined as the array joins its elements.  The text after a
+    passing cell's key is in the template; a failing cell's goes
+    through %s."""
+    inner = pad + "  "
+    field = inner + "  "
+    sep = f",\n{pad}"
+    for block in blocks:
+        if not block.status:
             continue
-        at = 0
-        for _, run in groupby(keys, _names):
-            run = list(run)
-            yield _json_run(run, tail, tails and tails[at:at + len(run)], pad)
-            at += len(run)
+        texts, fills = _fields(block, lambda name: f"{_json_str(name)}: ", _json_value, _json_value)
+        body = f",\n{field}".join(texts)
+        key = f'{{\n{inner}"key": ' + (f"{{\n{field}{body}\n{inner}}}" if texts else "{}")
+        passed = key + _json_case_tail("pass", None, block.severity, pad).replace("%", "%%")
+        for a, b, ok in _runs(block.status):
+            got = map(block.witnesses.get, range(a, b))
+            tails = None if ok else [_json_case_tail("fail", w, block.severity, pad) for w in got]
+            yield _stretch(passed if ok else key + "%s", sep, fills, a, b, tails)
 
 
 def _json_case_tail(status: str, witness, severity: str, pad: str) -> str:
@@ -256,56 +287,11 @@ def _json_case_tail(status: str, witness, severity: str, pad: str) -> str:
     )
 
 
-def _slices(cases: Sequence[CaseResult]) -> Iterator[Sequence[CaseResult]]:
-    """The cases in slices of at most _SLICE, one at a time."""
-    return (cases[start:start + _SLICE] for start in range(0, len(cases), _SLICE))
-
-
-def _names(key) -> tuple:
-    """The names of a key, in order: the shape of its case."""
-    return tuple(map(_first, key))
-
-
-def _json_run(keys: list, tail: str, tails: Optional[list], pad: str) -> str:
-    """A run of cases, given by their keys (one shape), as one %-format
-    of a template repeated once per case.  tail is the template's text
-    after the key: the text all the cases share, or %s for each case's
-    own, from tails.  A column of int key values goes through %d; any
-    other column is encoded by _json_value first and goes through %s."""
-    inner = pad + "  "
-    field = inner + "  "
-    width = len(keys[0])
-    flat = list(map(_second, chain.from_iterable(keys)))
-    if tails is None:
-        values, step = flat, width
-    else:
-        step = width + 1
-        values = [None] * (len(keys) * step)
-        values[width::step] = tails
-    specs = []
-    for i, (name, _) in enumerate(keys[0]):
-        column = flat[i::width]
-        if set(map(type, column)) == {int}:
-            spec = "%d"
-            if tails is not None:
-                values[i::step] = column
-        else:
-            spec = "%s"
-            values[i::step] = list(map(_json_value, column))
-        specs.append(f'{_json_str(name).replace("%", "%%")}: {spec}')
-    body = f",\n{field}".join(specs)
-    case = (
-        f'{{\n{inner}"key": {{\n{field}{body}\n{inner}}}{tail}' if width
-        else f'{{\n{inner}"key": {{}}{tail}'
-    )
-    return f",\n{pad}".join([case] * len(keys)) % tuple(values)
-
-
 def _json_report(report, include_meta: bool, pad: str) -> Iterator[str]:
     """The pieces of a report written as an object whose closing brace is
     at pad, each formed only when it is asked for; the sub-reports of a
     CombinedReport are written, as pieces too, without meta.  Besides
-    its fixed text, a piece holds at most one run of one slice of cases."""
+    its fixed text, a piece holds at most one run of one block."""
     inner = pad + "  "
     element = inner + "  "
     total, failed = report.total, report.failed
@@ -320,7 +306,7 @@ def _json_report(report, include_meta: bool, pad: str) -> Iterator[str]:
         yield from _json_array((_json_report(r, False, element) for r in report.reports), inner)
     else:
         yield f'{head}{inner}"cases": '
-        yield from _json_array(zip(_json_cases(report.cases, element)), inner)
+        yield from _json_array(zip(_json_cases(report.blocks, element)), inner)
         yield f',\n{inner}"notes": '
         yield from _json_array(zip(map(_json_value, report.notes)), inner)
     end = f"\n{pad}}}"
@@ -330,22 +316,42 @@ def _json_report(report, include_meta: bool, pad: str) -> Iterator[str]:
     yield end
 
 
+def _label(block: Block, i: int) -> str:
+    """The case_key of cell i, as `CaseResult.label` writes it."""
+    return ";".join(f"{name}={column[i]}" for name, column in zip(block.names, block.columns))
+
+
 def _csv_pieces(report) -> Iterator[str]:
-    """The CSV rows in pieces: the header with the first slice of cases,
-    then one piece per further slice of each task report's cases."""
+    """The CSV rows in pieces: the header with the first run of cells,
+    then one piece per further run of each block."""
     import csv
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for r in report.reports if isinstance(report, CombinedReport) else [report]:
-        for chunk in _slices(r.cases):
-            writer.writerows([r.task, c.label, c.status, c.witness or "", c.severity]
-                             for c in chunk)
-            yield buf.getvalue()
-            buf.seek(0)
-            buf.truncate()
-    if buf.tell():  # the header of a report without cases
+        for block in r.blocks:
+            if not block.status:
+                continue
+            fields = _fields(block, "{}=".format, format, None)
+            if fields is not None:
+                texts, fills = fields
+                probe = io.StringIO()
+                csv.writer(probe, lineterminator="\n").writerow(
+                    [r.task.replace("%", "%%"), ";".join(texts), "pass", "",
+                     block.severity.replace("%", "%%")])
+                passed = probe.getvalue()
+            for a, b, ok in _runs(block.status):
+                if ok and fields is not None:
+                    buf.write(_stretch(passed, "", fills, a, b))
+                else:
+                    writer.writerows([r.task, _label(block, i), "pass" if ok else "fail",
+                                      block.witnesses.get(i) or "", block.severity]
+                                     for i in range(a, b))
+                yield buf.getvalue()
+                buf.seek(0)
+                buf.truncate()
+    if buf.tell():  # the header of a report without cells
         yield buf.getvalue()
 
 
@@ -356,23 +362,27 @@ def _verdict(report) -> str:
     return f"FAIL {report.failed}/{report.total}"
 
 
-def _text_line(c: CaseResult) -> str:
-    """A case's line of the text report."""
-    tag = "" if c.severity == "theorem" else f"  [{c.severity}]"
-    extra = f"  witness: {c.witness}" if (not c.ok and c.witness) else ""
-    return f"  {c.label}  {c.status}{tag}{extra}\n"
-
-
 def _text_report(report: VerificationReport, after: str) -> Iterator[str]:
-    """A task report's text: its head with the first slice of its case
-    lines, one piece per further slice, then its notes, wall time and
-    verdict, followed by after."""
+    """A task report's text: its head with the first run of its case
+    lines, one piece per further run, then its notes, wall time and
+    verdict, followed by after.  A case line is its label, its status,
+    a severity tag other than "theorem", and a failing case's witness."""
     head = f"task: {report.task}\n"
     if report.config:
         head += "config: " + " ".join(f"{k}={v}" for k, v in report.config.items()) + "\n"
-    for chunk in _slices(report.cases):
-        yield "".join([head, *map(_text_line, chunk)])
-        head = ""
+    for block in report.blocks:
+        if not block.status:
+            continue
+        texts, fills = _fields(block, "{}=".format, format, format)
+        label = ";".join(texts)
+        tag = "" if block.severity == "theorem" else f"  [{block.severity}]".replace("%", "%%")
+        witness = block.witnesses.get
+        for a, b, ok in _runs(block.status):
+            tails = None if ok else [f"  witness: {witness(i)}" if witness(i) else ""
+                                     for i in range(a, b)]
+            line = f"  {label}  pass{tag}\n" if ok else f"  {label}  fail{tag}%s\n"
+            yield head + _stretch(line, "", fills, a, b, tails)
+            head = ""
     notes = "".join(f"note: {note}\n" for note in report.notes)
     yield f"{head}{notes}wall time: {report.wall_time_s:.3f}s\n{_verdict(report)}\n{after}"
 
@@ -393,13 +403,12 @@ def report_pieces(report, fmt: str, include_meta: bool = True) -> Iterator[str]:
     time as they are asked for, so a caller that writes each piece as it
     comes never holds the whole report as one string.  Besides its fixed
     text (headers, separators, a task report's notes and verdict), a
-    piece holds the cases of at most one slice of _SLICE cases.
+    piece holds the cells of at most one run of up to _SLICE cells of
+    one status in one block.
 
-    JSON comes from the fixed-schema writer above, its cases written by
-    runs of one key shape in slices of at most 1024 cases, and is byte
-    for byte what `json.dumps(d, indent=2) + "\\n"` writes for the
-    report as a dict d (task, config, summary, cases and notes or
-    reports, meta), for key names and config keys that are distinct
+    JSON is byte for byte what `json.dumps(d, indent=2) + "\\n"` writes
+    for the report as a dict d (task, config, summary, cases and notes
+    or reports, meta), for key names and config keys that are distinct
     strings and scalar values; a value json cannot encode raises
     TypeError when the piece that holds it is formed.  CSV rows follow
     the fixed header task,case_key,status,witness,severity.  Text and

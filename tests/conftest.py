@@ -6,7 +6,9 @@ no file descriptor was left open;
 `wait_until` polls a condition and fails the test when it times out.
 `row_log` records which process ran which row, in a file every forked
 process appends to.  `watch_rows` lets a test see each cli task's rows
-run, in whichever process runs them.
+run, in whichever process runs them.  `report_of` makes a report whose
+blocks hold a list of cases, for tests that write reports from cases,
+and `cases_of` the cases of blocks, for tests that read a row's cells.
 """
 
 from __future__ import annotations
@@ -14,10 +16,33 @@ from __future__ import annotations
 import os
 import time
 from functools import partial
+from itertools import groupby
 
 import pytest
 
 from ivpverify import cli
+from ivpverify.report import Block, VerificationReport
+
+
+def cases_of(*blocks: Block) -> list:
+    """The cells of these blocks, in turn, as cases: a report's view."""
+    return VerificationReport("", {}, list(blocks)).cases
+
+
+def report_of(task, cases, config=None, **fields) -> VerificationReport:
+    """A task report whose blocks hold these cases, in order: one block
+    per stretch of cases of one key shape and one severity.  A case's
+    status must be "pass" or "fail"; a failing case's witness may be
+    None."""
+    blocks = []
+    for (names, severity), run in groupby(
+            cases, lambda c: (tuple(name for name, _ in c.key), c.severity)):
+        run = list(run)
+        columns = [list(column) for column in zip(*(c.sort_key for c in run))]
+        assert all(c.status in ("pass", "fail") for c in run)
+        blocks.append(Block(names, columns if names else [], bytearray(c.ok for c in run),
+                            {i: c.witness for i, c in enumerate(run) if not c.ok}, severity))
+    return VerificationReport(task, {} if config is None else config, blocks, **fields)
 
 
 def _open_fds() -> int:

@@ -11,7 +11,7 @@ import pytest
 
 from ivpverify import cli, gridrun, identities
 from ivpverify import report as report_module
-from ivpverify.report import VerificationReport, make_case, serialize_report
+from ivpverify.report import Block, VerificationReport, serialize_report
 
 
 def test_task_dispatch_exit_zero(capsys):
@@ -56,7 +56,7 @@ def _replace_rows(monkeypatch, task, row):
 
 def test_mathematical_failure_exits_one(capsys, monkeypatch):
     def forced(n_max):
-        return [make_case((("n", n_max),), False, "forced")]
+        return Block(("n",), [[n_max]], bytearray([0]), {0: "forced"})
 
     _replace_rows(monkeypatch, "sun-one", forced)
     assert cli.main(["sun-one", "--n-max", "0"]) == 1
@@ -172,9 +172,9 @@ def test_out_file_stdout_and_serialize_report_give_one_report(
 def _late_fault_report() -> VerificationReport:
     # Case 1200 holds a key value json cannot encode: the first slice of
     # cases is written before the piece that holds it is formed.
-    cases = [make_case((("n", n),), True) for n in range(1500)]
-    cases[1200] = make_case((("n", Fraction(1, 2)),), True)
-    return VerificationReport(task="demo", config={}, cases=cases)
+    ns = list(range(1500))
+    ns[1200] = Fraction(1, 2)
+    return VerificationReport("demo", {}, [Block(("n",), [ns], bytearray([1]) * 1500, {})])
 
 
 @pytest.mark.parametrize("to_file", [True, False])

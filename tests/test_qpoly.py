@@ -11,6 +11,7 @@ from functools import lru_cache
 
 import pytest
 from cell_oracle import LaurentPoly, conjecture_final_value, laurent_divisible, q_integer
+from conftest import cases_of
 from hypothesis import assume, example, given, settings, strategies as st
 from sympy import Poly, cyclotomic_poly, symbols
 
@@ -418,7 +419,7 @@ def test_q_sun_row_matches_long_division_under_faults(n, k, shape, scale, sign, 
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(qpoly, "q_sun_sums", corrupted)
-        *earlier, cell = qpoly.q_sun_row(k, n, qpoly.phi_squares(n))
+        *earlier, cell = cases_of(qpoly.q_sun_row(k, n, qpoly.phi_squares(n)))
     assert all(case.ok for case in earlier)
     full = LaurentPoly(faulted, low) * _central_square(k)
     ok, obstruction = laurent_divisible(full, q_integer(n) * q_integer(n))
@@ -454,7 +455,7 @@ def test_passing_q_sun_rows_only_square_phi_and_reduce_by_each_tested_d(monkeypa
     squared.clear()
     for k, row in enumerate(rows):
         moduli.clear()
-        assert all(case.ok for case in row())
+        assert all(case.ok for case in cases_of(row()))
         assert moduli == [
             d for n in range(k + 1, n_max + 1) for d in range(2, n + 1)
             if n % d == 0 and 2 * k // d == 2 * (k // d)

@@ -14,15 +14,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import running, wait_until
+from cell_oracle import cell_case
+from conftest import cases_of, report_of, running, wait_until
 from ivpverify import cli, gridrun
 from ivpverify import report as report_module
 from ivpverify.gridrun import collect, run_rows
 from ivpverify.report import (
+    Block,
     CaseResult,
     CombinedReport,
     VerificationReport,
-    make_case,
+    row_cases,
     serialize_report,
 )
 
@@ -71,33 +73,52 @@ def _stdlib_json(report, include_meta):
 
 def _sample_report(fail=False):
     cases = [
-        make_case((("l", 1), ("n", 2)), True),
-        make_case((("l", 1), ("n", 3)), not fail, "value 7 not divisible by 9"),
-        make_case((("l", 2), ("n", 2)), True, severity="conjecture"),
+        cell_case((("l", 1), ("n", 2)), True),
+        cell_case((("l", 1), ("n", 3)), not fail, "value 7 not divisible by 9"),
+        cell_case((("l", 2), ("n", 2)), True, severity="conjecture"),
     ]
-    return VerificationReport(
-        task="demo", config={"l_max": 2, "n_max": 3}, cases=cases, wall_time_s=0.125
-    )
+    return report_of("demo", cases, {"l_max": 2, "n_max": 3}, wall_time_s=0.125)
 
 
 def test_case_result_label_and_sort_key():
-    c = make_case((("l", 1), ("n", 2), ("eps", -1)), True)
+    [c] = cases_of(Block(("l", "n", "eps"), [[1], [2], [-1]], bytearray([1]), {}))
     assert c.label == "l=1;n=2;eps=-1"
     assert c.sort_key == (1, 2, -1)
     assert c.ok and c.witness is None
 
 
-def test_make_case_drops_witness_on_pass():
-    c = make_case((("n", 1),), True, "should not appear")
-    assert c.witness is None
-    c = make_case((("n", 1),), False, "kept")
-    assert c.witness == "kept"
-    c = make_case((("n", 1),), ok=True, witness="x", severity="conjecture")
-    assert (c.status, c.witness, c.severity) == ("pass", None, "conjecture")
+def test_row_cases_keeps_witnesses_of_failing_cells_only():
+    # The witness is formed for failing cells only, and the wider values
+    # the witnesses read are built once, at the last failing cell, or
+    # not at all when every cell passes.
+    calls = []
+
+    def widen(top):
+        calls.append(("widen", top))
+        return "wide"
+
+    def witness(i, wide):
+        calls.append((i, wide))
+        return f"w{i}"
+
+    block = row_cases(("n",), [[1, 2, 3, 4]], [True, False, False, True], witness, widen,
+                      severity="conjecture")
+    assert calls == [("widen", 2), (1, "wide"), (2, "wide")]
+    assert block.witnesses == {1: "w1", 2: "w2"} and block.status == bytearray([1, 0, 0, 1])
+    assert [(c.status, c.witness, c.severity) for c in cases_of(block)] == [
+        ("pass", None, "conjecture"), ("fail", "w1", "conjecture"),
+        ("fail", "w2", "conjecture"), ("pass", None, "conjecture"),
+    ]
+    calls.clear()
+    block = row_cases(("n",), [[1]], [True], witness, widen)
+    assert calls == [] and block.witnesses == {} and block.severity == "theorem"
+    assert cases_of(row_cases(("n",), [[1]], [False], lambda i, wide: "kept")) == [
+        CaseResult((("n", 1),), "fail", "kept")
+    ]
 
 
 def test_case_result_is_an_immutable_picklable_tuple():
-    c = make_case([("l", 1), ("n", 3)], False, "value 7 not divisible by 9", "conjecture")
+    c = CaseResult((("l", 1), ("n", 3)), "fail", "value 7 not divisible by 9", "conjecture")
     fields = ((("l", 1), ("n", 3)), "fail", "value 7 not divisible by 9", "conjecture")
     assert c == CaseResult(*fields) and c == fields
     assert type(c.key) is tuple and hash(c) == hash(tuple(c))
@@ -106,6 +127,10 @@ def test_case_result_is_an_immutable_picklable_tuple():
             setattr(c, name, None)
     copy = pickle.loads(pickle.dumps(c))
     assert type(copy) is CaseResult and copy == c and copy.label == "l=1;n=3"
+    # A block, as a worker sends it back, pickles as it is.
+    block = Block(("l", "n"), [[1], [3]], bytearray([0]), {0: fields[2]}, "conjecture")
+    copy = pickle.loads(pickle.dumps(block))
+    assert type(copy) is Block and copy == block and cases_of(copy) == [c]
 
 
 def test_report_counts():
@@ -118,28 +143,28 @@ def test_report_counts():
     assert bad.failures()[0].witness == "value 7 not divisible by 9"
 
 
-class _CountedCases(list):
-    """A case list that counts the passes over it."""
+class _CountedStatus(bytearray):
+    """A status that counts the passes that count its failures."""
 
     passes = 0
 
-    def __iter__(self):
+    def count(self, *args):
         self.passes += 1
-        return super().__iter__()
+        return super().count(*args)
 
 
 def test_a_report_counts_its_failures_once():
     # A report counts its failures as it is made: ok, passed and failed,
     # read again and again and by the text writer's two verdicts, make
-    # no further pass over the cases.
-    cases = _CountedCases(_sample_report(fail=True).cases)
-    report = VerificationReport(task="demo", config={}, cases=cases)
+    # no further pass over the status bytes.
+    blocks = [b._replace(status=_CountedStatus(b.status)) for b in _sample_report(True).blocks]
+    report = VerificationReport(task="demo", config={}, blocks=blocks)
     combined = CombinedReport(task="all", config={}, reports=[report])
     for _ in range(3):
         assert (report.ok, report.passed, report.failed) == (False, 2, 1)
         assert (combined.ok, combined.passed, combined.failed) == (False, 2, 1)
     assert serialize_report(combined, "text").endswith("overall: FAIL 1/3\n")
-    assert cases.passes == 1
+    assert [b.status.passes for b in blocks] == [1, 1]
 
 
 def test_json_round_trip():
@@ -176,7 +201,7 @@ def test_text_summary_lines():
 
 
 def test_empty_report_serializes():
-    empty = VerificationReport(task="demo", config={}, cases=[])
+    empty = VerificationReport(task="demo", config={}, blocks=[])
     payload = json.loads(serialize_report(empty, "json"))
     assert payload["summary"] == {"total": 0, "pass": 0, "fail": 0}
     assert serialize_report(empty, "csv").splitlines() == [
@@ -205,8 +230,8 @@ def test_combined_report_aggregates():
 
 
 def _square_row(key):
-    """Row key n: the cells n + 100 and n, out of order."""
-    return [make_case((("n", n),), n * n >= 0) for n in (key + 100, key)]
+    """Row key n: the passing cells n + 100 and n, out of order."""
+    return Block(("n",), [[key + 100, key]], bytearray([1, 1]), {})
 
 
 def test_collect_sorts_cases_and_times():
@@ -225,8 +250,8 @@ def test_collect_sorts_cases_and_times():
 def test_collect_orders_two_key_shapes_by_their_values():
     # catalan-form's identity and terms cells, rows fed in reverse order.
     rows = [
-        [make_case((("part", "identity"), ("n", n)), True) for n in (1, 2, 3)],
-        *([make_case((("part", "terms"), ("n", n), ("x", x)), True) for x in (-1, 0, 1)]
+        Block(("part", "n"), [["identity"] * 3, [1, 2, 3]], bytearray([1]) * 3, {}),
+        *(Block(("part", "n", "x"), [["terms"] * 3, [n] * 3, [-1, 0, 1]], bytearray([1]) * 3, {})
           for n in (1, 2, 3)),
     ]
     report = collect("catalan-form", {}, reversed(rows), [])
@@ -532,7 +557,8 @@ def _hang_guard(forks, seconds=20):
 def _big_row(row_log, key):
     """Row `key`, logged: 100 failing cases, about 100 KB of witnesses."""
     row_log.record(key)
-    return [make_case((("n", key), ("i", i)), False, "w" * 1000) for i in range(100)]
+    return Block(("n", "i"), [[key] * 100, list(range(100))], bytearray(100),
+                 {i: "w" * 1000 for i in range(100)})
 
 
 def test_a_failing_caller_reads_a_worker_holding_a_full_pipe(monkeypatch, cores, forks, row_log):
@@ -621,17 +647,18 @@ _text = st.text(
     max_size=6,
 )
 _scalar = st.integers() | _text | st.booleans() | st.none()
+# A case as a block holds it: pass or fail, a witness only when failing.
 _cases = st.builds(
-    CaseResult,
+    cell_case,
     key=st.lists(st.tuples(_text, _scalar), max_size=4, unique_by=lambda kv: kv[0]).map(tuple),
-    status=st.sampled_from(["pass", "fail"]) | _text,
+    ok=st.booleans(),
     witness=st.none() | _text,
     severity=st.sampled_from(["theorem", "conjecture"]) | _text,
 )
 _config = st.dictionaries(_text, _scalar | st.floats(), max_size=3)
 _wall = st.floats(min_value=0, max_value=1e6)
 _reports = st.builds(
-    VerificationReport,
+    report_of,
     task=_text,
     config=_config,
     cases=st.lists(_cases, max_size=4),
@@ -647,7 +674,7 @@ _combined = st.builds(
 )
 
 
-_EMPTY = VerificationReport(task="", config={}, cases=[make_case((), True)])
+_EMPTY = report_of("", [cell_case((), True)])
 
 
 @settings(max_examples=200, deadline=None)
@@ -663,10 +690,10 @@ def test_json_writer_matches_stdlib_indent_encoder(report, include_meta):
 
 
 # Runs: one key shape, then 0-40 cases on it.  A column holds ints
-# (negative, and beyond 2**63), bools, or any scalar; names, statuses
+# (negative, and beyond 2**63), bools, or any scalar; names, severities
 # and witnesses hold %, %d and %%, which the writer's templates must
 # escape; a run's cases draw from 1-3 outcomes, so outcomes repeat and
-# alternate.
+# alternate, and a change of severity starts a new block.
 _percent = st.sampled_from(["n", "%", "%d", "%%", "%s", "x%(n)s"]) | _text
 _ints = (
     st.integers()
@@ -674,7 +701,7 @@ _ints = (
     | st.integers(min_value=-(2 ** 100), max_value=-(2 ** 63))
 )
 _outcomes = st.tuples(
-    st.sampled_from(["pass", "fail"]) | _percent,
+    st.booleans(),
     st.none() | _percent,
     st.sampled_from(["theorem", "conjecture"]) | _percent,
 )
@@ -686,35 +713,35 @@ def _run_reports(draw) -> VerificationReport:
     columns = [draw(st.sampled_from([_ints, st.booleans(), _scalar])) for _ in names]
     outcomes = draw(st.lists(_outcomes, min_size=1, max_size=3))
     cases = [
-        CaseResult(tuple((name, draw(column)) for name, column in zip(names, columns)),
-                   *draw(st.sampled_from(outcomes)))
+        cell_case(tuple((name, draw(column)) for name, column in zip(names, columns)),
+                  *draw(st.sampled_from(outcomes)))
         for _ in range(draw(st.integers(min_value=0, max_value=40)))
     ]
-    return VerificationReport(task="runs", config={}, cases=cases)
+    return report_of("runs", cases)
 
 
 def _cases_report(*cases) -> VerificationReport:
-    return VerificationReport(task="runs", config={}, cases=list(cases))
+    return report_of("runs", cases)
 
 
 @settings(max_examples=200, deadline=None)
 @given(report=_run_reports(), slice_=st.sampled_from([1, 2, 3, 1024]))
 @example(  # an all-int run of three cases
-    report=_cases_report(*(make_case((("l", l), ("n", n)), True) for l, n in
+    report=_cases_report(*(cell_case((("l", l), ("n", n)), True) for l, n in
                            [(1, 2), (1, 3), (2, -(2 ** 70))])),
     slice_=2,
 )
 @example(  # a bool-valued run: True is true, not 1
-    report=_cases_report(make_case((("flag", True), ("n", 1)), True),
-                         make_case((("flag", False), ("n", 0)), True)),
+    report=_cases_report(cell_case((("flag", True), ("n", 1)), True),
+                         cell_case((("flag", False), ("n", 0)), True)),
     slice_=1024,
 )
 @example(  # two key shapes in one outcome, as catalan-form writes them
     report=_cases_report(
-        make_case((("part", "identity"), ("n", 1)), True),
-        make_case((("part", "identity"), ("n", 2)), True),
-        make_case((("part", "terms"), ("n", 1), ("x", -1)), True),
-        make_case((("part", "terms"), ("n", 1), ("x", 0)), False, "100% %d %%"),
+        cell_case((("part", "identity"), ("n", 1)), True),
+        cell_case((("part", "identity"), ("n", 2)), True),
+        cell_case((("part", "terms"), ("n", 1), ("x", -1)), True),
+        cell_case((("part", "terms"), ("n", 1), ("x", 0)), False, "100% %d %%"),
     ),
     slice_=1,
 )
@@ -756,6 +783,13 @@ def _one_string(report, fmt: str) -> str:
     return "\n".join([*map(_task_text, report.reports), f"overall: {verdict}/{report.total}\n"])
 
 
+_PERCENT_REPORT = report_of("100%d", [
+    cell_case((("n%s", 1),), True, severity="50%d"),
+    cell_case((("n%s", 2),), False, "w%d%%", severity="50%d"),
+    cell_case((("n%s", 3),), True, severity="50%d"),
+])
+
+
 def _task_reports(report) -> list:
     return report.reports if isinstance(report, CombinedReport) else [report]
 
@@ -764,7 +798,11 @@ def _task_reports(report) -> list:
 @given(report=_reports | _combined, fmt=st.sampled_from(["text", "csv"]),
        slice_=st.sampled_from([1, 2, 3, 1024]))
 @example(report=CombinedReport(task="all", config={}, reports=[]), fmt="text", slice_=1)
-@example(report=VerificationReport(task="t", config={}, cases=[]), fmt="csv", slice_=1)
+@example(report=VerificationReport(task="t", config={}, blocks=[]), fmt="csv", slice_=1)
+# A task, key name, severity and witness holding %, which no template
+# may take for a spec, in both formats.
+@example(report=_PERCENT_REPORT, fmt="csv", slice_=1024)
+@example(report=_PERCENT_REPORT, fmt="text", slice_=1024)
 def test_text_and_csv_pieces_join_to_the_one_string_oracle(report, fmt, slice_):
     # slice_ stands in for the cases per piece, so that every report of
     # a few cases is written in several pieces too.
@@ -781,8 +819,8 @@ def test_an_unknown_format_is_rejected_before_any_piece_is_asked_for():
 
 
 @pytest.mark.parametrize("report", [
-    VerificationReport(task="demo", config={}, cases=[make_case((("n", Fraction(1, 2)),), True)]),
-    VerificationReport(task="demo", config={"x": Fraction(1, 2)}, cases=[]),
+    report_of("demo", [cell_case((("n", Fraction(1, 2)),), True)]),
+    VerificationReport(task="demo", config={"x": Fraction(1, 2)}, blocks=[]),
 ])
 def test_unencodable_value_raises_type_error_and_exits_three(report, capsys, monkeypatch):
     with pytest.raises(TypeError):
@@ -792,3 +830,104 @@ def test_unencodable_value_raises_type_error_and_exits_three(report, capsys, mon
     monkeypatch.setattr(cli, "run", lambda config: report)
     assert cli.main(["transform", "--n-max", "1", "--format", "json"]) == 3
     assert "TypeError" in capsys.readouterr().err
+
+
+# Random blocks, as rows return them: zero-width keys, int columns
+# (beyond 2**63 too), str columns, columns of one value, the two shapes
+# of catalan-form in one report, and a shape whose names need quoting
+# in CSV; witnesses and str values holding the characters CSV quotes,
+# % that a template must escape, and non-ASCII text; both severities.
+_SHAPES = [(), ("n",), ("n", "k"), ("l", "n", "eps", "x"), ("part", "n"), ("part", "n", "x"),
+           ('k,"%\n', "é€")]
+_quoted = st.text(st.sampled_from(',"\n\r%ab é€😀'), max_size=6)
+
+
+@st.composite
+def _blocks(draw, shapes=_SHAPES, kinds=("int", "str", "one value")) -> Block:
+    names = draw(st.sampled_from(shapes))
+    size = draw(st.integers(min_value=0, max_value=9))
+    columns = []
+    for _ in names:
+        kind = draw(st.sampled_from(kinds))
+        if kind == "one value":
+            columns.append([draw(_ints | _quoted | st.booleans())] * size)
+        else:
+            values = _ints if kind == "int" else _quoted
+            columns.append(draw(st.lists(values, min_size=size, max_size=size)))
+    oks = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+    witnesses = {i: draw(st.none() | _quoted) for i, ok in enumerate(oks) if not ok}
+    severity = draw(st.sampled_from(["theorem", "conjecture"]))
+    return Block(names, columns, bytearray(oks), witnesses, severity)
+
+
+_block_reports = st.builds(
+    VerificationReport, task=_quoted, config=st.just({"n_max": 3}),
+    blocks=st.lists(_blocks(), max_size=4), notes=st.lists(_quoted, max_size=2),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    report=_block_reports | st.builds(
+        CombinedReport, task=st.just("all"), config=st.just({}),
+        reports=st.lists(_block_reports, max_size=3),
+    ),
+    slice_=st.sampled_from([1, 2, 3, 1024]),
+)
+@example(  # catalan-form's two shapes, a str column of one value
+    report=VerificationReport("catalan-form", {}, [
+        Block(("part", "n"), [["identity"] * 2, [1, 2]], bytearray([1, 0]), {1: 'a,"b"\r\n'}),
+        Block(("part", "n", "x"), [["terms"] * 3, [1] * 3, [-1, 0, 1]], bytearray([1, 1, 0]),
+              {2: "100% é"}, "conjecture"),
+    ]),
+    slice_=2,
+)
+@example(  # equal values of two types in one column are not one value: 1 and True
+    report=VerificationReport("t", {}, [
+        Block(("flag", "n"), [[1, True], [0, False]], bytearray([1, 0]), {1: None}),
+    ]),
+    slice_=1024,
+)
+def test_writers_format_blocks_as_the_stdlib_writes_their_cases(report, slice_):
+    # Each writer's joined pieces are json.dumps(indent=2), csv.writer
+    # and the text formula on the blocks' CaseResult view.
+    with mock.patch.object(report_module, "_SLICE", slice_):
+        assert serialize_report(report, "json") == _stdlib_json(report, True)
+        for fmt in ("csv", "text"):
+            assert serialize_report(report, fmt) == _one_string(report, fmt), fmt
+
+
+def _catalan_part(block: Block) -> Block:
+    """The block with its first column catalan-form's part of its shape."""
+    part = "identity" if len(block.names) == 2 else "terms"
+    return block._replace(columns=[[part] * len(block.status), *block.columns[1:]])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    blocks=st.lists(_blocks([("n", "k")], ("int",)), max_size=5)
+    | st.lists(_blocks([("part", "n"), ("part", "n", "x")], ("int",)).map(_catalan_part),
+               max_size=5),
+    order=st.randoms(use_true_random=False),
+)
+@example(  # q-sun's rows, one per k, each in n order: (n, k) by k
+    blocks=[Block(("n", "k"), [list(range(k + 1, 5)), [k] * (4 - k)],
+                  bytearray([1, 0, 1, 1][: 4 - k]), {1: f"k={k}"} if k < 3 else {})
+            for k in range(4)],
+    order=None,
+)
+def test_collect_puts_blocks_given_out_of_key_order_in_sort_key_order(blocks, order):
+    # Blocks of (n, k) keys given per k, or of catalan-form's two shapes,
+    # in any order, come out in sort_key order, each cell with its own
+    # status, witness and severity; every block of the report has one
+    # key shape, one severity and its cells in key order.
+    if order is not None:
+        order.shuffle(blocks)
+    cases = cases_of(*blocks)
+    report = collect("task", {}, blocks, [])
+    assert report.cases == sorted(cases, key=lambda c: c.sort_key)
+    assert (report.total, report.failed) == (len(cases), sum(not c.ok for c in cases))
+    assert gridrun._in_key_order(report.blocks)
+    for block in report.blocks:
+        assert len(block.columns) == len(block.names)
+        assert all(len(column) == len(block.status) for column in block.columns)

@@ -31,7 +31,8 @@ from hypothesis import strategies as st
 
 import cell_oracle
 from cell_oracle import LaurentPoly, binom_rat
-from ivpverify import cli, congruences, identities, qpoly
+from conftest import cases_of
+from ivpverify import cli, congruences, gridrun, identities, qpoly
 from ivpverify.combinat import binom_int
 from ivpverify.congruences import (
     conjecture_final_values,
@@ -40,10 +41,11 @@ from ivpverify.congruences import (
     weighted_sum_rows,
 )
 from ivpverify.identities import build_lhs, central_columns
+from ivpverify.report import Block
 
 
 def _row_cases(task, config):
-    cases = [case for row in cli._task_rows(config)[task] for case in row()]
+    cases = cases_of(*(row() for row in cli._task_rows(config)[task]))
     return sorted(cases, key=lambda c: c.sort_key)
 
 
@@ -63,7 +65,7 @@ def test_rows_are_picklable_calls_that_make_up_the_report():
     # are ints, tuples and strs and the run's tables (lists and tuples
     # of ints, and of lists and tuples of ints), all of which a worker
     # process could unpickle; called in order, they give exactly the
-    # cases of the task's report.
+    # cases of the task's report, one block each.
     for task in cli._TASKS:
         config = cli.GridConfig(task, l_max=2, n_max=4, k_max=5, m=3, x_min=-2, x_max=2)
         rows = cli._task_rows(config)[task]
@@ -73,13 +75,14 @@ def test_rows_are_picklable_calls_that_make_up_the_report():
             assert all(map(_is_plain, row.args)), (task, row)
             copy = pickle.loads(pickle.dumps(row))
             assert (copy.func, copy.args, copy.keywords) == (row.func, row.args, row.keywords)
-        cases = sorted((case for row in rows for case in row()), key=lambda c: c.sort_key)
-        assert cases == cli.run(config).cases, task
+        blocks = [row() for row in rows]
+        assert all(type(block) is Block for block in blocks), task
+        assert sorted(cases_of(*blocks), key=lambda c: c.sort_key) == cli.run(config).cases, task
 
 
 # q-sun and q-specialize keep one row per k, the q side's unit of
-# parallel work: their cases come in (k, n) order and `collect` sorts
-# them, a few hundred cases at the grids the q side can afford.
+# parallel work: their cells come in (k, n) order and `collect` sorts
+# them, a few hundred cells at the grids the q side can afford.
 _ROWS_PER_K = {"q-sun", "q-specialize"}
 
 _KEY_ORDER_GRIDS = [
@@ -96,14 +99,17 @@ _KEY_ORDER_GRIDS = [
 
 @pytest.mark.parametrize("grid", _KEY_ORDER_GRIDS, ids=repr)
 def test_rows_emit_their_cases_in_key_order(grid):
-    # Every other task's rows, flattened in table order, are one sorted
-    # run, so `collect`'s sort is a single linear pass.
+    # Every other task's rows' cells, in table order, are in key order,
+    # so `collect` keeps the blocks as they come; the q tasks' are not,
+    # and `collect` sorts them.
     for name, task in cli._TASKS.items():
-        if name in _ROWS_PER_K or grid.get("n_max", 20) < task.min_n_max:
+        if grid.get("n_max", 20) < task.min_n_max:
             continue
-        rows = cli._task_rows(cli.GridConfig(name, **grid))[name]
-        cases = [case for row in rows for case in row()]
-        assert cases == sorted(cases, key=lambda c: c.sort_key), (name, grid)
+        blocks = [row() for row in cli._task_rows(cli.GridConfig(name, **grid))[name]]
+        cases = cases_of(*blocks)
+        in_order = cases == sorted(cases, key=lambda c: c.sort_key)
+        assert gridrun._in_key_order(blocks) == in_order, (name, grid)
+        assert in_order or name in _ROWS_PER_K and len(blocks) > 1, (name, grid)
 
 
 def _corrupted_binom(bad, delta):
@@ -426,7 +432,7 @@ def test_rational_point_faults_match_oracle_at_large_n():
             stack.enter_context(mock.patch.object(module, "binom_int", corrupted))
         for row, cell in ((identities.sun_one_row, cell_oracle.sun_one_case),
                           (identities.sun_two_row, cell_oracle.sun_two_case)):
-            cases = row(60)
+            cases = cases_of(row(60))
             for n in range(1, 61):
                 assert cases[n].status == "fail", (row, n)
                 assert cases[n] == cell(n), (row, n)

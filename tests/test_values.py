@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import sympy
 from cell_oracle import first_non_multiple
+from conftest import cases_of
 from hypothesis import given, settings, strategies as st
 
 from ivpverify import congruences, identities
@@ -100,7 +101,7 @@ def test_symmetric_first_non_multiple_is_read_at_x_up_to_d(coords, m, multiples)
     ]
     x0 = first_non_multiple(values, m)
     assert next((x for x, v in enumerate(values[: d + 1]) if v % m), None) == x0
-    case = congruences._int_valued_case((("d", d),), values[: d + 1], m)
+    [case] = cases_of(congruences._int_valued_row(("d",), [[d]], [(values[: d + 1], m)]))
     assert case.ok == (x0 is None)
     if x0 is not None:
         assert case.witness == f"p({x0}) = {Fraction(values[x0], m)} is not an integer"
