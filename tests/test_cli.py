@@ -1,5 +1,6 @@
 import ast
 import functools
+import importlib.util
 import json
 import os
 import re
@@ -459,6 +460,29 @@ def test_all_runs_every_task(tmp_path):
     payload = json.loads(out.read_text())
     assert [r["task"] for r in payload["reports"]] == list(cli._TASKS)
     assert payload["summary"]["fail"] == 0
+
+
+def test_the_report_checks_table_parses_and_names_every_task(monkeypatch):
+    """checks/fault.py holds the argvs that checks/reports.py and
+    checks/parity.py run: a renamed flag or task fails here, not in a
+    minutes-long check."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "checks", "fault.py")
+    spec = importlib.util.spec_from_file_location("checks_fault", path)
+    table = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(table)
+    monkeypatch.delenv(cli.JOBS_ENV, raising=False)
+    argvs = table.argvs()
+    tasks = set()
+    for argv in argvs:
+        for jobs in table.jobs_of(argv):
+            args = cli._PARSER.parse_args([*argv.split(), "--jobs", str(jobs)])
+            tasks.add(cli.resolve_config(args).task)
+    assert tasks == {*cli._TASKS, "all"}
+    assert len(set(argvs)) == len(argvs)
+    for name, (_, bites) in table.FAULTS.items():
+        assert set(bites) <= set(argvs)
+        assert bool(bites) == (name != "none")
 
 
 def test_eps_parsing():
