@@ -11,8 +11,11 @@ tables, and the smallest n_max it accepts.  A row is a
 `congruences` or `qpoly`) that returns the block of one grid row, so
 the table is the one place that says which calls make up a task.
 What several rows of a run read, or several cells of one row, is a
-table of `_Tables`, built once per run, on its first read, before any
-row runs: forked workers inherit it, and nothing outlives `run`.
+table of `_Tables` (the S tables, the central binomial columns, the
+power sums of conjecture-sun-m, Phi_d^2 for q-sun and the central
+q-binomials for q-specialize), built once per run, on its first read,
+before any row runs: forked workers inherit it, and nothing outlives
+`run`.
 `run` hands every task's rows to one `gridrun.run_rows` call, then
 collects each task's report from its slice of the results.  A
 `GridConfig` checks every bound when it is built, so
@@ -132,7 +135,9 @@ class GridConfig:
 class _Tables:
     """The tables that several rows of one run read, or several cells of
     one row, each built once per run, on its first read, by one
-    module-level builder, so a task run alone builds only what it reads.
+    module-level builder, so a task run alone builds only what it reads:
+    q-specialize builds the central q-binomials, and q-sun alone never
+    does, not even for a witness.
     `run` reads them while it builds every task's rows, before
     `gridrun.run_rows`, so forked workers inherit them, and they go when
     the run's rows do.  A row with failing cells builds the wider values
@@ -177,6 +182,11 @@ class _Tables:
     def phi_squares(self) -> list[list[int]]:
         """Phi_d^2 for d = 2 .. n_max: q-sun."""
         return qpoly.phi_squares(self.config.n_max)
+
+    @cached_property
+    def central_q_binomials(self) -> list[list[int]]:
+        """[2k choose k] for k < n_max: q-specialize, entry k for row k."""
+        return qpoly.central_q_binomials(self.config.n_max)
 
 
 class _Task(NamedTuple):
@@ -244,7 +254,8 @@ _TASKS = {
         partial(qpoly.q_sun_row, k, c.n_max, t.phi_squares) for k in range(c.n_max)
     ]),
     "q-specialize": _Task(("n_max",), lambda c, t: [
-        partial(qpoly.q_specialize_row, k, t.columns) for k in range(c.n_max)
+        partial(qpoly.q_specialize_row, k, central, t.columns)
+        for k, central in enumerate(t.central_q_binomials)
     ]),
 }
 

@@ -1,5 +1,6 @@
-"""The q side: q-binomials, the q-sum row builder, and the row functions
-of q-sun and q-specialize, all on integer coefficient lists.
+"""The q side: q-binomials, the central ones of a run, the q-sum row
+builder, and the row functions of q-sun and q-specialize, all on
+integer coefficient lists.
 
 A polynomial in q is a list of int coefficients, entry i that of q^i,
 and a Laurent polynomial is a pair (low, coeffs) with low the exponent
@@ -9,7 +10,10 @@ Everything rests on one linear-time pair: multiplying by 1 - q^j,
 and dividing by it with the recurrence h_i = f_i + h_(i-j), which is
 exact when its last j entries are zero.  A q-binomial is the product
 formula prod_i (1 - q^(n-k+i)) / (1 - q^i), and a q-sum row steps
-[m+k choose 2k] and [2m+1] along m by the same ratios.
+[m+k choose 2k] and [2m+1] along m by the same ratios.  Every
+q-specialize row sums its [2k choose k] at q = 1; `central_q_binomials`
+builds them all once per run by one running product over k, two ratio
+steps per k, where a `q_binom(2k, k)` per row would take k steps.
 
 q-sun never forms the product A [2k choose k]^2 of a cell.  It
 decides each cell from the cyclotomic factors of [n]^2: [n] is the
@@ -47,6 +51,7 @@ from .values import terms_text
 
 __all__ = [
     "q_binom",
+    "central_q_binomials",
     "remainder_by_q_integer_squared",
     "q_sun_sums",
     "phi_squares",
@@ -111,6 +116,18 @@ def q_binom(n: int, k: int) -> list[int]:
     for i in range(1, k + 1):
         coeffs = _ratio_step(coeffs, n - k + i, i)
     return coeffs
+
+
+def central_q_binomials(n_max: int) -> list[list[int]]:
+    """[2k choose k] at entry k, for k < n_max, from one running product:
+    [2k+2 choose k+1] = [2k choose k] (1 - q^(2k+1)) (1 - q^(2k+2))
+    / (1 - q^(k+1))^2, as [2k+1 choose k+1] and then [2k+2 choose k+1],
+    so each division is exact."""
+    centrals = [[1]]
+    for k in range(n_max - 1):
+        half = _ratio_step(centrals[k], 2 * k + 1, k + 1)
+        centrals.append(_ratio_step(half, 2 * k + 2, k + 1))
+    return centrals[:n_max]
 
 
 def _residue(coeffs: Sequence[int], n: int) -> list[int]:
@@ -268,12 +285,16 @@ def q_sun_row(k: int, n_max: int, squares: list[list[int]]) -> Block:
     )
 
 
-def q_specialize_row(k: int, table: tuple[list[list[int]], list[int]]) -> Block:
+def q_specialize_row(
+    k: int, central: Sequence[int], table: tuple[list[list[int]], list[int]]
+) -> Block:
     """Setting q = 1 in the q-sum A_n [2k choose k]^2 reproduces the
     classical weighted sum sum_m (2m+1) C(m+k,2k) C(2k,k)^2, for
-    n = k+1 .. n_max; the classical sums are the l = 1 running sums of
-    conjecture-final, from table = `identities.central_columns(n_max)`."""
-    central_sq = sum(q_binom(2 * k, k)) ** 2
+    n = k+1 .. n_max.  central is [2k choose k], entry k of
+    `central_q_binomials(n_max)`, built once for every row of the run;
+    the classical sums are the l = 1 running sums of conjecture-final,
+    from table = `identities.central_columns(n_max)`."""
+    central_sq = sum(central) ** 2
     at_one = [sum(a) * central_sq for _, a in q_sun_sums(k, len(table[0]))]
     classical = conjecture_final_values(1, k, table)
     ns = list(range(k + 1, k + 1 + len(at_one)))

@@ -9,6 +9,7 @@ sympy's, and their multiplicities in [2k choose k] by exact division.
 
 from functools import lru_cache
 
+import cell_oracle
 import pytest
 from cell_oracle import LaurentPoly, conjecture_final_value, laurent_divisible, q_integer
 from conftest import cases_of
@@ -166,6 +167,19 @@ def test_q_binom_degree_and_positivity():
             v = qpoly.q_binom(n, k)
             assert len(v) - 1 == k * (n - k)
             assert all(c > 0 for c in v)
+
+
+def test_central_q_binomials_match_q_pascal_and_the_product_formula():
+    # The running product over k against the oracle's q-Pascal rule and
+    # the verifier's own product formula, one k at a time.
+    centrals = qpoly.central_q_binomials(40)
+    assert len(centrals) == 40
+    for k, central in enumerate(centrals):
+        pascal = cell_oracle.q_binom(2 * k, k)
+        assert central == list(pascal.coeffs) and pascal.min_exp == 0, k
+        assert central == qpoly.q_binom(2 * k, k), k
+        assert sum(central) == binom_int(2 * k, k), k
+    assert qpoly.central_q_binomials(0) == []
 
 
 def test_laurent_divisible_basics():

@@ -289,6 +289,14 @@ def test_rows_match_per_cell_oracle(
             assert _row_cases(task, config) == cell_oracle.oracle_cases(task, config), task
 
 
+def test_q_specialize_matches_per_cell_oracle_beyond_the_drawn_grids():
+    # The central q-binomials of a run come from one running product over
+    # k; the oracle forms each cell's full product A_n [2k choose k]^2
+    # from q-Pascal binomials, at a larger n_max than the draws above.
+    config = cli.GridConfig("q-specialize", n_max=20)
+    assert _row_cases("q-specialize", config) == cell_oracle.oracle_cases("q-specialize", config)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     l=st.integers(1, 3),

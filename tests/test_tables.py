@@ -4,7 +4,11 @@
 row runs, and hands it to every row that reads it.  These tests count
 the builder calls of whole runs (at --jobs 1, so every call happens in
 this process): `verify all` builds one of each table, and a task run
-alone builds only the tables it reads.  Every reader of S, alone or
+alone builds only the tables it reads.  The per-run tables are the
+S tables of the two closed forms, the central binomial columns,
+conjecture-sun-m's power sums, Phi_d^2 for q-sun and the central
+q-binomials [2k choose k] for q-specialize; a passing run forms no
+other q-binomial.  Every reader of S, alone or
 in `all`, reads the one left table `identities.build_lhs(n, n + 1)`:
 the weighted-sum rows read its corner, and no run builds a second,
 smaller left table.  A row with failing cells builds the wider values
@@ -30,6 +34,8 @@ _BUILDERS = [
     (congruences, "power_sums"),
     (qpoly, "_cyclotomic"),
     (qpoly, "_product"),
+    (qpoly, "central_q_binomials"),
+    (qpoly, "q_binom"),
 ]
 
 
@@ -82,6 +88,10 @@ def test_verify_all_builds_each_table_once(builds):
     # nothing else is multiplied: every cell passes.
     assert _calls(builds, "qpoly._cyclotomic") == {(d,): 1 for d in range(2, n + 1)}
     assert _calls(builds, "qpoly._product") == {phi: 1 for phi in phis}
+    # q-specialize's rows read one table of central q-binomials; no
+    # other q-binomial is formed.
+    assert _calls(builds, "qpoly.central_q_binomials") == {(n,): 1}
+    assert _calls(builds, "qpoly.q_binom") == {}
 
 
 def test_conjecture_final_builds_its_column_table_once(builds):
@@ -102,10 +112,22 @@ def test_conjecture_final_builds_its_column_table_once(builds):
     # The catalan-form identity row reads the corner too; its summand
     # rows read no table.
     ("catalan-form", {("identities.build_lhs", (12, 13)): 1}),
+    # q-specialize reads the central columns and the central
+    # q-binomials, and forms no other q-binomial.
+    ("q-specialize", {("identities.central_columns", (12,)): 1,
+                      ("qpoly.central_q_binomials", (12,)): 1}),
 ])
 def test_a_task_alone_builds_only_its_own_tables(builds, task, expected):
     assert cli.run(cli.GridConfig(task, l_max=2, n_max=12)).ok
     assert builds == expected
+
+
+def test_q_sun_alone_forms_no_central_q_binomial(builds):
+    # q-sun reads Phi_d^2 alone: a passing q-sun run builds no table of
+    # central q-binomials and forms no [2k choose k].
+    assert cli.run(cli.GridConfig("q-sun", n_max=12)).ok
+    assert _calls(builds, "qpoly.central_q_binomials") == {}
+    assert _calls(builds, "qpoly.q_binom") == {}
 
 
 def test_no_table_outlives_the_run():
