@@ -33,7 +33,10 @@ FORMATS = ("csv", "json", "text")
 # in one grid, at an m whose sums are not the S table's; conjecture-final
 # writes thousands of cells of one key shape, catalan-form two shapes,
 # conjecture-sun-m a four-key one; `all --n-max 8` and `transform
-# --n-max 3` are CI's other-Python runs.
+# --n-max 3` are CI's other-Python runs; at `transform --n-max 0` and
+# `1`, `recurrence --n-max 2` and `catalan-form --n-max 1` the cap
+# min(n+2, n_max) of the ragged S tables, and x <= n-1 of the Catalan
+# form, bite at every entry.
 _ARGVS = [
     "all", "all --n-max 6", "all --n-max 8", "all --n-max 10 --l-max 2", "all --n-max 12 --l-max 2",
     "all --l-max 3 --n-max 14 --k-max 30 --m 2", "all --l-max 2 --n-max 20 --k-max 21 --m 3",
@@ -47,6 +50,7 @@ _ARGVS = [
     "lemma-schmidt --l-max 1100 --n-max 3", "conjecture-final --l-max 4 --n-max 40",
     "conjecture-sun-m --m 3 --n-max 12", "conjecture-sun-m --m 3 --l-max 4 --n-max 20 --eps -1",
     "conjecture-sun-ii --l-max 4 --n-max 60", "q-sun --n-max 40", "q-specialize --n-max 10",
+    "transform --n-max 0", "transform --n-max 1", "recurrence --n-max 2", "catalan-form --n-max 1",
 ]
 
 

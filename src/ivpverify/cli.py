@@ -137,7 +137,9 @@ class _Tables:
     one row, each built once per run, on its first read, by one
     module-level builder, so a task run alone builds only what it reads:
     q-specialize builds the central q-binomials, and q-sun alone never
-    does, not even for a witness.
+    does, not even for a witness.  Each S table holds the points its
+    readers decide on; only `verify all`, which reads both, builds the
+    full left table and cuts the weighted-sum corner from it.
     `run` reads them while it builds every task's rows, before
     `gridrun.run_rows`, so forked workers inherit them, and they go when
     the run's rows do.  A row with failing cells builds the wider values
@@ -155,22 +157,33 @@ class _Tables:
 
     @cached_property
     def lhs(self) -> list[tuple[int, ...]]:
-        """S_0 .. S_{n_max} at x = 0 .. n_max, the left closed form."""
+        """S_0 .. S_{n_max} of the left closed form: transform and
+        recurrence.  Entry n holds x = 0 .. min(n+2, n_max), what they
+        read, or, in `verify all`, x = 0 .. n_max, so that `weighted` is
+        cut from it and the run builds one left table."""
         n = self.config.n_max
-        return identities.build_lhs(n, n + 1)
+        if self.config.task == "all":
+            return identities.build_lhs(n, n + 1)
+        return identities.build_lhs(n, identities.ragged_points(n))
 
     @cached_property
     def rhs(self) -> list[tuple[int, ...]]:
-        """S_0 .. S_{n_max} at x = 0 .. n_max, the right closed form."""
+        """S_0 .. S_{n_max} of the right closed form, entry n at
+        x = 0 .. min(n+2, n_max): transform and recurrence."""
         n = self.config.n_max
-        return identities.build_rhs(n, n + 1)
+        return identities.build_rhs(n, identities.ragged_points(n))
 
     @cached_property
     def weighted(self) -> list[tuple[int, ...]]:
-        """S_0 .. S_{n_max - 1} at x = 0 .. n_max - 1, the corner of `lhs`:
-        theorem1, theorem2, the catalan-form identity and conjecture-sun-ii."""
+        """The S corner S_0 .. S_{n_max - 1} at x = 0 .. n_max - 1, of the
+        left closed form: theorem1, theorem2, the catalan-form identity
+        and conjecture-sun-ii.  A task run alone builds it; `verify all`
+        cuts it from `lhs`, which it builds in full: one full left table
+        costs less than a ragged one and the corner built apart."""
         n = self.config.n_max
-        return [values[:n] for values in self.lhs[:n]]
+        if self.config.task == "all":
+            return [values[:n] for values in self.lhs[:n]]
+        return identities.build_lhs(n - 1, n)
 
     @cached_property
     def sun_m_sums(self) -> list[list[int]]:

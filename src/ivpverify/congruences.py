@@ -29,8 +29,13 @@ S_k(x) are symmetric of degree 2n-2, so by the symmetric rule of
 `values` each is decided on its n values at x = 0 .. n-1: p/m is
 integer-valued exactly when each of them is a multiple of m.  They come
 from `weighted_sum_rows`, one running sum per x of the table its row
-function reads: the S corner S_k(x), k, x < n_max, which `cli` cuts
-from the run's one left table `build_lhs(n_max, n_max + 1)`.
+function reads: the S corner S_k(x), k, x < n_max, of the left closed
+form.  `cli` builds it as `build_lhs(n_max - 1, n_max)` when one of
+these tasks runs alone, and `verify all` cuts it from the full left
+table `build_lhs(n_max, n_max + 1)` that transform and recurrence read
+there.  The corner stays on the left form: the catalan-form identity
+compares it with a sum in the right form's basis C(x+k,2k), so a bug
+in that basis cannot cancel out.
 """
 
 from __future__ import annotations
@@ -163,9 +168,11 @@ def theorem2_row(table: list[tuple[int, ...]]) -> Block:
 
 # -- Catalan-weighted rewriting of the theorem2 sum --------------------------
 
-def catalan_form_values(n_max: int) -> list[tuple[int, ...]]:
+def catalan_form_values(n_max: int, wide: bool = False) -> list[tuple[int, ...]]:
     """sum_{k=0}^{n-1} catalan(k) C(n-1,k) C(n+k,k) C(x+k,2k) at
-    x = 0 .. n_max - 1, for n = 1 .. n_max (entry n-1).
+    x = 0 .. n-1, the points the identity row decides on, or at
+    x = 0 .. 2n-2 if wide, the points its witness reads, for
+    n = 1 .. n_max (entry n-1).
 
     Term-for-term this is (1/n) C(n,k+1) C(n+k,k) C(2k,k) C(x+k,2k);
     pulling the 1/(k+1) into the central binomial makes every scalar
@@ -173,10 +180,10 @@ def catalan_form_values(n_max: int) -> list[tuple[int, ...]]:
     """
     if n_max < 1:
         raise ValueError(f"catalan_form_values: n_max must be >= 1, got {n_max}")
+    ns = range(1, n_max + 1)
     return in_central_basis([
-        [catalan(k) * binom_int(n - 1, k) * binom_int(n + k, k) for k in range(n)]
-        for n in range(1, n_max + 1)
-    ], n_max)
+        [catalan(k) * binom_int(n - 1, k) * binom_int(n + k, k) for k in range(n)] for n in ns
+    ], [2 * n - 1 if wide else n for n in ns])
 
 
 def catalan_identity_row(table: list[tuple[int, ...]]) -> Block:
@@ -188,12 +195,12 @@ def catalan_identity_row(table: list[tuple[int, ...]]) -> Block:
     pairs = zip(weighted_sum_rows(1, 1, table), catalan_form_values(len(table)))
     return row_cases(
         ("part", "n"), [["identity"] * len(table), list(range(1, len(table) + 1))],
-        [v[:n] == tuple(n * n * ci for ci in c[:n]) for n, (v, c) in enumerate(pairs, 1)],
+        [v[:n] == tuple(n * n * ci for ci in c) for n, (v, c) in enumerate(pairs, 1)],
         lambda i, sides: coeff_mismatch(
             [fraction(a, (i + 1) ** 2) for a in coefficients(sides[0][i])],
-            coefficients(sides[1][i][: 2 * i + 1])),
+            coefficients(sides[1][i])),
         lambda top: (weighted_sum_rows(1, 1, build_lhs(top, 2 * top + 1)),
-                     catalan_form_values(2 * top + 1)),
+                     catalan_form_values(top + 1, True)),
     )
 
 

@@ -9,10 +9,17 @@ The central object is the degree-2n polynomial
 
 `build_lhs` and `build_rhs` evaluate the two closed forms independently
 at x = 0, 1, ..., as one table S_0 .. S_n per call; nothing is cached.
+A table holds the points its readers decide on: every entry at the
+same x, or entry n of S_0 .. S_{n_max} at x = 0 .. min(n+2, n_max)
+(`ragged_points`), the points transform and recurrence read.
 `power_sums` builds sum_j C(-x-1,j)^m C(x,k-j)^m at one integer x for
 every k at once: the Chu-Vandermonde sums at m = 1, the left table at
 m = 2.  `in_central_basis` evaluates sums in the basis C(x+k,2k): the
-right table, and the Catalan form in `congruences`.
+right table, and the Catalan form in `congruences`.  Both read every
+binomial they read before, then drop the zeros that end each list of
+them (C(x,j) = 0 for j > x >= 0, C(x+k,2k) = 0 for k > x), so a sum
+runs over its nonzero terms only, and a binomial that is wrongly
+nonzero still counts.
 `odd_weights` forms the weights of the weighted running sum
 sum_{k<n} eps^k (2k+1)^(2l-1) X_k of every prefix-sum row, here and in
 `congruences`.  `odd_power_sums` sums columns that all start at k = 0;
@@ -46,7 +53,7 @@ from __future__ import annotations
 
 from itertools import accumulate, chain, repeat, zip_longest
 from operator import eq, mul, neg
-from typing import Optional
+from typing import Optional, Sequence
 
 from .combinat import binom_int
 from .report import Block, row_cases
@@ -55,6 +62,7 @@ from .values import coefficients, fraction, poly_text
 __all__ = [
     "build_lhs",
     "build_rhs",
+    "ragged_points",
     "power_sums",
     "in_central_basis",
     "odd_weights",
@@ -77,23 +85,53 @@ __all__ = [
 
 # -- the two closed forms ----------------------------------------------------
 
+def _trimmed(values: list[int]) -> list[int]:
+    """values without the zeros that end it: terms a sum may skip."""
+    end = len(values)
+    while end and not values[end - 1]:
+        end -= 1
+    return values[:end]
+
+
 def power_sums(m: int, x0: int, count: int, first: int = 0) -> list[Optional[int]]:
     """P_k(x0) = sum_j C(-x0-1,j)^m C(x0,k-j)^m at the integer point x0,
     entry k for k = 0 .. count-1; the entries k < first are None, not
-    computed."""
-    left = [binom_int(-x0 - 1, j) ** m for j in range(count)]
-    right = [binom_int(x0, j) ** m for j in range(count)]
-    skipped = [None] * min(first, count)
-    return skipped + [
-        sum(left[j] * right[k - j] for j in range(k + 1)) for k in range(first, count)
-    ]
+    computed.  Every binomial j < count is read, and each side drops its
+    trailing zeros (C(x0,j) = 0 for j > x0 >= 0, C(-x0-1,j) = 0 for
+    j > -x0-1 >= 0), so entry k sums only the terms whose two factors
+    both survive."""
+    left = _trimmed([binom_int(-x0 - 1, j) ** m for j in range(count)])
+    rev = _trimmed([binom_int(x0, j) ** m for j in range(count)])[::-1]
+    # Entry k pairs left[j] with right[k-j] = rev[len(rev)-1-k+j], from
+    # j = max(0, k+1-len(rev)) on; `map` stops where either side ends.
+    # Two ranges, so that for each k only one side is sliced (copied).
+    size = len(rev)
+    split = max(first, size)
+    return ([None] * min(first, count)
+            + [sum(map(mul, left, rev[size - 1 - k:])) for k in range(first, split)]
+            + [sum(map(mul, left[k + 1 - size:k + 1], rev)) for k in range(split, count)])
 
 
-def in_central_basis(weights: list[list[int]], points: int) -> list[tuple[int, ...]]:
-    """sum_k w[k] C(x+k,2k) at x = 0 .. points-1, for each (ragged) weight list w."""
+def _per_entry(points: int | Sequence[int], entries: int) -> list[int]:
+    """The point count of each of `entries` table entries: `points` when
+    it is a count per entry, one int `points` for every entry."""
+    return [points] * entries if isinstance(points, int) else list(points)
+
+
+def in_central_basis(
+    weights: list[list[int]], points: int | Sequence[int]
+) -> list[tuple[int, ...]]:
+    """sum_k w[k] C(x+k,2k) for each (ragged) weight list w, at x = 0 ..
+    points-1, or with `points` a count per weight list, at x = 0 ..
+    points[i]-1 for weight list i.  Every C(x+k,2k), k < the longest
+    list, is read at each x, and the zeros C(x+k,2k) = 0 for k > x that
+    end a row are dropped before it is summed."""
+    counts = _per_entry(points, len(weights))
     size = max(map(len, weights), default=0)
-    basis = [[binom_int(x + k, 2 * k) for k in range(size)] for x in range(points)]
-    return [tuple(sum(map(mul, w, row)) for row in basis) for w in weights]
+    basis = [_trimmed([binom_int(x + k, 2 * k) for k in range(size)])
+             for x in range(max(counts, default=0))]
+    return [tuple(sum(map(mul, w, row)) for row in basis[:count])
+            for w, count in zip(weights, counts)]
 
 
 def odd_weights(l: int, eps: int, stop: int) -> list[int]:
@@ -136,18 +174,31 @@ def triangle(n_max: int) -> tuple[list[int], list[int]]:
     return list(chain.from_iterable(map(repeat, ns, ns))), list(chain.from_iterable(map(range, ns)))
 
 
-def build_lhs(n_max: int, points: int) -> list[tuple[int, ...]]:
-    """S_0 .. S_{n_max}, each at x = 0 .. points-1, from the left closed form
-    sum_{k=0}^n C(-x-1,k)^2 C(x,n-k)^2: the m = 2 power sums at each x."""
+def ragged_points(n_max: int) -> tuple[int, ...]:
+    """min(n+3, n_max+1) for n = 0 .. n_max: the point counts of the S
+    tables that transform and recurrence read, entry n at x = 0 ..
+    min(n+2, n_max), as the recurrence's cell n reads S_n at x <= n+2
+    and transform's at x <= n."""
+    return tuple(min(n + 3, n_max + 1) for n in range(n_max + 1))
+
+
+def build_lhs(n_max: int, points: int | Sequence[int]) -> list[tuple[int, ...]]:
+    """S_0 .. S_{n_max}, each at x = 0 .. points-1, or with `points` a
+    count per entry, entry n at x = 0 .. points[n]-1, from the left
+    closed form sum_{k=0}^n C(-x-1,k)^2 C(x,n-k)^2: the m = 2 power sums
+    at each x, from the first entry that holds x on."""
     if n_max < 0:
         raise ValueError(f"build_lhs: n_max must be >= 0, got {n_max}")
-    sums = [power_sums(2, x, n_max + 1) for x in range(points)]
-    return [tuple(row[n] for row in sums) for n in range(n_max + 1)]
+    counts = _per_entry(points, n_max + 1)
+    sums = [power_sums(2, x, n_max + 1, next(n for n, c in enumerate(counts) if c > x))
+            for x in range(max(counts))]
+    return [tuple(row[n] for row in sums[:count]) for n, count in enumerate(counts)]
 
 
-def build_rhs(n_max: int, points: int) -> list[tuple[int, ...]]:
-    """S_0 .. S_{n_max}, each at x = 0 .. points-1, from the right closed form
-    sum_{k=0}^n C(n+k,2k) C(2k,k)^2 C(x+k,2k)."""
+def build_rhs(n_max: int, points: int | Sequence[int]) -> list[tuple[int, ...]]:
+    """S_0 .. S_{n_max}, each at x = 0 .. points-1, or with `points` a
+    count per entry, entry n at x = 0 .. points[n]-1, from the right
+    closed form sum_{k=0}^n C(n+k,2k) C(2k,k)^2 C(x+k,2k)."""
     if n_max < 0:
         raise ValueError(f"build_rhs: n_max must be >= 0, got {n_max}")
     return in_central_basis([
@@ -167,8 +218,8 @@ def coeff_mismatch(p, q) -> str:
 
 def transform_row(lhs: list[tuple[int, ...]], rhs: list[tuple[int, ...]]) -> Block:
     """Both closed forms of S_n agree, for n = 0 .. n_max: cell n compares
-    the first n+1 values of the tables lhs = `build_lhs(n_max, n_max + 1)`
-    and rhs = `build_rhs(n_max, n_max + 1)`.  The witness of a failing
+    the first n+1 values of entry n of the tables lhs and rhs of
+    `recurrence_row`, or of any wider ones.  The witness of a failing
     cell n reads both forms at x = 0 .. 2n."""
     ns = list(range(len(lhs)))
     return row_cases(
@@ -224,8 +275,9 @@ def _residual(table: list[tuple[int, ...]], n: int, points: int) -> list[int]:
 
 def recurrence_row(family: str, table: list[tuple[int, ...]]) -> Block:
     """The closed form `family` ("lhs" or "rhs") satisfies the order-2
-    recurrence: `table` is its S_0 .. S_{n_max} at x = 0 .. n_max and, at
-    each n <= n_max - 2, the residual, symmetric of degree at most 2n+4
+    recurrence: `table` is its S_0 .. S_{n_max}, entry n at x = 0 ..
+    min(n+2, n_max) at least (`ragged_points`), and, at each
+    n <= n_max - 2, the residual, symmetric of degree at most 2n+4
     (b_n depends on x only through x(x+1)), is formed at x = 0 .. n+2.
     The witness of a failing cell n reads it at x = 0 .. 2n+4."""
     ns = list(range(len(table) - 2))

@@ -43,7 +43,6 @@ __all__ = [
     "grid_columns",
     "row_cases",
     "report_pieces",
-    "serialize_report",
 ]
 
 _int_repr = int.__repr__
@@ -422,10 +421,3 @@ def report_pieces(report, fmt: str, include_meta: bool = True) -> Iterator[str]:
     if fmt == "text":
         return _text_pieces(report)
     raise ValueError(f"unknown report format: {fmt!r}")
-
-
-def serialize_report(report, fmt: str, include_meta: bool = True) -> str:
-    """The report as one string: the pieces of `report_pieces`, joined.
-    For callers that want the string, and for tests; `cli.main` writes
-    the pieces as they come instead."""
-    return "".join(report_pieces(report, fmt, include_meta))

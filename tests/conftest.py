@@ -8,7 +8,8 @@ no file descriptor was left open;
 process appends to.  `watch_rows` lets a test see each cli task's rows
 run, in whichever process runs them.  `report_of` makes a report whose
 blocks hold a list of cases, for tests that write reports from cases,
-and `cases_of` the cases of blocks, for tests that read a row's cells.
+and `cases_of` the cases of blocks, for tests that read a row's cells;
+`serialize_report` writes a report as one string.
 """
 
 from __future__ import annotations
@@ -21,7 +22,13 @@ from itertools import groupby
 import pytest
 
 from ivpverify import cli
-from ivpverify.report import Block, VerificationReport
+from ivpverify.report import Block, VerificationReport, report_pieces
+
+
+def serialize_report(report, fmt: str, include_meta: bool = True) -> str:
+    """The report as one string: the pieces of `report.report_pieces`,
+    joined, which `cli.main` writes as they come instead."""
+    return "".join(report_pieces(report, fmt, include_meta))
 
 
 def cases_of(*blocks: Block) -> list:

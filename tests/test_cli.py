@@ -10,9 +10,10 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import serialize_report
 from ivpverify import cli, gridrun, identities
 from ivpverify import report as report_module
-from ivpverify.report import Block, VerificationReport, serialize_report
+from ivpverify.report import Block, VerificationReport
 
 
 def test_task_dispatch_exit_zero(capsys):

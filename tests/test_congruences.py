@@ -103,16 +103,16 @@ def test_theorem2_grid_is_integer_valued():
 
 
 def test_catalan_form_matches_theorem2():
-    # Entry n-1 of catalan_form_values(2n-1) holds x = 0 .. 2n-2, as a
+    # Entry n-1 of the wide catalan_form_values holds x = 0 .. 2n-2, as a
     # failing identity cell rebuilds it for its witness.
     for n, values in enumerate(weighted_sum_rows(1, 1, build_lhs(9, 19)), 1):
-        assert values == tuple(n * n * c for c in catalan_form_values(2 * n - 1)[n - 1])
+        assert values == tuple(n * n * c for c in catalan_form_values(10, True)[n - 1])
 
 
 def test_catalan_form_n2_terms():
     # k=0 contributes 1; k=1 contributes catalan(1) C(1,1) C(3,1) C(x+1,2)
     # = 3 x(x+1)/2, so the total is (3x^2+3x+2)/2.
-    assert coefficients(catalan_form_values(3)[1]) == [1, Fraction(3, 2), Fraction(3, 2)]
+    assert coefficients(catalan_form_values(2, True)[1]) == [1, Fraction(3, 2), Fraction(3, 2)]
 
 
 def test_catalan_form_report_keys():

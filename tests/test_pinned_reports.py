@@ -40,9 +40,9 @@ from fractions import Fraction
 
 import pytest
 from cell_oracle import LaurentPoly, laurent_divisible, q_integer
+from conftest import serialize_report
 
 from ivpverify import cli, congruences, identities, qpoly
-from ivpverify.report import serialize_report
 
 ALL_JSON_SHA256 = "ef4fe704ddafec864b40f97e8647fb10025cf3f2bf1dd9721e3d8b865cfc4f73"
 ALL_CSV_SHA256 = "5f65842804368cb3a7e29f38cbcdf98bbcad1e406fbd8309eb2760759c0c9ca6"

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cell_oracle import cell_case
-from conftest import cases_of, report_of, running, wait_until
+from conftest import cases_of, report_of, running, serialize_report, wait_until
 from ivpverify import cli, gridrun
 from ivpverify import report as report_module
 from ivpverify.gridrun import collect, run_rows
@@ -25,7 +25,6 @@ from ivpverify.report import (
     CombinedReport,
     VerificationReport,
     row_cases,
-    serialize_report,
 )
 
 

@@ -137,12 +137,14 @@ def _corrupted_s(build, bad, delta):
 
 
 def _corrupted_table(build, bad, delta):
-    """The verifier's table S_0 .. S_{n_max}, with the same fault."""
+    """The verifier's table S_0 .. S_{n_max}, with the same fault wherever
+    S_k(x) is built: at x < points, or, for a count per entry, at
+    x < points[k]."""
     k, x = bad
 
     def corrupted(n_max, points):
         table = build(n_max, points)
-        if k > n_max or x >= points:
+        if k >= len(table) or x >= len(table[k]):
             return table
         return [_plus_at(values, x, delta) if n == k else values for n, values in enumerate(table)]
 
@@ -234,6 +236,13 @@ def _corrupted_q_sum(bad, exponent):
 @example(
     l_max=1, n_max=4, x_min=0, width=0, eps=(1,), m=1,
     fault=None, s_fault=None, q_fault=None, closed_fault=(4, 2, 60),
+)
+# C(2,3) = 0 reads 1: a vanishing binomial that the power sums at x = 2
+# drop only when it is zero, so the left form of S_n(2), n >= 3, and
+# with it transform's cells n >= 3, must fail as the oracle's do.
+@example(
+    l_max=1, n_max=6, x_min=0, width=0, eps=(1,), m=1,
+    fault=(2, 3, 1), s_fault=None, q_fault=None, closed_fault=None,
 )
 # S_3(1) one too large fails transform's n = 3 and the lhs recurrence
 # cells n = 1, 2, 3; each witness reads a slice of the one build of S_0
@@ -378,6 +387,72 @@ def test_closed_forms_match_per_term_formulas(n_max, data):
     assert identities.build_rhs(n_max, points) == [cell_oracle.build_rhs(n, points) for n in ns]
 
 
+# A fault at a binomial that vanishes: C(top, k) = 0 for k > top >= 0,
+# which is C(x0, j) at j > x0 and C(x+k, 2k) at k > x.
+_VANISHING = st.none() | st.tuples(st.integers(0, 10), st.integers(1, 6)).map(
+    lambda t: (t[0], t[0] + t[1]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    m=st.integers(1, 4),
+    x0=st.integers(-12, 12),
+    count=st.integers(0, 16),
+    first=st.integers(0, 18),
+    fault=_VANISHING,
+)
+@example(m=2, x0=2, count=8, first=0, fault=(2, 3))
+@example(m=1, x0=-3, count=8, first=5, fault=(2, 3))
+def test_trimmed_power_sums_match_per_term_sums(m, x0, count, first, fault):
+    # power_sums drops the zeros that end each list of binomials it
+    # reads; a binomial that wrongly reads nonzero there is still summed.
+    with ExitStack() as stack:
+        if fault is not None:
+            corrupted = _corrupted_binom(fault, 1)
+            for module in (identities, cell_oracle):
+                stack.enter_context(mock.patch.object(module, "binom_int", corrupted))
+        skipped = min(first, count)
+        assert identities.power_sums(m, x0, count, first) == [None] * skipped + [
+            cell_oracle.power_sum_at(m, k, x0) for k in range(skipped, count)
+        ]
+
+
+@settings(max_examples=80, deadline=None)
+@given(n_max=st.integers(0, 12), data=st.data(), fault=_VANISHING)
+@example(n_max=6, data=None, fault=(2, 3))
+@example(n_max=6, data=None, fault=(3, 4))
+def test_tables_at_per_entry_points_are_prefixes_of_full_tables(n_max, data, fault):
+    # Entry n of a table built at per-entry point counts is entry n of
+    # the full table, cut to its count, and the full tables are the
+    # per-term sums, with or without a fault.  data=None checks the
+    # ragged shape of transform and recurrence.
+    if data is None:
+        counts = identities.ragged_points(n_max)
+    else:
+        counts = data.draw(st.lists(st.integers(0, 2 * n_max + 3),
+                                    min_size=n_max + 1, max_size=n_max + 1))
+    full = max(counts)
+    weights = [[binom_int(n + k, k) - k for k in range(n + 1)] for n in range(n_max + 1)]
+    with ExitStack() as stack:
+        binom = binom_int if fault is None else _corrupted_binom(fault, 1)
+        for module in (identities, cell_oracle):
+            stack.enter_context(mock.patch.object(module, "binom_int", binom))
+        for build in ("build_lhs", "build_rhs"):
+            table = getattr(identities, build)(n_max, full)
+            assert table == [getattr(cell_oracle, build)(n, full) for n in range(n_max + 1)]
+            assert getattr(identities, build)(n_max, counts) == [
+                values[:count] for values, count in zip(table, counts)
+            ]
+        table = identities.in_central_basis(weights, full)
+        assert table == [
+            tuple(sum(c * binom(x + k, 2 * k) for k, c in enumerate(w)) for x in range(full))
+            for w in weights
+        ]
+        assert identities.in_central_basis(weights, counts) == [
+            values[:count] for values, count in zip(table, counts)
+        ]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     weights=st.lists(st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=12), max_size=6),
@@ -393,18 +468,20 @@ def test_central_basis_sums_match_per_term_sums(weights, points, n_max):
         for w in weights
     ]
     # n times entry n-1 is the term-for-term form
-    # sum_k C(n,k+1) C(n+k,k) C(2k,k) C(x+k,2k), at every x of the table.
-    table = congruences.catalan_form_values(n_max)
-    assert len(table) == n_max
-    for n, values in enumerate(table, 1):
-        assert [n * v for v in values] == [
-            sum(
-                binom_int(n, k + 1) * binom_int(n + k, k) * binom_int(2 * k, k)
-                * binom_int(x + k, 2 * k)
-                for k in range(n)
-            )
-            for x in range(n_max)
-        ]
+    # sum_k C(n,k+1) C(n+k,k) C(2k,k) C(x+k,2k), at x = 0 .. n-1, or at
+    # x = 0 .. 2n-2 in the wide table.
+    for wide, points in ((False, lambda n: n), (True, lambda n: 2 * n - 1)):
+        table = congruences.catalan_form_values(n_max, wide)
+        assert len(table) == n_max
+        for n, values in enumerate(table, 1):
+            assert [n * v for v in values] == [
+                sum(
+                    binom_int(n, k + 1) * binom_int(n + k, k) * binom_int(2 * k, k)
+                    * binom_int(x + k, 2 * k)
+                    for k in range(n)
+                )
+                for x in range(points(n))
+            ]
 
 
 @settings(max_examples=80, deadline=None)

@@ -8,11 +8,14 @@ alone builds only the tables it reads.  The per-run tables are the
 S tables of the two closed forms, the central binomial columns,
 conjecture-sun-m's power sums, Phi_d^2 for q-sun and the central
 q-binomials [2k choose k] for q-specialize; a passing run forms no
-other q-binomial.  Every reader of S, alone or
-in `all`, reads the one left table `identities.build_lhs(n, n + 1)`:
-the weighted-sum rows read its corner, and no run builds a second,
-smaller left table.  A row with failing cells builds the wider values
-their witnesses read once, at its last failing cell.
+other q-binomial.  Each S table holds the points its readers decide
+on: transform and recurrence read ragged tables, entry n at x = 0 ..
+min(n+2, n_max), and the weighted-sum rows the corner S_0 .. S_{n-1} at
+x = 0 .. n-1, built as `identities.build_lhs(n - 1, n)`; only `verify
+all`, which reads both, builds one full left table
+`identities.build_lhs(n, n + 1)` and cuts the corner from it.  A row
+with failing cells builds the wider values their witnesses read once,
+at its last failing cell.
 """
 
 import gc
@@ -25,6 +28,10 @@ from ivpverify import cli, congruences, identities, qpoly
 
 # The benchmark's all-jobs2 grid.
 ALL_GRID = dict(l_max=3, n_max=14, k_max=30, m=2, eps=(1, -1), x_min=-10, x_max=10)
+# The point counts of a ragged S table at n_max = 12 and 14: entry n
+# holds x = 0 .. min(n+2, n_max).
+RAGGED_12 = (3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 13, 13)
+RAGGED_14 = (3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 15, 15)
 
 _BUILDERS = [
     (identities, "build_lhs"),
@@ -73,10 +80,11 @@ def test_verify_all_builds_each_table_once(builds):
     phis = [tuple(qpoly._cyclotomic(d)) for d in range(2, n + 1)]
     builds.clear()
     assert cli.run(cli.GridConfig("all", jobs=1, **ALL_GRID)).ok
-    # One S pair; theorem1, theorem2, the catalan-form identity and
-    # conjecture-sun-ii read the left table's corner.
+    # One full left table, from which theorem1, theorem2, the
+    # catalan-form identity and conjecture-sun-ii read the corner, and
+    # one ragged right table.
     assert _calls(builds, "identities.build_lhs") == {(n, n + 1): 1}
-    assert _calls(builds, "identities.build_rhs") == {(n, n + 1): 1}
+    assert _calls(builds, "identities.build_rhs") == {(n, RAGGED_14): 1}
     assert _calls(builds, "congruences.build_lhs") == {}
     # conjecture-final, telescope, lemma-schmidt and q-specialize share
     # one column table.
@@ -100,18 +108,21 @@ def test_conjecture_final_builds_its_column_table_once(builds):
 
 
 @pytest.mark.parametrize("task, expected", [
-    # The weighted-sum tasks build the left table alone and read its
-    # corner S_0 .. S_{n_max - 1} at x = 0 .. n_max - 1.
-    ("theorem1", {("identities.build_lhs", (12, 13)): 1}),
-    ("theorem2", {("identities.build_lhs", (12, 13)): 1}),
-    ("conjecture-sun-ii", {("identities.build_lhs", (12, 13)): 1}),
+    # The weighted-sum tasks build the left table's corner alone,
+    # S_0 .. S_{n_max - 1} at x = 0 .. n_max - 1.
+    ("theorem1", {("identities.build_lhs", (11, 12)): 1}),
+    ("theorem2", {("identities.build_lhs", (11, 12)): 1}),
+    ("conjecture-sun-ii", {("identities.build_lhs", (11, 12)): 1}),
     # transform and recurrence build S_0 .. S_{n_max} of each closed
-    # form, once: the recurrence's base row reads the same tables.
-    ("transform", {("identities.build_lhs", (12, 13)): 1, ("identities.build_rhs", (12, 13)): 1}),
-    ("recurrence", {("identities.build_lhs", (12, 13)): 1, ("identities.build_rhs", (12, 13)): 1}),
+    # form, once, entry n at x = 0 .. min(n+2, n_max): the recurrence's
+    # base row reads the same tables.
+    ("transform", {("identities.build_lhs", (12, RAGGED_12)): 1,
+                   ("identities.build_rhs", (12, RAGGED_12)): 1}),
+    ("recurrence", {("identities.build_lhs", (12, RAGGED_12)): 1,
+                    ("identities.build_rhs", (12, RAGGED_12)): 1}),
     # The catalan-form identity row reads the corner too; its summand
     # rows read no table.
-    ("catalan-form", {("identities.build_lhs", (12, 13)): 1}),
+    ("catalan-form", {("identities.build_lhs", (11, 12)): 1}),
     # q-specialize reads the central columns and the central
     # q-binomials, and forms no other q-binomial.
     ("q-specialize", {("identities.central_columns", (12,)): 1,
@@ -183,7 +194,7 @@ def test_a_failing_row_builds_its_witness_values_once(builds, monkeypatch, fault
     report = cli.run(cli.GridConfig(task, n_max=12, k_max=12, jobs=1))
     failing = [dict(case.key) for case in report.cases if not case.ok]
     assert len(failing) > 2
-    table = Counter({(12, 13): 1})
+    table = Counter({(12, RAGGED_12): 1})
     if task == "transform":
         wide = Counter((top, 2 * top + 1) for top in _last(failing))
         assert _calls(builds, "identities.build_lhs") == table + wide
@@ -200,6 +211,6 @@ def test_a_failing_row_builds_its_witness_values_once(builds, monkeypatch, fault
         assert _calls(builds, "identities.power_sums") == table + wide
     else:
         [top] = _last(failing, part="identity")
-        assert _calls(builds, "identities.build_lhs") == table
+        assert _calls(builds, "identities.build_lhs") == {(11, 12): 1}
         assert _calls(builds, "congruences.build_lhs") == {(top - 1, 2 * top - 1): 1}
-        assert _calls(builds, "congruences.catalan_form_values") == {(12,): 1, (2 * top - 1,): 1}
+        assert _calls(builds, "congruences.catalan_form_values") == {(12,): 1, (top, True): 1}
