@@ -136,8 +136,8 @@ class _Tables:
     """The tables that several rows of one run read, or several cells of
     one row, each built once per run, on its first read, by one
     module-level builder, so a task run alone builds only what it reads:
-    q-specialize builds the central q-binomials, and q-sun alone never
-    does, not even for a witness.  Each S table holds the points its
+    q-specialize builds the central q-binomials; q-sun reads none, and a
+    failing q-sun row builds its own.  Each S table holds the points its
     readers decide on; only `verify all`, which reads both, builds the
     full left table and cuts the weighted-sum corner from it.
     `run` reads them while it builds every task's rows, before

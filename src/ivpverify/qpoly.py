@@ -1,4 +1,4 @@
-"""The q side: q-binomials, the central ones of a run, the q-sum row
+"""The q side: the central q-binomials of a run, the q-sum row
 builder, and the row functions of q-sun and q-specialize, all on
 integer coefficient lists.
 
@@ -9,11 +9,11 @@ of coeffs[0].  A witness is written from its list by `_q_text`.
 Everything rests on one linear-time pair: multiplying by 1 - q^j,
 and dividing by it with the recurrence h_i = f_i + h_(i-j), which is
 exact when its last j entries are zero.  A q-binomial is the product
-formula prod_i (1 - q^(n-k+i)) / (1 - q^i), and a q-sum row steps
-[m+k choose 2k] and [2m+1] along m by the same ratios.  Every
-q-specialize row sums its [2k choose k] at q = 1; `central_q_binomials`
-builds them all once per run by one running product over k, two ratio
-steps per k, where a `q_binom(2k, k)` per row would take k steps.
+formula prod_i (1 - q^(n-k+i)) / (1 - q^i): `central_q_binomials`
+builds [2k choose k] for every k by one running product, two ratio
+steps per k, and a q-sum row steps [m+k choose 2k] and [2m+1] along m
+by the same ratios.  q-specialize sums [2k choose k] at q = 1; a
+failing q-sun row builds them up to its k, once, for its witnesses.
 
 q-sun never forms the product A [2k choose k]^2 of a cell.  It
 decides each cell from the cyclotomic factors of [n]^2: [n] is the
@@ -50,7 +50,6 @@ from .report import Block, row_cases
 from .values import terms_text
 
 __all__ = [
-    "q_binom",
     "central_q_binomials",
     "remainder_by_q_integer_squared",
     "q_sun_sums",
@@ -101,21 +100,6 @@ def _ratio_step(coeffs: Sequence[int], up: int, down: int) -> list[int]:
     if quotient is None:
         raise ArithmeticError(f"1 - q^{down} does not divide a q-binomial partial product")
     return quotient
-
-
-def q_binom(n: int, k: int) -> list[int]:
-    """The coefficients of the Gaussian coefficient
-    [n choose k] = prod_{i=1..k} (1 - q^(n-k+i)) / (1 - q^i), from q^0;
-    the empty list (the zero polynomial) when k > n."""
-    if n < 0 or k < 0:
-        raise ValueError(f"q_binom: need n, k >= 0, got {n}, {k}")
-    if k > n:
-        return []
-    k = min(k, n - k)
-    coeffs = [1]
-    for i in range(1, k + 1):
-        coeffs = _ratio_step(coeffs, n - k + i, i)
-    return coeffs
 
 
 def central_q_binomials(n_max: int) -> list[list[int]]:
@@ -266,8 +250,9 @@ def q_sun_row(k: int, n_max: int, squares: list[list[int]]) -> Block:
     Each cell is decided from the cyclotomic factors of [n]^2, with
     squares = `phi_squares(n_max)`, built once for every row of the run;
     only a failing cell forms its remainder, the witness, and raises
-    ArithmeticError if that remainder is zero.  [2k choose k] is formed
-    once per row, if a cell fails."""
+    ArithmeticError if that remainder is zero.  [2k choose k], the last
+    entry of `central_q_binomials(k + 1)`, is formed once per row, if a
+    cell fails."""
     sums = q_sun_sums(k, n_max)
     ns = list(range(k + 1, n_max + 1))
 
@@ -281,7 +266,7 @@ def q_sun_row(k: int, n_max: int, squares: list[list[int]]) -> Block:
     return row_cases(
         ("n", "k"), [ns, [k] * len(ns)],
         [_cyclotomic_verdict(a, n, k, squares) for n, (_, a) in zip(ns, sums)],
-        witness, lambda top: q_binom(2 * k, k),
+        witness, lambda top: central_q_binomials(k + 1)[k],
     )
 
 

@@ -5,11 +5,10 @@ Apache Arrow columnar format: its key names, once; one column per key
 field; one status byte per cell; its failing cells' witnesses only; its
 severity, once.  `row_cases` makes a row's block from its verdicts.  A
 report holds a task's blocks with their cells in key order, the order
-of the key values (`sort_key`), so it does not depend on how the grid
-ran, and counts its failures once, from the status bytes.  `CaseResult`
-is the view of one cell, which `VerificationReport.cases` builds on
-demand; no writer reads it.  Wall time lives in a metadata block, so
-JSON and CSV are byte-identical across runs of one configuration.
+of the key values, so it does not depend on how the grid ran, and
+counts its failures once, from the status bytes.  Wall time lives in a
+metadata block, so JSON and CSV are byte-identical across runs of one
+configuration.
 
 Every format is one generator of pieces, `report_pieces`, each formed
 when it is asked for and holding, besides fixed text, one run of up to
@@ -31,13 +30,12 @@ from __future__ import annotations
 
 import io
 import json
-from itertools import chain, product, repeat
+from itertools import chain, product
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 __all__ = [
     "Block",
-    "CaseResult",
     "VerificationReport",
     "CombinedReport",
     "grid_columns",
@@ -64,28 +62,6 @@ class Block(NamedTuple):
     status: bytearray
     witnesses: dict[int, Optional[str]]
     severity: str = "theorem"
-
-
-class CaseResult(NamedTuple):
-    """The view of one cell: key holds its (name, value) pairs in order.
-    A failing "conjecture" case is a mathematical discovery, not a bug."""
-
-    key: tuple[tuple[str, object], ...]
-    status: str  # "pass" | "fail"
-    witness: Optional[str] = None
-    severity: str = "theorem"
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "pass"
-
-    @property
-    def sort_key(self) -> tuple:
-        return tuple(v for _, v in self.key)
-
-    @property
-    def label(self) -> str:
-        return ";".join(f"{name}={value}" for name, value in self.key)
 
 
 def grid_columns(*axes: Sequence) -> list[list]:
@@ -123,25 +99,12 @@ class VerificationReport:
         self.failed = sum(block.status.count(0) for block in blocks)
 
     @property
-    def cases(self) -> list[CaseResult]:
-        """Every cell as a case, in key order, built when it is read."""
-        cases = []
-        for names, columns, status, witnesses, severity in self.blocks:
-            keys = zip(*(zip(repeat(name), column) for name, column in zip(names, columns)))
-            cases += [CaseResult(key, "pass" if ok else "fail", witnesses.get(i), severity)
-                      for i, (key, ok) in enumerate(zip(keys if names else repeat(()), status))]
-        return cases
-
-    @property
     def passed(self) -> int:
         return self.total - self.failed
 
     @property
     def ok(self) -> bool:
         return self.failed == 0
-
-    def failures(self) -> list[CaseResult]:
-        return [c for c in self.cases if not c.ok]
 
 
 class CombinedReport:
@@ -316,7 +279,7 @@ def _json_report(report, include_meta: bool, pad: str) -> Iterator[str]:
 
 
 def _label(block: Block, i: int) -> str:
-    """The case_key of cell i, as `CaseResult.label` writes it."""
+    """The case_key of cell i: its key fields as name=value, joined by ";"."""
     return ";".join(f"{name}={column[i]}" for name, column in zip(block.names, block.columns))
 
 
@@ -397,7 +360,7 @@ def _text_pieces(report) -> Iterator[str]:
     yield f"overall: {_verdict(report)}\n"
 
 
-def report_pieces(report, fmt: str, include_meta: bool = True) -> Iterator[str]:
+def report_pieces(report, fmt: str) -> Iterator[str]:
     """A report as text, JSON or CSV, in pieces that are formed one at a
     time as they are asked for, so a caller that writes each piece as it
     comes never holds the whole report as one string.  Besides its fixed
@@ -415,7 +378,7 @@ def report_pieces(report, fmt: str, include_meta: bool = True) -> Iterator[str]:
     unknown format raises ValueError at once.
     """
     if fmt == "json":
-        return chain(_json_report(report, include_meta, ""), ("\n",))
+        return chain(_json_report(report, True, ""), ("\n",))
     if fmt == "csv":
         return _csv_pieces(report)
     if fmt == "text":

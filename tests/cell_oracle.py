@@ -7,6 +7,10 @@ module keeps the formulas that build every cell's sum from scratch,
 together with the cell keys of each task's grid.  `ORACLE[task]` gives (cell function, cell keys of
 a `GridConfig`); a cell function returns the `CaseResult` the row
 function must produce for that key, witness and severity included.
+`CaseResult`, the view of one cell, lives here: the verifier keeps a
+row's cells as one block of columns, and `conftest.cases_of` reads
+blocks as cases, so the tests compare a row with its cells one at a
+time.
 
 Every binomial of a cell goes through this module's own `binom_int` and
 every S_k(x) through its own `build_lhs`, so a test can corrupt one and
@@ -49,13 +53,34 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, product
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from ivpverify import combinat
 from ivpverify.combinat import binom_int, catalan, double_factorial_odd
 from ivpverify.identities import coeff_mismatch
-from ivpverify.report import CaseResult
 from ivpverify.values import coefficients, forward_differences, poly_text
+
+
+class CaseResult(NamedTuple):
+    """The view of one cell: key holds its (name, value) pairs in order.
+    A failing "conjecture" case is a mathematical discovery, not a bug."""
+
+    key: tuple[tuple[str, object], ...]
+    status: str  # "pass" | "fail"
+    witness: Optional[str] = None
+    severity: str = "theorem"
+
+    @property
+    def ok(self) -> bool:
+        return self.status == "pass"
+
+    @property
+    def sort_key(self) -> tuple:
+        return tuple(v for _, v in self.key)
+
+    @property
+    def label(self) -> str:
+        return ";".join(f"{name}={value}" for name, value in self.key)
 
 
 def _validate_eps(eps: int) -> None:

@@ -7,33 +7,55 @@ no file descriptor was left open;
 `row_log` records which process ran which row, in a file every forked
 process appends to.  `watch_rows` lets a test see each cli task's rows
 run, in whichever process runs them.  `report_of` makes a report whose
-blocks hold a list of cases, for tests that write reports from cases,
-and `cases_of` the cases of blocks, for tests that read a row's cells;
-`serialize_report` writes a report as one string.
+blocks hold a list of cases, for tests that write reports from cases;
+`cases_of` gives the cells of blocks, and `cases` those of a task
+report, as `cell_oracle.CaseResult`s, for tests that read cells one at
+a time; `serialize_report` writes a report as one string.
 """
 
 from __future__ import annotations
 
 import os
+import re
 import time
 from functools import partial
-from itertools import groupby
+from itertools import groupby, repeat
 
 import pytest
 
+from cell_oracle import CaseResult
 from ivpverify import cli
 from ivpverify.report import Block, VerificationReport, report_pieces
+
+# JSON's meta block, the last field of the top-level object, as
+# checks/fault.py's `normalized` strips it.
+_META = re.compile(r',\n  "meta": \{\n    "wall_time_s": [^\n]*\n  \}(?=\n\}\n\Z)')
 
 
 def serialize_report(report, fmt: str, include_meta: bool = True) -> str:
     """The report as one string: the pieces of `report.report_pieces`,
-    joined, which `cli.main` writes as they come instead."""
-    return "".join(report_pieces(report, fmt, include_meta))
+    joined, which `cli.main` writes as they come instead; JSON without
+    its meta block unless include_meta."""
+    text = "".join(report_pieces(report, fmt))
+    if fmt == "json" and not include_meta:
+        text, count = _META.subn("", text)
+        assert count == 1
+    return text
 
 
-def cases_of(*blocks: Block) -> list:
-    """The cells of these blocks, in turn, as cases: a report's view."""
-    return VerificationReport("", {}, list(blocks)).cases
+def cases_of(*blocks: Block) -> list[CaseResult]:
+    """The cells of these blocks, in turn, as cases."""
+    cells = []
+    for names, columns, status, witnesses, severity in blocks:
+        keys = zip(*(zip(repeat(name), column) for name, column in zip(names, columns)))
+        cells += [CaseResult(key, "pass" if ok else "fail", witnesses.get(i), severity)
+                  for i, (key, ok) in enumerate(zip(keys if names else repeat(()), status))]
+    return cells
+
+
+def cases(report: VerificationReport) -> list[CaseResult]:
+    """Every cell of a task report as a case, in key order."""
+    return cases_of(*report.blocks)
 
 
 def report_of(task, cases, config=None, **fields) -> VerificationReport:

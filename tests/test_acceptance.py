@@ -11,7 +11,8 @@ import random
 import time
 from fractions import Fraction
 
-from cell_oracle import LaurentPoly
+from cell_oracle import LaurentPoly, q_binom
+from conftest import cases
 
 from ivpverify import cli, qpoly
 from ivpverify.cli import GridConfig
@@ -23,11 +24,11 @@ def _within(budget_s, *reports):
     """Assert every report passed and the combined runtime fits the budget."""
     elapsed = sum(r.wall_time_s for r in reports)
     for r in reports:
-        bad = [f"{c.label}: {c.witness}" for c in r.failures()]
+        bad = [f"{c.label}: {c.witness}" for c in cases(r) if not c.ok]
         assert r.ok, f"{r.task} failed {r.failed}/{r.total}: {bad[:5]}"
     assert elapsed < budget_s, f"took {elapsed:.1f}s, budget {budget_s}s"
-    cases = sum(r.total for r in reports)
-    print(f"PASS {cases} cases in {elapsed:.2f}s (budget {budget_s}s)")
+    total = sum(r.total for r in reports)
+    print(f"PASS {total} cases in {elapsed:.2f}s (budget {budget_s}s)")
 
 
 def test_criterion_01_transformation_identity_to_n40():
@@ -36,9 +37,9 @@ def test_criterion_01_transformation_identity_to_n40():
 
 def test_criterion_02_recurrence_both_closed_forms_to_n38():
     report = cli.run(GridConfig("recurrence", n_max=40))
-    families = {dict(c.key)["family"] for c in report.cases}
+    families = {dict(c.key)["family"] for c in cases(report)}
     assert families == {"base", "lhs", "rhs"}
-    shifts = [dict(c.key)["n"] for c in report.cases if dict(c.key)["family"] == "lhs"]
+    shifts = [dict(c.key)["n"] for c in cases(report) if dict(c.key)["family"] == "lhs"]
     assert max(shifts) == 38
     _within(30, report)
 
@@ -67,7 +68,7 @@ def test_criterion_06_schmidt_coefficients_divisible_l3_n20():
 def test_criterion_07_congruence_mod_n_squared_l4_n50():
     report = cli.run(GridConfig("conjecture-final", l_max=4, n_max=50))
     # Open rows must be distinguishable from proved ones in the output.
-    for c in report.cases:
+    for c in cases(report):
         expected = "theorem" if dict(c.key)["l"] == 1 else "conjecture"
         assert c.severity == expected
     _within(120, report)
@@ -102,18 +103,13 @@ def test_criterion_10_property_suites_and_determinism(tmp_path):
         values = [sum(c * x ** i for i, c in enumerate(coeffs)) for x in range(61)]
         assert coefficients(values) == coeffs
 
-    # q-Pascal and symmetry through n = 30.
-    def q_binom(n, k):
-        return LaurentPoly(qpoly.q_binom(n, k))
-
-    for n in range(1, 31):
-        for k in range(n + 1):
-            v = q_binom(n, k)
-            step = q_binom(n - 1, k).shift(k)
-            rhs = q_binom(n - 1, k - 1) + step if k else step
-            assert v == rhs
-            assert v == q_binom(n, n - k)
-            assert v.eval_at_one() == binom_int(n, k)
+    # The central q-binomials through [60 choose 30] against the q-Pascal
+    # oracle, with their symmetry and their value at q = 1.
+    for k, central in enumerate(qpoly.central_q_binomials(31)):
+        v = LaurentPoly(central)
+        assert v == q_binom(2 * k, k) and v.min_exp == 0
+        assert central == central[::-1]
+        assert v.eval_at_one() == binom_int(2 * k, k)
 
     # Pascal and negation identities for the scalar binomial.
     for n in range(-20, 21):

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import serialize_report
+from conftest import cases, serialize_report
 from ivpverify import cli, gridrun, identities
 from ivpverify import report as report_module
 from ivpverify.report import Block, VerificationReport
@@ -262,6 +262,133 @@ def test_the_package_holds_no_assert_statement():
     assert found == []
 
 
+# Run in a fresh interpreter per fault of checks/fault.py's FAULTS, with
+# the profiler set before `ivpverify` is imported and two cores seen, as
+# the `cores` fixture sets them: it runs `cli.main` over a table of
+# argvs, then writes their exit codes and the (file, first line) of
+# every code object called under the package.  co_qualname would name
+# them, but Python 3.10 has none.
+_PROBE = r"""
+import json, os, sys
+
+package, checks, fault_name, tmp = sys.argv[1:]
+called = set()
+
+
+def record(frame, event, arg):
+    code = frame.f_code
+    if event == "call" and code.co_filename.startswith(package):
+        called.add((code.co_filename, code.co_firstlineno))
+
+
+sys.setprofile(record)
+sys.path.insert(0, checks)
+import fault
+from ivpverify import cli
+
+os.cpu_count = lambda: 2
+os.sched_getaffinity = lambda pid: {0, 1}
+fault.FAULTS[fault_name][0]()
+config = os.path.join(tmp, "config.json")
+with open(config, "w") as fh:
+    json.dump({"n-max": 5, "eps": "-1", "format": "csv", "out": os.path.join(tmp, "out.csv")}, fh)
+argvs = [
+    *(["all", "--n-max", "6", "--format", fmt] for fmt in ("text", "json", "csv")),
+    ["all", "--l-max", "2", "--n-max", "20", "--k-max", "21", "--m", "3"],
+    ["q-sun", "--n-max", "12"],
+    ["all", "--n-max", "8", "--jobs", "2"],
+    ["all", "--config", config],
+    ["all", "--x-min", "3", "--x-max", "2"],
+]
+codes = [cli.main(argv) for argv in argvs]
+if fault_name == "none":
+    from ivpverify import qpoly
+
+    gate_out, gate_in = os.pipe()
+    caller = os.getpid()
+
+    def raising(k, n_max):
+        # A worker's row waits for a row of the caller, so the caller
+        # surely runs one: every row raises.
+        if os.getpid() == caller:
+            os.write(gate_in, b"go")
+        else:
+            os.read(gate_out, 1)
+        raise ArithmeticError(f"q-sum row k={k}")
+
+    qpoly.q_sun_sums = raising
+    codes.append(cli.main(["q-sun", "--n-max", "6", "--jobs", "2"]))
+sys.setprofile(None)
+with open(os.path.join(tmp, "probe.json"), "w") as fh:
+    json.dump({"codes": codes, "called": sorted(called)}, fh)
+"""
+
+
+_CHECKS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "checks")
+
+
+def _fault_table():
+    """checks/fault.py: the report checks' argv table, faults and runner."""
+    spec = importlib.util.spec_from_file_location("checks_fault", os.path.join(_CHECKS, "fault.py"))
+    table = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(table)
+    return table
+
+
+def _defs(tree, prefix=""):
+    """(first line, dotted name) of each def under tree, nested ones
+    too; a decorated def's code object starts at its first decorator."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = prefix + node.name
+            if not isinstance(node, ast.ClassDef):
+                yield min([node.lineno, *(d.lineno for d in node.decorator_list)]), name
+            yield from _defs(node, name + ".")
+        else:
+            yield from _defs(node, prefix)
+
+
+def test_every_def_of_the_package_runs_in_some_verify_run(tmp_path):
+    # The package holds only what `verify` runs: every def is called by
+    # some run of `cli.main`, passing, failing under each fault, in
+    # parallel, from a config file, on a usage error or on exit 3.
+    package = os.path.dirname(cli.__file__)
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(package)}
+    env.pop(cli.JOBS_ENV, None)
+    probes = {}
+    for name in _fault_table().FAULTS:
+        (tmp_path / name).mkdir()
+        probes[name] = subprocess.Popen(
+            [sys.executable, "-c", _PROBE, package + os.sep, _CHECKS, name, str(tmp_path / name)],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    called = set()
+    for name, probe in probes.items():
+        _, err = probe.communicate(timeout=300)
+        assert probe.returncode == 0, err
+        with open(tmp_path / name / "probe.json") as fh:
+            found = json.load(fh)
+        # Each fault fails some run and crashes none; the usage error
+        # exits 2 and the raising rows 3.
+        codes = found["codes"]
+        if name == "none":
+            assert codes == [0] * 7 + [2, 3]
+        else:
+            assert codes[-1] == 2 and 1 in codes and set(codes[:-1]) <= {0, 1}, (name, codes)
+        called.update(map(tuple, found["called"]))
+    never = []
+    for file in sorted(os.listdir(package)):
+        if file.endswith(".py"):
+            path = os.path.join(package, file)
+            with open(path) as fh:
+                tree = ast.parse(fh.read(), file)
+            never += [f"{file[:-3]}.{name}" for line, name in _defs(tree)
+                      if (path, line) not in called]
+    # A forked worker spends its life in `_work` and leaves by os._exit,
+    # so the profile of the process that forked it never sees the call;
+    # GridConfig.__setattr__ only refuses an assignment, which no run makes.
+    assert never == ["cli.GridConfig.__setattr__", "gridrun._work"]
+
+
 def test_csv_deterministic_across_jobs(tmp_path, cores, forks):
     # lemma-schmidt is one row per l, both eps inside: three rows at the
     # default l_max, so --jobs 8 on eight cores forks two workers beside
@@ -297,7 +424,7 @@ def test_jobs_beyond_the_cores_open_one_worker_per_core(cores, forks):
     cores(4)
     for task in ("catalan-form", "q-sun"):
         report = cli.run(cli.GridConfig(task, n_max=6, jobs=10 ** 6))
-        assert report.cases == cli.run(cli.GridConfig(task, n_max=6)).cases
+        assert cases(report) == cases(cli.run(cli.GridConfig(task, n_max=6)))
     assert len(forks) == 3 * 2
 
 
@@ -308,10 +435,10 @@ def test_a_run_opens_no_more_processes_than_it_has_rows(cores, forks):
     cores(2)
     report = cli.run(cli.GridConfig("sun-one", n_max=20, jobs=2))
     assert forks == []
-    assert report.cases == cli.run(cli.GridConfig("sun-one", n_max=20)).cases
+    assert cases(report) == cases(cli.run(cli.GridConfig("sun-one", n_max=20)))
     report = cli.run(cli.GridConfig("recurrence", n_max=8, jobs=2))
     assert len(forks) == 1
-    assert report.cases == cli.run(cli.GridConfig("recurrence", n_max=8)).cases
+    assert cases(report) == cases(cli.run(cli.GridConfig("recurrence", n_max=8)))
     cores(4)
     cli.run(cli.GridConfig("recurrence", n_max=8, jobs=8))
     assert len(forks) == 1 + 2
@@ -384,7 +511,7 @@ def test_every_task_is_queued_before_any_result_is_read(monkeypatch, cores, fork
     ran = sorted(key for _, key in row_log.read())
     assert ran == sorted(repr((row.func.__name__, row.args)) for row in rows)
     serial = cli.run(cli.GridConfig("all", n_max=4, l_max=2, x_min=-2, x_max=2, jobs=1))
-    assert [r.cases for r in parallel.reports] == [r.cases for r in serial.reports]
+    assert [cases(r) for r in parallel.reports] == [cases(r) for r in serial.reports]
 
 
 def test_a_raising_row_in_a_worker_exits_three(capsys, monkeypatch, forks):
@@ -467,11 +594,7 @@ def test_the_report_checks_table_parses_and_names_every_task(monkeypatch):
     """checks/fault.py holds the argvs that checks/reports.py and
     checks/parity.py run: a renamed flag or task fails here, not in a
     minutes-long check."""
-    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                        "checks", "fault.py")
-    spec = importlib.util.spec_from_file_location("checks_fault", path)
-    table = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(table)
+    table = _fault_table()
     monkeypatch.delenv(cli.JOBS_ENV, raising=False)
     argvs = table.argvs()
     tasks = set()

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 import sympy
 from cell_oracle import first_non_multiple
+from conftest import cases
 
 from ivpverify.combinat import binom_int, double_factorial_odd
 from ivpverify.congruences import (
@@ -39,7 +40,7 @@ def test_schmidt_divisibility_grid():
     report = run(GridConfig("lemma-schmidt", l_max=3, n_max=12))
     assert report.ok
     assert report.total == 3 * 12 * 2
-    assert report.cases[0].label == "l=1;n=1;eps=-1"
+    assert cases(report)[0].label == "l=1;n=1;eps=-1"
 
 
 def test_schmidt_rejects_bad_args():
@@ -119,7 +120,7 @@ def test_catalan_form_report_keys():
     report = run(GridConfig("catalan-form", n_max=4, x_min=-3, x_max=3))
     assert report.ok
     assert report.total == 4 + 4 * 7
-    assert report.cases[0].key == (("part", "identity"), ("n", 1))
+    assert cases(report)[0].key == (("part", "identity"), ("n", 1))
 
 
 def test_conjecture_final_frozen_values():
@@ -148,9 +149,9 @@ def test_conjecture_final_l1_closed_form():
 def test_conjecture_final_grid_and_severity():
     report = run(GridConfig("conjecture-final", l_max=2, n_max=8))
     assert report.ok
-    by_severity = {c.severity for c in report.cases}
+    by_severity = {c.severity for c in cases(report)}
     assert by_severity == {"theorem", "conjecture"}
-    for c in report.cases:
+    for c in cases(report):
         l = dict(c.key)["l"]
         assert c.severity == ("theorem" if l == 1 else "conjecture")
 
@@ -160,7 +161,7 @@ def test_sun_m_equals_one_always_integral():
     # divisible by n by the classical alternating-odd-powers congruences.
     report = run(GridConfig("conjecture-sun-m", m=1, l_max=2, n_max=8, x_min=-5, x_max=5))
     assert report.ok
-    assert all(c.severity == "theorem" for c in report.cases)
+    assert all(c.severity == "theorem" for c in cases(report))
 
 
 def test_sun_m_equals_two_matches_theorem1():
@@ -176,7 +177,7 @@ def test_sun_m_equals_two_matches_theorem1():
 def test_sun_m_three_spot_check():
     report = run(GridConfig("conjecture-sun-m", m=3, l_max=2, n_max=6, x_min=-8, x_max=8))
     assert report.ok
-    assert all(c.severity == "conjecture" for c in report.cases)
+    assert all(c.severity == "conjecture" for c in cases(report))
     assert any("complete" in note for note in report.notes)
 
 
@@ -189,8 +190,8 @@ def test_sun_m_completeness_note_cutoff():
 def test_sun_ii_polynomial_l1_is_theorem2():
     sun_ii = run(GridConfig("conjecture-sun-ii", l_max=1, n_max=9))
     theorem2 = run(GridConfig("theorem2", n_max=9))
-    assert [(c.key[1], c.status) for c in sun_ii.cases] == [
-        (c.key[0], c.status) for c in theorem2.cases
+    assert [(c.key[1], c.status) for c in cases(sun_ii)] == [
+        (c.key[0], c.status) for c in cases(theorem2)
     ]
 
 
@@ -206,7 +207,7 @@ def test_sun_ii_l2_hand_value():
 def test_sun_ii_grid_and_severity():
     report = run(GridConfig("conjecture-sun-ii", l_max=3, n_max=10))
     assert report.ok and report.total == 30
-    for c in report.cases:
+    for c in cases(report):
         l = dict(c.key)["l"]
         assert c.severity == ("theorem" if l == 1 else "conjecture")
 
@@ -219,7 +220,7 @@ def test_weight_double_factorial_consistency():
         assert first_non_multiple(values, n) is None
         scaled = [double_factorial_odd(l) * v for v in values]
         assert first_non_multiple(scaled, n * n) is None
-        assert run(GridConfig("conjecture-sun-ii", l_max=l, n_max=n)).cases[-1].ok
+        assert cases(run(GridConfig("conjecture-sun-ii", l_max=l, n_max=n)))[-1].ok
 
 
 def test_weighted_sum_values_match_sympy():

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 import sympy
 from cell_oracle import binom_rat, eval_transform_at
+from conftest import cases
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -81,7 +82,7 @@ def test_verify_transformation_report():
     report = run(GridConfig("transform", n_max=12))
     assert report.ok
     assert report.total == 13
-    assert [c.label for c in report.cases[:3]] == ["n=0", "n=1", "n=2"]
+    assert [c.label for c in cases(report)[:3]] == ["n=0", "n=1", "n=2"]
 
 
 def test_recurrence_coefficients_at_zero():

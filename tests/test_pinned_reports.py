@@ -39,7 +39,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from cell_oracle import LaurentPoly, laurent_divisible, q_integer
+from cell_oracle import LaurentPoly, laurent_divisible, q_binom, q_integer
 from conftest import serialize_report
 
 from ivpverify import cli, congruences, identities, qpoly
@@ -356,7 +356,7 @@ def _corrupt_q_sun_sums(monkeypatch, bad_key):
 
     monkeypatch.setattr(qpoly, "q_sun_sums", corrupted)
     low, coeffs = corrupted(bad_k, bad_n)[-1]
-    central = LaurentPoly(qpoly.q_binom(2 * bad_k, bad_k))
+    central = q_binom(2 * bad_k, bad_k)
     return LaurentPoly(coeffs, low) * central * central
 
 

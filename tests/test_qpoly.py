@@ -11,8 +11,8 @@ from functools import lru_cache
 
 import cell_oracle
 import pytest
-from cell_oracle import LaurentPoly, conjecture_final_value, laurent_divisible, q_integer
-from conftest import cases_of
+from cell_oracle import LaurentPoly, conjecture_final_value, laurent_divisible, q_binom, q_integer
+from conftest import cases, cases_of
 from hypothesis import assume, example, given, settings, strategies as st
 from sympy import Poly, cyclotomic_poly, symbols
 
@@ -22,11 +22,6 @@ from ivpverify.qpoly import q_sun_sums, remainder_by_q_integer_squared
 from ivpverify.cli import GridConfig, run
 
 Q = LaurentPoly([0, 1])
-
-
-def q_binom(n, k):
-    """The verifier's q-binomial list, as an oracle polynomial."""
-    return LaurentPoly(qpoly.q_binom(n, k))
 
 
 def q_sun_sum(n, k):
@@ -123,61 +118,41 @@ def test_q_integer():
         q_integer(0)
 
 
+# The q-binomials the verifier builds are the central ones, [2k choose k]
+# at entry k of `central_q_binomials`.
+
 def test_q_binom_frozen_expansions():
-    assert qpoly.q_binom(4, 2) == [1, 1, 2, 1, 1]
-    assert qpoly.q_binom(5, 2) == [1, 1, 2, 2, 2, 1, 1]
-    assert qpoly.q_binom(6, 3) == [1, 1, 2, 3, 3, 3, 3, 2, 1, 1]
-    assert qpoly.q_binom(5, 0) == [1]
-    assert qpoly.q_binom(3, 5) == []
-    with pytest.raises(ValueError):
-        qpoly.q_binom(-1, 0)
-
-
-def test_q_binom_of_large_n_needs_no_recursion():
-    # The q-Pascal recursion this replaced overflowed the stack here.
-    assert q_binom(1100, 1) == q_integer(1100)
-    assert q_binom(1100, 1099) == q_integer(1100)
-
-
-def test_q_pascal_recurrence():
-    for n in range(1, 31):
-        for k in range(n + 1):
-            lhs = q_binom(n, k)
-            rhs = q_binom(n - 1, k - 1) if k else LaurentPoly()
-            rhs = rhs + q_binom(n - 1, k).shift(k)
-            assert lhs == rhs
+    centrals = qpoly.central_q_binomials(4)
+    assert centrals[0] == [1]
+    assert centrals[2] == [1, 1, 2, 1, 1]
+    assert centrals[3] == [1, 1, 2, 3, 3, 3, 3, 2, 1, 1]
 
 
 def test_q_binom_symmetry():
-    for n in range(31):
-        for k in range(n + 1):
-            assert q_binom(n, k) == q_binom(n, n - k)
+    for central in qpoly.central_q_binomials(31):
+        assert central == central[::-1]
 
 
 def test_q_binom_specializes_to_binomials():
-    for n in range(31):
-        for k in range(n + 1):
-            assert q_binom(n, k).eval_at_one() == binom_int(n, k)
+    for k, central in enumerate(qpoly.central_q_binomials(31)):
+        assert sum(central) == binom_int(2 * k, k)
 
 
 def test_q_binom_degree_and_positivity():
     # Every coefficient positive: the list has no zeros at either end.
-    for n in range(25):
-        for k in range(n + 1):
-            v = qpoly.q_binom(n, k)
-            assert len(v) - 1 == k * (n - k)
-            assert all(c > 0 for c in v)
+    for k, central in enumerate(qpoly.central_q_binomials(31)):
+        assert len(central) - 1 == k * k
+        assert all(c > 0 for c in central)
 
 
 def test_central_q_binomials_match_q_pascal_and_the_product_formula():
-    # The running product over k against the oracle's q-Pascal rule and
-    # the verifier's own product formula, one k at a time.
+    # The running product over k against the oracle's q-Pascal rule,
+    # one k at a time.
     centrals = qpoly.central_q_binomials(40)
     assert len(centrals) == 40
     for k, central in enumerate(centrals):
         pascal = cell_oracle.q_binom(2 * k, k)
         assert central == list(pascal.coeffs) and pascal.min_exp == 0, k
-        assert central == qpoly.q_binom(2 * k, k), k
         assert sum(central) == binom_int(2 * k, k), k
     assert qpoly.central_q_binomials(0) == []
 
@@ -382,8 +357,7 @@ def test_central_q_binomial_has_the_cyclotomic_factors_the_decider_skips():
     # up to deg [2k choose k] = k^2, so [2k choose k] is their product:
     # none divides twice.
     phis = {d: _phi(d) for d in range(2, 81)}
-    for k in range(41):
-        b = qpoly.q_binom(2 * k, k)
+    for k, b in enumerate(qpoly.central_q_binomials(41)):
         degree = 0
         for d, phi in phis.items():
             times = 2 * k // d - 2 * (k // d)
@@ -437,7 +411,7 @@ def test_q_sun_row_matches_long_division_under_faults(n, k, shape, scale, sign, 
     assert all(case.ok for case in earlier)
     full = LaurentPoly(faulted, low) * _central_square(k)
     ok, obstruction = laurent_divisible(full, q_integer(n) * q_integer(n))
-    remainder = remainder_by_q_integer_squared(faulted, qpoly.q_binom(2 * k, k), n)
+    remainder = remainder_by_q_integer_squared(faulted, list(q_binom(2 * k, k).coeffs), n)
     assert cell.ok == ok == (not any(remainder))
     if not ok:
         text = qpoly._q_text(remainder, low)
@@ -460,7 +434,7 @@ def test_passing_q_sun_rows_only_square_phi_and_reduce_by_each_tested_d(monkeypa
         moduli.append(d)
         return residue(coeffs, d)
 
-    monkeypatch.setattr(qpoly, "q_binom", lambda *args: central_calls.append(args))
+    monkeypatch.setattr(qpoly, "central_q_binomials", lambda *args: central_calls.append(args))
     monkeypatch.setattr(qpoly, "_product", counting_product)
     monkeypatch.setattr(qpoly, "_residue", counting_residue)
     n_max = 24
@@ -483,18 +457,18 @@ def test_a_failing_q_sun_row_forms_its_central_q_binomial_once(monkeypatch):
     # fail; each failing row forms [2k choose k] once, for all its
     # failing cells' remainders.
     calls = []
-    q_binom, q_sun_sums = qpoly.q_binom, qpoly.q_sun_sums
+    central_q_binomials, q_sun_sums = qpoly.central_q_binomials, qpoly.q_sun_sums
 
-    def counting_binom(n, k):
-        calls.append((n, k))
-        return q_binom(n, k)
+    def counting_centrals(n_max):
+        calls.append((n_max,))
+        return central_q_binomials(n_max)
 
     def corrupted(k, n_max):
         return [(low, [coeffs[0] + 1, *coeffs[1:]]) for low, coeffs in q_sun_sums(k, n_max)]
 
-    monkeypatch.setattr(qpoly, "q_binom", counting_binom)
+    monkeypatch.setattr(qpoly, "central_q_binomials", counting_centrals)
     monkeypatch.setattr(qpoly, "q_sun_sums", corrupted)
     report = cli.run(cli.GridConfig("q-sun", n_max=10, jobs=1))
-    failing = [dict(case.key)["k"] for case in report.cases if not case.ok]
+    failing = [dict(case.key)["k"] for case in cases(report) if not case.ok]
     assert len(failing) > len(set(failing)) > 1
-    assert sorted(calls) == [(2 * k, k) for k in sorted(set(failing))]
+    assert sorted(calls) == [(k + 1,) for k in sorted(set(failing))]

@@ -2,7 +2,6 @@ import csv
 import io
 import json
 import os
-import pickle
 import signal
 import time
 from contextlib import contextmanager
@@ -14,14 +13,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cell_oracle import cell_case
-from conftest import cases_of, report_of, running, serialize_report, wait_until
+from cell_oracle import CaseResult, cell_case
+from conftest import cases, cases_of, report_of, running, serialize_report, wait_until
 from ivpverify import cli, gridrun
 from ivpverify import report as report_module
 from ivpverify.gridrun import collect, run_rows
 from ivpverify.report import (
     Block,
-    CaseResult,
     CombinedReport,
     VerificationReport,
     row_cases,
@@ -34,12 +32,12 @@ def to_dict(report, include_meta=True) -> dict:
     reproduce byte for byte.  Sub-reports carry no meta.  The summary is
     counted here from the cases, not read from the report: any status
     other than "pass" is a failure."""
-    cases = _all_cases(report)
-    failed = sum(1 for c in cases if c.status != "pass")
+    every = _all_cases(report)
+    failed = sum(1 for c in every if c.status != "pass")
     d = {
         "task": report.task,
         "config": dict(report.config),
-        "summary": {"total": len(cases), "pass": len(cases) - failed, "fail": failed},
+        "summary": {"total": len(every), "pass": len(every) - failed, "fail": failed},
     }
     if isinstance(report, CombinedReport):
         d["reports"] = [to_dict(r, include_meta=False) for r in report.reports]
@@ -51,7 +49,7 @@ def to_dict(report, include_meta=True) -> dict:
                 "witness": c.witness,
                 "severity": c.severity,
             }
-            for c in report.cases
+            for c in cases(report)
         ]
         d["notes"] = list(report.notes)
     if include_meta:
@@ -62,8 +60,8 @@ def to_dict(report, include_meta=True) -> dict:
 def _all_cases(report) -> list:
     """The cases of a report, or of every sub-report of a CombinedReport."""
     if isinstance(report, CombinedReport):
-        return [c for r in report.reports for c in r.cases]
-    return report.cases
+        return [c for r in report.reports for c in cases(r)]
+    return cases(report)
 
 
 def _stdlib_json(report, include_meta):
@@ -77,13 +75,6 @@ def _sample_report(fail=False):
         cell_case((("l", 2), ("n", 2)), True, severity="conjecture"),
     ]
     return report_of("demo", cases, {"l_max": 2, "n_max": 3}, wall_time_s=0.125)
-
-
-def test_case_result_label_and_sort_key():
-    [c] = cases_of(Block(("l", "n", "eps"), [[1], [2], [-1]], bytearray([1]), {}))
-    assert c.label == "l=1;n=2;eps=-1"
-    assert c.sort_key == (1, 2, -1)
-    assert c.ok and c.witness is None
 
 
 def test_row_cases_keeps_witnesses_of_failing_cells_only():
@@ -116,30 +107,14 @@ def test_row_cases_keeps_witnesses_of_failing_cells_only():
     ]
 
 
-def test_case_result_is_an_immutable_picklable_tuple():
-    c = CaseResult((("l", 1), ("n", 3)), "fail", "value 7 not divisible by 9", "conjecture")
-    fields = ((("l", 1), ("n", 3)), "fail", "value 7 not divisible by 9", "conjecture")
-    assert c == CaseResult(*fields) and c == fields
-    assert type(c.key) is tuple and hash(c) == hash(tuple(c))
-    for name in ("key", "status", "witness", "severity"):
-        with pytest.raises(AttributeError):
-            setattr(c, name, None)
-    copy = pickle.loads(pickle.dumps(c))
-    assert type(copy) is CaseResult and copy == c and copy.label == "l=1;n=3"
-    # A block, as a worker sends it back, pickles as it is.
-    block = Block(("l", "n"), [[1], [3]], bytearray([0]), {0: fields[2]}, "conjecture")
-    copy = pickle.loads(pickle.dumps(block))
-    assert type(copy) is Block and copy == block and cases_of(copy) == [c]
-
-
 def test_report_counts():
     good = _sample_report()
     assert (good.total, good.passed, good.failed) == (3, 3, 0)
-    assert good.ok and good.failures() == []
+    assert good.ok and [c for c in cases(good) if not c.ok] == []
     bad = _sample_report(fail=True)
     assert (bad.total, bad.passed, bad.failed) == (3, 2, 1)
     assert not bad.ok
-    assert bad.failures()[0].witness == "value 7 not divisible by 9"
+    assert [c.witness for c in cases(bad) if not c.ok] == ["value 7 not divisible by 9"]
 
 
 class _CountedStatus(bytearray):
@@ -240,7 +215,7 @@ def test_collect_sorts_cases_and_times():
             yield _square_row(key)
 
     report = collect("demo", {"n_max": 3}, slow_rows(), ["a note"])
-    assert [c.sort_key for c in report.cases] == [(1,), (2,), (3,), (101,), (102,), (103,)]
+    assert [c.sort_key for c in cases(report)] == [(1,), (2,), (3,), (101,), (102,), (103,)]
     assert report.config == {"n_max": 3} and report.notes == ["a note"]
     # The wall time is the time spent reading the results.
     assert report.wall_time_s >= 0.03
@@ -254,17 +229,17 @@ def test_collect_orders_two_key_shapes_by_their_values():
           for n in (1, 2, 3)),
     ]
     report = collect("catalan-form", {}, reversed(rows), [])
-    assert report.cases == sorted(report.cases, key=lambda c: c.sort_key)
-    assert [c.label for c in report.cases[:4]] == [
+    assert cases(report) == sorted(cases(report), key=lambda c: c.sort_key)
+    assert [c.label for c in cases(report)[:4]] == [
         "part=identity;n=1", "part=identity;n=2", "part=identity;n=3", "part=terms;n=1;x=-1",
     ]
-    assert report.cases[-1].label == "part=terms;n=3;x=1"
+    assert cases(report)[-1].label == "part=terms;n=3;x=1"
 
 
 def test_every_task_orders_its_cases_by_sort_key():
     report = cli.run(cli.GridConfig("all", n_max=8))
     for sub in report.reports:
-        assert sub.cases == sorted(sub.cases, key=lambda c: c.sort_key), sub.task
+        assert cases(sub) == sorted(cases(sub), key=lambda c: c.sort_key), sub.task
 
 
 def test_runner_parallel_matches_serial(cores, forks):
@@ -623,7 +598,7 @@ def test_jobs_on_one_core_run_serially(cores, forks):
     parallel = cli.run(config)
     assert forks == []
     serial = cli.run(cli.GridConfig("all", n_max=4, l_max=2, x_min=-2, x_max=2, jobs=1))
-    assert [r.cases for r in parallel.reports] == [r.cases for r in serial.reports]
+    assert [cases(r) for r in parallel.reports] == [cases(r) for r in serial.reports]
 
 
 def test_without_fork_the_rows_run_serially(monkeypatch, cores, forks):
@@ -756,7 +731,7 @@ def _task_text(r) -> str:
     lines = [f"task: {r.task}"]
     if r.config:
         lines.append("config: " + " ".join(f"{k}={v}" for k, v in r.config.items()))
-    for c in r.cases:
+    for c in cases(r):
         tag = "" if c.severity == "theorem" else f"  [{c.severity}]"
         extra = f"  witness: {c.witness}" if (not c.ok and c.witness) else ""
         lines.append(f"  {c.label}  {c.status}{tag}{extra}")
@@ -774,7 +749,7 @@ def _one_string(report, fmt: str) -> str:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["task", "case_key", "status", "witness", "severity"])
         writer.writerows([r.task, c.label, c.status, c.witness or "", c.severity]
-                         for r in _task_reports(report) for c in r.cases)
+                         for r in _task_reports(report) for c in cases(r))
         return buf.getvalue()
     if not isinstance(report, CombinedReport):
         return _task_text(report)
@@ -808,8 +783,8 @@ def test_text_and_csv_pieces_join_to_the_one_string_oracle(report, fmt, slice_):
     with mock.patch.object(report_module, "_SLICE", slice_):
         pieces = list(report_module.report_pieces(report, fmt))
     assert "".join(pieces) == _one_string(report, fmt)
-    cases = sum(len(r.cases) for r in _task_reports(report))
-    assert len(pieces) >= -(-cases // slice_)
+    count = sum(len(cases(r)) for r in _task_reports(report))
+    assert len(pieces) >= -(-count // slice_)
 
 
 def test_an_unknown_format_is_rejected_before_any_piece_is_asked_for():
@@ -922,10 +897,10 @@ def test_collect_puts_blocks_given_out_of_key_order_in_sort_key_order(blocks, or
     # key shape, one severity and its cells in key order.
     if order is not None:
         order.shuffle(blocks)
-    cases = cases_of(*blocks)
+    cells = cases_of(*blocks)
     report = collect("task", {}, blocks, [])
-    assert report.cases == sorted(cases, key=lambda c: c.sort_key)
-    assert (report.total, report.failed) == (len(cases), sum(not c.ok for c in cases))
+    assert cases(report) == sorted(cells, key=lambda c: c.sort_key)
+    assert (report.total, report.failed) == (len(cells), sum(not c.ok for c in cells))
     assert gridrun._in_key_order(report.blocks)
     for block in report.blocks:
         assert len(block.columns) == len(block.names)

@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 
 import cell_oracle
 from cell_oracle import LaurentPoly, binom_rat
-from conftest import cases_of
+from conftest import cases, cases_of
 from ivpverify import cli, congruences, gridrun, identities, qpoly
 from ivpverify.combinat import binom_int
 from ivpverify.congruences import (
@@ -45,8 +45,8 @@ from ivpverify.report import Block
 
 
 def _row_cases(task, config):
-    cases = cases_of(*(row() for row in cli._task_rows(config)[task]))
-    return sorted(cases, key=lambda c: c.sort_key)
+    cells = cases_of(*(row() for row in cli._task_rows(config)[task]))
+    return sorted(cells, key=lambda c: c.sort_key)
 
 
 def _is_package_function(value):
@@ -77,7 +77,7 @@ def test_rows_are_picklable_calls_that_make_up_the_report():
             assert (copy.func, copy.args, copy.keywords) == (row.func, row.args, row.keywords)
         blocks = [row() for row in rows]
         assert all(type(block) is Block for block in blocks), task
-        assert sorted(cases_of(*blocks), key=lambda c: c.sort_key) == cli.run(config).cases, task
+        assert sorted(cases_of(*blocks), key=lambda c: c.sort_key) == cases(cli.run(config)), task
 
 
 # q-sun and q-specialize keep one row per k, the q side's unit of
@@ -106,8 +106,8 @@ def test_rows_emit_their_cases_in_key_order(grid):
         if grid.get("n_max", 20) < task.min_n_max:
             continue
         blocks = [row() for row in cli._task_rows(cli.GridConfig(name, **grid))[name]]
-        cases = cases_of(*blocks)
-        in_order = cases == sorted(cases, key=lambda c: c.sort_key)
+        cells = cases_of(*blocks)
+        in_order = cells == sorted(cells, key=lambda c: c.sort_key)
         assert gridrun._in_key_order(blocks) == in_order, (name, grid)
         assert in_order or name in _ROWS_PER_K and len(blocks) > 1, (name, grid)
 
@@ -250,6 +250,16 @@ def _corrupted_q_sum(bad, exponent):
 @example(
     l_max=1, n_max=6, x_min=0, width=0, eps=(1,), m=1,
     fault=None, s_fault=(3, 1, 1), q_fault=None, closed_fault=None,
+)
+# The CLI's default bounds (`cli.GridConfig`'s), passing, and under the
+# `2,1` fault of checks/fault.py, C(2,1) read as 3.
+@example(
+    l_max=3, n_max=20, x_min=-10, width=20, eps=(1, -1), m=2,
+    fault=None, s_fault=None, q_fault=None, closed_fault=None,
+)
+@example(
+    l_max=3, n_max=20, x_min=-10, width=20, eps=(1, -1), m=2,
+    fault=(2, 1, 1), s_fault=None, q_fault=None, closed_fault=None,
 )
 def test_rows_match_per_cell_oracle(
     l_max, n_max, x_min, width, eps, m, fault, s_fault, q_fault, closed_fault
@@ -517,7 +527,7 @@ def test_rational_point_faults_match_oracle_at_large_n():
             stack.enter_context(mock.patch.object(module, "binom_int", corrupted))
         for row, cell in ((identities.sun_one_row, cell_oracle.sun_one_case),
                           (identities.sun_two_row, cell_oracle.sun_two_case)):
-            cases = cases_of(row(60))
+            cells = cases_of(row(60))
             for n in range(1, 61):
-                assert cases[n].status == "fail", (row, n)
-                assert cases[n] == cell(n), (row, n)
+                assert cells[n].status == "fail", (row, n)
+                assert cells[n] == cell(n), (row, n)

@@ -24,6 +24,7 @@ from collections import Counter
 
 import pytest
 
+from conftest import cases
 from ivpverify import cli, congruences, identities, qpoly
 
 # The benchmark's all-jobs2 grid.
@@ -42,7 +43,6 @@ _BUILDERS = [
     (qpoly, "_cyclotomic"),
     (qpoly, "_product"),
     (qpoly, "central_q_binomials"),
-    (qpoly, "q_binom"),
 ]
 
 
@@ -99,7 +99,6 @@ def test_verify_all_builds_each_table_once(builds):
     # q-specialize's rows read one table of central q-binomials; no
     # other q-binomial is formed.
     assert _calls(builds, "qpoly.central_q_binomials") == {(n,): 1}
-    assert _calls(builds, "qpoly.q_binom") == {}
 
 
 def test_conjecture_final_builds_its_column_table_once(builds):
@@ -138,7 +137,6 @@ def test_q_sun_alone_forms_no_central_q_binomial(builds):
     # central q-binomials and forms no [2k choose k].
     assert cli.run(cli.GridConfig("q-sun", n_max=12)).ok
     assert _calls(builds, "qpoly.central_q_binomials") == {}
-    assert _calls(builds, "qpoly.q_binom") == {}
 
 
 def test_no_table_outlives_the_run():
@@ -192,7 +190,7 @@ def test_a_failing_row_builds_its_witness_values_once(builds, monkeypatch, fault
 
         monkeypatch.setattr(module, name, counted)
     report = cli.run(cli.GridConfig(task, n_max=12, k_max=12, jobs=1))
-    failing = [dict(case.key) for case in report.cases if not case.ok]
+    failing = [dict(case.key) for case in cases(report) if not case.ok]
     assert len(failing) > 2
     table = Counter({(12, RAGGED_12): 1})
     if task == "transform":
