@@ -142,9 +142,11 @@ class _Tables:
     full left table and cuts the weighted-sum corner from it.
     `run` reads them while it builds every task's rows, before
     `gridrun.run_rows`, so forked workers inherit them, and they go when
-    the run's rows do.  A row with failing cells builds the wider values
-    their witnesses read once, at its last failing cell, in the process
-    that runs the row: at --jobs > 1 the caller or a forked worker."""
+    the run's rows do.  A failing cell's witness reads the values of
+    these tables that decided it, so a failing run builds no more than
+    a passing one; only a failing q-sun row forms its [2k choose k], in
+    the process that runs the row: at --jobs > 1 the caller or a forked
+    worker."""
 
     def __init__(self, config: GridConfig):
         self.config = config

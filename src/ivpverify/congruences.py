@@ -45,8 +45,6 @@ from operator import and_, eq, mod
 
 from .combinat import binom_int, catalan, double_factorial_odd
 from .identities import (
-    build_lhs,
-    coeff_mismatch,
     in_central_basis,
     odd_power_sums,
     odd_weights,
@@ -56,7 +54,7 @@ from .identities import (
     triangle,
 )
 from .report import Block, grid_columns, row_cases
-from .values import coefficients, fraction
+from .values import first_difference, fraction
 
 __all__ = [
     "schmidt_coefficient_rows",
@@ -111,7 +109,7 @@ def schmidt_row(
     rows = [schmidt_coefficient_rows(l, eps, table) for eps in signs]
     cells = [(n, row[n - 1]) for n in range(1, len(table[0]) + 1) for row in rows]
 
-    def witness(i, _):
+    def witness(i):
         n, coeffs = cells[i]
         bad = next(j for j, c in enumerate(coeffs) if c % n)
         return f"coefficient j={bad} is {coeffs[bad]}, not divisible by {n}"
@@ -137,7 +135,7 @@ def _int_valued_row(names, columns, cells, severity: str = "theorem") -> Block:
     """The block of cells (values, m), each asking: is p/m integer-valued,
     p symmetric with these values at x = 0 .. d (see `values`)?"""
 
-    def witness(i, _):
+    def witness(i):
         values, m = cells[i]
         x0 = next(x for x, v in enumerate(values) if v % m)
         return f"p({x0}) = {fraction(values[x0], m)} is not an integer"
@@ -168,10 +166,9 @@ def theorem2_row(table: list[tuple[int, ...]]) -> Block:
 
 # -- Catalan-weighted rewriting of the theorem2 sum --------------------------
 
-def catalan_form_values(n_max: int, wide: bool = False) -> list[tuple[int, ...]]:
+def catalan_form_values(n_max: int) -> list[tuple[int, ...]]:
     """sum_{k=0}^{n-1} catalan(k) C(n-1,k) C(n+k,k) C(x+k,2k) at
-    x = 0 .. n-1, the points the identity row decides on, or at
-    x = 0 .. 2n-2 if wide, the points its witness reads, for
+    x = 0 .. n-1, the points the identity row decides on, for
     n = 1 .. n_max (entry n-1).
 
     Term-for-term this is (1/n) C(n,k+1) C(n+k,k) C(2k,k) C(x+k,2k);
@@ -183,24 +180,27 @@ def catalan_form_values(n_max: int, wide: bool = False) -> list[tuple[int, ...]]
     ns = range(1, n_max + 1)
     return in_central_basis([
         [catalan(k) * binom_int(n - 1, k) * binom_int(n + k, k) for k in range(n)] for n in ns
-    ], [2 * n - 1 if wide else n for n in ns])
+    ], ns)
 
 
 def catalan_identity_row(table: list[tuple[int, ...]]) -> Block:
     """For every n <= n_max the Catalan-weighted sum equals the 1/n^2
     weighted sum as a polynomial (compared at x = 0 .. n-1, see `values`),
     the latter from table = the S corner S_k(x), k, x < n_max.  The
-    witness of a failing cell n reads both sides at x = 0 .. 2n-2; cell
-    n is entry i = n-1 of the row."""
-    pairs = zip(weighted_sum_rows(1, 1, table), catalan_form_values(len(table)))
+    witness of a failing cell n gives both sides at the first of those x
+    where they differ; cell n is entry i = n-1 of the row."""
+    sums = [v[:n] for n, v in enumerate(weighted_sum_rows(1, 1, table), 1)]
+    forms = catalan_form_values(len(table))
+
+    def witness(i):
+        square = (i + 1) ** 2
+        x = first_difference(sums[i], (square * c for c in forms[i]))
+        return f"at x={x}: 1/n^2 sum {fraction(sums[i][x], square)} vs Catalan form {forms[i][x]}"
+
     return row_cases(
         ("part", "n"), [["identity"] * len(table), list(range(1, len(table) + 1))],
-        [v[:n] == tuple(n * n * ci for ci in c) for n, (v, c) in enumerate(pairs, 1)],
-        lambda i, sides: coeff_mismatch(
-            [fraction(a, (i + 1) ** 2) for a in coefficients(sides[0][i])],
-            coefficients(sides[1][i])),
-        lambda top: (weighted_sum_rows(1, 1, build_lhs(top, 2 * top + 1)),
-                     catalan_form_values(top + 1, True)),
+        [v == tuple(n * n * c for c in form) for n, (v, form) in enumerate(zip(sums, forms), 1)],
+        witness,
     )
 
 
@@ -220,7 +220,7 @@ def catalan_terms_row(n: int, x_min: int, x_max: int) -> Block:
     def terms(x):
         return ((k, weights[k] * binom_int(x + k, 2 * k)) for k in suspects)
 
-    def witness(i, _):
+    def witness(i):
         k, term = next((k, term) for k, term in terms(xs[i]) if term % n)
         return f"k={k} summand {fraction(term, n)} is not an integer"
 
@@ -266,7 +266,7 @@ def conjecture_final_row(l: int, table: tuple[list[list[int]], list[int]]) -> Bl
                   for k, form in enumerate(telescope_rhs(n))]
         oks = map(and_, oks, map(eq, values, closed))
 
-    def witness(i, _):
+    def witness(i):
         value, modulus = values[i], ns[i] * ns[i]
         if value % modulus:
             return f"value {value} = {value % modulus} mod {modulus}"
@@ -306,7 +306,7 @@ def sun_m_row(
     values = [column[n - 1] for n in ns for by_x in totals for column in by_x]
     return row_cases(
         ("l", "n", "eps", "x"), columns, [not v % n for v, n in zip(values, columns[1])],
-        lambda i, _: f"sum {values[i]} at x={columns[3][i]} is not divisible by {columns[1][i]}",
+        lambda i: f"sum {values[i]} at x={columns[3][i]} is not divisible by {columns[1][i]}",
         severity="theorem" if m <= 2 else "conjecture",
     )
 

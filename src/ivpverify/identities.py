@@ -32,9 +32,9 @@ Every polynomial claim here is symmetric about x = -1/2, so by the
 symmetric rule of `values` it is decided at x = 0 .. d only: S_n at
 x = 0 .. n, the order-2 recurrence's residual at x = 0 .. n+2, the
 Chu-Vandermonde sum at x = 0 .. k//2.  A row returns one block
-(`report.row_cases`), its cells decided from its tables first; only if
-one fails does it build the wider values its witnesses read, at
-x = 0 .. 2d, once, and every witness reads a slice of that build.
+(`report.row_cases`), its cells decided from its tables first; the
+witness of a failing cell reads the values that decided it and names
+the first of those points where they disagree (`values.first_difference`).
 The module also checks a telescoping sum of odd-weighted binomials
 (one row, one running sum per column k, against the closed form that
 `telescope_rhs` forms by running products) and two rational-value
@@ -44,20 +44,19 @@ scaled left side is a fraction N / D of integers, and a cell passes
 when N = rhs D.
 
 All checks are exact and run on `int`; a failure carries a witness
-(the first differing coefficient, the polynomial interpolated from the
-failing values, or the two unequal values), and only a witness uses
-`Fraction`.
+(the first decided point where the values differ, and the values
+there, or the two unequal values), and only a witness uses `Fraction`.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, repeat, zip_longest
+from itertools import accumulate, chain, repeat
 from operator import eq, mul, neg
 from typing import Optional, Sequence
 
 from .combinat import binom_int
 from .report import Block, row_cases
-from .values import coefficients, fraction, poly_text
+from .values import first_difference, fraction
 
 __all__ = [
     "build_lhs",
@@ -71,7 +70,6 @@ __all__ = [
     "central_columns",
     "triangle",
     "telescope_rhs",
-    "coeff_mismatch",
     "transform_row",
     "recurrence_coefficients",
     "recurrence_base_row",
@@ -207,26 +205,18 @@ def build_rhs(n_max: int, points: int | Sequence[int]) -> list[tuple[int, ...]]:
     ], points)
 
 
-def coeff_mismatch(p, q) -> str:
-    """Witness for p != q, given as coefficient lists: the first
-    coefficient where they differ."""
-    for i, (a, b) in enumerate(zip_longest(p, q, fillvalue=0)):
-        if a != b:
-            return f"coeff of x^{i}: {a} vs {b}"
-    return "polynomials agree"
-
-
 def transform_row(lhs: list[tuple[int, ...]], rhs: list[tuple[int, ...]]) -> Block:
     """Both closed forms of S_n agree, for n = 0 .. n_max: cell n compares
     the first n+1 values of entry n of the tables lhs and rhs of
     `recurrence_row`, or of any wider ones.  The witness of a failing
-    cell n reads both forms at x = 0 .. 2n."""
+    cell n gives both forms at the first of those x where they differ."""
     ns = list(range(len(lhs)))
-    return row_cases(
-        ("n",), [ns], [lhs[n][: n + 1] == rhs[n][: n + 1] for n in ns],
-        lambda n, forms: coeff_mismatch(*(coefficients(f[n][: 2 * n + 1]) for f in forms)),
-        lambda top: (build_lhs(top, 2 * top + 1), build_rhs(top, 2 * top + 1)),
-    )
+
+    def witness(n):
+        x = first_difference(lhs[n][: n + 1], rhs[n][: n + 1])
+        return f"S_{n}({x}): lhs {lhs[n][x]} vs rhs {rhs[n][x]}"
+
+    return row_cases(("n",), [ns], [lhs[n][: n + 1] == rhs[n][: n + 1] for n in ns], witness)
 
 
 # -- order-2 recurrence ------------------------------------------------------
@@ -253,17 +243,18 @@ def recurrence_base_row(lhs: list[tuple[int, ...]], rhs: list[tuple[int, ...]]) 
     """Both closed forms give the base cases S_0 = 1 and S_1 = 2x^2+2x+1
     that start the order-2 recurrence, compared at x = 0 .. n: the first
     n+1 values of entry n of the tables lhs and rhs of `recurrence_row`.
-    The witness of a failing cell n reads both forms at x = 0 .. 2n."""
-    return row_cases(
-        ("family", "n"), [["base", "base"], [0, 1]],
-        [lhs[n][: n + 1] == rhs[n][: n + 1]
-         == tuple(sum(c * x ** i for i, c in enumerate(base)) for x in range(n + 1))
-         for n, base in enumerate(_BASE_CASES)],
-        lambda n, forms: "S_{}: lhs {}, rhs {}, expected {}".format(
-            n, *(poly_text(coefficients(f[n][: 2 * n + 1])) for f in forms),
-            poly_text(_BASE_CASES[n])),
-        lambda top: (build_lhs(top, 2 * top + 1), build_rhs(top, 2 * top + 1)),
-    )
+    The witness of a failing cell n gives the three values at the first
+    of those x where they do not all agree."""
+    expected = [tuple(sum(c * x ** i for i, c in enumerate(base)) for x in range(n + 1))
+                for n, base in enumerate(_BASE_CASES)]
+    sides = [(lhs[n][: n + 1], rhs[n][: n + 1], values) for n, values in enumerate(expected)]
+
+    def witness(n):
+        x = first_difference(*sides[n])
+        return "S_{}({}): lhs {}, rhs {}, expected {}".format(n, x, *(v[x] for v in sides[n]))
+
+    return row_cases(("family", "n"), [["base", "base"], [0, 1]],
+                     [a == b == c for a, b, c in sides], witness)
 
 
 def _residual(table: list[tuple[int, ...]], n: int, points: int) -> list[int]:
@@ -279,14 +270,17 @@ def recurrence_row(family: str, table: list[tuple[int, ...]]) -> Block:
     min(n+2, n_max) at least (`ragged_points`), and, at each
     n <= n_max - 2, the residual, symmetric of degree at most 2n+4
     (b_n depends on x only through x(x+1)), is formed at x = 0 .. n+2.
-    The witness of a failing cell n reads it at x = 0 .. 2n+4."""
+    The witness of a failing cell n gives it at the first of those x
+    where it is not zero."""
     ns = list(range(len(table) - 2))
-    return row_cases(
-        ("family", "n"), [[family] * len(ns), ns],
-        [not any(_residual(table, n, n + 3)) for n in ns],
-        lambda n, wide: f"residual {poly_text(coefficients(_residual(wide, n, 2 * n + 5)))}",
-        lambda top: (build_lhs if family == "lhs" else build_rhs)(top + 2, 2 * top + 5),
-    )
+
+    def witness(n):
+        residual = _residual(table, n, n + 3)
+        x = first_difference(residual, repeat(0))
+        return f"residual at x={x} is {residual[x]}"
+
+    return row_cases(("family", "n"), [[family] * len(ns), ns],
+                     [not any(_residual(table, n, n + 3)) for n in ns], witness)
 
 
 # -- Chu-Vandermonde convolution --------------------------------------------
@@ -298,16 +292,18 @@ def chu_row(k_max: int) -> Block:
     The sum is symmetric of degree at most k, so it is compared at
     x = 0 .. k//2: the m = 1 power sums at each x <= k_max//2 are built
     once, and cell k reads them at x = 0 .. k//2, so at x only the
-    entries k >= 2x are computed.  The witness of a failing cell k reads
-    the sum at x = 0 .. k.
+    entries k >= 2x are computed.  The witness of a failing cell k gives
+    the sum at the first of those x where it is not (-1)^k.
     """
     sums = [power_sums(1, x, k_max + 1, 2 * x) for x in range(k_max // 2 + 1)]
     ks = list(range(k_max + 1))
+
+    def witness(k):
+        x = first_difference((s[k] for s in sums[: k // 2 + 1]), repeat((-1) ** k))
+        return f"sum at x={x} is {sums[x][k]}, expected {(-1) ** k}"
+
     return row_cases(
-        ("k",), [ks], [all(sums[x][k] == (-1) ** k for x in range(k // 2 + 1)) for k in ks],
-        lambda k, wide: f"sum is {poly_text(coefficients([s[k] for s in wide[: k + 1]]))}, "
-                        f"expected {(-1) ** k}",
-        lambda top: [power_sums(1, x, top + 1) for x in range(top + 1)],
+        ("k",), [ks], [all(sums[x][k] == (-1) ** k for x in range(k // 2 + 1)) for k in ks], witness
     )
 
 
@@ -338,7 +334,7 @@ def telescope_row(table: tuple[list[list[int]], list[int]]) -> Block:
     ns, ks = triangle(n_max)
     lhs = [sums[k][n - k - 1] * centrals[k] for n, k in zip(ns, ks)]
     rhs = [form for n in range(1, n_max + 1) for form in telescope_rhs(n)]
-    return row_cases(("n", "k"), [ns, ks], map(eq, lhs, rhs), lambda i, _: f"{lhs[i]} != {rhs[i]}")
+    return row_cases(("n", "k"), [ns, ks], map(eq, lhs, rhs), lambda i: f"{lhs[i]} != {rhs[i]}")
 
 
 # -- rational-value identities at half-integer points ------------------------
@@ -375,7 +371,7 @@ def _rational_point_row(p1: int, p2: int, q: int, scale: int, rhs: list[int]) ->
     lhs = _rational_point_lhs(p1, p2, q, scale, len(rhs) - 1)
     return row_cases(
         ("n",), [list(range(len(rhs)))], [num == r * den for (num, den), r in zip(lhs, rhs)],
-        lambda n, _: f"{fraction(*lhs[n])} != {rhs[n]}",
+        lambda n: f"{fraction(*lhs[n])} != {rhs[n]}",
     )
 
 

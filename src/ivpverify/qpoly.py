@@ -250,24 +250,22 @@ def q_sun_row(k: int, n_max: int, squares: list[list[int]]) -> Block:
     Each cell is decided from the cyclotomic factors of [n]^2, with
     squares = `phi_squares(n_max)`, built once for every row of the run;
     only a failing cell forms its remainder, the witness, and raises
-    ArithmeticError if that remainder is zero.  [2k choose k], the last
-    entry of `central_q_binomials(k + 1)`, is formed once per row, if a
-    cell fails."""
+    ArithmeticError if that remainder is zero.  The witnesses read
+    [2k choose k], the last entry of `central_q_binomials(k + 1)`, which
+    the row forms once, after its verdicts, if a cell fails."""
     sums = q_sun_sums(k, n_max)
     ns = list(range(k + 1, n_max + 1))
+    oks = [_cyclotomic_verdict(a, n, k, squares) for n, (_, a) in zip(ns, sums)]
+    central = None if all(oks) else central_q_binomials(k + 1)[k]
 
-    def witness(i, central):
+    def witness(i):
         n, (low, a) = ns[i], sums[i]
         remainder = remainder_by_q_integer_squared(a, central, n)
         if not any(remainder):
             raise ArithmeticError(f"q-sun n={n}, k={k}: Phi_d^2 fails but [n]^2 divides")
         return f"remainder {_q_text(remainder, low)} after division by [{n}]^2"
 
-    return row_cases(
-        ("n", "k"), [ns, [k] * len(ns)],
-        [_cyclotomic_verdict(a, n, k, squares) for n, (_, a) in zip(ns, sums)],
-        witness, lambda top: central_q_binomials(k + 1)[k],
-    )
+    return row_cases(("n", "k"), [ns, [k] * len(ns)], oks, witness)
 
 
 def q_specialize_row(
@@ -285,5 +283,5 @@ def q_specialize_row(
     ns = list(range(k + 1, k + 1 + len(at_one)))
     return row_cases(
         ("n", "k"), [ns, [k] * len(ns)], map(eq, at_one, classical),
-        lambda i, _: f"q=1 value {at_one[i]} != classical sum {classical[i]}",
+        lambda i: f"q=1 value {at_one[i]} != classical sum {classical[i]}",
     )

@@ -71,16 +71,13 @@ def grid_columns(*axes: Sequence) -> list[list]:
 
 
 def row_cases(names: tuple[str, ...], columns: list[list], oks: Iterable[bool], witness: Callable,
-              widen: Optional[Callable] = None, severity: str = "theorem") -> Block:
+              severity: str = "theorem") -> Block:
     """The block of one row from its key columns and its cells'
-    verdicts, all decided first.  Each failing cell i gets the witness
-    witness(i, wide).  wide is None, or, for a row whose witnesses read
-    wider values, what widen(top) built: called once, only if a cell
-    fails, with top the index of the last failing cell."""
+    verdicts, all decided first.  Each failing cell i, in order, gets
+    the witness witness(i), which reads the values that decided it."""
     status = bytearray(oks)
     failing = [i for i, ok in enumerate(status) if not ok] if 0 in status else []
-    wide = widen(failing[-1]) if failing and widen is not None else None
-    return Block(names, columns, status, {i: witness(i, wide) for i in failing}, severity)
+    return Block(names, columns, status, {i: witness(i) for i in failing}, severity)
 
 
 class VerificationReport:

@@ -15,54 +15,28 @@ zero exactly when p(0..d) = 0, and p/m is integer-valued exactly when m
 divides p(0), ..., p(d); the first x >= 0 with p(x) % m is then <= d.
 Every verdict runs on exact integers at these d+1 points.
 
-Monomial coefficients, as `Fraction`s, are recovered by Newton
-interpolation from the values at x = 0 .. 2d only to write the witness
-of a failing cell, on integers scaled by (2d)!, with one `Fraction`
-per coefficient at the end; `terms_text` writes them, and the q side's
-Laurent polynomials, as text.  Only a witness needs a `Fraction`, so
-`fractions` is imported when `coefficients` or `fraction` first runs.
+A witness reads the values its verdict read: a failing identity names
+`first_difference`, the first decided x where its sides' values differ,
+and gives them there.  A ratio in a witness's text is one `Fraction`,
+from `fraction`, so `fractions` is imported only when a witness first
+needs one; `terms_text` writes the q side's Laurent polynomials.
 """
 
 from __future__ import annotations
 
-import math
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:
     from fractions import Fraction
 
-__all__ = ["forward_differences", "coefficients", "fraction", "terms_text", "poly_text"]
+__all__ = ["first_difference", "fraction", "terms_text"]
 
 
-def forward_differences(values: Sequence) -> list:
-    """[D^0 p(0), D^1 p(0), ...] from p(0), p(1), ..., the binomial-basis
-    coefficients of the polynomial through those values, for `coefficients`."""
-    out = []
-    row = list(values)
-    while row:
-        out.append(row[0])
-        row = [b - a for a, b in zip(row, row[1:])]
-    return out
-
-
-def coefficients(values: Sequence) -> list[Fraction]:
-    """Monomial coefficients, little-endian with trailing zeros trimmed, of
-    the polynomial of degree < len(values) taking values[x] at x."""
-    from fractions import Fraction
-
-    # Newton's formula times d! = (len - 1)!, so that every step is on
-    # integers: D^i p(0) d!/i! times x(x-1)...(x-i+1).
-    scale = math.factorial(max(len(values) - 1, 0))
-    coeffs = [0] * len(values)
-    falling = [1]  # x(x-1)...(x-i+1), little-endian
-    for i, d in enumerate(forward_differences(values)):
-        term = d * (scale // math.factorial(i))
-        for j, c in enumerate(falling):
-            coeffs[j] += term * c
-        falling = [a - i * b for a, b in zip([0] + falling, falling + [0])]
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    return [Fraction(c, scale) for c in coeffs]
+def first_difference(*sides: Iterable) -> int:
+    """The first x at which the value lists `sides`, entry x the value at
+    x, do not all agree; the caller's verdict found that they differ
+    within the shortest of them."""
+    return next(x for x, values in enumerate(zip(*sides)) if len(set(values)) > 1)
 
 
 def fraction(num, den) -> Fraction:
@@ -72,9 +46,9 @@ def fraction(num, den) -> Fraction:
     return Fraction(num, den)
 
 
-def terms_text(terms: Iterable[tuple[int, Fraction | int]], var: str) -> str:
+def terms_text(terms: Iterable[tuple[int, int]], var: str) -> str:
     """(exponent, coefficient) pairs, in writing order, as a sum in var
-    without its zero terms, such as '2*x^2 - x + 1/2'; "0" when every
+    without its zero terms, such as '2*q^-1 - 3 + q'; "0" when every
     coefficient is zero."""
     parts = []
     for e, c in terms:
@@ -90,8 +64,3 @@ def terms_text(terms: Iterable[tuple[int, Fraction | int]], var: str) -> str:
         return "0"
     text = " ".join(parts)
     return text[2:] if text.startswith("+ ") else "-" + text[2:]
-
-
-def poly_text(coeffs: Sequence[Fraction]) -> str:
-    """Little-endian coefficients in x, highest power first."""
-    return terms_text(reversed(list(enumerate(coeffs))), "x")

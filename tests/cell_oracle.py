@@ -35,13 +35,17 @@ own schoolbook product, `q_integer`, `laurent_divisible` (long division
 in the Laurent ring, against which the verifier's residue remainder is
 checked), `binom_rat` (one rational binomial C(r, k), against which
 the integer left side of sun-one and sun-two is checked),
-`first_non_multiple` (Polya's forward-difference test of
-integer-valuedness, against which the verifier's test on values is
-checked), and `eval_transform_at` (both closed forms of S_n at a
-rational point).
+`forward_differences` and `first_non_multiple` (Polya's
+forward-difference test of integer-valuedness, against which the
+verifier's test on values is checked), `coefficients` (Newton
+interpolation of monomial coefficients from values, which the tests
+read S_n's coefficients through), and `eval_transform_at` (both
+closed forms of S_n at a rational point).
 The cells of a symmetric claim of degree 2d are decided, as the
-verifier decides them, on their values at x = 0 .. d, and their
-witnesses are written from all of x = 0 .. 2d.
+verifier decides them, on their values at x = 0 .. d, and a failing
+cell's witness gives its values at the first of those points where the
+claim fails, found here by a loop of the oracle's own: no witness text
+comes from the verifier's code.
 The verifier works on plain coefficient lists and never imports any
 of it.
 """
@@ -57,8 +61,6 @@ from typing import Iterable, NamedTuple, Optional
 
 from ivpverify import combinat
 from ivpverify.combinat import binom_int, catalan, double_factorial_odd
-from ivpverify.identities import coeff_mismatch
-from ivpverify.values import coefficients, forward_differences, poly_text
 
 
 class CaseResult(NamedTuple):
@@ -89,6 +91,35 @@ def _validate_eps(eps: int) -> None:
 
 
 # -- integer-valuedness by forward differences --------------------------------
+
+def forward_differences(values) -> list:
+    """[D^0 p(0), D^1 p(0), ...] from p(0), p(1), ..., the binomial-basis
+    coefficients of the polynomial through those values."""
+    out = []
+    row = list(values)
+    while row:
+        out.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    return out
+
+
+def coefficients(values) -> list[Fraction]:
+    """Monomial coefficients, little-endian with trailing zeros trimmed, of
+    the polynomial of degree < len(values) taking values[x] at x."""
+    # Newton's formula times d! = (len - 1)!, so that every step is on
+    # integers: D^i p(0) d!/i! times x(x-1)...(x-i+1).
+    scale = math.factorial(max(len(values) - 1, 0))
+    coeffs = [0] * len(values)
+    falling = [1]  # x(x-1)...(x-i+1), little-endian
+    for i, d in enumerate(forward_differences(values)):
+        term = d * (scale // math.factorial(i))
+        for j, c in enumerate(falling):
+            coeffs[j] += term * c
+        falling = [a - i * b for a, b in zip([0] + falling, falling + [0])]
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return [Fraction(c, scale) for c in coeffs]
+
 
 def first_non_multiple(values, m: int) -> Optional[int]:
     """First i whose i-th forward difference at 0 is not a multiple of m.
@@ -465,54 +496,71 @@ def cell_case(key, ok: bool, witness: Optional[str] = None, severity: str = "the
 
 # -- one cell at a time ------------------------------------------------------
 
+def _first_miss(*sides) -> int:
+    """The first x at which the value lists `sides` do not all agree."""
+    x = 0
+    while all(side[x] == sides[0][x] for side in sides):
+        x += 1
+    return x
+
+
 def transform_case(n):
-    """Both closed forms of S_n, each from its per-term formula, at x = 0 .. 2n;
-    decided, as S_n is symmetric, on x = 0 .. n."""
-    lhs, rhs = build_lhs(n, 2 * n + 1), build_rhs(n, 2 * n + 1)
-    ok = lhs[: n + 1] == rhs[: n + 1]
-    witness = None if ok else coeff_mismatch(coefficients(lhs), coefficients(rhs))
+    """Both closed forms of S_n, each from its per-term formula, at x = 0 .. n,
+    where S_n, being symmetric, is decided."""
+    lhs, rhs = build_lhs(n, n + 1), build_rhs(n, n + 1)
+    ok = lhs == rhs
+    witness = None
+    if not ok:
+        x = _first_miss(lhs, rhs)
+        witness = f"S_{n}({x}): lhs {lhs[x]} vs rhs {rhs[x]}"
     return cell_case((("n", n),), ok, witness)
 
 
 def recurrence_case(key):
-    """("base", n): both closed forms give S_0 = 1 and S_1 = 2x^2+2x+1, read
-    at x = 0 .. 2n and decided on x = 0 .. n.  ("lhs" or "rhs", n): that
-    closed form satisfies (n+2)^3 S_{n+2} - (2n+3)(2x^2+2x+n^2+3n+3) S_{n+1}
-    + (n+1)^3 S_n = 0, its residual formed at x = 0 .. 2n+4 and decided
-    on x = 0 .. n+2.  Each S_k is read from its per-term formula."""
+    """("base", n): both closed forms give S_0 = 1 and S_1 = 2x^2+2x+1,
+    decided on x = 0 .. n.  ("lhs" or "rhs", n): that closed form
+    satisfies (n+2)^3 S_{n+2} - (2n+3)(2x^2+2x+n^2+3n+3) S_{n+1}
+    + (n+1)^3 S_n = 0, its residual decided on x = 0 .. n+2.  Each S_k
+    is read from its per-term formula."""
     family, n = key
     if family == "base":
         base = [1] if n == 0 else [1, 2, 2]
-        lhs, rhs = build_lhs(n, 2 * n + 1), build_rhs(n, 2 * n + 1)
+        lhs, rhs = build_lhs(n, n + 1), build_rhs(n, n + 1)
         expected = tuple(sum(c * x ** i for i, c in enumerate(base)) for x in range(n + 1))
-        ok = lhs[: n + 1] == rhs[: n + 1] == expected
-        witness = None if ok else (
-            f"S_{n}: lhs {poly_text(coefficients(lhs))}, rhs {poly_text(coefficients(rhs))}, "
-            f"expected {poly_text(base)}"
-        )
+        ok = lhs == rhs == expected
+        witness = None
+        if not ok:
+            x = _first_miss(lhs, rhs, expected)
+            witness = f"S_{n}({x}): lhs {lhs[x]}, rhs {rhs[x]}, expected {expected[x]}"
     else:
         build = build_lhs if family == "lhs" else build_rhs
-        s0, s1, s2 = (build(m, 2 * n + 5) for m in (n, n + 1, n + 2))
+        s0, s1, s2 = (build(m, n + 3) for m in (n, n + 1, n + 2))
         residual = [
             (n + 2) ** 3 * s2[x] - (2 * n + 3) * (2 * x * x + 2 * x + n * n + 3 * n + 3) * s1[x]
             + (n + 1) ** 3 * s0[x]
-            for x in range(2 * n + 5)
+            for x in range(n + 3)
         ]
-        ok = not any(residual[: n + 3])
-        witness = None if ok else f"residual {poly_text(coefficients(residual))}"
+        ok = not any(residual)
+        witness = None
+        if not ok:
+            x = _first_miss(residual, [0] * len(residual))
+            witness = f"residual at x={x} is {residual[x]}"
     return cell_case((("family", family), ("n", n)), ok, witness)
 
 
 def chu_case(k):
-    """The convolution at x = 0 .. k, one binom_int pair per term; decided,
-    as it is symmetric of degree <= k, on x = 0 .. k//2."""
+    """The convolution, one binom_int pair per term, at x = 0 .. k//2,
+    where it is decided, as it is symmetric of degree <= k."""
     values = [
         sum(binom_int(-x - 1, j) * binom_int(x, k - j) for j in range(k + 1))
-        for x in range(k + 1)
+        for x in range(k // 2 + 1)
     ]
     expected = (-1) ** k
-    ok = all(v == expected for v in values[: k // 2 + 1])
-    witness = None if ok else f"sum is {poly_text(coefficients(values))}, expected {expected}"
+    ok = all(v == expected for v in values)
+    witness = None
+    if not ok:
+        x = _first_miss(values, [expected] * len(values))
+        witness = f"sum at x={x} is {values[x]}, expected {expected}"
     return cell_case((("k", k),), ok, witness)
 
 
@@ -571,10 +619,11 @@ def theorem2_case(n):
 
 
 def _catalan_form_values(n):
+    """The Catalan form of n at x = 0 .. n-1, where the identity is decided."""
     weights = [catalan(k) * binom_int(n - 1, k) * binom_int(n + k, k) for k in range(n)]
     return tuple(
         sum(w * binom_int(x + k, 2 * k) for k, w in enumerate(weights))
-        for x in range(2 * n - 1)
+        for x in range(n)
     )
 
 
@@ -582,12 +631,13 @@ def catalan_form_case(key):
     part = key[0]
     if part == "identity":
         n = key[1]
-        v, c = weighted_sum_values(1, n, 1), _catalan_form_values(n)
-        ok = v[:n] == tuple(n * n * ci for ci in c[:n])
+        v, c = weighted_sum_values(1, n, 1)[:n], _catalan_form_values(n)
+        scaled = tuple(n * n * ci for ci in c)
+        ok = v == scaled
         witness = None
         if not ok:
-            p = [Fraction(a, n * n) for a in coefficients(v)]
-            witness = coeff_mismatch(p, coefficients(c))
+            x = _first_miss(v, scaled)
+            witness = f"at x={x}: 1/n^2 sum {Fraction(v[x], n * n)} vs Catalan form {c[x]}"
         return cell_case((("part", part), ("n", n)), ok, witness)
     _, n, x0 = key
     bad = None

@@ -11,13 +11,12 @@ import random
 import time
 from fractions import Fraction
 
-from cell_oracle import LaurentPoly, q_binom
+from cell_oracle import LaurentPoly, coefficients, q_binom
 from conftest import cases
 
 from ivpverify import cli, qpoly
 from ivpverify.cli import GridConfig
 from ivpverify.combinat import binom_int, catalan
-from ivpverify.values import coefficients
 
 
 def _within(budget_s, *reports):

@@ -2,10 +2,10 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from cell_oracle import first_non_multiple
+from cell_oracle import coefficients, first_non_multiple, forward_differences
 from conftest import cases
 
-from ivpverify.combinat import binom_int, double_factorial_odd
+from ivpverify.combinat import binom_int, catalan, double_factorial_odd
 from ivpverify.congruences import (
     catalan_form_values,
     conjecture_final_values,
@@ -13,8 +13,7 @@ from ivpverify.congruences import (
     weighted_sum_rows,
 )
 from ivpverify.cli import GridConfig, run
-from ivpverify.identities import build_lhs, central_columns
-from ivpverify.values import coefficients, forward_differences
+from ivpverify.identities import build_lhs, central_columns, in_central_basis
 
 
 def _weighted(l, n, eps):
@@ -103,17 +102,29 @@ def test_theorem2_grid_is_integer_valued():
     assert report.ok and report.total == 12
 
 
+def _catalan_form_full(n_max):
+    """The Catalan form of n = 1 .. n_max (entry n-1) at x = 0 .. 2n-2,
+    its full degree, summed in the basis C(x+k,2k) by `in_central_basis`."""
+    ns = range(1, n_max + 1)
+    weights = [[catalan(k) * binom_int(n - 1, k) * binom_int(n + k, k) for k in range(n)]
+               for n in ns]
+    return in_central_basis(weights, [2 * n - 1 for n in ns])
+
+
 def test_catalan_form_matches_theorem2():
-    # Entry n-1 of the wide catalan_form_values holds x = 0 .. 2n-2, as a
-    # failing identity cell rebuilds it for its witness.
+    # The two sides agree at every x up to their degree 2n-2, not only at
+    # the x = 0 .. n-1 the row decides on, where catalan_form_values
+    # holds the Catalan form.
+    full = _catalan_form_full(10)
     for n, values in enumerate(weighted_sum_rows(1, 1, build_lhs(9, 19)), 1):
-        assert values == tuple(n * n * c for c in catalan_form_values(10, True)[n - 1])
+        assert values == tuple(n * n * c for c in full[n - 1])
+        assert catalan_form_values(10)[n - 1] == full[n - 1][:n]
 
 
 def test_catalan_form_n2_terms():
     # k=0 contributes 1; k=1 contributes catalan(1) C(1,1) C(3,1) C(x+1,2)
     # = 3 x(x+1)/2, so the total is (3x^2+3x+2)/2.
-    assert coefficients(catalan_form_values(2, True)[1]) == [1, Fraction(3, 2), Fraction(3, 2)]
+    assert coefficients(_catalan_form_full(2)[1]) == [1, Fraction(3, 2), Fraction(3, 2)]
 
 
 def test_catalan_form_report_keys():

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from cell_oracle import binom_rat, eval_transform_at
+from cell_oracle import binom_rat, coefficients, eval_transform_at
 from conftest import cases
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from ivpverify.combinat import binom_int
 from ivpverify.identities import build_lhs, build_rhs, power_sums, recurrence_coefficients
 from ivpverify.cli import GridConfig, run
-from ivpverify.values import coefficients
 
 
 def test_small_closed_forms():

@@ -13,6 +13,10 @@ carries, its severity and the exit code.  Where a task decides a grid
 row from one running sum, the fault goes into one entry of the row its
 row builder returns, or into one step of the running sum, which must
 fail that cell and every later one.
+The witnesses of transform, the recurrence, chu-vandermonde and the
+catalan-form identity give the values at the first decided point where
+a claim fails; their literals are derived by hand from the faulted
+values, as each test's comment shows.
 The scalar tasks' witness literals were recorded when every polynomial
 was still built from its rational coefficients and every cell still
 formatted a witness; their faults change one binomial or
@@ -185,16 +189,42 @@ def _failures(tmp_path, argv):
 
 
 def test_transform_fault_witness(tmp_path, monkeypatch):
+    # The right form's S_0 = 1 reads 2 at every x, so cell n = 0 fails
+    # at its one point x = 0.
     _corrupt_entry(monkeypatch, identities, "build_rhs", (), 0, _plus(lambda x: 1))
     rc, failed = _failures(tmp_path, ["transform", "--n-max", "3"])
     assert rc == 1
     assert failed == [{
         "key": {"n": 0}, "status": "fail",
-        "witness": "coeff of x^0: 1 vs 2", "severity": "theorem",
+        "witness": "S_0(0): lhs 1 vs rhs 2", "severity": "theorem",
+    }]
+
+
+def test_a_fault_only_in_the_runs_table_is_named_by_its_witness(tmp_path, monkeypatch):
+    # S_2(1) = 13 reads 14 only in the right table built at a point count
+    # per entry, the one the run decides on: the witness must read the
+    # values that failed, not those of another build.
+    original = identities.build_rhs
+
+    def corrupted(n_max, points):
+        table = original(n_max, points)
+        if not isinstance(points, int) and len(table) > 2:
+            table[2] = _at_point(1)(table[2])
+        return table
+
+    monkeypatch.setattr(identities, "build_rhs", corrupted)
+    rc, failed = _failures(tmp_path, ["transform", "--n-max", "4"])
+    assert rc == 1
+    assert failed == [{
+        "key": {"n": 2}, "status": "fail",
+        "witness": "S_2(1): lhs 13 vs rhs 14", "severity": "theorem",
     }]
 
 
 def test_catalan_form_identity_fault_witness(tmp_path, monkeypatch):
+    # The Catalan form of n = 2, 1 + 3 C(x+1,2), gains 5x^2: equal to
+    # (S_0 + 3 S_1)/4 at x = 0, it reads 4 + 5 = 9 against (1 + 15)/4 = 4
+    # at x = 1.
     _corrupt_entry(
         monkeypatch, congruences, "catalan_form_values", (), 1, _plus(lambda x: 5 * x * x)
     )
@@ -204,7 +234,7 @@ def test_catalan_form_identity_fault_witness(tmp_path, monkeypatch):
     assert rc == 1
     assert failed == [{
         "key": {"part": "identity", "n": 2}, "status": "fail",
-        "witness": "coeff of x^2: 3/2 vs 13/2", "severity": "theorem",
+        "witness": "at x=1: 1/n^2 sum 4 vs Catalan form 9", "severity": "theorem",
     }]
 
 
@@ -258,17 +288,20 @@ def test_conjecture_sun_ii_fault_witness(tmp_path, monkeypatch):
 
 
 def test_recurrence_fault_witness(tmp_path, monkeypatch):
+    # The left form's S_1 gains x, so it reads 6 at x = 1 against the
+    # right form's and the base case's 5.  The residual of n = 0 gains
+    # -b_0(x) x = -3(2x^2+2x+3) x, -21 at x = 1; that of n = 1 gains
+    # c_1 x = 8x.
     _corrupt_entry(monkeypatch, identities, "build_lhs", (), 1, _plus(lambda x: x))
     rc, failed = _failures(tmp_path, ["recurrence", "--n-max", "3"])
     assert rc == 1
     assert failed == [
         {"key": {"family": "base", "n": 1}, "status": "fail",
-         "witness": "S_1: lhs 2*x^2 + 3*x + 1, rhs 2*x^2 + 2*x + 1, expected 2*x^2 + 2*x + 1",
-         "severity": "theorem"},
+         "witness": "S_1(1): lhs 6, rhs 5, expected 5", "severity": "theorem"},
         {"key": {"family": "lhs", "n": 0}, "status": "fail",
-         "witness": "residual -6*x^3 - 6*x^2 - 9*x", "severity": "theorem"},
+         "witness": "residual at x=1 is -21", "severity": "theorem"},
         {"key": {"family": "lhs", "n": 1}, "status": "fail",
-         "witness": "residual 8*x", "severity": "theorem"},
+         "witness": "residual at x=1 is 8", "severity": "theorem"},
     ]
 
 
@@ -299,14 +332,16 @@ def test_chu_vandermonde_fault_witness(tmp_path, monkeypatch):
         value = original(top, k)
         return value + (top + 1) ** 2 if top < 0 and k == 2 else value
 
+    # The sum of k = 2 gains x^2 C(x,0), that of k = 3 x^2 C(x,1): each
+    # first differs at x = 1, reading 1 + 1 and -1 + 1.
     monkeypatch.setattr(identities, "binom_int", corrupted)
     rc, failed = _failures(tmp_path, ["chu-vandermonde", "--k-max", "3"])
     assert rc == 1
     assert failed == [
         {"key": {"k": 2}, "status": "fail",
-         "witness": "sum is x^2 + 1, expected 1", "severity": "theorem"},
+         "witness": "sum at x=1 is 2, expected 1", "severity": "theorem"},
         {"key": {"k": 3}, "status": "fail",
-         "witness": "sum is x^3 - 1, expected -1", "severity": "theorem"},
+         "witness": "sum at x=1 is 0, expected -1", "severity": "theorem"},
     ]
 
 

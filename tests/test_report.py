@@ -78,31 +78,26 @@ def _sample_report(fail=False):
 
 
 def test_row_cases_keeps_witnesses_of_failing_cells_only():
-    # The witness is formed for failing cells only, and the wider values
-    # the witnesses read are built once, at the last failing cell, or
-    # not at all when every cell passes.
+    # The witness is formed once for each failing cell, in order, and
+    # for no passing cell.
     calls = []
 
-    def widen(top):
-        calls.append(("widen", top))
-        return "wide"
-
-    def witness(i, wide):
-        calls.append((i, wide))
+    def witness(i):
+        calls.append(i)
         return f"w{i}"
 
-    block = row_cases(("n",), [[1, 2, 3, 4]], [True, False, False, True], witness, widen,
+    block = row_cases(("n",), [[1, 2, 3, 4]], [True, False, False, True], witness,
                       severity="conjecture")
-    assert calls == [("widen", 2), (1, "wide"), (2, "wide")]
+    assert calls == [1, 2]
     assert block.witnesses == {1: "w1", 2: "w2"} and block.status == bytearray([1, 0, 0, 1])
     assert [(c.status, c.witness, c.severity) for c in cases_of(block)] == [
         ("pass", None, "conjecture"), ("fail", "w1", "conjecture"),
         ("fail", "w2", "conjecture"), ("pass", None, "conjecture"),
     ]
     calls.clear()
-    block = row_cases(("n",), [[1]], [True], witness, widen)
+    block = row_cases(("n",), [[1]], [True], witness)
     assert calls == [] and block.witnesses == {} and block.severity == "theorem"
-    assert cases_of(row_cases(("n",), [[1]], [False], lambda i, wide: "kept")) == [
+    assert cases_of(row_cases(("n",), [[1]], [False], lambda i: "kept")) == [
         CaseResult((("n", 1),), "fail", "kept")
     ]
 

@@ -6,9 +6,9 @@ rebuild each cell from scratch and compare the two cell for cell:
 key, status, witness and severity.  With a fault drawn into one
 binomial coefficient, or into one value S_k(x) of the S_k tables that
 the transform, recurrence and weighted-sum rows read (the same fault in
-the verifier's tables, in the wider builds its witnesses read, and in
-the oracle's one-S_k builds), the failing cells and their witnesses
-must agree as well.
+the verifier's tables and in the oracle's one-S_k builds), the failing
+cells and their witnesses must agree as well; the oracle writes its
+witnesses by its own code.
 The closed form n C(n,k+1) C(n+k,k) of telescope and of conjecture-final
 at l = 1 reads no binomial, as the verifier forms it by running
 products; it meets a fault of its own, added to one (n, k) of the
@@ -245,14 +245,15 @@ def _corrupted_q_sum(bad, exponent):
     fault=(2, 3, 1), s_fault=None, q_fault=None, closed_fault=None,
 )
 # S_3(1) one too large fails transform's n = 3 and the lhs recurrence
-# cells n = 1, 2, 3; each witness reads a slice of the one build of S_0
-# .. S_5 at x = 0 .. 10 for the last of them.
+# cells n = 1, 2, 3; each witness gives the values at x = 1 of the
+# tables that decided it.
 @example(
     l_max=1, n_max=6, x_min=0, width=0, eps=(1,), m=1,
     fault=None, s_fault=(3, 1, 1), q_fault=None, closed_fault=None,
 )
 # The CLI's default bounds (`cli.GridConfig`'s), passing, and under the
-# `2,1` fault of checks/fault.py, C(2,1) read as 3.
+# `2,1` and `4,2` faults of checks/fault.py, C(2,1) read as 3 and C(4,2)
+# as 7.
 @example(
     l_max=3, n_max=20, x_min=-10, width=20, eps=(1, -1), m=2,
     fault=None, s_fault=None, q_fault=None, closed_fault=None,
@@ -260,6 +261,10 @@ def _corrupted_q_sum(bad, exponent):
 @example(
     l_max=3, n_max=20, x_min=-10, width=20, eps=(1, -1), m=2,
     fault=(2, 1, 1), s_fault=None, q_fault=None, closed_fault=None,
+)
+@example(
+    l_max=3, n_max=20, x_min=-10, width=20, eps=(1, -1), m=2,
+    fault=(4, 2, 1), s_fault=None, q_fault=None, closed_fault=None,
 )
 def test_rows_match_per_cell_oracle(
     l_max, n_max, x_min, width, eps, m, fault, s_fault, q_fault, closed_fault
@@ -273,9 +278,8 @@ def test_rows_match_per_cell_oracle(
             # One value S_k(x) of the left closed form, in every table the
             # verifier builds and in every build of S_k by the oracle.
             bad, delta = s_fault[:2], s_fault[2]
-            for module in (identities, congruences):
-                corrupted = _corrupted_table(module.build_lhs, bad, delta)
-                stack.enter_context(mock.patch.object(module, "build_lhs", corrupted))
+            corrupted = _corrupted_table(identities.build_lhs, bad, delta)
+            stack.enter_context(mock.patch.object(identities, "build_lhs", corrupted))
             corrupted = _corrupted_s(cell_oracle.build_lhs, bad, delta)
             stack.enter_context(mock.patch.object(cell_oracle, "build_lhs", corrupted))
         if q_fault is not None:
@@ -478,20 +482,18 @@ def test_central_basis_sums_match_per_term_sums(weights, points, n_max):
         for w in weights
     ]
     # n times entry n-1 is the term-for-term form
-    # sum_k C(n,k+1) C(n+k,k) C(2k,k) C(x+k,2k), at x = 0 .. n-1, or at
-    # x = 0 .. 2n-2 in the wide table.
-    for wide, points in ((False, lambda n: n), (True, lambda n: 2 * n - 1)):
-        table = congruences.catalan_form_values(n_max, wide)
-        assert len(table) == n_max
-        for n, values in enumerate(table, 1):
-            assert [n * v for v in values] == [
-                sum(
-                    binom_int(n, k + 1) * binom_int(n + k, k) * binom_int(2 * k, k)
-                    * binom_int(x + k, 2 * k)
-                    for k in range(n)
-                )
-                for x in range(points(n))
-            ]
+    # sum_k C(n,k+1) C(n+k,k) C(2k,k) C(x+k,2k), at x = 0 .. n-1.
+    table = congruences.catalan_form_values(n_max)
+    assert len(table) == n_max
+    for n, values in enumerate(table, 1):
+        assert [n * v for v in values] == [
+            sum(
+                binom_int(n, k + 1) * binom_int(n + k, k) * binom_int(2 * k, k)
+                * binom_int(x + k, 2 * k)
+                for k in range(n)
+            )
+            for x in range(n)
+        ]
 
 
 @settings(max_examples=80, deadline=None)

@@ -1,13 +1,18 @@
+"""The symmetric rule of `ivpverify.values`, on which every verdict on
+S_n rests, its witnesses' `first_difference`, and the oracle's Newton
+interpolation (`cell_oracle.forward_differences` and `coefficients`),
+through which the tests read monomial coefficients, against sympy."""
+
 from fractions import Fraction
 
 import sympy
-from cell_oracle import first_non_multiple
+from cell_oracle import coefficients, first_non_multiple, forward_differences
 from conftest import cases_of
 from hypothesis import given, settings, strategies as st
 
 from ivpverify import congruences, identities
 from ivpverify.combinat import binom_int
-from ivpverify.values import coefficients, forward_differences, poly_text
+from ivpverify.values import first_difference
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=1000)
 coeff_lists = st.lists(rationals, max_size=61)
@@ -58,7 +63,7 @@ def _sympy_coefficients(points):
 
 
 def test_interpolation_of_s_n_matches_sympy():
-    # The witnesses' case: S_n at x = 0 .. 2n, d! as large as (2n)!.
+    # The tests' case: S_n at x = 0 .. 2n, d! as large as (2n)!.
     for n in (0, 1, 5, 10):
         values = identities.build_lhs(n, 2 * n + 1)[n]
         assert coefficients(values) == _sympy_coefficients(list(enumerate(values)))
@@ -115,8 +120,8 @@ def test_first_non_multiple_classics():
     assert first_non_multiple([], 5) is None
 
 
-def test_poly_text():
-    assert poly_text([]) == "0"
-    assert poly_text([1, 2, 2]) == "2*x^2 + 2*x + 1"
-    assert poly_text([0, -9, -6, -6]) == "-6*x^3 - 6*x^2 - 9*x"
-    assert poly_text([Fraction(1, 2), -1, 0, Fraction(-3, 2)]) == "-3/2*x^3 - x + 1/2"
+def test_first_difference_is_the_first_point_where_the_sides_disagree():
+    assert first_difference([1, 5, 13], [1, 5, 14]) == 2
+    assert first_difference([1, 5], [1, 6], [1, 5]) == 1
+    assert first_difference([0, 0, 7, 0], iter([0] * 9)) == 2
+    assert first_difference([3, 4], [2, 4]) == 0
