@@ -6,21 +6,26 @@ REF is extracted with `git archive` into a temporary directory.  Every
 argv of the table in `checks/fault.py` then runs in both trees through
 that runner, at --jobs 1 and at --jobs 2, under each fault of `FAULTS`.
 The exit codes, the CSV, the JSON without its meta block and the text
-without its wall time lines must be the same bytes in both trees.  The
-first argv that differs is named and the check exits 1; it exits 0
-when every report agrees.  Two runs go at once.  Standard library
-only; it writes nothing outside its temporary directory.
+without its wall time lines must be the same bytes in both trees.
+Every run that differs is named, with the outputs that differ and, for
+the CSV, the columns that differ and the first case_key where they do,
+and the check exits 1; it exits 0 when every report agrees.  Two runs
+go at once.  Standard library only; it writes nothing outside its
+temporary directory.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import os
 import subprocess
 import sys
 import tarfile
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
+from itertools import zip_longest
 
 import fault
 from fault import FAULTS, normalized
@@ -35,6 +40,27 @@ def _extract(ref: str, into: str) -> None:
         safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
         tar.extractall(os.path.join(into, "ref"), **safe)
     os.remove(archive)
+
+
+def _csv_difference(ours: str, theirs: str) -> str:
+    """The columns in which two CSV reports differ, the number of rows
+    that do, and the task and case_key of the first; a row that only
+    one side has differs in every column."""
+    ours, theirs = (list(csv.reader(io.StringIO(text))) for text in (ours, theirs))
+    if not ours or not theirs or ours[0] != theirs[0]:
+        return "the CSV headers differ"
+    header = ours[0]
+    task, key = header.index("task"), header.index("case_key")
+    columns, rows, first = set(), 0, None
+    for mine, other in zip_longest(ours[1:], theirs[1:], fillvalue=[None] * len(header)):
+        differing = {name for name, a, b in zip(header, mine, other) if a != b}
+        if differing:
+            columns |= differing
+            rows += 1
+            row = mine if mine[key] is not None else other
+            first = first or f"{row[task]} {row[key]}"
+    names = ", ".join(name for name in header if name in columns)
+    return f"CSV columns {names} differ in {rows} row(s), first at {first}"
 
 
 def main(argv=None) -> int:
@@ -60,17 +86,20 @@ def main(argv=None) -> int:
                 except subprocess.SubprocessError as exc:
                     return f"{where}: the run in {side} failed: {exc}"
             ours, theirs = outputs
-            for out in ours:
-                if normalized(out, ours[out]) != normalized(out, theirs[out]):
-                    return f"{where}: {out} differs"
-            return None
+            differing = [out for out in sorted(ours.keys() | theirs.keys())
+                         if normalized(out, ours.get(out, "")) != normalized(out, theirs.get(out, ""))]
+            if not differing:
+                return None
+            detail = f"; {_csv_difference(ours['csv'], theirs['csv'])}" if "csv" in differing else ""
+            return f"{where}: {', '.join(differing)} differ{detail}"
 
         with ThreadPoolExecutor(2) as pool:
-            for failure in pool.map(both, runs):
-                if failure:
-                    print(f"parity: {failure}", file=sys.stderr)
-                    pool.shutdown(cancel_futures=True)
-                    return 1
+            failures = [failure for failure in pool.map(both, runs) if failure]
+    for failure in failures:
+        print(f"parity: {failure}", file=sys.stderr)
+    if failures:
+        print(f"parity: {len(failures)} of {len(runs)} runs differ from {args.ref}", file=sys.stderr)
+        return 1
     print(f"parity: {len(runs)} runs of {len(argvs)} argvs agree with {args.ref} "
           "in every format")
     return 0

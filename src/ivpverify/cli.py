@@ -136,17 +136,14 @@ class _Tables:
     """The tables that several rows of one run read, or several cells of
     one row, each built once per run, on its first read, by one
     module-level builder, so a task run alone builds only what it reads:
-    q-specialize builds the central q-binomials; q-sun reads none, and a
-    failing q-sun row builds its own.  Each S table holds the points its
-    readers decide on; only `verify all`, which reads both, builds the
-    full left table and cuts the weighted-sum corner from it.
+    q-specialize builds the central q-binomials, and q-sun reads none.
+    Each S table holds the points its readers decide on; only `verify
+    all`, which reads both, builds the full left table and cuts the
+    weighted-sum corner from it.
     `run` reads them while it builds every task's rows, before
     `gridrun.run_rows`, so forked workers inherit them, and they go when
-    the run's rows do.  A failing cell's witness reads the values of
-    these tables that decided it, so a failing run builds no more than
-    a passing one; only a failing q-sun row forms its [2k choose k], in
-    the process that runs the row: at --jobs > 1 the caller or a forked
-    worker."""
+    the run's rows do.  A failing cell's witness reads the values that
+    decided it, so a failing run builds what a passing one builds."""
 
     def __init__(self, config: GridConfig):
         self.config = config

@@ -12,8 +12,7 @@ exact when its last j entries are zero.  A q-binomial is the product
 formula prod_i (1 - q^(n-k+i)) / (1 - q^i): `central_q_binomials`
 builds [2k choose k] for every k by one running product, two ratio
 steps per k, and a q-sum row steps [m+k choose 2k] and [2m+1] along m
-by the same ratios.  q-specialize sums [2k choose k] at q = 1; a
-failing q-sun row builds them up to its k, once, for its witnesses.
+by the same ratios.  q-specialize sums [2k choose k] at q = 1.
 
 q-sun never forms the product A [2k choose k]^2 of a cell.  It
 decides each cell from the cyclotomic factors of [n]^2: [n] is the
@@ -23,20 +22,15 @@ Phi_d divides [2k choose k] floor(2k/d) - 2 floor(k/d) times, which is
 divides A for every d | n, d > 1, with floor(2k/d) = 2 floor(k/d).
 Phi_d^2 divides (1 - q^d)^2, so A is reduced to its 2d coefficients
 modulo (1 - q^d)^2 and these are divided by the monic Phi_d^2, each d
-in increasing order until one does not divide; Phi_d is the product of
-the (1 - q^e)^mu(d/e) over e | d, by the same pair.  Each Phi_d^2,
-d <= n_max, is built and squared once per run, by `phi_squares`, and
-every q-sun row reads it.
-
-Only a failing cell forms a remainder, its witness, and that path
-works on residues too: since [n]^2 (1 - q)^2 = (1 - q^n)^2, the
-remainder of a polynomial on division by [n]^2 is the remainder of its
-residue modulo (1 - q^n)^2, so each factor is reduced to 2n
-coefficients, the residues are multiplied and reduced again, and long
-division by the monic [n]^2, as by Phi_d^2, leaves the remainder.
-Products are schoolbook.  General long division in the Laurent ring,
+in increasing order until one leaves a nonzero remainder.  That
+remainder, A modulo Phi_d^2, is the witness of a failing cell: with d
+dividing n and Phi_d not dividing [2k choose k], it proves on its own
+that [n]^2 does not divide A [2k choose k]^2.  Phi_d^2 is the product
+of the (1 - q^e)^(2 mu(d/e)) over e | d, by the same pair; each
+Phi_d^2, d <= n_max, is built once per run, by `phi_squares`, and
+every q-sun row reads it.  General long division in the Laurent ring,
 `laurent_divisible` in tests/cell_oracle.py, is the reference the
-tests check both against.
+tests check the verdicts and witnesses against.
 """
 
 from __future__ import annotations
@@ -51,25 +45,11 @@ from .values import terms_text
 
 __all__ = [
     "central_q_binomials",
-    "remainder_by_q_integer_squared",
     "q_sun_sums",
     "phi_squares",
     "q_sun_row",
     "q_specialize_row",
 ]
-
-
-def _product(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Coefficients of the product of two coefficient lists (schoolbook:
-    one shifted copy of b per coefficient of a).  It squares Phi_d, once
-    per d in `phi_squares`, and multiplies the residues of a failing
-    cell in `remainder_by_q_integer_squared`."""
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            window = slice(i, i + len(b))
-            out[window] = map(add, out[window], [x * y for y in b])
-    return out
 
 
 def _times_one_minus(coeffs: Sequence[int], j: int) -> list[int]:
@@ -128,11 +108,6 @@ def _residue(coeffs: Sequence[int], n: int) -> list[int]:
     return value + slope
 
 
-def _low_zeros(coeffs: Sequence[int]) -> int:
-    """The number of zero coefficients before the first nonzero one."""
-    return next((i for i, c in enumerate(coeffs) if c), len(coeffs))
-
-
 def _mobius(m: int) -> int:
     """The Moebius function mu(m), m >= 1, by trial division."""
     mu, p = 1, 2
@@ -144,21 +119,6 @@ def _mobius(m: int) -> int:
             mu = -mu
         p += 1
     return -mu if m > 1 else mu
-
-
-def _cyclotomic(d: int) -> list[int]:
-    """The coefficients of Phi_d = prod_{e | d} (1 - q^e)^mu(d/e), d > 1.
-    Every factor with mu = 1 is multiplied in before any with mu = -1
-    divides, so each division is exact."""
-    mu = [(e, _mobius(d // e)) for e in range(1, d + 1) if d % e == 0]
-    coeffs = [1]
-    for e, sign in mu:
-        if sign == 1:
-            coeffs = _times_one_minus(coeffs, e)
-    for e, sign in mu:
-        if sign == -1:
-            coeffs = _over_one_minus(coeffs, e)
-    return coeffs
 
 
 def _monic_remainder(coeffs: Sequence[int], divisor: Sequence[int]) -> list[int]:
@@ -176,42 +136,38 @@ def _monic_remainder(coeffs: Sequence[int], divisor: Sequence[int]) -> list[int]
 
 def phi_squares(n_max: int) -> list[list[int]]:
     """Phi_d^2 at entry d, for d = 2 .. n_max (entries 0 and 1 are empty):
-    every square a q-sun row up to n_max may divide by."""
+    every square a q-sun row up to n_max may divide by.  Phi_d^2 is
+    prod_{e | d} (1 - q^e)^(2 mu(d/e)): every factor with mu = 1 is
+    multiplied in, twice, before any with mu = -1 divides, so each
+    division is exact."""
     squares = [[], []]
     for d in range(2, n_max + 1):
-        phi = _cyclotomic(d)
-        squares.append(_product(phi, phi))
+        mu = [(e, _mobius(d // e)) for e in range(1, d + 1) if d % e == 0]
+        coeffs = [1]
+        for e, sign in mu:
+            if sign == 1:
+                coeffs = _times_one_minus(_times_one_minus(coeffs, e), e)
+        for e, sign in mu:
+            if sign == -1:
+                coeffs = _over_one_minus(_over_one_minus(coeffs, e), e)
+        squares.append(coeffs)
     return squares
 
 
-def _cyclotomic_verdict(a: Sequence[int], n: int, k: int, squares: list[list[int]]) -> bool:
-    """Whether [n]^2 divides a [2k choose k]^2: whether Phi_d^2 divides
-    a for each d | n, d > 1, with floor(2k/d) = 2 floor(k/d), tried in
-    increasing order.  q is a unit modulo Phi_d^2, so the exponent of
-    a's first coefficient does not matter.  squares = `phi_squares(m)`,
-    m >= n."""
+def _cyclotomic_miss(
+    a: Sequence[int], n: int, k: int, squares: list[list[int]]
+) -> Optional[tuple[int, list[int]]]:
+    """None when [n]^2 divides a [2k choose k]^2, else (d, rem) for the
+    first d | n, d > 1, with floor(2k/d) = 2 floor(k/d), in increasing
+    order, whose Phi_d^2 leaves the nonzero remainder rem on a.  q is a
+    unit modulo Phi_d^2, so the exponent of a's first coefficient does
+    not matter.  squares = `phi_squares(m)`, m >= n."""
     for d in range(2, n + 1):
         if n % d == 0 and 2 * k // d == 2 * (k // d):
-            if any(_monic_remainder(_residue(a, d), squares[d])):
-                return False
-    return True
-
-
-def remainder_by_q_integer_squared(a: Sequence[int], c: Sequence[int], n: int) -> list[int]:
-    """The remainder of a c^2 on division by [n]^2, for coefficient lists
-    a and c: all zero exactly when [n]^2 divides a c^2.  Works on residues
-    modulo (1 - q^n)^2 = [n]^2 (1 - q)^2 and never forms a c^2.
-
-    Entry i of the result is a coefficient of the same power of q as
-    entry i of a c^2.  As long division in the Laurent ring does, the
-    remainder is that of a c^2 with its leading zeros dropped, which
-    are put back in front: q is a unit modulo [n]^2, so they never
-    change the verdict, but they would change the remainder."""
-    zeros_a, zeros_c = _low_zeros(a), _low_zeros(c)
-    c_mod = _residue(c[zeros_c:], n)
-    rem = _residue(_product(_residue(a[zeros_a:], n), _residue(_product(c_mod, c_mod), n)), n)
-    square = [*range(1, n + 1), *range(n - 1, 0, -1)]  # [n]^2, monic of degree 2n - 2
-    return [0] * (zeros_a + 2 * zeros_c) + _monic_remainder(rem, square)
+            rem = _monic_remainder(_residue(a, d), squares[d])
+            if any(rem):
+                return d, rem
+    return None
 
 
 def q_sun_sums(k: int, n_max: int) -> list[tuple[int, list[int]]]:
@@ -248,24 +204,18 @@ def _q_text(coeffs: Sequence[int], low: int) -> str:
 def q_sun_row(k: int, n_max: int, squares: list[list[int]]) -> Block:
     """[n]^2 divides the q-sum A_n [2k choose k]^2, for n = k+1 .. n_max.
     Each cell is decided from the cyclotomic factors of [n]^2, with
-    squares = `phi_squares(n_max)`, built once for every row of the run;
-    only a failing cell forms its remainder, the witness, and raises
-    ArithmeticError if that remainder is zero.  The witnesses read
-    [2k choose k], the last entry of `central_q_binomials(k + 1)`, which
-    the row forms once, after its verdicts, if a cell fails."""
+    squares = `phi_squares(n_max)`, built once for every row of the run.
+    A failing cell's witness is the remainder that decided it, A_n
+    modulo the first Phi_d^2 that does not divide it."""
     sums = q_sun_sums(k, n_max)
     ns = list(range(k + 1, n_max + 1))
-    oks = [_cyclotomic_verdict(a, n, k, squares) for n, (_, a) in zip(ns, sums)]
-    central = None if all(oks) else central_q_binomials(k + 1)[k]
+    misses = [_cyclotomic_miss(a, n, k, squares) for n, (_, a) in zip(ns, sums)]
 
     def witness(i):
-        n, (low, a) = ns[i], sums[i]
-        remainder = remainder_by_q_integer_squared(a, central, n)
-        if not any(remainder):
-            raise ArithmeticError(f"q-sun n={n}, k={k}: Phi_d^2 fails but [n]^2 divides")
-        return f"remainder {_q_text(remainder, low)} after division by [{n}]^2"
+        d, rem = misses[i]
+        return f"A_{ns[i]} = {_q_text(rem, sums[i][0])} mod Phi_{d}^2"
 
-    return row_cases(("n", "k"), [ns, [k] * len(ns)], oks, witness)
+    return row_cases(("n", "k"), [ns, [k] * len(ns)], [miss is None for miss in misses], witness)
 
 
 def q_specialize_row(

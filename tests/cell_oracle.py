@@ -32,8 +32,9 @@ verifier's row builder `qpoly.q_sun_sums` the same way.
 The module also holds the algebra that only the tests use, as their
 oracle: `LaurentPoly`, a trimmed integer Laurent polynomial with its
 own schoolbook product, `q_integer`, `laurent_divisible` (long division
-in the Laurent ring, against which the verifier's residue remainder is
-checked), `binom_rat` (one rational binomial C(r, k), against which
+in the Laurent ring, against which the verifier's q-sun verdicts and
+remainders are checked), `cyclotomic` (Phi_d from [d] by long
+division), `binom_rat` (one rational binomial C(r, k), against which
 the integer left side of sun-one and sun-two is checked),
 `forward_differences` and `first_non_multiple` (Polya's
 forward-difference test of integer-valuedness, against which the
@@ -698,13 +699,32 @@ def sun_ii_case(key):
     return _int_valued_case((("l", l), ("n", n)), values, n * n, severity)
 
 
+@lru_cache(maxsize=None)
+def cyclotomic(d: int) -> LaurentPoly:
+    """Phi_d, d > 1: [d] divided by Phi_e for every divisor 1 < e < d."""
+    phi = q_integer(d)
+    for e in range(2, d):
+        if d % e == 0:
+            ok, phi = laurent_divisible(phi, cyclotomic(e))
+            if not ok:
+                raise ArithmeticError(f"Phi_{e} does not divide [{d}]")
+    return phi
+
+
 def q_sun_case(key):
-    """Decided by long division of the full product; the verifier divides
-    residues modulo (1 - q^n)^2 instead."""
+    """Decided by long division of the full product by [n]^2; the
+    witness is A_n modulo Phi_d^2 for the first d | n, d > 1, whose
+    Phi_d^2 does not divide the full product.  The verifier tests only
+    the d whose Phi_d [2k choose k] lacks, and on A_n alone."""
     n, k = key
-    modulus = q_integer(n)
-    ok, witness_poly = laurent_divisible(q_sun_product(n, k), modulus * modulus)
-    witness = None if ok else f"remainder {witness_poly} after division by [{n}]^2"
+    product = q_sun_product(n, k)
+    ok, _ = laurent_divisible(product, q_integer(n) * q_integer(n))
+    witness = None
+    if not ok:
+        d = next(d for d in range(2, n + 1)
+                 if n % d == 0 and not laurent_divisible(product, cyclotomic(d) * cyclotomic(d))[0])
+        _, remainder = laurent_divisible(q_sun_sum(n, k), cyclotomic(d) * cyclotomic(d))
+        witness = f"A_{n} = {remainder} mod Phi_{d}^2"
     return cell_case((("n", n), ("k", k)), ok, witness)
 
 

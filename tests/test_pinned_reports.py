@@ -28,10 +28,10 @@ summands became one row per n, which forms each weight once: their
 faults change one binomial of a weight.  The q-sun and q-specialize
 faults add 1 to one coefficient of one unscaled q-sum A_n, so the full product
 A_n [2k choose k]^2 gains [2k choose k]^2; each of their literals is
-checked against long division of that faulted full product, which
-q-sun itself never forms: it decides a cell from the cyclotomic
-factors of [n]^2 and forms a remainder only for a failing cell's
-witness.  The q reports are pinned to n = 25 as well, digests recorded
+checked against that faulted full product, which q-sun itself never
+forms: it decides a cell from the cyclotomic factors of [n]^2, and a
+failing cell's witness is A_n modulo the first Phi_d^2 that does not
+divide it.  The q reports are pinned to n = 25 as well, digests recorded
 while q-sun still formed every full product, and q-sun to n = 45, a
 digest recorded while it still formed the residue remainder of every
 cell.  The scalar tasks are pinned at the benchmark's bounds by the
@@ -396,29 +396,24 @@ def _corrupt_q_sun_sums(monkeypatch, bad_key):
 
 
 def test_q_sun_fault_witness(tmp_path, monkeypatch):
+    # A_3 = q^-4 a(q) at k = 1 gains q^0 = q^-4 q^4.  Of d = 3, the one
+    # d | 3 that [2 choose 1] lacks, Phi_3^2 = 1 + 2q + 3q^2 + 2q^3 + q^4
+    # divided a, so a now leaves the remainder of q^4,
+    # q^4 - Phi_3^2 = -1 - 2q - 3q^2 - 2q^3, shifted by q^-4.
     product = _corrupt_q_sun_sums(monkeypatch, (3, 1))
     rc, failed = _failures(tmp_path, ["q-sun", "--n-max", "3"])
     assert rc == 1
-    remainder = "2*q^-4 + 4*q^-3 + 5*q^-2 + 2*q^-1"
+    remainder = "-q^-4 - 2*q^-3 - 3*q^-2 - 2*q^-1"
     assert failed == [{
         "key": {"n": 3, "k": 1}, "status": "fail",
-        "witness": f"remainder {remainder} after division by [3]^2",
+        "witness": f"A_3 = {remainder} mod Phi_3^2",
         "severity": "theorem",
     }]
-    modulus = q_integer(3) * q_integer(3)
-    ok, obstruction = laurent_divisible(product, modulus)
-    assert not ok and str(obstruction) == remainder
-
-
-def test_q_sun_zero_remainder_on_a_failing_cell_exits_three(capsys, monkeypatch):
-    # The cyclotomic test fails the faulted cell; a remainder that says
-    # [n]^2 divides after all is a bug in one of the two, not a verdict.
-    _corrupt_q_sun_sums(monkeypatch, (3, 1))
-    monkeypatch.setattr(qpoly, "remainder_by_q_integer_squared", lambda a, c, n: [0] * (2 * n))
-    assert cli.main(["q-sun", "--n-max", "5"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "internal error: ArithmeticError(" in captured.err
+    assert not laurent_divisible(product, q_integer(3) * q_integer(3))[0]
+    low, coeffs = qpoly.q_sun_sums(1, 3)[-1]
+    witness = LaurentPoly([-1, -2, -3, -2], -4)
+    assert str(witness) == remainder
+    assert laurent_divisible(LaurentPoly(coeffs, low) + -1 * witness, LaurentPoly([1, 2, 3, 2, 1]))[0]
 
 
 def test_q_specialize_fault_witness(tmp_path, monkeypatch):

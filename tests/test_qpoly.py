@@ -13,12 +13,12 @@ import cell_oracle
 import pytest
 from cell_oracle import LaurentPoly, conjecture_final_value, laurent_divisible, q_binom, q_integer
 from conftest import cases, cases_of
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from sympy import Poly, cyclotomic_poly, symbols
 
 from ivpverify import cli, qpoly
 from ivpverify.combinat import binom_int
-from ivpverify.qpoly import q_sun_sums, remainder_by_q_integer_squared
+from ivpverify.qpoly import q_sun_sums
 from ivpverify.cli import GridConfig, run
 
 Q = LaurentPoly([0, 1])
@@ -235,73 +235,9 @@ def test_laurent_is_immutable():
 X = symbols("x")
 
 
-def _sympy(p):
-    """p q^(-min_exp) as a sympy Poly in x."""
-    return Poly(list(p.coeffs[::-1]) or [0], X)
-
-
-@given(_laurent(_COEFFS), _laurent(_COEFFS))
-@example(LaurentPoly([5]), LaurentPoly([-7], min_exp=-3))
-@example(LaurentPoly([2 ** 200]), LaurentPoly([1, 0, 0, -(2 ** 201)], min_exp=-5))
-@example(LaurentPoly([-1, 0, 0, 1], min_exp=-2), LaurentPoly([1, 1, 1]))
-def test_product_matches_sympy(a, b):
-    expected = (_sympy(a) * _sympy(b)).all_coeffs()[::-1]
-    product = qpoly._product(a.coeffs, b.coeffs)
-    assert product == ([int(c) for c in expected] if a and b else [])
-    assert qpoly._product(b.coeffs, a.coeffs) == product
-
-
-def _untrimmed(data, p, label):
-    """p as (low, coeffs) with up to three zeros drawn onto each end."""
-    front = data.draw(st.integers(0, 3), label=f"zeros before {label}")
-    back = data.draw(st.integers(0, 3), label=f"zeros after {label}")
-    return p.min_exp - front, [0] * front + list(p.coeffs) + [0] * back
-
-
-def _agrees_with_long_division(a, c, n, data):
-    """The residue remainder of a c^2 by [n]^2, from untrimmed coefficient
-    lists, checked against long division of the full product: the same
-    verdict and the same text."""
-    low_a, a_coeffs = _untrimmed(data, a, "a")
-    low_c, c_coeffs = _untrimmed(data, c, "c")
-    remainder = remainder_by_q_integer_squared(a_coeffs, c_coeffs, n)
-    ok, obstruction = laurent_divisible(a * c * c, q_integer(n) * q_integer(n))
-    assert ok == (not any(remainder))
-    low = low_a + 2 * low_c
-    if not ok:
-        assert qpoly._q_text(remainder, low) == str(obstruction)
-    return LaurentPoly(remainder, low)
-
-
-def _central(data, n):
-    k = data.draw(st.integers(0, n - 1), label="k")
-    return q_binom(2 * k, k)
-
-
-@given(_laurent(st.integers(-4, 4), max_size=40), st.integers(-15, 15), st.integers(1, 12), st.data())
-def test_residue_remainder_matches_long_division(a, s, n, data):
-    c = _central(data, n).shift(data.draw(st.integers(-3, 3), label="shift of c"))
-    _agrees_with_long_division(a.shift(s), c, n, data)
-
-
-@given(_laurent(st.integers(-50, 50)), st.integers(-15, 15), st.integers(1, 12), st.data())
-def test_residue_remainder_vanishes_on_multiples_of_the_square(g, s, n, data):
-    a = (g * q_integer(n) * q_integer(n)).shift(s)
-    assert not _agrees_with_long_division(a, _central(data, n), n, data)
-
-
-@given(_laurent(st.integers(-50, 50)), st.integers(-15, 15), st.integers(2, 12), st.data())
-def test_residue_remainder_stays_on_single_multiples(g, s, n, data):
-    c = _central(data, n)
-    assume(not laurent_divisible(g * c * c, q_integer(n))[0])
-    assert _agrees_with_long_division((g * q_integer(n)).shift(s), c, n, data)
-
-
-def test_single_q_integer_is_its_own_remainder():
-    # deg [n] < deg [n]^2: the residue path must not lose a single [n].
-    for n in range(2, 41):
-        remainder = remainder_by_q_integer_squared([1] * n, [1], n)
-        assert LaurentPoly(remainder) == q_integer(n)
+def _sympy(coeffs):
+    """sum_i coeffs[i] x^i as a sympy Poly in x."""
+    return Poly(list(coeffs[::-1]) or [0], X)
 
 
 @given(_laurent(_COEFFS, max_size=60), st.integers(1, 12))
@@ -345,8 +281,10 @@ def _phi(d):
 
 
 def test_moebius_cyclotomic_matches_sympy():
+    squares = qpoly.phi_squares(80)
+    assert squares[:2] == [[], []] and len(squares) == 81
     for d in range(2, 81):
-        assert qpoly._cyclotomic(d) == list(_phi(d).coeffs)
+        assert squares[d] == list((_phi(d) * _phi(d)).coeffs)
 
 
 def test_central_q_binomial_has_the_cyclotomic_factors_the_decider_skips():
@@ -376,23 +314,29 @@ def _central_square(k):
 @settings(max_examples=80, deadline=None)
 @given(
     st.integers(1, 30), st.integers(0, 29),
-    st.sampled_from(("coefficient", "times 1 - q^e", "times Phi_n^2")),
+    st.sampled_from(("coefficient", "times 1 - q^e", "times Phi_n^2", "times Phi_2^2")),
     st.sampled_from((1, 2, 3, "n")), st.sampled_from((1, -1)),
     st.integers(0, 10 ** 4), st.integers(1, 30),
 )
 @example(4, 1, "times Phi_n^2", 1, 1, 3, 1)  # only d = 4 of 2, 4 is tested: the cell passes
 @example(6, 0, "times Phi_n^2", 1, -1, 0, 1)  # Phi_6^2 divides the fault, Phi_2^2 does not
+@example(6, 0, "times Phi_2^2", 1, 1, 0, 1)  # Phi_2^2 divides the fault: Phi_3^2 is named
+@example(6, 0, "coefficient", 1, 1, 0, 1)  # Phi_2^2 and Phi_3^2 both fail: Phi_2^2 is named
 @example(7, 2, "coefficient", 1, -1, 0, 1)  # the lowest coefficient 1 of A_7 becomes 0
 @example(7, 2, "times 1 - q^e", 2, 1, 5, 7)  # Phi_7 divides the fault once
 def test_q_sun_row_matches_long_division_under_faults(n, k, shape, scale, sign, j, e):
-    # Add c q^j, c (1 - q^e) q^j or c Phi_n^2 q^j to the coefficients
-    # of A_n from its entry j, c = ±1..3 or ±n, and decide the cell.
+    # Add c q^j, c (1 - q^e) q^j, c Phi_n^2 q^j or c Phi_2^2 q^j to the
+    # coefficients of A_n from its entry j, c = ±1..3 or ±n, and decide
+    # the cell.  The verdict must be that of long division of the full
+    # product by [n]^2, and the witness A_n modulo Phi_d^2 for the first
+    # d | n whose Phi_d^2 does not divide the full product, from sympy.
     k, e = k % n, (e - 1) % n + 1
     low, a = q_sun_sums(k, n)[-1]
     factor = {
         "coefficient": [1],
         "times 1 - q^e": _one_minus(e).coeffs,
         "times Phi_n^2": (_phi(n) * _phi(n)).coeffs,
+        "times Phi_2^2": (_phi(2) * _phi(2)).coeffs,
     }
     c = sign * (n if scale == "n" else scale)
     j %= len(a)
@@ -410,37 +354,36 @@ def test_q_sun_row_matches_long_division_under_faults(n, k, shape, scale, sign, 
         *earlier, cell = cases_of(qpoly.q_sun_row(k, n, qpoly.phi_squares(n)))
     assert all(case.ok for case in earlier)
     full = LaurentPoly(faulted, low) * _central_square(k)
-    ok, obstruction = laurent_divisible(full, q_integer(n) * q_integer(n))
-    remainder = remainder_by_q_integer_squared(faulted, list(q_binom(2 * k, k).coeffs), n)
-    assert cell.ok == ok == (not any(remainder))
+    ok, _ = laurent_divisible(full, q_integer(n) * q_integer(n))
+    assert cell.ok == ok
     if not ok:
-        text = qpoly._q_text(remainder, low)
-        assert text == str(obstruction)
-        assert cell.witness == f"remainder {text} after division by [{n}]^2"
+        d = next(d for d in range(2, n + 1)
+                 if n % d == 0 and not laurent_divisible(full, _phi(d) * _phi(d))[0])
+        rem = _sympy(faulted).rem(_sympy((_phi(d) * _phi(d)).coeffs)).all_coeffs()[::-1]
+        assert cell.witness == f"A_{n} = {LaurentPoly([int(r) for r in rem], low)} mod Phi_{d}^2"
 
 
 def test_passing_q_sun_rows_only_square_phi_and_reduce_by_each_tested_d(monkeypatch):
-    # A passing cell never forms [2k choose k]; the only products square
-    # Phi_d, each d once per run, before any row runs, and the cell
-    # reduces A_n once per d it tests, to 2d coefficients.
-    central_calls, squared, moduli = [], [], []
-    product, residue = qpoly._product, qpoly._residue
+    # A passing cell never forms [2k choose k]; Phi_d^2 is built once per
+    # run, before any row runs, and the cell reduces A_n once per d it
+    # tests, to 2d coefficients.
+    central_calls, square_calls, moduli = [], [], []
+    phi_squares, residue = qpoly.phi_squares, qpoly._residue
 
-    def counting_product(a, b):
-        squared.append(b if a == b else None)
-        return product(a, b)
+    def counting_squares(n_max):
+        square_calls.append((n_max,))
+        return phi_squares(n_max)
 
     def counting_residue(coeffs, d):
         moduli.append(d)
         return residue(coeffs, d)
 
     monkeypatch.setattr(qpoly, "central_q_binomials", lambda *args: central_calls.append(args))
-    monkeypatch.setattr(qpoly, "_product", counting_product)
+    monkeypatch.setattr(qpoly, "phi_squares", counting_squares)
     monkeypatch.setattr(qpoly, "_residue", counting_residue)
     n_max = 24
     rows = cli._task_rows(cli.GridConfig("q-sun", n_max=n_max))["q-sun"]
-    assert squared == [list(_phi(d).coeffs) for d in range(2, n_max + 1)]
-    squared.clear()
+    assert square_calls == [(n_max,)]
     for k, row in enumerate(rows):
         moduli.clear()
         assert all(case.ok for case in cases_of(row()))
@@ -448,27 +391,33 @@ def test_passing_q_sun_rows_only_square_phi_and_reduce_by_each_tested_d(monkeypa
             d for n in range(k + 1, n_max + 1) for d in range(2, n + 1)
             if n % d == 0 and 2 * k // d == 2 * (k // d)
         ]
-    assert squared == []
+    assert square_calls == [(n_max,)]
     assert central_calls == []
 
 
-def test_a_failing_q_sun_row_forms_its_central_q_binomial_once(monkeypatch):
+def test_a_failing_q_sun_run_builds_what_a_passing_one_builds(monkeypatch):
     # With 1 added to the lowest coefficient of every A_n, most cells
-    # fail; each failing row forms [2k choose k] once, for all its
-    # failing cells' remainders.
-    calls = []
-    central_q_binomials, q_sun_sums = qpoly.central_q_binomials, qpoly.q_sun_sums
+    # fail; their witnesses read the remainders that decided them, so
+    # the run forms no [2k choose k] and builds the q-sums and Phi_d^2
+    # that the passing run builds.
+    calls = {}
+    for name in ("central_q_binomials", "q_sun_sums", "phi_squares"):
+        def counted(*args, original=getattr(qpoly, name), name=name):
+            calls.setdefault(name, []).append(args)
+            return original(*args)
 
-    def counting_centrals(n_max):
-        calls.append((n_max,))
-        return central_q_binomials(n_max)
+        monkeypatch.setattr(qpoly, name, counted)
+    config = cli.GridConfig("q-sun", n_max=10, jobs=1)
+    assert cli.run(config).ok
+    passing = dict(calls)
+    calls.clear()
+    counted_sums = qpoly.q_sun_sums
 
     def corrupted(k, n_max):
-        return [(low, [coeffs[0] + 1, *coeffs[1:]]) for low, coeffs in q_sun_sums(k, n_max)]
+        return [(low, [coeffs[0] + 1, *coeffs[1:]]) for low, coeffs in counted_sums(k, n_max)]
 
-    monkeypatch.setattr(qpoly, "central_q_binomials", counting_centrals)
     monkeypatch.setattr(qpoly, "q_sun_sums", corrupted)
-    report = cli.run(cli.GridConfig("q-sun", n_max=10, jobs=1))
-    failing = [dict(case.key)["k"] for case in cases(report) if not case.ok]
+    failing = [dict(case.key)["k"] for case in cases(cli.run(config)) if not case.ok]
     assert len(failing) > len(set(failing)) > 1
-    assert sorted(calls) == [(k + 1,) for k in sorted(set(failing))]
+    assert "central_q_binomials" not in calls
+    assert calls == passing

@@ -266,6 +266,12 @@ def _corrupted_q_sum(bad, exponent):
     l_max=3, n_max=20, x_min=-10, width=20, eps=(1, -1), m=2,
     fault=(4, 2, 1), s_fault=None, q_fault=None, closed_fault=None,
 )
+# The CLI's default bounds under the `q5,1` fault of checks/fault.py:
+# q^-1, the middle coefficient of A_5 at k = 1, one more.
+@example(
+    l_max=3, n_max=20, x_min=-10, width=20, eps=(1, -1), m=2,
+    fault=None, s_fault=None, q_fault=(5, 1, -1), closed_fault=None,
+)
 def test_rows_match_per_cell_oracle(
     l_max, n_max, x_min, width, eps, m, fault, s_fault, q_fault, closed_fault
 ):

@@ -7,16 +7,16 @@ this process): `verify all` builds one of each table, and a task run
 alone builds only the tables it reads.  The per-run tables are the
 S tables of the two closed forms, the central binomial columns,
 conjecture-sun-m's power sums, Phi_d^2 for q-sun and the central
-q-binomials [2k choose k] for q-specialize; a passing run forms no
-other q-binomial.  Each S table holds the points its readers decide
+q-binomials [2k choose k] for q-specialize; a run forms no other
+q-binomial.  Each S table holds the points its readers decide
 on: transform and recurrence read ragged tables, entry n at x = 0 ..
 min(n+2, n_max), and the weighted-sum rows the corner S_0 .. S_{n-1} at
 x = 0 .. n-1, built as `identities.build_lhs(n - 1, n)`; only `verify
 all`, which reads both, builds one full left table
 `identities.build_lhs(n, n + 1)` and cuts the corner from it.  A
 failing cell's witness reads the values that decided it, so a failing
-run builds what the passing run of its grid builds; only a failing
-q-sun row forms its [2k choose k] (tests/test_qpoly.py).
+run builds what the passing run of its grid builds (for q-sun, see
+tests/test_qpoly.py).
 """
 
 import gc
@@ -40,31 +40,22 @@ _BUILDERS = [
     (identities, "build_rhs"),
     (identities, "central_columns"),
     (congruences, "power_sums"),
-    (qpoly, "_cyclotomic"),
-    (qpoly, "_product"),
+    (qpoly, "phi_squares"),
     (qpoly, "central_q_binomials"),
 ]
 
 
 @pytest.fixture
 def builds(monkeypatch) -> Counter:
-    """Counts of ("module.name", args) for each builder call of the test;
-    a call of qpoly._product is counted by the coefficients it squares,
-    or as "not a square"."""
+    """Counts of ("module.name", args) for each builder call of the test."""
     calls = Counter()
 
     for module, name in _BUILDERS:
         original = getattr(module, name)
         label = f"{module.__name__.rpartition('.')[2]}.{name}"
-        if name == "_product":
-            def key(a, b):
-                return tuple(a) if a == b else "not a square"
-        else:
-            def key(*args):
-                return args
 
-        def counted(*args, original=original, label=label, key=key):
-            calls[label, key(*args)] += 1
+        def counted(*args, original=original, label=label):
+            calls[label, args] += 1
             return original(*args)
 
         monkeypatch.setattr(module, name, counted)
@@ -77,8 +68,6 @@ def _calls(builds: Counter, label: str) -> Counter:
 
 def test_verify_all_builds_each_table_once(builds):
     n = ALL_GRID["n_max"]
-    phis = [tuple(qpoly._cyclotomic(d)) for d in range(2, n + 1)]
-    builds.clear()
     assert cli.run(cli.GridConfig("all", jobs=1, **ALL_GRID)).ok
     # One full left table, from which theorem1, theorem2, the
     # catalan-form identity and conjecture-sun-ii read the corner, and
@@ -91,10 +80,8 @@ def test_verify_all_builds_each_table_once(builds):
     # conjecture-sun-m's power sums, once per x of the window.
     xs = range(ALL_GRID["x_min"], ALL_GRID["x_max"] + 1)
     assert _calls(builds, "congruences.power_sums") == {(2, x0, n): 1 for x0 in xs}
-    # Each Phi_d is built and squared once, for d = 2 .. n_max, and
-    # nothing else is multiplied: every cell passes.
-    assert _calls(builds, "qpoly._cyclotomic") == {(d,): 1 for d in range(2, n + 1)}
-    assert _calls(builds, "qpoly._product") == {phi: 1 for phi in phis}
+    # Phi_d^2 for d = 2 .. n_max, in one table that every q-sun row reads.
+    assert _calls(builds, "qpoly.phi_squares") == {(n,): 1}
     # q-specialize's rows read one table of central q-binomials; no
     # other q-binomial is formed.
     assert _calls(builds, "qpoly.central_q_binomials") == {(n,): 1}
@@ -132,10 +119,10 @@ def test_a_task_alone_builds_only_its_own_tables(builds, task, expected):
 
 
 def test_q_sun_alone_forms_no_central_q_binomial(builds):
-    # q-sun reads Phi_d^2 alone: a passing q-sun run builds no table of
-    # central q-binomials and forms no [2k choose k].
+    # q-sun reads Phi_d^2 alone: a q-sun run builds no table of central
+    # q-binomials and forms no [2k choose k].
     assert cli.run(cli.GridConfig("q-sun", n_max=12)).ok
-    assert _calls(builds, "qpoly.central_q_binomials") == {}
+    assert builds == {("qpoly.phi_squares", (12,)): 1}
 
 
 def test_no_table_outlives_the_run():
