@@ -12,7 +12,10 @@ at each --jobs of `fault.jobs_of`, under each fault of `FAULTS`:
    every --jobs;
 3. the JSON is the bytes `json.dumps(indent=2)` writes;
 4. `--out` and stdout give the same report in every format;
-5. each argv that `FAULTS` lists under a fault exits 1 under it.
+5. each argv that `FAULTS` lists under a fault exits 1 under it;
+6. every JSON report lists its cases in key order, and so does each
+   sub-report of `all`: the tuples of key values, compared with `<=`
+   from one case to the next, never decrease.
 The first argv that breaks a rule is named with its --jobs, fault and
 format, and the check exits 1.  Two argvs run at once.
 """
@@ -31,6 +34,19 @@ import fault
 from fault import FAULTS, FORMATS, normalized
 
 SRC = os.path.join(fault.ROOT, "src")
+
+
+def _out_of_order(report: dict) -> list[str]:
+    """The first case of each task of a JSON report whose key comes
+    before the key of the case ahead of it."""
+    broken = []
+    for sub in report.get("reports", [report]):
+        keys = [tuple(case["key"].values()) for case in sub["cases"]]
+        for before, key in zip(keys, keys[1:]):
+            if not before <= key:
+                broken.append(f"{sub['task']}: case {key} after {before}")
+                break
+    return broken
 
 
 def _broken(outputs: dict, fault_name: str) -> list[str]:
@@ -57,6 +73,7 @@ def _broken(outputs: dict, fault_name: str) -> list[str]:
                 broken.append(f"--jobs {jobs}, {name}: not the bytes json.dumps(indent=2) writes")
             if (report["summary"]["fail"] > 0) != (rc == 1):
                 broken.append(f"--jobs {jobs}, {name}: {report['summary']['fail']} failing cells")
+            broken += [f"--jobs {jobs}, {name}: {order}" for order in _out_of_order(report)]
         for fmt in FORMATS:
             report = normalized(fmt, run[fmt])
             if report != normalized(fmt, outputs[1][fmt]):

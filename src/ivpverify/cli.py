@@ -16,8 +16,11 @@ power sums of conjecture-sun-m, Phi_d^2 for q-sun and the central
 q-binomials for q-specialize), built once per run, on its first read,
 before any row runs: forked workers inherit it, and nothing outlives
 `run`.
-`run` hands every task's rows to one `gridrun.run_rows` call, then
-collects each task's report from its slice of the results.  A
+`run` hands every task's rows to one `gridrun.run_rows` call, which
+gives their blocks back in row order at every --jobs; each task's
+report is its `gather` of its slice of them.  A task's rows emit its
+cells in key order, so its `gather` is `list`, except q-sun's and
+q-specialize's, one row per k, whose `gather` is `qpoly.by_n`.  A
 `GridConfig` checks every bound when it is built, so
 `run(GridConfig("theorem1", n_max=25))` is safe to call from code as
 well.  Flag precedence is defaults < IVPVERIFY_JOBS < config file <
@@ -57,8 +60,8 @@ from itertools import chain, islice
 from typing import Callable, NamedTuple, Optional
 
 from . import congruences, identities, qpoly
-from .gridrun import collect, run_rows
-from .report import CombinedReport, report_pieces
+from .gridrun import run_rows
+from .report import Block, CombinedReport, VerificationReport, report_pieces
 
 __all__ = ["GridConfig", "UsageError", "run", "main"]
 
@@ -214,6 +217,9 @@ class _Task(NamedTuple):
     rows: Callable[[GridConfig, _Tables], list[partial]]
     min_n_max: int = 1
     notes: Callable[[GridConfig], list[str]] = lambda config: []
+    # The report's blocks from the rows' blocks, in row order: the cells
+    # in key order.
+    gather: Callable[[list[Block]], list[Block]] = list
 
 
 def _xs(c: GridConfig) -> range:
@@ -264,11 +270,11 @@ _TASKS = {
     ]),
     "q-sun": _Task(("n_max",), lambda c, t: [
         partial(qpoly.q_sun_row, k, c.n_max, t.phi_squares) for k in range(c.n_max)
-    ]),
+    ], gather=qpoly.by_n),
     "q-specialize": _Task(("n_max",), lambda c, t: [
         partial(qpoly.q_specialize_row, k, central, t.columns)
         for k, central in enumerate(t.central_q_binomials)
-    ]),
+    ], gather=qpoly.by_n),
 }
 
 
@@ -398,15 +404,21 @@ def _task_rows(config: GridConfig) -> dict[str, list[partial]]:
 def run(config: GridConfig):
     """Run one task (or all of them, in table order) and return the
     report: every task's rows go to the row runner in one call, then
-    each task's report is collected from its slice of the results."""
+    each task's report is its `gather` of its slice of the results.  A
+    task's wall time is the time spent reading its slice: its compute
+    time when the rows run serially; at --jobs > 1 every row has run
+    before any is read, so it is the time to gather them."""
     start = time.perf_counter()
     rows = _task_rows(config)
     results = run_rows(list(chain.from_iterable(rows.values())), config.jobs)
-    reports = [
-        collect(name, _echo(config, _TASKS[name].echo), islice(results, len(rows[name])),
-                _TASKS[name].notes(config))
-        for name in rows
-    ]
+    reports = []
+    for name, task_rows in rows.items():
+        task = _TASKS[name]
+        read = time.perf_counter()
+        blocks = task.gather(list(islice(results, len(task_rows))))
+        wall = time.perf_counter() - read
+        reports.append(
+            VerificationReport(name, _echo(config, task.echo), blocks, task.notes(config), wall))
     if config.task != "all":
         return reports[0]
     return CombinedReport(

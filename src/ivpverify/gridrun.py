@@ -1,9 +1,9 @@
-"""Run rows, optionally in parallel, and collect each task's report.
+"""Run rows, optionally in parallel, and return their blocks in row order.
 
 A row is a call that returns the one block (`report.Block`) of a grid
 row.  `run_rows(rows, jobs)` runs a run's rows and returns an iterator
 over their blocks in row order.  `cli` calls it once per run, with every
-task's rows, and hands each task's `collect` its slice of the results.
+task's rows, and makes each task's report from its slice of the results.
 
 At --jobs N the run has min(N, usable cores, row count) processes at
 work, the calling process among them; the usable cores are those of
@@ -36,22 +36,21 @@ import and no pickled rows; the price is that a program that calls
 `run_rows` at --jobs > 1 must hold no other thread when it does, as
 the CLI holds none.
 
-Output is deterministic: `collect` puts a task's cells in key order,
-so a run with --jobs 8 yields byte-identical JSON/CSV to a serial run
-(wall time excepted: it lives in the report's metadata block).
+Output is deterministic: the results come in row order at every
+--jobs, so a run with --jobs 8 yields byte-identical JSON/CSV to a
+serial run (wall time excepted: it lives in the report's metadata
+block).  The runner reads no key: a task's rows emit its cells in key
+order, or its `gather` in `cli` puts them so.
 """
 
 from __future__ import annotations
 
 import os
-import time
-from itertools import chain, groupby, islice, repeat
-from operator import itemgetter, le
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
-from .report import Block, VerificationReport
+from .report import Block
 
-__all__ = ["collect", "run_rows"]
+__all__ = ["run_rows"]
 
 Row = Callable[[], Block]
 
@@ -219,52 +218,3 @@ def _reap(workers: list[tuple[int, int]]) -> list[tuple[bytes, int]]:
             os.close(read_end)
         statuses = [os.waitpid(pid, 0)[1] for pid, _ in workers]
     return list(zip(payloads, statuses))
-
-
-def collect(
-    task: str, config: dict, results: Iterable[Block], notes: Iterable[str]
-) -> VerificationReport:
-    """A task's report from its rows' blocks, their cells in key order.
-    Its wall time is the time spent reading the results: the task's
-    compute time when the rows run serially; at --jobs > 1 every row
-    has run before any is read, so it is the time to gather them.
-
-    One pass over the cells' keys, across the blocks, checks their
-    order, and the blocks are kept as they come when it holds: a task's
-    rows come in key order and emit their cells in key order, except
-    q-sun's and q-specialize's, one row per k with keys (n, k), whose
-    cells `_sorted` sorts.  catalan-form's two key shapes, ("part",
-    "identity"), ("n", n) and ("part", "terms"), ("n", n), ("x", x),
-    already differ in the value at position 0."""
-    start = time.perf_counter()
-    blocks = list(results)
-    if not _in_key_order(blocks):
-        blocks = _sorted(blocks)
-    return VerificationReport(task, config, blocks, list(notes), time.perf_counter() - start)
-
-
-def _keys(block: Block) -> Iterator[tuple]:
-    """The key values of each cell of a block, as tuples."""
-    return zip(*block.columns) if block.names else repeat((), len(block.status))
-
-
-def _in_key_order(blocks: list[Block]) -> bool:
-    """Whether the blocks' cells, in turn, are in key order."""
-    keys, following = (chain.from_iterable(map(_keys, blocks)) for _ in range(2))
-    return all(map(le, keys, islice(following, 1, None)))
-
-
-def _sorted(blocks: list[Block]) -> list[Block]:
-    """The blocks' cells sorted by key, as one block per stretch of
-    cells of one key shape and severity."""
-    cells = sorted(((key, ok, block.witnesses.get(i), block.names, block.severity)
-                    for block in blocks
-                    for i, (key, ok) in enumerate(zip(_keys(block), block.status))),
-                   key=itemgetter(0))
-    merged = []
-    for (names, severity), run in groupby(cells, itemgetter(3, 4)):
-        keys, oks, witnesses, _, _ = zip(*run)
-        columns = [list(column) for column in zip(*keys)] if names else []
-        failing = {j: w for j, (ok, w) in enumerate(zip(oks, witnesses)) if not ok}
-        merged.append(Block(names, columns, bytearray(oks), failing, severity))
-    return merged

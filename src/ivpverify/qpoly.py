@@ -12,7 +12,10 @@ exact when its last j entries are zero.  A q-binomial is the product
 formula prod_i (1 - q^(n-k+i)) / (1 - q^i): `central_q_binomials`
 builds [2k choose k] for every k by one running product, two ratio
 steps per k, and a q-sum row steps [m+k choose 2k] and [2m+1] along m
-by the same ratios.  q-specialize sums [2k choose k] at q = 1.
+by the same ratios.  q-specialize sums [2k choose k] at q = 1.  Both
+tasks run one row per k, the q side's unit of parallel work, each in n
+order, and `by_n` puts their cells in key order, n then k, by one index
+transpose.
 
 q-sun never forms the product A [2k choose k]^2 of a cell.  It
 decides each cell from the cyclotomic factors of [n]^2: [n] is the
@@ -49,6 +52,7 @@ __all__ = [
     "phi_squares",
     "q_sun_row",
     "q_specialize_row",
+    "by_n",
 ]
 
 
@@ -235,3 +239,15 @@ def q_specialize_row(
         ("n", "k"), [ns, [k] * len(ns)], map(eq, at_one, classical),
         lambda i: f"q=1 value {at_one[i]} != classical sum {classical[i]}",
     )
+
+
+def by_n(blocks: list[Block]) -> list[Block]:
+    """q-sun's or q-specialize's blocks, row k holding the cells (n, k)
+    for n = k+1 .. n_max in n order, as one block in key order: n, then
+    k.  Cell (n, k) is cell n - k - 1 of row k, with its key, status and
+    witness."""
+    cells = [(blocks[k], n - k - 1) for n in range(1, len(blocks) + 1) for k in range(n)]
+    columns = [[block.columns[c][i] for block, i in cells] for c in (0, 1)]
+    status = bytearray(block.status[i] for block, i in cells)
+    witnesses = {j: block.witnesses[i] for j, (block, i) in enumerate(cells) if not status[j]}
+    return [Block(("n", "k"), columns, status, witnesses)]

@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 
 from cell_oracle import CaseResult, cell_case
 from conftest import cases, cases_of, report_of, running, serialize_report, wait_until
-from ivpverify import cli, gridrun
+from ivpverify import cli, gridrun, identities, qpoly
 from ivpverify import report as report_module
-from ivpverify.gridrun import collect, run_rows
+from ivpverify.gridrun import run_rows
 from ivpverify.report import (
     Block,
     CombinedReport,
@@ -203,32 +203,21 @@ def _square_row(key):
     return Block(("n",), [[key + 100, key]], bytearray([1, 1]), {})
 
 
-def test_collect_sorts_cases_and_times():
-    def slow_rows():
-        for key in (3, 1, 2):
-            time.sleep(0.01)
-            yield _square_row(key)
+def test_a_task_report_times_the_reading_of_its_rows():
+    # At --jobs 1 a row runs when its result is read, as its task's
+    # report reads its slice: the slowed row's time is in its own task's
+    # wall time.
+    real = identities.sun_one_row
 
-    report = collect("demo", {"n_max": 3}, slow_rows(), ["a note"])
-    assert [c.sort_key for c in cases(report)] == [(1,), (2,), (3,), (101,), (102,), (103,)]
-    assert report.config == {"n_max": 3} and report.notes == ["a note"]
-    # The wall time is the time spent reading the results.
-    assert report.wall_time_s >= 0.03
+    def slow(*args):
+        time.sleep(0.03)
+        return real(*args)
 
-
-def test_collect_orders_two_key_shapes_by_their_values():
-    # catalan-form's identity and terms cells, rows fed in reverse order.
-    rows = [
-        Block(("part", "n"), [["identity"] * 3, [1, 2, 3]], bytearray([1]) * 3, {}),
-        *(Block(("part", "n", "x"), [["terms"] * 3, [n] * 3, [-1, 0, 1]], bytearray([1]) * 3, {})
-          for n in (1, 2, 3)),
-    ]
-    report = collect("catalan-form", {}, reversed(rows), [])
-    assert cases(report) == sorted(cases(report), key=lambda c: c.sort_key)
-    assert [c.label for c in cases(report)[:4]] == [
-        "part=identity;n=1", "part=identity;n=2", "part=identity;n=3", "part=terms;n=1;x=-1",
-    ]
-    assert cases(report)[-1].label == "part=terms;n=3;x=1"
+    with mock.patch.object(identities, "sun_one_row", slow):
+        report = cli.run(cli.GridConfig("all", n_max=3))
+    sub = {sub.task: sub for sub in report.reports}["sun-one"]
+    assert sub.wall_time_s >= 0.03
+    assert sub.config == {"n_max": 3} and sub.notes == []
 
 
 def test_every_task_orders_its_cases_by_sort_key():
@@ -866,37 +855,32 @@ def test_writers_format_blocks_as_the_stdlib_writes_their_cases(report, slice_):
             assert serialize_report(report, fmt) == _one_string(report, fmt), fmt
 
 
-def _catalan_part(block: Block) -> Block:
-    """The block with its first column catalan-form's part of its shape."""
-    part = "identity" if len(block.names) == 2 else "terms"
-    return block._replace(columns=[[part] * len(block.status), *block.columns[1:]])
+@st.composite
+def _per_k_blocks(draw) -> list[Block]:
+    """A q task's rows' blocks: row k holds the cells (n, k) for
+    n = k+1 .. n_max, in n order, with drawn status bytes and witnesses."""
+    n_max = draw(st.integers(min_value=1, max_value=12))
+    blocks = []
+    for k in range(n_max):
+        ns = list(range(k + 1, n_max + 1))
+        oks = draw(st.lists(st.booleans(), min_size=len(ns), max_size=len(ns)))
+        witnesses = {i: draw(st.none() | _quoted) for i, ok in enumerate(oks) if not ok}
+        blocks.append(Block(("n", "k"), [ns, [k] * len(ns)], bytearray(oks), witnesses))
+    return blocks
 
 
 @settings(max_examples=100, deadline=None)
-@given(
-    blocks=st.lists(_blocks([("n", "k")], ("int",)), max_size=5)
-    | st.lists(_blocks([("part", "n"), ("part", "n", "x")], ("int",)).map(_catalan_part),
-               max_size=5),
-    order=st.randoms(use_true_random=False),
-)
+@given(blocks=_per_k_blocks())
 @example(  # q-sun's rows, one per k, each in n order: (n, k) by k
     blocks=[Block(("n", "k"), [list(range(k + 1, 5)), [k] * (4 - k)],
                   bytearray([1, 0, 1, 1][: 4 - k]), {1: f"k={k}"} if k < 3 else {})
             for k in range(4)],
-    order=None,
 )
-def test_collect_puts_blocks_given_out_of_key_order_in_sort_key_order(blocks, order):
-    # Blocks of (n, k) keys given per k, or of catalan-form's two shapes,
-    # in any order, come out in sort_key order, each cell with its own
-    # status, witness and severity; every block of the report has one
-    # key shape, one severity and its cells in key order.
-    if order is not None:
-        order.shuffle(blocks)
+def test_by_n_puts_per_k_blocks_in_key_order(blocks):
+    # One ("n", "k") block whose cells are the rows' cells sorted by key,
+    # each with its own status and witness.
+    gathered = qpoly.by_n(blocks)
+    assert len(gathered) == 1 and gathered[0].names == ("n", "k")
     cells = cases_of(*blocks)
-    report = collect("task", {}, blocks, [])
-    assert cases(report) == sorted(cells, key=lambda c: c.sort_key)
-    assert (report.total, report.failed) == (len(cells), sum(not c.ok for c in cells))
-    assert gridrun._in_key_order(report.blocks)
-    for block in report.blocks:
-        assert len(block.columns) == len(block.names)
-        assert all(len(column) == len(block.status) for column in block.columns)
+    assert cases_of(*gathered) == sorted(cells, key=lambda c: c.sort_key)
+    assert all(len(column) == len(gathered[0].status) for column in gathered[0].columns)

@@ -32,7 +32,7 @@ from hypothesis import strategies as st
 import cell_oracle
 from cell_oracle import LaurentPoly, binom_rat
 from conftest import cases, cases_of
-from ivpverify import cli, congruences, gridrun, identities, qpoly
+from ivpverify import cli, congruences, identities, qpoly
 from ivpverify.combinat import binom_int
 from ivpverify.congruences import (
     conjecture_final_values,
@@ -45,8 +45,11 @@ from ivpverify.report import Block
 
 
 def _row_cases(task, config):
-    cells = cases_of(*(row() for row in cli._task_rows(config)[task]))
-    return sorted(cells, key=lambda c: c.sort_key)
+    """The task's cells as its report gathers them from its rows' blocks:
+    the oracle's cells come sorted by key, so comparing the two checks
+    key order as well."""
+    blocks = [row() for row in cli._task_rows(config)[task]]
+    return cases_of(*cli._TASKS[task].gather(blocks))
 
 
 def _is_package_function(value):
@@ -77,12 +80,11 @@ def test_rows_are_picklable_calls_that_make_up_the_report():
             assert (copy.func, copy.args, copy.keywords) == (row.func, row.args, row.keywords)
         blocks = [row() for row in rows]
         assert all(type(block) is Block for block in blocks), task
-        assert sorted(cases_of(*blocks), key=lambda c: c.sort_key) == cases(cli.run(config)), task
+        assert cases_of(*cli._TASKS[task].gather(blocks)) == cases(cli.run(config)), task
 
 
 # q-sun and q-specialize keep one row per k, the q side's unit of
-# parallel work: their cells come in (k, n) order and `collect` sorts
-# them, a few hundred cells at the grids the q side can afford.
+# parallel work: their rows' cells come in (k, n) order.
 _ROWS_PER_K = {"q-sun", "q-specialize"}
 
 _KEY_ORDER_GRIDS = [
@@ -99,17 +101,19 @@ _KEY_ORDER_GRIDS = [
 
 @pytest.mark.parametrize("grid", _KEY_ORDER_GRIDS, ids=repr)
 def test_rows_emit_their_cases_in_key_order(grid):
-    # Every other task's rows' cells, in table order, are in key order,
-    # so `collect` keeps the blocks as they come; the q tasks' are not,
-    # and `collect` sorts them.
+    # Every task's gathered cells are in key order: the report keeps
+    # them as they come.  The q tasks' rows, one per k, are not in key
+    # order from n_max = 3 on, where row 0 ends at (3, 0) and row 1
+    # starts at (2, 1), so their `gather` carries weight.
     for name, task in cli._TASKS.items():
         if grid.get("n_max", 20) < task.min_n_max:
             continue
         blocks = [row() for row in cli._task_rows(cli.GridConfig(name, **grid))[name]]
-        cells = cases_of(*blocks)
-        in_order = cells == sorted(cells, key=lambda c: c.sort_key)
-        assert gridrun._in_key_order(blocks) == in_order, (name, grid)
-        assert in_order or name in _ROWS_PER_K and len(blocks) > 1, (name, grid)
+        cells = cases_of(*task.gather(blocks))
+        assert cells == sorted(cells, key=lambda c: c.sort_key), (name, grid)
+        if name in _ROWS_PER_K and grid.get("n_max", 20) >= 3:
+            ungathered = cases_of(*blocks)
+            assert ungathered != sorted(ungathered, key=lambda c: c.sort_key), (name, grid)
 
 
 def _corrupted_binom(bad, delta):
