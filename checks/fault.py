@@ -7,9 +7,9 @@ FAULT names an entry of `FAULTS`.  The runner sets it, then runs ARGV
 through `cli.main` twice per format: by `--out` to OUTDIR/<format>,
 then through stdout to OUTDIR/<format>.stdout, each exit code to the
 report's name plus `.rc`.  It imports the `ivpverify` on PYTHONPATH,
-so it serves any checkout: `checks/reports.py` runs the table here,
-and `checks/parity.py` here and in another commit.  Standard library
-only.
+so it serves any checkout: `run_table` runs the whole table with the
+package of one tree, which `checks/reports.py` does for this checkout
+and, given a commit, for that commit too.  Standard library only.
 """
 
 from __future__ import annotations
@@ -17,8 +17,11 @@ from __future__ import annotations
 import contextlib
 import os
 import re
+import signal
 import subprocess
 import sys
+from collections.abc import Mapping
+from concurrent.futures import ThreadPoolExecutor
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FORMATS = ("csv", "json", "text")
@@ -124,21 +127,69 @@ def normalized(name: str, text: str) -> str:
     return text
 
 
-def run(src: str, outdir: str, argv: str, jobs: int, fault: str) -> dict:
+class Outputs(Mapping):
+    """The outputs of one run by name, each read from its file under
+    `outdir` when asked for: a table's outputs, about 365 MB, stay on
+    disk."""
+
+    def __init__(self, outdir: str):
+        self.outdir = outdir
+        self.names = sorted(os.listdir(outdir))
+
+    def __getitem__(self, name: str) -> str:
+        if name not in self.names:
+            raise KeyError(name)
+        with open(os.path.join(self.outdir, name), encoding="utf-8") as fh:
+            return fh.read()
+
+    def __iter__(self):
+        return iter(self.names)
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+
+def run(src: str, outdir: str, argv: str, jobs: int, fault: str) -> Outputs:
     """This runner under `python -O` with the `ivpverify` of src: every
-    output it writes to outdir, by name."""
+    output it writes to outdir, by name.  The runner starts a session of
+    its own, and on its timeout the whole session is killed, so that no
+    worker it forked outlives it."""
     os.makedirs(outdir)
     env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="0")
     env.pop("IVPVERIFY_JOBS", None)
     command = [sys.executable, "-O", os.path.abspath(__file__), fault, outdir, *argv.split(),
                "--jobs", str(jobs)]
-    subprocess.run(command, env=env, cwd=outdir, stdout=subprocess.DEVNULL,
-                   stderr=subprocess.PIPE, timeout=300, check=True)
-    outputs = {}
-    for name in sorted(os.listdir(outdir)):
-        with open(os.path.join(outdir, name), encoding="utf-8") as fh:
-            outputs[name] = fh.read()
-    return outputs
+    with subprocess.Popen(command, env=env, cwd=outdir, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE, start_new_session=True) as process:
+        try:
+            _, err = process.communicate(timeout=300)
+        except subprocess.TimeoutExpired:
+            os.killpg(process.pid, signal.SIGKILL)
+            process.communicate()
+            raise
+    if process.returncode:
+        raise subprocess.CalledProcessError(process.returncode, command, stderr=err)
+    return Outputs(outdir)
+
+
+def run_table(src: str, into: str) -> dict:
+    """Every (argv, --jobs of `jobs_of`, fault) of the table, run with
+    the `ivpverify` of src, two at once, each in a directory of its own
+    under `into`: the run's outputs by name, or why it failed, keyed by
+    (argv, jobs, fault)."""
+    runs = [(argv, jobs, name) for name in FAULTS for argv in argvs() for jobs in jobs_of(argv)]
+
+    def one(i: int) -> Outputs | str:
+        argv, jobs, name = runs[i]
+        try:
+            return run(src, os.path.join(into, str(i)), argv, jobs, name)
+        except subprocess.SubprocessError as exc:
+            err = getattr(exc, "stderr", None) or b""
+            last = err.decode(errors="replace").strip().rpartition("\n")[2]
+            return f"{exc}; {last}"
+
+    with ThreadPoolExecutor(2) as pool:
+        return dict(zip(runs, pool.map(one, range(len(runs)))))
 
 
 def _main(fault: str, outdir: str, *argv: str) -> None:

@@ -1,5 +1,6 @@
 """Fixtures for the tests that run rows in forked worker processes.
 
+`deadline`, on every test, fails a test that runs past `_DEADLINE_S`.
 `cores` sets the cores the runner sees.  `forks` counts the workers a
 test forks and, after the test, checks that every one was reaped and
 no file descriptor was left open;
@@ -15,8 +16,11 @@ a time; `serialize_report` writes a report as one string.
 
 from __future__ import annotations
 
+import faulthandler
 import os
 import re
+import signal
+import sys
 import time
 from functools import partial
 from itertools import groupby, repeat
@@ -91,12 +95,47 @@ def wait_until(done, seconds: float = 60) -> None:
         time.sleep(0.001)
 
 
+# The most any test may take, well above the slowest test (about 8 s on
+# two cores), and the wait before a test that caught the first deadline
+# gets the next.
+_DEADLINE_S = 60
+_AGAIN_S = 5
+
+
 class Forks(list):
     """The pids `os.fork` returned to the test's process, in order."""
 
     def wait_for_exit(self, pid: int) -> None:
         """Wait until the worker `pid` has exited, without reaping it."""
         wait_until(lambda: not running(pid))
+
+
+@pytest.fixture(autouse=True)
+def deadline():
+    """Fail the test, from SIGALRM, once it has run `_DEADLINE_S`: dump
+    every stack, kill each worker the test forked that is not yet
+    reaped, and raise in the test; again every `_AGAIN_S` until the
+    test ends, since a hang can sit in an `except` or `finally` (such
+    as `gridrun._reap`'s wait for its workers).  A signal and not a
+    watchdog thread, for a process that forks must hold no other thread.
+    Yields the `Forks` that the `forks` fixture fills."""
+    forked = Forks()
+
+    def expire(signum, frame):
+        faulthandler.dump_traceback(sys.__stderr__)
+        signal.alarm(_AGAIN_S)
+        for pid in forked:
+            if running(pid):
+                os.kill(pid, signal.SIGKILL)
+        raise TimeoutError(f"the test ran past its {_DEADLINE_S} s deadline")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(_DEADLINE_S)
+    try:
+        yield forked
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture
@@ -112,9 +151,9 @@ def cores(monkeypatch):
 
 
 @pytest.fixture
-def forks(monkeypatch) -> Forks:
+def forks(monkeypatch, deadline) -> Forks:
     fds = _open_fds()
-    pids = Forks()
+    pids = deadline
     real_fork = os.fork
 
     def fork():

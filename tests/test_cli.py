@@ -573,9 +573,9 @@ def test_all_runs_every_task(tmp_path):
 
 
 def test_the_report_checks_table_parses_and_names_every_task(monkeypatch):
-    """checks/fault.py holds the argvs that checks/reports.py and
-    checks/parity.py run: a renamed flag or task fails here, not in a
-    minutes-long check."""
+    """checks/fault.py holds the argvs that checks/reports.py runs, in
+    this checkout and in the commit it compares with: a renamed flag or
+    task fails here, not in a minutes-long check."""
     table = _fault_table()
     monkeypatch.delenv(cli.JOBS_ENV, raising=False)
     argvs = table.argvs()

@@ -412,10 +412,11 @@ def test_the_caller_runs_the_chunks_no_worker_started(monkeypatch, cores, forks,
             os.read(gate, 1)
             return taken + real_take(deal, chunks)
         worker_rows = sum(map(len, chunk_keys[:started]))
-        wait_until(lambda: len(row_log.read()) >= worker_rows)
-        taken = real_take(deal, chunks)
-        os.write(opener, b"x")
-        return taken
+        try:
+            wait_until(lambda: len(row_log.read()) >= worker_rows)
+            return real_take(deal, chunks)
+        finally:  # the worker goes on even if a row of the caller's raises
+            os.write(opener, b"x")
 
     def row(key):
         row_log.record(key)
@@ -504,12 +505,14 @@ def _hang_guard(forks, seconds=20):
                 killed.append(pid)
 
     previous = signal.signal(signal.SIGALRM, kill)
-    signal.setitimer(signal.ITIMER_REAL, seconds)  # not inherited by a forked worker
+    # not inherited by a forked worker; the test's deadline waits
+    left = signal.setitimer(signal.ITIMER_REAL, seconds)[0]
     try:
         yield killed
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+        signal.setitimer(signal.ITIMER_REAL, left)
 
 
 def _big_row(row_log, key):
